@@ -16,11 +16,11 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .bulkeval import BulkSpace
+from .bulkeval import frame_from_mask, model_from_indices, sweep
 from .semantics import (
-    DEFAULT_VALUATION_BOUND, BoundExceededError, Evaluator, FourValue, Frame,
-    Model, PointedModel, VALUE_ORDER, formula_valid_on_frame, frame_property,
-    frame_to_dict, model_to_dict, sequent_valid_on_frame,
+    Evaluator, FourValue, Frame, Model, PointedModel, _guard, _models_on_frame,
+    formula_valid_on_frame, frame_property, frame_to_dict, model_to_dict,
+    sequent_valid_on_frame,
 )
 from .syntax import (
     LANG_BOX, LANG_TRI, And, Atom, Box, Formula, Not, Or, Sequent, Tri,
@@ -38,8 +38,6 @@ __all__ = [
 # A definability claim is either sequent validity or formula validity.
 Claim = Union[Sequent, Formula]
 
-_CHUNK_BOOLS = 50_000_000  # per-array budget for vectorized sweeps
-
 
 def count_models(world_count: int, vars: Sequence[str]) -> int:
     """Closed form 2^(n*n) * 4^(n*|vars|)."""
@@ -47,55 +45,26 @@ def count_models(world_count: int, vars: Sequence[str]) -> int:
     return 2 ** (n * n) * 4 ** (n * len(set(vars)))
 
 
-def _guard(world_count: int, names: Sequence[str], bound: int):
-    if world_count < 1:
-        raise ValueError("need at least one world")
-    if not names:
-        raise ValueError("need at least one variable")
-    if world_count * len(names) > bound:
-        raise BoundExceededError(
-            f"{world_count} worlds x {len(names)} variables exceeds bound {bound}")
+def _claim_variables(claim: Claim) -> list[str]:
+    if isinstance(claim, Sequent):
+        return sorted(variables(claim.premise) | variables(claim.conclusion))
+    return sorted(variables(claim))
 
 
-def model_from_indices(world_count: int, vars: Sequence[str],
-                       rel_mask: int, val_index: int) -> Model:
-    """Decode one point of the enumeration (see bulkeval for the layout)."""
-    n = world_count
-    worlds = tuple(f"w{i}" for i in range(n))
-    names = sorted(set(vars))
-    rel = [(worlds[i], worlds[j])
-           for i in range(n) for j in range(n) if rel_mask >> (i * n + j) & 1]
-    slots = n * len(names)
-    values: dict[str, dict[str, FourValue]] = {w: {} for w in worlds}
-    for s in range(slots):
-        digit = (val_index // 4 ** (slots - 1 - s)) % 4
-        w, j = divmod(s, len(names))
-        values[worlds[w]][names[j]] = VALUE_ORDER[digit]
-    return Model.from_values(Frame(worlds, rel), values, variables=names)
-
-
-def enumerate_models(world_count: int, vars: Sequence[str], *,
-                     bound: int = DEFAULT_VALUATION_BOUND) -> Iterator[Model]:
+def enumerate_models(world_count: int, vars: Sequence[str]) -> Iterator[Model]:
     """All models with exactly ``world_count`` labelled worlds over ``vars``:
     every relation crossed with every valuation, in a fixed deterministic
     order (relation mask ascending, then valuation index ascending)."""
-    names = sorted(set(vars))
-    _guard(world_count, names, bound)
-    n = world_count
-    n_val = 4 ** (n * len(names))
-    for rel_mask in range(2 ** (n * n)):
-        for val_index in range(n_val):
-            yield model_from_indices(n, names, rel_mask, val_index)
+    names = frozenset(vars)
+    _guard(world_count, len(names))
+    for frame in enumerate_frames(world_count):
+        yield from _models_on_frame(frame, names)
 
 
 def enumerate_frames(world_count: int) -> Iterator[Frame]:
     """All labelled frames with exactly ``world_count`` worlds."""
-    n = world_count
-    worlds = tuple(f"w{i}" for i in range(n))
-    for rel_mask in range(2 ** (n * n)):
-        rel = [(worlds[i], worlds[j])
-               for i in range(n) for j in range(n) if rel_mask >> (i * n + j) & 1]
-        yield Frame(worlds, rel)
+    for rel_mask in range(2 ** (world_count * world_count)):
+        yield frame_from_mask(world_count, rel_mask)
 
 
 def enumerate_formulas(language: str, vars: Sequence[str],
@@ -125,8 +94,7 @@ def enumerate_formulas(language: str, vars: Sequence[str],
         yield from bucket
 
 
-def find_countermodel(s: Sequent, max_worlds: int, *,
-                      bound: int = DEFAULT_VALUATION_BOUND) -> PointedModel | None:
+def find_countermodel(s: Sequent, max_worlds: int) -> PointedModel | None:
     """Smallest-first exhaustive search for a pointed model where the
     premise is supported-true and the conclusion is not.
 
@@ -135,19 +103,14 @@ def find_countermodel(s: Sequent, max_worlds: int, *,
     the witness is reproducible.  Evaluation is vectorized; the result is
     identical to the naive scan.
     """
-    names = sorted(variables(s.premise) | variables(s.conclusion))
-    _guard(max_worlds, names, bound)
+    names = _claim_variables(s)
+    _guard(max_worlds, len(names))
     for n in range(1, max_worlds + 1):
-        n_val = 4 ** (n * len(names))
-        total_rel = 2 ** (n * n)
-        chunk = max(1, min(total_rel, _CHUNK_BOOLS // (n_val * n)))
-        for start in range(0, total_rel, chunk):
-            masks = np.arange(start, min(start + chunk, total_rel), dtype=np.int64)
-            space = BulkSpace(n, names, masks)
+        for space in sweep(n, names):
             hit = space.first_countermodel(s)
             if hit is not None:
                 r, v, w = hit
-                model = model_from_indices(n, names, int(masks[r]), int(v))
+                model = model_from_indices(n, names, int(space.rel_masks[r]), v)
                 return PointedModel(model, f"w{w}")
     return None
 
@@ -195,13 +158,13 @@ class DefinabilityReport:
                 "engine": self.engine, "elapsed": self.elapsed}
 
 
-def _claims_valid_scalar(fr: Frame, claims: Sequence[Claim], bound: int) -> bool:
+def _claims_valid_scalar(fr: Frame, claims: Sequence[Claim]) -> bool:
     for claim in claims:
         if isinstance(claim, Sequent):
-            if not sequent_valid_on_frame(fr, claim, bound=bound):
+            if not sequent_valid_on_frame(fr, claim):
                 return False
         else:
-            if not formula_valid_on_frame(fr, claim, bound=bound):
+            if not formula_valid_on_frame(fr, claim):
                 return False
     return True
 
@@ -209,19 +172,13 @@ def _claims_valid_scalar(fr: Frame, claims: Sequence[Claim], bound: int) -> bool
 def _claims_valid_bulk(n: int, claims: Sequence[Claim]) -> np.ndarray:
     valid = np.ones(2 ** (n * n), dtype=bool)
     for claim in claims:
-        if isinstance(claim, Sequent):
-            names = sorted(variables(claim.premise) | variables(claim.conclusion))
-            space = BulkSpace(n, names)
-            valid &= space.sequent_valid_per_relation(claim)
-        else:
-            space = BulkSpace(n, sorted(variables(claim)))
-            valid &= space.formula_valid_per_relation(claim)
+        valid &= np.concatenate([space.valid_per_relation(claim)
+                                 for space in sweep(n, _claim_variables(claim))])
     return valid
 
 
 def check_definability(prop: str, claims: Sequence[Claim], max_size: int, *,
-                       engine: str = "bulk",
-                       bound: int = DEFAULT_VALUATION_BOUND) -> DefinabilityReport:
+                       engine: str = "bulk") -> DefinabilityReport:
     """Compare ``frame_property`` against joint claim validity on every
     labelled frame with at most ``max_size`` worlds.
 
@@ -237,9 +194,7 @@ def check_definability(prop: str, claims: Sequence[Claim], max_size: int, *,
     if engine not in ("bulk", "scalar"):
         raise ValueError(f"unknown engine {engine!r}")
     for claim in claims:
-        names = (variables(claim.premise) | variables(claim.conclusion)
-                 if isinstance(claim, Sequent) else variables(claim))
-        _guard(max_size, sorted(names), bound)
+        _guard(max_size, len(_claim_variables(claim)))
     started = time.perf_counter()
     frames_checked = 0
     witness = None
@@ -251,7 +206,7 @@ def check_definability(prop: str, claims: Sequence[Claim], max_size: int, *,
             if valid_vec is not None:
                 valid = bool(valid_vec[rel_mask])
             else:
-                valid = _claims_valid_scalar(fr, claims, bound)
+                valid = _claims_valid_scalar(fr, claims)
             if has_prop != valid:
                 direction = ("property_holds_but_claims_fail" if has_prop
                              else "claims_hold_but_property_fails")
@@ -259,9 +214,6 @@ def check_definability(prop: str, claims: Sequence[Claim], max_size: int, *,
                 break
         if witness:
             break
-    if witness is None:
-        # Count the frames of the sizes we skipped past the break.
-        frames_checked = sum(2 ** (k * k) for k in range(1, max_size + 1))
     return DefinabilityReport(
         property=prop,
         claims=tuple(_claim_text(c) for c in claims),

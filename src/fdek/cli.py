@@ -3,7 +3,7 @@
 Exit codes are a function of the logical verdict only: 0 for
 proved/valid/defines/no-separating-formula/countermodel-found (and for
 purely informational commands), 1 for the opposite verdict, 2 for parse,
-IO, or resource-bound errors.
+IO, or resource-bound errors, including running out of stack or memory.
 
 Human-readable output uses logic glyphs unless the ``FDEK_ASCII`` or
 ``NO_COLOR`` environment variable is set; ``--json`` output is always
@@ -78,9 +78,9 @@ def _cmd_valid_on_frame(args) -> int:
         raise ParseError("expected exactly one sequent or formula", 0)
     claim = claims[0]
     if isinstance(claim, Sequent):
-        valid = semantics.sequent_valid_on_frame(frame, claim, bound=args.bound)
+        valid = semantics.sequent_valid_on_frame(frame, claim)
     else:
-        valid = semantics.formula_valid_on_frame(frame, claim, bound=args.bound)
+        valid = semantics.formula_valid_on_frame(frame, claim)
     if args.json:
         print(json.dumps({"claim": args.claim.strip(), "valid": valid}))
     else:
@@ -96,7 +96,7 @@ def _cmd_dual(args) -> int:
 
 def _cmd_countermodel(args) -> int:
     sequent = parse_sequent(args.sequent)
-    found = analysis.find_countermodel(sequent, args.max_worlds, bound=args.bound)
+    found = analysis.find_countermodel(sequent, args.max_worlds)
     if found is None:
         if args.json:
             print(json.dumps({"found": False, "max_worlds": args.max_worlds}))
@@ -122,7 +122,7 @@ def _cmd_definability(args) -> int:
     else:
         raise ValueError(f"no built-in claim set for {args.property!r}; pass --sequents")
     report = analysis.check_definability(args.property, claims, args.max_size,
-                                         engine=args.engine, bound=args.bound)
+                                         engine=args.engine)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
@@ -193,7 +193,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="exhaustive validity of a sequent (or '|- f') on a frame file")
     p.add_argument("claim")
     p.add_argument("--frame", required=True)
-    p.add_argument("--bound", type=int, default=semantics.DEFAULT_VALUATION_BOUND)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_valid_on_frame)
 
@@ -204,7 +203,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("countermodel", help="exhaustive small-model search")
     p.add_argument("sequent")
     p.add_argument("--max-worlds", type=int, required=True)
-    p.add_argument("--bound", type=int, default=semantics.DEFAULT_VALUATION_BOUND)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_countermodel)
 
@@ -215,7 +213,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sequents", help="file of claims; default: built-in set")
     p.add_argument("--max-size", type=int, required=True)
     p.add_argument("--engine", choices=("bulk", "scalar"), default="bulk")
-    p.add_argument("--bound", type=int, default=semantics.DEFAULT_VALUATION_BOUND)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_definability)
 
@@ -245,8 +242,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ParseError, ModelError, BoundExceededError, tableau.LanguageError,
-            OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+            OSError, json.JSONDecodeError, KeyError, ValueError,
+            RecursionError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

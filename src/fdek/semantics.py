@@ -58,8 +58,10 @@ class UnknownWorldError(ModelError):
 
 
 class BoundExceededError(RuntimeError):
-    """An exhaustive check was refused because |worlds| * |variables| is too
-    large.  Raised instead of returning a (necessarily wrong) boolean."""
+    """An exhaustive check was refused because its model space is too large:
+    more than ``DEFAULT_VALUATION_BOUND`` (world, variable) slots, or more
+    than 5 worlds when every relation is enumerated.  Raised before anything
+    is allocated, instead of returning a (necessarily wrong) boolean."""
 
 
 class FourValue(Enum):
@@ -90,6 +92,24 @@ _FLAGS = {v.value: v for v in FourValue}
 VALUE_ORDER = (FourValue.T, FourValue.B, FourValue.N, FourValue.F)
 
 DEFAULT_VALUATION_BOUND = 12
+_MAX_RELATION_WORLDS = 5
+
+
+def _guard(world_count: int, variable_count: int, *, relations: bool = True) -> None:
+    """The one size guard of every exhaustive sweep; call it before
+    allocating.  ``relations`` says whether every relation on the worlds is
+    enumerated, or the frame is given."""
+    if world_count < 1:
+        raise ValueError("need at least one world")
+    if variable_count < 1:
+        raise ValueError("need at least one variable")
+    if world_count * variable_count > DEFAULT_VALUATION_BOUND:
+        raise BoundExceededError(
+            f"{world_count} worlds x {variable_count} variables exceeds bound "
+            f"{DEFAULT_VALUATION_BOUND}")
+    if relations and world_count > _MAX_RELATION_WORLDS:
+        raise BoundExceededError(
+            f"relation enumeration beyond {_MAX_RELATION_WORLDS} worlds is not supported")
 
 
 @dataclass(frozen=True)
@@ -310,22 +330,15 @@ def sequent_holds(m: Model, s: Sequent) -> bool:
     return True
 
 
-def _valuation_slots(frame: Frame, names: frozenset[str], bound: int):
-    slots = [(w, v) for w in frame.worlds for v in sorted(names)]
-    if len(slots) > bound:
-        raise BoundExceededError(
-            f"{len(frame.worlds)} worlds x {len(names)} variables exceeds bound {bound}")
-    return slots
-
-
-def _models_on_frame(frame: Frame, names: frozenset[str], bound: int):
+def _models_on_frame(frame: Frame, names: frozenset[str]):
     """All models on ``frame`` over ``names``, in canonical order.
 
     Only the variables occurring in the formulas under test need to be
     enumerated: evaluation is a structural recursion that never reads any
     other variable, so extra variables cannot change a validity verdict.
     """
-    slots = _valuation_slots(frame, names, bound)
+    _guard(len(frame.worlds), len(names), relations=False)
+    slots = [(w, v) for w in frame.worlds for v in sorted(names)]
     for combo in itertools.product(VALUE_ORDER, repeat=len(slots)):
         values: dict[str, dict[str, FourValue]] = {w: {} for w in frame.worlds}
         for (w, var), val in zip(slots, combo):
@@ -333,20 +346,18 @@ def _models_on_frame(frame: Frame, names: frozenset[str], bound: int):
         yield Model.from_values(frame, values, variables=names)
 
 
-def sequent_valid_on_frame(fr: Frame, s: Sequent, *,
-                           bound: int = DEFAULT_VALUATION_BOUND) -> bool:
+def sequent_valid_on_frame(fr: Frame, s: Sequent) -> bool:
     """Exhaustively check truth preservation over all valuations on ``fr``."""
     names = variables(s.premise) | variables(s.conclusion)
-    for m in _models_on_frame(fr, names, bound):
+    for m in _models_on_frame(fr, names):
         if not sequent_holds(m, s):
             return False
     return True
 
 
-def formula_valid_on_frame(fr: Frame, f: Formula, *,
-                           bound: int = DEFAULT_VALUATION_BOUND) -> bool:
+def formula_valid_on_frame(fr: Frame, f: Formula) -> bool:
     """True iff ``f`` is supported-true at every world of every model on ``fr``."""
-    for m in _models_on_frame(fr, variables(f), bound):
+    for m in _models_on_frame(fr, variables(f)):
         ev = Evaluator(m)
         for w in fr.worlds:
             if not ev.supports(w, f)[0]:

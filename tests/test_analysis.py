@@ -1,5 +1,6 @@
 import pytest
 
+from fdek import bulkeval
 from fdek.analysis import (
     PAPER_FRAME_CLASSES, check_definability, check_indistinguishability,
     claims_from_text, count_models, enumerate_formulas, enumerate_frames,
@@ -12,6 +13,15 @@ from fdek.semantics import (
     model_to_dict,
 )
 from fdek.syntax import Atom, Box, Not, Tri, parse_formula, parse_sequent, size
+
+
+@pytest.fixture(params=["default", "tiny"])
+def chunk_budget(request, monkeypatch):
+    """Sweeps with the default chunk budget, and with one so small that at
+    two worlds every sweep splits: 3 relations per chunk for one variable
+    (the last chunk short), 1 relation per chunk for two."""
+    if request.param == "tiny":
+        monkeypatch.setattr(bulkeval, "_CHUNK_CELLS", 100)
 
 
 class TestModelEnumeration:
@@ -109,9 +119,11 @@ class TestCountermodelSearch:
             assert ev.supports(found.world, s.premise)[0]
             assert not ev.supports(found.world, s.conclusion)[0]
 
-    def test_agrees_with_naive_scan(self):
+    def test_agrees_with_naive_scan(self, chunk_budget):
         from fdek.syntax import variables
-        for text in ("p |- q", "#p |- p", "p & q |- q | p", "#p |- #p & p"):
+        # "#p |- ##p" is first refuted on relation mask 3, past the first chunk
+        # when the budget is tiny.
+        for text in ("p |- q", "#p |- p", "p & q |- q | p", "#p |- #p & p", "#p |- ##p"):
             s = parse_sequent(text)
             names = sorted(variables(s.premise) | variables(s.conclusion))
             fast = find_countermodel(s, 2)
@@ -138,6 +150,12 @@ class TestCountermodelSearch:
         with pytest.raises(BoundExceededError):
             find_countermodel(parse_sequent("p |- q"), 7)
 
+    def test_world_guard_refuses_before_sweeping(self):
+        # 6 worlds x 2 variables fits the slot limit; the world limit is
+        # checked before the sweep starts, whatever the sequent.
+        with pytest.raises(BoundExceededError):
+            find_countermodel(parse_sequent("p |- q"), 6)
+
 
 class TestBulkAgreement:
     def test_bulk_supports_match_scalar_exhaustively(self):
@@ -160,6 +178,10 @@ class TestBulkAgreement:
                                    bool(neg[r_idx, v, w_idx]))
                             assert got == expect
 
+    def test_world_guard(self):
+        with pytest.raises(BoundExceededError):
+            BulkSpace(6, ["p"])
+
     def test_holds_everywhere_matches_model_scan(self):
         s = parse_sequent("p & q |- p")
         assert BulkSpace(2, ["p", "q"]).sequent_holds_everywhere(s)
@@ -174,7 +196,7 @@ class TestDefinability:
             assert report.verdict == "defines", prop
             assert report.frames_checked == 18
 
-    def test_scalar_engine_agrees_with_bulk(self):
+    def test_scalar_engine_agrees_with_bulk(self, chunk_budget):
         props = list(PAPER_FRAME_CLASSES) + ["transitive", "euclidean", "serial"]
         for prop in props:
             claims = PAPER_FRAME_CLASSES.get(
@@ -201,6 +223,10 @@ class TestDefinability:
         data = report.to_dict()
         assert data["verdict"] == "defines"
         assert data["claims"] == ["#(p | ~p) |- p | ~p"]
+
+    def test_world_guard_refuses_before_sweeping(self):
+        with pytest.raises(BoundExceededError):
+            check_definability("reflexive", PAPER_FRAME_CLASSES["reflexive"], 6)
 
     def test_requires_claims(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from importlib import resources
 
+from fdek import analysis
 from fdek.cli import main
 from fdek.semantics import model_from_dict
 
@@ -58,6 +59,10 @@ class TestProve:
         code, _, err = run(capsys, "prove", "[]p |- p")
         assert code == 2 and "#-fragment" in err
 
+    def test_too_deep_exit_two(self, capsys):
+        code, _, err = run(capsys, "prove", "#" * 600 + "p |- p")
+        assert code == 2 and err.startswith("error:") and "recursion" in err
+
 
 class TestEval:
     def test_figure_value(self, capsys):
@@ -79,6 +84,11 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--model", data_file("fig1"),
                            "--world", "w9", "--formula", "p")
         assert code == 2
+
+    def test_too_deep_exit_two(self, capsys):
+        code, _, err = run(capsys, "eval", "--model", data_file("fig1"),
+                           "--world", "w0", "--formula", "#" * 600 + "p")
+        assert code == 2 and err.startswith("error:") and "recursion" in err
 
 
 class TestValidOnFrame:
@@ -127,6 +137,18 @@ class TestCountermodel:
         data = json.loads(out)
         assert data["found"] is True
         assert data["countermodel"]["designated"] == "w0"
+
+    def test_out_of_memory_exit_two(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(analysis, "find_countermodel", exhausted)
+        code, out, err = run(capsys, "countermodel", "p |- q", "--max-worlds", "1")
+        assert code == 2 and out == ""
+        assert err == "error: MemoryError\n"
+
+    def test_too_many_worlds_exit_two(self, capsys):
+        code, _, err = run(capsys, "countermodel", "p |- q", "--max-worlds", "6")
+        assert code == 2 and "5 worlds" in err
 
 
 class TestDefinability:
