@@ -60,8 +60,9 @@ class UnknownWorldError(ModelError):
 class BoundExceededError(RuntimeError):
     """An exhaustive check was refused because its model space is too large:
     more than ``DEFAULT_VALUATION_BOUND`` (world, variable) slots, or more
-    than 5 worlds when every relation is enumerated.  Raised before anything
-    is allocated, instead of returning a (necessarily wrong) boolean."""
+    than 10^9 (relation, valuation, world) cells when every relation is
+    enumerated.  Raised before anything is allocated, instead of returning a
+    (necessarily wrong) boolean."""
 
 
 class FourValue(Enum):
@@ -92,7 +93,9 @@ _FLAGS = {v.value: v for v in FourValue}
 VALUE_ORDER = (FourValue.T, FourValue.B, FourValue.N, FourValue.F)
 
 DEFAULT_VALUATION_BOUND = 12
-_MAX_RELATION_WORLDS = 5
+# (relation, valuation, world) cells one sweep over every relation may
+# visit: 2x6 (5.4e8) and 3x3 (4.0e8) fit, 3x4 (2.6e10) does not.
+_MAX_SWEEP_CELLS = 10 ** 9
 
 
 def _guard(world_count: int, variable_count: int, *, relations: bool = True) -> None:
@@ -107,9 +110,15 @@ def _guard(world_count: int, variable_count: int, *, relations: bool = True) -> 
         raise BoundExceededError(
             f"{world_count} worlds x {variable_count} variables exceeds bound "
             f"{DEFAULT_VALUATION_BOUND}")
-    if relations and world_count > _MAX_RELATION_WORLDS:
+    if not relations:
+        return
+    # The slot rule above caps world_count at 12, so this power is cheap.
+    cells = (2 ** (world_count * world_count)
+             * 4 ** (world_count * variable_count) * world_count)
+    if cells > _MAX_SWEEP_CELLS:
         raise BoundExceededError(
-            f"relation enumeration beyond {_MAX_RELATION_WORLDS} worlds is not supported")
+            f"{world_count} worlds x {variable_count} variables over every relation "
+            f"is {cells:.1e} cells, beyond the budget of {_MAX_SWEEP_CELLS:.0e}")
 
 
 @dataclass(frozen=True)

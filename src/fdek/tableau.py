@@ -8,11 +8,14 @@ some formula carries a value label together with its bar.  Gluts and gaps
 do not close anything: ``{w:p;t, w:p;f}`` is a consistent description of
 ``p`` being B.
 
-Rule scheduling: closure is detected on insertion; then, in priority
-order, non-branching propositional rules, modal propagation rules,
-branching cuts, and world-creating rules.  Within a class, candidates are
-tried in branch insertion order, which makes the search fully
-deterministic.
+Rule scheduling: closure is detected on insertion.  One finder per rule
+class (non-branching propositional rules, modal propagation rules,
+branching cuts, world-creating rules) yields candidate instances in
+branch insertion order; ``_select`` runs the finders in that priority
+order and fires the first candidate that is unfired and adds something
+new, which makes the search fully deterministic.  The rules of ``&`` and
+``|`` are read off one table, ``_SHARED``, and the glut/gap uniformity
+rules and their world-creating forms off another, ``_UNIFORM``.
 
 Cut discipline (the analytic part): the value-pair cut is applied only
 
@@ -48,7 +51,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .semantics import Model, PointedModel, Evaluator, Frame
 from .syntax import And, Atom, Formula, Not, Or, Sequent, Tri, contains_box, render, variables
@@ -121,22 +124,21 @@ class Branch:
     numbers independently.
     """
 
-    __slots__ = ("items", "_set", "vals", "succ", "worlds", "_worldset",
-                 "fired", "fresh", "closed", "closing", "deps", "decisions")
+    __slots__ = ("items", "vals", "succ", "worlds", "fired", "fresh",
+                 "closed", "closing", "deps", "decisions")
 
     def __init__(self):
         self.items: list[Item] = []
-        self._set: set[Item] = set()
         self.vals: dict[tuple[str, Formula], set[Val]] = {}
         self.succ: dict[str, list[str]] = {}
         self.worlds: list[str] = []
-        self._worldset: set[str] = set()
         self.fired: set[tuple] = set()
         self.fresh = 1
         self.closed = False
         self.closing: tuple[Labelled, Labelled] | None = None
         # Which split decisions each item's derivation rests on; lets the
         # search skip the sibling of a split that a closed subtree never used.
+        # Its keys are the branch's item set.
         self.deps: dict[Item, frozenset[int]] = {}
         self.decisions = 0
 
@@ -150,11 +152,9 @@ class Branch:
     def copy(self) -> "Branch":
         b = Branch.__new__(Branch)
         b.items = list(self.items)
-        b._set = set(self._set)
         b.vals = {k: set(v) for k, v in self.vals.items()}
         b.succ = {k: list(v) for k, v in self.succ.items()}
         b.worlds = list(self.worlds)
-        b._worldset = set(self._worldset)
         b.fired = set(self.fired)
         b.fresh = self.fresh
         b.closed = self.closed
@@ -164,17 +164,15 @@ class Branch:
         return b
 
     def _register_world(self, w: str):
-        if w not in self._worldset:
-            self._worldset.add(w)
+        if w not in self.worlds:
             self.worlds.append(w)
 
     def add(self, item: Item, dep: frozenset = frozenset()) -> bool:
         """Insert an item; returns False if it was already present."""
-        if item in self._set:
+        if item in self.deps:
             return False
         self.items.append(item)
         self.deps[item] = dep
-        self._set.add(item)
         if isinstance(item, Labelled):
             self._register_world(item.world)
             vals = self.vals.setdefault((item.world, item.formula), set())
@@ -189,7 +187,7 @@ class Branch:
         return True
 
     def has(self, world: str, f: Formula, v: Val) -> bool:
-        return Labelled(world, f, v) in self._set
+        return v in self.values(world, f)
 
     def values(self, world: str, f: Formula) -> set[Val]:
         return self.vals.get((world, f), set())
@@ -205,7 +203,7 @@ class Branch:
         while len(names) < count:
             name = f"w{n}"
             n += 1
-            if name not in self._worldset:
+            if name not in self.worlds:
                 names.append(name)
         return names, n
 
@@ -236,155 +234,100 @@ def _attempt(b: Branch, rule: str, key: tuple,
              fresh_after: int | None = None) -> _Instance | None:
     if key in b.fired:
         return None
-    if len(additions) == 1 and all(item in b._set for item in additions[0]):
+    if len(additions) == 1 and all(item in b.deps for item in additions[0]):
         b.fired.add(key)  # permanently unproductive; skip in later scans
         return None
     return _Instance(rule, key, additions, premises, fresh_after)
 
 
-def _find_linear(b: Branch) -> _Instance | None:
+# The labels of & and | that pass to both subformulas.  Every other label
+# ``v`` of a binary connective is a two-premise rule: minor premise
+# ``bar(v)`` on one subformula, conclusion ``v`` on the other.
+_SHARED = {And: (Val.T, Val.FBAR), Or: (Val.F, Val.TBAR)}
+# The value pairs of one dimension, supported label first.
+_DIMENSIONS = {"t": (Val.T, Val.TBAR), "f": (Val.F, Val.FBAR)}
+_CLASSICAL_PAIRS = (("ctrue", (Val.T, Val.FBAR)), ("cfalse", (Val.F, Val.TBAR)))
+# A glut (gap) on a #-entry makes every successor a glut (gap).
+_UNIFORM = (("tri_B", (Val.T, Val.F)), ("tri_N", (Val.TBAR, Val.FBAR)))
+
+
+def _find_linear(b: Branch) -> Iterator[tuple]:
     for item in b.items:
         if not isinstance(item, Labelled):
             continue
         w, f, v = item.world, item.formula, item.value
         if isinstance(f, Not):
-            inst = _attempt(b, f"not_{v.value}", ("not", w, f, v),
-                            ((Labelled(w, f.child, neg(v)),),), (item,))
-            if inst:
-                return inst
-        elif isinstance(f, And):
-            if v is Val.T:
-                inst = _attempt(b, "and_t", ("and_t", w, f),
-                                ((Labelled(w, f.left, Val.T), Labelled(w, f.right, Val.T)),),
-                                (item,))
-                if inst:
-                    return inst
-            elif v is Val.FBAR:
-                inst = _attempt(b, "and_fbar", ("and_fbar", w, f),
-                                ((Labelled(w, f.left, Val.FBAR), Labelled(w, f.right, Val.FBAR)),),
-                                (item,))
-                if inst:
-                    return inst
-            elif v is Val.F:
-                inst = _two_premise(b, "and_f", item, minor=Val.FBAR, concl=Val.F)
-                if inst:
-                    return inst
-            elif v is Val.TBAR:
-                inst = _two_premise(b, "and_tbar", item, minor=Val.T, concl=Val.TBAR)
-                if inst:
-                    return inst
-        elif isinstance(f, Or):
-            if v is Val.F:
-                inst = _attempt(b, "or_f", ("or_f", w, f),
-                                ((Labelled(w, f.left, Val.F), Labelled(w, f.right, Val.F)),),
-                                (item,))
-                if inst:
-                    return inst
-            elif v is Val.TBAR:
-                inst = _attempt(b, "or_tbar", ("or_tbar", w, f),
-                                ((Labelled(w, f.left, Val.TBAR), Labelled(w, f.right, Val.TBAR)),),
-                                (item,))
-                if inst:
-                    return inst
-            elif v is Val.T:
-                inst = _two_premise(b, "or_t", item, minor=Val.TBAR, concl=Val.T)
-                if inst:
-                    return inst
-            elif v is Val.FBAR:
-                inst = _two_premise(b, "or_fbar", item, minor=Val.F, concl=Val.FBAR)
-                if inst:
-                    return inst
-    return None
+            yield (f"not_{v.value}", ("not", w, f, v),
+                   ((Labelled(w, f.child, neg(v)),),), (item,))
+        elif type(f) in _SHARED:
+            rule = f"{type(f).__name__.lower()}_{v.value}"
+            if v in _SHARED[type(f)]:
+                yield (rule, (rule, w, f),
+                       ((Labelled(w, f.left, v), Labelled(w, f.right, v)),), (item,))
+                continue
+            minor = bar(v)
+            for idx, (this, other) in enumerate(((f.left, f.right), (f.right, f.left))):
+                if b.has(w, this, minor):
+                    yield (rule, (rule, w, f, idx), ((Labelled(w, other, v),),),
+                           (item, Labelled(w, this, minor)))
 
 
-def _two_premise(b: Branch, rule: str, major: Labelled, *, minor: Val, concl: Val):
-    w, f = major.world, major.formula
-    for idx, (this, other) in enumerate(((f.left, f.right), (f.right, f.left))):
-        if b.has(w, this, minor):
-            inst = _attempt(b, rule, (rule, w, f, idx), ((Labelled(w, other, concl),),),
-                            (major, Labelled(w, this, minor)))
-            if inst:
-                return inst
-    return None
-
-
-_CLASSICAL_PAIRS = (("ctrue", (Val.T, Val.FBAR)), ("cfalse", (Val.F, Val.TBAR)))
-
-
-def _find_modal(b: Branch) -> _Instance | None:
+def _tri_items(b: Branch) -> Iterator[tuple[str, Tri, set[Val]]]:
+    """``(world, #-formula, its labels)`` for each ``#``-entry, in order."""
     for item in b.items:
-        if not (isinstance(item, Labelled) and isinstance(item.formula, Tri)):
-            continue
-        w, tf = item.world, item.formula
+        if isinstance(item, Labelled) and isinstance(item.formula, Tri):
+            yield item.world, item.formula, b.values(item.world, item.formula)
+
+
+def _find_modal(b: Branch) -> Iterator[tuple]:
+    for w, tf, vals in _tri_items(b):
         arg = tf.child
-        vals = b.values(w, tf)
         if Val.T in vals and Val.FBAR in vals:
             mode = (Labelled(w, tf, Val.T), Labelled(w, tf, Val.FBAR))
             for wj in b.successors(w):
                 for v in _VAL_ORDER:
                     if b.has(wj, arg, v):
-                        inst = _attempt(b, "tri_T", ("tri_T", w, tf, wj, v),
-                                        ((Labelled(wj, arg, neg(bar(v))),),),
-                                        mode + (RelAtom(w, wj), Labelled(wj, arg, v)))
-                        if inst:
-                            return inst
+                        yield ("tri_T", ("tri_T", w, tf, wj, v),
+                               ((Labelled(wj, arg, neg(bar(v))),),),
+                               mode + (RelAtom(w, wj), Labelled(wj, arg, v)))
             for wj1 in b.successors(w):
-                for tag, pair in _CLASSICAL_PAIRS:
-                    if b.has(wj1, arg, pair[0]) and b.has(wj1, arg, pair[1]):
-                        for wj2 in b.successors(w):
-                            if wj2 == wj1:
-                                continue
-                            inst = _attempt(
-                                b, "tri_T'", ("tri_T'", w, tf, wj1, wj2, tag),
-                                ((Labelled(wj2, arg, pair[0]),
-                                  Labelled(wj2, arg, pair[1])),),
-                                mode + (RelAtom(w, wj1), RelAtom(w, wj2),
-                                        Labelled(wj1, arg, pair[0]),
-                                        Labelled(wj1, arg, pair[1])))
-                            if inst:
-                                return inst
-        if Val.T in vals and Val.F in vals:
-            mode = (Labelled(w, tf, Val.T), Labelled(w, tf, Val.F))
-            for wj in b.successors(w):
-                inst = _attempt(b, "tri_B", ("tri_B", w, tf, wj),
-                                ((Labelled(wj, arg, Val.T), Labelled(wj, arg, Val.F)),),
-                                mode + (RelAtom(w, wj),))
-                if inst:
-                    return inst
-        if Val.TBAR in vals and Val.FBAR in vals:
-            mode = (Labelled(w, tf, Val.TBAR), Labelled(w, tf, Val.FBAR))
-            for wj in b.successors(w):
-                inst = _attempt(b, "tri_N", ("tri_N", w, tf, wj),
-                                ((Labelled(wj, arg, Val.TBAR), Labelled(wj, arg, Val.FBAR)),),
-                                mode + (RelAtom(w, wj),))
-                if inst:
-                    return inst
-    return None
+                for tag, (x, y) in _CLASSICAL_PAIRS:
+                    if not (b.has(wj1, arg, x) and b.has(wj1, arg, y)):
+                        continue
+                    for wj2 in b.successors(w):
+                        if wj2 != wj1:
+                            yield ("tri_T'", ("tri_T'", w, tf, wj1, wj2, tag),
+                                   ((Labelled(wj2, arg, x), Labelled(wj2, arg, y)),),
+                                   mode + (RelAtom(w, wj1), RelAtom(w, wj2),
+                                           Labelled(wj1, arg, x), Labelled(wj1, arg, y)))
+        for rule, (x, y) in _UNIFORM:
+            if x in vals and y in vals:
+                mode = (Labelled(w, tf, x), Labelled(w, tf, y))
+                for wj in b.successors(w):
+                    yield (rule, (rule, w, tf, wj),
+                           ((Labelled(wj, arg, x), Labelled(wj, arg, y)),),
+                           mode + (RelAtom(w, wj),))
 
 
-def _cut(b: Branch, w: str, f, dim: str) -> _Instance | None:
-    plain = Val.T if dim == "t" else Val.F
-    return _attempt(b, "cut", ("cut", w, f, dim),
-                    ((Labelled(w, f, plain),), (Labelled(w, f, bar(plain)),)))
+def _cut(w: str, f: Formula, dim: str) -> tuple:
+    plain, unsupported = _DIMENSIONS[dim]
+    return ("cut", ("cut", w, f, dim),
+            ((Labelled(w, f, plain),), (Labelled(w, f, unsupported),)))
 
 
-def _find_cuts(b: Branch) -> _Instance | None:
+def _find_cuts(b: Branch) -> Iterator[tuple]:
     for item in b.items:
         if not isinstance(item, Labelled):
             continue
-        w, f = item.world, item.formula
+        w, f, v = item.world, item.formula, item.value
         if isinstance(f, Tri):
             vals = b.values(w, f)
             tdim = Val.T in vals or Val.TBAR in vals
             fdim = Val.F in vals or Val.FBAR in vals
             if tdim and not fdim:
-                inst = _cut(b, w, f, "f")
-                if inst:
-                    return inst
+                yield _cut(w, f, "f")
             elif fdim and not tdim:
-                inst = _cut(b, w, f, "t")
-                if inst:
-                    return inst
+                yield _cut(w, f, "t")
             if Val.T in vals and Val.FBAR in vals:
                 # Propagation needs one entry for the argument at some
                 # accessible world: the completion rule then turns it into a
@@ -392,80 +335,43 @@ def _find_cuts(b: Branch) -> _Instance | None:
                 # every other accessible world, so one cut is enough.
                 succ = b.successors(w)
                 if succ and not any(b.values(wj, f.child) for wj in succ):
-                    inst = _cut(b, succ[0], f.child, "t")
-                    if inst:
-                        return inst
-        elif isinstance(f, And) or isinstance(f, Or):
-            v = item.value
-            if isinstance(f, And) and v is Val.F:
-                dim = "f"
-            elif isinstance(f, And) and v is Val.TBAR:
-                dim = "t"
-            elif isinstance(f, Or) and v is Val.T:
-                dim = "t"
-            elif isinstance(f, Or) and v is Val.FBAR:
-                dim = "f"
-            else:
-                continue
-            pair = (Val.T, Val.TBAR) if dim == "t" else (Val.F, Val.FBAR)
-            decided = any(x in b.values(w, sub)
-                          for sub in (f.left, f.right) for x in pair)
-            if not decided:
-                inst = _cut(b, w, f.left, dim)
-                if inst:
-                    return inst
-    return None
+                    yield _cut(succ[0], f.child, "t")
+        elif type(f) in _SHARED and v not in _SHARED[type(f)]:
+            dim = "t" if v in _DIMENSIONS["t"] else "f"
+            if not any(x in b.values(w, sub)
+                       for sub in (f.left, f.right) for x in _DIMENSIONS[dim]):
+                yield _cut(w, f.left, dim)
 
 
-def _find_creators(b: Branch) -> _Instance | None:
-    for item in b.items:
-        if not (isinstance(item, Labelled) and isinstance(item.formula, Tri)):
-            continue
-        w, tf = item.world, item.formula
+def _find_creators(b: Branch) -> Iterator[tuple]:
+    for w, tf, vals in _tri_items(b):
         arg = tf.child
-        vals = b.values(w, tf)
-        if Val.T in vals and Val.F in vals and not b.successors(w):
-            names, nxt = b.mint(1)
-            inst = _attempt(b, "tri_B+", ("tri_B+", w, tf),
-                            ((RelAtom(w, names[0]),
-                              Labelled(names[0], arg, Val.T),
-                              Labelled(names[0], arg, Val.F)),),
-                            (Labelled(w, tf, Val.T), Labelled(w, tf, Val.F)),
-                            fresh_after=nxt)
-            if inst:
-                return inst
-        if Val.TBAR in vals and Val.FBAR in vals and not b.successors(w):
-            names, nxt = b.mint(1)
-            inst = _attempt(b, "tri_N+", ("tri_N+", w, tf),
-                            ((RelAtom(w, names[0]),
-                              Labelled(names[0], arg, Val.TBAR),
-                              Labelled(names[0], arg, Val.FBAR)),),
-                            (Labelled(w, tf, Val.TBAR), Labelled(w, tf, Val.FBAR)),
-                            fresh_after=nxt)
-            if inst:
-                return inst
+        for rule, (x, y) in _UNIFORM:
+            if x in vals and y in vals and not b.successors(w):
+                (k,), nxt = b.mint(1)
+                yield (rule + "+", (rule + "+", w, tf),
+                       ((RelAtom(w, k), Labelled(k, arg, x), Labelled(k, arg, y)),),
+                       (Labelled(w, tf, x), Labelled(w, tf, y)), nxt)
         if Val.F in vals and Val.TBAR in vals:
-            names, nxt = b.mint(2)
-            k1, k2 = names
+            (k1, k2), nxt = b.mint(2)
             rels = (RelAtom(w, k1), RelAtom(w, k2))
-            inst = _attempt(b, "tri_F", ("tri_F", w, tf),
-                            (rels + (Labelled(k1, arg, Val.T), Labelled(k2, arg, Val.TBAR)),
-                             rels + (Labelled(k1, arg, Val.F), Labelled(k2, arg, Val.FBAR))),
-                            (Labelled(w, tf, Val.F), Labelled(w, tf, Val.TBAR)),
-                            fresh_after=nxt)
-            if inst:
-                return inst
-    return None
+            yield ("tri_F", ("tri_F", w, tf),
+                   (rels + (Labelled(k1, arg, Val.T), Labelled(k2, arg, Val.TBAR)),
+                    rels + (Labelled(k1, arg, Val.F), Labelled(k2, arg, Val.FBAR))),
+                   (Labelled(w, tf, Val.F), Labelled(w, tf, Val.TBAR)), nxt)
 
 
 _FINDERS = (_find_linear, _find_modal, _find_cuts, _find_creators)
 
 
 def _select(b: Branch) -> _Instance | None:
+    """The first applicable unfired instance: finders in priority order,
+    each yielding its candidates in branch insertion order."""
     for finder in _FINDERS:
-        inst = finder(b)
-        if inst is not None:
-            return inst
+        for candidate in finder(b):
+            inst = _attempt(b, *candidate)
+            if inst is not None:
+                return inst
     return None
 
 
@@ -714,20 +620,21 @@ def branch_items(b: Branch) -> list[dict]:
     return [_item_to_dict(item) for item in b.items]
 
 
-def tree_to_dict(node: ProofNode) -> dict:
-    root = {"rule": node.rule, "add": [_item_to_dict(i) for i in node.added],
-            "children": []}
+def _node_to_dict(node: ProofNode) -> dict:
+    enc = {"rule": node.rule, "add": [_item_to_dict(i) for i in node.added],
+           "children": []}
     if node.status:
-        root["status"] = node.status
+        enc["status"] = node.status
+    return enc
+
+
+def tree_to_dict(node: ProofNode) -> dict:
+    root = _node_to_dict(node)
     stack = [(node, root)]
     while stack:
         src, dst = stack.pop()
         for child in src.children:
-            enc = {"rule": child.rule,
-                   "add": [_item_to_dict(i) for i in child.added],
-                   "children": []}
-            if child.status:
-                enc["status"] = child.status
+            enc = _node_to_dict(child)
             dst["children"].append(enc)
             stack.append((child, enc))
     return root

@@ -53,6 +53,13 @@ class TestModelEnumeration:
         with pytest.raises(BoundExceededError):
             next(enumerate_models(7, ["p", "q"]))
 
+    @pytest.mark.parametrize("worlds,names", [(3, "pqrs"), (4, "pq")])
+    def test_cell_guard(self, worlds, names):
+        # Within the 12-slot rule, but one sweep over every relation would
+        # visit 2.6e10 resp. 1.7e10 cells.
+        with pytest.raises(BoundExceededError):
+            next(enumerate_models(worlds, names))
+
     def test_frame_enumeration_count(self):
         assert sum(1 for _ in enumerate_frames(2)) == 16
 
@@ -151,7 +158,7 @@ class TestCountermodelSearch:
             find_countermodel(parse_sequent("p |- q"), 7)
 
     def test_world_guard_refuses_before_sweeping(self):
-        # 6 worlds x 2 variables fits the slot limit; the world limit is
+        # 6 worlds x 2 variables fits the slot limit; the cell budget is
         # checked before the sweep starts, whatever the sequent.
         with pytest.raises(BoundExceededError):
             find_countermodel(parse_sequent("p |- q"), 6)

@@ -148,7 +148,7 @@ class TestCountermodel:
 
     def test_too_many_worlds_exit_two(self, capsys):
         code, _, err = run(capsys, "countermodel", "p |- q", "--max-worlds", "6")
-        assert code == 2 and "5 worlds" in err
+        assert code == 2 and "6 worlds" in err and "cells" in err
 
 
 class TestDefinability:

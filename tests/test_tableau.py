@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from fdek.analysis import find_countermodel
@@ -6,10 +8,11 @@ from fdek.syntax import Not, Or, parse_formula, parse_sequent, subformulas
 from fdek.tableau import (
     Branch, Labelled, LanguageError, Proved, RealisationError, Refuted,
     RelAtom, Val, bar, check_realisation, extract_countermodel, is_closed,
-    neg, prove, result_to_dict, saturation_step, tree_to_dict, tree_to_text,
+    neg, prove, result_to_dict, result_to_json, saturation_step, tree_to_dict,
+    tree_to_text,
 )
 
-from conftest import hand_sequents
+from conftest import corpus, hand_sequents
 
 q = parse_formula("q")
 p = parse_formula("p")
@@ -76,6 +79,51 @@ class TestSaturationStep:
         (out,) = saturation_step(b)
         assert lab("w1", "p", "fbar") in out.items
 
+    # One minimal branch per rule; the items each child adds, in order.
+    RULE_CASES = {
+        "and_t": (["w0: p & q ; t"], [["w0: p ; t", "w0: q ; t"]]),
+        "and_fbar": (["w0: p & q ; fbar"], [["w0: p ; fbar", "w0: q ; fbar"]]),
+        "or_f": (["w0: p | q ; f"], [["w0: p ; f", "w0: q ; f"]]),
+        "or_tbar": (["w0: p | q ; tbar"], [["w0: p ; tbar", "w0: q ; tbar"]]),
+        "and_f-left": (["w0: p & q ; f", "w0: p ; fbar"], [["w0: q ; f"]]),
+        "and_f-right": (["w0: p & q ; f", "w0: q ; fbar"], [["w0: p ; f"]]),
+        "and_tbar-left": (["w0: p & q ; tbar", "w0: p ; t"], [["w0: q ; tbar"]]),
+        "and_tbar-right": (["w0: p & q ; tbar", "w0: q ; t"], [["w0: p ; tbar"]]),
+        "or_t-left": (["w0: p | q ; t", "w0: p ; tbar"], [["w0: q ; t"]]),
+        "or_t-right": (["w0: p | q ; t", "w0: q ; tbar"], [["w0: p ; t"]]),
+        "or_fbar-left": (["w0: p | q ; fbar", "w0: p ; f"], [["w0: q ; fbar"]]),
+        "or_fbar-right": (["w0: p | q ; fbar", "w0: q ; f"], [["w0: p ; fbar"]]),
+        "tri_B": (["w0: #p ; t", "w0: #p ; f", "w0 R w1"],
+                  [["w1: p ; t", "w1: p ; f"]]),
+        "tri_N": (["w0: #p ; tbar", "w0: #p ; fbar", "w0 R w1"],
+                  [["w1: p ; tbar", "w1: p ; fbar"]]),
+        "tri_B+": (["w0: #p ; t", "w0: #p ; f"],
+                   [["w0 R w1", "w1: p ; t", "w1: p ; f"]]),
+        "tri_N+": (["w0: #p ; tbar", "w0: #p ; fbar"],
+                   [["w0 R w1", "w1: p ; tbar", "w1: p ; fbar"]]),
+        "tri_T'": (["w0: #p ; t", "w0: #p ; fbar", "w0 R w1", "w0 R w2",
+                    "w1: p ; t", "w1: p ; fbar"],
+                   [["w2: p ; t", "w2: p ; fbar"]]),
+        "cut-tri": (["w0: #p ; t"], [["w0: #p ; f"], ["w0: #p ; fbar"]]),
+        "cut-two-premise": (["w0: p & q ; f"], [["w0: p ; f"], ["w0: p ; fbar"]]),
+    }
+
+    @staticmethod
+    def _item(text):
+        if " R " in text:
+            return RelAtom(*text.split(" R "))
+        world, rest = text.split(": ")
+        formula, value = rest.rsplit(" ; ", 1)
+        return lab(world, formula, value)
+
+    @pytest.mark.parametrize("rule", list(RULE_CASES))
+    def test_rule_adds(self, rule):
+        start, expected = self.RULE_CASES[rule]
+        b = Branch.from_items([self._item(t) for t in start])
+        children = saturation_step(b)
+        assert [child.items[len(b):] for child in children] == \
+            [[self._item(t) for t in adds] for adds in expected]
+
     def test_closed_branch_rejected(self):
         b = Branch.from_items([lab("w0", "p", "t"), lab("w0", "p", "tbar")])
         with pytest.raises(ValueError, match="closed"):
@@ -137,6 +185,18 @@ class TestProve:
         for text in ("#p |- #~p", "q | ~q |- #(q | ~q)", "#p |- ##p"):
             s = parse_sequent(text)
             assert result_to_dict(prove(s)) == result_to_dict(prove(s))
+
+    def test_golden_proof_trees(self):
+        # Proof trees, minted labels and countermodels are part of the
+        # determinism contract: any change to rule order shows up here.
+        sequents = corpus() + [parse_sequent(f"{'#' * k}p |- {'#' * k}~p")
+                               for k in (1, 2, 3)]
+        digest = hashlib.sha256()
+        for s in sequents:
+            for start in ("truth", "nonfalsity"):
+                digest.update(result_to_json(prove(s, start=start)).encode())
+        assert digest.hexdigest() == \
+            "07f270b3159efd45785f1a6d38f5cc72590dc3b53d6ba0389d41b7361abe48ab"
 
     def test_subformula_property(self):
         for text in ("#p |- #~p", "q | ~q |- #(q | ~q)", "###p |- #p"):
