@@ -280,6 +280,8 @@ def check_indistinguishability(a: PointedModel, b: PointedModel,
     is what a []-style formula can do but, on such models, no #-language
     formula can.
     """
+    if max_size < 1:
+        raise ValueError(f"max_size must be at least 1, got {max_size}")
     same = a.model == b.model and a.world == b.world
     names = sorted(a.model.variables | b.model.variables)
     if not names:

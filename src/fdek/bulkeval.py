@@ -2,9 +2,11 @@
 
 The model space for ``n`` worlds over ``k`` variables is the cross product
 of all 2^(n*n) relations with all 4^(n*k) valuations.  A formula's two
-support relations are computed as boolean arrays of shape
-``(relations, valuations, worlds)``, so exhaustive searches over millions
-of pointed models become a handful of array operations.
+supports are world bitsets: ``uint8`` arrays of shape (relations,
+valuations), or (1, valuations) where independent of the relation, whose
+bit ``w`` means "supported at world ``w``" (the size guard keeps n <= 4).
+``~``, ``&``, ``|`` are bitwise, every complement masked to the low n bits;
+a successor quantifier is one mask compare per world.
 
 The index layout of the model space is known only to this module; the
 oracles in ``analysis`` go through ``sweep``, ``model_from_indices`` and
@@ -30,9 +32,9 @@ __all__ = ["BulkSpace", "sweep", "model_from_indices", "frame_from_mask"]
 
 _CHUNK_CELLS = 50_000_000  # per-array budget (relations x valuations x worlds) of one chunk
 
-# Support of truth and of falsity for base-4 digits 0..3.
-_DIGIT_POS = np.array([v.supports_truth for v in VALUE_ORDER])
-_DIGIT_NEG = np.array([v.supports_falsity for v in VALUE_ORDER])
+# Support of truth (row 0) and of falsity (row 1) for base-4 digits 0..3.
+_DIGIT_SUPPORTS = np.array([[v.supports_truth for v in VALUE_ORDER],
+                            [v.supports_falsity for v in VALUE_ORDER]], dtype=np.uint8)
 
 
 def frame_from_mask(n_worlds: int, rel_mask: int) -> Frame:
@@ -57,21 +59,22 @@ def model_from_indices(world_count: int, vars: Sequence[str],
 
 
 def _atom_tables(n: int, names: Sequence[str]) -> dict[Atom, tuple[np.ndarray, np.ndarray]]:
-    """Both supports of every atom at every (valuation, world), as arrays of
-    shape (1, valuations, worlds).  Built by broadcasting each slot's digit
-    pattern, so no table of valuation indices or digits is materialised."""
+    """Both supports of every atom as world bitsets of shape (1, valuations),
+    built by broadcasting each slot's digit pattern into its world's bit."""
     k = len(names)
     slots = n * k
-    pos = np.empty((4,) * slots + (slots,), dtype=bool)
-    neg = np.empty_like(pos)
+    world_bits = _DIGIT_SUPPORTS[:, None, :] << np.arange(n, dtype=np.uint8)[:, None]
+    tables = np.zeros((k, 2) + (4,) * slots, dtype=np.uint8)
     for s in range(slots):
-        axis = (1,) * s + (4,) + (1,) * (slots - 1 - s)
-        pos[..., s] = _DIGIT_POS.reshape(axis)
-        neg[..., s] = _DIGIT_NEG.reshape(axis)
-    pos = pos.reshape(4 ** slots, slots)
-    neg = neg.reshape(4 ** slots, slots)
-    return {Atom(var): (pos[None, :, j::k], neg[None, :, j::k])
-            for j, var in enumerate(names)}
+        w, j = divmod(s, k)
+        tables[j] |= world_bits[:, w].reshape((2,) + (1,) * s + (4,) + (1,) * (slots - 1 - s))
+    tables = tables.reshape(k, 2, 1, -1)
+    return {Atom(var): (tables[j, 0], tables[j, 1]) for j, var in enumerate(names)}
+
+
+def _unpack(bits: np.ndarray, n: int) -> np.ndarray:
+    """World bitsets of shape (..., valuations) as bools of shape (..., valuations, n)."""
+    return np.unpackbits(bits[..., None], axis=-1, count=n, bitorder="little").view(bool)
 
 
 class BulkSpace:
@@ -88,83 +91,81 @@ class BulkSpace:
 
     def _bind(self, n: int, atoms: dict, rel_masks) -> None:
         self.n = n
+        self.full = np.uint8((1 << n) - 1)
         self.variables = tuple(a.name for a in atoms)
         self.rel_masks = np.asarray(rel_masks, dtype=np.int64)
-        bits = (self.rel_masks[:, None] >> np.arange(n * n, dtype=np.int64)) & 1
-        self.rel = bits.reshape(len(self.rel_masks), n, n).astype(bool)
+        # succ[r, w]: bit j is set iff relation r contains (w, j).
+        self.succ = (self.rel_masks[:, None] >> n * np.arange(n) & int(self.full)).astype(np.uint8)
         self._memo: dict[Formula, tuple[np.ndarray, np.ndarray]] = dict(atoms)
 
-    def _succ_any(self, x: np.ndarray) -> np.ndarray:
-        """out[r, v, w] = some successor w' of w under relation r has x[r, v, w']."""
-        n = self.n
-        out = np.empty((self.rel.shape[0], x.shape[1], n), dtype=bool)
-        for w in range(n):
-            mask = self.rel[:, w, :]          # (R, n)
-            out[:, :, w] = (x & mask[:, None, :]).any(axis=2)
+    def _any(self, x: np.ndarray) -> np.ndarray:
+        """Bit w of out[r, v]: some successor of w under relation r is in x[r, v]."""
+        out = np.zeros((len(self.succ), x.shape[1]), dtype=np.uint8)
+        for w in range(self.n):
+            out |= ((x & self.succ[:, w, None]) != 0).view(np.uint8) << w
         return out
 
-    def _succ_all(self, x: np.ndarray) -> np.ndarray:
-        return ~self._succ_any(~x)
-
     def supports(self, f: Formula) -> tuple[np.ndarray, np.ndarray]:
-        """(supported-true, supported-false) arrays; shape broadcasts to
-        (relations, valuations, worlds)."""
+        """Both supports as bool arrays broadcasting to (relations, valuations, worlds)."""
+        pos, neg = self._bits(f)
+        return _unpack(pos, self.n), _unpack(neg, self.n)
+
+    def _bits(self, f: Formula) -> tuple[np.ndarray, np.ndarray]:
+        """Both supports of ``f`` as world bitsets, memoized per formula."""
         hit = self._memo.get(f)
         if hit is not None:
             return hit
         if isinstance(f, Atom):
             raise KeyError(f"variable {f.name!r} not in this space")
         elif isinstance(f, Not):
-            pos, neg = self.supports(f.child)
+            pos, neg = self._bits(f.child)
             res = (neg, pos)
         elif isinstance(f, And):
-            lp, ln = self.supports(f.left)
-            rp, rn = self.supports(f.right)
+            lp, ln = self._bits(f.left)
+            rp, rn = self._bits(f.right)
             res = (lp & rp, ln | rn)
         elif isinstance(f, Or):
-            lp, ln = self.supports(f.left)
-            rp, rn = self.supports(f.right)
+            lp, ln = self._bits(f.left)
+            rp, rn = self._bits(f.right)
             res = (lp | rp, ln & rn)
         elif isinstance(f, Tri):
-            pos, neg = self.supports(f.child)
-            any_p = self._succ_any(pos)
-            all_p = self._succ_all(pos)
-            any_n = self._succ_any(neg)
-            all_n = self._succ_all(neg)
-            agree = (all_p | ~any_p) & (all_n | ~any_n)
-            valued = self._succ_all(pos | neg)
-            res = (agree & valued,
-                   (any_p & ~all_p) | (any_n & ~all_n) | (any_p & any_n))
+            # True: no split on a support and no unvalued successor.  False: a
+            # split, or one successor supports the truth while one the falsity.
+            pos, neg = self._bits(f.child)
+            full = self.full
+            some_p, some_not_p = self._any(pos), self._any(~pos & full)
+            some_n, some_not_n = self._any(neg), self._any(~neg & full)
+            split = (some_p & some_not_p) | (some_n & some_not_n)
+            res = (~(split | self._any(~(pos | neg) & full)) & full,
+                   split | (some_p & some_n))
         elif isinstance(f, Box):
-            pos, neg = self.supports(f.child)
-            res = (self._succ_all(pos), self._succ_any(neg))
+            pos, neg = self._bits(f.child)
+            res = (~self._any(~pos & self.full) & self.full, self._any(neg))
         else:
             raise TypeError(f"not a formula: {f!r}")
         self._memo[f] = res
         return res
 
     def _refuting(self, claim: Sequent | Formula) -> np.ndarray:
-        """Cells where the claim fails: the premise is supported-true and the
+        """Bitsets of the worlds where the premise is supported-true and the
         conclusion is not, or a formula claim is not supported-true."""
         if isinstance(claim, Sequent):
-            prem_pos, _ = self.supports(claim.premise)
-            conc_pos, _ = self.supports(claim.conclusion)
-            return prem_pos & ~conc_pos
-        pos, _ = self.supports(claim)
-        return ~pos
+            return self._bits(claim.premise)[0] & ~self._bits(claim.conclusion)[0]
+        return ~self._bits(claim)[0] & self.full
 
     def first_countermodel(self, s: Sequent) -> tuple[int, int, int] | None:
         """Indices (relation, valuation, world) of the first pointed model
         where the premise is supported-true and the conclusion is not, in
-        enumeration order; None if the sequent holds throughout.  A
-        relation-independent result has a singleton relation axis, so its
-        first countermodel lies on relation 0."""
+        enumeration order: the first nonzero bitset, then its lowest bit.
+        None if the sequent holds throughout.  A relation-independent result
+        has a singleton relation axis, so its countermodel lies on relation 0."""
         bad = self._refuting(s)
-        flat = int(bad.argmax())
-        if not bad.flat[flat]:
+        flat = int((bad != 0).argmax())
+        bits = int(bad.flat[flat])
+        if not bits:
             return None
-        r, v, w = np.unravel_index(flat, bad.shape)
-        return int(r), int(v), int(w)
+        r, v = divmod(flat, bad.shape[1])
+        return r, v, (bits & -bits).bit_length() - 1
 
     def sequent_holds_everywhere(self, s: Sequent) -> bool:
         return self.first_countermodel(s) is None
@@ -172,7 +173,7 @@ class BulkSpace:
     def valid_per_relation(self, claim: Sequent | Formula) -> np.ndarray:
         """Boolean vector over this space's relations: the claim holds at
         every valuation and world of that frame."""
-        ok = ~self._refuting(claim).any(axis=(1, 2))
+        ok = ~self._refuting(claim).any(axis=1)
         return np.broadcast_to(ok, self.rel_masks.shape)
 
 

@@ -91,6 +91,8 @@ def _collapses(expected: list[tuple[Model, tuple[bool, bool]]],
 
 
 def run_figures(expressivity_size: int = DEFAULT_EXPRESSIVITY_SIZE) -> list[FigureCheck]:
+    if expressivity_size < 1:
+        raise ValueError(f"expressivity size must be at least 1, got {expressivity_size}")
     checks: list[FigureCheck] = []
     out = checks.append
 

@@ -1,8 +1,24 @@
 """Shared corpus builders for the prover/oracle coherence suites."""
 
+import os
 import random
+from pathlib import Path
+
+import pytest
 
 from fdek.syntax import And, Atom, Formula, Not, Or, Sequent, Tri, parse_sequent
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _subprocess_pythonpath():
+    """Subprocesses (``python -m fdek``) import the same source tree as the
+    tests, also under plain ``pytest``, whose ``pythonpath`` setting reaches
+    only this process."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        yield
+
 
 # Hand-written sequents with known verdicts (True = provable).
 HAND_VERDICTS = [

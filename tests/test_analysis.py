@@ -1,3 +1,8 @@
+import hashlib
+import json
+import random
+
+import numpy as np
 import pytest
 
 from fdek import bulkeval
@@ -12,7 +17,10 @@ from fdek.semantics import (
     BoundExceededError, Evaluator, FourValue, PointedModel, frame_to_dict,
     model_to_dict,
 )
-from fdek.syntax import Atom, Box, Not, Tri, parse_formula, parse_sequent, size
+from fdek.syntax import Atom, Box, Not, Tri, parse_formula, parse_sequent, render, size
+from fdek.tableau import Proved, prove
+
+from conftest import corpus
 
 
 @pytest.fixture(params=["default", "tiny"])
@@ -153,6 +161,20 @@ class TestCountermodelSearch:
                 assert fast.world == naive.world
                 assert fast.model == naive.model
 
+    def test_golden_witnesses(self):
+        # The first-witness order is part of the determinism contract: any
+        # change to the enumeration or to the bulk operators shows up here.
+        digest = hashlib.sha256()
+        for s in corpus():
+            if isinstance(prove(s), Proved):
+                continue
+            found = find_countermodel(s, 3)
+            assert found is not None, str(s)
+            record = [model_to_dict(found.model), found.world]
+            digest.update(json.dumps(record, sort_keys=True).encode())
+        assert digest.hexdigest() == \
+            "6e46983fed1e1c1d7b252113a519a988f7e8783ec8bc0f8fafa43c5b13158f99"
+
     def test_bound_guard(self):
         with pytest.raises(BoundExceededError):
             find_countermodel(parse_sequent("p |- q"), 7)
@@ -184,6 +206,50 @@ class TestBulkAgreement:
                             got = (bool(pos[r_idx, v, w_idx]),
                                    bool(neg[r_idx, v, w_idx]))
                             assert got == expect
+
+    @pytest.mark.parametrize("n,names,sample,max_size",
+                             [(3, "p", 6, 4), (4, "p", 3, 4), (2, "pq", 4, 3)])
+    def test_bulk_supports_match_scalar_on_sampled_relations(self, n, names, sample, max_size):
+        # Every valuation on a seeded sample of relations, the empty and the
+        # full relation among them.
+        top = 2 ** (n * n) - 1
+        masks = [0, top] + random.Random(n).sample(range(1, top), sample - 2)
+        formulas = set(enumerate_formulas("tri", names, max_size))
+        formulas |= set(enumerate_formulas("box", names, max_size))
+        space = BulkSpace(n, names, masks)
+        shape = (len(masks), 4 ** (n * len(names)), n)
+        bulk = {f: [np.broadcast_to(x, shape).tolist() for x in space.supports(f)]
+                for f in formulas}
+        for r, mask in enumerate(masks):
+            for v in range(shape[1]):
+                ev = Evaluator(model_from_indices(n, names, mask, v))
+                for f, (pos, neg) in bulk.items():
+                    for w in range(n):
+                        got = (pos[r][v][w], neg[r][v][w])
+                        assert got == ev.supports(f"w{w}", f), (render(f), mask, v, w)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_bitsets_carry_no_stray_bits(self, n):
+        # Bits at and above n stand for no world: an unmasked complement
+        # would set them, and read as a countermodel that does not exist.
+        # At 4 worlds a seeded sample of relations stands in for all 65536.
+        masks = None
+        if n == 4:
+            masks = [0, 2 ** 16 - 1] + random.Random(4).sample(range(1, 2 ** 16 - 1), 254)
+        space = BulkSpace(n, ["p"], masks)
+        stray = np.uint8(0xFF ^ ((1 << n) - 1))
+        for language in ("tri", "box"):
+            for f in enumerate_formulas(language, ["p"], 4):
+                for bits in (*space._bits(f), space._refuting(f)):
+                    assert not (bits & stray).any(), (n, render(f))
+
+    def test_first_countermodel_takes_the_lowest_world(self):
+        # Both worlds refute these first cells; enumeration visits w0 first.
+        # Searches that start at one world met no such cell on any sequent
+        # tried, so the golden witnesses do not pin this rule.
+        assert BulkSpace(2, ["p"]).first_countermodel(parse_sequent("p |- ~p")) == (0, 0, 0)
+        total = BulkSpace(2, ["p"], [15])
+        assert total.first_countermodel(parse_sequent("p |- #p")) == (0, 1, 0)
 
     def test_world_guard(self):
         with pytest.raises(BoundExceededError):

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from importlib import resources
 
+import pytest
+
 from fdek import analysis
 from fdek.cli import main
 from fdek.semantics import model_from_dict
@@ -192,6 +194,15 @@ class TestSeparate:
         assert code == 1
         assert json.loads(out)["witness"] == "p"
 
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_empty_scan_exit_two(self, capsys, size):
+        # A scan of no formulas would vacuously report "no separating formula".
+        code, out, err = run(capsys, "separate",
+                             "--model-a", data_file("fig6_single"), "--world-a", "w0",
+                             "--model-b", data_file("fig6_pair"), "--world-b", "w0",
+                             "--language", "box", "--max-size", size)
+        assert code == 2 and out == "" and "at least 1" in err
+
 
 class TestFigures:
     def test_all_pass_at_reduced_size(self, capsys):
@@ -210,6 +221,11 @@ class TestFigures:
         _, first, _ = run(capsys, "figures", "--json", "--max-size", "3")
         _, second, _ = run(capsys, "figures", "--json", "--max-size", "3")
         assert first == second
+
+    def test_empty_scan_exit_two(self, capsys):
+        # The expressivity rows would pass vacuously over no formulas.
+        code, out, err = run(capsys, "figures", "--max-size", "0")
+        assert code == 2 and out == "" and "at least 1" in err
 
 
 def test_module_entry_point():
