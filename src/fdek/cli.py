@@ -3,7 +3,9 @@
 Exit codes are a function of the logical verdict only: 0 for
 proved/valid/defines/no-separating-formula/countermodel-found (and for
 purely informational commands), 1 for the opposite verdict, 2 for parse,
-IO, or resource-bound errors, including running out of stack or memory.
+IO, or resource-bound errors, including running out of stack or memory,
+and for internal errors (an ``internal error:`` line, then the traceback,
+on stderr).
 
 Human-readable output uses logic glyphs unless the ``FDEK_ASCII`` or
 ``NO_COLOR`` environment variable is set; ``--json`` output is always
@@ -16,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from . import analysis, figures, semantics, tableau
 from .semantics import BoundExceededError, ModelError
@@ -245,6 +248,11 @@ def main(argv=None) -> int:
             OSError, json.JSONDecodeError, KeyError, ValueError,
             RecursionError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # A bug, not a verdict: exit 1 would read as "refuted" or "invalid".
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return 2
 
 

@@ -465,9 +465,12 @@ def frame_from_dict(data: Mapping) -> Frame:
         raise ModelError(f"missing frame field: {exc}") from exc
     if not isinstance(worlds, list) or not all(isinstance(w, str) for w in worlds):
         raise ModelError("'worlds' must be a list of strings")
+    if not isinstance(rel, list):
+        raise ModelError("'rel' must be a list of [source, target] pairs")
     pairs = []
     for edge in rel:
-        if not (isinstance(edge, (list, tuple)) and len(edge) == 2):
+        if not (isinstance(edge, (list, tuple)) and len(edge) == 2
+                and all(isinstance(w, str) for w in edge)):
             raise ModelError(f"bad relation entry {edge!r}")
         pairs.append((edge[0], edge[1]))
     return Frame(worlds, pairs)
@@ -492,10 +495,9 @@ def model_from_dict(data: Mapping) -> Model:
             raise ModelError(f"'val' entry for {world!r} must be an object")
         row = {}
         for var, letter in assignment.items():
-            try:
-                row[var] = FourValue[letter]
-            except KeyError:
-                raise ModelError(f"bad value {letter!r} for {var!r} at {world!r}") from None
+            if not isinstance(letter, str) or letter not in FourValue.__members__:
+                raise ModelError(f"bad value {letter!r} for {var!r} at {world!r}")
+            row[var] = FourValue[letter]
         values[world] = row
     return Model.from_values(frame, values)
 

@@ -10,12 +10,28 @@ do not close anything: ``{w:p;t, w:p;f}`` is a consistent description of
 
 Rule scheduling: closure is detected on insertion.  One finder per rule
 class (non-branching propositional rules, modal propagation rules,
-branching cuts, world-creating rules) yields candidate instances in
-branch insertion order; ``_select`` runs the finders in that priority
-order and fires the first candidate that is unfired and adds something
-new, which makes the search fully deterministic.  The rules of ``&`` and
-``|`` are read off one table, ``_SHARED``, and the glut/gap uniformity
-rules and their world-creating forms off another, ``_UNIFORM``.
+branching cuts, world-creating rules) yields the candidate instances whose
+major premise is one item.  The search fires the first candidate that is
+unfired and adds something new, taking the finders in that priority order
+and each over the branch in insertion order, which makes it fully
+deterministic.  The rules of ``&`` and ``|`` are read off one table,
+``_SHARED``, and the glut/gap uniformity rules and their world-creating
+forms off another, ``_UNIFORM``.
+
+That first candidate is found from an agenda, not by a scan of the branch.
+The branch keeps one dirty set of item positions per finder.  Inserting
+an item marks the positions whose candidates it can enable: its own; the
+``#``-entries for the same world and formula (their labels changed); the
+two-premise ``&``/``|`` entries with it as an immediate subformula at its
+world (a minor premise, or a decided dimension); the ``#``-entries with it
+as argument one step back along the relation; and, for ``w R w'``, the
+``#``-entries at ``w``.  ``_select`` visits the dirty positions in
+ascending order, finder by finder, and drops a position once all of its
+candidates are fired or add nothing, so it fires the instance the full
+scan would fire and marks the same unproductive instances as fired.  The
+search runs on one branch: every change goes on a trail, a split pushes a
+checkpoint, and backtracking undoes the trail to it (Eén & Sörensson, "An
+Extensible SAT-solver", 2003).
 
 Cut discipline (the analytic part): the value-pair cut is applied only
 
@@ -84,6 +100,10 @@ class Val(Enum):
     def __str__(self) -> str:
         return self.value
 
+    # Members are singletons, so identity hashing agrees with equality and
+    # skips Enum's Python-level hash of the member name.
+    __hash__ = object.__hash__
+
 
 _BAR = {Val.T: Val.TBAR, Val.TBAR: Val.T, Val.F: Val.FBAR, Val.FBAR: Val.F}
 _NEG = {Val.T: Val.F, Val.F: Val.T, Val.TBAR: Val.FBAR, Val.FBAR: Val.TBAR}
@@ -117,20 +137,28 @@ Item = Union[Labelled, RelAtom]
 
 
 class Branch:
-    """A tableau branch: item set plus rule-firing bookkeeping.
+    """A tableau branch: item set, rule-firing bookkeeping and the agenda.
 
-    ``fresh`` is the per-branch counter for minted world labels; it is
-    copied when a branch splits, so sibling branches reuse the same label
-    numbers independently.
+    ``fresh`` is the per-branch counter for minted world labels; each
+    alternative of a split starts from its value at the split, so sibling
+    branches reuse the same label numbers independently.
+
+    ``dirty`` holds one set of item positions per finder (``_FINDERS``):
+    every position at which that finder may yield an unfired instance is in
+    it.  ``add`` marks the positions a new item can enable, ``_select``
+    drops the ones it finds exhausted.  ``trail`` logs every change, so that
+    ``undo`` can take the branch back to a ``checkpoint``.
     """
 
-    __slots__ = ("items", "vals", "succ", "worlds", "fired", "fresh",
-                 "closed", "closing", "deps", "decisions")
+    __slots__ = ("items", "vals", "succ", "pred", "worlds", "fired", "fresh",
+                 "closed", "closing", "deps", "decisions",
+                 "tris", "tri_at", "binary", "dirty", "trail")
 
     def __init__(self):
         self.items: list[Item] = []
         self.vals: dict[tuple[str, Formula], set[Val]] = {}
         self.succ: dict[str, list[str]] = {}
+        self.pred: dict[str, list[str]] = {}
         self.worlds: list[str] = []
         self.fired: set[tuple] = set()
         self.fresh = 1
@@ -141,6 +169,13 @@ class Branch:
         # Its keys are the branch's item set.
         self.deps: dict[Item, frozenset[int]] = {}
         self.decisions = 0
+        # Positions of the #-entries by (world, argument) and by world, and
+        # of the two-premise &/| entries by (world, immediate subformula).
+        self.tris: dict[tuple[str, Formula], list[int]] = {}
+        self.tri_at: dict[str, list[int]] = {}
+        self.binary: dict[tuple[str, Formula], list[int]] = {}
+        self.dirty: tuple[set[int], ...] = tuple(set() for _ in _FINDERS)
+        self.trail: list = []
 
     @classmethod
     def from_items(cls, items: Iterable[Item]) -> "Branch":
@@ -150,10 +185,12 @@ class Branch:
         return b
 
     def copy(self) -> "Branch":
+        """An independent branch in the same state, with an empty trail."""
         b = Branch.__new__(Branch)
         b.items = list(self.items)
         b.vals = {k: set(v) for k, v in self.vals.items()}
         b.succ = {k: list(v) for k, v in self.succ.items()}
+        b.pred = {k: list(v) for k, v in self.pred.items()}
         b.worlds = list(self.worlds)
         b.fired = set(self.fired)
         b.fresh = self.fresh
@@ -161,30 +198,120 @@ class Branch:
         b.closing = self.closing
         b.deps = dict(self.deps)
         b.decisions = self.decisions
+        b.tris = {k: list(v) for k, v in self.tris.items()}
+        b.tri_at = {k: list(v) for k, v in self.tri_at.items()}
+        b.binary = {k: list(v) for k, v in self.binary.items()}
+        b.dirty = tuple(set(d) for d in self.dirty)
+        b.trail = []
         return b
 
     def _register_world(self, w: str):
         if w not in self.worlds:
             self.worlds.append(w)
 
+    def _mark(self, finders: tuple[int, ...], positions: Iterable[int]):
+        for i in finders:
+            dirty = self.dirty[i]
+            for pos in positions:
+                if pos not in dirty:
+                    dirty.add(pos)
+                    self.trail.append((_MARK, dirty, pos))
+
     def add(self, item: Item, dep: frozenset = frozenset()) -> bool:
         """Insert an item; returns False if it was already present."""
         if item in self.deps:
             return False
+        pos = len(self.items)
         self.items.append(item)
         self.deps[item] = dep
+        self.trail.append(item)
         if isinstance(item, Labelled):
-            self._register_world(item.world)
-            vals = self.vals.setdefault((item.world, item.formula), set())
-            vals.add(item.value)
-            if not self.closed and bar(item.value) in vals:
+            w, f, v = item.world, item.formula, item.value
+            self._register_world(w)
+            vals = self.vals.setdefault((w, f), set())
+            vals.add(v)
+            if not self.closed and bar(v) in vals:
                 self.closed = True
-                self.closing = (item, Labelled(item.world, item.formula, bar(item.value)))
+                self.closing = (item, Labelled(w, f, bar(v)))
+            if isinstance(f, Tri):
+                # The entry itself, and every entry for the same (w, f): the
+                # labels they read have changed.
+                same = self.tris.setdefault((w, f.child), [])
+                same.append(pos)
+                self.tri_at.setdefault(w, []).append(pos)
+                self._mark(_TRI_FINDERS, same)
+            elif isinstance(f, Not):
+                self._mark(_LINEAR, (pos,))
+            elif type(f) in _SHARED:
+                if v in _SHARED[type(f)]:
+                    self._mark(_LINEAR, (pos,))
+                else:
+                    for sub in (f.left, f.right):
+                        self.binary.setdefault((w, sub), []).append(pos)
+                    self._mark(_BINARY_FINDERS, (pos,))
+            # The item may be the minor premise or a decided subformula of a
+            # two-premise entry, or the argument of a #-entry one step back.
+            parents = self.binary.get((w, f))
+            if parents:
+                self._mark(_BINARY_FINDERS, parents)
+            for u in self.pred.get(w, ()):
+                tris = self.tris.get((u, f))
+                if tris:
+                    self._mark(_SUCC_FINDERS, tris)
         else:
-            self._register_world(item.source)
-            self._register_world(item.target)
-            self.succ.setdefault(item.source, []).append(item.target)
+            s, t = item.source, item.target
+            self._register_world(s)
+            self._register_world(t)
+            self.succ.setdefault(s, []).append(t)
+            self.pred.setdefault(t, []).append(s)
+            self._mark(_TRI_FINDERS, self.tri_at.get(s, ()))
         return True
+
+    def _unadd(self, item: Item):
+        """Reverse ``add(item)``, the last insertion still on the branch."""
+        self.items.pop()
+        del self.deps[item]
+        if isinstance(item, Labelled):
+            w, f = item.world, item.formula
+            self.vals[(w, f)].discard(item.value)
+            if isinstance(f, Tri):
+                self.tris[(w, f.child)].pop()
+                self.tri_at[w].pop()
+            elif type(f) in _SHARED and item.value not in _SHARED[type(f)]:
+                self.binary[(w, f.left)].pop()
+                self.binary[(w, f.right)].pop()
+        else:
+            self.succ[item.source].pop()
+            self.pred[item.target].pop()
+
+    def fire(self, key: tuple):
+        self.fired.add(key)
+        self.trail.append((_FIRE, key, None))
+
+    def drop(self, finder: int, pos: int):
+        self.dirty[finder].discard(pos)
+        self.trail.append((_DROP, self.dirty[finder], pos))
+
+    def checkpoint(self) -> tuple:
+        return (len(self.trail), len(self.worlds), self.fresh, self.decisions,
+                self.closed, self.closing)
+
+    def undo(self, cp: tuple):
+        """Take the branch back to the state ``checkpoint`` returned ``cp``
+        in; every change since is still on the trail."""
+        size, nworlds, self.fresh, self.decisions, self.closed, self.closing = cp
+        trail = self.trail
+        while len(trail) > size:
+            entry = trail.pop()
+            if type(entry) is not tuple:
+                self._unadd(entry)
+            elif entry[0] is _MARK:
+                entry[1].discard(entry[2])
+            elif entry[0] is _DROP:
+                entry[1].add(entry[2])
+            else:
+                self.fired.discard(entry[1])
+        del self.worlds[nworlds:]
 
     def has(self, world: str, f: Formula, v: Val) -> bool:
         return v in self.values(world, f)
@@ -235,7 +362,7 @@ def _attempt(b: Branch, rule: str, key: tuple,
     if key in b.fired:
         return None
     if len(additions) == 1 and all(item in b.deps for item in additions[0]):
-        b.fired.add(key)  # permanently unproductive; skip in later scans
+        b.fire(key)  # permanently unproductive; skip it from now on
         return None
     return _Instance(rule, key, additions, premises, fresh_after)
 
@@ -251,62 +378,57 @@ _CLASSICAL_PAIRS = (("ctrue", (Val.T, Val.FBAR)), ("cfalse", (Val.F, Val.TBAR)))
 _UNIFORM = (("tri_B", (Val.T, Val.F)), ("tri_N", (Val.TBAR, Val.FBAR)))
 
 
-def _find_linear(b: Branch) -> Iterator[tuple]:
-    for item in b.items:
-        if not isinstance(item, Labelled):
-            continue
-        w, f, v = item.world, item.formula, item.value
-        if isinstance(f, Not):
-            yield (f"not_{v.value}", ("not", w, f, v),
-                   ((Labelled(w, f.child, neg(v)),),), (item,))
-        elif type(f) in _SHARED:
-            rule = f"{type(f).__name__.lower()}_{v.value}"
-            if v in _SHARED[type(f)]:
-                yield (rule, (rule, w, f),
-                       ((Labelled(w, f.left, v), Labelled(w, f.right, v)),), (item,))
-                continue
-            minor = bar(v)
-            for idx, (this, other) in enumerate(((f.left, f.right), (f.right, f.left))):
-                if b.has(w, this, minor):
-                    yield (rule, (rule, w, f, idx), ((Labelled(w, other, v),),),
-                           (item, Labelled(w, this, minor)))
+def _linear(b: Branch, item: Item) -> Iterator[tuple]:
+    if not isinstance(item, Labelled):
+        return
+    w, f, v = item.world, item.formula, item.value
+    if isinstance(f, Not):
+        yield (f"not_{v.value}", ("not", w, f, v),
+               ((Labelled(w, f.child, neg(v)),),), (item,))
+    elif type(f) in _SHARED:
+        rule = f"{type(f).__name__.lower()}_{v.value}"
+        if v in _SHARED[type(f)]:
+            yield (rule, (rule, w, f),
+                   ((Labelled(w, f.left, v), Labelled(w, f.right, v)),), (item,))
+            return
+        minor = bar(v)
+        for idx, (this, other) in enumerate(((f.left, f.right), (f.right, f.left))):
+            if b.has(w, this, minor):
+                yield (rule, (rule, w, f, idx), ((Labelled(w, other, v),),),
+                       (item, Labelled(w, this, minor)))
 
 
-def _tri_items(b: Branch) -> Iterator[tuple[str, Tri, set[Val]]]:
-    """``(world, #-formula, its labels)`` for each ``#``-entry, in order."""
-    for item in b.items:
-        if isinstance(item, Labelled) and isinstance(item.formula, Tri):
-            yield item.world, item.formula, b.values(item.world, item.formula)
-
-
-def _find_modal(b: Branch) -> Iterator[tuple]:
-    for w, tf, vals in _tri_items(b):
-        arg = tf.child
-        if Val.T in vals and Val.FBAR in vals:
-            mode = (Labelled(w, tf, Val.T), Labelled(w, tf, Val.FBAR))
+def _modal(b: Branch, item: Item) -> Iterator[tuple]:
+    if not (isinstance(item, Labelled) and isinstance(item.formula, Tri)):
+        return
+    w, tf = item.world, item.formula
+    vals, arg = b.values(w, tf), tf.child
+    if Val.T in vals and Val.FBAR in vals:
+        mode = (Labelled(w, tf, Val.T), Labelled(w, tf, Val.FBAR))
+        succ_vals = [(wj, b.values(wj, arg)) for wj in b.successors(w)]
+        for wj, arg_vals in succ_vals:
+            for v in _VAL_ORDER:
+                if v in arg_vals:
+                    yield ("tri_T", ("tri_T", w, tf, wj, v),
+                           ((Labelled(wj, arg, neg(bar(v))),),),
+                           mode + (RelAtom(w, wj), Labelled(wj, arg, v)))
+        for wj1, arg_vals in succ_vals:
+            for tag, (x, y) in _CLASSICAL_PAIRS:
+                if not (x in arg_vals and y in arg_vals):
+                    continue
+                for wj2 in b.successors(w):
+                    if wj2 != wj1:
+                        yield ("tri_T'", ("tri_T'", w, tf, wj1, wj2, tag),
+                               ((Labelled(wj2, arg, x), Labelled(wj2, arg, y)),),
+                               mode + (RelAtom(w, wj1), RelAtom(w, wj2),
+                                       Labelled(wj1, arg, x), Labelled(wj1, arg, y)))
+    for rule, (x, y) in _UNIFORM:
+        if x in vals and y in vals:
+            mode = (Labelled(w, tf, x), Labelled(w, tf, y))
             for wj in b.successors(w):
-                for v in _VAL_ORDER:
-                    if b.has(wj, arg, v):
-                        yield ("tri_T", ("tri_T", w, tf, wj, v),
-                               ((Labelled(wj, arg, neg(bar(v))),),),
-                               mode + (RelAtom(w, wj), Labelled(wj, arg, v)))
-            for wj1 in b.successors(w):
-                for tag, (x, y) in _CLASSICAL_PAIRS:
-                    if not (b.has(wj1, arg, x) and b.has(wj1, arg, y)):
-                        continue
-                    for wj2 in b.successors(w):
-                        if wj2 != wj1:
-                            yield ("tri_T'", ("tri_T'", w, tf, wj1, wj2, tag),
-                                   ((Labelled(wj2, arg, x), Labelled(wj2, arg, y)),),
-                                   mode + (RelAtom(w, wj1), RelAtom(w, wj2),
-                                           Labelled(wj1, arg, x), Labelled(wj1, arg, y)))
-        for rule, (x, y) in _UNIFORM:
-            if x in vals and y in vals:
-                mode = (Labelled(w, tf, x), Labelled(w, tf, y))
-                for wj in b.successors(w):
-                    yield (rule, (rule, w, tf, wj),
-                           ((Labelled(wj, arg, x), Labelled(wj, arg, y)),),
-                           mode + (RelAtom(w, wj),))
+                yield (rule, (rule, w, tf, wj),
+                       ((Labelled(wj, arg, x), Labelled(wj, arg, y)),),
+                       mode + (RelAtom(w, wj),))
 
 
 def _cut(w: str, f: Formula, dim: str) -> tuple:
@@ -315,68 +437,81 @@ def _cut(w: str, f: Formula, dim: str) -> tuple:
             ((Labelled(w, f, plain),), (Labelled(w, f, unsupported),)))
 
 
-def _find_cuts(b: Branch) -> Iterator[tuple]:
-    for item in b.items:
-        if not isinstance(item, Labelled):
-            continue
-        w, f, v = item.world, item.formula, item.value
-        if isinstance(f, Tri):
-            vals = b.values(w, f)
-            tdim = Val.T in vals or Val.TBAR in vals
-            fdim = Val.F in vals or Val.FBAR in vals
-            if tdim and not fdim:
-                yield _cut(w, f, "f")
-            elif fdim and not tdim:
-                yield _cut(w, f, "t")
-            if Val.T in vals and Val.FBAR in vals:
-                # Propagation needs one entry for the argument at some
-                # accessible world: the completion rule then turns it into a
-                # classical pair and the uniformity rule floods that pair to
-                # every other accessible world, so one cut is enough.
-                succ = b.successors(w)
-                if succ and not any(b.values(wj, f.child) for wj in succ):
-                    yield _cut(succ[0], f.child, "t")
-        elif type(f) in _SHARED and v not in _SHARED[type(f)]:
-            dim = "t" if v in _DIMENSIONS["t"] else "f"
-            if not any(x in b.values(w, sub)
-                       for sub in (f.left, f.right) for x in _DIMENSIONS[dim]):
-                yield _cut(w, f.left, dim)
+def _cuts(b: Branch, item: Item) -> Iterator[tuple]:
+    if not isinstance(item, Labelled):
+        return
+    w, f, v = item.world, item.formula, item.value
+    if isinstance(f, Tri):
+        vals = b.values(w, f)
+        tdim = Val.T in vals or Val.TBAR in vals
+        fdim = Val.F in vals or Val.FBAR in vals
+        if tdim and not fdim:
+            yield _cut(w, f, "f")
+        elif fdim and not tdim:
+            yield _cut(w, f, "t")
+        if Val.T in vals and Val.FBAR in vals:
+            # Propagation needs one entry for the argument at some
+            # accessible world: the completion rule then turns it into a
+            # classical pair and the uniformity rule floods that pair to
+            # every other accessible world, so one cut is enough.
+            succ = b.successors(w)
+            if succ and not any(b.values(wj, f.child) for wj in succ):
+                yield _cut(succ[0], f.child, "t")
+    elif type(f) in _SHARED and v not in _SHARED[type(f)]:
+        dim = "t" if v in _DIMENSIONS["t"] else "f"
+        if not any(x in b.values(w, sub)
+                   for sub in (f.left, f.right) for x in _DIMENSIONS[dim]):
+            yield _cut(w, f.left, dim)
 
 
-def _find_creators(b: Branch) -> Iterator[tuple]:
-    for w, tf, vals in _tri_items(b):
-        arg = tf.child
-        for rule, (x, y) in _UNIFORM:
-            if x in vals and y in vals and not b.successors(w):
-                (k,), nxt = b.mint(1)
-                yield (rule + "+", (rule + "+", w, tf),
-                       ((RelAtom(w, k), Labelled(k, arg, x), Labelled(k, arg, y)),),
-                       (Labelled(w, tf, x), Labelled(w, tf, y)), nxt)
-        if Val.F in vals and Val.TBAR in vals:
-            (k1, k2), nxt = b.mint(2)
-            rels = (RelAtom(w, k1), RelAtom(w, k2))
-            yield ("tri_F", ("tri_F", w, tf),
-                   (rels + (Labelled(k1, arg, Val.T), Labelled(k2, arg, Val.TBAR)),
-                    rels + (Labelled(k1, arg, Val.F), Labelled(k2, arg, Val.FBAR))),
-                   (Labelled(w, tf, Val.F), Labelled(w, tf, Val.TBAR)), nxt)
+def _creators(b: Branch, item: Item) -> Iterator[tuple]:
+    if not (isinstance(item, Labelled) and isinstance(item.formula, Tri)):
+        return
+    w, tf = item.world, item.formula
+    vals, arg = b.values(w, tf), tf.child
+    for rule, (x, y) in _UNIFORM:
+        if x in vals and y in vals and not b.successors(w):
+            (k,), nxt = b.mint(1)
+            yield (rule + "+", (rule + "+", w, tf),
+                   ((RelAtom(w, k), Labelled(k, arg, x), Labelled(k, arg, y)),),
+                   (Labelled(w, tf, x), Labelled(w, tf, y)), nxt)
+    if Val.F in vals and Val.TBAR in vals:
+        (k1, k2), nxt = b.mint(2)
+        rels = (RelAtom(w, k1), RelAtom(w, k2))
+        yield ("tri_F", ("tri_F", w, tf),
+               (rels + (Labelled(k1, arg, Val.T), Labelled(k2, arg, Val.TBAR)),
+                rels + (Labelled(k1, arg, Val.F), Labelled(k2, arg, Val.FBAR))),
+               (Labelled(w, tf, Val.F), Labelled(w, tf, Val.TBAR)), nxt)
 
 
-_FINDERS = (_find_linear, _find_modal, _find_cuts, _find_creators)
+# Finders in priority order; each yields the candidate instances one item
+# is the major premise of.  The tuples name the finders whose candidates an
+# item of a kind can enable (indices into ``_FINDERS`` and ``Branch.dirty``).
+_FINDERS = (_linear, _modal, _cuts, _creators)
+_LINEAR = (0,)
+_BINARY_FINDERS = (0, 2)
+_SUCC_FINDERS = (1, 2)
+_TRI_FINDERS = (1, 2, 3)
+# Trail entry tags; any other trail entry is an item that ``add`` inserted.
+_MARK, _DROP, _FIRE = "mark", "drop", "fire"
 
 
 def _select(b: Branch) -> _Instance | None:
-    """The first applicable unfired instance: finders in priority order,
-    each yielding its candidates in branch insertion order."""
-    for finder in _FINDERS:
-        for candidate in finder(b):
-            inst = _attempt(b, *candidate)
-            if inst is not None:
-                return inst
+    """The first applicable unfired instance, in the order of a full scan:
+    finders in priority order, each over the branch in insertion order.
+    Only the dirty positions can hold one, so only they are visited."""
+    for i, finder in enumerate(_FINDERS):
+        for pos in sorted(b.dirty[i]):
+            for candidate in finder(b, b.items[pos]):
+                inst = _attempt(b, *candidate)
+                if inst is not None:
+                    return inst
+            b.drop(i, pos)
     return None
 
 
 def _apply_to(b: Branch, inst: _Instance, additions: tuple[Item, ...]) -> tuple[Item, ...]:
-    b.fired.add(inst.key)
+    b.fire(inst.key)
     if inst.fresh_after is not None:
         b.fresh = inst.fresh_after
     base = frozenset().union(*(b.deps[p] for p in inst.premises)) \
@@ -486,60 +621,62 @@ def prove(s: Sequent, *, start: str = "truth") -> TableauResult:
     branch = Branch.from_items(root_items)
     root = ProofNode(None, root_items)
     stats = ProofStats()
-    open_branch, _ = _explore(branch, root, stats)
+    open_branch = _explore(branch, root, stats)
     if open_branch is None:
         return Proved(root, stats)
     pointed = extract_countermodel(open_branch)
     return Refuted(open_branch, pointed.model, pointed.world, root, stats)
 
 
-def _explore(branch: Branch, node: ProofNode,
-             stats: ProofStats) -> tuple[Branch | None, frozenset[int]]:
-    """Depth-first, left branch first.
+def _explore(branch: Branch, node: ProofNode, stats: ProofStats) -> Branch | None:
+    """Depth-first, left branch first, on the one ``branch``.
 
-    Returns the first complete open branch (conflict set empty), or None
-    together with the set of split decisions the subtree's refutation
-    depends on.  When the left alternative of a split closes without using
-    that split's decision, the same refutation covers the right
-    alternative, which is then skipped ("pruned"); this only ever skips
-    subtrees in which every branch closes, so refutation results and
-    extracted countermodels are unaffected.
+    Returns the first complete open branch, or None when every branch
+    closes.  Each split pushes a checkpoint; backtracking undoes the trail
+    to it and applies the right alternative.  A closed subtree reports the
+    set of split decisions its refutation depends on.  When the left
+    alternative of a split closes without using that split's decision, the
+    same refutation covers the right alternative, which is then skipped
+    ("pruned"); this only ever skips subtrees in which every branch closes,
+    so refutation results and extracted countermodels are unaffected.
     """
+    # One frame per split on the current path: the checkpoint before it,
+    # the instance, its node, its decision, and None while the left
+    # alternative runs, else the conflicts the left one left behind.
+    splits: list[tuple] = []
     while True:
-        if branch.closed:
-            node.status = "closed"
-            stats.branches_closed += 1
-            return None, _conflict_deps(branch)
-        inst = _select(branch)
-        if inst is None:
-            node.status = "open"
-            return branch, frozenset()
-        stats.rule_applications += 1
-        if inst.fresh_after is not None:
-            stats.worlds_created += inst.fresh_after - branch.fresh
-        if len(inst.additions) == 1:
-            added = _apply_to(branch, inst, inst.additions[0])
-            child = ProofNode(inst.rule, added)
-            node.children.append(child)
-            node = child
-            continue
-        stats.splits += 1
-        decision = branch.decisions
-        conflicts: frozenset[int] = frozenset()
-        for which, additions in enumerate(inst.additions):
-            sub = branch.copy()
-            added = _apply_to(sub, inst, additions)
-            child = ProofNode(inst.rule, added)
-            node.children.append(child)
-            result, deps = _explore(sub, child, stats)
-            if result is not None:
-                return result, frozenset()
-            if which == 0 and decision not in deps:
+        while not branch.closed:
+            inst = _select(branch)
+            if inst is None:
+                node.status = "open"
+                return branch
+            stats.rule_applications += 1
+            if inst.fresh_after is not None:
+                stats.worlds_created += inst.fresh_after - branch.fresh
+            parent = node
+            if len(inst.additions) > 1:
+                stats.splits += 1
+                splits.append((branch.checkpoint(), inst, parent, branch.decisions, None))
+            node = ProofNode(inst.rule, _apply_to(branch, inst, inst.additions[0]))
+            parent.children.append(node)
+        node.status = "closed"
+        stats.branches_closed += 1
+        deps = _conflict_deps(branch)
+        while True:
+            if not splits:
+                return None
+            cp, inst, parent, decision, conflicts = splits.pop()
+            if conflicts is not None:
+                deps = conflicts | (deps - {decision})
+            elif decision not in deps:
                 stats.branches_pruned += 1
-                node.children.append(ProofNode(inst.rule, (), status="pruned"))
-                return None, conflicts | deps
-            conflicts |= deps - {decision}
-        return None, conflicts
+                parent.children.append(ProofNode(inst.rule, (), status="pruned"))
+            else:
+                branch.undo(cp)
+                splits.append((cp, inst, parent, decision, deps - {decision}))
+                node = ProofNode(inst.rule, _apply_to(branch, inst, inst.additions[1]))
+                parent.children.append(node)
+                break
 
 
 # --- countermodel extraction ---------------------------------------------------
@@ -599,6 +736,8 @@ def check_realisation(m: Model, b: Branch) -> bool:
 
 # --- serialization -------------------------------------------------------------
 
+_END = object()
+_encode_str = json.encoder.encode_basestring_ascii
 _PRETTY_VALS = {Val.T: "t", Val.F: "f", Val.TBAR: "t̄", Val.FBAR: "f̄"}
 
 
@@ -671,4 +810,59 @@ def result_to_dict(result: TableauResult) -> dict:
 
 
 def result_to_json(result: TableauResult) -> str:
-    return json.dumps(result_to_dict(result), indent=2)
+    return _dumps(result_to_dict(result))
+
+
+def _scalar(value) -> str:
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"cannot encode {type(value).__name__}")
+
+
+def _dumps(obj) -> str:
+    """``json.dumps(obj, indent=2)`` for trees of dicts with string keys,
+    lists, strings, ints, booleans and None, byte for byte.  The standard
+    encoder takes one generator per nesting level when it indents, so its
+    cost grows with depth times size and deep proof trees overflow the
+    stack; this one keeps its own stack of open containers."""
+    out: list[str] = []
+    stack: list[tuple[Iterator, bool, str]] = []   # (rest, is a dict, indent)
+    value = obj
+    while True:
+        while isinstance(value, (dict, list)) and value:
+            indent = "\n" + "  " * (len(stack) + 1)
+            if isinstance(value, dict):
+                rest = iter(value.items())
+                key, value = next(rest)
+                out.append("{" + indent + _encode_str(key) + ": ")
+                stack.append((rest, True, indent))
+            else:
+                rest = iter(value)
+                value = next(rest)
+                out.append("[" + indent)
+                stack.append((rest, False, indent))
+        if isinstance(value, (dict, list)):
+            out.append("{}" if isinstance(value, dict) else "[]")
+        else:
+            out.append(_scalar(value))
+        while stack:
+            rest, is_dict, indent = stack[-1]
+            nxt = next(rest, _END)
+            if nxt is not _END:
+                if is_dict:
+                    key, value = nxt
+                    out.append("," + indent + _encode_str(key) + ": ")
+                else:
+                    value = nxt
+                    out.append("," + indent)
+                break
+            stack.pop()
+            out.append(indent[:-2] + ("}" if is_dict else "]"))
+        else:
+            return "".join(out)

@@ -5,7 +5,7 @@ from importlib import resources
 
 import pytest
 
-from fdek import analysis
+from fdek import analysis, tableau
 from fdek.cli import main
 from fdek.semantics import model_from_dict
 
@@ -91,6 +91,37 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--model", data_file("fig1"),
                            "--world", "w0", "--formula", "#" * 600 + "p")
         assert code == 2 and err.startswith("error:") and "recursion" in err
+
+
+class TestMalformedFiles:
+    # JSON of the right shape but the wrong types; each used to escape the
+    # loaders as a TypeError and end in exit 1, the "refuted" code.
+    @pytest.mark.parametrize("data", [
+        {"worlds": ["w0"], "rel": 5},
+        {"worlds": ["w0"], "rel": None},
+        {"worlds": ["w0"], "val": {"w0": {"p": ["T"]}}},
+    ], ids=["rel-number", "rel-null", "value-list"])
+    def test_eval_exit_two(self, capsys, tmp_path, data):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "eval", "--model", str(path),
+                             "--world", "w0", "--formula", "p")
+        assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_valid_on_frame_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "frame.json"
+        path.write_text(json.dumps({"worlds": ["w0"], "rel": 5}))
+        code, out, err = run(capsys, "valid-on-frame", "--frame", str(path), "p |- p")
+        assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_internal_error_exit_two(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise tableau.RealisationError("extracted model does not realise its branch")
+        monkeypatch.setattr(tableau, "prove", broken)
+        code, out, err = run(capsys, "prove", "p |- q")
+        assert code == 2 and out == ""
+        assert err.startswith("internal error: RealisationError: extracted model")
+        assert "Traceback" in err
 
 
 class TestValidOnFrame:

@@ -1,15 +1,17 @@
 import hashlib
+import json
 
 import pytest
 
+from fdek import tableau
 from fdek.analysis import find_countermodel
 from fdek.semantics import Frame, FourValue, Model, supports_true
 from fdek.syntax import Not, Or, parse_formula, parse_sequent, subformulas
 from fdek.tableau import (
-    Branch, Labelled, LanguageError, Proved, RealisationError, Refuted,
-    RelAtom, Val, bar, check_realisation, extract_countermodel, is_closed,
-    neg, prove, result_to_dict, result_to_json, saturation_step, tree_to_dict,
-    tree_to_text,
+    Branch, Labelled, LanguageError, ProofNode, ProofStats, Proved,
+    RealisationError, Refuted, RelAtom, Val, bar, check_realisation,
+    extract_countermodel, is_closed, neg, prove, result_to_dict,
+    result_to_json, saturation_step, tree_to_dict, tree_to_text,
 )
 
 from conftest import corpus, hand_sequents
@@ -198,6 +200,15 @@ class TestProve:
         assert digest.hexdigest() == \
             "07f270b3159efd45785f1a6d38f5cc72590dc3b53d6ba0389d41b7361abe48ab"
 
+    def test_golden_proof_tree_at_depth_four(self):
+        # The deepest nesting the prover runs in well under a second; the
+        # agenda and the trail carry the most state here.
+        res = prove(parse_sequent("####p |- ####~p"))
+        assert (res.stats.rule_applications, res.stats.splits,
+                res.stats.worlds_created) == (7558, 2128, 3263)
+        assert hashlib.sha256(result_to_json(res).encode()).hexdigest() == \
+            "cfd6b569e9a31c635aa71add59a7125dfa56e8cb0537528114916fc241bb1c8d"
+
     def test_subformula_property(self):
         for text in ("#p |- #~p", "q | ~q |- #(q | ~q)", "###p |- #p"):
             s = parse_sequent(text)
@@ -332,6 +343,163 @@ class TestSerialization:
         assert data["verdict"] == "refuted"
         m = model_from_dict(data["model"])
         assert supports_true(m, data["designated"], parse_formula("#p"))
+
+
+    def test_json_matches_the_standard_encoder(self):
+        for s in corpus():
+            for start in ("truth", "nonfalsity"):
+                res = prove(s, start=start)
+                assert result_to_json(res) == json.dumps(result_to_dict(res), indent=2)
+
+    def test_json_of_a_deep_tree(self):
+        # Two JSON levels per tree level: the standard encoder overflows the
+        # stack here.  The indentation makes the text grow with the square
+        # of the depth (24 MB at this depth), so the chain stays short.
+        root = node = ProofNode(None, (lab("w0", "p", "t"),))
+        for _ in range(1000):
+            child = ProofNode("not_t", (lab("w0", "~p", "f"),))
+            node.children.append(child)
+            node = child
+        node.status = "open"
+        text = result_to_json(Proved(root, ProofStats()))
+        assert text.count('"rule": "not_t"') == 1000
+        assert text.endswith("\n}") and '"status": "open"' in text
+
+
+ROOTS = {"truth": (Val.T, Val.TBAR), "nonfalsity": (Val.FBAR, Val.F)}
+
+
+def root_branch(s, start):
+    premise, conclusion = ROOTS[start]
+    return Branch.from_items((Labelled("w0", s.premise, premise),
+                              Labelled("w0", s.conclusion, conclusion)))
+
+
+def reference_select(b):
+    """The full scan the agenda stands for: every finder, in priority order,
+    over every item of the branch, in insertion order."""
+    for finder in tableau._FINDERS:
+        for item in b.items:
+            for candidate in finder(b, item):
+                inst = tableau._attempt(b, *candidate)
+                if inst is not None:
+                    return inst
+    return None
+
+
+def check_select(b):
+    """``_select(b)``, asserted equal to the full scan on a copy of ``b``;
+    both must also have marked the same unproductive instances fired."""
+    ref = b.copy()
+    want = reference_select(ref)
+    got = tableau._select(b)
+    assert got == want
+    assert b.fired == ref.fired
+    return got
+
+
+def walk_all_paths(b):
+    """Every saturation_step below ``b``, both children of every split."""
+    stack = [b]
+    while stack:
+        b = stack.pop()
+        if not b.closed and check_select(b) is not None:
+            stack.extend(saturation_step(b))
+
+
+class TestAgenda:
+    NESTED = [parse_sequent(f"{'#' * k}p |- {'#' * k}~p") for k in (1, 2)]
+
+    def test_a_new_label_wakes_the_earlier_entries(self):
+        # w1: #p gets its fbar at the end of the branch while tri_B on
+        # w0: #q still waits for w3.  The scan reaches the t entry of #p,
+        # position 0, first; an agenda that woke only the new entry would
+        # fire tri_B first.
+        b = Branch.from_items([TestSaturationStep._item(t) for t in (
+            "w1: #p ; t", "w1 R w2", "w2: p ; t", "w0: #q ; t", "w0: #q ; f",
+            "w0 R w1", "w1: q | #p ; fbar", "w0 R w3")])
+        rules = []
+        for _ in range(3):
+            rules.append(check_select(b).rule)
+            (b,) = saturation_step(b)
+        assert rules == ["tri_B", "or_fbar", "tri_T"]
+        walk_all_paths(b)
+
+    def test_search_selects_as_a_full_scan(self, monkeypatch):
+        # Every selection of the proof search, on the states that undoing
+        # the trail restores as well as on the ones it extends.
+        calls = []
+        select = tableau._select
+
+        def checked(b):
+            calls.append(None)
+            ref = b.copy()
+            want = reference_select(ref)
+            got = select(b)
+            assert got == want
+            assert b.fired == ref.fired
+            return got
+
+        monkeypatch.setattr(tableau, "_select", checked)
+        for s in corpus() + self.NESTED:
+            for start in ROOTS:
+                prove(s, start=start)
+        assert len(calls) > 5000
+
+    @pytest.mark.parametrize("start", list(ROOTS))
+    def test_saturation_steps_select_as_a_full_scan(self, start):
+        for s in [s for s, _ in hand_sequents()] + self.NESTED[:1]:
+            walk_all_paths(root_branch(s, start))
+
+    def test_branches_from_items_select_as_a_full_scan(self):
+        starts = [[TestSaturationStep._item(t) for t in items]
+                  for items, _ in TestSaturationStep.RULE_CASES.values()]
+        for items in starts:
+            walk_all_paths(Branch.from_items(items))
+        # Rebuilt from its items alone, a branch has every rule unfired
+        # again and every position dirty.
+        for s in corpus()[::10]:
+            for start in ROOTS:
+                b = root_branch(s, start)
+                while not b.closed and check_select(Branch.from_items(b.items)):
+                    if check_select(b) is None:
+                        break
+                    b = saturation_step(b)[-1]
+
+
+def agenda_state(b):
+    nonempty = lambda d: {k: v for k, v in d.items() if v}
+    return (list(b.items), dict(b.deps), nonempty(b.vals), nonempty(b.succ),
+            nonempty(b.pred), list(b.worlds), set(b.fired), b.fresh, b.closed,
+            b.closing, b.decisions, nonempty(b.tris), nonempty(b.tri_at),
+            nonempty(b.binary), [set(d) for d in b.dirty])
+
+
+class TestTrail:
+    def test_undo_restores_the_checkpoint(self):
+        for s in corpus()[::5] + TestAgenda.NESTED:
+            for start in ROOTS:
+                b = root_branch(s, start)
+                while not b.closed:
+                    inst = tableau._select(b)
+                    if inst is None:
+                        break
+                    before, cp = agenda_state(b), b.checkpoint()
+                    for additions in inst.additions:
+                        tableau._apply_to(b, inst, additions)
+                        tableau._select(b)
+                        b.undo(cp)
+                        assert agenda_state(b) == before
+                    tableau._apply_to(b, inst, inst.additions[0])
+
+    def test_saturation_step_leaves_its_branch_alone(self):
+        b = root_branch(parse_sequent("#p |- ##p"), "truth")
+        tableau._select(b)
+        before = agenda_state(b)
+        left, right = saturation_step(b)
+        assert agenda_state(b) == before
+        saturation_step(left)
+        assert agenda_state(b) == before and len(right) == len(b) + 1
 
 
 class TestOracleAgreementSample:
