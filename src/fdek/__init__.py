@@ -24,7 +24,7 @@ from .semantics import (
 from .tableau import (
     Branch, Labelled, LanguageError, Proved, RealisationError, Refuted,
     RelAtom, TableauResult, Val, bar, check_realisation, extract_countermodel,
-    is_closed, neg, prove, saturation_step,
+    neg, prove, saturation_step,
 )
 from .analysis import (
     PAPER_FRAME_CLASSES, check_definability, check_indistinguishability,

@@ -18,9 +18,8 @@ import numpy as np
 
 from .bulkeval import frame_from_mask, model_from_indices, sweep
 from .semantics import (
-    Evaluator, FourValue, Frame, Model, PointedModel, _guard, _models_on_frame,
-    formula_valid_on_frame, frame_property, frame_to_dict, model_to_dict,
-    sequent_valid_on_frame,
+    Evaluator, FourValue, Frame, Model, PointedModel, _guard, frame_property,
+    frame_to_dict, model_to_dict,
 )
 from .syntax import (
     LANG_BOX, LANG_TRI, And, Atom, Box, Formula, Not, Or, Sequent, Tri,
@@ -55,10 +54,11 @@ def enumerate_models(world_count: int, vars: Sequence[str]) -> Iterator[Model]:
     """All models with exactly ``world_count`` labelled worlds over ``vars``:
     every relation crossed with every valuation, in a fixed deterministic
     order (relation mask ascending, then valuation index ascending)."""
-    names = frozenset(vars)
+    names = sorted(set(vars))
     _guard(world_count, len(names))
-    for frame in enumerate_frames(world_count):
-        yield from _models_on_frame(frame, names)
+    for rel_mask in range(2 ** (world_count * world_count)):
+        for val_index in range(4 ** (world_count * len(names))):
+            yield model_from_indices(world_count, names, rel_mask, val_index)
 
 
 def enumerate_frames(world_count: int) -> Iterator[Frame]:
@@ -148,25 +148,14 @@ class DefinabilityReport:
     verdict: str                      # "defines" | "refuted"
     witness: dict | None              # frame dict + direction, on refutation
     frames_checked: int
-    engine: str
     elapsed: float
 
     def to_dict(self) -> dict:
+        # "engine" stays in the JSON contract, though only one engine is left.
         return {"property": self.property, "claims": list(self.claims),
                 "max_size": self.max_size, "verdict": self.verdict,
                 "witness": self.witness, "frames_checked": self.frames_checked,
-                "engine": self.engine, "elapsed": self.elapsed}
-
-
-def _claims_valid_scalar(fr: Frame, claims: Sequence[Claim]) -> bool:
-    for claim in claims:
-        if isinstance(claim, Sequent):
-            if not sequent_valid_on_frame(fr, claim):
-                return False
-        else:
-            if not formula_valid_on_frame(fr, claim):
-                return False
-    return True
+                "engine": "bulk", "elapsed": self.elapsed}
 
 
 def _claims_valid_bulk(n: int, claims: Sequence[Claim]) -> np.ndarray:
@@ -177,37 +166,28 @@ def _claims_valid_bulk(n: int, claims: Sequence[Claim]) -> np.ndarray:
     return valid
 
 
-def check_definability(prop: str, claims: Sequence[Claim], max_size: int, *,
-                       engine: str = "bulk") -> DefinabilityReport:
+def check_definability(prop: str, claims: Sequence[Claim], max_size: int) -> DefinabilityReport:
     """Compare ``frame_property`` against joint claim validity on every
     labelled frame with at most ``max_size`` worlds.
 
     Verdict "defines" means no disagreement was found; "refuted" carries
     the first disagreeing frame in enumeration order and the direction of
-    the disagreement.  ``engine="scalar"`` routes validity through
-    ``sequent_valid_on_frame`` / ``formula_valid_on_frame``; the default
-    vectorized engine computes the same verdicts (asserted in the tests).
+    the disagreement.
     """
     claims = tuple(claims)
     if not claims:
         raise ValueError("need at least one claim")
-    if engine not in ("bulk", "scalar"):
-        raise ValueError(f"unknown engine {engine!r}")
     for claim in claims:
         _guard(max_size, len(_claim_variables(claim)))
     started = time.perf_counter()
     frames_checked = 0
     witness = None
     for n in range(1, max_size + 1):
-        valid_vec = _claims_valid_bulk(n, claims) if engine == "bulk" else None
+        valid_vec = _claims_valid_bulk(n, claims)
         for rel_mask, fr in enumerate(enumerate_frames(n)):
             frames_checked += 1
             has_prop = frame_property(fr, prop)
-            if valid_vec is not None:
-                valid = bool(valid_vec[rel_mask])
-            else:
-                valid = _claims_valid_scalar(fr, claims)
-            if has_prop != valid:
+            if has_prop != bool(valid_vec[rel_mask]):
                 direction = ("property_holds_but_claims_fail" if has_prop
                              else "claims_hold_but_property_fails")
                 witness = {"frame": frame_to_dict(fr), "direction": direction}
@@ -221,7 +201,6 @@ def check_definability(prop: str, claims: Sequence[Claim], max_size: int, *,
         verdict="defines" if witness is None else "refuted",
         witness=witness,
         frames_checked=frames_checked,
-        engine=engine,
         elapsed=time.perf_counter() - started,
     )
 

@@ -1,22 +1,29 @@
-"""Vectorized evaluation over every model on every frame of a fixed size.
+"""Vectorized evaluation over every model on every frame of a fixed size,
+or over every valuation on one given frame: the one exhaustive evaluator
+(the scalar ``Evaluator`` in ``semantics`` is the independent reference).
 
 The model space for ``n`` worlds over ``k`` variables is the cross product
 of all 2^(n*n) relations with all 4^(n*k) valuations.  A formula's two
-supports are world bitsets: ``uint8`` arrays of shape (relations,
-valuations), or (1, valuations) where independent of the relation, whose
-bit ``w`` means "supported at world ``w``" (the size guard keeps n <= 4).
-``~``, ``&``, ``|`` are bitwise, every complement masked to the low n bits;
-a successor quantifier is one mask compare per world.
+supports are world bitsets: arrays of shape (relations, valuations), or
+(1, valuations) where independent of the relation, whose bit ``w`` means
+"supported at world ``w``", in the narrowest unsigned type that holds n
+bits: ``uint8`` up to 8 worlds, ``uint16`` for the 9 to 12 worlds a given
+frame may have (relation sweeps stay at n <= 4, the size guard).  ``~``,
+``&``, ``|`` are bitwise, every complement masked to the low n bits; a
+successor quantifier is one mask compare per world against that world's
+successor bitset.  A sweep decodes its relation masks into successor
+bitsets; a given frame is bound from its own successor bitsets, since its
+relation mask would not fit 64 bits from 8 worlds on.
 
-The index layout of the model space is known only to this module; the
-oracles in ``analysis`` go through ``sweep``, ``model_from_indices`` and
-``frame_from_mask``:
+The index layout of the model space is known only to this module;
+``semantics`` and ``analysis`` go through ``BulkSpace.on_frame``,
+``sweep``, ``model_from_indices`` and ``frame_from_mask``:
 
 * relation ``r`` contains the pair (i, j) iff bit ``i*n + j`` of the mask
   is set; masks are enumerated ascending;
-* valuation slots are (world, variable) pairs, worlds outermost and
-  variables in sorted order; slot 0 is the most significant base-4 digit
-  of the valuation index; digit values 0..3 mean T, B, N, F.
+* valuation slots are (world, variable) pairs, worlds outermost (in frame
+  order) and variables in sorted order; slot 0 is the most significant
+  base-4 digit of the valuation index; digit values 0..3 mean T, B, N, F.
 """
 
 from __future__ import annotations
@@ -58,13 +65,20 @@ def model_from_indices(world_count: int, vars: Sequence[str],
     return Model.from_values(frame, values, variables=names)
 
 
+def _bitset_type(n: int) -> type:
+    """The narrowest unsigned type with one bit per world of ``n``."""
+    return np.uint8 if n <= 8 else np.uint16
+
+
 def _atom_tables(n: int, names: Sequence[str]) -> dict[Atom, tuple[np.ndarray, np.ndarray]]:
     """Both supports of every atom as world bitsets of shape (1, valuations),
     built by broadcasting each slot's digit pattern into its world's bit."""
     k = len(names)
     slots = n * k
-    world_bits = _DIGIT_SUPPORTS[:, None, :] << np.arange(n, dtype=np.uint8)[:, None]
-    tables = np.zeros((k, 2) + (4,) * slots, dtype=np.uint8)
+    dtype = _bitset_type(n)
+    digits = _DIGIT_SUPPORTS.astype(dtype, copy=False)
+    world_bits = digits[:, None, :] << np.arange(n, dtype=dtype)[:, None]
+    tables = np.zeros((k, 2) + (4,) * slots, dtype=dtype)
     for s in range(slots):
         w, j = divmod(s, k)
         tables[j] |= world_bits[:, w].reshape((2,) + (1,) * s + (4,) + (1,) * (slots - 1 - s))
@@ -74,12 +88,15 @@ def _atom_tables(n: int, names: Sequence[str]) -> dict[Atom, tuple[np.ndarray, n
 
 def _unpack(bits: np.ndarray, n: int) -> np.ndarray:
     """World bitsets of shape (..., valuations) as bools of shape (..., valuations, n)."""
-    return np.unpackbits(bits[..., None], axis=-1, count=n, bitorder="little").view(bool)
+    octets = bits.astype(bits.dtype.newbyteorder("<"), copy=False)[..., None].view(np.uint8)
+    return np.unpackbits(octets, axis=-1, count=n, bitorder="little").view(bool)
 
 
 class BulkSpace:
     """Every pointed model over the given relation masks (default: all of
-    them) and every valuation of ``variables`` on ``n_worlds`` worlds."""
+    them) and every valuation of ``variables`` on ``n_worlds`` worlds; or,
+    built by ``on_frame``, every valuation on one given frame (no
+    ``rel_masks`` then)."""
 
     def __init__(self, n_worlds: int, variables: Sequence[str],
                  rel_masks: Sequence[int] | None = None):
@@ -89,20 +106,40 @@ class BulkSpace:
             rel_masks = np.arange(2 ** (n_worlds * n_worlds), dtype=np.int64)
         self._bind(n_worlds, _atom_tables(n_worlds, names), rel_masks)
 
-    def _bind(self, n: int, atoms: dict, rel_masks) -> None:
+    @classmethod
+    def on_frame(cls, frame: Frame, variables: Sequence[str]) -> BulkSpace:
+        """Every valuation of ``variables`` on ``frame``: a space of one
+        relation whose world ``i`` is ``frame.worlds[i]``."""
+        names = tuple(sorted(variables))
+        n = len(frame.worlds)
+        _guard(n, len(names), relations=False)
+        index = {w: i for i, w in enumerate(frame.worlds)}
+        succ = np.zeros((1, n), dtype=_bitset_type(n))
+        for s, t in frame.relation:
+            succ[0, index[s]] |= 1 << index[t]
+        space = cls.__new__(cls)
+        space._bind(n, _atom_tables(n, names), None, succ)
+        return space
+
+    def _bind(self, n: int, atoms: dict, rel_masks, succ: np.ndarray | None = None) -> None:
+        """Bind to relation masks, or (``rel_masks`` None) to a given frame's
+        ``succ``.  ``succ[r, w]``: bit j is set iff relation r contains (w, j)."""
         self.n = n
-        self.full = np.uint8((1 << n) - 1)
         self.variables = tuple(a.name for a in atoms)
-        self.rel_masks = np.asarray(rel_masks, dtype=np.int64)
-        # succ[r, w]: bit j is set iff relation r contains (w, j).
-        self.succ = (self.rel_masks[:, None] >> n * np.arange(n) & int(self.full)).astype(np.uint8)
+        self.rel_masks = None if rel_masks is None else np.asarray(rel_masks, dtype=np.int64)
+        if succ is None:
+            succ = self.rel_masks[:, None] >> n * np.arange(n) & (1 << n) - 1
+            succ = succ.astype(_bitset_type(n))
+        self.succ = succ
+        self.full = succ.dtype.type((1 << n) - 1)
         self._memo: dict[Formula, tuple[np.ndarray, np.ndarray]] = dict(atoms)
 
     def _any(self, x: np.ndarray) -> np.ndarray:
         """Bit w of out[r, v]: some successor of w under relation r is in x[r, v]."""
-        out = np.zeros((len(self.succ), x.shape[1]), dtype=np.uint8)
+        dtype = self.succ.dtype
+        out = np.zeros((len(self.succ), x.shape[1]), dtype=dtype)
         for w in range(self.n):
-            out |= ((x & self.succ[:, w, None]) != 0).view(np.uint8) << w
+            out |= ((x & self.succ[:, w, None]) != 0).view(np.uint8).astype(dtype, copy=False) << w
         return out
 
     def supports(self, f: Formula) -> tuple[np.ndarray, np.ndarray]:
@@ -167,14 +204,11 @@ class BulkSpace:
         r, v = divmod(flat, bad.shape[1])
         return r, v, (bits & -bits).bit_length() - 1
 
-    def sequent_holds_everywhere(self, s: Sequent) -> bool:
-        return self.first_countermodel(s) is None
-
     def valid_per_relation(self, claim: Sequent | Formula) -> np.ndarray:
         """Boolean vector over this space's relations: the claim holds at
         every valuation and world of that frame."""
         ok = ~self._refuting(claim).any(axis=1)
-        return np.broadcast_to(ok, self.rel_masks.shape)
+        return np.broadcast_to(ok, (len(self.succ),))
 
 
 def sweep(n_worlds: int, variables: Sequence[str]) -> Iterator[BulkSpace]:

@@ -124,8 +124,7 @@ def _cmd_definability(args) -> int:
         claims = analysis.PAPER_FRAME_CLASSES[args.property]
     else:
         raise ValueError(f"no built-in claim set for {args.property!r}; pass --sequents")
-    report = analysis.check_definability(args.property, claims, args.max_size,
-                                         engine=args.engine)
+    report = analysis.check_definability(args.property, claims, args.max_size)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
@@ -215,7 +214,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=sorted(semantics.FRAME_PROPERTIES))
     p.add_argument("--sequents", help="file of claims; default: built-in set")
     p.add_argument("--max-size", type=int, required=True)
-    p.add_argument("--engine", choices=("bulk", "scalar"), default="bulk")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_definability)
 

@@ -31,7 +31,6 @@ valid as a formula exactly on empty-relation frames.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
@@ -339,39 +338,26 @@ def sequent_holds(m: Model, s: Sequent) -> bool:
     return True
 
 
-def _models_on_frame(frame: Frame, names: frozenset[str]):
-    """All models on ``frame`` over ``names``, in canonical order.
+def _valid_on_frame(fr: Frame, claim: Sequent | Formula, names: frozenset[str]) -> bool:
+    """Exhaustive validity of ``claim`` over every valuation of ``names`` on
+    ``fr``, on the bulk evaluator.
 
-    Only the variables occurring in the formulas under test need to be
-    enumerated: evaluation is a structural recursion that never reads any
-    other variable, so extra variables cannot change a validity verdict.
+    Only the variables occurring in the claim need to be enumerated:
+    evaluation is a structural recursion that never reads any other
+    variable, so extra variables cannot change a validity verdict.
     """
-    _guard(len(frame.worlds), len(names), relations=False)
-    slots = [(w, v) for w in frame.worlds for v in sorted(names)]
-    for combo in itertools.product(VALUE_ORDER, repeat=len(slots)):
-        values: dict[str, dict[str, FourValue]] = {w: {} for w in frame.worlds}
-        for (w, var), val in zip(slots, combo):
-            values[w][var] = val
-        yield Model.from_values(frame, values, variables=names)
+    from .bulkeval import BulkSpace  # bulkeval imports this module
+    return bool(BulkSpace.on_frame(fr, names).valid_per_relation(claim)[0])
 
 
 def sequent_valid_on_frame(fr: Frame, s: Sequent) -> bool:
     """Exhaustively check truth preservation over all valuations on ``fr``."""
-    names = variables(s.premise) | variables(s.conclusion)
-    for m in _models_on_frame(fr, names):
-        if not sequent_holds(m, s):
-            return False
-    return True
+    return _valid_on_frame(fr, s, variables(s.premise, s.conclusion))
 
 
 def formula_valid_on_frame(fr: Frame, f: Formula) -> bool:
     """True iff ``f`` is supported-true at every world of every model on ``fr``."""
-    for m in _models_on_frame(fr, variables(f)):
-        ev = Evaluator(m)
-        for w in fr.worlds:
-            if not ev.supports(w, f)[0]:
-                return False
-    return True
+    return _valid_on_frame(fr, f, variables(f))
 
 
 _DUAL = {FourValue.T: FourValue.T, FourValue.B: FourValue.N,

@@ -298,10 +298,11 @@ def render_sequent(s: Sequent, pretty: bool = False) -> str:
 
 # --- structural utilities ----------------------------------------------------
 
-def subformulas(f: Formula) -> frozenset[Formula]:
-    """All subtrees of ``f``, including ``f`` itself."""
+def subformulas(*fs: Formula) -> frozenset[Formula]:
+    """All subtrees of the given formulas, each including itself; one walk
+    with one visited set, so a subtree they share is visited once."""
     acc: set[Formula] = set()
-    stack = [f]
+    stack = list(fs)
     while stack:
         node = stack.pop()
         if node in acc:
@@ -315,8 +316,9 @@ def subformulas(f: Formula) -> frozenset[Formula]:
     return frozenset(acc)
 
 
-def variables(f: Formula) -> frozenset[str]:
-    return frozenset(sub.name for sub in subformulas(f) if isinstance(sub, Atom))
+def variables(*fs: Formula) -> frozenset[str]:
+    """The variables occurring in any of the given formulas."""
+    return frozenset(sub.name for sub in subformulas(*fs) if isinstance(sub, Atom))
 
 
 def size(f: Formula) -> int:

@@ -76,7 +76,7 @@ __all__ = [
     "Val", "bar", "neg", "Labelled", "RelAtom", "Branch",
     "Proved", "Refuted", "TableauResult", "ProofNode", "ProofStats",
     "LanguageError", "RealisationError",
-    "prove", "saturation_step", "is_closed",
+    "prove", "saturation_step",
     "extract_countermodel", "check_realisation",
     "tree_to_text", "tree_to_dict", "branch_items", "item_to_text",
 ]
@@ -336,10 +336,6 @@ class Branch:
 
     def __len__(self):
         return len(self.items)
-
-
-def is_closed(b: Branch) -> bool:
-    return b.closed
 
 
 # --- rule instances ----------------------------------------------------------
@@ -699,16 +695,14 @@ def extract_countermodel(b: Branch) -> PointedModel:
     frame = Frame(b.worlds, rel)
     vplus: dict[str, set[str]] = {w: set() for w in b.worlds}
     vminus: dict[str, set[str]] = {w: set() for w in b.worlds}
-    mentioned: set[str] = set()
-    for item in b.items:
-        if not isinstance(item, Labelled):
-            continue
-        mentioned |= variables(item.formula)
+    labelled = [item for item in b.items if isinstance(item, Labelled)]
+    for item in labelled:
         if isinstance(item.formula, Atom):
             if item.value is Val.T:
                 vplus[item.world].add(item.formula.name)
             elif item.value is Val.F:
                 vminus[item.world].add(item.formula.name)
+    mentioned = variables(*(item.formula for item in labelled))
     model = Model(frame, vplus, vminus, variables=mentioned)
     if not check_realisation(model, b):
         raise RealisationError("extracted model does not realise its branch")

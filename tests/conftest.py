@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from fdek.syntax import And, Atom, Formula, Not, Or, Sequent, Tri, parse_sequent
+from fdek.bulkeval import frame_from_mask, model_from_indices
+from fdek.semantics import Evaluator, frame_property, frame_to_dict
+from fdek.syntax import And, Atom, Formula, Not, Or, Sequent, Tri, parse_sequent, variables
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -125,3 +127,43 @@ def corpus(min_size: int = 200) -> list[Sequent]:
     base += random_valid_sequents(30)
     base += random_sequents(max(0, min_size - len(base)) + 20)
     return base
+
+
+# --- the scalar reference for exhaustive validity ----------------------------
+
+def scalar_valid_on_frame(frame, claim) -> bool:
+    """Validity of a sequent or formula claim on ``frame``, one scalar
+    ``Evaluator`` per valuation, the reference for the bulk evaluator.
+    Each model is decoded by ``model_from_indices`` on the copy of
+    ``frame`` whose world ``frame.worlds[i]`` is renamed ``w<i>``; renaming
+    worlds changes no validity verdict."""
+    premises = [claim.premise] if isinstance(claim, Sequent) else []
+    conclusion = claim.conclusion if isinstance(claim, Sequent) else claim
+    names = sorted(variables(*premises, conclusion))
+    n = len(frame.worlds)
+    index = {w: i for i, w in enumerate(frame.worlds)}
+    mask = sum(1 << index[s] * n + index[t] for s, t in frame.relation)
+    for val_index in range(4 ** (n * len(names))):
+        model = model_from_indices(n, names, mask, val_index)
+        ev = Evaluator(model)
+        for w in model.frame.worlds:
+            if all(ev.supports(w, f)[0] for f in premises) and not ev.supports(w, conclusion)[0]:
+                return False
+    return True
+
+
+def scalar_definability(prop: str, claims, max_size: int):
+    """``(verdict, witness, frames_checked)`` of ``check_definability``,
+    computed frame by frame with ``scalar_valid_on_frame``."""
+    frames_checked = 0
+    for n in range(1, max_size + 1):
+        for rel_mask in range(2 ** (n * n)):
+            frames_checked += 1
+            frame = frame_from_mask(n, rel_mask)
+            has_prop = frame_property(frame, prop)
+            if has_prop != all(scalar_valid_on_frame(frame, c) for c in claims):
+                direction = ("property_holds_but_claims_fail" if has_prop
+                             else "claims_hold_but_property_fails")
+                witness = {"frame": frame_to_dict(frame), "direction": direction}
+                return "refuted", witness, frames_checked
+    return "defines", None, frames_checked

@@ -19,7 +19,7 @@ from fdek.semantics import (
 from fdek.syntax import Not, parse_formula, parse_sequent, subformulas, variables
 from fdek.tableau import Labelled, Proved, Refuted, prove, result_to_dict
 
-from conftest import corpus, hand_sequents, random_formula
+from conftest import corpus, hand_sequents, random_formula, scalar_definability
 
 T, B, N, F = FourValue.T, FourValue.B, FourValue.N, FourValue.F
 
@@ -65,8 +65,8 @@ def test_criterion_3_definability_sweep():
         report = check_definability(prop, claims, 3)
         assert report.verdict == "defines", prop
         assert report.frames_checked == 530, prop
-        scalar = check_definability(prop, claims, 3, engine="scalar")
-        assert scalar.verdict == "defines" and scalar.witness is None, prop
+        verdict, witness, frames_checked = scalar_definability(prop, claims, 3)
+        assert verdict == "defines" and witness is None and frames_checked == 530, prop
 
     trans = check_definability("transitive", [parse_sequent("#p |- ##p")], 3)
     assert trans.verdict == "refuted"

@@ -14,13 +14,13 @@ from fdek.analysis import (
 from fdek.bulkeval import BulkSpace
 from fdek.figures import load_frame, load_model
 from fdek.semantics import (
-    BoundExceededError, Evaluator, FourValue, PointedModel, frame_to_dict,
+    BoundExceededError, Evaluator, FourValue, Frame, PointedModel, frame_to_dict,
     model_to_dict,
 )
 from fdek.syntax import Atom, Box, Not, Tri, parse_formula, parse_sequent, render, size
 from fdek.tableau import Proved, prove
 
-from conftest import corpus
+from conftest import corpus, scalar_definability
 
 
 @pytest.fixture(params=["default", "tiny"])
@@ -228,6 +228,24 @@ class TestBulkAgreement:
                         got = (pos[r][v][w], neg[r][v][w])
                         assert got == ev.supports(f"w{w}", f), (render(f), mask, v, w)
 
+    def test_bulk_supports_match_scalar_on_a_ten_world_frame(self):
+        # 16-bit bitsets: worlds 8 and 9 live in the second byte, and bits
+        # 10 to 15 stand for no world.
+        n = 10
+        pairs = [(i, (i + 1) % n) for i in range(n)] + [(9, 9), (8, 2)]
+        mask = sum(1 << i * n + j for i, j in pairs)
+        worlds = [f"w{i}" for i in range(n)]
+        space = BulkSpace.on_frame(Frame(worlds, [(worlds[i], worlds[j]) for i, j in pairs]), ["p"])
+        sample = [0, 4 ** n - 1] + random.Random(10).sample(range(1, 4 ** n - 1), 30)
+        models = [Evaluator(model_from_indices(n, ["p"], mask, v)) for v in sample]
+        for f in [Atom("p"), Tri(Atom("p")), Not(Tri(Not(Tri(Atom("p"))))), Box(Not(Atom("p")))]:
+            for bits in space._bits(f):
+                assert not (bits & np.uint16(0xFFFF ^ 0x3FF)).any(), render(f)
+            pos, neg = (x[0, sample] for x in space.supports(f))
+            for i, ev in enumerate(models):
+                for w in range(n):
+                    assert (pos[i, w], neg[i, w]) == ev.supports(f"w{w}", f), (render(f), sample[i], w)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_bitsets_carry_no_stray_bits(self, n):
         # Bits at and above n stand for no world: an unmasked complement
@@ -257,9 +275,9 @@ class TestBulkAgreement:
 
     def test_holds_everywhere_matches_model_scan(self):
         s = parse_sequent("p & q |- p")
-        assert BulkSpace(2, ["p", "q"]).sequent_holds_everywhere(s)
+        assert BulkSpace(2, ["p", "q"]).first_countermodel(s) is None
         s2 = parse_sequent("p |- q")
-        assert not BulkSpace(1, ["p", "q"]).sequent_holds_everywhere(s2)
+        assert BulkSpace(1, ["p", "q"]).first_countermodel(s2) is not None
 
 
 class TestDefinability:
@@ -274,11 +292,11 @@ class TestDefinability:
         for prop in props:
             claims = PAPER_FRAME_CLASSES.get(
                 prop, [parse_sequent("#p |- ##p")])
-            bulk = check_definability(prop, claims, 2, engine="bulk")
-            scalar = check_definability(prop, claims, 2, engine="scalar")
-            assert bulk.verdict == scalar.verdict, prop
-            assert bulk.witness == scalar.witness, prop
-            assert bulk.frames_checked == scalar.frames_checked, prop
+            bulk = check_definability(prop, claims, 2)
+            verdict, witness, frames_checked = scalar_definability(prop, claims, 2)
+            assert bulk.verdict == verdict, prop
+            assert bulk.witness == witness, prop
+            assert bulk.frames_checked == frames_checked, prop
 
     def test_transitivity_not_defined_by_iterated_modality(self):
         report = check_definability("transitive", [parse_sequent("#p |- ##p")], 3)

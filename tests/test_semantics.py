@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdek.analysis import enumerate_formulas, enumerate_models
+from fdek import bulkeval
+from fdek.analysis import PAPER_FRAME_CLASSES, enumerate_formulas, enumerate_models
 from fdek.bulkeval import BulkSpace
 from fdek.figures import load_frame, load_model
 from fdek.semantics import (
@@ -13,9 +14,9 @@ from fdek.semantics import (
     sequent_holds, sequent_valid_on_frame, supports_false, supports_true,
     tri_value_by_cases,
 )
-from fdek.syntax import parse_formula, parse_sequent
+from fdek.syntax import Sequent, parse_formula, parse_sequent
 
-from conftest import random_formula
+from conftest import random_formula, scalar_valid_on_frame
 
 T, B, N, F = FourValue.T, FourValue.B, FourValue.N, FourValue.F
 
@@ -239,6 +240,64 @@ class TestFormulaValidity:
             assert not formula_valid_on_frame(fr, parse_formula("p | ~p"))
 
 
+class TestFrameValidityOnBulk:
+    """Frame validity runs on the bulk evaluator: checked against the scalar
+    reference on frames whose world names are not ``w<i>``, and on known
+    answers at 8 and 10 worlds, past a 64-bit relation mask and (at 10) past
+    one byte per world bitset."""
+
+    NAMES = ["w3", "home", "x", "w0", "b2", "node_a", "z", "w1"]
+
+    def test_agrees_with_scalar_on_named_frames(self):
+        # The paper's frame-class claims tell frames apart; random claims
+        # add other shapes, over two variables up to 3 worlds.
+        frame_claims = list(dict.fromkeys(c for cs in PAPER_FRAME_CLASSES.values() for c in cs))
+        rng = random.Random(2)
+        verdicts = []
+        for n in (1, 2, 3, 4, 5, 6, 1, 2, 3, 4, 5):
+            names = ["p", "q"] if n <= 3 and rng.random() < 0.5 else ["p"]
+            worlds = rng.sample(self.NAMES, n)
+            density = rng.random()
+            rel = {(a, b) for a in worlds for b in worlds if rng.random() < density}
+            if rng.random() < 0.5:
+                rel |= {(a, a) for a in worlds}
+            frame = Frame(worlds, rel)
+            claims = rng.sample(frame_claims, 3) + [
+                Sequent(random_formula(rng, names, 2, 2), random_formula(rng, names, 2, 2)),
+                random_formula(rng, names, 2, 2)]
+            for claim in claims:
+                if isinstance(claim, Sequent):
+                    got = sequent_valid_on_frame(frame, claim)
+                else:
+                    got = formula_valid_on_frame(frame, claim)
+                assert got == scalar_valid_on_frame(frame, claim), (frame, claim)
+                verdicts.append(got)
+        assert 10 <= sum(verdicts) <= len(verdicts) - 10
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_known_answers_on_large_frames(self, n):
+        worlds = [f"v{i}" for i in range(n)]
+        loops = [(w, w) for w in worlds]
+        extra = [(worlds[0], worlds[-1]), (worlds[-1], worlds[1])]
+        t = parse_sequent("#(p | ~p) |- p | ~p")
+        assert sequent_valid_on_frame(Frame(worlds, loops + extra), t)
+        for gone in (worlds[0], worlds[-1]):
+            assert not sequent_valid_on_frame(
+                Frame(worlds, [e for e in loops if e != (gone, gone)] + extra), t), gone
+        tri_p = parse_formula("#p")
+        assert formula_valid_on_frame(Frame(worlds, []), tri_p)
+        assert not formula_valid_on_frame(Frame(worlds, [(worlds[-1], worlds[0])]), tri_p)
+
+    def test_guard_refuses_before_allocating(self, monkeypatch):
+        def allocate(*args):
+            raise AssertionError("allocated before the guard")
+        monkeypatch.setattr(bulkeval, "_atom_tables", allocate)
+        with pytest.raises(BoundExceededError):
+            sequent_valid_on_frame(Frame([f"w{i}" for i in range(13)], []), parse_sequent("p |- p"))
+        with pytest.raises(BoundExceededError):
+            formula_valid_on_frame(Frame([f"w{i}" for i in range(7)], []), parse_formula("p & q"))
+
+
 class TestNoTautologies:
     def test_everything_collapses_on_uniform_models(self):
         rng = random.Random(8)
@@ -255,7 +314,7 @@ class TestBoxComparison:
     def test_same_value_implies_box_disjunction_on_all_small_models(self):
         s = parse_sequent("#p |- []p | []~p")
         for n in (1, 2, 3):
-            assert BulkSpace(n, ["p"]).sequent_holds_everywhere(s)
+            assert BulkSpace(n, ["p"]).first_countermodel(s) is None
 
     def test_converse_fails_on_mixed_model(self):
         m = load_model("fig1")

@@ -10,7 +10,7 @@ from fdek.syntax import Not, Or, parse_formula, parse_sequent, subformulas
 from fdek.tableau import (
     Branch, Labelled, LanguageError, ProofNode, ProofStats, Proved,
     RealisationError, Refuted, RelAtom, Val, bar, check_realisation,
-    extract_countermodel, is_closed, neg, prove, result_to_dict,
+    extract_countermodel, neg, prove, result_to_dict,
     result_to_json, saturation_step, tree_to_dict, tree_to_text,
 )
 
@@ -43,19 +43,19 @@ class TestValueLabels:
 class TestClosure:
     def test_value_and_its_bar_close(self):
         b = Branch.from_items([lab("w1", "p", "tbar"), lab("w1", "p", "t")])
-        assert is_closed(b)
+        assert b.closed
 
     def test_glut_does_not_close(self):
         b = Branch.from_items([lab("w1", "p", "t"), lab("w1", "p", "f")])
-        assert not is_closed(b)
+        assert not b.closed
 
     def test_falsity_dimension_closes(self):
         b = Branch.from_items([lab("w2", "p", "fbar"), lab("w2", "p", "f")])
-        assert is_closed(b)
+        assert b.closed
 
     def test_gap_does_not_close(self):
         b = Branch.from_items([lab("w1", "p", "tbar"), lab("w1", "p", "fbar")])
-        assert not is_closed(b)
+        assert not b.closed
 
 
 class TestSaturationStep:
@@ -269,6 +269,15 @@ class TestExtraction:
         pointed = extract_countermodel(b)
         assert pointed.model.frame.relation == {("w0", "w0")}
         assert pointed.model.value("w0", "p") is FourValue.B
+
+    def test_variables_of_non_atom_items_are_kept(self):
+        # q and r occur only inside compound formulas, never as atom items,
+        # and r only at the second world.
+        b = Branch.from_items([lab("w0", "p", "t"), lab("w0", "q | p", "t"),
+                               lab("w1", "#(r & ~p)", "t"), RelAtom("w0", "w1")])
+        m = extract_countermodel(b).model
+        assert m.variables == {"p", "q", "r"}
+        assert m.value("w0", "q") is FourValue.N and m.value("w1", "r") is FourValue.N
 
     def test_closed_branch_rejected(self):
         b = Branch.from_items([lab("w0", "p", "t"), lab("w0", "p", "tbar")])
