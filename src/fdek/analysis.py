@@ -16,10 +16,10 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .bulkeval import frame_from_mask, model_from_indices, sweep
+from .bulkeval import _guard, _model_on, frame_from_mask, model_from_indices, sweep
 from .semantics import (
-    Evaluator, FourValue, Frame, Model, PointedModel, _guard, frame_property,
-    frame_to_dict, model_to_dict,
+    Evaluator, FourValue, Frame, Model, PointedModel, frame_property, frame_to_dict,
+    model_to_dict,
 )
 from .syntax import (
     LANG_BOX, LANG_TRI, And, Atom, Box, Formula, Not, Or, Sequent, Tri,
@@ -56,9 +56,9 @@ def enumerate_models(world_count: int, vars: Sequence[str]) -> Iterator[Model]:
     order (relation mask ascending, then valuation index ascending)."""
     names = sorted(set(vars))
     _guard(world_count, len(names))
-    for rel_mask in range(2 ** (world_count * world_count)):
+    for frame in enumerate_frames(world_count):
         for val_index in range(4 ** (world_count * len(names))):
-            yield model_from_indices(world_count, names, rel_mask, val_index)
+            yield _model_on(frame, names, val_index)
 
 
 def enumerate_frames(world_count: int) -> Iterator[Frame]:
@@ -110,7 +110,8 @@ def find_countermodel(s: Sequent, max_worlds: int) -> PointedModel | None:
             hit = space.first_countermodel(s)
             if hit is not None:
                 r, v, w = hit
-                model = model_from_indices(n, names, int(space.rel_masks[r]), v)
+                r0, v0 = space.start
+                model = model_from_indices(n, names, r0 + r, v0 + v)
                 return PointedModel(model, f"w{w}")
     return None
 
@@ -158,14 +159,6 @@ class DefinabilityReport:
                 "engine": "bulk", "elapsed": self.elapsed}
 
 
-def _claims_valid_bulk(n: int, claims: Sequence[Claim]) -> np.ndarray:
-    valid = np.ones(2 ** (n * n), dtype=bool)
-    for claim in claims:
-        valid &= np.concatenate([space.valid_per_relation(claim)
-                                 for space in sweep(n, _claim_variables(claim))])
-    return valid
-
-
 def check_definability(prop: str, claims: Sequence[Claim], max_size: int) -> DefinabilityReport:
     """Compare ``frame_property`` against joint claim validity on every
     labelled frame with at most ``max_size`` worlds.
@@ -183,11 +176,15 @@ def check_definability(prop: str, claims: Sequence[Claim], max_size: int) -> Def
     frames_checked = 0
     witness = None
     for n in range(1, max_size + 1):
-        valid_vec = _claims_valid_bulk(n, claims)
+        valid = np.ones(2 ** (n * n), dtype=bool)
+        for claim in claims:
+            for space in sweep(n, _claim_variables(claim)):
+                r = space.start[0]
+                valid[r:r + len(space.succ)] &= space.valid_per_relation(claim)
         for rel_mask, fr in enumerate(enumerate_frames(n)):
             frames_checked += 1
             has_prop = frame_property(fr, prop)
-            if has_prop != bool(valid_vec[rel_mask]):
+            if has_prop != bool(valid[rel_mask]):
                 direction = ("property_holds_but_claims_fail" if has_prop
                              else "claims_hold_but_property_fails")
                 witness = {"frame": frame_to_dict(fr), "direction": direction}

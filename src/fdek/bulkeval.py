@@ -3,7 +3,8 @@ or over every valuation on one given frame: the one exhaustive evaluator
 (the scalar ``Evaluator`` in ``semantics`` is the independent reference).
 
 The model space for ``n`` worlds over ``k`` variables is the cross product
-of all 2^(n*n) relations with all 4^(n*k) valuations.  A formula's two
+of all 2^(n*n) relations with all 4^(n*k) valuations; on a given frame it
+is that frame's one relation with every valuation.  A formula's two
 supports are world bitsets: arrays of shape (relations, valuations), or
 (1, valuations) where independent of the relation, whose bit ``w`` means
 "supported at world ``w``", in the narrowest unsigned type that holds n
@@ -11,13 +12,15 @@ bits: ``uint8`` up to 8 worlds, ``uint16`` for the 9 to 12 worlds a given
 frame may have (relation sweeps stay at n <= 4, the size guard).  ``~``,
 ``&``, ``|`` are bitwise, every complement masked to the low n bits; a
 successor quantifier is one mask compare per world against that world's
-successor bitset.  A sweep decodes its relation masks into successor
-bitsets; a given frame is bound from its own successor bitsets, since its
-relation mask would not fit 64 bits from 8 worlds on.
+successor bitset, decoded from relation masks or from a given frame's
+relation (whose mask would not fit 64 bits from 8 worlds on).
 
-The index layout of the model space is known only to this module;
-``semantics`` and ``analysis`` go through ``BulkSpace.on_frame``,
-``sweep``, ``model_from_indices`` and ``frame_from_mask``:
+What a scan costs and how its space is laid out are known only to this
+module: ``_guard`` refuses a scan before anything is allocated, and
+``sweep`` reads the space in blocks of at most ``_CHUNK_CELLS`` cells, so a
+caller can stop at the first block that settles its question.
+``semantics`` and ``analysis`` go through ``_guard``, ``sweep``,
+``model_from_indices`` and ``frame_from_mask``:
 
 * relation ``r`` contains the pair (i, j) iff bit ``i*n + j`` of the mask
   is set; masks are enumerated ascending;
@@ -32,16 +35,42 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .semantics import VALUE_ORDER, Frame, Model, _guard
+from .semantics import DEFAULT_VALUATION_BOUND, VALUE_ORDER, BoundExceededError, Frame, Model
 from .syntax import And, Atom, Box, Formula, Not, Or, Sequent, Tri
 
 __all__ = ["BulkSpace", "sweep", "model_from_indices", "frame_from_mask"]
 
-_CHUNK_CELLS = 50_000_000  # per-array budget (relations x valuations x worlds) of one chunk
+# (relation, valuation, world) cells one sweep over every relation may
+# visit: 2x6 (5.4e8) and 3x3 (4.0e8) fit, 3x4 (2.6e10) does not.
+_MAX_SWEEP_CELLS = 10 ** 9
+_CHUNK_CELLS = 50_000_000  # per-array budget (relations x valuations x worlds) of one block
 
 # Support of truth (row 0) and of falsity (row 1) for base-4 digits 0..3.
 _DIGIT_SUPPORTS = np.array([[v.supports_truth for v in VALUE_ORDER],
                             [v.supports_falsity for v in VALUE_ORDER]], dtype=np.uint8)
+
+
+def _guard(world_count: int, variable_count: int, *, relations: bool = True) -> None:
+    """The one size guard of every exhaustive scan; call it before
+    allocating.  ``relations``: every relation on the worlds is enumerated,
+    not one given frame, whose blocks ``sweep`` keeps within ``_CHUNK_CELLS``."""
+    if world_count < 1:
+        raise ValueError("need at least one world")
+    if variable_count < 1:
+        raise ValueError("need at least one variable")
+    if world_count * variable_count > DEFAULT_VALUATION_BOUND:
+        raise BoundExceededError(
+            f"{world_count} worlds x {variable_count} variables exceeds bound "
+            f"{DEFAULT_VALUATION_BOUND}")
+    if not relations:
+        return
+    # The slot rule above caps world_count at 12, so this power is cheap.
+    cells = (2 ** (world_count * world_count)
+             * 4 ** (world_count * variable_count) * world_count)
+    if cells > _MAX_SWEEP_CELLS:
+        raise BoundExceededError(
+            f"{world_count} worlds x {variable_count} variables over every relation "
+            f"is {cells:.1e} cells, beyond the budget of {_MAX_SWEEP_CELLS:.0e}")
 
 
 def frame_from_mask(n_worlds: int, rel_mask: int) -> Frame:
@@ -55,9 +84,12 @@ def frame_from_mask(n_worlds: int, rel_mask: int) -> Frame:
 def model_from_indices(world_count: int, vars: Sequence[str],
                        rel_mask: int, val_index: int) -> Model:
     """Decode one point of the enumeration: relation mask, valuation index."""
-    names = sorted(set(vars))
-    frame = frame_from_mask(world_count, rel_mask)
-    slots = world_count * len(names)
+    return _model_on(frame_from_mask(world_count, rel_mask), sorted(set(vars)), val_index)
+
+
+def _model_on(frame: Frame, names: Sequence[str], val_index: int) -> Model:
+    """The model on ``frame`` at valuation index ``val_index`` (``names`` sorted, distinct)."""
+    slots = len(frame.worlds) * len(names)
     values: dict[str, dict] = {w: {} for w in frame.worlds}
     for s in range(slots):
         w, j = divmod(s, len(names))
@@ -94,42 +126,20 @@ def _unpack(bits: np.ndarray, n: int) -> np.ndarray:
 
 class BulkSpace:
     """Every pointed model over the given relation masks (default: all of
-    them) and every valuation of ``variables`` on ``n_worlds`` worlds; or,
-    built by ``on_frame``, every valuation on one given frame (no
-    ``rel_masks`` then)."""
+    them) and every valuation of ``variables`` on ``n_worlds`` worlds; a
+    block of a ``sweep`` starts at (relation, valuation) index ``start``."""
 
     def __init__(self, n_worlds: int, variables: Sequence[str],
                  rel_masks: Sequence[int] | None = None):
         names = tuple(sorted(variables))
         _guard(n_worlds, len(names))
-        if rel_masks is None:
-            rel_masks = np.arange(2 ** (n_worlds * n_worlds), dtype=np.int64)
-        self._bind(n_worlds, _atom_tables(n_worlds, names), rel_masks)
+        self._bind(n_worlds, _atom_tables(n_worlds, names), _successors(n_worlds, rel_masks))
 
-    @classmethod
-    def on_frame(cls, frame: Frame, variables: Sequence[str]) -> BulkSpace:
-        """Every valuation of ``variables`` on ``frame``: a space of one
-        relation whose world ``i`` is ``frame.worlds[i]``."""
-        names = tuple(sorted(variables))
-        n = len(frame.worlds)
-        _guard(n, len(names), relations=False)
-        index = {w: i for i, w in enumerate(frame.worlds)}
-        succ = np.zeros((1, n), dtype=_bitset_type(n))
-        for s, t in frame.relation:
-            succ[0, index[s]] |= 1 << index[t]
-        space = cls.__new__(cls)
-        space._bind(n, _atom_tables(n, names), None, succ)
-        return space
-
-    def _bind(self, n: int, atoms: dict, rel_masks, succ: np.ndarray | None = None) -> None:
-        """Bind to relation masks, or (``rel_masks`` None) to a given frame's
-        ``succ``.  ``succ[r, w]``: bit j is set iff relation r contains (w, j)."""
+    def _bind(self, n: int, atoms: dict, succ: np.ndarray, start=(0, 0)) -> None:
+        """``succ[r, w]``: bit j is set iff relation r contains (w, j)."""
         self.n = n
         self.variables = tuple(a.name for a in atoms)
-        self.rel_masks = None if rel_masks is None else np.asarray(rel_masks, dtype=np.int64)
-        if succ is None:
-            succ = self.rel_masks[:, None] >> n * np.arange(n) & (1 << n) - 1
-            succ = succ.astype(_bitset_type(n))
+        self.start = start
         self.succ = succ
         self.full = succ.dtype.type((1 << n) - 1)
         self._memo: dict[Formula, tuple[np.ndarray, np.ndarray]] = dict(atoms)
@@ -211,17 +221,40 @@ class BulkSpace:
         return np.broadcast_to(ok, (len(self.succ),))
 
 
-def sweep(n_worlds: int, variables: Sequence[str]) -> Iterator[BulkSpace]:
-    """The whole model space on ``n_worlds`` worlds over ``variables``, as
-    BulkSpaces over consecutive chunks of relation masks in ascending order.
-    Each chunk's arrays hold at most ``_CHUNK_CELLS`` cells (at least one
-    relation), and the atom tables are built once and shared by all chunks."""
+def _successors(worlds: int | Frame, rel_masks: Sequence[int] | None = None) -> np.ndarray:
+    """Successor bitsets, shape (relations, n), of ``rel_masks`` on ``worlds`` worlds
+    (default: every mask, ascending), or of a given frame, world i being its i-th."""
+    if isinstance(worlds, Frame):
+        ws = worlds.worlds
+        return np.array([[sum(1 << j for j, t in enumerate(ws) if (w, t) in worlds.relation)
+                          for w in ws]], dtype=_bitset_type(len(ws)))
+    n = worlds
+    masks = np.arange(2 ** (n * n)) if rel_masks is None else np.asarray(rel_masks, dtype=np.int64)
+    return (masks[:, None] >> n * np.arange(n) & (1 << n) - 1).astype(_bitset_type(n))
+
+
+def sweep(worlds: int | Frame, variables: Sequence[str]) -> Iterator[BulkSpace]:
+    """Every valuation of ``variables`` on every relation over ``worlds``
+    worlds (masks ascending), or on the one relation of a given ``Frame``,
+    as BulkSpaces over consecutive blocks in enumeration order.
+
+    The size guard runs at the first ``next()``, before anything is
+    allocated.  Each block's arrays hold at most ``_CHUNK_CELLS`` cells:
+    whole relations while one relation fits, else consecutive valuations of
+    one relation (a block never spans two relations).  The atom tables are
+    built once; a block's are views of them along the valuation axis."""
     names = tuple(sorted(variables))
-    _guard(n_worlds, len(names))
-    atoms = _atom_tables(n_worlds, names)
-    total = 2 ** (n_worlds * n_worlds)
-    step = max(1, _CHUNK_CELLS // (4 ** (n_worlds * len(names)) * n_worlds))
-    for start in range(0, total, step):
-        space = BulkSpace.__new__(BulkSpace)
-        space._bind(n_worlds, atoms, np.arange(start, min(start + step, total), dtype=np.int64))
-        yield space
+    given = isinstance(worlds, Frame)
+    n = len(worlds.worlds) if given else worlds
+    _guard(n, len(names), relations=not given)
+    atoms, succ = _atom_tables(n, names), _successors(worlds)
+    n_val = 4 ** (n * len(names))
+    rel_step = max(1, _CHUNK_CELLS // (n_val * n))
+    val_step = max(1, _CHUNK_CELLS // n)
+    for r in range(0, len(succ), rel_step):
+        for v in range(0, n_val, val_step):
+            block = {a: (pos[:, v:v + val_step], neg[:, v:v + val_step])
+                     for a, (pos, neg) in atoms.items()}
+            space = BulkSpace.__new__(BulkSpace)
+            space._bind(n, block, succ[r:r + rel_step], (r, v))
+            yield space

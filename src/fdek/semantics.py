@@ -92,32 +92,6 @@ _FLAGS = {v.value: v for v in FourValue}
 VALUE_ORDER = (FourValue.T, FourValue.B, FourValue.N, FourValue.F)
 
 DEFAULT_VALUATION_BOUND = 12
-# (relation, valuation, world) cells one sweep over every relation may
-# visit: 2x6 (5.4e8) and 3x3 (4.0e8) fit, 3x4 (2.6e10) does not.
-_MAX_SWEEP_CELLS = 10 ** 9
-
-
-def _guard(world_count: int, variable_count: int, *, relations: bool = True) -> None:
-    """The one size guard of every exhaustive sweep; call it before
-    allocating.  ``relations`` says whether every relation on the worlds is
-    enumerated, or the frame is given."""
-    if world_count < 1:
-        raise ValueError("need at least one world")
-    if variable_count < 1:
-        raise ValueError("need at least one variable")
-    if world_count * variable_count > DEFAULT_VALUATION_BOUND:
-        raise BoundExceededError(
-            f"{world_count} worlds x {variable_count} variables exceeds bound "
-            f"{DEFAULT_VALUATION_BOUND}")
-    if not relations:
-        return
-    # The slot rule above caps world_count at 12, so this power is cheap.
-    cells = (2 ** (world_count * world_count)
-             * 4 ** (world_count * variable_count) * world_count)
-    if cells > _MAX_SWEEP_CELLS:
-        raise BoundExceededError(
-            f"{world_count} worlds x {variable_count} variables over every relation "
-            f"is {cells:.1e} cells, beyond the budget of {_MAX_SWEEP_CELLS:.0e}")
 
 
 @dataclass(frozen=True)
@@ -340,14 +314,14 @@ def sequent_holds(m: Model, s: Sequent) -> bool:
 
 def _valid_on_frame(fr: Frame, claim: Sequent | Formula, names: frozenset[str]) -> bool:
     """Exhaustive validity of ``claim`` over every valuation of ``names`` on
-    ``fr``, on the bulk evaluator.
+    ``fr``, on the bulk evaluator, up to the first block that refutes it.
 
     Only the variables occurring in the claim need to be enumerated:
     evaluation is a structural recursion that never reads any other
     variable, so extra variables cannot change a validity verdict.
     """
-    from .bulkeval import BulkSpace  # bulkeval imports this module
-    return bool(BulkSpace.on_frame(fr, names).valid_per_relation(claim)[0])
+    from .bulkeval import sweep  # bulkeval imports this module
+    return all(space.valid_per_relation(claim)[0] for space in sweep(fr, names))
 
 
 def sequent_valid_on_frame(fr: Frame, s: Sequent) -> bool:

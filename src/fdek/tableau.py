@@ -69,7 +69,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Union
 
-from .semantics import Model, PointedModel, Evaluator, Frame
+from .semantics import Model, PointedModel, Evaluator, Frame, model_to_dict
 from .syntax import And, Atom, Formula, Not, Or, Sequent, Tri, contains_box, render, variables
 
 __all__ = [
@@ -794,7 +794,6 @@ def tree_to_text(node: ProofNode, pretty: bool = False) -> str:
 
 
 def result_to_dict(result: TableauResult) -> dict:
-    from .semantics import model_to_dict
     if isinstance(result, Proved):
         return {"verdict": "proved", "stats": result.stats.to_dict(),
                 "tree": tree_to_dict(result.tree)}

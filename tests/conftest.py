@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from fdek import bulkeval
 from fdek.bulkeval import frame_from_mask, model_from_indices
 from fdek.semantics import Evaluator, frame_property, frame_to_dict
 from fdek.syntax import And, Atom, Formula, Not, Or, Sequent, Tri, parse_sequent, variables
@@ -20,6 +21,17 @@ def _subprocess_pythonpath():
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         yield
+
+
+@pytest.fixture(params=["default", "tiny"])
+def chunk_budget(request, monkeypatch):
+    """Sweeps with the default block budget, and with one so small that at
+    two worlds every sweep splits: 3 relations per block for one variable
+    (the last block short), and for two variables blocks of 50 valuations
+    of one relation (the last of each relation short).  A given frame on
+    ``n`` worlds is then read in blocks of ``100 // n`` valuations."""
+    if request.param == "tiny":
+        monkeypatch.setattr(bulkeval, "_CHUNK_CELLS", 100)
 
 
 # Hand-written sequents with known verdicts (True = provable).

@@ -23,15 +23,6 @@ from fdek.tableau import Proved, prove
 from conftest import corpus, scalar_definability
 
 
-@pytest.fixture(params=["default", "tiny"])
-def chunk_budget(request, monkeypatch):
-    """Sweeps with the default chunk budget, and with one so small that at
-    two worlds every sweep splits: 3 relations per chunk for one variable
-    (the last chunk short), 1 relation per chunk for two."""
-    if request.param == "tiny":
-        monkeypatch.setattr(bulkeval, "_CHUNK_CELLS", 100)
-
-
 class TestModelEnumeration:
     @pytest.mark.parametrize("n,names,expected", [
         (1, ["p"], 8), (2, ["p"], 256), (1, ["p", "q"], 32)])
@@ -49,6 +40,14 @@ class TestModelEnumeration:
         values = [m.value("w0", "p") for m in models[:4]]
         assert values == [FourValue.T, FourValue.B, FourValue.N, FourValue.F]
         assert not models[3].frame.relation and models[4].frame.relation
+
+    def test_models_of_one_relation_share_its_frame(self):
+        models = list(enumerate_models(2, ["p", "q"]))
+        n_val = 4 ** 4
+        for rel_mask in range(16):
+            block = models[rel_mask * n_val:(rel_mask + 1) * n_val]
+            assert all(m.frame is block[0].frame for m in block)
+        assert models[0].frame is not models[n_val].frame
 
     def test_index_decode_matches_enumeration(self):
         everything = list(enumerate_models(2, ["p"]))
@@ -161,6 +160,15 @@ class TestCountermodelSearch:
                 assert fast.world == naive.world
                 assert fast.model == naive.model
 
+    @pytest.mark.parametrize("text,rel_mask,val_index", [
+        ("~#(p & q) |- p & p", 2, 129), ("~#p |- q | p", 2, 164)])
+    def test_witness_past_the_first_valuation_block(self, chunk_budget, text, rel_mask, val_index):
+        # Under the tiny budget these witnesses lie in the third and fourth
+        # blocks of 50 valuations of relation 2: the block's offset counts.
+        found = find_countermodel(parse_sequent(text), 2)
+        assert found.model == model_from_indices(2, ["p", "q"], rel_mask, val_index)
+        assert found.world == "w0"
+
     def test_golden_witnesses(self):
         # The first-witness order is part of the determinism contract: any
         # change to the enumeration or to the bulk operators shows up here.
@@ -235,7 +243,7 @@ class TestBulkAgreement:
         pairs = [(i, (i + 1) % n) for i in range(n)] + [(9, 9), (8, 2)]
         mask = sum(1 << i * n + j for i, j in pairs)
         worlds = [f"w{i}" for i in range(n)]
-        space = BulkSpace.on_frame(Frame(worlds, [(worlds[i], worlds[j]) for i, j in pairs]), ["p"])
+        [space] = bulkeval.sweep(Frame(worlds, [(worlds[i], worlds[j]) for i, j in pairs]), ["p"])
         sample = [0, 4 ** n - 1] + random.Random(10).sample(range(1, 4 ** n - 1), 30)
         models = [Evaluator(model_from_indices(n, ["p"], mask, v)) for v in sample]
         for f in [Atom("p"), Tri(Atom("p")), Not(Tri(Not(Tri(Atom("p"))))), Box(Not(Atom("p")))]:
@@ -272,6 +280,25 @@ class TestBulkAgreement:
     def test_world_guard(self):
         with pytest.raises(BoundExceededError):
             BulkSpace(6, ["p"])
+
+    @pytest.mark.parametrize("worlds,k,blocks", [(3, 3, 9), (4, 1, 2), (2, 1, 1)])
+    def test_relation_sweeps_split_by_relations(self, worlds, k, blocks):
+        spaces = list(bulkeval.sweep(worlds, [f"p{i}" for i in range(k)]))
+        assert len(spaces) == blocks
+        starts = [space.start for space in spaces]
+        ends = [(r + len(space.succ), 0) for space, (r, _) in zip(spaces, starts)]
+        assert starts == [(0, 0)] + ends[:-1] and ends[-1] == (2 ** (worlds * worlds), 0)
+
+    @pytest.mark.parametrize("n,blocks", [(12, 5), (11, 1)])
+    def test_given_frames_split_by_valuations(self, n, blocks):
+        worlds = [f"w{i}" for i in range(n)]
+        spaces = list(bulkeval.sweep(Frame(worlds, [(w, w) for w in worlds]), ["p"]))
+        assert len(spaces) == blocks
+        widths = [space._bits(Atom("p"))[0].shape[1] for space in spaces]
+        assert all(w * n <= bulkeval._CHUNK_CELLS for w in widths)
+        starts = [space.start for space in spaces]
+        ends = [(0, v + w) for (_, v), w in zip(starts, widths)]
+        assert starts == [(0, 0)] + ends[:-1] and ends[-1] == (0, 4 ** n)
 
     def test_holds_everywhere_matches_model_scan(self):
         s = parse_sequent("p & q |- p")

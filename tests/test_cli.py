@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fdek import analysis, tableau
 from fdek.cli import main
@@ -142,6 +145,58 @@ class TestValidOnFrame:
         code, out, _ = run(capsys, "valid-on-frame", "--frame", data_file("fig8_left"),
                            "|- #p")
         assert code == 0 and "VALID" in out
+
+
+# Frame files for the exit-code property: well-formed frames over at most
+# three world names, frame-shaped objects whose fields may be any JSON, and
+# any JSON.
+_WORLD_NAMES = st.sampled_from(["w0", "w1", "x"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | _WORLD_NAMES | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from(["worlds", "rel", "w0"]), inner, max_size=2)),
+    max_leaves=6)
+_FRAMES = (
+    st.lists(_WORLD_NAMES, min_size=1, max_size=3, unique=True).flatmap(
+        lambda ws: st.fixed_dictionaries({"worlds": st.just(ws), "rel": st.lists(
+            st.lists(st.sampled_from(ws), min_size=2, max_size=2), max_size=5)}))
+    | st.fixed_dictionaries({
+        "worlds": st.lists(_WORLD_NAMES, max_size=3) | _JSON,
+        "rel": (st.lists(st.lists(_WORLD_NAMES, min_size=2, max_size=2) | _JSON, max_size=3)
+                | _JSON)})
+    | _JSON)
+_FORMULAS = st.recursive(
+    st.sampled_from(["p", "q"]),
+    lambda f: (st.builds("~{}".format, f) | st.builds("#{}".format, f)
+               | st.builds("@{}".format, f) | st.builds("[]{}".format, f)
+               | st.builds("({} & {})".format, f, f) | st.builds("({} | {})".format, f, f)),
+    max_leaves=4)
+_CLAIMS = (st.text(max_size=6) | _FORMULAS | st.builds("|- {}".format, _FORMULAS)
+           | st.builds("{} |- {}".format, _FORMULAS, _FORMULAS))
+
+
+@pytest.fixture(scope="module")
+def frame_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("frames") / "frame.json"
+
+
+class TestValidOnFrameExitCodes:
+    @given(frame=_FRAMES, claim=_CLAIMS)
+    @settings(max_examples=150, deadline=None)
+    def test_exit_code_is_a_verdict_or_an_error(self, frame_path, frame, claim):
+        # Exit 1 means "invalid" and nothing else: a malformed frame file or
+        # claim, or a bug, must exit 2.
+        frame_path.write_text(json.dumps(frame))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(["valid-on-frame", "--frame", str(frame_path), claim])
+            except SystemExit as exc:  # argparse, on a claim that reads as an option
+                code = exc.code
+        assert code in (0, 1, 2), (frame, claim, code)
+        if code == 1:
+            assert out.getvalue() == "INVALID\n", (frame, claim)
+        assert "internal error" not in err.getvalue(), (frame, claim, err.getvalue())
 
 
 class TestDual:

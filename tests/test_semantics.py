@@ -274,6 +274,12 @@ class TestFrameValidityOnBulk:
                 verdicts.append(got)
         assert 10 <= sum(verdicts) <= len(verdicts) - 10
 
+    @pytest.mark.parametrize("chunk_budget", ["tiny"], indirect=True)
+    def test_agrees_with_scalar_in_valuation_blocks(self, chunk_budget):
+        # The same frames and claims, each frame read in blocks of 100 // n
+        # valuations.
+        self.test_agrees_with_scalar_on_named_frames()
+
     @pytest.mark.parametrize("n", [8, 10])
     def test_known_answers_on_large_frames(self, n):
         worlds = [f"v{i}" for i in range(n)]
@@ -287,6 +293,28 @@ class TestFrameValidityOnBulk:
         tri_p = parse_formula("#p")
         assert formula_valid_on_frame(Frame(worlds, []), tri_p)
         assert not formula_valid_on_frame(Frame(worlds, [(worlds[-1], worlds[0])]), tri_p)
+
+    @pytest.mark.parametrize("edges,claim,valid,read", [
+        ("cycle", "#p |- p", False, 1),
+        ("loops", "#(p | ~p) |- p | ~p", True, 256),
+    ])
+    def test_stops_at_the_first_refuting_block(self, monkeypatch, edges, claim, valid, read):
+        # Under a budget of 100 cells a 6-world frame is read in 256 blocks of
+        # 16 valuations; valuation 3 (w5 false, the rest true) refutes #p |- p
+        # on the cycle.
+        monkeypatch.setattr(bulkeval, "_CHUNK_CELLS", 100)
+        sweep, starts = bulkeval.sweep, []
+
+        def counting(*args):
+            for space in sweep(*args):
+                starts.append(space.start)
+                yield space
+        monkeypatch.setattr(bulkeval, "sweep", counting)
+        ws = [f"w{i}" for i in range(6)]
+        rel = ([(ws[i], ws[(i + 1) % 6]) for i in range(6)] if edges == "cycle"
+               else [(w, w) for w in ws])
+        assert sequent_valid_on_frame(Frame(ws, rel), parse_sequent(claim)) is valid
+        assert starts == [(0, 16 * i) for i in range(read)]
 
     def test_guard_refuses_before_allocating(self, monkeypatch):
         def allocate(*args):
