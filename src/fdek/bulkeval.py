@@ -138,7 +138,6 @@ class BulkSpace:
     def _bind(self, n: int, atoms: dict, succ: np.ndarray, start=(0, 0)) -> None:
         """``succ[r, w]``: bit j is set iff relation r contains (w, j)."""
         self.n = n
-        self.variables = tuple(a.name for a in atoms)
         self.start = start
         self.succ = succ
         self.full = succ.dtype.type((1 << n) - 1)

@@ -18,9 +18,9 @@ from .analysis import (
     enumerate_formulas,
 )
 from .semantics import (
-    Evaluator, FourValue, Frame, Model, PointedModel, eval_formula,
+    Evaluator, FourValue, Frame, Model, PointedModel, _holds,
     formula_valid_on_frame, frame_from_dict, frame_property, frame_to_dict,
-    model_from_dict, sequent_holds, sequent_valid_on_frame, supports_true,
+    model_from_dict, sequent_valid_on_frame,
 )
 from .syntax import LANG_TRI, parse_formula, parse_sequent
 from .tableau import Proved, Refuted, prove
@@ -68,24 +68,26 @@ class FigureCheck:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-def _values_check(name, model, world, expected: dict[str, str]) -> FigureCheck:
-    got = {text: eval_formula(model, world, parse_formula(text)).name
-           for text in expected}
+def _value(ev: Evaluator, world: str, text: str) -> FourValue:
+    return FourValue.from_flags(*ev.supports(world, parse_formula(text)))
+
+
+def _values_check(name, ev: Evaluator, world, expected: dict[str, str]) -> FigureCheck:
+    got = {text: _value(ev, world, text).name for text in expected}
     ok = got == expected
     detail = ", ".join(f"{t}={v}" for t, v in got.items())
     return FigureCheck(name, ok, detail)
 
 
-def _collapses(expected: list[tuple[Model, tuple[bool, bool]]],
+def _collapses(expected: list[tuple[Evaluator, tuple[bool, bool]]],
                size: int) -> tuple[bool, int]:
     """Does every #-formula over ``p`` of at most ``size`` nodes have the
     given (support, countersupport) pair at ``w0`` of each model?  Stops at
     the first formula that does not; the count includes it."""
-    evaluators = [(Evaluator(m), pair) for m, pair in expected]
     count = 0
     for f in enumerate_formulas(LANG_TRI, ["p"], size):
         count += 1
-        if any(ev.supports("w0", f) != pair for ev, pair in evaluators):
+        if any(ev.supports("w0", f) != pair for ev, pair in expected):
             return False, count
     return True, count
 
@@ -96,13 +98,14 @@ def run_figures(expressivity_size: int = DEFAULT_EXPRESSIVITY_SIZE) -> list[Figu
     checks: list[FigureCheck] = []
     out = checks.append
 
-    fig1 = load_model("fig1")
+    # One evaluator per model, so the checks on a model share its memo.
+    fig1 = Evaluator(load_model("fig1"))
     out(_values_check("fig1-mixed-successors", fig1, "w0", {"#p": "F"}))
     box_disj = parse_formula("[]p | []~p")
     out(FigureCheck(
         "fig1-box-disjunction-gap",
-        supports_true(fig1, "w0", box_disj)
-        and not sequent_holds(fig1, parse_sequent("[]p | []~p |- #p")),
+        fig1.supports("w0", box_disj)[0]
+        and not _holds(fig1, parse_sequent("[]p | []~p |- #p")),
         "[]p|[]~p true at w0 yet #p is not"))
 
     res = prove(parse_sequent("#p |- #~p"))
@@ -112,36 +115,38 @@ def run_figures(expressivity_size: int = DEFAULT_EXPRESSIVITY_SIZE) -> list[Figu
     seq3 = parse_sequent("q | ~q |- #(q | ~q)")
     res3 = prove(seq3)
     refuted_ok = (isinstance(res3, Refuted)
-                  and supports_true(res3.model, res3.world, seq3.premise)
-                  and not supports_true(res3.model, res3.world, seq3.conclusion))
+                  and (ev3 := Evaluator(res3.model)).supports(res3.world, seq3.premise)[0]
+                  and not ev3.supports(res3.world, seq3.conclusion)[0])
     out(FigureCheck("fig3-refutation", refuted_ok,
                     f"countermodel on {len(res3.model.frame.worlds)} worlds"
                     if isinstance(res3, Refuted) else "unexpectedly proved"))
 
-    fig4 = load_model("fig4")
-    out(FigureCheck("fig4-countermodel", not sequent_holds(fig4, seq3),
+    fig4 = Evaluator(load_model("fig4"))
+    out(FigureCheck("fig4-countermodel", not _holds(fig4, seq3),
                     "q|~q true, #(q|~q) untrue at w0"))
 
-    out(_values_check("fig5-uniform-glut", load_model("fig5_left"), "w0", {"#p": "B"}))
-    out(_values_check("fig5-uniform-gap", load_model("fig5_right"), "w0", {"#p": "N"}))
+    out(_values_check("fig5-uniform-glut", Evaluator(load_model("fig5_left")), "w0",
+                      {"#p": "B"}))
+    out(_values_check("fig5-uniform-gap", Evaluator(load_model("fig5_right")), "w0",
+                      {"#p": "N"}))
 
-    out(_values_check("ex21-witness-anomalies", load_model("ex21"), "w",
+    out(_values_check("ex21-witness-anomalies", Evaluator(load_model("ex21")), "w",
                       {"#p": "F", "#s": "F"}))
-    out(_values_check("ex22-audit-full", load_model("ex22"), "wc",
+    out(_values_check("ex22-audit-full", Evaluator(load_model("ex22")), "wc",
                       {"#p": "F", "#r": "F"}))
-    out(_values_check("ex22-audit-trimmed", load_model("ex22_trimmed"), "wc",
+    out(_values_check("ex22-audit-trimmed", Evaluator(load_model("ex22_trimmed")), "wc",
                       {"#p": "T", "#r": "T"}))
 
-    single = load_model("fig6_single")
-    pair = load_model("fig6_pair")
+    single = Evaluator(load_model("fig6_single"))
+    pair = Evaluator(load_model("fig6_pair"))
     out(FigureCheck(
         "fig6-values",
-        eval_formula(single, "w0", parse_formula("#p")) is FourValue.T
-        and eval_formula(pair, "w0", parse_formula("#p")) is FourValue.F
-        and not supports_true(pair, "w0", box_disj),
+        _value(single, "w0", "#p") is FourValue.T
+        and _value(pair, "w0", "#p") is FourValue.F
+        and not pair.supports("w0", box_disj)[0],
         "#p is T vs F; []p|[]~p untrue on the pair"))
     transfer = check_indistinguishability(
-        PointedModel(single, "w0"), PointedModel(pair, "w0"),
+        PointedModel(single.model, "w0"), PointedModel(pair.model, "w0"),
         "box", expressivity_size)
     out(FigureCheck(
         "fig6-box-cannot-separate",
@@ -154,7 +159,7 @@ def run_figures(expressivity_size: int = DEFAULT_EXPRESSIVITY_SIZE) -> list[Figu
         LANG_TRI, expressivity_size)
     out(FigureCheck(
         "fig7-no-tri-glut",
-        eval_formula(fig7, "w0", parse_formula("[]p")) is FourValue.B
+        _value(Evaluator(fig7), "w0", "[]p") is FourValue.B
         and glut.verdict == "no separating formula found",
         f"[]p is B; {glut.formulas_checked} #-formulas are not"))
 
@@ -167,19 +172,19 @@ def run_figures(expressivity_size: int = DEFAULT_EXPRESSIVITY_SIZE) -> list[Figu
         and not formula_valid_on_frame(right, parse_formula("#p")),
         "#p valid on the dead-end frame only"))
 
-    collapse_ok, count = _collapses([(load_model("fig9_glut"), (True, True)),
-                                     (load_model("fig9_gap"), (False, False))],
+    collapse_ok, count = _collapses([(Evaluator(load_model("fig9_glut")), (True, True)),
+                                     (Evaluator(load_model("fig9_gap")), (False, False))],
                                     _COLLAPSE_SIZE)
     out(FigureCheck("fig9-no-valid-formulas", collapse_ok,
                     f"{count} formulas collapse to B resp. N"))
 
-    fig10m = load_model("fig10")
+    fig10m = Evaluator(load_model("fig10"))
     fig10f = load_frame("fig10")
     out(FigureCheck(
         "fig10-transitivity-not-defined",
         frame_property(fig10f, "transitive")
-        and eval_formula(fig10m, "w0", parse_formula("#p")) is FourValue.B
-        and eval_formula(fig10m, "w0", parse_formula("##p")) is FourValue.F
+        and _value(fig10m, "w0", "#p") is FourValue.B
+        and _value(fig10m, "w0", "##p") is FourValue.F
         and not sequent_valid_on_frame(fig10f, parse_sequent("#p |- ##p")),
         "transitive frame where #p |- ##p fails"))
 
@@ -190,9 +195,9 @@ def run_figures(expressivity_size: int = DEFAULT_EXPRESSIVITY_SIZE) -> list[Figu
         and sequent_valid_on_frame(fig11, parse_sequent("@p |- ##p")),
         "non-Euclidean frame validating @p |- ##p"))
 
-    fig12 = load_model("fig12")
+    fig12 = Evaluator(load_model("fig12"))
     glut_ok, count = _collapses([(fig12, (True, True))], expressivity_size)
-    trivial_ok = glut_ok and not supports_true(fig12, "w0", parse_formula("q"))
+    trivial_ok = glut_ok and not fig12.supports("w0", parse_formula("q"))[0]
     out(FigureCheck(
         "fig12-no-trivialising-sequent", trivial_ok,
         f"{count} {{p}}-formulas are B at w0 while q is untrue"))

@@ -305,8 +305,12 @@ def tri_value_by_cases(m: Model, world: str, f: Formula) -> FourValue:
 
 def sequent_holds(m: Model, s: Sequent) -> bool:
     """Truth preservation at every world of ``m``."""
-    ev = Evaluator(m)
-    for w in m.frame.worlds:
+    return _holds(Evaluator(m), s)
+
+
+def _holds(ev: Evaluator, s: Sequent) -> bool:
+    """``sequent_holds`` on the evaluator's model, sharing its memo."""
+    for w in ev.model.frame.worlds:
         if ev.supports(w, s.premise)[0] and not ev.supports(w, s.conclusion)[0]:
             return False
     return True

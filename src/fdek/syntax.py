@@ -1,23 +1,22 @@
 """Formula and sequent syntax: AST, lexer, parser, renderer, and small utilities.
 
-Surface syntax (ASCII):
+One operator table, ``_PREFIX`` and ``_BINARY``, drives the lexer, the
+parser and the renderer (the README lists the surface syntax).  A prefix
+lexeme builds a chain of node classes, outermost first, so the sugar ``@``
+(``~#``) and ``<>`` (``~[]~``) never appears in ASTs.  A binary lexeme has
+a precedence; both binary operators associate to the left.  The token
+regex tries the lexemes longest first, so ``|-`` beats ``|``.
 
-    ~  negation        &  conjunction      |  disjunction
-    #  same-value-everywhere modality (unary)
-    [] necessity modality (unary)
-    <> possibility, sugar for ~[]~        @  sugar for ~#
-    |- sequent turnstile
-
-Precedence: unary operators bind tightest, then ``&``, then ``|``; both
-binary operators associate to the left.  ``<>`` and ``@`` are expanded at
-parse time and never appear in ASTs.
+Prefix chains are read in a loop: the parser applies them innermost first,
+and the renderer re-sugars ``@`` and ``<>`` in glyph mode only.  Only
+parentheses and binary nodes recurse, so a chain of any depth parses and
+renders.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator
 
 __all__ = [
     "Formula", "Atom", "Not", "And", "Or", "Tri", "Box",
@@ -99,104 +98,87 @@ class Sequent:
         return render_sequent(self)
 
 
-# --- lexer -----------------------------------------------------------------
+# --- operator table, lexer and parser --------------------------------------
 
-_TOKEN_SPEC = (
-    ("IDENT", ATOM_RE),
-    ("TURNSTILE", re.compile(r"\|-")),  # must be tried before "|"
-    ("OR", re.compile(r"\|")),
-    ("AND", re.compile(r"&")),
-    ("NOT", re.compile(r"~")),
-    ("TRI", re.compile(r"#")),
-    ("BOX", re.compile(r"\[\]")),
-    ("DIAMOND", re.compile(r"<>")),
-    ("NABLA", re.compile(r"@")),
-    ("LPAREN", re.compile(r"\(")),
-    ("RPAREN", re.compile(r"\)")),
-)
+# Prefix lexeme -> (glyph, node classes built, outermost first).
+_PREFIX = {
+    "~": ("¬", (Not,)),
+    "#": ("▲", (Tri,)),
+    "[]": ("□", (Box,)),
+    "@": ("▽", (Not, Tri)),
+    "<>": ("◇", (Not, Box, Not)),
+}
+# Binary lexeme -> (glyph, node class, precedence); higher binds tighter.
+_BINARY = {
+    "|": ("∨", Or, 1),
+    "&": ("∧", And, 2),
+}
+_TURNSTILE = ("|-", "⊢")
+
+_LEXEMES = sorted([*_PREFIX, *_BINARY, _TURNSTILE[0], "(", ")"], key=len, reverse=True)
+_TOKEN_RE = re.compile(
+    rf"\s+|({'|'.join(map(re.escape, _LEXEMES))}|{ATOM_RE.pattern})|(.)", re.DOTALL)
 
 
-def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
-    """Yield (kind, lexeme, offset) triples; maximal munch, '|-' beats '|'."""
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        for kind, rx in _TOKEN_SPEC:
-            m = rx.match(text, pos)
-            if m:
-                yield kind, m.group(), pos
-                pos = m.end()
-                break
-        else:
-            raise ParseError(f"stray character {text[pos]!r}", pos)
-    yield "EOF", "", n
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    """(lexeme, offset) pairs by maximal munch, then ("", len(text)) for the end."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        lexeme, stray = m.groups()
+        if stray:
+            raise ParseError(f"stray character {stray!r}", m.start())
+        if lexeme:
+            tokens.append((lexeme, m.start()))
+    tokens.append(("", len(text)))
+    return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = list(_tokenize(text))
+        self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def advance(self) -> tuple[str, str, int]:
+    def advance(self) -> tuple[str, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ParseError(f"expected {what}, found {tok[1] or 'end of input'!r}", tok[2])
-        return self.advance()
+    def expect(self, want: str) -> None:
+        lexeme, offset = self.advance()
+        if lexeme != want:
+            raise ParseError(f"expected {want!r}, found {lexeme or 'end of input'!r}", offset)
 
-    # formula := disj ; disj := conj ('|' conj)* ; conj := unary ('&' unary)*
-    def formula(self) -> Formula:
-        node = self.conj()
-        while self.peek()[0] == "OR":
-            self.advance()
-            node = Or(node, self.conj())
-        return node
-
-    def conj(self) -> Formula:
+    def formula(self, min_prec: int = 1) -> Formula:
+        """Precedence climbing over ``_BINARY``, left-associative."""
         node = self.unary()
-        while self.peek()[0] == "AND":
-            self.advance()
-            node = And(node, self.unary())
+        while (op := _BINARY.get(self.tokens[self.pos][0])) and op[2] >= min_prec:
+            self.pos += 1
+            node = op[1](node, self.formula(op[2] + 1))
         return node
 
     def unary(self) -> Formula:
-        kind, lexeme, offset = self.peek()
-        if kind == "NOT":
-            self.advance()
-            return Not(self.unary())
-        if kind == "TRI":
-            self.advance()
-            return Tri(self.unary())
-        if kind == "BOX":
-            self.advance()
-            return Box(self.unary())
-        if kind == "DIAMOND":
-            self.advance()
-            return Not(Box(Not(self.unary())))
-        if kind == "NABLA":
-            self.advance()
-            return Not(Tri(self.unary()))
-        if kind == "IDENT":
-            self.advance()
-            return Atom(lexeme)
-        if kind == "LPAREN":
-            self.advance()
+        chain: list[type] = []
+        lexeme, offset = self.advance()
+        while lexeme in _PREFIX:
+            chain += _PREFIX[lexeme][1]
+            lexeme, offset = self.advance()
+        if lexeme == "(":
             node = self.formula()
-            self.expect("RPAREN", "')'")
-            return node
-        if kind == "EOF":
+            self.expect(")")
+        elif lexeme[:1].isalpha():  # only atoms start with a letter
+            node = Atom(lexeme)
+        elif not lexeme:
             raise ParseError("unexpected end of input", offset)
-        raise ParseError(f"unexpected token {lexeme!r}", offset)
+        else:
+            raise ParseError(f"unexpected token {lexeme!r}", offset)
+        for cls in reversed(chain):
+            node = cls(node)
+        return node
+
+    def finish(self, what: str) -> None:
+        lexeme, offset = self.tokens[self.pos]
+        if lexeme:
+            raise ParseError(f"unexpected token {lexeme!r} after {what}", offset)
 
 
 def parse_formula(text: str) -> Formula:
@@ -205,9 +187,7 @@ def parse_formula(text: str) -> Formula:
         raise ParseError("empty input", 0)
     p = _Parser(text)
     node = p.formula()
-    kind, lexeme, offset = p.peek()
-    if kind != "EOF":
-        raise ParseError(f"unexpected token {lexeme!r} after formula", offset)
+    p.finish("formula")
     return node
 
 
@@ -216,84 +196,70 @@ def parse_sequent(text: str) -> Sequent:
     if not text.strip():
         raise ParseError("empty input", 0)
     p = _Parser(text)
-    turnstiles = [t for t in p.tokens if t[0] == "TURNSTILE"]
+    turnstiles = [offset for lexeme, offset in p.tokens if lexeme == _TURNSTILE[0]]
     if not turnstiles:
-        raise ParseError("missing turnstile '|-'", len(text))
+        raise ParseError(f"missing turnstile {_TURNSTILE[0]!r}", len(text))
     if len(turnstiles) > 1:
-        raise ParseError("duplicate turnstile '|-'", turnstiles[1][2])
+        raise ParseError(f"duplicate turnstile {_TURNSTILE[0]!r}", turnstiles[1])
     premise = p.formula()
-    p.expect("TURNSTILE", "'|-'")
+    p.expect(_TURNSTILE[0])
     conclusion = p.formula()
-    kind, lexeme, offset = p.peek()
-    if kind != "EOF":
-        raise ParseError(f"unexpected token {lexeme!r} after sequent", offset)
+    p.finish("sequent")
     return Sequent(premise, conclusion)
 
 
 # --- rendering ---------------------------------------------------------------
 
-_GLYPHS = {"~": "¬", "&": " ∧ ", "|": " ∨ ", "#": "▲",
-           "[]": "□", "@": "▽", "<>": "◇", "|-": " ⊢ "}
-_ASCII = {"~": "~", "&": " & ", "|": " | ", "#": "#",
-          "[]": "[]", "@": "@", "<>": "<>", "|-": " |- "}
+# Node class -> (ASCII, glyph) symbol; binary symbols carry their spaces.
+_SYMBOL = {chain[0]: (lexeme, glyph)
+           for lexeme, (glyph, chain) in _PREFIX.items() if len(chain) == 1}
+_SYMBOL.update({cls: (f" {lexeme} ", f" {glyph} ")
+                for lexeme, (glyph, cls, _) in _BINARY.items()})
+_PREC = {cls: prec for _, cls, prec in _BINARY.values()}
+_ATOMIC = max(_PREC.values()) + 1  # atoms and prefix nodes bind tightest
+_SUGAR = [(glyph, chain) for glyph, chain in _PREFIX.values() if len(chain) > 1]
 
 
-def _prec(f: Formula) -> int:
-    if isinstance(f, Or):
-        return 1
-    if isinstance(f, And):
-        return 2
-    return 3
-
-
-def _render(f: Formula, sym) -> str:
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Not):
-        # Re-sugar derived operators in glyph mode only.
-        if sym is _GLYPHS and isinstance(f.child, Tri):
-            return sym["@"] + _render_arg(f.child.child, sym)
-        if sym is _GLYPHS and isinstance(f.child, Box) and isinstance(f.child.child, Not):
-            return sym["<>"] + _render_arg(f.child.child.child, sym)
-        return sym["~"] + _render_arg(f.child, sym)
-    if isinstance(f, Tri):
-        return sym["#"] + _render_arg(f.child, sym)
-    if isinstance(f, Box):
-        return sym["[]"] + _render_arg(f.child, sym)
-    if isinstance(f, And):
-        left = _render_binop(f.left, 2, False, sym)
-        right = _render_binop(f.right, 2, True, sym)
-        return left + sym["&"] + right
-    if isinstance(f, Or):
-        left = _render_binop(f.left, 1, False, sym)
-        right = _render_binop(f.right, 1, True, sym)
-        return left + sym["|"] + right
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _render_arg(f: Formula, sym) -> str:
-    # Argument of a unary operator: parenthesize binary children.
-    text = _render(f, sym)
-    return f"({text})" if _prec(f) < 3 else text
-
-
-def _render_binop(f: Formula, parent_prec: int, is_right: bool, sym) -> str:
-    text = _render(f, sym)
-    prec = _prec(f)
-    # Left association: the right operand needs parens at equal precedence.
-    if prec < parent_prec or (is_right and prec == parent_prec):
-        return f"({text})"
-    return text
+def _unchain(f: Formula, chain: tuple[type, ...]) -> Formula | None:
+    """The argument of ``f`` if ``f`` is the node chain ``chain``, else None."""
+    for cls in chain:
+        if type(f) is not cls:
+            return None
+        f = f.child
+    return f
 
 
 def render(f: Formula, pretty: bool = False) -> str:
     """Render a formula; ``parse_formula(render(f)) == f`` in ASCII mode."""
-    return _render(f, _GLYPHS if pretty else _ASCII)
+    head = []
+    while isinstance(f, (Not, Tri, Box)):
+        for glyph, chain in _SUGAR if pretty else ():
+            arg = _unchain(f, chain)
+            if arg is not None:
+                head.append(glyph)
+                f = arg
+                break
+        else:
+            head.append(_SYMBOL[type(f)][pretty])
+            f = f.child
+    if isinstance(f, Atom):
+        return "".join(head) + f.name
+    prec = _PREC.get(type(f))
+    if prec is None:
+        raise TypeError(f"not a formula: {f!r}")
+    left, right = render(f.left, pretty), render(f.right, pretty)
+    # Left association: the right operand needs parens at equal precedence.
+    if _PREC.get(type(f.left), _ATOMIC) < prec:
+        left = f"({left})"
+    if _PREC.get(type(f.right), _ATOMIC) <= prec:
+        right = f"({right})"
+    body = left + _SYMBOL[type(f)][pretty] + right
+    return "".join(head) + f"({body})" if head else body
 
 
 def render_sequent(s: Sequent, pretty: bool = False) -> str:
-    sym = _GLYPHS if pretty else _ASCII
-    return render(s.premise, pretty) + sym["|-"] + render(s.conclusion, pretty)
+    turnstile = f" {_TURNSTILE[pretty]} "
+    return render(s.premise, pretty) + turnstile + render(s.conclusion, pretty)
 
 
 # --- structural utilities ----------------------------------------------------
@@ -322,12 +288,16 @@ def variables(*fs: Formula) -> frozenset[str]:
 
 
 def size(f: Formula) -> int:
-    """Number of AST nodes."""
-    if isinstance(f, Atom):
-        return 1
-    if isinstance(f, (Not, Tri, Box)):
-        return 1 + size(f.child)
-    return 1 + size(f.left) + size(f.right)
+    """Number of AST nodes, by an explicit-stack walk."""
+    count, stack = 0, [f]
+    while stack:
+        node = stack.pop()
+        count += 1
+        if isinstance(node, (Not, Tri, Box)):
+            stack.append(node.child)
+        elif isinstance(node, (And, Or)):
+            stack += (node.left, node.right)
+    return count
 
 
 def contains_box(f: Formula) -> bool:

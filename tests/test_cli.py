@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from fdek import analysis, tableau
 from fdek.cli import main
-from fdek.semantics import model_from_dict
+from fdek.semantics import FRAME_PROPERTIES, model_from_dict
 
 
 def data_file(name: str) -> str:
@@ -197,6 +198,118 @@ class TestValidOnFrameExitCodes:
         if code == 1:
             assert out.getvalue() == "INVALID\n", (frame, claim)
         assert "internal error" not in err.getvalue(), (frame, claim, err.getvalue())
+
+
+# Exit-code properties of the other commands, run in process on arbitrary
+# model files, formula and sequent text, and integer flags in -1..2: every
+# exit is 0, 1 or 2, exit 1 comes only with the command's negative verdict
+# (eval and dual have none), and no input reaches the internal-error path.
+def _good_models(more_worlds):
+    """Well-formed models on ``w0`` and ``more_worlds``."""
+    ws = ["w0", *more_worlds]
+    return st.fixed_dictionaries({
+        "worlds": st.just(ws),
+        "rel": st.lists(st.lists(st.sampled_from(ws), min_size=2, max_size=2), max_size=4),
+        "val": st.dictionaries(st.sampled_from(ws), st.dictionaries(
+            st.sampled_from(["p", "q"]), st.sampled_from("TBNF"), min_size=1, max_size=2),
+            min_size=1, max_size=3)})
+
+
+_GOOD_MODELS = st.lists(st.sampled_from(["w1", "x"]), max_size=2, unique=True).flatmap(
+    _good_models)
+# Model files: well-formed models at least half the time, else models whose
+# valuations may hold any JSON, frame files, or any JSON.
+_MODELS = st.one_of(_GOOD_MODELS, _GOOD_MODELS | _FRAMES | st.fixed_dictionaries({
+    "worlds": st.lists(_WORLD_NAMES, max_size=2),
+    "val": _JSON | st.dictionaries(_WORLD_NAMES, _JSON | st.dictionaries(
+        st.sampled_from(["p", "P", ""]), _JSON | st.sampled_from("TBNF"), max_size=2),
+        max_size=2)}))
+_TEXT = _FORMULAS | st.text(st.sampled_from("pq~#@&|-()[]<> "), max_size=8) | st.text(max_size=6)
+_SEQUENTS = st.builds("{} |- {}".format, _TEXT, _TEXT) | _CLAIMS
+_FLAG = st.integers(-1, 2)
+# command -> (first stdout line of exit 1, JSON key and value of exit 1)
+_NEGATIVE = {
+    "prove": (r"REFUTED$", "verdict", "refuted"),
+    "countermodel": (r"no countermodel with <= -?\d+ worlds$", "found", False),
+    "definability": (r"\w+: refuted \(", "verdict", "refuted"),
+    "separate": (r"separating formula \(", "verdict", "separating formula"),
+}
+
+
+@pytest.fixture(scope="module")
+def input_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("inputs")
+
+
+def _write(directory, name, data) -> str:
+    path = directory / name
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
+    return str(path)
+
+
+def _check_exit(argv, as_json=False):
+    if as_json:
+        argv = argv + ["--json"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse, on text that reads as an option
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    if code == 1:
+        assert argv[0] in _NEGATIVE, (argv, out.getvalue())
+        line, key, value = _NEGATIVE[argv[0]]
+        if as_json:
+            assert json.loads(out.getvalue())[key] == value, (argv, out.getvalue())
+        else:
+            assert re.match(line, out.getvalue().partition("\n")[0]), (argv, out.getvalue())
+    assert "internal error" not in err.getvalue(), (argv, err.getvalue())
+
+
+class TestExitCodes:
+    @given(model=_MODELS, world=_WORLD_NAMES | st.text(max_size=2), formula=_TEXT,
+           as_json=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_eval(self, input_dir, model, world, formula, as_json):
+        path = _write(input_dir, "model.json", model)
+        _check_exit(["eval", "--model", path, "--world", world, "--formula", formula], as_json)
+
+    @given(model=_MODELS)
+    @settings(max_examples=60, deadline=None)
+    def test_dual(self, input_dir, model):
+        _check_exit(["dual", "--model", _write(input_dir, "model.json", model)])
+
+    @given(sequent=_SEQUENTS, start=st.sampled_from(["truth", "nonfalsity"]),
+           tree=st.booleans(), as_json=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_prove(self, sequent, start, tree, as_json):
+        _check_exit(["prove", sequent, "--start", start] + ["--tree"] * tree, as_json)
+
+    @given(sequent=_SEQUENTS, max_worlds=_FLAG, as_json=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_countermodel(self, sequent, max_worlds, as_json):
+        _check_exit(["countermodel", sequent, "--max-worlds", str(max_worlds)], as_json)
+
+    @given(prop=st.sampled_from(sorted(FRAME_PROPERTIES)), claims=st.none() | _CLAIMS,
+           max_size=_FLAG, as_json=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_definability(self, input_dir, prop, claims, max_size, as_json):
+        argv = ["definability", "--property", prop, "--max-size", str(max_size)]
+        if claims is not None:
+            argv += ["--sequents", _write(input_dir, "claims.txt", claims)]
+        _check_exit(argv, as_json)
+
+    @given(model_a=_MODELS, model_b=_MODELS, world_a=_WORLD_NAMES, world_b=_WORLD_NAMES,
+           language=st.sampled_from(["tri", "box"]), max_size=st.integers(-1, 4),
+           as_json=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_separate(self, input_dir, model_a, model_b, world_a, world_b, language,
+                      max_size, as_json):
+        _check_exit(["separate", "--model-a", _write(input_dir, "a.json", model_a),
+                     "--world-a", world_a, "--model-b", _write(input_dir, "b.json", model_b),
+                     "--world-b", world_b, "--language", language,
+                     "--max-size", str(max_size)], as_json)
 
 
 class TestDual:

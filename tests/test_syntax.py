@@ -1,3 +1,7 @@
+import hashlib
+import json
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -165,3 +169,83 @@ class TestStructure:
             Atom("")
         with pytest.raises(ValueError):
             Atom("1p")
+
+
+# Lexemes of the surface syntax, characters no token starts with, and
+# whitespace beyond the ASCII space (all accepted by ``str.isspace``).
+_LEXEMES = ("p", "q", "r", "x1", "p_q", "~", "&", "|", "#", "[]", "<>", "@",
+            "|-", "(", ")")
+_STRAY = ("!", "[", "]", "<", ">", "-", "¬", "$", "P", "1")
+_SPACES = (" ", "  ", "\t", "\n", "\u00a0", "\u2003", "\x1c")
+
+
+def _grammar_tokens(rng, depth):
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return [rng.choice(("p", "q", "r", "x1"))]
+    if roll < 0.6:
+        prefix = [rng.choice(("~", "#", "[]", "<>", "@")) for _ in range(rng.randint(1, 3))]
+        return prefix + _grammar_tokens(rng, depth - 1)
+    body = (_grammar_tokens(rng, depth - 1) + [rng.choice("&|")]
+            + _grammar_tokens(rng, depth - 1))
+    return ["("] + body + [")"] if rng.random() < 0.5 else body
+
+
+def _token_string(rng):
+    """Either random tokens, or a well-formed formula or sequent with at
+    most one token replaced, inserted or dropped; joined with no space, a
+    space, or other whitespace."""
+    if rng.random() < 0.4:
+        tokens = [rng.choice(_LEXEMES + _STRAY) for _ in range(rng.randint(0, 10))]
+    else:
+        tokens = _grammar_tokens(rng, 3)
+        if rng.random() < 0.5:
+            tokens += ["|-"] + _grammar_tokens(rng, 3)
+        edit = rng.random()
+        at = rng.randrange(len(tokens) + 1)
+        if edit < 0.2:
+            tokens.insert(at, rng.choice(_LEXEMES + _STRAY))
+        elif edit < 0.4 and at < len(tokens):
+            del tokens[at]
+        elif edit < 0.5 and at < len(tokens):
+            tokens[at] = rng.choice(_LEXEMES + _STRAY)
+    text = ""
+    for tok in tokens:
+        gap = rng.random()
+        text += tok + ("" if gap < 0.5 else " " if gap < 0.8 else rng.choice(_SPACES))
+    return text
+
+
+def _outcome(parse, text):
+    try:
+        parsed = parse(text)
+    except Exception as err:
+        return ["error", type(err).__name__, str(err), getattr(err, "offset", None)]
+    show = render_sequent if isinstance(parsed, Sequent) else render
+    return ["ok", show(parsed), show(parsed, pretty=True)]
+
+
+class TestGolden:
+    def test_golden_syntax_corpus(self):
+        # What each parser makes of a seeded token-string corpus: both
+        # renderings, or the exception with its message and offset.
+        rng = random.Random(9)
+        digest = hashlib.sha256()
+        for _ in range(10_000):
+            text = _token_string(rng)
+            record = [text, _outcome(parse_formula, text), _outcome(parse_sequent, text)]
+            digest.update(json.dumps(record).encode() + b"\n")
+        assert digest.hexdigest() == \
+            "d29680e75b5340598da1b5ed4b785d36ce542114096c7aa9450c36fc60b19a62"
+
+
+class TestDeepPrefixChains:
+    def test_ten_thousand_deep_chain(self):
+        # Parsing, rendering and size walk prefix chains without recursion.
+        # Nothing here hashes or compares the formula: those still recurse.
+        text = "#~" * 5000 + "p"
+        f = parse_formula(text)
+        assert render(f) == text
+        # Glyphs re-sugar each ~# into one ▽: ▲, 4999 × ▽, ¬, p.
+        assert len(render(f, pretty=True)) == 5002
+        assert size(f) == 10_001
