@@ -36,7 +36,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .semantics import DEFAULT_VALUATION_BOUND, VALUE_ORDER, BoundExceededError, Frame, Model
-from .syntax import And, Atom, Box, Formula, Not, Or, Sequent, Tri
+from .syntax import And, Atom, Box, Formula, Not, Or, Sequent, Tri, postorder
 
 __all__ = ["BulkSpace", "sweep", "model_from_indices", "frame_from_mask"]
 
@@ -158,39 +158,38 @@ class BulkSpace:
 
     def _bits(self, f: Formula) -> tuple[np.ndarray, np.ndarray]:
         """Both supports of ``f`` as world bitsets, memoized per formula."""
-        hit = self._memo.get(f)
-        if hit is not None:
-            return hit
-        if isinstance(f, Atom):
-            raise KeyError(f"variable {f.name!r} not in this space")
-        elif isinstance(f, Not):
-            pos, neg = self._bits(f.child)
-            res = (neg, pos)
-        elif isinstance(f, And):
-            lp, ln = self._bits(f.left)
-            rp, rn = self._bits(f.right)
-            res = (lp & rp, ln | rn)
-        elif isinstance(f, Or):
-            lp, ln = self._bits(f.left)
-            rp, rn = self._bits(f.right)
-            res = (lp | rp, ln & rn)
-        elif isinstance(f, Tri):
-            # True: no split on a support and no unvalued successor.  False: a
-            # split, or one successor supports the truth while one the falsity.
-            pos, neg = self._bits(f.child)
-            full = self.full
-            some_p, some_not_p = self._any(pos), self._any(~pos & full)
-            some_n, some_not_n = self._any(neg), self._any(~neg & full)
-            split = (some_p & some_not_p) | (some_n & some_not_n)
-            res = (~(split | self._any(~(pos | neg) & full)) & full,
-                   split | (some_p & some_n))
-        elif isinstance(f, Box):
-            pos, neg = self._bits(f.child)
-            res = (~self._any(~pos & self.full) & self.full, self._any(neg))
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        self._memo[f] = res
-        return res
+        memo = self._memo
+        for g in postorder(f, skip=memo):
+            if isinstance(g, Atom):
+                raise KeyError(f"variable {g.name!r} not in this space")
+            elif isinstance(g, Not):
+                pos, neg = memo[g.child]
+                res = (neg, pos)
+            elif isinstance(g, And):
+                lp, ln = memo[g.left]
+                rp, rn = memo[g.right]
+                res = (lp & rp, ln | rn)
+            elif isinstance(g, Or):
+                lp, ln = memo[g.left]
+                rp, rn = memo[g.right]
+                res = (lp | rp, ln & rn)
+            elif isinstance(g, Tri):
+                # True: no split on a support and no unvalued successor.  False: a
+                # split, or one successor supports the truth while one the falsity.
+                pos, neg = memo[g.child]
+                full = self.full
+                some_p, some_not_p = self._any(pos), self._any(~pos & full)
+                some_n, some_not_n = self._any(neg), self._any(~neg & full)
+                split = (some_p & some_not_p) | (some_n & some_not_n)
+                res = (~(split | self._any(~(pos | neg) & full)) & full,
+                       split | (some_p & some_n))
+            elif isinstance(g, Box):
+                pos, neg = memo[g.child]
+                res = (~self._any(~pos & self.full) & self.full, self._any(neg))
+            else:
+                raise TypeError(f"not a formula: {g!r}")
+            memo[g] = res
+        return memo[f]
 
     def _refuting(self, claim: Sequent | Formula) -> np.ndarray:
         """Bitsets of the worlds where the premise is supported-true and the

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .syntax import ATOM_RE, And, Atom, Box, Formula, Not, Or, Sequent, Tri, variables
+from .syntax import ATOM_RE, And, Atom, Box, Formula, Not, Or, Sequent, Tri, postorder, variables
 
 __all__ = [
     "FourValue", "Frame", "Model", "PointedModel",
@@ -217,55 +217,65 @@ class PointedModel:
 class Evaluator:
     """Memoized evaluation of the two support relations on one model.
 
-    The memo is keyed by (world, subformula); reusing one evaluator across
-    many formulas on the same model shares work between common subtrees.
-    Memoization is observationally invisible: results equal those of a
-    plain structural recursion.
+    The memo maps each subformula to its two supports at every world, as
+    bitsets in Python ints (bit ``i``: the frame's ``i``-th world), filled
+    by the clauses of the module docstring in a loop over ``postorder``;
+    reusing one evaluator across many formulas on the same model shares
+    work between common subtrees.  Memoization is observationally
+    invisible: results equal those of a plain structural recursion.
     """
 
-    __slots__ = ("model", "_memo")
+    __slots__ = ("model", "_index", "_succ", "_memo")
 
     def __init__(self, model: Model):
         self.model = model
-        self._memo: dict[tuple[str, Formula], tuple[bool, bool]] = {}
+        worlds = model.frame.worlds
+        self._index = {w: i for i, w in enumerate(worlds)}
+        # Bit j of _succ[i]: world j is accessible from world i.
+        self._succ = [sum(1 << self._index[v] for v in model.successors(w)) for w in worlds]
+        self._memo: dict[Formula, tuple[int, int]] = {}
 
     def supports(self, world: str, f: Formula) -> tuple[bool, bool]:
-        if world not in self.model.vplus:
+        index = self._index.get(world)
+        if index is None:
             raise UnknownWorldError(f"unknown world {world!r}")
-        key = (world, f)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        if isinstance(f, Atom):
-            res = (f.name in self.model.vplus[world], f.name in self.model.vminus[world])
-        elif isinstance(f, Not):
-            pos, neg = self.supports(world, f.child)
-            res = (neg, pos)
-        elif isinstance(f, And):
-            lp, ln = self.supports(world, f.left)
-            rp, rn = self.supports(world, f.right)
-            res = (lp and rp, ln or rn)
-        elif isinstance(f, Or):
-            lp, ln = self.supports(world, f.left)
-            rp, rn = self.supports(world, f.right)
-            res = (lp or rp, ln and rn)
-        elif isinstance(f, Tri):
-            sub = [self.supports(v, f.child) for v in self.model.successors(world)]
-            any_p = any(p for p, _ in sub)
-            all_p = all(p for p, _ in sub)
-            any_n = any(n for _, n in sub)
-            all_n = all(n for _, n in sub)
-            agree = (all_p or not any_p) and (all_n or not any_n)
-            valued = all(p or n for p, n in sub)
-            res = (agree and valued,
-                   (any_p and not all_p) or (any_n and not all_n) or (any_p and any_n))
-        elif isinstance(f, Box):
-            sub = [self.supports(v, f.child) for v in self.model.successors(world)]
-            res = (all(p for p, _ in sub), any(n for _, n in sub))
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        self._memo[key] = res
-        return res
+        memo, m = self._memo, self.model
+        for g in postorder(f, skip=memo):
+            if isinstance(g, Atom):
+                res = (sum(1 << i for i, w in enumerate(m.frame.worlds) if g.name in m.vplus[w]),
+                       sum(1 << i for i, w in enumerate(m.frame.worlds) if g.name in m.vminus[w]))
+            elif isinstance(g, Not):
+                pos, neg = memo[g.child]
+                res = (neg, pos)
+            elif isinstance(g, And):
+                lp, ln = memo[g.left]
+                rp, rn = memo[g.right]
+                res = (lp & rp, ln | rn)
+            elif isinstance(g, Or):
+                lp, ln = memo[g.left]
+                rp, rn = memo[g.right]
+                res = (lp | rp, ln & rn)
+            elif isinstance(g, Tri):
+                pos, neg = memo[g.child]
+                true = false = 0
+                for i, succ in enumerate(self._succ):
+                    any_p, all_p = pos & succ != 0, pos & succ == succ
+                    any_n, all_n = neg & succ != 0, neg & succ == succ
+                    agree = (all_p or not any_p) and (all_n or not any_n)
+                    valued = (pos | neg) & succ == succ
+                    true |= (agree and valued) << i
+                    false |= ((any_p and not all_p) or (any_n and not all_n)
+                              or (any_p and any_n)) << i
+                res = (true, false)
+            elif isinstance(g, Box):
+                pos, neg = memo[g.child]
+                res = (sum((pos & succ == succ) << i for i, succ in enumerate(self._succ)),
+                       sum((neg & succ != 0) << i for i, succ in enumerate(self._succ)))
+            else:
+                raise TypeError(f"not a formula: {g!r}")
+            memo[g] = res
+        pos, neg = memo[f]
+        return bool(pos >> index & 1), bool(neg >> index & 1)
 
 
 def supports_true(m: Model, world: str, f: Formula) -> bool:

@@ -1,4 +1,10 @@
-"""Formula and sequent syntax: AST, lexer, parser, renderer, and small utilities.
+"""Formula and sequent syntax: AST, the one walk, lexer, parser, renderer.
+
+Formula nodes are immutable.  A node's hash is computed once, when it is
+built, from its children's stored hashes; equality uses an explicit stack;
+``_fields`` names each class's children.  ``postorder``, the one walk down
+a formula (each distinct subformula once, children first), serves
+``subformulas``, ``variables``, ``size`` and both evaluators.
 
 One operator table, ``_PREFIX`` and ``_BINARY``, drives the lexer, the
 parser and the renderer (the README lists the surface syntax).  A prefix
@@ -7,22 +13,22 @@ lexeme builds a chain of node classes, outermost first, so the sugar ``@``
 a precedence; both binary operators associate to the left.  The token
 regex tries the lexemes longest first, so ``|-`` beats ``|``.
 
-Prefix chains are read in a loop: the parser applies them innermost first,
-and the renderer re-sugars ``@`` and ``<>`` in glyph mode only.  Only
-parentheses and binary nodes recurse, so a chain of any depth parses and
-renders.
+The parser and the renderer are loops over explicit stacks (the renderer
+re-sugars ``@`` and ``<>`` in glyph mode only), so formulas of any depth
+and width parse, render, hash, compare and evaluate.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Container
 from dataclasses import dataclass
 
 __all__ = [
     "Formula", "Atom", "Not", "And", "Or", "Tri", "Box",
     "Sequent", "ParseError",
     "parse_formula", "parse_sequent", "render", "render_sequent",
-    "subformulas", "variables", "contains_box", "contains_tri",
+    "postorder", "subformulas", "variables", "contains_box", "contains_tri",
     "LANG_TRI", "LANG_BOX", "in_language",
 ]
 
@@ -41,52 +47,99 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
+_init = object.__setattr__
+
+
 class Formula:
-    """Base class for formula AST nodes.  Nodes are immutable and hashable."""
+    """Base class of the immutable formula nodes; ``_fields`` names the
+    attributes holding child nodes, in order."""
+
+    __slots__ = ("_hash",)
+    _fields: tuple[str, ...] = ()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Formula):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if (type(a) is not type(b) or a._hash != b._hash
+                    or type(a) is Atom and a.name != b.name):
+                return False
+            for name in a._fields:
+                stack.append((getattr(a, name), getattr(b, name)))
+        return True
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # rebuilt by the constructor, so the hash is recomputed
+        args = (self.name,) if type(self) is Atom else [getattr(self, n) for n in self._fields]
+        return type(self), tuple(args)
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} {render(self)}>"
 
     def __str__(self) -> str:
         return render(self)
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self):
-        if not ATOM_RE.fullmatch(self.name):
-            raise ValueError(f"bad atom name {self.name!r}")
-
-
-@dataclass(frozen=True)
-class Not(Formula):
-    child: Formula
+    def __init__(self, name: str):
+        if not ATOM_RE.fullmatch(name):
+            raise ValueError(f"bad atom name {name!r}")
+        _init(self, "name", name)
+        _init(self, "_hash", hash(name))
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class _Unary(Formula):
+    __slots__ = _fields = ("child",)
+
+    def __init__(self, child: Formula):
+        _init(self, "child", child)
+        _init(self, "_hash", hash((type(self), child._hash)))
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        _init(self, "left", left)
+        _init(self, "right", right)
+        _init(self, "_hash", hash((type(self), left._hash, right._hash)))
 
 
-@dataclass(frozen=True)
-class Tri(Formula):
+class Not(_Unary):
+    __slots__ = ()
+
+
+class And(_Binary):
+    __slots__ = ()
+
+
+class Or(_Binary):
+    __slots__ = ()
+
+
+class Tri(_Unary):
     """The # modality: the argument has the same four-valued value in every
     accessible world (and has one)."""
-    child: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Box(Formula):
+class Box(_Unary):
     """The [] modality: the argument is supported-true in every accessible
     world; supported-false iff some accessible world supports its falsity."""
-    child: Formula
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -148,32 +201,44 @@ class _Parser:
         if lexeme != want:
             raise ParseError(f"expected {want!r}, found {lexeme or 'end of input'!r}", offset)
 
-    def formula(self, min_prec: int = 1) -> Formula:
-        """Precedence climbing over ``_BINARY``, left-associative."""
-        node = self.unary()
-        while (op := _BINARY.get(self.tokens[self.pos][0])) and op[2] >= min_prec:
-            self.pos += 1
-            node = op[1](node, self.formula(op[2] + 1))
-        return node
-
-    def unary(self) -> Formula:
-        chain: list[type] = []
-        lexeme, offset = self.advance()
-        while lexeme in _PREFIX:
-            chain += _PREFIX[lexeme][1]
+    def formula(self) -> Formula:
+        """Binary operators reduce by precedence, to the left; an open
+        parenthesis saves the prefix chain before it and the operands and
+        operators around it."""
+        frames, operands, ops = [], [], []
+        while True:
+            chain = []
             lexeme, offset = self.advance()
-        if lexeme == "(":
-            node = self.formula()
-            self.expect(")")
-        elif lexeme[:1].isalpha():  # only atoms start with a letter
-            node = Atom(lexeme)
-        elif not lexeme:
-            raise ParseError("unexpected end of input", offset)
-        else:
-            raise ParseError(f"unexpected token {lexeme!r}", offset)
-        for cls in reversed(chain):
-            node = cls(node)
-        return node
+            while lexeme in _PREFIX:
+                chain += _PREFIX[lexeme][1]
+                lexeme, offset = self.advance()
+            if lexeme == "(":
+                frames.append((chain, operands, ops))
+                operands, ops = [], []
+                continue
+            if lexeme[:1].isalpha():  # only atoms start with a letter
+                node = Atom(lexeme)
+            elif not lexeme:
+                raise ParseError("unexpected end of input", offset)
+            else:
+                raise ParseError(f"unexpected token {lexeme!r}", offset)
+            while True:
+                for cls in reversed(chain):
+                    node = cls(node)
+                operands.append(node)
+                op = _BINARY.get(self.tokens[self.pos][0])
+                while ops and (op is None or ops[-1][2] >= op[2]):
+                    right = operands.pop()
+                    operands[-1] = ops.pop()[1](operands[-1], right)
+                if op is not None:
+                    self.pos += 1
+                    ops.append(op)
+                    break
+                if not frames:
+                    return operands.pop()
+                self.expect(")")
+                node = operands.pop()
+                chain, operands, ops = frames.pop()
 
     def finish(self, what: str) -> None:
         lexeme, offset = self.tokens[self.pos]
@@ -230,31 +295,41 @@ def _unchain(f: Formula, chain: tuple[type, ...]) -> Formula | None:
 
 
 def render(f: Formula, pretty: bool = False) -> str:
-    """Render a formula; ``parse_formula(render(f)) == f`` in ASCII mode."""
-    head = []
-    while isinstance(f, (Not, Tri, Box)):
-        for glyph, chain in _SUGAR if pretty else ():
-            arg = _unchain(f, chain)
-            if arg is not None:
-                head.append(glyph)
-                f = arg
-                break
-        else:
-            head.append(_SYMBOL[type(f)][pretty])
-            f = f.child
-    if isinstance(f, Atom):
-        return "".join(head) + f.name
-    prec = _PREC.get(type(f))
-    if prec is None:
-        raise TypeError(f"not a formula: {f!r}")
-    left, right = render(f.left, pretty), render(f.right, pretty)
-    # Left association: the right operand needs parens at equal precedence.
-    if _PREC.get(type(f.left), _ATOMIC) < prec:
-        left = f"({left})"
-    if _PREC.get(type(f.right), _ATOMIC) <= prec:
-        right = f"({right})"
-    body = left + _SYMBOL[type(f)][pretty] + right
-    return "".join(head) + f"({body})" if head else body
+    """Render a formula; ``parse_formula(render(f)) == f`` in ASCII mode.
+    The stack holds the formulas and the text still to write, in order."""
+    out: list[str] = []
+    stack: list[Formula | str] = [f]
+    while stack:
+        f = stack.pop()
+        if type(f) is str:
+            out.append(f)
+            continue
+        wrap = isinstance(f, _Unary)  # a prefix chain over a binary node
+        while isinstance(f, _Unary):
+            for glyph, chain in _SUGAR if pretty else ():
+                arg = _unchain(f, chain)
+                if arg is not None:
+                    out.append(glyph)
+                    f = arg
+                    break
+            else:
+                out.append(_SYMBOL[type(f)][pretty])
+                f = f.child
+        if type(f) is Atom:
+            out.append(f.name)
+            continue
+        prec = _PREC.get(type(f))
+        if prec is None:
+            raise TypeError(f"not a formula: {f!r}")
+        # Left association: the right operand needs parens at equal precedence.
+        lp = _PREC.get(type(f.left), _ATOMIC) < prec
+        rp = _PREC.get(type(f.right), _ATOMIC) <= prec
+        if wrap or lp:
+            out.append("(" * (wrap + lp))
+        if wrap or rp:
+            stack.append(")" * (wrap + rp))
+        stack += (f.right, ")" * lp + _SYMBOL[type(f)][pretty] + "(" * rp, f.left)
+    return "".join(out)
 
 
 def render_sequent(s: Sequent, pretty: bool = False) -> str:
@@ -264,48 +339,49 @@ def render_sequent(s: Sequent, pretty: bool = False) -> str:
 
 # --- structural utilities ----------------------------------------------------
 
-def subformulas(*fs: Formula) -> frozenset[Formula]:
-    """All subtrees of the given formulas, each including itself; one walk
-    with one visited set, so a subtree they share is visited once."""
-    acc: set[Formula] = set()
-    stack = list(fs)
+def postorder(*fs: Formula, skip: Container[Formula] = ()) -> list[Formula]:
+    """Each distinct subformula of ``fs`` once, every node after its
+    children, leaving out the nodes in ``skip`` (say, a memo) and what lies
+    only below them.  An explicit stack, so any depth is walked."""
+    order: list[Formula] = []
+    seen: set[Formula] = set()
+    stack = [(f, False) for f in reversed(fs)]
     while stack:
-        node = stack.pop()
-        if node in acc:
-            continue
-        acc.add(node)
-        if isinstance(node, (Not, Tri, Box)):
-            stack.append(node.child)
-        elif isinstance(node, (And, Or)):
-            stack.append(node.left)
-            stack.append(node.right)
-    return frozenset(acc)
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif node not in seen and node not in skip:
+            seen.add(node)
+            stack.append((node, True))
+            for name in reversed(node._fields):
+                stack.append((getattr(node, name), False))
+    return order
+
+
+def subformulas(*fs: Formula) -> frozenset[Formula]:
+    """All subtrees of the given formulas, each including itself."""
+    return frozenset(postorder(*fs))
 
 
 def variables(*fs: Formula) -> frozenset[str]:
     """The variables occurring in any of the given formulas."""
-    return frozenset(sub.name for sub in subformulas(*fs) if isinstance(sub, Atom))
+    return frozenset(sub.name for sub in postorder(*fs) if isinstance(sub, Atom))
 
 
 def size(f: Formula) -> int:
-    """Number of AST nodes, by an explicit-stack walk."""
-    count, stack = 0, [f]
-    while stack:
-        node = stack.pop()
-        count += 1
-        if isinstance(node, (Not, Tri, Box)):
-            stack.append(node.child)
-        elif isinstance(node, (And, Or)):
-            stack += (node.left, node.right)
-    return count
+    """Number of AST nodes, a shared subtree counted at each occurrence."""
+    sizes: dict[Formula, int] = {}
+    for node in postorder(f):
+        sizes[node] = 1 + sum(sizes[getattr(node, name)] for name in node._fields)
+    return sizes[f]
 
 
 def contains_box(f: Formula) -> bool:
-    return any(isinstance(sub, Box) for sub in subformulas(f))
+    return any(isinstance(sub, Box) for sub in postorder(f))
 
 
 def contains_tri(f: Formula) -> bool:
-    return any(isinstance(sub, Tri) for sub in subformulas(f))
+    return any(isinstance(sub, Tri) for sub in postorder(f))
 
 
 def in_language(f: Formula, language: str) -> bool:

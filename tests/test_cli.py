@@ -9,7 +9,7 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdek import analysis, tableau
+from fdek import analysis, semantics, tableau
 from fdek.cli import main
 from fdek.semantics import FRAME_PROPERTIES, model_from_dict
 
@@ -22,6 +22,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _recursion_error(*args, **kwargs):
+    raise RecursionError("maximum recursion depth exceeded")
 
 
 class TestProve:
@@ -65,8 +69,15 @@ class TestProve:
         code, _, err = run(capsys, "prove", "[]p |- p")
         assert code == 2 and "#-fragment" in err
 
-    def test_too_deep_exit_two(self, capsys):
-        code, _, err = run(capsys, "prove", "#" * 600 + "p |- p")
+    def test_two_thousand_deep_verdict(self, capsys):
+        code, out, _ = run(capsys, "prove", "~~" * 1000 + "p |- p")
+        assert code == 0 and "PROVED" in out
+
+    def test_too_deep_exit_two(self, capsys, monkeypatch):
+        # No formula is too deep for the prover; a RecursionError raised
+        # below the CLI still maps to exit 2.
+        monkeypatch.setattr(tableau, "prove", _recursion_error)
+        code, _, err = run(capsys, "prove", "#p |- p")
         assert code == 2 and err.startswith("error:") and "recursion" in err
 
 
@@ -91,9 +102,15 @@ class TestEval:
                            "--world", "w9", "--formula", "p")
         assert code == 2
 
-    def test_too_deep_exit_two(self, capsys):
+    def test_two_thousand_deep_value(self, capsys):
+        code, out, _ = run(capsys, "eval", "--model", data_file("fig1"),
+                           "--world", "w0", "--formula", "#" * 2000 + "p")
+        assert code == 0 and out.strip() == "F"
+
+    def test_too_deep_exit_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(semantics, "eval_formula", _recursion_error)
         code, _, err = run(capsys, "eval", "--model", data_file("fig1"),
-                           "--world", "w0", "--formula", "#" * 600 + "p")
+                           "--world", "w0", "--formula", "#p")
         assert code == 2 and err.startswith("error:") and "recursion" in err
 
 

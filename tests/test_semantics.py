@@ -12,9 +12,9 @@ from fdek.semantics import (
     PointedModel, UnknownWorldError, dual_model, dual_value, eval_formula,
     formula_valid_on_frame, frame_property, model_from_dict, model_to_dict,
     sequent_holds, sequent_valid_on_frame, supports_false, supports_true,
-    tri_value_by_cases,
+    VALUE_ORDER, tri_value_by_cases,
 )
-from fdek.syntax import Sequent, parse_formula, parse_sequent
+from fdek.syntax import Atom, Not, Sequent, Tri, parse_formula, parse_sequent
 
 from conftest import random_formula, scalar_valid_on_frame
 
@@ -91,6 +91,56 @@ class TestEvaluation:
                 f = random_formula(rng, ["p", "q"], 4, 2)
                 for w in m.frame.worlds:
                     assert shared.supports(w, f) == Evaluator(m).supports(w, f)
+
+
+def _iterative_values(m, f):
+    """The value of ``f`` at every world of ``m``, for formulas over atoms,
+    ``~`` and ``#``: a post-order walk over an explicit stack, keyed by node
+    identity, with ``#`` by its four-case characterization."""
+    vals = {}
+    stack = [(f, False)]
+    while stack:
+        g, ready = stack.pop()
+        if id(g) in vals:
+            continue
+        if isinstance(g, Atom):
+            vals[id(g)] = {w: m.value(w, g.name) for w in m.frame.worlds}
+        elif not ready:
+            stack += [(g, True), (g.child, False)]
+        elif isinstance(g, Not):
+            flip = {T: F, F: T, B: B, N: N}
+            vals[id(g)] = {w: flip[v] for w, v in vals[id(g.child)].items()}
+        else:
+            assert isinstance(g, Tri)
+            row = {}
+            for w in m.frame.worlds:
+                seen = {vals[id(g.child)][v] for v in m.successors(w)}
+                if len(seen) > 1:
+                    row[w] = F
+                elif seen <= {T, F}:  # uniformly T or F, or a dead end
+                    row[w] = T
+                else:
+                    row[w] = seen.pop()
+            vals[id(g)] = row
+    return vals[id(f)]
+
+
+class TestDeepChains:
+    def test_ten_thousand_deep_chain_on_fig1(self):
+        f = parse_formula("#~" * 5000 + "p")
+        m = load_model("fig1")
+        expected = _iterative_values(m, f)
+        ev = Evaluator(m)
+        assert {w: FourValue.from_flags(*ev.supports(w, f)) for w in m.frame.worlds} == expected
+        # fig1's valuation among every valuation of p on its frame: worlds
+        # outermost, base-4 digits T, B, N, F, the first world most significant.
+        worlds = m.frame.worlds
+        index = sum(VALUE_ORDER.index(m.value(w, "p")) << 2 * (len(worlds) - 1 - i)
+                    for i, w in enumerate(worlds))
+        space = next(bulkeval.sweep(m.frame, ["p"]))
+        pos, neg = space.supports(f)
+        assert {w: FourValue.from_flags(pos[0, index, i], neg[0, index, i])
+                for i, w in enumerate(worlds)} == expected
 
 
 class TestCaseAnalysis:

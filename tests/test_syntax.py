@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import json
+import pickle
 import random
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, strategies as st
 from fdek.syntax import (
     LANG_BOX, LANG_TRI, And, Atom, Box, Not, Or, ParseError, Sequent,
     Tri, contains_box, contains_tri, in_language, parse_formula, parse_sequent,
-    render, render_sequent, size, subformulas, variables,
+    postorder, render, render_sequent, size, subformulas, variables,
 )
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
@@ -171,6 +173,59 @@ class TestStructure:
             Atom("1p")
 
 
+def _children(f):
+    if isinstance(f, (Not, Tri, Box)):
+        return [f.child]
+    if isinstance(f, (And, Or)):
+        return [f.left, f.right]
+    return []
+
+
+def _subtrees(f):
+    """Every subtree of ``f``, by plain recursion (hypothesis formulas are small)."""
+    return {f}.union(*map(_subtrees, _children(f)))
+
+
+class TestNodes:
+    @given(formulas(names=("p", "q", "r")))
+    def test_reparsed_copy_is_equal_and_hashes_alike(self, f):
+        g = parse_formula(render(f))
+        assert g is not f and g == f and hash(g) == hash(f)
+
+    @given(formulas(names=("p", "q", "r")))
+    def test_postorder_lists_each_subformula_once_children_first(self, f):
+        order = postorder(f)
+        assert len(order) == len(set(order))
+        assert set(order) == subformulas(f) == _subtrees(f)
+        place = {g: i for i, g in enumerate(order)}
+        assert all(place[c] < place[g] for g in order for c in _children(g))
+
+    def test_postorder_skips_what_is_given(self):
+        f = And(Tri(p), Or(q, Tri(p)))
+        assert postorder(f, skip={Tri(p)}) == [q, Or(q, Tri(p)), f]
+        assert postorder(f, p, skip={f}) == [p]
+
+    def test_class_and_child_order_matter(self):
+        # Distinct nodes hash apart but for a collision of 64-bit hashes.
+        for a, b in [(Not(p), Tri(p)), (Tri(p), Box(p)), (And(p, q), Or(p, q)),
+                     (And(p, q), And(q, p)), (Not(p), Not(q))]:
+            assert a != b and not a == b
+            assert hash(a) != hash(b)
+
+    def test_nodes_are_immutable(self):
+        f = Not(p)
+        with pytest.raises(AttributeError):
+            f.child = q
+        with pytest.raises(AttributeError):
+            del p.name
+        assert f == Not(p)
+
+    def test_pickle_and_copy_rebuild_through_the_constructor(self):
+        f = parse_formula("#~(p & q) | []r")
+        for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+            assert g is not f and g == f and hash(g) == hash(f)
+
+
 # Lexemes of the surface syntax, characters no token starts with, and
 # whitespace beyond the ASCII space (all accepted by ``str.isspace``).
 _LEXEMES = ("p", "q", "r", "x1", "p_q", "~", "&", "|", "#", "[]", "<>", "@",
@@ -241,11 +296,27 @@ class TestGolden:
 
 class TestDeepPrefixChains:
     def test_ten_thousand_deep_chain(self):
-        # Parsing, rendering and size walk prefix chains without recursion.
-        # Nothing here hashes or compares the formula: those still recurse.
         text = "#~" * 5000 + "p"
         f = parse_formula(text)
         assert render(f) == text
         # Glyphs re-sugar each ~# into one ▽: ▲, 4999 × ▽, ¬, p.
         assert len(render(f, pretty=True)) == 5002
         assert size(f) == 10_001
+        assert text in repr(f)
+        twin = parse_formula(text)
+        assert twin is not f and twin == f and hash(twin) == hash(f)
+        assert f != parse_formula("#~" * 5000 + "q")
+        assert len(subformulas(f)) == 10_001
+        assert variables(f) == {"p"}
+
+    def test_ten_thousand_clause_conjunction(self):
+        text = " & ".join(["p"] * 10_000)
+        f = parse_formula(text)
+        assert render(f) == text
+        assert parse_formula(render(f)) == f
+        assert size(f) == 19_999
+
+    def test_two_thousand_parentheses(self):
+        assert parse_formula("(" * 2000 + "p" + ")" * 2000) == p
+        f = parse_formula("#(" * 2000 + "p" + ")" * 2000)
+        assert render(f) == "#" * 2000 + "p"
