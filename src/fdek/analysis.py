@@ -16,9 +16,9 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .bulkeval import _guard, _model_on, frame_from_mask, model_from_indices, sweep
+from .bulkeval import _guard, _model_on, _successors, frame_from_mask, model_from_indices, sweep
 from .semantics import (
-    Evaluator, FourValue, Frame, Model, PointedModel, frame_property, frame_to_dict,
+    FRAME_PROPERTIES, Evaluator, FourValue, Frame, Model, PointedModel, frame_to_dict,
     model_to_dict,
 )
 from .syntax import (
@@ -160,18 +160,24 @@ class DefinabilityReport:
 
 
 def check_definability(prop: str, claims: Sequence[Claim], max_size: int) -> DefinabilityReport:
-    """Compare ``frame_property`` against joint claim validity on every
-    labelled frame with at most ``max_size`` worlds.
+    """Compare the frame property ``prop`` against joint claim validity on
+    every labelled frame with at most ``max_size`` worlds.
 
-    Verdict "defines" means no disagreement was found; "refuted" carries
-    the first disagreeing frame in enumeration order and the direction of
-    the disagreement.
+    The property is evaluated on the successor bitsets of each relation
+    mask, the rows the sweep itself decodes, so no ``Frame`` is built but
+    the witness.  Verdict "defines" means no disagreement was found;
+    "refuted" carries the first disagreeing frame in enumeration order and
+    the direction of the disagreement.  An unknown property or a sweep
+    beyond the size guard is refused before anything is swept.
     """
     claims = tuple(claims)
     if not claims:
         raise ValueError("need at least one claim")
     for claim in claims:
         _guard(max_size, len(_claim_variables(claim)))
+    if prop not in FRAME_PROPERTIES:
+        raise ValueError(f"unknown frame property {prop!r}")
+    holds = FRAME_PROPERTIES[prop]
     started = time.perf_counter()
     frames_checked = 0
     witness = None
@@ -181,13 +187,14 @@ def check_definability(prop: str, claims: Sequence[Claim], max_size: int) -> Def
             for space in sweep(n, _claim_variables(claim)):
                 r = space.start[0]
                 valid[r:r + len(space.succ)] &= space.valid_per_relation(claim)
-        for rel_mask, fr in enumerate(enumerate_frames(n)):
+        for rel_mask, succ in enumerate(_successors(n).tolist()):
             frames_checked += 1
-            has_prop = frame_property(fr, prop)
+            has_prop = holds(succ)
             if has_prop != bool(valid[rel_mask]):
                 direction = ("property_holds_but_claims_fail" if has_prop
                              else "claims_hold_but_property_fails")
-                witness = {"frame": frame_to_dict(fr), "direction": direction}
+                witness = {"frame": frame_to_dict(frame_from_mask(n, rel_mask)),
+                           "direction": direction}
                 break
         if witness:
             break

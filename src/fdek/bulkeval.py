@@ -12,15 +12,16 @@ bits: ``uint8`` up to 8 worlds, ``uint16`` for the 9 to 12 worlds a given
 frame may have (relation sweeps stay at n <= 4, the size guard).  ``~``,
 ``&``, ``|`` are bitwise, every complement masked to the low n bits; a
 successor quantifier is one mask compare per world against that world's
-successor bitset, decoded from relation masks or from a given frame's
-relation (whose mask would not fit 64 bits from 8 worlds on).
+successor bitset, decoded from relation masks or, for a given frame, its
+``Frame.succ`` (whose relation mask would not fit 64 bits from 8 worlds on).
 
 What a scan costs and how its space is laid out are known only to this
 module: ``_guard`` refuses a scan before anything is allocated, and
 ``sweep`` reads the space in blocks of at most ``_CHUNK_CELLS`` cells, so a
 caller can stop at the first block that settles its question.
 ``semantics`` and ``analysis`` go through ``_guard``, ``sweep``,
-``model_from_indices`` and ``frame_from_mask``:
+``model_from_indices``, ``frame_from_mask`` and, for the frame properties
+of a definability sweep, ``_successors``:
 
 * relation ``r`` contains the pair (i, j) iff bit ``i*n + j`` of the mask
   is set; masks are enumerated ascending;
@@ -35,11 +36,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .semantics import DEFAULT_VALUATION_BOUND, VALUE_ORDER, BoundExceededError, Frame, Model
+from .semantics import VALUE_ORDER, BoundExceededError, Frame, Model
 from .syntax import And, Atom, Box, Formula, Not, Or, Sequent, Tri, postorder
 
-__all__ = ["BulkSpace", "sweep", "model_from_indices", "frame_from_mask"]
+__all__ = ["BulkSpace", "sweep", "model_from_indices", "frame_from_mask",
+           "DEFAULT_VALUATION_BOUND"]
 
+DEFAULT_VALUATION_BOUND = 12  # (world, variable) valuation slots one scan may take
 # (relation, valuation, world) cells one sweep over every relation may
 # visit: 2x6 (5.4e8) and 3x3 (4.0e8) fit, 3x4 (2.6e10) does not.
 _MAX_SWEEP_CELLS = 10 ** 9
@@ -223,9 +226,7 @@ def _successors(worlds: int | Frame, rel_masks: Sequence[int] | None = None) -> 
     """Successor bitsets, shape (relations, n), of ``rel_masks`` on ``worlds`` worlds
     (default: every mask, ascending), or of a given frame, world i being its i-th."""
     if isinstance(worlds, Frame):
-        ws = worlds.worlds
-        return np.array([[sum(1 << j for j, t in enumerate(ws) if (w, t) in worlds.relation)
-                          for w in ws]], dtype=_bitset_type(len(ws)))
+        return np.array([worlds.succ], dtype=_bitset_type(len(worlds.worlds)))
     n = worlds
     masks = np.arange(2 ** (n * n)) if rel_masks is None else np.asarray(rel_masks, dtype=np.int64)
     return (masks[:, None] >> n * np.arange(n) & (1 << n) - 1).astype(_bitset_type(n))

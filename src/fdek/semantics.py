@@ -44,7 +44,7 @@ __all__ = [
     "sequent_holds", "sequent_valid_on_frame", "formula_valid_on_frame",
     "dual_model", "dual_value", "frame_property", "FRAME_PROPERTIES",
     "model_to_dict", "model_from_dict", "frame_from_dict", "frame_to_dict",
-    "VALUE_ORDER", "DEFAULT_VALUATION_BOUND", "Evaluator",
+    "VALUE_ORDER", "Evaluator",
 ]
 
 
@@ -57,11 +57,9 @@ class UnknownWorldError(ModelError):
 
 
 class BoundExceededError(RuntimeError):
-    """An exhaustive check was refused because its model space is too large:
-    more than ``DEFAULT_VALUATION_BOUND`` (world, variable) slots, or more
-    than 10^9 (relation, valuation, world) cells when every relation is
-    enumerated.  Raised before anything is allocated, instead of returning a
-    (necessarily wrong) boolean."""
+    """An exhaustive check was refused because its model space is beyond the
+    limits of ``bulkeval._guard``.  Raised before anything is allocated,
+    instead of returning a (necessarily wrong) boolean."""
 
 
 class FourValue(Enum):
@@ -91,11 +89,14 @@ _FLAGS = {v.value: v for v in FourValue}
 # Canonical enumeration order for valuations.
 VALUE_ORDER = (FourValue.T, FourValue.B, FourValue.N, FourValue.F)
 
-DEFAULT_VALUATION_BOUND = 12
-
 
 @dataclass(frozen=True)
 class Frame:
+    """Worlds and a relation.  The constructor also builds, once, ``index``
+    (world to position) and the successor bitsets ``succ`` (bit ``j`` of
+    ``succ[i]``: ``worlds[j]`` is accessible from ``worlds[i]``), which
+    models, both evaluators and the frame properties read; equality and
+    hashing use the two fields only."""
     worlds: tuple[str, ...]
     relation: frozenset[tuple[str, str]]
 
@@ -104,23 +105,28 @@ class Frame:
         relation = frozenset((s, t) for s, t in relation)
         if not worlds:
             raise ModelError("a frame needs at least one world")
-        if len(set(worlds)) != len(worlds):
+        index = {w: i for i, w in enumerate(worlds)}
+        if len(index) != len(worlds):
             raise ModelError("duplicate world identifiers")
         for w in worlds:
             if not isinstance(w, str) or not w:
                 raise ModelError(f"bad world identifier {w!r}")
-        known = set(worlds)
+        succ = [0] * len(worlds)
         for s, t in relation:
-            if s not in known or t not in known:
+            if s not in index or t not in index:
                 raise UnknownWorldError(f"relation uses unknown world in ({s!r}, {t!r})")
+            succ[index[s]] |= 1 << index[t]
         object.__setattr__(self, "worlds", worlds)
         object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "succ", tuple(succ))
 
     def successors(self, world: str) -> tuple[str, ...]:
         """Accessible worlds, in frame world order."""
-        if world not in self.worlds:
+        if world not in self.index:
             raise UnknownWorldError(f"unknown world {world!r}")
-        return tuple(t for t in self.worlds if (world, t) in self.relation)
+        bits = self.succ[self.index[world]]
+        return tuple(t for j, t in enumerate(self.worlds) if bits >> j & 1)
 
 
 class Model:
@@ -132,7 +138,7 @@ class Model:
     N everywhere.
     """
 
-    __slots__ = ("frame", "vplus", "vminus", "variables", "_succ")
+    __slots__ = ("frame", "vplus", "vminus", "variables")
 
     def __init__(self, frame: Frame,
                  vplus: Mapping[str, Iterable[str]] | None = None,
@@ -149,7 +155,6 @@ class Model:
         for name in self.variables:
             if not ATOM_RE.fullmatch(name):
                 raise ModelError(f"bad variable name {name!r}")
-        self._succ = {w: frame.successors(w) for w in frame.worlds}
 
     @staticmethod
     def _normalize(frame, valuation) -> dict[str, frozenset[str]]:
@@ -188,10 +193,7 @@ class Model:
         return FourValue.from_flags(var in self.vplus[world], var in self.vminus[world])
 
     def successors(self, world: str) -> tuple[str, ...]:
-        try:
-            return self._succ[world]
-        except KeyError:
-            raise UnknownWorldError(f"unknown world {world!r}") from None
+        return self.frame.successors(world)
 
     def __eq__(self, other):
         return (isinstance(other, Model)
@@ -210,7 +212,7 @@ class PointedModel:
     world: str
 
     def __post_init__(self):
-        if self.world not in self.model.frame.worlds:
+        if self.world not in self.model.frame.index:
             raise UnknownWorldError(f"unknown world {self.world!r}")
 
 
@@ -222,21 +224,20 @@ class Evaluator:
     by the clauses of the module docstring in a loop over ``postorder``;
     reusing one evaluator across many formulas on the same model shares
     work between common subtrees.  Memoization is observationally
-    invisible: results equal those of a plain structural recursion.
+    invisible: results equal those of a plain structural recursion.  The
+    modal clauses read the frame's ``succ`` bitsets and the world lookup its
+    ``index``, both built once by the ``Frame``.
     """
 
-    __slots__ = ("model", "_index", "_succ", "_memo")
+    __slots__ = ("model", "_memo")
 
     def __init__(self, model: Model):
         self.model = model
-        worlds = model.frame.worlds
-        self._index = {w: i for i, w in enumerate(worlds)}
-        # Bit j of _succ[i]: world j is accessible from world i.
-        self._succ = [sum(1 << self._index[v] for v in model.successors(w)) for w in worlds]
         self._memo: dict[Formula, tuple[int, int]] = {}
 
     def supports(self, world: str, f: Formula) -> tuple[bool, bool]:
-        index = self._index.get(world)
+        frame = self.model.frame
+        index = frame.index.get(world)
         if index is None:
             raise UnknownWorldError(f"unknown world {world!r}")
         memo, m = self._memo, self.model
@@ -258,7 +259,7 @@ class Evaluator:
             elif isinstance(g, Tri):
                 pos, neg = memo[g.child]
                 true = false = 0
-                for i, succ in enumerate(self._succ):
+                for i, succ in enumerate(frame.succ):
                     any_p, all_p = pos & succ != 0, pos & succ == succ
                     any_n, all_n = neg & succ != 0, neg & succ == succ
                     agree = (all_p or not any_p) and (all_n or not any_n)
@@ -269,8 +270,8 @@ class Evaluator:
                 res = (true, false)
             elif isinstance(g, Box):
                 pos, neg = memo[g.child]
-                res = (sum((pos & succ == succ) << i for i, succ in enumerate(self._succ)),
-                       sum((neg & succ != 0) << i for i, succ in enumerate(self._succ)))
+                res = (sum((pos & succ == succ) << i for i, succ in enumerate(frame.succ)),
+                       sum((neg & succ != 0) << i for i, succ in enumerate(frame.succ)))
             else:
                 raise TypeError(f"not a formula: {g!r}")
             memo[g] = res
@@ -369,47 +370,35 @@ def dual_model(m: Model) -> Model:
     return Model.from_values(m.frame, values, variables=m.variables)
 
 
-def _reflexive(ws, rel):
-    return all((w, w) in rel for w in ws)
+def _pairs(succ):
+    """Every pair ``(i, j)`` of the relation given by successor bitsets."""
+    return ((i, j) for i, s in enumerate(succ) for j in range(len(succ)) if s >> j & 1)
 
 
-def _transitive(ws, rel):
-    return all((a, c) in rel for a, b in rel for b2, c in rel if b == b2)
+def _reflexive(succ):
+    return all(s >> i & 1 for i, s in enumerate(succ))
 
 
-def _symmetric(ws, rel):
-    return all((b, a) in rel for a, b in rel)
+def _transitive(succ):
+    return all(not succ[j] & ~succ[i] for i, j in _pairs(succ))
 
 
-def _euclidean(ws, rel):
-    return all((b, c) in rel
-               for a, b in rel for a2, c in rel if a == a2)
+def _symmetric(succ):
+    return all(succ[j] >> i & 1 for i, j in _pairs(succ))
 
 
-def _serial(ws, rel):
-    return all(any((w, t) in rel for t in ws) for w in ws)
-
-
-def _partial_functional(ws, rel):
-    return all(sum(1 for t in ws if (w, t) in rel) <= 1 for w in ws)
-
-
-def _coreflexive(ws, rel):
-    return all(a == b for a, b in rel)
-
-
+# Each condition takes a frame's successor bitsets (``Frame.succ``).
 FRAME_PROPERTIES = {
     "reflexive": _reflexive,
     "transitive": _transitive,
     "symmetric": _symmetric,
-    "euclidean": _euclidean,
-    "serial": _serial,
-    "partial_functional": _partial_functional,
-    "coreflexive": _coreflexive,
-    "empty_relation": lambda ws, rel: not rel,
-    "equivalence": lambda ws, rel: (_reflexive(ws, rel) and _symmetric(ws, rel)
-                                    and _transitive(ws, rel)),
-    "preorder": lambda ws, rel: _reflexive(ws, rel) and _transitive(ws, rel),
+    "euclidean": lambda succ: all(not succ[i] & ~succ[j] for i, j in _pairs(succ)),
+    "serial": lambda succ: all(succ),
+    "partial_functional": lambda succ: all(not s & (s - 1) for s in succ),
+    "coreflexive": lambda succ: all(i == j for i, j in _pairs(succ)),
+    "empty_relation": lambda succ: not any(succ),
+    "equivalence": lambda succ: _reflexive(succ) and _symmetric(succ) and _transitive(succ),
+    "preorder": lambda succ: _reflexive(succ) and _transitive(succ),
 }
 
 
@@ -419,7 +408,7 @@ def frame_property(fr: Frame, prop: str) -> bool:
         check = FRAME_PROPERTIES[prop]
     except KeyError:
         raise ValueError(f"unknown frame property {prop!r}") from None
-    return check(fr.worlds, fr.relation)
+    return check(fr.succ)
 
 
 # --- JSON interchange --------------------------------------------------------

@@ -52,7 +52,9 @@ _init = object.__setattr__
 
 class Formula:
     """Base class of the immutable formula nodes; ``_fields`` names the
-    attributes holding child nodes, in order."""
+    attributes holding child nodes, in order.  Equality expands each pair
+    of nodes once, so it is linear in distinct nodes even where subterms
+    are shared."""
 
     __slots__ = ("_hash",)
     _fields: tuple[str, ...] = ()
@@ -63,7 +65,7 @@ class Formula:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Formula):
             return NotImplemented
-        stack = [(self, other)]
+        stack, expanded = [(self, other)], set()
         while stack:
             a, b = stack.pop()
             if a is b:
@@ -71,6 +73,11 @@ class Formula:
             if (type(a) is not type(b) or a._hash != b._hash
                     or type(a) is Atom and a.name != b.name):
                 return False
+            if a._fields:  # only inner pairs are remembered: atoms cost less to compare
+                known = len(expanded)
+                expanded.add((id(a), id(b)))
+                if len(expanded) == known:  # this pair was expanded before
+                    continue
             for name in a._fields:
                 stack.append((getattr(a, name), getattr(b, name)))
         return True

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from fdek import bulkeval
+from fdek import analysis, bulkeval
 from fdek.analysis import (
     PAPER_FRAME_CLASSES, check_definability, check_indistinguishability,
     claims_from_text, count_models, enumerate_formulas, enumerate_frames,
@@ -349,6 +349,28 @@ class TestDefinability:
     def test_requires_claims(self):
         with pytest.raises(ValueError):
             check_definability("reflexive", [], 2)
+
+    def test_unknown_property_refused_before_sweeping(self, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("swept before looking the property up")
+
+        monkeypatch.setattr(analysis, "sweep", no_sweep)
+        with pytest.raises(ValueError, match="unknown frame property 'connected'"):
+            check_definability("connected", PAPER_FRAME_CLASSES["reflexive"], 2)
+
+    def test_builds_a_frame_only_for_the_witness(self, monkeypatch):
+        built = []
+        init = Frame.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Frame, "__init__", counting_init)
+        report = check_definability("reflexive", PAPER_FRAME_CLASSES["reflexive"], 3)
+        assert report.verdict == "defines" and built == []
+        report = check_definability("transitive", [parse_sequent("#p |- ##p")], 3)
+        assert report.verdict == "refuted" and len(built) == 1
 
 
 class TestClaimsParsing:

@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from fdek import bulkeval
 from fdek.analysis import PAPER_FRAME_CLASSES, enumerate_formulas, enumerate_models
-from fdek.bulkeval import BulkSpace
-from fdek.figures import load_frame, load_model
+from fdek.bulkeval import BulkSpace, frame_from_mask
+from fdek.figures import load_frame, load_model, model_names
 from fdek.semantics import (
-    BoundExceededError, Evaluator, FourValue, Frame, Model, ModelError,
+    FRAME_PROPERTIES, BoundExceededError, Evaluator, FourValue, Frame, Model, ModelError,
     PointedModel, UnknownWorldError, dual_model, dual_value, eval_formula,
     formula_valid_on_frame, frame_property, model_from_dict, model_to_dict,
     sequent_holds, sequent_valid_on_frame, supports_false, supports_true,
@@ -399,6 +399,51 @@ class TestBoxComparison:
         assert not sequent_holds(m, parse_sequent("[]p | []~p |- #p"))
 
 
+# The frame conditions as first-order sentences over the relation's pair
+# set: the reference that ``frame_property`` must agree with.
+def _reflexive(ws, rel):
+    return all((w, w) in rel for w in ws)
+
+
+def _transitive(ws, rel):
+    return all((a, c) in rel for a, b in rel for b2, c in rel if b == b2)
+
+
+def _symmetric(ws, rel):
+    return all((b, a) in rel for a, b in rel)
+
+
+PAIR_PROPERTIES = {
+    "reflexive": _reflexive,
+    "transitive": _transitive,
+    "symmetric": _symmetric,
+    "euclidean": lambda ws, rel: all((b, c) in rel for a, b in rel for a2, c in rel if a == a2),
+    "serial": lambda ws, rel: all(any((w, t) in rel for t in ws) for w in ws),
+    "partial_functional": lambda ws, rel: all(sum((w, t) in rel for t in ws) <= 1 for w in ws),
+    "coreflexive": lambda ws, rel: all(a == b for a, b in rel),
+    "empty_relation": lambda ws, rel: not rel,
+    "equivalence": lambda ws, rel: (_reflexive(ws, rel) and _symmetric(ws, rel)
+                                    and _transitive(ws, rel)),
+    "preorder": lambda ws, rel: _reflexive(ws, rel) and _transitive(ws, rel),
+}
+
+
+def _reference_frames():
+    """Every labelled frame on 1 to 3 worlds (529), the bundled frames, and
+    every 3-world relation again on worlds listed out of sorted order."""
+    labelled = [frame_from_mask(n, mask) for n in (1, 2, 3) for mask in range(2 ** (n * n))]
+    bundled = [load_frame(name) for name in ("fig8_left", "fig8_right", "fig10", "fig11")]
+    bundled += [load_model(name).frame for name in model_names()]
+    rename = {"w0": "z", "w1": "a", "w2": "m"}
+    unsorted = [Frame([rename[w] for w in fr.worlds],
+                      [(rename[s], rename[t]) for s, t in fr.relation])
+                for fr in labelled if len(fr.worlds) == 3]
+    return labelled + bundled + unsorted
+
+
+REFERENCE_FRAMES = _reference_frames()
+
+
 class TestFrameProperties:
     def test_transitive_chain_with_shortcut(self):
         assert frame_property(load_frame("fig10"), "transitive")
@@ -431,6 +476,21 @@ class TestFrameProperties:
     def test_unknown_property(self):
         with pytest.raises(ValueError):
             frame_property(Frame(["a"], []), "connected")
+
+    def test_reference_covers_every_property(self):
+        assert sorted(PAIR_PROPERTIES) == sorted(FRAME_PROPERTIES)
+
+    @pytest.mark.parametrize("prop", sorted(PAIR_PROPERTIES))
+    def test_agrees_with_pair_set_definition(self, prop):
+        for fr in REFERENCE_FRAMES:
+            assert frame_property(fr, prop) == PAIR_PROPERTIES[prop](fr.worlds, fr.relation), fr
+
+    def test_successors_follow_the_relation_in_world_order(self):
+        for fr in REFERENCE_FRAMES:
+            model = Model(fr)
+            for w in fr.worlds:
+                expected = tuple(t for t in fr.worlds if (w, t) in fr.relation)
+                assert fr.successors(w) == model.successors(w) == expected, (fr, w)
 
 
 class TestJsonInterchange:

@@ -212,6 +212,18 @@ class TestNodes:
             assert a != b and not a == b
             assert hash(a) != hash(b)
 
+    def test_equality_on_shared_subterms_is_linear(self):
+        # 65 distinct nodes, but 2^64 paths from the top of each tower.
+        def tower(bottom):
+            x = Atom(bottom)
+            for _ in range(64):
+                x = And(x, x)
+            return x
+
+        a, b = tower("p"), tower("p")
+        assert a is not b and a == b
+        assert a != tower("q")
+
     def test_nodes_are_immutable(self):
         f = Not(p)
         with pytest.raises(AttributeError):
