@@ -1,11 +1,14 @@
 """Bounded brute-force oracles: model/frame/formula enumeration, countermodel
 search, frame-class definability sweeps, and bounded expressivity checks.
 
-Everything here quantifies over *labelled* structures (no isomorphism
-reduction): that over-counts, but a universally quantified verdict is
-unaffected, only the runtime.  "There is no formula such that ..." claims
-are checked up to a stated AST size and reported as bounded evidence, not
-as proofs.
+The enumerations (``enumerate_models``, ``enumerate_frames``) list
+*labelled* structures.  The bulk oracles (``find_countermodel``,
+``check_definability``) sweep one relation per isomorphism class: their
+questions are invariant under renaming worlds, and the first answer in
+labelled order lies on the smallest mask of its class, so witnesses and
+frame counts are those of the labelled scan.  "There is no formula such
+that ..." claims are checked up to a stated AST size and reported as
+bounded evidence, not as proofs.
 """
 
 from __future__ import annotations
@@ -16,7 +19,9 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .bulkeval import _guard, _model_on, _successors, frame_from_mask, model_from_indices, sweep
+from .bulkeval import (
+    _guard, _model_on, _successors, frame_from_mask, model_from_indices, representatives, sweep,
+)
 from .semantics import (
     FRAME_PROPERTIES, Evaluator, FourValue, Frame, Model, PointedModel, frame_to_dict,
     model_to_dict,
@@ -98,10 +103,12 @@ def find_countermodel(s: Sequent, max_worlds: int) -> PointedModel | None:
     """Smallest-first exhaustive search for a pointed model where the
     premise is supported-true and the conclusion is not.
 
-    The scan order is exactly ``enumerate_models`` (world counts ascending,
-    then relation, then valuation) with worlds visited in model order, so
-    the witness is reproducible.  Evaluation is vectorized; the result is
-    identical to the naive scan.
+    The witness is the first of ``enumerate_models`` (world counts
+    ascending, then relation, then valuation) with worlds visited in model
+    order, so it is reproducible.  Evaluation is vectorized over one
+    relation per isomorphism class: a relation refutes iff every renaming
+    of it does, so the first refuting relation is the smallest of its
+    class, and the result is identical to the naive scan.
     """
     names = _claim_variables(s)
     _guard(max_worlds, len(names))
@@ -110,8 +117,7 @@ def find_countermodel(s: Sequent, max_worlds: int) -> PointedModel | None:
             hit = space.first_countermodel(s)
             if hit is not None:
                 r, v, w = hit
-                r0, v0 = space.start
-                model = model_from_indices(n, names, r0 + r, v0 + v)
+                model = model_from_indices(n, names, int(space.masks[r]), space.start[1] + v)
                 return PointedModel(model, f"w{w}")
     return None
 
@@ -163,12 +169,15 @@ def check_definability(prop: str, claims: Sequence[Claim], max_size: int) -> Def
     """Compare the frame property ``prop`` against joint claim validity on
     every labelled frame with at most ``max_size`` worlds.
 
-    The property is evaluated on the successor bitsets of each relation
-    mask, the rows the sweep itself decodes, so no ``Frame`` is built but
-    the witness.  Verdict "defines" means no disagreement was found;
-    "refuted" carries the first disagreeing frame in enumeration order and
-    the direction of the disagreement.  An unknown property or a sweep
-    beyond the size guard is refused before anything is swept.
+    Both sides are invariant under renaming worlds, so they are compared
+    on one relation per isomorphism class, on the successor bitsets the
+    sweep itself decodes; no ``Frame`` is built but the witness.  Verdict
+    "defines" means no disagreement was found; "refuted" carries the first
+    disagreeing frame in labelled enumeration order, which is the smallest
+    of its class, and the direction of the disagreement.
+    ``frames_checked`` counts the labelled frames up to and including the
+    witness.  An unknown property or a sweep beyond the size guard is
+    refused before anything is swept.
     """
     claims = tuple(claims)
     if not claims:
@@ -182,22 +191,25 @@ def check_definability(prop: str, claims: Sequence[Claim], max_size: int) -> Def
     frames_checked = 0
     witness = None
     for n in range(1, max_size + 1):
-        valid = np.ones(2 ** (n * n), dtype=bool)
+        reps = representatives(n)
+        valid = np.ones(len(reps), dtype=bool)
         for claim in claims:
             for space in sweep(n, _claim_variables(claim)):
                 r = space.start[0]
                 valid[r:r + len(space.succ)] &= space.valid_per_relation(claim)
-        for rel_mask, succ in enumerate(_successors(n).tolist()):
-            frames_checked += 1
+        for rel_mask, succ, ok in zip(reps.tolist(), _successors(n, reps).tolist(),
+                                      valid.tolist()):
             has_prop = holds(succ)
-            if has_prop != bool(valid[rel_mask]):
+            if has_prop != ok:
                 direction = ("property_holds_but_claims_fail" if has_prop
                              else "claims_hold_but_property_fails")
                 witness = {"frame": frame_to_dict(frame_from_mask(n, rel_mask)),
                            "direction": direction}
+                frames_checked += rel_mask + 1
                 break
         if witness:
             break
+        frames_checked += 2 ** (n * n)
     return DefinabilityReport(
         property=prop,
         claims=tuple(_claim_text(c) for c in claims),

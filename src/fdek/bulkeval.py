@@ -4,7 +4,11 @@ or over every valuation on one given frame: the one exhaustive evaluator
 
 The model space for ``n`` worlds over ``k`` variables is the cross product
 of all 2^(n*n) relations with all 4^(n*k) valuations; on a given frame it
-is that frame's one relation with every valuation.  A formula's two
+is that frame's one relation with every valuation.  A sweep over every
+relation visits one relation per isomorphism class (``representatives``):
+validity is invariant under renaming worlds, so the first refuting
+relation in ascending mask order is the smallest of its class, and the
+sweep finds the labelled scan's first witness.  A formula's two
 supports are world bitsets: arrays of shape (relations, valuations), or
 (1, valuations) where independent of the relation, whose bit ``w`` means
 "supported at world ``w``", in the narrowest unsigned type that holds n
@@ -21,10 +25,11 @@ module: ``_guard`` refuses a scan before anything is allocated, and
 caller can stop at the first block that settles its question.
 ``semantics`` and ``analysis`` go through ``_guard``, ``sweep``,
 ``model_from_indices``, ``frame_from_mask`` and, for the frame properties
-of a definability sweep, ``_successors``:
+of a definability sweep, ``representatives`` and ``_successors``:
 
 * relation ``r`` contains the pair (i, j) iff bit ``i*n + j`` of the mask
-  is set; masks are enumerated ascending;
+  is set; a sweep enumerates the class representatives ascending, and
+  ``BulkSpace`` the masks it is given (default: every mask, ascending);
 * valuation slots are (world, variable) pairs, worlds outermost (in frame
   order) and variables in sorted order; slot 0 is the most significant
   base-4 digit of the valuation index; digit values 0..3 mean T, B, N, F.
@@ -32,6 +37,8 @@ of a definability sweep, ``_successors``:
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import permutations
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -39,8 +46,8 @@ import numpy as np
 from .semantics import VALUE_ORDER, BoundExceededError, Frame, Model
 from .syntax import And, Atom, Box, Formula, Not, Or, Sequent, Tri, postorder
 
-__all__ = ["BulkSpace", "sweep", "model_from_indices", "frame_from_mask",
-           "DEFAULT_VALUATION_BOUND"]
+__all__ = ["BulkSpace", "sweep", "representatives", "model_from_indices",
+           "frame_from_mask", "DEFAULT_VALUATION_BOUND"]
 
 DEFAULT_VALUATION_BOUND = 12  # (world, variable) valuation slots one scan may take
 # (relation, valuation, world) cells one sweep over every relation may
@@ -130,19 +137,25 @@ def _unpack(bits: np.ndarray, n: int) -> np.ndarray:
 class BulkSpace:
     """Every pointed model over the given relation masks (default: all of
     them) and every valuation of ``variables`` on ``n_worlds`` worlds; a
-    block of a ``sweep`` starts at (relation, valuation) index ``start``."""
+    block of a ``sweep`` starts at (relation, valuation) index ``start``
+    of the swept list.  ``masks[r]`` is the mask of relation ``r``; None
+    on a given frame."""
 
     def __init__(self, n_worlds: int, variables: Sequence[str],
                  rel_masks: Sequence[int] | None = None):
         names = tuple(sorted(variables))
         _guard(n_worlds, len(names))
-        self._bind(n_worlds, _atom_tables(n_worlds, names), _successors(n_worlds, rel_masks))
+        masks = (np.arange(2 ** (n_worlds * n_worlds)) if rel_masks is None
+                 else np.asarray(rel_masks, dtype=np.int64))
+        self._bind(n_worlds, _atom_tables(n_worlds, names), _successors(n_worlds, masks), masks)
 
-    def _bind(self, n: int, atoms: dict, succ: np.ndarray, start=(0, 0)) -> None:
+    def _bind(self, n: int, atoms: dict, succ: np.ndarray, masks: np.ndarray | None,
+              start=(0, 0)) -> None:
         """``succ[r, w]``: bit j is set iff relation r contains (w, j)."""
         self.n = n
         self.start = start
         self.succ = succ
+        self.masks = masks
         self.full = succ.dtype.type((1 << n) - 1)
         self._memo: dict[Formula, tuple[np.ndarray, np.ndarray]] = dict(atoms)
 
@@ -222,20 +235,41 @@ class BulkSpace:
         return np.broadcast_to(ok, (len(self.succ),))
 
 
-def _successors(worlds: int | Frame, rel_masks: Sequence[int] | None = None) -> np.ndarray:
-    """Successor bitsets, shape (relations, n), of ``rel_masks`` on ``worlds`` worlds
-    (default: every mask, ascending), or of a given frame, world i being its i-th."""
+def _successors(worlds: int | Frame, rel_masks: np.ndarray | None) -> np.ndarray:
+    """Successor bitsets, shape (relations, n), of ``rel_masks`` on ``worlds`` worlds,
+    or of a given frame, world i being its i-th."""
     if isinstance(worlds, Frame):
         return np.array([worlds.succ], dtype=_bitset_type(len(worlds.worlds)))
     n = worlds
-    masks = np.arange(2 ** (n * n)) if rel_masks is None else np.asarray(rel_masks, dtype=np.int64)
-    return (masks[:, None] >> n * np.arange(n) & (1 << n) - 1).astype(_bitset_type(n))
+    return (rel_masks[:, None] >> n * np.arange(n) & (1 << n) - 1).astype(_bitset_type(n))
+
+
+@lru_cache(maxsize=None)
+def representatives(n: int) -> np.ndarray:
+    """The relation masks on ``n`` worlds that are the smallest of their
+    orbit under the n! renamings of the worlds, ascending: one relation
+    per isomorphism class, mask 0 first.  Built on first use (at 4 worlds,
+    24 renamings of 65 536 masks) and kept; a relation sweep never takes
+    more than 4 worlds."""
+    masks = np.arange(2 ** (n * n), dtype=np.int64)
+    succ = _successors(n, masks)
+    smallest = masks.copy()
+    for perm in permutations(range(n)):
+        # A renamed row: bit perm[j] of row_image[s] is bit j of s.
+        row_image = np.array([sum(1 << perm[j] for j in range(n) if s >> j & 1)
+                              for s in range(2 ** n)], dtype=np.int64)
+        image = sum(row_image[succ[:, i]] << perm[i] * n for i in range(n))
+        np.minimum(smallest, image, out=smallest)
+    reps = masks[smallest == masks]
+    reps.flags.writeable = False
+    return reps
 
 
 def sweep(worlds: int | Frame, variables: Sequence[str]) -> Iterator[BulkSpace]:
-    """Every valuation of ``variables`` on every relation over ``worlds``
-    worlds (masks ascending), or on the one relation of a given ``Frame``,
-    as BulkSpaces over consecutive blocks in enumeration order.
+    """Every valuation of ``variables`` on one relation per isomorphism
+    class over ``worlds`` worlds (``representatives``, ascending), or on
+    the one relation of a given ``Frame``, as BulkSpaces over consecutive
+    blocks in enumeration order; a block's ``masks`` name its relations.
 
     The size guard runs at the first ``next()``, before anything is
     allocated.  Each block's arrays hold at most ``_CHUNK_CELLS`` cells:
@@ -246,7 +280,8 @@ def sweep(worlds: int | Frame, variables: Sequence[str]) -> Iterator[BulkSpace]:
     given = isinstance(worlds, Frame)
     n = len(worlds.worlds) if given else worlds
     _guard(n, len(names), relations=not given)
-    atoms, succ = _atom_tables(n, names), _successors(worlds)
+    masks = None if given else representatives(n)
+    atoms, succ = _atom_tables(n, names), _successors(worlds, masks)
     n_val = 4 ** (n * len(names))
     rel_step = max(1, _CHUNK_CELLS // (n_val * n))
     val_step = max(1, _CHUNK_CELLS // n)
@@ -255,5 +290,6 @@ def sweep(worlds: int | Frame, variables: Sequence[str]) -> Iterator[BulkSpace]:
             block = {a: (pos[:, v:v + val_step], neg[:, v:v + val_step])
                      for a, (pos, neg) in atoms.items()}
             space = BulkSpace.__new__(BulkSpace)
-            space._bind(n, block, succ[r:r + rel_step], (r, v))
+            space._bind(n, block, succ[r:r + rel_step],
+                        None if given else masks[r:r + rel_step], (r, v))
             yield space

@@ -29,9 +29,11 @@ def chunk_budget(request, monkeypatch):
     two worlds every sweep splits: 3 relations per block for one variable
     (the last block short), and for two variables blocks of 50 valuations
     of one relation (the last of each relation short).  A given frame on
-    ``n`` worlds is then read in blocks of ``100 // n`` valuations."""
+    ``n`` worlds is then read in blocks of ``100 // n`` valuations.  The
+    fixture's value is the budget's name."""
     if request.param == "tiny":
         monkeypatch.setattr(bulkeval, "_CHUNK_CELLS", 100)
+    return request.param
 
 
 # Hand-written sequents with known verdicts (True = provable).

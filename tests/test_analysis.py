@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -11,13 +13,13 @@ from fdek.analysis import (
     claims_from_text, count_models, enumerate_formulas, enumerate_frames,
     enumerate_models, find_countermodel, model_from_indices,
 )
-from fdek.bulkeval import BulkSpace
+from fdek.bulkeval import BulkSpace, representatives
 from fdek.figures import load_frame, load_model
 from fdek.semantics import (
-    BoundExceededError, Evaluator, FourValue, Frame, PointedModel, frame_to_dict,
-    model_to_dict,
+    FRAME_PROPERTIES, BoundExceededError, Evaluator, FourValue, Frame, PointedModel,
+    frame_to_dict, model_to_dict,
 )
-from fdek.syntax import Atom, Box, Not, Tri, parse_formula, parse_sequent, render, size
+from fdek.syntax import Atom, Box, Not, Tri, parse_formula, parse_sequent, render, size, variables
 from fdek.tableau import Proved, prove
 
 from conftest import corpus, scalar_definability
@@ -193,6 +195,39 @@ class TestCountermodelSearch:
         with pytest.raises(BoundExceededError):
             find_countermodel(parse_sequent("p |- q"), 6)
 
+    def test_matches_the_labelled_search(self, chunk_budget):
+        # The search sweeps one relation per isomorphism class; the labelled
+        # BulkSpace sweeps all 2^(n*n) masks.  The corpus's first witnesses
+        # lie on masks 0 to 3, the first four classes, where a mask equals
+        # its position in the sweep; the added sequents are first refuted on
+        # masks 5, 6 and 7 of 2 worlds and 12 and 28 of 3.  Under the tiny
+        # budget a two-variable space on 3 worlds is read in 125 blocks per
+        # relation, too slow for the whole corpus, so those sequents stop at
+        # 2 worlds.
+        late = ["q & (##q | ##q) |- ##(q | p)", "#p |- #(p & #p)",
+                "##p & ~#q |- #(~~q | #(p | p))", "p & #p |- #(p & #p)", "##p |- ####p"]
+        for s in corpus() + [parse_sequent(text) for text in late]:
+            names = sorted(variables(s.premise, s.conclusion))
+            if len(names) > 2:
+                continue
+            max_worlds = 2 if chunk_budget == "tiny" and len(names) == 2 else 3
+            found = find_countermodel(s, max_worlds)
+            expected = _labelled_first_countermodel(s, max_worlds)
+            assert (found and (found.model, found.world)) == expected, str(s)
+
+
+@lru_cache(maxsize=None)
+def _labelled_first_countermodel(s, max_worlds):
+    """``(model, world)`` of the first countermodel over every labelled
+    relation, smallest world count first, or None."""
+    names = sorted(variables(s.premise, s.conclusion))
+    for n in range(1, max_worlds + 1):
+        hit = BulkSpace(n, names).first_countermodel(s)
+        if hit is not None:
+            mask, v, w = hit
+            return model_from_indices(n, names, mask, v), f"w{w}"
+    return None
+
 
 class TestBulkAgreement:
     def test_bulk_supports_match_scalar_exhaustively(self):
@@ -281,13 +316,17 @@ class TestBulkAgreement:
         with pytest.raises(BoundExceededError):
             BulkSpace(6, ["p"])
 
-    @pytest.mark.parametrize("worlds,k,blocks", [(3, 3, 9), (4, 1, 2), (2, 1, 1)])
+    @pytest.mark.parametrize("worlds,k,blocks", [(3, 3, 2), (4, 1, 1), (2, 1, 1)])
     def test_relation_sweeps_split_by_relations(self, worlds, k, blocks):
         spaces = list(bulkeval.sweep(worlds, [f"p{i}" for i in range(k)]))
         assert len(spaces) == blocks
+        n_val = 4 ** (worlds * k)
+        assert all(len(space.succ) * n_val * worlds <= bulkeval._CHUNK_CELLS for space in spaces)
         starts = [space.start for space in spaces]
         ends = [(r + len(space.succ), 0) for space, (r, _) in zip(spaces, starts)]
-        assert starts == [(0, 0)] + ends[:-1] and ends[-1] == (2 ** (worlds * worlds), 0)
+        reps = representatives(worlds)
+        assert starts == [(0, 0)] + ends[:-1] and ends[-1] == (len(reps), 0)
+        assert np.concatenate([space.masks for space in spaces]).tolist() == reps.tolist()
 
     @pytest.mark.parametrize("n,blocks", [(12, 5), (11, 1)])
     def test_given_frames_split_by_valuations(self, n, blocks):
@@ -307,6 +346,31 @@ class TestBulkAgreement:
         assert BulkSpace(1, ["p", "q"]).first_countermodel(s2) is not None
 
 
+def _renamed(mask, n, perm):
+    """``mask`` with world ``i`` renamed ``perm[i]``."""
+    return sum(1 << perm[i] * n + perm[j]
+               for i in range(n) for j in range(n) if mask >> i * n + j & 1)
+
+
+class TestRepresentatives:
+    @pytest.mark.parametrize("n,classes", [(1, 2), (2, 10), (3, 104), (4, 3044)])
+    def test_class_counts(self, n, classes):
+        # OEIS A000595: relations on n unlabelled points.
+        assert len(representatives(n)) == classes
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_one_representative_per_orbit_and_the_smallest(self, n):
+        reps = representatives(n).tolist()
+        assert reps[0] == 0 and reps == sorted(set(reps))
+        covered = set()
+        for m in reps:
+            orbit = {_renamed(m, n, perm) for perm in permutations(range(n))}
+            assert min(orbit) == m
+            assert not orbit & covered, m
+            covered |= orbit
+        assert len(covered) == 2 ** (n * n)
+
+
 class TestDefinability:
     def test_frame_classes_define_at_small_size(self):
         for prop, claims in PAPER_FRAME_CLASSES.items():
@@ -324,6 +388,22 @@ class TestDefinability:
             assert bulk.verdict == verdict, prop
             assert bulk.witness == witness, prop
             assert bulk.frames_checked == frames_checked, prop
+
+    def test_frame_classes_define_at_four_worlds(self):
+        for prop, claims in PAPER_FRAME_CLASSES.items():
+            report = check_definability(prop, claims, 4)
+            assert report.verdict == "defines", prop
+            assert report.frames_checked == 2 + 16 + 512 + 65536, prop
+
+    def test_matches_the_scalar_reference_at_three_worlds(self):
+        # Crossing properties with the wrong claim sets refutes on masks that
+        # are not the smallest of the enumeration, some on 3 worlds.
+        for prop in FRAME_PROPERTIES:
+            for claims in PAPER_FRAME_CLASSES.values():
+                bulk = check_definability(prop, claims, 3)
+                verdict, witness, frames_checked = scalar_definability(prop, claims, 3)
+                assert (bulk.verdict, bulk.witness, bulk.frames_checked) == \
+                    (verdict, witness, frames_checked), (prop, bulk.claims)
 
     def test_transitivity_not_defined_by_iterated_modality(self):
         report = check_definability("transitive", [parse_sequent("#p |- ##p")], 3)
