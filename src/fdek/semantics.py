@@ -440,8 +440,8 @@ def frame_from_dict(data: Mapping) -> Frame:
 
 
 def frame_to_dict(fr: Frame) -> dict:
-    order = {w: i for i, w in enumerate(fr.worlds)}
-    rel = sorted(fr.relation, key=lambda e: (order[e[0]], order[e[1]]))
+    index = fr.index
+    rel = sorted(fr.relation, key=lambda e: (index[e[0]], index[e[1]]))
     return {"worlds": list(fr.worlds), "rel": [list(e) for e in rel]}
 
 
@@ -452,7 +452,7 @@ def model_from_dict(data: Mapping) -> Model:
         raise ModelError("'val' must be an object")
     values: dict[str, dict[str, FourValue]] = {}
     for world, assignment in val.items():
-        if world not in frame.worlds:
+        if world not in frame.index:
             raise UnknownWorldError(f"'val' uses unknown world {world!r}")
         if not isinstance(assignment, Mapping):
             raise ModelError(f"'val' entry for {world!r} must be an object")

@@ -53,12 +53,13 @@ decreases along the creation order; branches are therefore finite.  No
 termination proof for unrestricted rule application is known to us; the
 once-per-instance bookkeeping is part of this implementation's contract.
 
-The search additionally prunes redundant split siblings: every derived
-item records which split decisions it rests on, and when the left
-alternative of a split closes without using that split's decision, the
-same refutation covers the right alternative, which is skipped and marked
-"pruned" in the tree.  Only subtrees in which every branch closes are ever
-skipped, so refutation verdicts, branch order, and extracted countermodels
+The search additionally prunes redundant split siblings: every item
+records the split decisions it rests on, as a bitmask beside its label in
+``vals`` or its successor in ``succ``, and when the left alternative of a
+split closes without using that split's decision, the same refutation
+covers the right alternative, which is skipped and marked "pruned" in the
+tree.  Only subtrees in which every branch closes are ever skipped, so
+refutation verdicts, branch order, and extracted countermodels
 are exactly those of the unpruned left-first search.
 """
 
@@ -139,6 +140,11 @@ Item = Union[Labelled, RelAtom]
 class Branch:
     """A tableau branch: item set, rule-firing bookkeeping and the agenda.
 
+    ``items`` is the insertion order that the agenda's positions index.
+    Item ``w: f ; v`` is key ``v`` of ``vals[(w, f)]`` and ``w R w'`` is key
+    ``w'`` of ``succ[w]``, each mapped to its decision set, whose bit ``i``
+    marks split decision ``i``.  ``worlds`` is a dict used as an ordered set.
+
     ``fresh`` is the per-branch counter for minted world labels; each
     alternative of a split starts from its value at the split, so sibling
     branches reuse the same label numbers independently.
@@ -151,23 +157,17 @@ class Branch:
     """
 
     __slots__ = ("items", "vals", "succ", "pred", "worlds", "fired", "fresh",
-                 "closed", "closing", "deps", "decisions",
-                 "tris", "tri_at", "binary", "dirty", "trail")
+                 "closing", "decisions", "tris", "tri_at", "binary", "dirty", "trail")
 
     def __init__(self):
         self.items: list[Item] = []
-        self.vals: dict[tuple[str, Formula], set[Val]] = {}
-        self.succ: dict[str, list[str]] = {}
+        self.vals: dict[tuple[str, Formula], dict[Val, int]] = {}
+        self.succ: dict[str, dict[str, int]] = {}
         self.pred: dict[str, list[str]] = {}
-        self.worlds: list[str] = []
+        self.worlds: dict[str, None] = {}
         self.fired: set[tuple] = set()
         self.fresh = 1
-        self.closed = False
         self.closing: tuple[Labelled, Labelled] | None = None
-        # Which split decisions each item's derivation rests on; lets the
-        # search skip the sibling of a split that a closed subtree never used.
-        # Its keys are the branch's item set.
-        self.deps: dict[Item, frozenset[int]] = {}
         self.decisions = 0
         # Positions of the #-entries by (world, argument) and by world, and
         # of the two-premise &/| entries by (world, immediate subformula).
@@ -188,15 +188,13 @@ class Branch:
         """An independent branch in the same state, with an empty trail."""
         b = Branch.__new__(Branch)
         b.items = list(self.items)
-        b.vals = {k: set(v) for k, v in self.vals.items()}
-        b.succ = {k: list(v) for k, v in self.succ.items()}
+        b.vals = {k: dict(v) for k, v in self.vals.items()}
+        b.succ = {k: dict(v) for k, v in self.succ.items()}
         b.pred = {k: list(v) for k, v in self.pred.items()}
-        b.worlds = list(self.worlds)
+        b.worlds = dict(self.worlds)
         b.fired = set(self.fired)
         b.fresh = self.fresh
-        b.closed = self.closed
         b.closing = self.closing
-        b.deps = dict(self.deps)
         b.decisions = self.decisions
         b.tris = {k: list(v) for k, v in self.tris.items()}
         b.tri_at = {k: list(v) for k, v in self.tri_at.items()}
@@ -205,9 +203,18 @@ class Branch:
         b.trail = []
         return b
 
-    def _register_world(self, w: str):
-        if w not in self.worlds:
-            self.worlds.append(w)
+    closed = property(lambda self: self.closing is not None)
+
+    def __contains__(self, item: Item) -> bool:
+        if isinstance(item, Labelled):
+            return item.value in self.vals.get((item.world, item.formula), ())
+        return item.target in self.succ.get(item.source, ())
+
+    def dep(self, item: Item) -> int:
+        """The decision set of an item on the branch."""
+        if isinstance(item, Labelled):
+            return self.vals[(item.world, item.formula)][item.value]
+        return self.succ[item.source][item.target]
 
     def _mark(self, finders: tuple[int, ...], positions: Iterable[int]):
         for i in finders:
@@ -217,21 +224,19 @@ class Branch:
                     dirty.add(pos)
                     self.trail.append((_MARK, dirty, pos))
 
-    def add(self, item: Item, dep: frozenset = frozenset()) -> bool:
-        """Insert an item; returns False if it was already present."""
-        if item in self.deps:
+    def add(self, item: Item, dep: int = 0) -> bool:
+        """Insert an item resting on decisions ``dep``; False if present."""
+        if item in self:
             return False
         pos = len(self.items)
         self.items.append(item)
-        self.deps[item] = dep
         self.trail.append(item)
         if isinstance(item, Labelled):
             w, f, v = item.world, item.formula, item.value
-            self._register_world(w)
-            vals = self.vals.setdefault((w, f), set())
-            vals.add(v)
-            if not self.closed and bar(v) in vals:
-                self.closed = True
+            self.worlds.setdefault(w)
+            vals = self.vals.setdefault((w, f), {})
+            vals[v] = dep
+            if self.closing is None and bar(v) in vals:
                 self.closing = (item, Labelled(w, f, bar(v)))
             if isinstance(f, Tri):
                 # The entry itself, and every entry for the same (w, f): the
@@ -260,9 +265,9 @@ class Branch:
                     self._mark(_SUCC_FINDERS, tris)
         else:
             s, t = item.source, item.target
-            self._register_world(s)
-            self._register_world(t)
-            self.succ.setdefault(s, []).append(t)
+            self.worlds.setdefault(s)
+            self.worlds.setdefault(t)
+            self.succ.setdefault(s, {})[t] = dep
             self.pred.setdefault(t, []).append(s)
             self._mark(_TRI_FINDERS, self.tri_at.get(s, ()))
         return True
@@ -270,10 +275,9 @@ class Branch:
     def _unadd(self, item: Item):
         """Reverse ``add(item)``, the last insertion still on the branch."""
         self.items.pop()
-        del self.deps[item]
         if isinstance(item, Labelled):
             w, f = item.world, item.formula
-            self.vals[(w, f)].discard(item.value)
+            del self.vals[(w, f)][item.value]
             if isinstance(f, Tri):
                 self.tris[(w, f.child)].pop()
                 self.tri_at[w].pop()
@@ -281,7 +285,7 @@ class Branch:
                 self.binary[(w, f.left)].pop()
                 self.binary[(w, f.right)].pop()
         else:
-            self.succ[item.source].pop()
+            self.succ[item.source].popitem()
             self.pred[item.target].pop()
 
     def fire(self, key: tuple):
@@ -293,13 +297,12 @@ class Branch:
         self.trail.append((_DROP, self.dirty[finder], pos))
 
     def checkpoint(self) -> tuple:
-        return (len(self.trail), len(self.worlds), self.fresh, self.decisions,
-                self.closed, self.closing)
+        return len(self.trail), len(self.worlds), self.fresh, self.decisions, self.closing
 
     def undo(self, cp: tuple):
         """Take the branch back to the state ``checkpoint`` returned ``cp``
         in; every change since is still on the trail."""
-        size, nworlds, self.fresh, self.decisions, self.closed, self.closing = cp
+        size, nworlds, self.fresh, self.decisions, self.closing = cp
         trail = self.trail
         while len(trail) > size:
             entry = trail.pop()
@@ -311,22 +314,22 @@ class Branch:
                 entry[1].add(entry[2])
             else:
                 self.fired.discard(entry[1])
-        del self.worlds[nworlds:]
+        for _ in range(len(self.worlds) - nworlds):
+            self.worlds.popitem()
 
     def has(self, world: str, f: Formula, v: Val) -> bool:
         return v in self.values(world, f)
 
-    def values(self, world: str, f: Formula) -> set[Val]:
-        return self.vals.get((world, f), set())
+    def values(self, world: str, f: Formula) -> dict[Val, int]:
+        return self.vals.get((world, f), {})
 
-    def successors(self, world: str) -> list[str]:
-        return self.succ.get(world, [])
+    def successors(self, world: str) -> dict[str, int]:
+        return self.succ.get(world, {})
 
     def mint(self, count: int) -> tuple[list[str], int]:
         """Names for ``count`` fresh worlds plus the advanced counter value;
         does not mutate the branch."""
-        names = []
-        n = self.fresh
+        names, n = [], self.fresh
         while len(names) < count:
             name = f"w{n}"
             n += 1
@@ -357,7 +360,7 @@ def _attempt(b: Branch, rule: str, key: tuple,
              fresh_after: int | None = None) -> _Instance | None:
     if key in b.fired:
         return None
-    if len(additions) == 1 and all(item in b.deps for item in additions[0]):
+    if len(additions) == 1 and all(item in b for item in additions[0]):
         b.fire(key)  # permanently unproductive; skip it from now on
         return None
     return _Instance(rule, key, additions, premises, fresh_after)
@@ -452,7 +455,7 @@ def _cuts(b: Branch, item: Item) -> Iterator[tuple]:
             # every other accessible world, so one cut is enough.
             succ = b.successors(w)
             if succ and not any(b.values(wj, f.child) for wj in succ):
-                yield _cut(succ[0], f.child, "t")
+                yield _cut(next(iter(succ)), f.child, "t")
     elif type(f) in _SHARED and v not in _SHARED[type(f)]:
         dim = "t" if v in _DIMENSIONS["t"] else "f"
         if not any(x in b.values(w, sub)
@@ -510,8 +513,9 @@ def _apply_to(b: Branch, inst: _Instance, additions: tuple[Item, ...]) -> tuple[
     b.fire(inst.key)
     if inst.fresh_after is not None:
         b.fresh = inst.fresh_after
-    base = frozenset().union(*(b.deps[p] for p in inst.premises)) \
-        if inst.premises else frozenset()
+    base = 0
+    for p in inst.premises:
+        base |= b.dep(p)
     if len(inst.additions) > 1:
         # A branching application is a decision point.  Items common to both
         # alternatives (the relational atoms of the two-witness rule) do not
@@ -519,15 +523,10 @@ def _apply_to(b: Branch, inst: _Instance, additions: tuple[Item, ...]) -> tuple[
         decision = b.decisions
         b.decisions += 1
         common = set(inst.additions[0]) & set(inst.additions[1])
-        chosen = base | {decision}
+        chosen = base | 1 << decision
         return tuple(item for item in additions
                      if b.add(item, base if item in common else chosen))
     return tuple(item for item in additions if b.add(item, base))
-
-
-def _conflict_deps(b: Branch) -> frozenset[int]:
-    first, second = b.closing
-    return b.deps[first] | b.deps.get(second, frozenset())
 
 
 def saturation_step(b: Branch) -> list[Branch]:
@@ -657,19 +656,20 @@ def _explore(branch: Branch, node: ProofNode, stats: ProofStats) -> Branch | Non
             parent.children.append(node)
         node.status = "closed"
         stats.branches_closed += 1
-        deps = _conflict_deps(branch)
+        first, second = branch.closing
+        deps = branch.dep(first) | branch.dep(second)
         while True:
             if not splits:
                 return None
             cp, inst, parent, decision, conflicts = splits.pop()
             if conflicts is not None:
-                deps = conflicts | (deps - {decision})
-            elif decision not in deps:
+                deps = conflicts | (deps & ~(1 << decision))
+            elif not deps >> decision & 1:
                 stats.branches_pruned += 1
                 parent.children.append(ProofNode(inst.rule, (), status="pruned"))
             else:
                 branch.undo(cp)
-                splits.append((cp, inst, parent, decision, deps - {decision}))
+                splits.append((cp, inst, parent, decision, deps & ~(1 << decision)))
                 node = ProofNode(inst.rule, _apply_to(branch, inst, inst.additions[1]))
                 parent.children.append(node)
                 break
@@ -706,7 +706,7 @@ def extract_countermodel(b: Branch) -> PointedModel:
     model = Model(frame, vplus, vminus, variables=mentioned)
     if not check_realisation(model, b):
         raise RealisationError("extracted model does not realise its branch")
-    return PointedModel(model, b.worlds[0])
+    return PointedModel(model, next(iter(b.worlds)))
 
 
 def check_realisation(m: Model, b: Branch) -> bool:

@@ -511,6 +511,25 @@ class TestJsonInterchange:
         with pytest.raises(UnknownWorldError):
             model_from_dict({"worlds": ["w0"], "rel": [], "val": {"w9": {"p": "T"}}})
 
+    def test_loading_compares_world_names_a_linear_number_of_times(self):
+        # Equal but distinct name objects, as a parser hands them over, each
+        # counting the comparisons it takes part in.  A check of the
+        # valuation's worlds that scans the world list takes n * n / 2.
+        class Name(str):
+            compared = 0
+            __hash__ = str.__hash__
+
+            def __eq__(self, other):
+                Name.compared += 1
+                return str.__eq__(self, other)
+
+        n = 400
+        names = lambda: [Name(f"w{i}") for i in range(n)]
+        m = model_from_dict({"worlds": names(), "rel": list(zip(names(), names()[1:])),
+                             "val": {w: {"p": "B"} for w in names()}})
+        assert m.value(f"w{n - 1}", "p") is B
+        assert Name.compared <= 20 * n
+
     def test_rejects_bad_value_letter(self):
         with pytest.raises(ModelError):
             model_from_dict({"worlds": ["w0"], "rel": [], "val": {"w0": {"p": "X"}}})

@@ -476,12 +476,39 @@ class TestAgenda:
                     b = saturation_step(b)[-1]
 
 
+def by_value(x):
+    """A snapshot of ``x`` that shares no container with it; dicts become
+    lists of pairs, so the order of their keys counts too."""
+    if isinstance(x, dict):
+        return [(k, by_value(v)) for k, v in x.items()]
+    if isinstance(x, (list, tuple)):
+        return [by_value(v) for v in x]
+    if isinstance(x, set):
+        return set(x)
+    return x
+
+
+def containers(x):
+    """Every dict, list and set reachable from ``x``."""
+    found, stack = [], [x]
+    while stack:
+        y = stack.pop()
+        if isinstance(y, (dict, list, set)):
+            found.append(y)
+        if isinstance(y, dict):
+            stack.extend(y.values())
+        elif isinstance(y, (list, tuple)):
+            stack.extend(y)
+    return found
+
+
 def agenda_state(b):
+    """Every field of ``b`` but the trail, by value, less the empty entries
+    that an undo leaves behind in the indexes."""
     nonempty = lambda d: {k: v for k, v in d.items() if v}
-    return (list(b.items), dict(b.deps), nonempty(b.vals), nonempty(b.succ),
-            nonempty(b.pred), list(b.worlds), set(b.fired), b.fresh, b.closed,
-            b.closing, b.decisions, nonempty(b.tris), nonempty(b.tri_at),
-            nonempty(b.binary), [set(d) for d in b.dirty])
+    return by_value((b.items, nonempty(b.vals), nonempty(b.succ), nonempty(b.pred),
+                     b.worlds, b.fired, b.fresh, b.closing, b.decisions,
+                     nonempty(b.tris), nonempty(b.tri_at), nonempty(b.binary), b.dirty))
 
 
 class TestTrail:
@@ -509,6 +536,46 @@ class TestTrail:
         assert agenda_state(b) == before
         saturation_step(left)
         assert agenda_state(b) == before and len(right) == len(b) + 1
+
+
+class TestBranchStores:
+    def test_copy_is_equal_and_shares_no_container(self):
+        fields = [slot for slot in Branch.__slots__ if slot != "trail"]
+        for s in corpus()[::10] + TestAgenda.NESTED:
+            b = root_branch(s, "truth")
+            for _ in range(40):
+                c = b.copy()
+                for slot in fields:
+                    assert by_value(getattr(c, slot)) == by_value(getattr(b, slot)), slot
+                assert c.trail == []
+                mine = {id(x) for slot in Branch.__slots__ for x in containers(getattr(b, slot))}
+                assert not any(id(x) in mine for slot in Branch.__slots__
+                               for x in containers(getattr(c, slot)))
+                if b.closed or tableau._select(b) is None:
+                    break
+                b = saturation_step(b)[-1]
+
+    def test_worlds_keep_their_first_insertion_order(self):
+        b = Branch.from_items([lab("w0", "#p", "t"), RelAtom("w0", "w1"), lab("w3", "p", "t")])
+        assert b.mint(2) == (["w2", "w4"], 5)
+        cp = b.checkpoint()
+        for item in (RelAtom("w3", "w5"), lab("w2", "p", "f"), RelAtom("w1", "w0")):
+            b.add(item)
+        assert list(b.worlds) == ["w0", "w1", "w3", "w5", "w2"]
+        b.undo(cp)
+        assert list(b.worlds) == ["w0", "w1", "w3"]
+        assert b.mint(2) == (["w2", "w4"], 5)
+
+    def test_decisions_live_with_their_facts(self):
+        b = Branch.from_items([lab("w0", "#p", "f"), lab("w0", "#p", "tbar")])
+        inst = tableau._select(b)
+        tableau._apply_to(b, inst, inst.additions[1])
+        assert b.vals[("w0", parse_formula("#p"))] == {Val.F: 0, Val.TBAR: 0}
+        assert b.succ == {"w0": {"w1": 0, "w2": 0}}
+        assert b.vals[("w1", p)] == {Val.F: 1} and b.vals[("w2", p)] == {Val.FBAR: 1}
+        assert b.dep(RelAtom("w0", "w2")) == 0 and b.dep(lab("w2", "p", "fbar")) == 1
+        assert RelAtom("w0", "w1") in b and lab("w1", "p", "f") in b
+        assert RelAtom("w1", "w0") not in b and lab("w1", "p", "t") not in b
 
 
 class TestOracleAgreementSample:
