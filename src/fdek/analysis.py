@@ -14,7 +14,7 @@ bounded evidence, not as proofs.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -252,13 +252,7 @@ class IndistinguishabilityReport:
     elapsed: float
 
     def to_dict(self) -> dict:
-        return {"mode": self.mode,
-                "model_a": self.model_a, "world_a": self.world_a,
-                "model_b": self.model_b, "world_b": self.world_b,
-                "language": self.language, "max_size": self.max_size,
-                "formulas_checked": self.formulas_checked,
-                "verdict": self.verdict, "witness": self.witness,
-                "witness_values": self.witness_values, "elapsed": self.elapsed}
+        return asdict(self)
 
 
 def check_indistinguishability(a: PointedModel, b: PointedModel,

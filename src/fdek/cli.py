@@ -243,7 +243,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ParseError, ModelError, BoundExceededError, tableau.LanguageError,
-            OSError, json.JSONDecodeError, KeyError, ValueError,
+            OSError, json.JSONDecodeError, ValueError,
             RecursionError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2

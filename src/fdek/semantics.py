@@ -102,15 +102,20 @@ class Frame:
 
     def __init__(self, worlds: Iterable[str], relation: Iterable[tuple[str, str]]):
         worlds = tuple(worlds)
-        relation = frozenset((s, t) for s, t in relation)
+        pairs = [(s, t) for s, t in relation]
         if not worlds:
             raise ModelError("a frame needs at least one world")
-        index = {w: i for i, w in enumerate(worlds)}
-        if len(index) != len(worlds):
-            raise ModelError("duplicate world identifiers")
+        # Checked before anything hashes them: a list would raise TypeError.
         for w in worlds:
             if not isinstance(w, str) or not w:
                 raise ModelError(f"bad world identifier {w!r}")
+        for s, t in pairs:
+            if not (isinstance(s, str) and isinstance(t, str)):
+                raise ModelError(f"bad relation entry {(s, t)!r}")
+        index = {w: i for i, w in enumerate(worlds)}
+        if len(index) != len(worlds):
+            raise ModelError("duplicate world identifiers")
+        relation = frozenset(pairs)
         succ = [0] * len(worlds)
         for s, t in relation:
             if s not in index or t not in index:

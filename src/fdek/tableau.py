@@ -11,12 +11,15 @@ do not close anything: ``{w:p;t, w:p;f}`` is a consistent description of
 Rule scheduling: closure is detected on insertion.  One finder per rule
 class (non-branching propositional rules, modal propagation rules,
 branching cuts, world-creating rules) yields the candidate instances whose
-major premise is one item.  The search fires the first candidate that is
-unfired and adds something new, taking the finders in that priority order
-and each over the branch in insertion order, which makes it fully
-deterministic.  The rules of ``&`` and ``|`` are read off one table,
-``_SHARED``, and the glut/gap uniformity rules and their world-creating
-forms off another, ``_UNIFORM``.
+major premise is one item.  The search fires the first candidate that
+applies, taking the finders in that priority order and each over the
+branch in insertion order, which makes it fully deterministic.  Whether a
+candidate applies is read off the branch alone: a linear instance applies
+while one of its additions is missing, and a split whenever its finder
+yields it, since a finder yields a split only when it adds something.
+The rules of ``&`` and ``|`` are read off one table, ``_SHARED``, and the
+glut/gap uniformity rules and their world-creating forms off another,
+``_UNIFORM``.
 
 That first candidate is found from an agenda, not by a scan of the branch.
 The branch keeps one dirty set of item positions per finder.  Inserting
@@ -26,12 +29,11 @@ two-premise ``&``/``|`` entries with it as an immediate subformula at its
 world (a minor premise, or a decided dimension); the ``#``-entries with it
 as argument one step back along the relation; and, for ``w R w'``, the
 ``#``-entries at ``w``.  ``_select`` visits the dirty positions in
-ascending order, finder by finder, and drops a position once all of its
-candidates are fired or add nothing, so it fires the instance the full
-scan would fire and marks the same unproductive instances as fired.  The
-search runs on one branch: every change goes on a trail, a split pushes a
-checkpoint, and backtracking undoes the trail to it (Eén & Sörensson, "An
-Extensible SAT-solver", 2003).
+ascending order, finder by finder, and drops a position once none of its
+candidates applies, so it fires the instance the full scan would fire.
+The search runs on one branch: every change goes on a trail, a split
+pushes a checkpoint, and backtracking undoes the trail to it (Eén &
+Sörensson, "An Extensible SAT-solver", 2003).
 
 Cut discipline (the analytic part): the value-pair cut is applied only
 
@@ -46,12 +48,17 @@ Cut discipline (the analytic part): the value-pair cut is applied only
 All cut formulas are subformulas of formulas already on the branch, so
 finished tableaux satisfy the subformula property.
 
-Termination: every rule instance fires at most once per branch, and
-world-creating rules only ever copy the immediate argument of a ``#``
-entry into the worlds they mint, so modal nesting depth strictly
-decreases along the creation order; branches are therefore finite.  No
-termination proof for unrestricted rule application is known to us; the
-once-per-instance bookkeeping is part of this implementation's contract.
+Termination: every application adds at least one item.  A linear rule
+fires only while one of its additions is missing.  A cut needs an
+undecided dimension, or an argument with no entry at any successor, and
+either alternative supplies what it lacked, so no cut fires twice.
+``tri_B+`` and ``tri_N+`` mint a world only at a world with no successor
+yet, and ``tri_F`` splits at most once per world and ``#``-formula: its
+precondition still holds after it fires, so ``Branch.fired`` records the
+pairs it has split on.  World-creating rules only copy the immediate argument of a
+``#`` entry into the worlds they mint, so modal nesting depth strictly
+decreases along the creation order.  So a branch has finitely many
+worlds, each with finitely many labelled subformulas, and is finite.
 
 The search additionally prunes redundant split siblings: every item
 records the split decisions it rests on, as a bitmask beside its label in
@@ -66,9 +73,9 @@ are exactly those of the unpruned left-first search.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from .semantics import Model, PointedModel, Evaluator, Frame, model_to_dict
 from .syntax import And, Atom, Formula, Not, Or, Sequent, Tri, contains_box, render, variables
@@ -138,7 +145,7 @@ Item = Union[Labelled, RelAtom]
 
 
 class Branch:
-    """A tableau branch: item set, rule-firing bookkeeping and the agenda.
+    """A tableau branch: item set, the ``tri_F`` record and the agenda.
 
     ``items`` is the insertion order that the agenda's positions index.
     Item ``w: f ; v`` is key ``v`` of ``vals[(w, f)]`` and ``w R w'`` is key
@@ -147,11 +154,13 @@ class Branch:
 
     ``fresh`` is the per-branch counter for minted world labels; each
     alternative of a split starts from its value at the split, so sibling
-    branches reuse the same label numbers independently.
+    branches reuse the same label numbers independently.  ``fired`` holds
+    the (world, ``#``-formula) pairs that ``tri_F`` has split on: it is the
+    one rule whose precondition still holds after it fires.
 
     ``dirty`` holds one set of item positions per finder (``_FINDERS``):
-    every position at which that finder may yield an unfired instance is in
-    it.  ``add`` marks the positions a new item can enable, ``_select``
+    every position at which that finder may yield an applicable instance
+    is in it.  ``add`` marks the positions a new item can enable, ``_select``
     drops the ones it finds exhausted.  ``trail`` logs every change, so that
     ``undo`` can take the branch back to a ``checkpoint``.
     """
@@ -165,7 +174,7 @@ class Branch:
         self.succ: dict[str, dict[str, int]] = {}
         self.pred: dict[str, list[str]] = {}
         self.worlds: dict[str, None] = {}
-        self.fired: set[tuple] = set()
+        self.fired: set[tuple[str, Formula]] = set()
         self.fresh = 1
         self.closing: tuple[Labelled, Labelled] | None = None
         self.decisions = 0
@@ -288,9 +297,9 @@ class Branch:
             self.succ[item.source].popitem()
             self.pred[item.target].pop()
 
-    def fire(self, key: tuple):
-        self.fired.add(key)
-        self.trail.append((_FIRE, key, None))
+    def fire(self, pair: tuple[str, Formula]):
+        self.fired.add(pair)
+        self.trail.append((_FIRE, pair, None))
 
     def drop(self, finder: int, pos: int):
         self.dirty[finder].discard(pos)
@@ -317,9 +326,6 @@ class Branch:
         for _ in range(len(self.worlds) - nworlds):
             self.worlds.popitem()
 
-    def has(self, world: str, f: Formula, v: Val) -> bool:
-        return v in self.values(world, f)
-
     def values(self, world: str, f: Formula) -> dict[Val, int]:
         return self.vals.get((world, f), {})
 
@@ -343,27 +349,13 @@ class Branch:
 
 # --- rule instances ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Instance:
+class _Instance(NamedTuple):
     rule: str
-    key: tuple
     # One tuple of items per resulting branch: one entry = linear rule,
     # two entries = branching rule.
     additions: tuple[tuple[Item, ...], ...]
     premises: tuple[Item, ...] = ()
     fresh_after: int | None = None
-
-
-def _attempt(b: Branch, rule: str, key: tuple,
-             additions: tuple[tuple[Item, ...], ...],
-             premises: tuple[Item, ...] = (),
-             fresh_after: int | None = None) -> _Instance | None:
-    if key in b.fired:
-        return None
-    if len(additions) == 1 and all(item in b for item in additions[0]):
-        b.fire(key)  # permanently unproductive; skip it from now on
-        return None
-    return _Instance(rule, key, additions, premises, fresh_after)
 
 
 # The labels of & and | that pass to both subformulas.  Every other label
@@ -372,32 +364,31 @@ def _attempt(b: Branch, rule: str, key: tuple,
 _SHARED = {And: (Val.T, Val.FBAR), Or: (Val.F, Val.TBAR)}
 # The value pairs of one dimension, supported label first.
 _DIMENSIONS = {"t": (Val.T, Val.TBAR), "f": (Val.F, Val.FBAR)}
-_CLASSICAL_PAIRS = (("ctrue", (Val.T, Val.FBAR)), ("cfalse", (Val.F, Val.TBAR)))
+_CLASSICAL_PAIRS = ((Val.T, Val.FBAR), (Val.F, Val.TBAR))
 # A glut (gap) on a #-entry makes every successor a glut (gap).
 _UNIFORM = (("tri_B", (Val.T, Val.F)), ("tri_N", (Val.TBAR, Val.FBAR)))
 
 
-def _linear(b: Branch, item: Item) -> Iterator[tuple]:
+def _linear(b: Branch, item: Item) -> Iterator[_Instance]:
     if not isinstance(item, Labelled):
         return
     w, f, v = item.world, item.formula, item.value
     if isinstance(f, Not):
-        yield (f"not_{v.value}", ("not", w, f, v),
-               ((Labelled(w, f.child, neg(v)),),), (item,))
+        yield _Instance(f"not_{v.value}", ((Labelled(w, f.child, neg(v)),),), (item,))
     elif type(f) in _SHARED:
         rule = f"{type(f).__name__.lower()}_{v.value}"
         if v in _SHARED[type(f)]:
-            yield (rule, (rule, w, f),
-                   ((Labelled(w, f.left, v), Labelled(w, f.right, v)),), (item,))
+            yield _Instance(rule, ((Labelled(w, f.left, v), Labelled(w, f.right, v)),),
+                            (item,))
             return
         minor = bar(v)
-        for idx, (this, other) in enumerate(((f.left, f.right), (f.right, f.left))):
-            if b.has(w, this, minor):
-                yield (rule, (rule, w, f, idx), ((Labelled(w, other, v),),),
-                       (item, Labelled(w, this, minor)))
+        for this, other in ((f.left, f.right), (f.right, f.left)):
+            if minor in b.values(w, this):
+                yield _Instance(rule, ((Labelled(w, other, v),),),
+                                (item, Labelled(w, this, minor)))
 
 
-def _modal(b: Branch, item: Item) -> Iterator[tuple]:
+def _modal(b: Branch, item: Item) -> Iterator[_Instance]:
     if not (isinstance(item, Labelled) and isinstance(item.formula, Tri)):
         return
     w, tf = item.world, item.formula
@@ -408,35 +399,32 @@ def _modal(b: Branch, item: Item) -> Iterator[tuple]:
         for wj, arg_vals in succ_vals:
             for v in _VAL_ORDER:
                 if v in arg_vals:
-                    yield ("tri_T", ("tri_T", w, tf, wj, v),
-                           ((Labelled(wj, arg, neg(bar(v))),),),
-                           mode + (RelAtom(w, wj), Labelled(wj, arg, v)))
+                    yield _Instance("tri_T", ((Labelled(wj, arg, neg(bar(v))),),),
+                                    mode + (RelAtom(w, wj), Labelled(wj, arg, v)))
         for wj1, arg_vals in succ_vals:
-            for tag, (x, y) in _CLASSICAL_PAIRS:
+            for x, y in _CLASSICAL_PAIRS:
                 if not (x in arg_vals and y in arg_vals):
                     continue
                 for wj2 in b.successors(w):
                     if wj2 != wj1:
-                        yield ("tri_T'", ("tri_T'", w, tf, wj1, wj2, tag),
-                               ((Labelled(wj2, arg, x), Labelled(wj2, arg, y)),),
-                               mode + (RelAtom(w, wj1), RelAtom(w, wj2),
-                                       Labelled(wj1, arg, x), Labelled(wj1, arg, y)))
+                        yield _Instance("tri_T'",
+                                        ((Labelled(wj2, arg, x), Labelled(wj2, arg, y)),),
+                                        mode + (RelAtom(w, wj1), RelAtom(w, wj2),
+                                                Labelled(wj1, arg, x), Labelled(wj1, arg, y)))
     for rule, (x, y) in _UNIFORM:
         if x in vals and y in vals:
             mode = (Labelled(w, tf, x), Labelled(w, tf, y))
             for wj in b.successors(w):
-                yield (rule, (rule, w, tf, wj),
-                       ((Labelled(wj, arg, x), Labelled(wj, arg, y)),),
-                       mode + (RelAtom(w, wj),))
+                yield _Instance(rule, ((Labelled(wj, arg, x), Labelled(wj, arg, y)),),
+                                mode + (RelAtom(w, wj),))
 
 
-def _cut(w: str, f: Formula, dim: str) -> tuple:
+def _cut(w: str, f: Formula, dim: str) -> _Instance:
     plain, unsupported = _DIMENSIONS[dim]
-    return ("cut", ("cut", w, f, dim),
-            ((Labelled(w, f, plain),), (Labelled(w, f, unsupported),)))
+    return _Instance("cut", ((Labelled(w, f, plain),), (Labelled(w, f, unsupported),)))
 
 
-def _cuts(b: Branch, item: Item) -> Iterator[tuple]:
+def _cuts(b: Branch, item: Item) -> Iterator[_Instance]:
     if not isinstance(item, Labelled):
         return
     w, f, v = item.world, item.formula, item.value
@@ -463,7 +451,7 @@ def _cuts(b: Branch, item: Item) -> Iterator[tuple]:
             yield _cut(w, f.left, dim)
 
 
-def _creators(b: Branch, item: Item) -> Iterator[tuple]:
+def _creators(b: Branch, item: Item) -> Iterator[_Instance]:
     if not (isinstance(item, Labelled) and isinstance(item.formula, Tri)):
         return
     w, tf = item.world, item.formula
@@ -471,16 +459,16 @@ def _creators(b: Branch, item: Item) -> Iterator[tuple]:
     for rule, (x, y) in _UNIFORM:
         if x in vals and y in vals and not b.successors(w):
             (k,), nxt = b.mint(1)
-            yield (rule + "+", (rule + "+", w, tf),
-                   ((RelAtom(w, k), Labelled(k, arg, x), Labelled(k, arg, y)),),
-                   (Labelled(w, tf, x), Labelled(w, tf, y)), nxt)
-    if Val.F in vals and Val.TBAR in vals:
+            yield _Instance(rule + "+",
+                            ((RelAtom(w, k), Labelled(k, arg, x), Labelled(k, arg, y)),),
+                            (Labelled(w, tf, x), Labelled(w, tf, y)), nxt)
+    if Val.F in vals and Val.TBAR in vals and (w, tf) not in b.fired:
         (k1, k2), nxt = b.mint(2)
         rels = (RelAtom(w, k1), RelAtom(w, k2))
-        yield ("tri_F", ("tri_F", w, tf),
-               (rels + (Labelled(k1, arg, Val.T), Labelled(k2, arg, Val.TBAR)),
-                rels + (Labelled(k1, arg, Val.F), Labelled(k2, arg, Val.FBAR))),
-               (Labelled(w, tf, Val.F), Labelled(w, tf, Val.TBAR)), nxt)
+        yield _Instance("tri_F",
+                        (rels + (Labelled(k1, arg, Val.T), Labelled(k2, arg, Val.TBAR)),
+                         rels + (Labelled(k1, arg, Val.F), Labelled(k2, arg, Val.FBAR))),
+                        (Labelled(w, tf, Val.F), Labelled(w, tf, Val.TBAR)), nxt)
 
 
 # Finders in priority order; each yields the candidate instances one item
@@ -496,27 +484,31 @@ _MARK, _DROP, _FIRE = "mark", "drop", "fire"
 
 
 def _select(b: Branch) -> _Instance | None:
-    """The first applicable unfired instance, in the order of a full scan:
-    finders in priority order, each over the branch in insertion order.
-    Only the dirty positions can hold one, so only they are visited."""
+    """The first applicable instance, in the order of a full scan: finders
+    in priority order, each over the branch in insertion order.  A linear
+    instance applies while one of its additions is missing; a yielded split
+    always applies.  Only the dirty positions can hold one, so only they
+    are visited."""
     for i, finder in enumerate(_FINDERS):
         for pos in sorted(b.dirty[i]):
-            for candidate in finder(b, b.items[pos]):
-                inst = _attempt(b, *candidate)
-                if inst is not None:
+            for inst in finder(b, b.items[pos]):
+                if len(inst.additions) > 1 or any(item not in b for item in inst.additions[0]):
                     return inst
             b.drop(i, pos)
     return None
 
 
 def _apply_to(b: Branch, inst: _Instance, additions: tuple[Item, ...]) -> tuple[Item, ...]:
-    b.fire(inst.key)
     if inst.fresh_after is not None:
         b.fresh = inst.fresh_after
     base = 0
     for p in inst.premises:
         base |= b.dep(p)
     if len(inst.additions) > 1:
+        if inst.rule == "tri_F":
+            # Its precondition outlives it; record it so it splits once.
+            major = inst.premises[0]
+            b.fire((major.world, major.formula))
         # A branching application is a decision point.  Items common to both
         # alternatives (the relational atoms of the two-witness rule) do not
         # depend on the choice taken.
@@ -530,7 +522,7 @@ def _apply_to(b: Branch, inst: _Instance, additions: tuple[Item, ...]) -> tuple[
 
 
 def saturation_step(b: Branch) -> list[Branch]:
-    """Apply one unfired applicable rule instance to a copy of ``b``.
+    """Apply the first applicable rule instance to a copy of ``b``.
 
     Returns one extended branch for linear rules, two for branching ones.
     Raises ValueError if the branch is closed or already complete.
@@ -559,11 +551,7 @@ class ProofStats:
     worlds_created: int = 0
 
     def to_dict(self) -> dict:
-        return {"rule_applications": self.rule_applications,
-                "splits": self.splits,
-                "branches_closed": self.branches_closed,
-                "branches_pruned": self.branches_pruned,
-                "worlds_created": self.worlds_created}
+        return asdict(self)
 
 
 @dataclass

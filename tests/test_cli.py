@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -135,13 +136,17 @@ class TestMalformedFiles:
         code, out, err = run(capsys, "valid-on-frame", "--frame", str(path), "p |- p")
         assert code == 2 and out == "" and err.startswith("error:")
 
-    def test_internal_error_exit_two(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("exc", [
+        tableau.RealisationError("extracted model does not realise its branch"),
+        KeyError("w9"),
+    ], ids=lambda exc: type(exc).__name__)
+    def test_internal_error_exit_two(self, capsys, monkeypatch, exc):
         def broken(*args, **kwargs):
-            raise tableau.RealisationError("extracted model does not realise its branch")
+            raise exc
         monkeypatch.setattr(tableau, "prove", broken)
         code, out, err = run(capsys, "prove", "p |- q")
         assert code == 2 and out == ""
-        assert err.startswith("internal error: RealisationError: extracted model")
+        assert err.startswith(f"internal error: {type(exc).__name__}: {exc}")
         assert "Traceback" in err
 
 
@@ -437,6 +442,9 @@ class TestFigures:
         _, first, _ = run(capsys, "figures", "--json", "--max-size", "3")
         _, second, _ = run(capsys, "figures", "--json", "--max-size", "3")
         assert first == second
+        # Golden: every row's verdict and detail, byte for byte.
+        assert hashlib.sha256(first.encode()).hexdigest() == \
+            "b29459a1da54683cedd9d10c1c8f4a094da5c47504ec3cfd1bcef6ded1ef5688"
 
     def test_empty_scan_exit_two(self, capsys):
         # The expressivity rows would pass vacuously over no formulas.

@@ -540,6 +540,15 @@ class TestJsonInterchange:
         with pytest.raises(ModelError):
             model_from_dict({"worlds": ["w0", "w0"], "rel": [], "val": {}})
 
+    @pytest.mark.parametrize("worlds, rel", [
+        ([["w0"]], []), (["w0", ""], []), (["w0", 1], []),
+        (["w0"], [(["w0"], "w0")]), (["w0"], [("w0", ["w0"])]), (["w0"], [("w0", None)]),
+    ])
+    def test_frame_rejects_identifiers_that_are_not_strings(self, worlds, rel):
+        # Unhashable ones too: the checks come before any set or dict.
+        with pytest.raises(ModelError):
+            Frame(worlds, rel)
+
     def test_rejects_bad_variable_name(self):
         with pytest.raises(ModelError):
             model_from_dict({"worlds": ["w0"], "rel": [], "val": {"w0": {"P": "T"}}})

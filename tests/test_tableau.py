@@ -6,7 +6,7 @@ import pytest
 from fdek import tableau
 from fdek.analysis import find_countermodel
 from fdek.semantics import Frame, FourValue, Model, supports_true
-from fdek.syntax import Not, Or, parse_formula, parse_sequent, subformulas
+from fdek.syntax import Not, Or, Tri, parse_formula, parse_sequent, subformulas
 from fdek.tableau import (
     Branch, Labelled, LanguageError, ProofNode, ProofStats, Proved,
     RealisationError, Refuted, RelAtom, Val, bar, check_realisation,
@@ -386,19 +386,19 @@ def root_branch(s, start):
 
 def reference_select(b):
     """The full scan the agenda stands for: every finder, in priority order,
-    over every item of the branch, in insertion order."""
+    over every item of the branch, in insertion order; the first split, or
+    the first linear instance with an addition missing from the branch."""
     for finder in tableau._FINDERS:
         for item in b.items:
-            for candidate in finder(b, item):
-                inst = tableau._attempt(b, *candidate)
-                if inst is not None:
+            for inst in finder(b, item):
+                if len(inst.additions) > 1 or any(i not in b for i in inst.additions[0]):
                     return inst
     return None
 
 
 def check_select(b):
     """``_select(b)``, asserted equal to the full scan on a copy of ``b``;
-    both must also have marked the same unproductive instances fired."""
+    neither may change what the branch records as fired."""
     ref = b.copy()
     want = reference_select(ref)
     got = tableau._select(b)
@@ -474,6 +474,59 @@ class TestAgenda:
                     if check_select(b) is None:
                         break
                     b = saturation_step(b)[-1]
+
+
+def tri_f_pairs(node):
+    """The (world, #-formula) pair a tri_F node splits on, as a set, or the
+    empty set for any other node.  A tri_F node adds w R k1, w R k2, then
+    the witnesses for the argument at k1 and at k2."""
+    if node.rule != "tri_F":
+        return frozenset()
+    return frozenset({(node.added[0].source, Tri(node.added[2].formula))})
+
+
+def path_walk(tree):
+    """Every node of a proof tree but the pruned ones, each with the pairs
+    that the tri_F nodes above it split on."""
+    stack = [(tree, frozenset())]
+    while stack:
+        node, above = stack.pop()
+        if node.status == "pruned":
+            continue
+        yield node, above
+        stack.extend((child, above | tri_f_pairs(node)) for child in node.children)
+
+
+class TestApplicability:
+    """A rule fires only when it adds something; the only record of past
+    applications is the tri_F pairs in ``Branch.fired``."""
+
+    @pytest.fixture(scope="class")
+    def results(self):
+        sequents = corpus() + [parse_sequent(f"{'#' * k}p |- {'#' * k}~p") for k in (1, 2, 3)]
+        return [prove(s, start=start) for s in sequents for start in ROOTS]
+
+    def test_every_node_adds_an_item(self, results):
+        for res in results:
+            for node, _ in path_walk(res.tree):
+                assert node.added, node.rule
+
+    def test_tri_f_splits_each_pair_once_per_path(self, results):
+        splits = 0
+        for res in results:
+            for node, above in path_walk(res.tree):
+                if node.rule == "tri_F":
+                    splits += 1
+                    assert not tri_f_pairs(node) & above
+        assert splits > 100
+
+    def test_fired_is_the_tri_f_pairs_of_the_open_path(self, results):
+        refuted = [res for res in results if isinstance(res, Refuted)]
+        assert len(refuted) > 10
+        for res in refuted:
+            (split,) = [above | tri_f_pairs(node) for node, above in path_walk(res.tree)
+                        if node.status == "open"]
+            assert res.branch.fired == split
 
 
 def by_value(x):
