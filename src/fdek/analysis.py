@@ -14,8 +14,10 @@ bounded evidence, not as proofs.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
-from typing import Iterator, Sequence, Union
+from dataclasses import dataclass, fields
+from functools import lru_cache
+from itertools import islice
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -23,8 +25,8 @@ from .bulkeval import (
     _guard, _model_on, _successors, frame_from_mask, model_from_indices, representatives, sweep,
 )
 from .semantics import (
-    FRAME_PROPERTIES, Evaluator, FourValue, Frame, Model, PointedModel, frame_to_dict,
-    model_to_dict,
+    FRAME_PROPERTIES, FourValue, Frame, Model, PointedModel, and_clause, atom_clause,
+    box_clause, frame_to_dict, model_to_dict, not_clause, or_clause, tri_clause,
 )
 from .syntax import (
     LANG_BOX, LANG_TRI, And, Atom, Box, Formula, Not, Or, Sequent, Tri,
@@ -72,30 +74,46 @@ def enumerate_frames(world_count: int) -> Iterator[Frame]:
         yield frame_from_mask(world_count, rel_mask)
 
 
+_MODALITIES = {LANG_TRI: (Tri, tri_clause), LANG_BOX: (Box, box_clause)}
+
+
+def _modality(language: str) -> tuple:
+    """The constructor and the clause of the language's modality."""
+    if language not in _MODALITIES:
+        raise ValueError(f"unknown language tag {language!r}")
+    return _MODALITIES[language]
+
+
+def _buckets(leaves: list, unary: Sequence[Callable], binary: Sequence[Callable],
+             max_size: int) -> Iterator[list]:
+    """The entries of each size 1 .. ``max_size``, one list per size, in
+    formula enumeration order: the leaves; then each ``unary`` op over the
+    previous size and each ``binary`` op over every pair of sizes summing
+    to one less, left sizes ascending."""
+    by_size: list[list] = [[]]
+    for size in range(1, max_size + 1):
+        if size == 1:
+            bucket = list(leaves)
+        else:
+            bucket = []
+            for op in unary:
+                bucket += map(op, by_size[size - 1])
+            for op in binary:
+                for left_size in range(1, size - 1):
+                    rights = by_size[size - 1 - left_size]
+                    for left in by_size[left_size]:
+                        bucket += [op(left, right) for right in rights]
+        by_size.append(bucket)
+        yield bucket
+
+
 def enumerate_formulas(language: str, vars: Sequence[str],
                        max_size: int) -> Iterator[Formula]:
     """All formulas of the tagged language over ``vars`` with at most
     ``max_size`` AST nodes; duplicate-free and ordered by size."""
-    if language == LANG_TRI:
-        modal = Tri
-    elif language == LANG_BOX:
-        modal = Box
-    else:
-        raise ValueError(f"unknown language tag {language!r}")
-    names = sorted(set(vars))
-    by_size: list[list[Formula]] = [[]]
-    for size in range(1, max_size + 1):
-        if size == 1:
-            bucket: list[Formula] = [Atom(v) for v in names]
-        else:
-            bucket = [Not(c) for c in by_size[size - 1]]
-            bucket += [modal(c) for c in by_size[size - 1]]
-            for op in (And, Or):
-                for left_size in range(1, size - 1):
-                    for left in by_size[left_size]:
-                        for right in by_size[size - 1 - left_size]:
-                            bucket.append(op(left, right))
-        by_size.append(bucket)
+    modal, _ = _modality(language)
+    for bucket in _buckets([Atom(v) for v in sorted(set(vars))], (Not, modal), (And, Or),
+                           max_size):
         yield from bucket
 
 
@@ -252,7 +270,7 @@ class IndistinguishabilityReport:
     elapsed: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def check_indistinguishability(a: PointedModel, b: PointedModel,
@@ -268,37 +286,57 @@ def check_indistinguishability(a: PointedModel, b: PointedModel,
     that is both supported-true and supported-false there (a glut), which
     is what a []-style formula can do but, on such models, no #-language
     formula can.
+
+    The scan folds the clauses of ``semantics`` over the size buckets of
+    ``enumerate_formulas``, on value vectors over the disjoint union of the
+    two models (``a`` alone in glut mode), and stops at the first bucket
+    with a separating entry.  It builds no formula but the witness, and it
+    is bounded evidence with the count and witness of a formula-by-formula
+    scan: ``formulas_checked`` runs up to and including the witness.
     """
     if max_size < 1:
         raise ValueError(f"max_size must be at least 1, got {max_size}")
+    _, modal_clause = _modality(language)
     same = a.model == b.model and a.world == b.world
     names = sorted(a.model.variables | b.model.variables)
     if not names:
         raise ValueError("the models mention no variables")
-    ev_a = Evaluator(a.model)
-    ev_b = Evaluator(b.model)
     started = time.perf_counter()
-    checked = 0
-    witness = None
-    witness_values = None
-    for f in enumerate_formulas(language, names, max_size):
-        checked += 1
-        if same:
-            pos, neg = ev_a.supports(a.world, f)
-            if pos and neg:
-                witness = render(f)
-                witness_values = {"a": FourValue.from_flags(pos, neg).name}
-                break
-        else:
-            bpos, bneg = ev_b.supports(b.world, f)
-            if bpos == bneg:
-                continue  # not a classical value at b; no constraint
-            apos, aneg = ev_a.supports(a.world, f)
-            if (apos, aneg) != (bpos, bneg):
-                witness = render(f)
-                witness_values = {"a": FourValue.from_flags(apos, aneg).name,
-                                  "b": FourValue.from_flags(bpos, bneg).name}
-                break
+    leaves, succ = [(0, 0)] * len(names), ()
+    for m in [a.model] if same else [a.model, b.model]:
+        shift = len(succ)
+        leaves = [(pos | p << shift, neg | n << shift)
+                  for (pos, neg), (p, n) in zip(leaves, (atom_clause(m, v) for v in names))]
+        succ += tuple(s << shift for s in m.frame.succ)
+    ia = a.model.frame.index[a.world]
+    ib = ia if same else len(a.model.frame.worlds) + b.model.frame.index[b.world]
+
+    def at(v: tuple[int, int]) -> tuple[tuple[int, int], tuple[int, int]]:
+        """The value's support flags at ``a``'s world and at ``b``'s."""
+        return (v[0] >> ia & 1, v[1] >> ia & 1), (v[0] >> ib & 1, v[1] >> ib & 1)
+
+    def separates(v: tuple[int, int]) -> bool:
+        va, vb = at(v)
+        # In transfer mode a non-classical value at b constrains nothing.
+        return va == (1, 1) if same else vb[0] != vb[1] and va != vb
+
+    # The clause is pure and a scan meets few distinct values: one call each.
+    modal = lru_cache(maxsize=None)(lambda v: modal_clause(v, succ))
+    checked, value = 0, None
+    for bucket in _buckets(leaves, (not_clause, modal), (and_clause, or_clause), max_size):
+        if any(map(separates, set(bucket))):
+            hit = next(k for k, v in enumerate(bucket) if separates(v))
+            checked, value = checked + hit + 1, bucket[hit]
+            break
+        checked += len(bucket)
+    witness = witness_values = None
+    if value is not None:
+        witness = render(next(islice(enumerate_formulas(language, names, max_size),
+                                     checked - 1, None)))
+        va, vb = at(value)
+        witness_values = {"a": FourValue.from_flags(*va).name}
+        if not same:
+            witness_values["b"] = FourValue.from_flags(*vb).name
     return IndistinguishabilityReport(
         mode="glut" if same else "transfer",
         model_a=model_to_dict(a.model), world_a=a.world,

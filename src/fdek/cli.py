@@ -5,7 +5,8 @@ proved/valid/defines/no-separating-formula/countermodel-found (and for
 purely informational commands), 1 for the opposite verdict, 2 for parse,
 IO, or resource-bound errors, including running out of stack or memory,
 and for internal errors (an ``internal error:`` line, then the traceback,
-on stderr).
+on stderr).  A stdout closed by its reader also exits 2, silently: the
+verdict did not reach it.
 
 Human-readable output uses logic glyphs unless the ``FDEK_ASCII`` or
 ``NO_COLOR`` environment variable is set; ``--json`` output is always
@@ -241,7 +242,17 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader left before the output was written, so no verdict
+        # reached it.  With stdout on the null device the interpreter's own
+        # flush at exit cannot fail again and override the exit code.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
     except (ParseError, ModelError, BoundExceededError, tableau.LanguageError,
             OSError, json.JSONDecodeError, ValueError,
             RecursionError, MemoryError) as exc:

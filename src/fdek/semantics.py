@@ -221,17 +221,63 @@ class PointedModel:
             raise UnknownWorldError(f"unknown world {self.world!r}")
 
 
+# --- the clauses --------------------------------------------------------------
+#
+# Each clause of the module docstring, once, on a formula's two supports as
+# world bitsets in Python ints, a pair ``(pos, neg)`` (bit ``i``: the
+# ``i``-th world).  The modal clauses also take the frame's successor
+# bitsets ``succ`` (``Frame.succ``, or those of a disjoint union).
+
+def atom_clause(m: Model, name: str) -> tuple[int, int]:
+    """The two supports of the variable ``name`` on ``m``."""
+    worlds = m.frame.worlds
+    return (sum(1 << i for i, w in enumerate(worlds) if name in m.vplus[w]),
+            sum(1 << i for i, w in enumerate(worlds) if name in m.vminus[w]))
+
+
+def not_clause(v: tuple[int, int]) -> tuple[int, int]:
+    return v[1], v[0]
+
+
+def and_clause(left: tuple[int, int], right: tuple[int, int]) -> tuple[int, int]:
+    return left[0] & right[0], left[1] | right[1]
+
+
+def or_clause(left: tuple[int, int], right: tuple[int, int]) -> tuple[int, int]:
+    return left[0] | right[0], left[1] & right[1]
+
+
+def tri_clause(v: tuple[int, int], succ: tuple[int, ...]) -> tuple[int, int]:
+    pos, neg = v
+    true = false = 0
+    for i, s in enumerate(succ):
+        any_p, all_p = pos & s != 0, pos & s == s
+        any_n, all_n = neg & s != 0, neg & s == s
+        agree = (all_p or not any_p) and (all_n or not any_n)
+        valued = (pos | neg) & s == s
+        true |= (agree and valued) << i
+        false |= ((any_p and not all_p) or (any_n and not all_n) or (any_p and any_n)) << i
+    return true, false
+
+
+def box_clause(v: tuple[int, int], succ: tuple[int, ...]) -> tuple[int, int]:
+    pos, neg = v
+    return (sum((pos & s == s) << i for i, s in enumerate(succ)),
+            sum((neg & s != 0) << i for i, s in enumerate(succ)))
+
+
 class Evaluator:
     """Memoized evaluation of the two support relations on one model.
 
     The memo maps each subformula to its two supports at every world, as
     bitsets in Python ints (bit ``i``: the frame's ``i``-th world), filled
-    by the clauses of the module docstring in a loop over ``postorder``;
-    reusing one evaluator across many formulas on the same model shares
-    work between common subtrees.  Memoization is observationally
-    invisible: results equal those of a plain structural recursion.  The
-    modal clauses read the frame's ``succ`` bitsets and the world lookup its
-    ``index``, both built once by the ``Frame``.
+    in a loop over ``postorder`` by the clause functions above, which the
+    bounded scans of ``analysis`` share; reusing one evaluator across many
+    formulas on the same model shares work between common subtrees.
+    Memoization is observationally invisible: results equal those of a
+    plain structural recursion.  The modal clauses read the frame's
+    ``succ`` bitsets and the world lookup its ``index``, both built once by
+    the ``Frame``.
     """
 
     __slots__ = ("model", "_memo")
@@ -241,42 +287,24 @@ class Evaluator:
         self._memo: dict[Formula, tuple[int, int]] = {}
 
     def supports(self, world: str, f: Formula) -> tuple[bool, bool]:
-        frame = self.model.frame
-        index = frame.index.get(world)
+        m = self.model
+        index = m.frame.index.get(world)
         if index is None:
             raise UnknownWorldError(f"unknown world {world!r}")
-        memo, m = self._memo, self.model
+        memo, succ = self._memo, m.frame.succ
         for g in postorder(f, skip=memo):
             if isinstance(g, Atom):
-                res = (sum(1 << i for i, w in enumerate(m.frame.worlds) if g.name in m.vplus[w]),
-                       sum(1 << i for i, w in enumerate(m.frame.worlds) if g.name in m.vminus[w]))
+                res = atom_clause(m, g.name)
             elif isinstance(g, Not):
-                pos, neg = memo[g.child]
-                res = (neg, pos)
+                res = not_clause(memo[g.child])
             elif isinstance(g, And):
-                lp, ln = memo[g.left]
-                rp, rn = memo[g.right]
-                res = (lp & rp, ln | rn)
+                res = and_clause(memo[g.left], memo[g.right])
             elif isinstance(g, Or):
-                lp, ln = memo[g.left]
-                rp, rn = memo[g.right]
-                res = (lp | rp, ln & rn)
+                res = or_clause(memo[g.left], memo[g.right])
             elif isinstance(g, Tri):
-                pos, neg = memo[g.child]
-                true = false = 0
-                for i, succ in enumerate(frame.succ):
-                    any_p, all_p = pos & succ != 0, pos & succ == succ
-                    any_n, all_n = neg & succ != 0, neg & succ == succ
-                    agree = (all_p or not any_p) and (all_n or not any_n)
-                    valued = (pos | neg) & succ == succ
-                    true |= (agree and valued) << i
-                    false |= ((any_p and not all_p) or (any_n and not all_n)
-                              or (any_p and any_n)) << i
-                res = (true, false)
+                res = tri_clause(memo[g.child], succ)
             elif isinstance(g, Box):
-                pos, neg = memo[g.child]
-                res = (sum((pos & succ == succ) << i for i, succ in enumerate(frame.succ)),
-                       sum((neg & succ != 0) << i for i, succ in enumerate(frame.succ)))
+                res = box_clause(memo[g.child], succ)
             else:
                 raise TypeError(f"not a formula: {g!r}")
             memo[g] = res

@@ -7,7 +7,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from fdek import analysis, bulkeval
+from fdek import analysis, bulkeval, syntax
 from fdek.analysis import (
     PAPER_FRAME_CLASSES, check_definability, check_indistinguishability,
     claims_from_text, count_models, enumerate_formulas, enumerate_frames,
@@ -105,6 +105,15 @@ class TestFormulaEnumeration:
     def test_unknown_language(self):
         with pytest.raises(ValueError):
             next(enumerate_formulas("classical", ["p"], 2))
+
+    @pytest.mark.parametrize("language,names,max_size,digest", [
+        ("tri", ["p", "q"], 7, "2ee35697d6dd0e91447ab1ed3848082409460eebbf1d5fc3f22a39aecf859c7a"),
+        ("box", ["p"], 9, "697328f596ed3bf67a22756434630091e30648485ad7de50cbe37ec56902ee13"),
+    ])
+    def test_golden_order(self, language, names, max_size, digest):
+        # Every formula and its position: witnesses and counts depend on both.
+        text = "\n".join(render(f) for f in enumerate_formulas(language, names, max_size))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestCountermodelSearch:
@@ -461,7 +470,87 @@ class TestClaimsParsing:
         assert claims[2] == parse_formula("#q")
 
 
+def formula_by_formula_scan(a, b, language, max_size) -> dict:
+    """The report of ``check_indistinguishability``, without ``elapsed``, by
+    evaluating every enumerated formula on ``Evaluator.supports`` in turn:
+    the reference for the fold over value vectors."""
+    same = a.model == b.model and a.world == b.world
+    names = sorted(a.model.variables | b.model.variables)
+    ev_a = Evaluator(a.model)
+    ev_b = Evaluator(b.model)
+    checked = 0
+    witness = None
+    witness_values = None
+    for f in enumerate_formulas(language, names, max_size):
+        checked += 1
+        if same:
+            pos, neg = ev_a.supports(a.world, f)
+            if pos and neg:
+                witness = render(f)
+                witness_values = {"a": FourValue.from_flags(pos, neg).name}
+                break
+        else:
+            bpos, bneg = ev_b.supports(b.world, f)
+            if bpos == bneg:
+                continue  # not a classical value at b; no constraint
+            apos, aneg = ev_a.supports(a.world, f)
+            if (apos, aneg) != (bpos, bneg):
+                witness = render(f)
+                witness_values = {"a": FourValue.from_flags(apos, aneg).name,
+                                  "b": FourValue.from_flags(bpos, bneg).name}
+                break
+    return {"mode": "glut" if same else "transfer",
+            "model_a": model_to_dict(a.model), "world_a": a.world,
+            "model_b": model_to_dict(b.model), "world_b": b.world,
+            "language": language, "max_size": max_size,
+            "formulas_checked": checked,
+            "verdict": "separating formula" if witness else "no separating formula found",
+            "witness": witness, "witness_values": witness_values}
+
+
+_SCAN_MODELS = ("fig1", "fig5_left", "fig5_right", "fig6_single", "fig6_pair", "fig7",
+                "fig9_glut", "fig9_gap", "fig10")
+
+
 class TestIndistinguishability:
+    @pytest.mark.parametrize("language", ["tri", "box"])
+    def test_matches_the_formula_by_formula_scan(self, language):
+        points = [PointedModel(load_model(name), w)
+                  for name in _SCAN_MODELS for w in load_model(name).frame.worlds]
+        pairs = [(a, b) for a in points for b in points]
+        # Models over different variables: the union's variables are scanned.
+        fig1, fig4 = PointedModel(load_model("fig1"), "w0"), PointedModel(load_model("fig4"), "w1")
+        pairs += [(fig1, fig4), (fig4, fig1)]
+        modes = set()
+        for a, b in pairs:
+            report = check_indistinguishability(a, b, language, 5).to_dict()
+            del report["elapsed"]
+            assert report == formula_by_formula_scan(a, b, language, 5), (a, b)
+            modes.add((report["mode"], report["witness"] is None))
+        assert modes == {("glut", True), ("glut", False), ("transfer", True), ("transfer", False)}
+
+    @pytest.mark.parametrize("language,max_size,match", [
+        ("classical", 3, "unknown language"), ("tri", 0, "at least 1")])
+    def test_bad_arguments_refused_before_scanning(self, monkeypatch, language, max_size, match):
+        def no_work(*args):
+            raise AssertionError("scanned before checking the arguments")
+
+        monkeypatch.setattr(analysis, "_buckets", no_work)
+        point = PointedModel(load_model("fig1"), "w0")
+        with pytest.raises(ValueError, match=match):
+            check_indistinguishability(point, point, language, max_size)
+
+    def test_builds_formulas_only_for_the_witness(self, monkeypatch):
+        built = []
+        init = syntax._init
+        monkeypatch.setattr(syntax, "_init", lambda *args: built.append(args) or init(*args))
+        a = PointedModel(load_model("fig6_single"), "w0")
+        b = PointedModel(load_model("fig6_pair"), "w0")
+        assert check_indistinguishability(a, b, "box", 7).witness is None
+        assert built == []
+        assert check_indistinguishability(b, a, "box", 7).witness == "[]p"
+        assert built
+
     def test_box_language_cannot_transfer_separate(self):
         a = PointedModel(load_model("fig6_single"), "w0")
         b = PointedModel(load_model("fig6_pair"), "w0")

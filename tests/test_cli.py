@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -446,10 +447,35 @@ class TestFigures:
         assert hashlib.sha256(first.encode()).hexdigest() == \
             "b29459a1da54683cedd9d10c1c8f4a094da5c47504ec3cfd1bcef6ded1ef5688"
 
+    def test_golden_at_the_default_size(self, capsys):
+        code, out, _ = run(capsys, "figures", "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "33b7dc63a920eb84b950f3b63141fda74540c2c265161389ac051d8952a65c49"
+
     def test_empty_scan_exit_two(self, capsys):
         # The expressivity rows would pass vacuously over no formulas.
         code, out, err = run(capsys, "figures", "--max-size", "0")
         assert code == 2 and out == "" and "at least 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["separate", "--json", "--model-a", data_file("fig1"), "--world-a", "w0",
+     "--model-b", data_file("fig1"), "--world-b", "w1", "--language", "tri", "--max-size", "6"],
+    ["figures", "--json"],
+], ids=["separate", "figures"])
+def test_closed_stdout_exit_two(argv):
+    # The read end is closed before anything is written, so every write
+    # fails: no verdict reaches a reader, and exit 1 would claim one.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "fdek", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == ""
 
 
 def test_module_entry_point():

@@ -14,7 +14,9 @@ from fdek.semantics import (
     sequent_holds, sequent_valid_on_frame, supports_false, supports_true,
     VALUE_ORDER, tri_value_by_cases,
 )
-from fdek.syntax import Atom, Not, Sequent, Tri, parse_formula, parse_sequent
+from fdek.syntax import (
+    And, Atom, Box, Not, Or, Sequent, Tri, parse_formula, parse_sequent, render,
+)
 
 from conftest import random_formula, scalar_valid_on_frame
 
@@ -205,6 +207,38 @@ class TestNegationLaws:
                     is eval_formula(m, w, Or(Not(a), Not(b))))
             assert (eval_formula(m, w, Not(Or(a, b)))
                     is eval_formula(m, w, And(Not(a), Not(b))))
+
+
+@st.composite
+def _framed_formulas(draw):
+    """A relation mask on 1 to 3 worlds, the variables to sweep (two up to
+    2 worlds, else one) and a formula mixing both modalities over them."""
+    n = draw(st.integers(1, 3))
+    names = ["p", "q"] if n <= 2 else ["p"]
+    mask = draw(st.integers(0, 2 ** (n * n) - 1))
+
+    def extend(children):
+        pairs = st.tuples(children, children)
+        return st.one_of(children.map(Not), children.map(Tri), children.map(Box),
+                         pairs.map(lambda t: And(*t)), pairs.map(lambda t: Or(*t)))
+
+    f = draw(st.recursive(st.sampled_from([Atom(v) for v in names]), extend, max_leaves=8))
+    return n, names, mask, f
+
+
+class TestClausesAgreeWithBulk:
+    @given(_framed_formulas())
+    @settings(max_examples=60, deadline=None)
+    def test_every_valuation_and_world_of_a_given_frame(self, case):
+        # The scalar clauses against the independent bulk evaluator, which
+        # sweeps every valuation on the given frame.
+        n, names, mask, f = case
+        [space] = bulkeval.sweep(frame_from_mask(n, mask), names)
+        pos, neg = (x[0].tolist() for x in space.supports(f))
+        for v in range(4 ** (n * len(names))):
+            ev = Evaluator(bulkeval.model_from_indices(n, names, mask, v))
+            for w in range(n):
+                assert ev.supports(f"w{w}", f) == (pos[v][w], neg[v][w]), (render(f), mask, v, w)
 
 
 class TestDualModels:
