@@ -10,7 +10,7 @@ pass/fail row per fact.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 
 from .analysis import (
@@ -65,7 +65,7 @@ class FigureCheck:
     detail: str
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _value(ev: Evaluator, world: str, text: str) -> FourValue:

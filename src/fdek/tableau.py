@@ -73,9 +73,9 @@ are exactly those of the unpruned left-first search.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .semantics import Model, PointedModel, Evaluator, Frame, model_to_dict
 from .syntax import And, Atom, Formula, Not, Or, Sequent, Tri, contains_box, render, variables
@@ -551,7 +551,7 @@ class ProofStats:
     worlds_created: int = 0
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass
@@ -718,9 +718,9 @@ def check_realisation(m: Model, b: Branch) -> bool:
 
 # --- serialization -------------------------------------------------------------
 
-_END = object()
 _encode_str = json.encoder.encode_basestring_ascii
 _PRETTY_VALS = {Val.T: "t", Val.F: "f", Val.TBAR: "t̄", Val.FBAR: "f̄"}
+_VALUE_JSON = {v: _encode_str(v.value) for v in Val}
 
 
 def item_to_text(item: Item, pretty: bool = False) -> str:
@@ -790,60 +790,137 @@ def result_to_dict(result: TableauResult) -> dict:
             "branch": branch_items(result.branch), "tree": tree_to_dict(result.tree)}
 
 
-def result_to_json(result: TableauResult) -> str:
-    return _dumps(result_to_dict(result))
+def _array(texts: list[str], level: int) -> str:
+    """A JSON array at nesting ``level`` of the already encoded ``texts``."""
+    if not texts:
+        return "[]"
+    ind = "\n" + "  " * (level + 1)
+    return "[" + ind + ("," + ind).join(texts) + "\n" + "  " * level + "]"
 
 
-def _scalar(value) -> str:
-    if value is None:
-        return "null"
-    if value is True or value is False:
-        return "true" if value else "false"
+def _object(pairs: list[tuple[str, str]], level: int) -> str:
+    """A JSON object at nesting ``level`` of keys and encoded values."""
+    if not pairs:
+        return "{}"
+    ind = "\n" + "  " * (level + 1)
+    return ("{" + ind + ("," + ind).join(_encode_str(k) + ": " + v for k, v in pairs)
+            + "\n" + "  " * level + "}")
+
+
+def _json(value, level: int) -> str:
+    """``value``, a string, an int, or a dict or list of them, encoded at
+    nesting ``level``.  It recurses, so it only takes the result's head,
+    whose nesting is fixed and shallow."""
     if isinstance(value, str):
         return _encode_str(value)
     if isinstance(value, int):
         return int.__repr__(value)
-    raise TypeError(f"cannot encode {type(value).__name__}")
+    if isinstance(value, dict):
+        return _object([(k, _json(v, level + 1)) for k, v in value.items()], level)
+    return _array([_json(v, level + 1) for v in value], level)
 
 
-def _dumps(obj) -> str:
-    """``json.dumps(obj, indent=2)`` for trees of dicts with string keys,
-    lists, strings, ints, booleans and None, byte for byte.  The standard
-    encoder takes one generator per nesting level when it indents, so its
-    cost grows with depth times size and deep proof trees overflow the
-    stack; this one keeps its own stack of open containers."""
-    out: list[str] = []
-    stack: list[tuple[Iterator, bool, str]] = []   # (rest, is a dict, indent)
-    value = obj
-    while True:
-        while isinstance(value, (dict, list)) and value:
-            indent = "\n" + "  " * (len(stack) + 1)
-            if isinstance(value, dict):
-                rest = iter(value.items())
-                key, value = next(rest)
-                out.append("{" + indent + _encode_str(key) + ": ")
-                stack.append((rest, True, indent))
-            else:
-                rest = iter(value)
-                value = next(rest)
-                out.append("[" + indent)
-                stack.append((rest, False, indent))
-        if isinstance(value, (dict, list)):
-            out.append("{}" if isinstance(value, dict) else "[]")
-        else:
-            out.append(_scalar(value))
-        while stack:
-            rest, is_dict, indent = stack[-1]
-            nxt = next(rest, _END)
-            if nxt is not _END:
-                if is_dict:
-                    key, value = nxt
-                    out.append("," + indent + _encode_str(key) + ": ")
+class _Level(NamedTuple):
+    """The pieces of a proof node opened at one nesting level."""
+    head: str       # up to its children, with the rule and the items added
+    open: str       # opens its "add" or "children" array
+    sep: str        # separates the entries of either array
+    close: str      # closes either array
+    status: str     # starts its "status" entry
+    end: str        # closes the node
+    labelled: str   # the template of a labelled item it adds
+    rel: str        # the template of a relational atom it adds
+    items: dict[Item, str]  # the text of each item it adds, met so far
+
+
+class _ProofWriter:
+    """Encodes one result.  Its memos live as long as the call: the pieces
+    of each nesting level, one escaped rendering per distinct formula, and
+    one text per item and level."""
+
+    def __init__(self):
+        self.levels: dict[int, _Level] = {}
+        self.formulas: dict[Formula, str] = {}
+
+    def level(self, level: int) -> _Level:
+        found = self.levels.get(level)
+        if found is None:
+            i0, i1, i2, i3, i4 = ("\n" + "  " * (level + k) for k in range(5))
+            found = self.levels[level] = _Level(
+                "{" + i1 + '"rule": %s,' + i1 + '"add": %s,' + i1 + '"children": ',
+                "[" + i2, "," + i2, i1 + "]", "," + i1 + '"status": ', i0 + "}",
+                "{" + i3 + '"world": %s,' + i3 + '"formula": %s,' + i3 + '"value": %s' + i2 + "}",
+                "{" + i3 + '"rel": [' + i4 + "%s," + i4 + "%s" + i3 + "]" + i2 + "}",
+                {})
+        return found
+
+    def items(self, items: Sequence[Item], lv: _Level) -> str:
+        """The "add" array of a node at ``lv`` that adds ``items``."""
+        if not items:
+            return "[]"
+        memo, formulas = lv.items, self.formulas
+        texts = []
+        for item in items:
+            text = memo.get(item)
+            if text is None:
+                if type(item) is RelAtom:
+                    text = lv.rel % (_encode_str(item.source), _encode_str(item.target))
                 else:
-                    value = nxt
-                    out.append("," + indent)
-                break
-            stack.pop()
-            out.append(indent[:-2] + ("}" if is_dict else "]"))
-        else:
-            return "".join(out)
+                    f = formulas.get(item.formula)
+                    if f is None:
+                        f = formulas[item.formula] = _encode_str(render(item.formula))
+                    text = lv.labelled % (_encode_str(item.world), f, _VALUE_JSON[item.value])
+                memo[item] = text
+            texts.append(text)
+        return lv.open + lv.sep.join(texts) + lv.close
+
+    def tree(self, root: ProofNode, level: int, out: list[str]):
+        """Append the tree at ``root``, opened at ``level``, to ``out``.  The
+        stack holds the nodes still to write and the text that closes each
+        node after its children."""
+        stack: list = [(root, level)]
+        while stack:
+            entry = stack.pop()
+            if type(entry) is str:
+                out.append(entry)
+                continue
+            node, level = entry
+            lv = self.level(level)
+            rule = "null" if node.rule is None else _encode_str(node.rule)
+            out.append(lv.head % (rule, self.items(node.added, lv)))
+            end = lv.end
+            if node.status:
+                end = lv.status + _encode_str(node.status) + end
+            children = node.children
+            if not children:
+                out.append("[]" + end)
+                continue
+            out.append(lv.open)
+            stack.append(lv.close + end)
+            sep, level = lv.sep, level + 2
+            for child in reversed(children[1:]):
+                stack.append((child, level))
+                stack.append(sep)
+            stack.append((children[0], level))
+
+
+def result_to_json(result: TableauResult) -> str:
+    """``json.dumps(result_to_dict(result), indent=2)``, byte for byte,
+    written straight from the result and its proof nodes into one list of
+    pieces.  The standard encoder takes one generator per nesting level,
+    so deep proof trees overflow its stack; this writer keeps its own."""
+    writer = _ProofWriter()
+    head = [("verdict", '"proved"' if isinstance(result, Proved) else '"refuted"'),
+            ("stats", _json(result.stats.to_dict(), 1))]
+    if isinstance(result, Refuted):
+        # The branch is an array at level 1 of items at level 2, like the
+        # "add" array of a node at level 0.
+        head += [("model", _json(model_to_dict(result.model), 1)),
+                 ("designated", _encode_str(result.world)),
+                 ("branch", writer.items(result.branch.items, writer.level(0)))]
+    ind = "\n  "
+    out = ["{" + "".join(ind + _encode_str(k) + ": " + v + "," for k, v in head)
+           + ind + '"tree": ']
+    writer.tree(result.tree, 1, out)
+    out.append("\n}")
+    return "".join(out)

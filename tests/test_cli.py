@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from fdek import analysis, semantics, tableau
 from fdek.cli import main
 from fdek.semantics import FRAME_PROPERTIES, model_from_dict
+from fdek.syntax import parse_sequent
 
 
 def data_file(name: str) -> str:
@@ -49,6 +50,13 @@ class TestProve:
         data = json.loads(out)
         assert data["verdict"] == "proved"
         assert data["tree"]["add"][0]["world"] == "w0"
+
+    @pytest.mark.parametrize("text, expected", [("#p |- #~p", 0), ("#p |- ##p", 1)])
+    def test_json_bytes_are_the_standard_encoding(self, capsys, text, expected):
+        code, out, _ = run(capsys, "prove", "--json", text)
+        result = tableau.prove(parse_sequent(text))
+        assert code == expected
+        assert out == json.dumps(tableau.result_to_dict(result), indent=2) + "\n"
 
     def test_tree_uses_glyphs_unless_disabled(self, capsys, monkeypatch):
         monkeypatch.delenv("FDEK_ASCII", raising=False)

@@ -2,6 +2,7 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fdek import tableau
 from fdek.analysis import find_countermodel
@@ -22,6 +23,20 @@ p = parse_formula("p")
 
 def lab(world, text, value):
     return Labelled(world, parse_formula(text), Val(value))
+
+
+def _hash_formulas(depth):
+    """Formula texts of the #-fragment over p and q, nested at most
+    ``depth`` deep."""
+    atoms = st.sampled_from(["p", "q"])
+    if depth == 0:
+        return atoms
+    sub = _hash_formulas(depth - 1)
+    return (atoms | st.builds("~{}".format, sub) | st.builds("#{}".format, sub)
+            | st.builds("({} & {})".format, sub, sub) | st.builds("({} | {})".format, sub, sub))
+
+
+_HASH_SEQUENTS = st.builds("{} |- {}".format, _hash_formulas(3), _hash_formulas(3))
 
 
 class TestValueLabels:
@@ -353,12 +368,63 @@ class TestSerialization:
         m = model_from_dict(data["model"])
         assert supports_true(m, data["designated"], parse_formula("#p"))
 
+    def test_tree_text_is_pinned(self):
+        # These digests pin the text of tree_to_text in both modes.
+        expected = {
+            ("###p |- ###~p", False):
+                "be9ab2d66620efffcdae2c03a9a556bde8f5db1cbf9e87b161ebe2d9a1db1222",
+            ("###p |- ###~p", True):
+                "2c3dbf8cdc2f88bab24863aa4a01a660fce86bb68e27c958cd697f27e705cfd4",
+            ("#p |- ##p", False):
+                "1a338c2e22afb93b37d346ddb707401699e4acc57367ab4eec40c7c88e011248",
+            ("#p |- ##p", True):
+                "67ade1798332d11d1c05cae21e31f595af52ddc46e45bda60ba2a5fb6094b591",
+        }
+        for (text, pretty), digest in expected.items():
+            tree = prove(parse_sequent(text)).tree
+            assert hashlib.sha256(tree_to_text(tree, pretty).encode()).hexdigest() == digest
 
     def test_json_matches_the_standard_encoder(self):
-        for s in corpus():
+        nested = [parse_sequent(f"{'#' * k}p |- {'#' * k}~p") for k in (1, 2, 3)]
+        for s in corpus() + nested:
             for start in ("truth", "nonfalsity"):
                 res = prove(s, start=start)
                 assert result_to_json(res) == json.dumps(result_to_dict(res), indent=2)
+
+    def test_json_of_hand_built_trees_matches_the_standard_encoder(self):
+        # Relational atoms, a node that adds nothing, every leaf status, a
+        # root without children, and labels the encoder must escape.
+        odd = 'w"\u00e9'
+        root = ProofNode(None, (lab("w0", "#p", "t"), lab("w0", "#~p", "tbar")))
+        step = ProofNode("tri_F", (RelAtom("w0", odd), lab(odd, "p & ~q", "f")))
+        empty = ProofNode("and_t", ())
+        empty.children = [ProofNode("cut", (lab(odd, "p", "t"),), status="open"),
+                          ProofNode("cut", (), status="pruned")]
+        step.children = [empty]
+        root.children = [ProofNode("cut", (lab("w0", "p", "t"),), status="closed"), step]
+        stats = ProofStats(rule_applications=3, splits=2, branches_closed=1,
+                           branches_pruned=1, worlds_created=1)
+        for tree in (root, ProofNode(None, (RelAtom("w0", "w1"),)), ProofNode(None, ())):
+            res = Proved(tree, stats)
+            assert result_to_json(res) == json.dumps(result_to_dict(res), indent=2)
+
+    def test_json_of_a_model_without_valuation_rows(self):
+        # model_to_dict omits the valuation row of a world that values no
+        # variable; here no world has one, so "val" is an empty object.  The
+        # second world's label must be escaped in the model and the branch.
+        odd = 'w"\u00e9'
+        items = (RelAtom("w0", odd), lab(odd, "#p", "tbar"))
+        model = Model(Frame(["w0", odd], [("w0", odd)]), {}, {})
+        res = Refuted(Branch.from_items(items), model, "w0",
+                      ProofNode(None, items, status="open"), ProofStats())
+        assert result_to_dict(res)["model"]["val"] == {}
+        assert result_to_json(res) == json.dumps(result_to_dict(res), indent=2)
+
+    @given(sequent=_HASH_SEQUENTS, start=st.sampled_from(["truth", "nonfalsity"]))
+    @settings(max_examples=150, deadline=None)
+    def test_json_matches_the_standard_encoder_on_random_sequents(self, sequent, start):
+        res = prove(parse_sequent(sequent), start=start)
+        assert result_to_json(res) == json.dumps(result_to_dict(res), indent=2)
 
     def test_json_of_a_deep_tree(self):
         # Two JSON levels per tree level: the standard encoder overflows the
