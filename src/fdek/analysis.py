@@ -6,9 +6,11 @@ The enumerations (``enumerate_models``, ``enumerate_frames``) list
 ``check_definability``) sweep one relation per isomorphism class: their
 questions are invariant under renaming worlds, and the first answer in
 labelled order lies on the smallest mask of its class, so witnesses and
-frame counts are those of the labelled scan.  "There is no formula such
-that ..." claims are checked up to a stated AST size and reported as
-bounded evidence, not as proofs.
+frame counts are those of the labelled scan.  Past one world the
+countermodel search sweeps only the classes rooted within the sequent's
+modal depth, the only ones that can hold a smallest countermodel.
+"There is no formula such that ..." claims are checked up to a stated AST
+size and reported as bounded evidence, not as proofs.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .semantics import (
 )
 from .syntax import (
     LANG_BOX, LANG_TRI, And, Atom, Box, Formula, Not, Or, Sequent, Tri,
-    parse_formula, parse_sequent, render, render_sequent, variables,
+    modal_depth, parse_formula, parse_sequent, render, render_sequent, variables,
 )
 
 __all__ = [
@@ -127,16 +129,30 @@ def find_countermodel(s: Sequent, max_worlds: int) -> PointedModel | None:
     relation per isomorphism class: a relation refutes iff every renaming
     of it does, so the first refuting relation is the smallest of its
     class, and the result is identical to the naive scan.
+
+    Past one world only rooted classes are swept.  A sequent of modal
+    depth d (``#`` and ``[]`` counted) is evaluated at w from the worlds
+    within d steps of w alone, each of them less than d steps away with
+    all its successors.  So if a model on n worlds refutes it at w and
+    some world lies more than d steps from w, the submodel on the worlds
+    within d steps refutes it on fewer worlds.  Once no smaller model
+    refutes the sequent, every refuting relation on n worlds reaches all
+    n worlds from the refuting world within d steps; the other classes
+    hold no countermodel, and the first witness is unchanged.  At depth 0
+    no class of two or more worlds is rooted, so a propositional sequent
+    is decided at one world.
     """
     names = _claim_variables(s)
     _guard(max_worlds, len(names))
+    depth = None  # at one world every relation is rooted
     for n in range(1, max_worlds + 1):
-        for space in sweep(n, names):
+        for space in sweep(n, names, depth):
             hit = space.first_countermodel(s)
             if hit is not None:
                 r, v, w = hit
                 model = model_from_indices(n, names, int(space.masks[r]), space.start[1] + v)
                 return PointedModel(model, f"w{w}")
+        depth = modal_depth(s.premise, s.conclusion)
     return None
 
 

@@ -8,16 +8,24 @@ is that frame's one relation with every valuation.  A sweep over every
 relation visits one relation per isomorphism class (``representatives``):
 validity is invariant under renaming worlds, so the first refuting
 relation in ascending mask order is the smallest of its class, and the
-sweep finds the labelled scan's first witness.  A formula's two
-supports are world bitsets: arrays of shape (relations, valuations), or
-(1, valuations) where independent of the relation, whose bit ``w`` means
-"supported at world ``w``", in the narrowest unsigned type that holds n
-bits: ``uint8`` up to 8 worlds, ``uint16`` for the 9 to 12 worlds a given
-frame may have (relation sweeps stay at n <= 4, the size guard).  ``~``,
-``&``, ``|`` are bitwise, every complement masked to the low n bits; a
-successor quantifier is one mask compare per world against that world's
-successor bitset, decoded from relation masks or, for a given frame, its
-``Frame.succ`` (whose relation mask would not fit 64 bits from 8 worlds on).
+sweep finds the labelled scan's first witness.  A sweep given a modal
+depth d keeps only the rooted classes, where some world reaches every
+world within d steps: a formula of depth d at a world reads only the
+worlds within d steps of it (invariance under generated submodels), so
+once no smaller model refutes a claim, every refuting relation is rooted
+at the refuting world, and the first witness stays where it was.
+
+A formula's two supports are world bitsets: arrays of shape (relations,
+valuations), or (1, valuations) where independent of the relation, whose
+bit ``w`` means "supported at world ``w``", in the narrowest unsigned type
+that holds n bits: ``uint8`` up to 8 worlds, ``uint16`` for the 9 to 12
+worlds a given frame may have (relation sweeps stay at n <= 4, the size
+guard).  ``~``, ``&``, ``|`` are bitwise, every complement masked to the
+low n bits; ``#`` and ``[]`` take one pass per world, comparing the
+child's supports within that world's successor bitset with the bitset
+itself, decoded from relation masks or, for a given frame, its
+``Frame.succ`` (whose relation mask would not fit 64 bits from 8 worlds
+on).
 
 What a scan costs and how its space is laid out are known only to this
 module: ``_guard`` refuses a scan before anything is allocated, and
@@ -159,14 +167,6 @@ class BulkSpace:
         self.full = succ.dtype.type((1 << n) - 1)
         self._memo: dict[Formula, tuple[np.ndarray, np.ndarray]] = dict(atoms)
 
-    def _any(self, x: np.ndarray) -> np.ndarray:
-        """Bit w of out[r, v]: some successor of w under relation r is in x[r, v]."""
-        dtype = self.succ.dtype
-        out = np.zeros((len(self.succ), x.shape[1]), dtype=dtype)
-        for w in range(self.n):
-            out |= ((x & self.succ[:, w, None]) != 0).view(np.uint8).astype(dtype, copy=False) << w
-        return out
-
     def supports(self, f: Formula) -> tuple[np.ndarray, np.ndarray]:
         """Both supports as bool arrays broadcasting to (relations, valuations, worlds)."""
         pos, neg = self._bits(f)
@@ -189,23 +189,40 @@ class BulkSpace:
                 lp, ln = memo[g.left]
                 rp, rn = memo[g.right]
                 res = (lp | rp, ln & rn)
-            elif isinstance(g, Tri):
-                # True: no split on a support and no unvalued successor.  False: a
-                # split, or one successor supports the truth while one the falsity.
-                pos, neg = memo[g.child]
-                full = self.full
-                some_p, some_not_p = self._any(pos), self._any(~pos & full)
-                some_n, some_not_n = self._any(neg), self._any(~neg & full)
-                split = (some_p & some_not_p) | (some_n & some_not_n)
-                res = (~(split | self._any(~(pos | neg) & full)) & full,
-                       split | (some_p & some_n))
-            elif isinstance(g, Box):
-                pos, neg = memo[g.child]
-                res = (~self._any(~pos & self.full) & self.full, self._any(neg))
+            elif isinstance(g, (Tri, Box)):
+                res = self._modal(isinstance(g, Tri), *memo[g.child])
             else:
                 raise TypeError(f"not a formula: {g!r}")
             memo[g] = res
         return memo[f]
+
+    def _modal(self, tri: bool, pos: np.ndarray,
+               neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Both supports of ``#`` (``tri``) or ``[]`` over a formula of supports
+        ``pos``, ``neg``: one pass per world w, on the successor bitset s of w
+        and its members ps, ns that support the truth and the falsity, with
+        the cases of ``semantics.tri_clause`` and ``box_clause``: "some" is
+        ``!= 0``, "all" is ``== s``."""
+        dtype = self.succ.dtype
+        true = np.zeros((len(self.succ), pos.shape[1]), dtype=dtype)
+        false = np.zeros_like(true)
+        for w in range(self.n):
+            s = self.succ[:, w, None]
+            ps, ns = pos & s, neg & s
+            if tri:
+                # True: no split on a support and no unvalued successor.  False: a
+                # split (some but not all successors support the truth, or the
+                # falsity), or one successor supports the truth while one the falsity.
+                any_p, any_n = ps != 0, ns != 0
+                split = (any_p & (ps != s)) | (any_n & (ns != s))
+                t = (ps | ns) == s
+                t &= ~split
+                f = split | (any_p & any_n)
+            else:
+                t, f = ps == s, ns != 0
+            true |= t.view(np.uint8).astype(dtype, copy=False) << w
+            false |= f.view(np.uint8).astype(dtype, copy=False) << w
+        return true, false
 
     def _refuting(self, claim: Sequent | Formula) -> np.ndarray:
         """Bitsets of the worlds where the premise is supported-true and the
@@ -219,7 +236,8 @@ class BulkSpace:
         where the premise is supported-true and the conclusion is not, in
         enumeration order: the first nonzero bitset, then its lowest bit.
         None if the sequent holds throughout.  A relation-independent result
-        has a singleton relation axis, so its countermodel lies on relation 0."""
+        has a singleton relation axis, so its countermodel lies on index 0,
+        the first of this space's relations (``masks[0]``)."""
         bad = self._refuting(s)
         flat = int((bad != 0).argmax())
         bits = int(bad.flat[flat])
@@ -265,11 +283,39 @@ def representatives(n: int) -> np.ndarray:
     return reps
 
 
-def sweep(worlds: int | Frame, variables: Sequence[str]) -> Iterator[BulkSpace]:
+def _reach(succ: np.ndarray, depth: int) -> np.ndarray:
+    """Bit j of out[r, w]: world j lies within ``depth`` steps of world w
+    (w itself at step 0) under the relation of successor bitsets
+    ``succ[r]``, shape (relations, n)."""
+    n = succ.shape[1]
+    reach = np.tile((1 << np.arange(n)).astype(succ.dtype), (len(succ), 1))
+    for _ in range(min(depth, n - 1)):  # reach is settled after n - 1 steps
+        step = reach.copy()
+        for j in range(n):
+            step |= (reach >> j & 1) * succ[:, j, None]
+        reach = step
+    return reach
+
+
+@lru_cache(maxsize=None)
+def _rooted(n: int, depth: int) -> np.ndarray:
+    """The ``representatives(n)`` in which some world reaches every world
+    within ``depth`` steps, ascending; renaming keeps this property."""
+    reps = representatives(n)
+    reps = reps[(_reach(_successors(n, reps), depth) == (1 << n) - 1).any(axis=1)]
+    reps.flags.writeable = False
+    return reps
+
+
+def sweep(worlds: int | Frame, variables: Sequence[str],
+          depth: int | None = None) -> Iterator[BulkSpace]:
     """Every valuation of ``variables`` on one relation per isomorphism
     class over ``worlds`` worlds (``representatives``, ascending), or on
     the one relation of a given ``Frame``, as BulkSpaces over consecutive
     blocks in enumeration order; a block's ``masks`` name its relations.
+    With a ``depth``, a sweep over every relation keeps only the classes
+    in which some world reaches every world within ``depth`` steps
+    (``_rooted``), and yields no block if there is none.
 
     The size guard runs at the first ``next()``, before anything is
     allocated.  Each block's arrays hold at most ``_CHUNK_CELLS`` cells:
@@ -280,8 +326,11 @@ def sweep(worlds: int | Frame, variables: Sequence[str]) -> Iterator[BulkSpace]:
     given = isinstance(worlds, Frame)
     n = len(worlds.worlds) if given else worlds
     _guard(n, len(names), relations=not given)
-    masks = None if given else representatives(n)
-    atoms, succ = _atom_tables(n, names), _successors(worlds, masks)
+    masks = None if given else representatives(n) if depth is None else _rooted(n, depth)
+    succ = _successors(worlds, masks)
+    if not len(succ):
+        return
+    atoms = _atom_tables(n, names)
     n_val = 4 ** (n * len(names))
     rel_step = max(1, _CHUNK_CELLS // (n_val * n))
     val_step = max(1, _CHUNK_CELLS // n)

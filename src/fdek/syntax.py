@@ -4,7 +4,8 @@ Formula nodes are immutable.  A node's hash is computed once, when it is
 built, from its children's stored hashes; equality uses an explicit stack;
 ``_fields`` names each class's children.  ``postorder``, the one walk down
 a formula (each distinct subformula once, children first), serves
-``subformulas``, ``variables``, ``size`` and both evaluators.
+``subformulas``, ``variables``, ``size``, ``modal_depth`` and both
+evaluators.
 
 One operator table, ``_PREFIX`` and ``_BINARY``, drives the lexer, the
 parser and the renderer (the README lists the surface syntax).  A prefix
@@ -28,7 +29,8 @@ __all__ = [
     "Formula", "Atom", "Not", "And", "Or", "Tri", "Box",
     "Sequent", "ParseError",
     "parse_formula", "parse_sequent", "render", "render_sequent",
-    "postorder", "subformulas", "variables", "contains_box", "contains_tri",
+    "postorder", "subformulas", "variables", "modal_depth",
+    "contains_box", "contains_tri",
     "LANG_TRI", "LANG_BOX", "in_language",
 ]
 
@@ -381,6 +383,16 @@ def size(f: Formula) -> int:
     for node in postorder(f):
         sizes[node] = 1 + sum(sizes[getattr(node, name)] for name in node._fields)
     return sizes[f]
+
+
+def modal_depth(*fs: Formula) -> int:
+    """The deepest nesting of ``#`` and ``[]`` in any of the formulas: a
+    formula of depth d at a world reads only the worlds within d steps."""
+    depths: dict[Formula, int] = {}
+    for node in postorder(*fs):
+        below = max((depths[getattr(node, name)] for name in node._fields), default=0)
+        depths[node] = below + isinstance(node, (Tri, Box))
+    return max((depths[f] for f in fs), default=0)
 
 
 def contains_box(f: Formula) -> bool:

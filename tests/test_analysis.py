@@ -13,7 +13,7 @@ from fdek.analysis import (
     claims_from_text, count_models, enumerate_formulas, enumerate_frames,
     enumerate_models, find_countermodel, model_from_indices,
 )
-from fdek.bulkeval import BulkSpace, representatives
+from fdek.bulkeval import BulkSpace, frame_from_mask, representatives
 from fdek.figures import load_frame, load_model
 from fdek.semantics import (
     FRAME_PROPERTIES, BoundExceededError, Evaluator, FourValue, Frame, PointedModel,
@@ -205,16 +205,24 @@ class TestCountermodelSearch:
             find_countermodel(parse_sequent("p |- q"), 6)
 
     def test_matches_the_labelled_search(self, chunk_budget):
-        # The search sweeps one relation per isomorphism class; the labelled
-        # BulkSpace sweeps all 2^(n*n) masks.  The corpus's first witnesses
-        # lie on masks 0 to 3, the first four classes, where a mask equals
-        # its position in the sweep; the added sequents are first refuted on
-        # masks 5, 6 and 7 of 2 worlds and 12 and 28 of 3.  Under the tiny
-        # budget a two-variable space on 3 worlds is read in 125 blocks per
-        # relation, too slow for the whole corpus, so those sequents stop at
-        # 2 worlds.
+        # The search sweeps, past one world, the isomorphism classes rooted
+        # within the sequent's modal depth; the labelled BulkSpace sweeps
+        # all 2^(n*n) masks.  The corpus's first witnesses lie on masks 0 to
+        # 3, the first four classes, where a mask equals its position in the
+        # unfiltered sweep; the added sequents are first refuted on masks 2,
+        # 3, 5, 6 and 7 of 2 worlds and 12, 28 and 98 of 3, not always at w0,
+        # with # or [] or both; the last six hold on every model, and for
+        # the three of depth 0 no class past one world is swept.  Under the
+        # tiny budget a two-variable space on 3 worlds is read in 125 blocks
+        # per relation, too slow for the whole corpus, so those sequents stop
+        # at 2 worlds.
         late = ["q & (##q | ##q) |- ##(q | p)", "#p |- #(p & #p)",
-                "##p & ~#q |- #(~~q | #(p | p))", "p & #p |- #(p & #p)", "##p |- ####p"]
+                "##p & ~#q |- #(~~q | #(p | p))", "p & #p |- #(p & #p)", "##p |- ####p",
+                "[]p |- [][]p", "p |- []<>p", "[](p | q) |- []p | []q", "[]#p |- #[]p",
+                "<>p & <>q |- <>(p & q)", "p & []p |- [][]p", "[]p & [][]p |- [][][]p",
+                "~p & <>~p |- <><>~p | []#p",
+                "[]p & []q |- [](p & q)", "<>(p | q) |- <>p | <>q", "[]~p |- ~<>p",
+                "p & ~p |- p", "~~p |- p | ~p & p", "p & q |- q | p"]
         for s in corpus() + [parse_sequent(text) for text in late]:
             names = sorted(variables(s.premise, s.conclusion))
             if len(names) > 2:
@@ -224,17 +232,30 @@ class TestCountermodelSearch:
             expected = _labelled_first_countermodel(s, max_worlds)
             assert (found and (found.model, found.world)) == expected, str(s)
 
+    def test_matches_the_labelled_search_at_four_worlds(self):
+        # First refuted on mask 328 of 4 worlds (w1 -> w2 -> w0 -> w3) at
+        # w1, past the 1 280 classes rooted at depth 1; and a valid sequent
+        # of depth 1, for which 1 280 of the 3 044 classes are swept.
+        for text in ("p & []p & [][]p |- [][][]p", "#p |- #~p"):
+            s = parse_sequent(text)
+            found = find_countermodel(s, 4)
+            assert (found and (found.model, found.world)) == \
+                _labelled_first_countermodel(s, 4), text
+
 
 @lru_cache(maxsize=None)
 def _labelled_first_countermodel(s, max_worlds):
     """``(model, world)`` of the first countermodel over every labelled
-    relation, smallest world count first, or None."""
+    relation, smallest world count first, or None; the masks are read in
+    ascending runs of 4 096, so 4 worlds fit in memory."""
     names = sorted(variables(s.premise, s.conclusion))
     for n in range(1, max_worlds + 1):
-        hit = BulkSpace(n, names).first_countermodel(s)
-        if hit is not None:
-            mask, v, w = hit
-            return model_from_indices(n, names, mask, v), f"w{w}"
+        for start in range(0, 2 ** (n * n), 4096):
+            masks = range(start, min(start + 4096, 2 ** (n * n)))
+            hit = BulkSpace(n, names, masks).first_countermodel(s)
+            if hit is not None:
+                r, v, w = hit
+                return model_from_indices(n, names, masks[r], v), f"w{w}"
     return None
 
 
@@ -378,6 +399,70 @@ class TestRepresentatives:
             assert not orbit & covered, m
             covered |= orbit
         assert len(covered) == 2 ** (n * n)
+
+
+def _bfs_rooted(n, mask, depth):
+    """Some world of ``frame_from_mask(n, mask)`` reaches every world
+    within ``depth`` steps, by breadth-first search from each world."""
+    frame = frame_from_mask(n, mask)
+    succ = {w: {t for s, t in frame.relation if s == w} for w in frame.worlds}
+    for root in frame.worlds:
+        seen = frontier = {root}
+        for _ in range(depth):
+            frontier = set().union(*(succ[w] for w in frontier)) - seen
+            seen = seen | frontier
+        if len(seen) == n:
+            return True
+    return False
+
+
+class TestRootedSweep:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_breadth_first_search(self, n):
+        reps = representatives(n).tolist()
+        for depth in range(5):
+            rooted = [m for m in reps if _bfs_rooted(n, m, depth)]
+            assert bulkeval._rooted(n, depth).tolist() == rooted, (n, depth)
+
+    @pytest.mark.parametrize("n,counts", [
+        (2, [0, 7, 7, 7, 7]), (3, [0, 60, 80, 80, 80]), (4, [0, 1280, 2504, 2638, 2638])])
+    def test_class_counts(self, n, counts):
+        assert [len(bulkeval._rooted(n, depth)) for depth in range(5)] == counts
+        assert len(bulkeval._rooted(n, 2000)) == counts[-1]
+
+    def test_sweep_reads_the_rooted_classes_in_order(self, chunk_budget):
+        # Under the tiny budget each relation is read in two blocks of
+        # valuations, the first starting at valuation 0.
+        masks = [m for space in bulkeval.sweep(3, ["p"], 1) if space.start[1] == 0
+                 for m in space.masks.tolist()]
+        assert masks == bulkeval._rooted(3, 1).tolist()
+
+    def test_no_block_when_no_class_is_rooted(self, monkeypatch):
+        def allocate(*args):
+            raise AssertionError("allocated for an empty sweep")
+        monkeypatch.setattr(bulkeval, "_atom_tables", allocate)
+        assert list(bulkeval.sweep(3, ["p", "q"], 0)) == []
+        # A propositional sequent is decided at one world.
+        monkeypatch.undo()
+        spaces = []
+        sweep = bulkeval.sweep
+
+        def counting(*args):
+            for space in sweep(*args):
+                spaces.append((space.n, len(space.succ)))
+                yield space
+        monkeypatch.setattr(analysis, "sweep", counting)
+        assert find_countermodel(parse_sequent("p & q |- q | p"), 3) is None
+        assert spaces == [(1, 2)]
+
+    def test_guard_refuses_before_allocating(self, monkeypatch):
+        def allocate(*args):
+            raise AssertionError("allocated before the guard")
+        monkeypatch.setattr(bulkeval, "_atom_tables", allocate)
+        monkeypatch.setattr(bulkeval, "_rooted", allocate)
+        for depth in (0, 1):
+            with pytest.raises(BoundExceededError):
+                next(bulkeval.sweep(5, ["p"], depth))
 
 
 class TestDefinability:

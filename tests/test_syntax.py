@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 
 from fdek.syntax import (
     LANG_BOX, LANG_TRI, And, Atom, Box, Not, Or, ParseError, Sequent,
-    Tri, contains_box, contains_tri, in_language, parse_formula, parse_sequent,
-    postorder, render, render_sequent, size, subformulas, variables,
+    Tri, contains_box, contains_tri, in_language, modal_depth, parse_formula,
+    parse_sequent, postorder, render, render_sequent, size, subformulas, variables,
 )
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
@@ -155,6 +155,19 @@ class TestStructure:
     def test_language_closed_under_subformulas(self, f):
         assert in_language(f, LANG_TRI)
         assert all(in_language(sub, LANG_TRI) for sub in subformulas(f))
+
+    @pytest.mark.parametrize("text,depth", [
+        ("p", 0), ("~(p & q) | p", 0), ("#p", 1), ("[]p", 1), ("@p", 1), ("<>p", 1),
+        ("p & ##q", 2), ("[]#p", 2), ("#p | ~[](q & #[]r)", 3)])
+    def test_modal_depth(self, text, depth):
+        # Both modalities count; the sugar @ and <> is one modality each.
+        assert modal_depth(parse_formula(text)) == depth
+
+    def test_modal_depth_of_several_formulas_is_the_deepest(self):
+        s = parse_sequent("##p |- #p | []q")
+        assert modal_depth(s.premise, s.conclusion) == 2
+        assert modal_depth(s.conclusion) == 1
+        assert modal_depth() == 0
 
     def test_language_tags(self):
         assert contains_tri(Tri(p)) and not contains_box(Tri(p))
@@ -320,6 +333,10 @@ class TestDeepPrefixChains:
         assert f != parse_formula("#~" * 5000 + "q")
         assert len(subformulas(f)) == 10_001
         assert variables(f) == {"p"}
+
+    def test_modal_depth_of_a_two_thousand_deep_chain(self):
+        assert modal_depth(parse_formula("#" * 2000 + "p")) == 2000
+        assert modal_depth(parse_formula("#~" * 2000 + "p & []p")) == 2000
 
     def test_ten_thousand_clause_conjunction(self):
         text = " & ".join(["p"] * 10_000)
