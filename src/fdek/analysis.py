@@ -10,15 +10,20 @@ frame counts are those of the labelled scan.  Past one world the
 countermodel search sweeps only the classes rooted within the sequent's
 modal depth, the only ones that can hold a smallest countermodel.
 "There is no formula such that ..." claims are checked up to a stated AST
-size and reported as bounded evidence, not as proofs.
+size and reported as bounded evidence, not as proofs.  Those scans fold
+the clauses over the distinct value vectors of each formula size and
+their first positions in the enumeration order (``_first_formula``),
+whose layout ``_sections`` states once for the enumeration, the fold and
+the decoder of the witness.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields
-from functools import lru_cache
-from itertools import islice
+from functools import lru_cache, partial
+from itertools import product, starmap
+from math import prod
 from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
@@ -86,37 +91,69 @@ def _modality(language: str) -> tuple:
     return _MODALITIES[language]
 
 
-def _buckets(leaves: list, unary: Sequence[Callable], binary: Sequence[Callable],
-             max_size: int) -> Iterator[list]:
-    """The entries of each size 1 .. ``max_size``, one list per size, in
-    formula enumeration order: the leaves; then each ``unary`` op over the
-    previous size and each ``binary`` op over every pair of sizes summing
-    to one less, left sizes ascending."""
-    by_size: list[list] = [[]]
-    for size in range(1, max_size + 1):
-        if size == 1:
-            bucket = list(leaves)
-        else:
-            bucket = []
-            for op in unary:
-                bucket += map(op, by_size[size - 1])
-            for op in binary:
-                for left_size in range(1, size - 1):
-                    rights = by_size[size - 1 - left_size]
-                    for left in by_size[left_size]:
-                        bucket += [op(left, right) for right in rights]
-        by_size.append(bucket)
-        yield bucket
+def _sections(size: int, unary: Sequence[Callable],
+              binary: Sequence[Callable]) -> Iterator[tuple[Callable, tuple[int, ...]]]:
+    """The formula enumeration order, stated once: the sections of the
+    formulas of ``size`` >= 2 nodes in order, as ``(op, operand sizes)``.
+    Size 1 is the leaves.  Then each ``unary`` op over the size below, then
+    each ``binary`` op over every pair of sizes summing to one less, left
+    sizes ascending.  A section lists its operands left-major, as
+    ``itertools.product`` does: the operand at position ``i`` of size
+    ``l`` with the one at position ``j`` of size ``r`` sits at position
+    ``i * count(r) + j`` of its section."""
+    for op in unary:
+        yield op, (size - 1,)
+    for op in binary:
+        for left in range(1, size - 1):
+            yield op, (left, size - 1 - left)
+
+
+def _operators(language: str, succ: tuple[int, ...] | None = None) -> tuple[tuple, tuple]:
+    """The unary and the binary operators of the language, in enumeration
+    order: the formula constructors, or, given the successor bitsets
+    ``succ`` of a model, their clauses on that model's value vectors."""
+    modal, modal_clause = _modality(language)
+    if succ is None:
+        return (Not, modal), (And, Or)
+    # The modal clause is the costly one, and a fold meets each value at
+    # several sizes: one call per distinct value.
+    modal = lru_cache(maxsize=None)(partial(modal_clause, succ=succ))
+    return (not_clause, modal), (and_clause, or_clause)
 
 
 def enumerate_formulas(language: str, vars: Sequence[str],
                        max_size: int) -> Iterator[Formula]:
     """All formulas of the tagged language over ``vars`` with at most
-    ``max_size`` AST nodes; duplicate-free and ordered by size."""
-    modal, _ = _modality(language)
-    for bucket in _buckets([Atom(v) for v in sorted(set(vars))], (Not, modal), (And, Or),
-                           max_size):
-        yield from bucket
+    ``max_size`` AST nodes; duplicate-free, ordered by size and within a
+    size by ``_sections``."""
+    unary, binary = _operators(language)
+    by_size: list[list[Formula]] = [[], [Atom(v) for v in sorted(set(vars))]]
+    for size in range(1, max_size + 1):
+        if size > 1:
+            bucket: list[Formula] = []
+            for op, sizes in _sections(size, unary, binary):
+                bucket += starmap(op, product(*(by_size[k] for k in sizes)))
+            by_size.append(bucket)
+        yield from by_size[size]
+
+
+def _formula_at(size: int, pos: int, leaves: list[Formula], unary: Sequence[Callable],
+                binary: Sequence[Callable], counts: Sequence[int]) -> Formula:
+    """The formula at position ``pos`` among those of ``size`` nodes, decoded
+    through ``_sections`` from the number of formulas of each smaller size
+    (``counts``) alone."""
+    if size == 1:
+        return leaves[pos]
+    for op, sizes in _sections(size, unary, binary):
+        width = prod(counts[k] for k in sizes)
+        if pos < width:
+            break
+        pos -= width
+    operands = []
+    for k in reversed(sizes):
+        pos, i = divmod(pos, counts[k])
+        operands.append(_formula_at(k, i, leaves, unary, binary, counts))
+    return op(*reversed(operands))
 
 
 def find_countermodel(s: Sequent, max_worlds: int) -> PointedModel | None:
@@ -289,6 +326,76 @@ class IndistinguishabilityReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+def _first_formula(points: Sequence[PointedModel], names: Sequence[str], language: str,
+                   max_size: int, hit: Callable[[list[tuple[int, int]]], bool],
+                   ) -> tuple[int, list[tuple[int, int]] | None, Formula | None]:
+    """The first formula of ``enumerate_formulas(language, names, max_size)``
+    whose support flags at the ``points``, one ``(pos, neg)`` pair each,
+    satisfy ``hit``: ``(formulas_checked, flags, formula)``, where
+    ``formulas_checked`` runs up to and including that formula, or over
+    all of them, and ``flags`` and ``formula`` are None if none hits.
+
+    No formula is evaluated or built but the one returned.  The clauses of
+    ``semantics`` are folded over value vectors on the disjoint union of
+    the points' models, one copy per point.  Each size keeps only its
+    distinct values, each with its first position in that size's
+    enumeration order, and the number of its formulas.  A value's first
+    position comes from the first positions of its operands, through the
+    layout of ``_sections``, and each size's values are met in order of
+    their first positions, so the first hit is the first hitting formula.
+    """
+    names = sorted(set(names))
+    leaves, succ, bits = [(0, 0)] * len(names), (), []
+    for point in points:
+        shift = len(succ)
+        bits.append(shift + point.model.frame.index[point.world])
+        leaves = [(pos | p << shift, neg | n << shift) for (pos, neg), (p, n)
+                  in zip(leaves, (atom_clause(point.model, v) for v in names))]
+        succ += tuple(s << shift for s in point.model.frame.succ)
+
+    def flags(v: tuple[int, int]) -> list[tuple[int, int]]:
+        return [(v[0] >> i & 1, v[1] >> i & 1) for i in bits]
+
+    clauses = _operators(language, succ)
+    counts: list[int] = [0]                  # the number of formulas of each size
+    firsts: list[dict] = [{}]                # each size's values -> first position
+    seen: set[tuple[int, int]] = set()       # the values of every smaller size
+    checked = 0
+    for size in range(1, max_size + 1):
+        first: dict[tuple[int, int], int] = {}
+        if size == 1:
+            for i, v in enumerate(leaves):
+                first.setdefault(v, i)
+            count = len(leaves)
+        else:
+            count = 0
+            for op, sizes in _sections(size, *clauses):
+                if len(sizes) == 1:
+                    for v, i in firsts[sizes[0]].items():
+                        first.setdefault(op(v), count + i)
+                    count += counts[sizes[0]]
+                else:
+                    left, right = sizes
+                    rights, width = firsts[right].items(), counts[right]
+                    for v, i in firsts[left].items():
+                        base = count + i * width
+                        for w, j in rights:
+                            first.setdefault(op(v, w), base + j)
+                    count += counts[left] * width
+        counts.append(count)
+        firsts.append(first)
+        for v, i in first.items():
+            if v in seen:
+                continue  # it did not hit at a smaller size
+            seen.add(v)
+            if hit(flags(v)):
+                formula = _formula_at(size, i, [Atom(name) for name in names],
+                                      *_operators(language), counts)
+                return checked + i + 1, flags(v), formula
+        checked += count
+    return checked, None, None
+
+
 def check_indistinguishability(a: PointedModel, b: PointedModel,
                                language: str, max_size: int) -> IndistinguishabilityReport:
     """Scan all formulas of ``language`` (over the models' variables, up to
@@ -303,56 +410,35 @@ def check_indistinguishability(a: PointedModel, b: PointedModel,
     is what a []-style formula can do but, on such models, no #-language
     formula can.
 
-    The scan folds the clauses of ``semantics`` over the size buckets of
-    ``enumerate_formulas``, on value vectors over the disjoint union of the
-    two models (``a`` alone in glut mode), and stops at the first bucket
-    with a separating entry.  It builds no formula but the witness, and it
-    is bounded evidence with the count and witness of a formula-by-formula
-    scan: ``formulas_checked`` runs up to and including the witness.
+    The scan is ``_first_formula`` over ``a`` and ``b`` (``a`` alone in
+    glut mode): it folds the clauses over the distinct value vectors of
+    each size and their first positions, and builds no formula but the
+    witness.  It is bounded evidence with the count and witness of a
+    formula-by-formula scan: ``formulas_checked`` runs up to and including
+    the witness.
     """
     if max_size < 1:
         raise ValueError(f"max_size must be at least 1, got {max_size}")
-    _, modal_clause = _modality(language)
+    _modality(language)
     same = a.model == b.model and a.world == b.world
     names = sorted(a.model.variables | b.model.variables)
     if not names:
         raise ValueError("the models mention no variables")
     started = time.perf_counter()
-    leaves, succ = [(0, 0)] * len(names), ()
-    for m in [a.model] if same else [a.model, b.model]:
-        shift = len(succ)
-        leaves = [(pos | p << shift, neg | n << shift)
-                  for (pos, neg), (p, n) in zip(leaves, (atom_clause(m, v) for v in names))]
-        succ += tuple(s << shift for s in m.frame.succ)
-    ia = a.model.frame.index[a.world]
-    ib = ia if same else len(a.model.frame.worlds) + b.model.frame.index[b.world]
-
-    def at(v: tuple[int, int]) -> tuple[tuple[int, int], tuple[int, int]]:
-        """The value's support flags at ``a``'s world and at ``b``'s."""
-        return (v[0] >> ia & 1, v[1] >> ia & 1), (v[0] >> ib & 1, v[1] >> ib & 1)
-
-    def separates(v: tuple[int, int]) -> bool:
-        va, vb = at(v)
-        # In transfer mode a non-classical value at b constrains nothing.
-        return va == (1, 1) if same else vb[0] != vb[1] and va != vb
-
-    # The clause is pure and a scan meets few distinct values: one call each.
-    modal = lru_cache(maxsize=None)(lambda v: modal_clause(v, succ))
-    checked, value = 0, None
-    for bucket in _buckets(leaves, (not_clause, modal), (and_clause, or_clause), max_size):
-        if any(map(separates, set(bucket))):
-            hit = next(k for k, v in enumerate(bucket) if separates(v))
-            checked, value = checked + hit + 1, bucket[hit]
-            break
-        checked += len(bucket)
+    if same:
+        # A glut at a.
+        checked, flags, formula = _first_formula([a], names, language, max_size,
+                                                 lambda f: f[0] == (1, 1))
+    else:
+        # A classical value at b that a does not share; a non-classical
+        # value at b constrains nothing.
+        checked, flags, formula = _first_formula(
+            [a, b], names, language, max_size,
+            lambda f: f[1][0] != f[1][1] and f[0] != f[1])
     witness = witness_values = None
-    if value is not None:
-        witness = render(next(islice(enumerate_formulas(language, names, max_size),
-                                     checked - 1, None)))
-        va, vb = at(value)
-        witness_values = {"a": FourValue.from_flags(*va).name}
-        if not same:
-            witness_values["b"] = FourValue.from_flags(*vb).name
+    if formula is not None:
+        witness = render(formula)
+        witness_values = dict(zip("ab", (FourValue.from_flags(*f).name for f in flags)))
     return IndistinguishabilityReport(
         mode="glut" if same else "transfer",
         model_a=model_to_dict(a.model), world_a=a.world,

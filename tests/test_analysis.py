@@ -16,7 +16,7 @@ from fdek.analysis import (
 from fdek.bulkeval import BulkSpace, frame_from_mask, representatives
 from fdek.figures import load_frame, load_model
 from fdek.semantics import (
-    FRAME_PROPERTIES, BoundExceededError, Evaluator, FourValue, Frame, PointedModel,
+    FRAME_PROPERTIES, BoundExceededError, Evaluator, FourValue, Frame, Model, PointedModel,
     frame_to_dict, model_to_dict,
 )
 from fdek.syntax import Atom, Box, Not, Tri, parse_formula, parse_sequent, render, size, variables
@@ -593,6 +593,17 @@ def formula_by_formula_scan(a, b, language, max_size) -> dict:
             "witness": witness, "witness_values": witness_values}
 
 
+def _random_point(rng, names, at_point=None) -> PointedModel:
+    """A pointed model on 1-3 worlds with a random relation and valuation;
+    ``at_point`` fixes the variables' values at the point."""
+    worlds = [f"w{i}" for i in range(rng.randint(1, 3))]
+    rel = [(u, v) for u in worlds for v in worlds if rng.random() < 0.4]
+    values = {w: {v: rng.choice(list(FourValue)) for v in names} for w in worlds}
+    world = rng.choice(worlds)
+    values[world].update(at_point or {})
+    return PointedModel(Model.from_values(Frame(worlds, rel), values, variables=names), world)
+
+
 _SCAN_MODELS = ("fig1", "fig5_left", "fig5_right", "fig6_single", "fig6_pair", "fig7",
                 "fig9_glut", "fig9_gap", "fig10")
 
@@ -620,10 +631,68 @@ class TestIndistinguishability:
         def no_work(*args):
             raise AssertionError("scanned before checking the arguments")
 
-        monkeypatch.setattr(analysis, "_buckets", no_work)
+        # The fold reads the leaves off atom_clause and each larger size's
+        # layout off _sections.
+        monkeypatch.setattr(analysis, "atom_clause", no_work)
+        monkeypatch.setattr(analysis, "_sections", no_work)
         point = PointedModel(load_model("fig1"), "w0")
         with pytest.raises(ValueError, match=match):
             check_indistinguishability(point, point, language, max_size)
+
+    @pytest.mark.parametrize("language", ["tri", "box"])
+    def test_matches_the_formula_by_formula_scan_on_random_models(self, language):
+        # Points whose variables agree (no glut, in glut mode) push the
+        # witnesses past size 1, into sections whose first positions come
+        # from those of binary sections.
+        rng = random.Random(18)
+        modes, sizes = set(), set()
+        for _ in range(200):
+            names = ["p", "q"][:rng.randint(1, 2)]
+            agree = rng.random() < 0.5
+            if rng.random() < 1 / 3:
+                a = b = _random_point(rng, names, {v: rng.choice("TFN") for v in names}
+                                      if agree else None)
+            else:
+                a = _random_point(rng, names)
+                b = _random_point(rng, names, {v: a.model.value(a.world, v) for v in names}
+                                  if agree else None)
+            max_size = 6 if rng.random() < 0.75 else rng.randint(1, 5)
+            report = check_indistinguishability(a, b, language, max_size).to_dict()
+            del report["elapsed"]
+            assert report == formula_by_formula_scan(a, b, language, max_size), (a, b)
+            modes.add((report["mode"], report["witness"] is None))
+            sizes.add(report["witness"] and size(parse_formula(report["witness"])))
+        assert modes == {("glut", True), ("glut", False), ("transfer", True), ("transfer", False)}
+        assert {1, 2, 3, 4} <= sizes
+
+    @pytest.mark.parametrize("language", ["tri", "box"])
+    @pytest.mark.parametrize("names", [["p"], ["p", "q"]])
+    def test_decodes_every_position(self, language, names):
+        formulas = list(enumerate_formulas(language, names, 6))
+        counts = [0] * 7
+        for f in formulas:
+            counts[size(f)] += 1
+        leaves = [Atom(name) for name in names]
+        k = 0
+        for n in range(1, 7):
+            for pos in range(counts[n]):
+                got = analysis._formula_at(n, pos, leaves, *analysis._operators(language), counts)
+                assert got == formulas[k], (n, pos)
+                k += 1
+        assert k == len(formulas)
+
+    def test_folds_distinct_values_not_formulas(self, monkeypatch):
+        # One and_clause call per pair of distinct operand values at each
+        # size, against one per &-formula (5 897) in a per-formula fold.
+        calls = []
+        and_clause = analysis.and_clause
+        monkeypatch.setattr(analysis, "and_clause",
+                            lambda *args: calls.append(args) or and_clause(*args))
+        a = PointedModel(load_model("fig6_single"), "w0")
+        b = PointedModel(load_model("fig6_pair"), "w0")
+        report = check_indistinguishability(a, b, "box", 9)
+        assert report.formulas_checked == 23213
+        assert len(calls) == 301
 
     def test_builds_formulas_only_for_the_witness(self, monkeypatch):
         built = []
