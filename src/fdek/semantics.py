@@ -31,9 +31,9 @@ valid as a formula exactly on empty-relation frames.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
 
 from .syntax import ATOM_RE, And, Atom, Box, Formula, Not, Or, Sequent, Tri, postorder, variables
 

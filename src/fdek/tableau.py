@@ -21,19 +21,34 @@ The rules of ``&`` and ``|`` are read off one table, ``_SHARED``, and the
 glut/gap uniformity rules and their world-creating forms off another,
 ``_UNIFORM``.
 
-That first candidate is found from an agenda, not by a scan of the branch.
-The branch keeps one dirty set of item positions per finder.  Inserting
-an item marks the positions whose candidates it can enable: its own; the
-``#``-entries for the same world and formula (their labels changed); the
-two-premise ``&``/``|`` entries with it as an immediate subformula at its
-world (a minor premise, or a decided dimension); the ``#``-entries with it
-as argument one step back along the relation; and, for ``w R w'``, the
-``#``-entries at ``w``.  ``_select`` visits the dirty positions in
-ascending order, finder by finder, and drops a position once none of its
-candidates applies, so it fires the instance the full scan would fire.
-The search runs on one branch: every change goes on a trail, a split
-pushes a checkpoint, and backtracking undoes the trail to it (Eén &
-Sörensson, "An Extensible SAT-solver", 2003).
+The search runs on ints, as a SAT solver runs on literals (Eén &
+Sörensson, "An Extensible SAT-solver", 2003).  A ``_Table`` numbers each
+subformula of the root items once, by its ``postorder`` position, and each
+world label in the order it is first met; both numberings last for the
+whole search.  With ``F`` formulas, item ``w: f ; v`` is the code
+``((w * F + f) << 2) | v``, where ``v`` is the position of the label in
+``_VAL_ORDER``: so ``code ^ 2`` is its bar, ``code ^ 1`` its negation, and
+closure is one lookup.  ``w R w'`` is the negative code ``~(w << 32 | w')``.
+``Labelled`` items, ``RelAtom``s and world labels appear only at the
+edges: the items a proof node adds, ``Branch.items``,
+``Branch.from_items``, extraction and serialisation.  The table decodes
+each code once, so equal items of one proof are one object.
+
+The first applicable candidate is found from an agenda, not by a scan of
+the branch.  The branch keeps one dirty set of item positions per finder.
+Inserting an item marks the positions whose candidates it can enable: its
+own; the ``#``-entries for the same world and formula (their labels
+changed); the two-premise ``&``/``|`` entries with it as an immediate
+subformula at its world (a minor premise, or a decided dimension); the
+``#``-entries with it as argument one step back along the relation; and,
+for ``w R w'``, the ``#``-entries at ``w``.  ``_select`` visits the dirty
+positions in ascending order, finder by finder, and drops a position once
+none of its candidates applies, so it fires the instance the full scan
+would fire.  The search runs on one branch.  A split takes a checkpoint,
+which holds the sizes of the branch's logs and a copy of the four dirty
+sets, and backtracking undoes the branch to it: the items added since
+come off the end of the item list, the ``tri_F`` records off the end of
+``fired``, and the dirty sets are restored from their copy.
 
 Cut discipline (the analytic part): the value-pair cut is applied only
 
@@ -61,8 +76,8 @@ decreases along the creation order.  So a branch has finitely many
 worlds, each with finitely many labelled subformulas, and is finite.
 
 The search additionally prunes redundant split siblings: every item
-records the split decisions it rests on, as a bitmask beside its label in
-``vals`` or its successor in ``succ``, and when the left alternative of a
+records the split decisions it rests on, as a bitmask in ``Branch.deps``,
+and when the left alternative of a
 split closes without using that split's decision, the same refutation
 covers the right alternative, which is skipped and marked "pruned" in the
 tree.  Only subtrees in which every branch closes are ever skipped, so
@@ -78,7 +93,7 @@ from enum import Enum
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .semantics import Model, PointedModel, Evaluator, Frame, model_to_dict
-from .syntax import And, Atom, Formula, Not, Or, Sequent, Tri, contains_box, render, variables
+from .syntax import And, Atom, Formula, Not, Or, Sequent, Tri, postorder, render
 
 __all__ = [
     "Val", "bar", "neg", "Labelled", "RelAtom", "Branch",
@@ -115,7 +130,11 @@ class Val(Enum):
 
 _BAR = {Val.T: Val.TBAR, Val.TBAR: Val.T, Val.F: Val.FBAR, Val.FBAR: Val.F}
 _NEG = {Val.T: Val.F, Val.F: Val.T, Val.TBAR: Val.FBAR, Val.FBAR: Val.TBAR}
+# The order the finders try labels in; a label's position here is its code,
+# so that bar is ``^ 2`` and neg is ``^ 1``.
 _VAL_ORDER = (Val.T, Val.F, Val.TBAR, Val.FBAR)
+_VAL_CODE = {v: i for i, v in enumerate(_VAL_ORDER)}
+_T, _F, _TBAR, _FBAR = range(4)
 
 
 def bar(v: Val) -> Val:
@@ -143,65 +162,146 @@ class RelAtom:
 
 Item = Union[Labelled, RelAtom]
 
+# Formula kinds in ``_Table.nodes``.  A [] node gets no rule.
+_ATOM, _NOT, _AND, _OR, _TRI, _BOX = range(6)
+_KINDS = {Atom: _ATOM, Not: _NOT, And: _AND, Or: _OR, Tri: _TRI}
+# A relational atom's code holds its source above bit 32 and its target
+# below, bit-inverted, so that it is negative.
+_RBITS = 32
+_RMASK = (1 << _RBITS) - 1
+
+
+class _Table:
+    """The numbering one proof search shares among its branch states.
+
+    ``formulas[i]`` is the subformula with id ``i``, its position in the
+    ``postorder`` of the root formulas, so that children come before their
+    parents; ``nodes[i]`` is its kind and the ids of its
+    children (0 where it has fewer than two), and ``size`` is their number.
+    ``names[w]`` is the label of world ``w``, numbered as first met;
+    minting extends it.  ``decoded`` holds the one ``Item`` object decoded
+    for each code met so far.
+    """
+
+    __slots__ = ("formulas", "fids", "nodes", "size", "names", "wids", "decoded")
+
+    def __init__(self, roots: Iterable[Formula]):
+        self.formulas = postorder(*roots)
+        self.fids = {f: i for i, f in enumerate(self.formulas)}
+        self.nodes = []
+        for f in self.formulas:
+            kids = [self.fids[getattr(f, name)] for name in f._fields]
+            self.nodes.append((_KINDS.get(type(f), _BOX), *(kids + [0, 0])[:2]))
+        self.size = len(self.formulas)
+        self.names: list[str] = []
+        self.wids: dict[str, int] = {}
+        self.decoded: dict[int, Item] = {}
+
+    def world(self, name: str) -> int:
+        """The id of world label ``name``, numbering it if it is new."""
+        w = self.wids.get(name)
+        if w is None:
+            w = self.wids[name] = len(self.names)
+            self.names.append(name)
+        return w
+
+    def code(self, item: Item) -> int:
+        """The code of ``item``; its formula must be numbered already."""
+        if isinstance(item, Labelled):
+            key = self.world(item.world) * self.size + self.fids[item.formula]
+            return key << 2 | _VAL_CODE[item.value]
+        return ~(self.world(item.source) << _RBITS | self.world(item.target))
+
+    def encode(self, item: Item) -> int:
+        """``code(item)``, with ``item`` as its decoding if it has none yet."""
+        code = self.code(item)
+        self.decoded.setdefault(code, item)
+        return code
+
+    def decode(self, code: int) -> Item:
+        item = self.decoded.get(code)
+        if item is None:
+            if code >= 0:
+                w, f = divmod(code >> 2, self.size)
+                item = Labelled(self.names[w], self.formulas[f], _VAL_ORDER[code & 3])
+            else:
+                code_ = ~code
+                item = RelAtom(self.names[code_ >> _RBITS], self.names[code_ & _RMASK])
+            self.decoded[code] = item
+        return item
+
 
 class Branch:
     """A tableau branch: item set, the ``tri_F`` record and the agenda.
 
-    ``items`` is the insertion order that the agenda's positions index.
-    Item ``w: f ; v`` is key ``v`` of ``vals[(w, f)]`` and ``w R w'`` is key
-    ``w'`` of ``succ[w]``, each mapped to its decision set, whose bit ``i``
-    marks split decision ``i``.  ``worlds`` is a dict used as an ordered set.
+    Every store is keyed by ints from the branch's ``table`` (see the
+    module docstring); a key ``w * F + f`` stands for formula ``f`` at world
+    ``w``.  ``codes`` is the insertion order that the agenda's positions
+    index.  ``deps`` maps the code of each item to its decision set, whose
+    bit ``i`` marks split decision ``i``.  ``vals`` maps each key to a
+    bitmask of the labels it carries (bit ``v`` for label code ``v``).
+    ``succ[w]`` and ``pred[w]`` list the successors and predecessors of
+    world ``w`` in insertion order; ``worlds`` is a dict of world ids used
+    as an ordered set.
 
     ``fresh`` is the per-branch counter for minted world labels; each
     alternative of a split starts from its value at the split, so sibling
-    branches reuse the same label numbers independently.  ``fired`` holds
-    the (world, ``#``-formula) pairs that ``tri_F`` has split on: it is the
-    one rule whose precondition still holds after it fires.
+    branches reuse the same label numbers independently.  ``fired`` holds,
+    as an ordered set, the keys of the (world, ``#``-formula) pairs that
+    ``tri_F`` has split on: it is the one rule whose precondition still
+    holds after it fires.
 
-    ``dirty`` holds one set of item positions per finder (``_FINDERS``):
-    every position at which that finder may yield an applicable instance
-    is in it.  ``add`` marks the positions a new item can enable, ``_select``
-    drops the ones it finds exhausted.  ``trail`` logs every change, so that
-    ``undo`` can take the branch back to a ``checkpoint``.
+    ``tris`` lists the positions of the ``#``-entries by the key of their
+    world and argument, ``tri_at`` by their world, and ``binary`` the
+    two-premise ``&``/``|`` entries by the key of their world and each
+    immediate subformula.  ``dirty`` holds one set of item positions per
+    finder (``_FINDERS``): every position at which that finder may yield an
+    applicable instance is in it.  ``add`` marks the positions a new item
+    can enable, ``_select`` drops the ones it finds exhausted.  ``undo``
+    takes the branch back to a ``checkpoint``.
+
+    ``items`` decodes ``codes``; ``from_items`` and ``in`` take items too.
     """
 
-    __slots__ = ("items", "vals", "succ", "pred", "worlds", "fired", "fresh",
-                 "closing", "decisions", "tris", "tri_at", "binary", "dirty", "trail")
+    __slots__ = ("table", "codes", "deps", "vals", "succ", "pred", "worlds", "fired",
+                 "fresh", "closing", "decisions", "tris", "tri_at", "binary", "dirty")
 
-    def __init__(self):
-        self.items: list[Item] = []
-        self.vals: dict[tuple[str, Formula], dict[Val, int]] = {}
-        self.succ: dict[str, dict[str, int]] = {}
-        self.pred: dict[str, list[str]] = {}
-        self.worlds: dict[str, None] = {}
-        self.fired: set[tuple[str, Formula]] = set()
+    def __init__(self, table: _Table, items: Iterable[Item] = ()):
+        self.table = table
+        self.codes: list[int] = []
+        self.deps: dict[int, int] = {}
+        self.vals: dict[int, int] = {}
+        self.succ: dict[int, list[int]] = {}
+        self.pred: dict[int, list[int]] = {}
+        self.worlds: dict[int, None] = {}
+        self.fired: dict[int, None] = {}
         self.fresh = 1
-        self.closing: tuple[Labelled, Labelled] | None = None
+        self.closing: tuple[int, int] | None = None
         self.decisions = 0
-        # Positions of the #-entries by (world, argument) and by world, and
-        # of the two-premise &/| entries by (world, immediate subformula).
-        self.tris: dict[tuple[str, Formula], list[int]] = {}
-        self.tri_at: dict[str, list[int]] = {}
-        self.binary: dict[tuple[str, Formula], list[int]] = {}
+        self.tris: dict[int, list[int]] = {}
+        self.tri_at: dict[int, list[int]] = {}
+        self.binary: dict[int, list[int]] = {}
         self.dirty: tuple[set[int], ...] = tuple(set() for _ in _FINDERS)
-        self.trail: list = []
+        for item in items:
+            self.add(table.encode(item))
 
     @classmethod
     def from_items(cls, items: Iterable[Item]) -> "Branch":
-        b = cls()
-        for item in items:
-            b.add(item)
-        return b
+        """A branch of ``items``, with a table numbering their subformulas."""
+        items = list(items)
+        return cls(_Table(item.formula for item in items if isinstance(item, Labelled)), items)
 
     def copy(self) -> "Branch":
-        """An independent branch in the same state, with an empty trail."""
+        """An independent branch in the same state, on the same table."""
         b = Branch.__new__(Branch)
-        b.items = list(self.items)
-        b.vals = {k: dict(v) for k, v in self.vals.items()}
-        b.succ = {k: dict(v) for k, v in self.succ.items()}
+        b.table = self.table
+        b.codes = list(self.codes)
+        b.deps = dict(self.deps)
+        b.vals = dict(self.vals)
+        b.succ = {k: list(v) for k, v in self.succ.items()}
         b.pred = {k: list(v) for k, v in self.pred.items()}
         b.worlds = dict(self.worlds)
-        b.fired = set(self.fired)
+        b.fired = dict(self.fired)
         b.fresh = self.fresh
         b.closing = self.closing
         b.decisions = self.decisions
@@ -209,316 +309,372 @@ class Branch:
         b.tri_at = {k: list(v) for k, v in self.tri_at.items()}
         b.binary = {k: list(v) for k, v in self.binary.items()}
         b.dirty = tuple(set(d) for d in self.dirty)
-        b.trail = []
         return b
 
     closed = property(lambda self: self.closing is not None)
 
+    @property
+    def items(self) -> list[Item]:
+        """The items in insertion order."""
+        return list(map(self.table.decode, self.codes))
+
     def __contains__(self, item: Item) -> bool:
+        t = self.table
         if isinstance(item, Labelled):
-            return item.value in self.vals.get((item.world, item.formula), ())
-        return item.target in self.succ.get(item.source, ())
+            known = item.world in t.wids and item.formula in t.fids
+        else:
+            known = item.source in t.wids and item.target in t.wids
+        return known and t.code(item) in self.deps
 
-    def dep(self, item: Item) -> int:
-        """The decision set of an item on the branch."""
-        if isinstance(item, Labelled):
-            return self.vals[(item.world, item.formula)][item.value]
-        return self.succ[item.source][item.target]
-
-    def _mark(self, finders: tuple[int, ...], positions: Iterable[int]):
-        for i in finders:
-            dirty = self.dirty[i]
-            for pos in positions:
-                if pos not in dirty:
-                    dirty.add(pos)
-                    self.trail.append((_MARK, dirty, pos))
-
-    def add(self, item: Item, dep: int = 0) -> bool:
+    def add(self, code: int, dep: int = 0) -> bool:
         """Insert an item resting on decisions ``dep``; False if present."""
-        if item in self:
+        deps = self.deps
+        if code in deps:
             return False
-        pos = len(self.items)
-        self.items.append(item)
-        self.trail.append(item)
-        if isinstance(item, Labelled):
-            w, f, v = item.world, item.formula, item.value
-            self.worlds.setdefault(w)
-            vals = self.vals.setdefault((w, f), {})
-            vals[v] = dep
-            if self.closing is None and bar(v) in vals:
-                self.closing = (item, Labelled(w, f, bar(v)))
-            if isinstance(f, Tri):
-                # The entry itself, and every entry for the same (w, f): the
+        codes = self.codes
+        pos = len(codes)
+        codes.append(code)
+        deps[code] = dep
+        dirty = self.dirty
+        if code >= 0:
+            key, v = code >> 2, code & 3
+            table = self.table
+            size = table.size
+            w, f = divmod(key, size)
+            if w not in self.worlds:
+                self.worlds[w] = None
+            vals = self.vals.get(key, 0)
+            self.vals[key] = vals | 1 << v
+            if vals >> (v ^ 2) & 1 and self.closing is None:
+                self.closing = (code, code ^ 2)
+            kind, a, b = table.nodes[f]
+            wkey = key - f
+            if kind == _TRI:
+                # The entry itself, and every entry for the same key: the
                 # labels they read have changed.
-                same = self.tris.setdefault((w, f.child), [])
+                same = self.tris.get(wkey + a)
+                if same is None:
+                    same = self.tris[wkey + a] = []
                 same.append(pos)
-                self.tri_at.setdefault(w, []).append(pos)
-                self._mark(_TRI_FINDERS, same)
-            elif isinstance(f, Not):
-                self._mark(_LINEAR, (pos,))
-            elif type(f) in _SHARED:
-                if v in _SHARED[type(f)]:
-                    self._mark(_LINEAR, (pos,))
+                at = self.tri_at.get(w)
+                if at is None:
+                    self.tri_at[w] = [pos]
                 else:
-                    for sub in (f.left, f.right):
-                        self.binary.setdefault((w, sub), []).append(pos)
-                    self._mark(_BINARY_FINDERS, (pos,))
+                    at.append(pos)
+                dirty[1].update(same)
+                dirty[2].update(same)
+                dirty[3].update(same)
+            elif kind == _NOT:
+                dirty[0].add(pos)
+            elif kind == _AND or kind == _OR:
+                if _SHARED[kind] >> v & 1:
+                    dirty[0].add(pos)
+                else:
+                    for sub in (wkey + a, wkey + b):
+                        parents = self.binary.get(sub)
+                        if parents is None:
+                            self.binary[sub] = [pos]
+                        else:
+                            parents.append(pos)
+                    dirty[0].add(pos)
+                    dirty[2].add(pos)
             # The item may be the minor premise or a decided subformula of a
             # two-premise entry, or the argument of a #-entry one step back.
-            parents = self.binary.get((w, f))
+            parents = self.binary.get(key)
             if parents:
-                self._mark(_BINARY_FINDERS, parents)
-            for u in self.pred.get(w, ()):
-                tris = self.tris.get((u, f))
-                if tris:
-                    self._mark(_SUCC_FINDERS, tris)
+                dirty[0].update(parents)
+                dirty[2].update(parents)
+            pred = self.pred.get(w)
+            if pred:
+                tris = self.tris
+                for u in pred:
+                    found = tris.get(u * size + f)
+                    if found:
+                        dirty[1].update(found)
+                        dirty[2].update(found)
         else:
-            s, t = item.source, item.target
-            self.worlds.setdefault(s)
-            self.worlds.setdefault(t)
-            self.succ.setdefault(s, {})[t] = dep
+            rel = ~code
+            s, t = rel >> _RBITS, rel & _RMASK
+            for w in (s, t):
+                if w not in self.worlds:
+                    self.worlds[w] = None
+            self.succ.setdefault(s, []).append(t)
             self.pred.setdefault(t, []).append(s)
-            self._mark(_TRI_FINDERS, self.tri_at.get(s, ()))
+            at = self.tri_at.get(s)
+            if at:
+                dirty[1].update(at)
+                dirty[2].update(at)
+                dirty[3].update(at)
         return True
 
-    def _unadd(self, item: Item):
-        """Reverse ``add(item)``, the last insertion still on the branch."""
-        self.items.pop()
-        if isinstance(item, Labelled):
-            w, f = item.world, item.formula
-            del self.vals[(w, f)][item.value]
-            if isinstance(f, Tri):
-                self.tris[(w, f.child)].pop()
+    def _unadd(self):
+        """Reverse the ``add`` of the last item on the branch."""
+        code = self.codes.pop()
+        del self.deps[code]
+        if code >= 0:
+            key = code >> 2
+            self.vals[key] ^= 1 << (code & 3)
+            w, f = divmod(key, self.table.size)
+            kind, a, b = self.table.nodes[f]
+            if kind == _TRI:
+                self.tris[key - f + a].pop()
                 self.tri_at[w].pop()
-            elif type(f) in _SHARED and item.value not in _SHARED[type(f)]:
-                self.binary[(w, f.left)].pop()
-                self.binary[(w, f.right)].pop()
+            elif (kind == _AND or kind == _OR) and not _SHARED[kind] >> (code & 3) & 1:
+                self.binary[key - f + a].pop()
+                self.binary[key - f + b].pop()
         else:
-            self.succ[item.source].popitem()
-            self.pred[item.target].pop()
-
-    def fire(self, pair: tuple[str, Formula]):
-        self.fired.add(pair)
-        self.trail.append((_FIRE, pair, None))
-
-    def drop(self, finder: int, pos: int):
-        self.dirty[finder].discard(pos)
-        self.trail.append((_DROP, self.dirty[finder], pos))
+            rel = ~code
+            self.succ[rel >> _RBITS].pop()
+            self.pred[rel & _RMASK].pop()
 
     def checkpoint(self) -> tuple:
-        return len(self.trail), len(self.worlds), self.fresh, self.decisions, self.closing
+        return (len(self.codes), len(self.worlds), len(self.fired), self.fresh,
+                self.decisions, self.closing, tuple(set(d) for d in self.dirty))
 
     def undo(self, cp: tuple):
         """Take the branch back to the state ``checkpoint`` returned ``cp``
-        in; every change since is still on the trail."""
-        size, nworlds, self.fresh, self.decisions, self.closing = cp
-        trail = self.trail
-        while len(trail) > size:
-            entry = trail.pop()
-            if type(entry) is not tuple:
-                self._unadd(entry)
-            elif entry[0] is _MARK:
-                entry[1].discard(entry[2])
-            elif entry[0] is _DROP:
-                entry[1].add(entry[2])
-            else:
-                self.fired.discard(entry[1])
+        in.  Items, worlds and ``tri_F`` records come off the ends of their
+        logs; the dirty sets are restored from the copy in ``cp``."""
+        ncodes, nworlds, nfired, self.fresh, self.decisions, self.closing, dirty = cp
+        for _ in range(len(self.codes) - ncodes):
+            self._unadd()
         for _ in range(len(self.worlds) - nworlds):
             self.worlds.popitem()
+        for _ in range(len(self.fired) - nfired):
+            self.fired.popitem()
+        for mine, saved in zip(self.dirty, dirty):
+            mine.clear()
+            mine.update(saved)
 
-    def values(self, world: str, f: Formula) -> dict[Val, int]:
-        return self.vals.get((world, f), {})
-
-    def successors(self, world: str) -> dict[str, int]:
-        return self.succ.get(world, {})
-
-    def mint(self, count: int) -> tuple[list[str], int]:
-        """Names for ``count`` fresh worlds plus the advanced counter value;
-        does not mutate the branch."""
-        names, n = [], self.fresh
-        while len(names) < count:
-            name = f"w{n}"
+    def mint(self, count: int) -> tuple[list[int], int]:
+        """Ids of ``count`` fresh worlds, labelled ``w<n>`` by the first
+        counter values whose labels are not on the branch, plus the
+        advanced counter value.  It numbers new labels in the table but
+        does not change the branch."""
+        table, worlds = self.table, self.worlds
+        ids, n = [], self.fresh
+        while len(ids) < count:
+            w = table.world(f"w{n}")
             n += 1
-            if name not in self.worlds:
-                names.append(name)
-        return names, n
+            if w not in worlds:
+                ids.append(w)
+        return ids, n
 
     def __len__(self):
-        return len(self.items)
+        return len(self.codes)
 
 
 # --- rule instances ----------------------------------------------------------
+#
+# An instance is a tuple (rule, additions, premises, fresh_after) of codes:
+# ``additions`` holds one tuple of codes per resulting branch (one entry = a
+# linear rule, two = a branching rule), ``premises`` the items whose
+# decisions the additions rest on, and ``fresh_after`` the minting counter
+# after the worlds it mints, or None.
 
-class _Instance(NamedTuple):
-    rule: str
-    # One tuple of items per resulting branch: one entry = linear rule,
-    # two entries = branching rule.
-    additions: tuple[tuple[Item, ...], ...]
-    premises: tuple[Item, ...] = ()
-    fresh_after: int | None = None
-
-
-# The labels of & and | that pass to both subformulas.  Every other label
-# ``v`` of a binary connective is a two-premise rule: minor premise
-# ``bar(v)`` on one subformula, conclusion ``v`` on the other.
-_SHARED = {And: (Val.T, Val.FBAR), Or: (Val.F, Val.TBAR)}
-# The value pairs of one dimension, supported label first.
-_DIMENSIONS = {"t": (Val.T, Val.TBAR), "f": (Val.F, Val.FBAR)}
-_CLASSICAL_PAIRS = ((Val.T, Val.FBAR), (Val.F, Val.TBAR))
+# The labels of & and | that pass to both subformulas, as bitmasks of label
+# codes, as in ``Branch.vals``.  Every other label ``v`` of a binary
+# connective is a two-premise rule: minor premise ``bar(v)`` on one
+# subformula, conclusion ``v`` on the other.
+_SHARED = {_AND: 1 << _T | 1 << _FBAR, _OR: 1 << _F | 1 << _TBAR}
+_RULES = {kind: tuple(f"{name}_{v.value}" for v in _VAL_ORDER)
+          for kind, name in ((_NOT, "not"), (_AND, "and"), (_OR, "or"))}
+# The value pairs of one dimension, supported label first, by the
+# dimension's bit in a label code (t: 0, f: 1), and their masks.
+_DIMENSIONS = ((_T, _TBAR), (_F, _FBAR))
+_TDIM, _FDIM = 1 << _T | 1 << _TBAR, 1 << _F | 1 << _FBAR
+_CLASSICAL_PAIRS = ((_T, _FBAR, 1 << _T | 1 << _FBAR), (_F, _TBAR, 1 << _F | 1 << _TBAR))
+# A #-entry true and not false propagates to its successors (tri_T, tri_T');
+# one false and not true needs two witnesses (tri_F).
+_PROPAGATES, _WITNESSES = _CLASSICAL_PAIRS[0][2], _CLASSICAL_PAIRS[1][2]
 # A glut (gap) on a #-entry makes every successor a glut (gap).
-_UNIFORM = (("tri_B", (Val.T, Val.F)), ("tri_N", (Val.TBAR, Val.FBAR)))
+_UNIFORM = (("tri_B", _T, _F, 1 << _T | 1 << _F),
+            ("tri_N", _TBAR, _FBAR, 1 << _TBAR | 1 << _FBAR))
 
 
-def _linear(b: Branch, item: Item) -> Iterator[_Instance]:
-    if not isinstance(item, Labelled):
+def _linear(b: Branch, code: int) -> Iterator[tuple]:
+    if code < 0:
         return
-    w, f, v = item.world, item.formula, item.value
-    if isinstance(f, Not):
-        yield _Instance(f"not_{v.value}", ((Labelled(w, f.child, neg(v)),),), (item,))
-    elif type(f) in _SHARED:
-        rule = f"{type(f).__name__.lower()}_{v.value}"
-        if v in _SHARED[type(f)]:
-            yield _Instance(rule, ((Labelled(w, f.left, v), Labelled(w, f.right, v)),),
-                            (item,))
+    key, v = code >> 2, code & 3
+    table = b.table
+    f = key % table.size
+    kind, x, y = table.nodes[f]
+    if kind == _NOT:
+        yield _RULES[_NOT][v], ((((key - f + x) << 2) | v ^ 1,),), (code,), None
+    elif kind == _AND or kind == _OR:
+        rule = _RULES[kind][v]
+        left, right = (key - f + x) << 2, (key - f + y) << 2
+        if _SHARED[kind] >> v & 1:
+            yield rule, ((left | v, right | v),), (code,), None
             return
-        minor = bar(v)
-        for this, other in ((f.left, f.right), (f.right, f.left)):
-            if minor in b.values(w, this):
-                yield _Instance(rule, ((Labelled(w, other, v),),),
-                                (item, Labelled(w, this, minor)))
+        minor = v ^ 2
+        for this, other in ((left, right), (right, left)):
+            if this | minor in b.deps:
+                yield rule, ((other | v,),), (code, this | minor), None
 
 
-def _modal(b: Branch, item: Item) -> Iterator[_Instance]:
-    if not (isinstance(item, Labelled) and isinstance(item.formula, Tri)):
+def _modal(b: Branch, code: int) -> Iterator[tuple]:
+    if code < 0:
         return
-    w, tf = item.world, item.formula
-    vals, arg = b.values(w, tf), tf.child
-    if Val.T in vals and Val.FBAR in vals:
-        mode = (Labelled(w, tf, Val.T), Labelled(w, tf, Val.FBAR))
-        succ_vals = [(wj, b.values(wj, arg)) for wj in b.successors(w)]
-        for wj, arg_vals in succ_vals:
-            for v in _VAL_ORDER:
-                if v in arg_vals:
-                    yield _Instance("tri_T", ((Labelled(wj, arg, neg(bar(v))),),),
-                                    mode + (RelAtom(w, wj), Labelled(wj, arg, v)))
-        for wj1, arg_vals in succ_vals:
-            for x, y in _CLASSICAL_PAIRS:
-                if not (x in arg_vals and y in arg_vals):
+    key = code >> 2
+    table = b.table
+    size = table.size
+    w, f = divmod(key, size)
+    kind, arg, _ = table.nodes[f]
+    succ = b.succ.get(w)
+    if kind != _TRI or not succ:
+        return
+    vals, base = b.vals, key << 2
+    mask = vals[key]
+    rels = ~(w << _RBITS)     # less a successor: the code of w R it
+    if mask & _PROPAGATES == _PROPAGATES:
+        mode = (base | _T, base | _FBAR)
+        for wj in succ:
+            akey = wj * size + arg
+            arg_vals = vals.get(akey)
+            if arg_vals:
+                for v in range(4):
+                    if arg_vals >> v & 1:
+                        yield ("tri_T", (((akey << 2) | v ^ 3,),),
+                               mode + (rels - wj, (akey << 2) | v), None)
+        for wj1 in succ:
+            akey = wj1 * size + arg
+            arg_vals = vals.get(akey)
+            if not arg_vals:
+                continue
+            for x, y, pair in _CLASSICAL_PAIRS:
+                if arg_vals & pair != pair:
                     continue
-                for wj2 in b.successors(w):
+                for wj2 in succ:
                     if wj2 != wj1:
-                        yield _Instance("tri_T'",
-                                        ((Labelled(wj2, arg, x), Labelled(wj2, arg, y)),),
-                                        mode + (RelAtom(w, wj1), RelAtom(w, wj2),
-                                                Labelled(wj1, arg, x), Labelled(wj1, arg, y)))
-    for rule, (x, y) in _UNIFORM:
-        if x in vals and y in vals:
-            mode = (Labelled(w, tf, x), Labelled(w, tf, y))
-            for wj in b.successors(w):
-                yield _Instance(rule, ((Labelled(wj, arg, x), Labelled(wj, arg, y)),),
-                                mode + (RelAtom(w, wj),))
+                        other = (wj2 * size + arg) << 2
+                        yield ("tri_T'", ((other | x, other | y),),
+                               mode + (rels - wj1, rels - wj2, (akey << 2) | x,
+                                       (akey << 2) | y), None)
+    for rule, x, y, pair in _UNIFORM:
+        if mask & pair == pair:
+            mode = (base | x, base | y)
+            for wj in succ:
+                other = (wj * size + arg) << 2
+                yield rule, ((other | x, other | y),), mode + (rels - wj,), None
 
 
-def _cut(w: str, f: Formula, dim: str) -> _Instance:
+def _cut(key: int, dim: int) -> tuple:
     plain, unsupported = _DIMENSIONS[dim]
-    return _Instance("cut", ((Labelled(w, f, plain),), (Labelled(w, f, unsupported),)))
+    return "cut", (((key << 2) | plain,), ((key << 2) | unsupported,)), (), None
 
 
-def _cuts(b: Branch, item: Item) -> Iterator[_Instance]:
-    if not isinstance(item, Labelled):
+def _cuts(b: Branch, code: int) -> Iterator[tuple]:
+    if code < 0:
         return
-    w, f, v = item.world, item.formula, item.value
-    if isinstance(f, Tri):
-        vals = b.values(w, f)
-        tdim = Val.T in vals or Val.TBAR in vals
-        fdim = Val.F in vals or Val.FBAR in vals
-        if tdim and not fdim:
-            yield _cut(w, f, "f")
-        elif fdim and not tdim:
-            yield _cut(w, f, "t")
-        if Val.T in vals and Val.FBAR in vals:
+    key, v = code >> 2, code & 3
+    table = b.table
+    size = table.size
+    f = key % size
+    kind, x, y = table.nodes[f]
+    vals = b.vals
+    if kind == _TRI:
+        mask = vals[key]
+        if mask & _TDIM and not mask & _FDIM:
+            yield _cut(key, 1)
+        elif mask & _FDIM and not mask & _TDIM:
+            yield _cut(key, 0)
+        if mask & _PROPAGATES == _PROPAGATES:
             # Propagation needs one entry for the argument at some
             # accessible world: the completion rule then turns it into a
             # classical pair and the uniformity rule floods that pair to
             # every other accessible world, so one cut is enough.
-            succ = b.successors(w)
-            if succ and not any(b.values(wj, f.child) for wj in succ):
-                yield _cut(next(iter(succ)), f.child, "t")
-    elif type(f) in _SHARED and v not in _SHARED[type(f)]:
-        dim = "t" if v in _DIMENSIONS["t"] else "f"
-        if not any(x in b.values(w, sub)
-                   for sub in (f.left, f.right) for x in _DIMENSIONS[dim]):
-            yield _cut(w, f.left, dim)
+            succ = b.succ.get(key // size)
+            if succ and not any(vals.get(wj * size + x) for wj in succ):
+                yield _cut(succ[0] * size + x, 0)
+    elif (kind == _AND or kind == _OR) and not _SHARED[kind] >> v & 1:
+        dim = v & 1
+        bits = _FDIM if dim else _TDIM
+        if not (vals.get(key - f + x, 0) & bits or vals.get(key - f + y, 0) & bits):
+            yield _cut(key - f + x, dim)
 
 
-def _creators(b: Branch, item: Item) -> Iterator[_Instance]:
-    if not (isinstance(item, Labelled) and isinstance(item.formula, Tri)):
+def _creators(b: Branch, code: int) -> Iterator[tuple]:
+    if code < 0:
         return
-    w, tf = item.world, item.formula
-    vals, arg = b.values(w, tf), tf.child
-    for rule, (x, y) in _UNIFORM:
-        if x in vals and y in vals and not b.successors(w):
-            (k,), nxt = b.mint(1)
-            yield _Instance(rule + "+",
-                            ((RelAtom(w, k), Labelled(k, arg, x), Labelled(k, arg, y)),),
-                            (Labelled(w, tf, x), Labelled(w, tf, y)), nxt)
-    if Val.F in vals and Val.TBAR in vals and (w, tf) not in b.fired:
+    key = code >> 2
+    table = b.table
+    size = table.size
+    w, f = divmod(key, size)
+    kind, arg, _ = table.nodes[f]
+    if kind != _TRI:
+        return
+    mask, base = b.vals[key], key << 2
+    if not b.succ.get(w):
+        for rule, x, y, pair in _UNIFORM:
+            if mask & pair == pair:
+                (k,), nxt = b.mint(1)
+                other = (k * size + arg) << 2
+                yield (rule + "+", ((~(w << _RBITS | k), other | x, other | y),),
+                       (base | x, base | y), nxt)
+    if mask & _WITNESSES == _WITNESSES and key not in b.fired:
         (k1, k2), nxt = b.mint(2)
-        rels = (RelAtom(w, k1), RelAtom(w, k2))
-        yield _Instance("tri_F",
-                        (rels + (Labelled(k1, arg, Val.T), Labelled(k2, arg, Val.TBAR)),
-                         rels + (Labelled(k1, arg, Val.F), Labelled(k2, arg, Val.FBAR))),
-                        (Labelled(w, tf, Val.F), Labelled(w, tf, Val.TBAR)), nxt)
+        rels = (~(w << _RBITS | k1), ~(w << _RBITS | k2))
+        one, two = (k1 * size + arg) << 2, (k2 * size + arg) << 2
+        yield ("tri_F", (rels + (one | _T, two | _TBAR), rels + (one | _F, two | _FBAR)),
+               (base | _F, base | _TBAR), nxt)
 
 
 # Finders in priority order; each yields the candidate instances one item
-# is the major premise of.  The tuples name the finders whose candidates an
-# item of a kind can enable (indices into ``_FINDERS`` and ``Branch.dirty``).
+# is the major premise of.  Their indices are those of ``Branch.dirty``:
+# ``Branch.add`` marks 0 for a linear entry; 0 and 2 for a two-premise entry
+# and for the entries it has as immediate subformulas; 1 and 2 for the
+# #-entries one step back that have the new entry as argument; and 1 to 3
+# for a #-entry, the entries of its key, and on a relational atom from its
+# world.
 _FINDERS = (_linear, _modal, _cuts, _creators)
-_LINEAR = (0,)
-_BINARY_FINDERS = (0, 2)
-_SUCC_FINDERS = (1, 2)
-_TRI_FINDERS = (1, 2, 3)
-# Trail entry tags; any other trail entry is an item that ``add`` inserted.
-_MARK, _DROP, _FIRE = "mark", "drop", "fire"
 
 
-def _select(b: Branch) -> _Instance | None:
+def _select(b: Branch) -> tuple | None:
     """The first applicable instance, in the order of a full scan: finders
     in priority order, each over the branch in insertion order.  A linear
     instance applies while one of its additions is missing; a yielded split
     always applies.  Only the dirty positions can hold one, so only they
     are visited."""
-    for i, finder in enumerate(_FINDERS):
-        for pos in sorted(b.dirty[i]):
-            for inst in finder(b, b.items[pos]):
-                if len(inst.additions) > 1 or any(item not in b for item in inst.additions[0]):
+    codes, deps = b.codes, b.deps
+    for finder, dirty in zip(_FINDERS, b.dirty):
+        if not dirty:
+            continue
+        for pos in sorted(dirty):
+            for inst in finder(b, codes[pos]):
+                additions = inst[1]
+                if len(additions) > 1:
                     return inst
-            b.drop(i, pos)
+                for code in additions[0]:
+                    if code not in deps:
+                        return inst
+            dirty.discard(pos)
     return None
 
 
-def _apply_to(b: Branch, inst: _Instance, additions: tuple[Item, ...]) -> tuple[Item, ...]:
-    if inst.fresh_after is not None:
-        b.fresh = inst.fresh_after
+def _apply_to(b: Branch, inst: tuple, additions: tuple[int, ...]) -> list[int]:
+    """Add ``additions``, one alternative of ``inst``, to ``b``; the codes
+    that were new, in order."""
+    rule, alternatives, premises, fresh_after = inst
+    if fresh_after is not None:
+        b.fresh = fresh_after
+    deps = b.deps
     base = 0
-    for p in inst.premises:
-        base |= b.dep(p)
-    if len(inst.additions) > 1:
-        if inst.rule == "tri_F":
+    for p in premises:
+        base |= deps[p]
+    if len(alternatives) > 1:
+        if rule == "tri_F":
             # Its precondition outlives it; record it so it splits once.
-            major = inst.premises[0]
-            b.fire((major.world, major.formula))
+            b.fired[premises[0] >> 2] = None
         # A branching application is a decision point.  Items common to both
         # alternatives (the relational atoms of the two-witness rule) do not
         # depend on the choice taken.
         decision = b.decisions
         b.decisions += 1
-        common = set(inst.additions[0]) & set(inst.additions[1])
+        common = set(alternatives[0]) & set(alternatives[1])
         chosen = base | 1 << decision
-        return tuple(item for item in additions
-                     if b.add(item, base if item in common else chosen))
-    return tuple(item for item in additions if b.add(item, base))
+        return [code for code in additions if b.add(code, base if code in common else chosen)]
+    return [code for code in additions if b.add(code, base)]
 
 
 def saturation_step(b: Branch) -> list[Branch]:
@@ -533,7 +689,7 @@ def saturation_step(b: Branch) -> list[Branch]:
     if inst is None:
         raise ValueError("branch is complete")
     out = []
-    for additions in inst.additions:
+    for additions in inst[1]:
         child = b.copy()
         _apply_to(child, inst, additions)
         out.append(child)
@@ -591,7 +747,8 @@ def prove(s: Sequent, *, start: str = "truth") -> TableauResult:
     first (leftmost) complete open branch, its extracted model, and the
     designated world.
     """
-    if contains_box(s.premise) or contains_box(s.conclusion):
+    table = _Table((s.premise, s.conclusion))
+    if any(kind == _BOX for kind, _, _ in table.nodes):
         raise LanguageError("the proof system covers the #-fragment; [] is not supported")
     if start == "truth":
         root_items = (Labelled("w0", s.premise, Val.T),
@@ -601,7 +758,7 @@ def prove(s: Sequent, *, start: str = "truth") -> TableauResult:
                       Labelled("w0", s.conclusion, Val.F))
     else:
         raise ValueError(f"unknown start mode {start!r}")
-    branch = Branch.from_items(root_items)
+    branch = Branch(table, root_items)
     root = ProofNode(None, root_items)
     stats = ProofStats()
     open_branch = _explore(branch, root, stats)
@@ -615,7 +772,7 @@ def _explore(branch: Branch, node: ProofNode, stats: ProofStats) -> Branch | Non
     """Depth-first, left branch first, on the one ``branch``.
 
     Returns the first complete open branch, or None when every branch
-    closes.  Each split pushes a checkpoint; backtracking undoes the trail
+    closes.  Each split takes a checkpoint; backtracking undoes the branch
     to it and applies the right alternative.  A closed subtree reports the
     set of split decisions its refutation depends on.  When the left
     alternative of a split closes without using that split's decision, the
@@ -623,29 +780,32 @@ def _explore(branch: Branch, node: ProofNode, stats: ProofStats) -> Branch | Non
     ("pruned"); this only ever skips subtrees in which every branch closes,
     so refutation results and extracted countermodels are unaffected.
     """
+    decode = branch.table.decode
     # One frame per split on the current path: the checkpoint before it,
     # the instance, its node, its decision, and None while the left
     # alternative runs, else the conflicts the left one left behind.
     splits: list[tuple] = []
     while True:
-        while not branch.closed:
+        while branch.closing is None:
             inst = _select(branch)
             if inst is None:
                 node.status = "open"
                 return branch
             stats.rule_applications += 1
-            if inst.fresh_after is not None:
-                stats.worlds_created += inst.fresh_after - branch.fresh
+            rule, alternatives, _, fresh_after = inst
+            if fresh_after is not None:
+                stats.worlds_created += fresh_after - branch.fresh
             parent = node
-            if len(inst.additions) > 1:
+            if len(alternatives) > 1:
                 stats.splits += 1
                 splits.append((branch.checkpoint(), inst, parent, branch.decisions, None))
-            node = ProofNode(inst.rule, _apply_to(branch, inst, inst.additions[0]))
+            added = _apply_to(branch, inst, alternatives[0])
+            node = ProofNode(rule, tuple(map(decode, added)))
             parent.children.append(node)
         node.status = "closed"
         stats.branches_closed += 1
         first, second = branch.closing
-        deps = branch.dep(first) | branch.dep(second)
+        deps = branch.deps[first] | branch.deps[second]
         while True:
             if not splits:
                 return None
@@ -654,11 +814,12 @@ def _explore(branch: Branch, node: ProofNode, stats: ProofStats) -> Branch | Non
                 deps = conflicts | (deps & ~(1 << decision))
             elif not deps >> decision & 1:
                 stats.branches_pruned += 1
-                parent.children.append(ProofNode(inst.rule, (), status="pruned"))
+                parent.children.append(ProofNode(inst[0], (), status="pruned"))
             else:
                 branch.undo(cp)
                 splits.append((cp, inst, parent, decision, deps & ~(1 << decision)))
-                node = ProofNode(inst.rule, _apply_to(branch, inst, inst.additions[1]))
+                added = _apply_to(branch, inst, inst[1][1])
+                node = ProofNode(inst[0], tuple(map(decode, added)))
                 parent.children.append(node)
                 break
 
@@ -679,22 +840,26 @@ def extract_countermodel(b: Branch) -> PointedModel:
         raise ValueError("cannot extract a model from a closed branch")
     if not b.worlds:
         raise ValueError("empty branch")
-    rel = [(item.source, item.target) for item in b.items if isinstance(item, RelAtom)]
-    frame = Frame(b.worlds, rel)
-    vplus: dict[str, set[str]] = {w: set() for w in b.worlds}
-    vminus: dict[str, set[str]] = {w: set() for w in b.worlds}
-    labelled = [item for item in b.items if isinstance(item, Labelled)]
-    for item in labelled:
-        if isinstance(item.formula, Atom):
-            if item.value is Val.T:
-                vplus[item.world].add(item.formula.name)
-            elif item.value is Val.F:
-                vminus[item.world].add(item.formula.name)
-    mentioned = variables(*(item.formula for item in labelled))
-    model = Model(frame, vplus, vminus, variables=mentioned)
+    table = b.table
+    names, formulas = table.names, table.formulas
+    worlds = [names[w] for w in b.worlds]
+    rel = []
+    # vplus and vminus, by the codes of t and f.
+    support = ({w: set() for w in worlds}, {w: set() for w in worlds})
+    for code in b.codes:
+        if code < 0:
+            rel.append((names[~code >> _RBITS], names[~code & _RMASK]))
+            continue
+        w, f = divmod(code >> 2, table.size)
+        if code & 3 in (_T, _F) and table.nodes[f][0] == _ATOM:
+            support[code & 3][names[w]].add(formulas[f].name)
+    # The table numbers the subformulas of the items the branch was built
+    # from, which never leave it: its atoms are the variables it mentions.
+    mentioned = {f.name for f, node in zip(formulas, table.nodes) if node[0] == _ATOM}
+    model = Model(Frame(worlds, rel), *support, variables=mentioned)
     if not check_realisation(model, b):
         raise RealisationError("extracted model does not realise its branch")
-    return PointedModel(model, next(iter(b.worlds)))
+    return PointedModel(model, worlds[0])
 
 
 def check_realisation(m: Model, b: Branch) -> bool:

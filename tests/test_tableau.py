@@ -453,11 +453,12 @@ def root_branch(s, start):
 def reference_select(b):
     """The full scan the agenda stands for: every finder, in priority order,
     over every item of the branch, in insertion order; the first split, or
-    the first linear instance with an addition missing from the branch."""
+    the first linear instance with an addition missing from the branch.
+    Finders and instances work on the branch's item codes."""
     for finder in tableau._FINDERS:
-        for item in b.items:
-            for inst in finder(b, item):
-                if len(inst.additions) > 1 or any(i not in b for i in inst.additions[0]):
+        for code in b.codes:
+            for inst in finder(b, code):
+                if len(inst[1]) > 1 or any(c not in b.deps for c in inst[1][0]):
                     return inst
     return None
 
@@ -495,7 +496,7 @@ class TestAgenda:
             "w0 R w1", "w1: q | #p ; fbar", "w0 R w3")])
         rules = []
         for _ in range(3):
-            rules.append(check_select(b).rule)
+            rules.append(check_select(b)[0])
             (b,) = saturation_step(b)
         assert rules == ["tri_B", "or_fbar", "tri_T"]
         walk_all_paths(b)
@@ -540,6 +541,12 @@ class TestAgenda:
                     if check_select(b) is None:
                         break
                     b = saturation_step(b)[-1]
+
+
+def fired_pairs(b):
+    """``b.fired`` decoded to (world, #-formula) pairs."""
+    t = b.table
+    return {(t.names[k // t.size], t.formulas[k % t.size]) for k in b.fired}
 
 
 def tri_f_pairs(node):
@@ -592,7 +599,7 @@ class TestApplicability:
         for res in refuted:
             (split,) = [above | tri_f_pairs(node) for node, above in path_walk(res.tree)
                         if node.status == "open"]
-            assert res.branch.fired == split
+            assert fired_pairs(res.branch) == split
 
 
 def by_value(x):
@@ -622,10 +629,10 @@ def containers(x):
 
 
 def agenda_state(b):
-    """Every field of ``b`` but the trail, by value, less the empty entries
-    that an undo leaves behind in the indexes."""
+    """Every field of ``b`` but the shared table, by value, less the empty
+    entries that an undo leaves behind in the indexes."""
     nonempty = lambda d: {k: v for k, v in d.items() if v}
-    return by_value((b.items, nonempty(b.vals), nonempty(b.succ), nonempty(b.pred),
+    return by_value((b.codes, b.deps, nonempty(b.vals), nonempty(b.succ), nonempty(b.pred),
                      b.worlds, b.fired, b.fresh, b.closing, b.decisions,
                      nonempty(b.tris), nonempty(b.tri_at), nonempty(b.binary), b.dirty))
 
@@ -640,12 +647,12 @@ class TestTrail:
                     if inst is None:
                         break
                     before, cp = agenda_state(b), b.checkpoint()
-                    for additions in inst.additions:
+                    for additions in inst[1]:
                         tableau._apply_to(b, inst, additions)
                         tableau._select(b)
                         b.undo(cp)
                         assert agenda_state(b) == before
-                    tableau._apply_to(b, inst, inst.additions[0])
+                    tableau._apply_to(b, inst, inst[1][0])
 
     def test_saturation_step_leaves_its_branch_alone(self):
         b = root_branch(parse_sequent("#p |- ##p"), "truth")
@@ -659,14 +666,16 @@ class TestTrail:
 
 class TestBranchStores:
     def test_copy_is_equal_and_shares_no_container(self):
-        fields = [slot for slot in Branch.__slots__ if slot != "trail"]
+        # The table is the numbering of the whole search, so a copy shares
+        # it; it holds no state of the branch.
+        fields = [slot for slot in Branch.__slots__ if slot != "table"]
         for s in corpus()[::10] + TestAgenda.NESTED:
             b = root_branch(s, "truth")
             for _ in range(40):
                 c = b.copy()
                 for slot in fields:
                     assert by_value(getattr(c, slot)) == by_value(getattr(b, slot)), slot
-                assert c.trail == []
+                assert c.table is b.table
                 mine = {id(x) for slot in Branch.__slots__ for x in containers(getattr(b, slot))}
                 assert not any(id(x) in mine for slot in Branch.__slots__
                                for x in containers(getattr(c, slot)))
@@ -676,23 +685,33 @@ class TestBranchStores:
 
     def test_worlds_keep_their_first_insertion_order(self):
         b = Branch.from_items([lab("w0", "#p", "t"), RelAtom("w0", "w1"), lab("w3", "p", "t")])
-        assert b.mint(2) == (["w2", "w4"], 5)
+        labels = lambda ws: [b.table.names[w] for w in ws]
+        minted = lambda: (labels(b.mint(2)[0]), b.mint(2)[1])
+        assert minted() == (["w2", "w4"], 5)
         cp = b.checkpoint()
         for item in (RelAtom("w3", "w5"), lab("w2", "p", "f"), RelAtom("w1", "w0")):
-            b.add(item)
-        assert list(b.worlds) == ["w0", "w1", "w3", "w5", "w2"]
+            b.add(b.table.encode(item))
+        assert labels(b.worlds) == ["w0", "w1", "w3", "w5", "w2"]
         b.undo(cp)
-        assert list(b.worlds) == ["w0", "w1", "w3"]
-        assert b.mint(2) == (["w2", "w4"], 5)
+        assert labels(b.worlds) == ["w0", "w1", "w3"]
+        assert minted() == (["w2", "w4"], 5)
 
     def test_decisions_live_with_their_facts(self):
         b = Branch.from_items([lab("w0", "#p", "f"), lab("w0", "#p", "tbar")])
         inst = tableau._select(b)
-        tableau._apply_to(b, inst, inst.additions[1])
-        assert b.vals[("w0", parse_formula("#p"))] == {Val.F: 0, Val.TBAR: 0}
-        assert b.succ == {"w0": {"w1": 0, "w2": 0}}
-        assert b.vals[("w1", p)] == {Val.F: 1} and b.vals[("w2", p)] == {Val.FBAR: 1}
-        assert b.dep(RelAtom("w0", "w2")) == 0 and b.dep(lab("w2", "p", "fbar")) == 1
+        tableau._apply_to(b, inst, inst[1][1])
+        dep = lambda item: b.deps[b.table.encode(item)]
+
+        def values(world, f):
+            return {v: dep(Labelled(world, f, v)) for v in Val if Labelled(world, f, v) in b}
+
+        assert values("w0", parse_formula("#p")) == {Val.F: 0, Val.TBAR: 0}
+        names = b.table.names
+        assert {names[w]: [names[t] for t in ts] for w, ts in b.succ.items()} == \
+            {"w0": ["w1", "w2"]}
+        assert dep(RelAtom("w0", "w1")) == 0
+        assert values("w1", p) == {Val.F: 1} and values("w2", p) == {Val.FBAR: 1}
+        assert dep(RelAtom("w0", "w2")) == 0 and dep(lab("w2", "p", "fbar")) == 1
         assert RelAtom("w0", "w1") in b and lab("w1", "p", "f") in b
         assert RelAtom("w1", "w0") not in b and lab("w1", "p", "t") not in b
 
@@ -705,3 +724,96 @@ class TestOracleAgreementSample:
     def test_refuted_sequents_have_small_countermodels(self):
         for text in ("#p |- p", "p |- #p", "#p |- ##p"):
             assert find_countermodel(parse_sequent(text), 3) is not None
+
+
+def proof_items(tree):
+    """Every item of every node of a proof tree."""
+    stack, found = [tree], []
+    while stack:
+        node = stack.pop()
+        found.extend(node.added)
+        stack.extend(node.children)
+    return found
+
+
+class TestEdges:
+    """Branches work on int codes inside; items, relational atoms and world
+    labels are decoded where they leave the search."""
+
+    def test_arbitrary_labels_through_steps_minting_and_extraction(self):
+        # Labels that are not w<n>, beside w<n> ones the minting counter
+        # would reach first: tri_F must skip w1 and w2.
+        b = Branch.from_items([lab("wc", "#p", "f"), lab("wc", "#p", "tbar"),
+                               lab("w1", "p", "t"), RelAtom("v1", "w2")])
+        left, right = saturation_step(b)
+        for child, (v1, v2) in ((left, ("t", "tbar")), (right, ("f", "fbar"))):
+            assert child.items[len(b):] == [RelAtom("wc", "w3"), RelAtom("wc", "w4"),
+                                            lab("w3", "p", v1), lab("w4", "p", v2)]
+        b = left
+        while not b.closed:
+            try:
+                b = saturation_step(b)[0]
+            except ValueError:      # complete
+                break
+        assert not b.closed
+        pointed = extract_countermodel(b)
+        assert pointed.world == "wc"
+        assert pointed.model.frame.worlds == ("wc", "w1", "v1", "w2", "w3", "w4")
+        assert pointed.model.frame.relation == {("v1", "w2"), ("wc", "w3"), ("wc", "w4")}
+        assert pointed.model.value("w1", "p") is FourValue.T
+        assert pointed.model.value("w3", "p") is FourValue.T
+        assert check_realisation(pointed.model, b)
+
+    def test_refuted_branch_items_in_insertion_order(self):
+        for text in ("#p |- p", "q | ~q |- #(q | ~q)", "#p |- ##p"):
+            for start in ROOTS:
+                res = prove(parse_sequent(text), start=start)
+                assert isinstance(res, Refuted)
+                items = res.branch.items
+                assert all(type(item) in (Labelled, RelAtom) for item in items)
+                # The items the nodes add along the path to the open leaf.
+                path, node = [], res.tree
+                while True:
+                    path.extend(node.added)
+                    if node.status == "open":
+                        break
+                    node = next(child for child in node.children
+                                if child.status != "pruned" and has_open_leaf(child))
+                assert items == path
+                assert all(a is b for a, b in zip(items, path))
+
+    def test_equal_items_of_a_proof_are_one_object(self):
+        for text in ("##p |- ##~p", "#p |- ##p", "q | ~q |- #(q | ~q)"):
+            for start in ROOTS:
+                res = prove(parse_sequent(text), start=start)
+                items = proof_items(res.tree)
+                if isinstance(res, Refuted):
+                    items += res.branch.items
+                assert len({id(item) for item in items}) == len(set(items)) < len(items)
+
+    def test_the_step_probe_of_the_benchmark_runs(self, monkeypatch):
+        # The benchmark times Branch.from_items, copy, len, closed and
+        # saturation_step along the leftmost path; they are not on the
+        # search's own path, so run them as the benchmark does.
+        import importlib
+        from pathlib import Path
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        workloads = importlib.import_module("workloads")
+        tracer = importlib.import_module("spans").Tracer()
+        for text in ("#p |- #~p", "q | ~q |- #(q | ~q)"):
+            for start in ROOTS:
+                workloads._step_probe(tracer, parse_sequent(text), start)
+        steps = [span.attrs["items"] for span in tracer.spans if span.name == "tableau.step"]
+        copies = [span.attrs["items"] for span in tracer.spans if span.name == "tableau.copy"]
+        assert len(steps) > 20 and len(copies) == len(steps)
+        assert steps == copies and all(n >= 2 for n in steps)
+
+
+def has_open_leaf(node):
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if node.status == "open":
+            return True
+        stack.extend(node.children)
+    return False
