@@ -622,11 +622,11 @@ def _creators(b: Branch, code: int) -> Iterator[tuple]:
 
 # Finders in priority order; each yields the candidate instances one item
 # is the major premise of.  Their indices are those of ``Branch.dirty``:
-# ``Branch.add`` marks 0 for a linear entry; 0 and 2 for a two-premise entry
-# and for the entries it has as immediate subformulas; 1 and 2 for the
-# #-entries one step back that have the new entry as argument; and 1 to 3
-# for a #-entry, the entries of its key, and on a relational atom from its
-# world.
+# ``Branch.add`` marks 0 for a linear entry; 0 and 2 for a two-premise entry,
+# and for those whose immediate subformula the new entry is; 1 and 2 for the
+# #-entries one step back whose argument it is; and 1 to 3 for a #-entry and
+# the other entries of its key, and for the #-entries at the source of a new
+# relational atom.
 _FINDERS = (_linear, _modal, _cuts, _creators)
 
 
