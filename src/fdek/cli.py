@@ -22,7 +22,7 @@ import sys
 import traceback
 
 from . import analysis, figures, semantics, tableau
-from .semantics import BoundExceededError, ModelError
+from .semantics import BoundExceededError
 from .syntax import ParseError, Sequent, parse_formula, parse_sequent, render
 
 __all__ = ["main"]
@@ -253,9 +253,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 2
-    except (ParseError, ModelError, BoundExceededError, tableau.LanguageError,
-            OSError, json.JSONDecodeError, ValueError,
-            RecursionError, MemoryError) as exc:
+    except (ValueError, BoundExceededError, OSError, RecursionError, MemoryError) as exc:
+        # ValueError covers ParseError, ModelError, tableau.LanguageError
+        # and json.JSONDecodeError.
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -1,9 +1,10 @@
 """Four-valued Kripke models and their two support relations.
 
-A model carries two valuations per variable: support of truth (``vplus``)
-and support of falsity (``vminus``).  The two are independent, so a formula
-at a world has one of four values: T (true, not false), B (both), N
-(neither), F (false, not true).
+A model carries two valuations per variable: support of truth and support
+of falsity, each stored as the bitset of the worlds that give it
+(``Model.val``).  The two are independent, so a formula at a world has one
+of four values: T (true, not false), B (both), N (neither), F (false, not
+true).
 
 Truth/falsity clauses for the modality ``#f`` at ``w`` over the accessible
 set ``R(w)``:
@@ -137,78 +138,80 @@ class Frame:
 class Model:
     """A frame plus the two valuations, total on worlds.
 
-    ``variables`` fixes the variable universe explicitly; by default it is
-    the set of variables mentioned by either valuation.  Carrying it makes
-    the dual-model construction an involution even when a variable is B or
-    N everywhere.
+    ``val`` maps each variable of the universe to its two supports
+    ``(pos, neg)``, world bitsets in Python ints (bit ``i``:
+    ``frame.worlds[i]``), built once by the constructor, as a ``Frame``
+    builds ``succ``; every evaluator reads them.  The universe,
+    ``variables``, is by default the set of variables either valuation
+    mentions.  Passing it explicitly makes the dual-model construction an
+    involution even when a variable is B or N everywhere.
     """
 
-    __slots__ = ("frame", "vplus", "vminus", "variables")
+    __slots__ = ("frame", "val")
 
     def __init__(self, frame: Frame,
                  vplus: Mapping[str, Iterable[str]] | None = None,
                  vminus: Mapping[str, Iterable[str]] | None = None,
                  variables: Iterable[str] | None = None):
-        self.frame = frame
-        self.vplus = self._normalize(frame, vplus)
-        self.vminus = self._normalize(frame, vminus)
-        mentioned = frozenset().union(*self.vplus.values(), *self.vminus.values())
-        if variables is None:
-            self.variables = mentioned
-        else:
-            self.variables = frozenset(variables) | mentioned
-        for name in self.variables:
+        val: dict[str, list[int]] = {}
+        for k, valuation in enumerate((vplus, vminus)):
+            for world, names in (valuation or {}).items():
+                i = frame.index.get(world)
+                if i is None:
+                    raise UnknownWorldError(f"valuation uses unknown world {world!r}")
+                for name in names:
+                    val.setdefault(name, [0, 0])[k] |= 1 << i
+        self._store(frame, val, variables)
+
+    def _store(self, frame: Frame, val: dict[str, list[int]], variables):
+        """The core of both constructors: ``val`` gives the two supports of
+        each variable mentioned, ``variables`` any more of the universe."""
+        for name in () if variables is None else variables:
+            val.setdefault(name, [0, 0])
+        for name in val:
             if not ATOM_RE.fullmatch(name):
                 raise ModelError(f"bad variable name {name!r}")
-
-    @staticmethod
-    def _normalize(frame, valuation) -> dict[str, frozenset[str]]:
-        table = {w: frozenset() for w in frame.worlds}
-        if valuation:
-            for world, names in valuation.items():
-                if world not in table:
-                    raise UnknownWorldError(f"valuation uses unknown world {world!r}")
-                table[world] = frozenset(names)
-        return table
+        self.frame = frame
+        self.val = {name: (pos, neg) for name, (pos, neg) in val.items()}
 
     @classmethod
     def from_values(cls, frame: Frame,
                     values: Mapping[str, Mapping[str, "FourValue | str"]],
                     variables: Iterable[str] | None = None) -> "Model":
         """Build a model from per-world FourValue assignments."""
-        vplus: dict[str, set[str]] = {w: set() for w in frame.worlds}
-        vminus: dict[str, set[str]] = {w: set() for w in frame.worlds}
-        seen = set()
+        val: dict[str, list[int]] = {}
         for world, assignment in values.items():
-            if world not in vplus:
+            i = frame.index.get(world)
+            if i is None:
                 raise UnknownWorldError(f"valuation uses unknown world {world!r}")
-            for var, val in assignment.items():
-                val = val if isinstance(val, FourValue) else FourValue[str(val)]
-                seen.add(var)
-                if val.supports_truth:
-                    vplus[world].add(var)
-                if val.supports_falsity:
-                    vminus[world].add(var)
-        universe = seen | (set(variables) if variables else set())
-        return cls(frame, vplus, vminus, variables=universe)
+            for var, v in assignment.items():
+                truth, falsity = (v if isinstance(v, FourValue) else FourValue[str(v)]).value
+                pair = val.setdefault(var, [0, 0])
+                pair[0] |= truth << i
+                pair[1] |= falsity << i
+        model = cls.__new__(cls)
+        model._store(frame, val, variables)
+        return model
+
+    @property
+    def variables(self) -> frozenset[str]:
+        return frozenset(self.val)
 
     def value(self, world: str, var: str) -> FourValue:
-        if world not in self.vplus:
+        i = self.frame.index.get(world)
+        if i is None:
             raise UnknownWorldError(f"unknown world {world!r}")
-        return FourValue.from_flags(var in self.vplus[world], var in self.vminus[world])
+        pos, neg = self.val.get(var, (0, 0))
+        return _FLAGS[pos >> i & 1, neg >> i & 1]
 
     def successors(self, world: str) -> tuple[str, ...]:
         return self.frame.successors(world)
 
     def __eq__(self, other):
-        return (isinstance(other, Model)
-                and self.frame == other.frame
-                and self.vplus == other.vplus
-                and self.vminus == other.vminus
-                and self.variables == other.variables)
+        return isinstance(other, Model) and self.frame == other.frame and self.val == other.val
 
     def __repr__(self):
-        return f"Model({self.frame!r}, {dict(self.vplus)!r}, {dict(self.vminus)!r})"
+        return f"Model({self.frame!r}, val={self.val!r})"
 
 
 @dataclass(frozen=True)
@@ -230,9 +233,7 @@ class PointedModel:
 
 def atom_clause(m: Model, name: str) -> tuple[int, int]:
     """The two supports of the variable ``name`` on ``m``."""
-    worlds = m.frame.worlds
-    return (sum(1 << i for i, w in enumerate(worlds) if name in m.vplus[w]),
-            sum(1 << i for i, w in enumerate(worlds) if name in m.vminus[w]))
+    return m.val.get(name, (0, 0))
 
 
 def not_clause(v: tuple[int, int]) -> tuple[int, int]:
@@ -395,12 +396,12 @@ def dual_model(m: Model) -> Model:
     """The model on the same frame with every variable's value dualized.
 
     An involution: ``dual_model(dual_model(m)) == m`` (the variable
-    universe is carried along so an everywhere-N variable survives)."""
-    values = {
-        w: {var: dual_value(m.value(w, var)) for var in m.variables}
-        for w in m.frame.worlds
-    }
-    return Model.from_values(m.frame, values, variables=m.variables)
+    universe is carried along so an everywhere-N variable survives).  Each
+    support is the complement of the other: ``(~neg, ~pos)`` on the worlds."""
+    full = (1 << len(m.frame.worlds)) - 1
+    dual = Model.__new__(Model)
+    dual._store(m.frame, {v: [~neg & full, ~pos & full] for v, (pos, neg) in m.val.items()}, None)
+    return dual
 
 
 def _pairs(succ):
@@ -500,10 +501,8 @@ def model_from_dict(data: Mapping) -> Model:
 
 def model_to_dict(m: Model) -> dict:
     data = frame_to_dict(m.frame)
-    val: dict[str, dict[str, str]] = {}
-    for w in m.frame.worlds:
-        row = {var: m.value(w, var).name for var in sorted(m.variables)}
-        if row:
-            val[w] = row
-    data["val"] = val
+    supports = sorted(m.val.items())
+    data["val"] = {w: {var: _FLAGS[pos >> i & 1, neg >> i & 1].name
+                       for var, (pos, neg) in supports}
+                   for i, w in enumerate(m.frame.worlds)} if supports else {}
     return data

@@ -128,8 +128,6 @@ class Val(Enum):
     __hash__ = object.__hash__
 
 
-_BAR = {Val.T: Val.TBAR, Val.TBAR: Val.T, Val.F: Val.FBAR, Val.FBAR: Val.F}
-_NEG = {Val.T: Val.F, Val.F: Val.T, Val.TBAR: Val.FBAR, Val.FBAR: Val.TBAR}
 # The order the finders try labels in; a label's position here is its code,
 # so that bar is ``^ 2`` and neg is ``^ 1``.
 _VAL_ORDER = (Val.T, Val.F, Val.TBAR, Val.FBAR)
@@ -139,12 +137,12 @@ _T, _F, _TBAR, _FBAR = range(4)
 
 def bar(v: Val) -> Val:
     """Swap a value label with its unsupported counterpart (involution)."""
-    return _BAR[v]
+    return _VAL_ORDER[_VAL_CODE[v] ^ 2]
 
 
 def neg(v: Val) -> Val:
     """Value label of the negated formula: t<->f, tbar<->fbar."""
-    return _NEG[v]
+    return _VAL_ORDER[_VAL_CODE[v] ^ 1]
 
 
 @dataclass(frozen=True)
@@ -844,7 +842,7 @@ def extract_countermodel(b: Branch) -> PointedModel:
     names, formulas = table.names, table.formulas
     worlds = [names[w] for w in b.worlds]
     rel = []
-    # vplus and vminus, by the codes of t and f.
+    # The support of truth and of falsity, by the codes of t and f.
     support = ({w: set() for w in worlds}, {w: set() for w in worlds})
     for code in b.codes:
         if code < 0:
@@ -995,17 +993,19 @@ class _Level(NamedTuple):
     end: str        # closes the node
     labelled: str   # the template of a labelled item it adds
     rel: str        # the template of a relational atom it adds
-    items: dict[Item, str]  # the text of each item it adds, met so far
+    items: dict[int, str]  # the text of each item it adds, met so far, by id
 
 
 class _ProofWriter:
     """Encodes one result.  Its memos live as long as the call: the pieces
-    of each nesting level, one escaped rendering per distinct formula, and
-    one text per item and level."""
+    of each nesting level, one escaped rendering per formula, and one text
+    per item and level.  Formulas and items are keyed by ``id``, which
+    skips their Python-level hashes: the result holds every item the
+    writer meets, so no other object takes one of those ids meanwhile."""
 
     def __init__(self):
         self.levels: dict[int, _Level] = {}
-        self.formulas: dict[Formula, str] = {}
+        self.formulas: dict[int, str] = {}
 
     def level(self, level: int) -> _Level:
         found = self.levels.get(level)
@@ -1026,16 +1026,16 @@ class _ProofWriter:
         memo, formulas = lv.items, self.formulas
         texts = []
         for item in items:
-            text = memo.get(item)
+            text = memo.get(id(item))
             if text is None:
                 if type(item) is RelAtom:
                     text = lv.rel % (_encode_str(item.source), _encode_str(item.target))
                 else:
-                    f = formulas.get(item.formula)
+                    f = formulas.get(id(item.formula))
                     if f is None:
-                        f = formulas[item.formula] = _encode_str(render(item.formula))
+                        f = formulas[id(item.formula)] = _encode_str(render(item.formula))
                     text = lv.labelled % (_encode_str(item.world), f, _VALUE_JSON[item.value])
-                memo[item] = text
+                memo[id(item)] = text
             texts.append(text)
         return lv.open + lv.sep.join(texts) + lv.close
 

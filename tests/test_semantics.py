@@ -1,9 +1,11 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdek import bulkeval
+from fdek import bulkeval, figures
 from fdek.analysis import PAPER_FRAME_CLASSES, enumerate_formulas, enumerate_models
 from fdek.bulkeval import BulkSpace, frame_from_mask
 from fdek.figures import load_frame, load_model, model_names
@@ -12,7 +14,7 @@ from fdek.semantics import (
     PointedModel, UnknownWorldError, dual_model, dual_value, eval_formula,
     formula_valid_on_frame, frame_property, model_from_dict, model_to_dict,
     sequent_holds, sequent_valid_on_frame, supports_false, supports_true,
-    VALUE_ORDER, tri_value_by_cases,
+    VALUE_ORDER, atom_clause, frame_from_dict, tri_value_by_cases,
 )
 from fdek.syntax import (
     And, Atom, Box, Not, Or, Sequent, Tri, parse_formula, parse_sequent, render,
@@ -597,3 +599,100 @@ class TestJsonInterchange:
         d = dual_model(m)
         assert d.value("w0", "p") is N and d.value("w0", "q") is B
         assert model_from_dict(model_to_dict(d)) == d
+
+
+def _bundled_model_data(name):
+    return json.loads((Path(figures.__file__).parent / "data" / f"{name}.json").read_text())
+
+
+def _four(x):
+    return FourValue[x] if isinstance(x, str) else x
+
+
+def _by_both_constructors(frame, values, variables):
+    """The model of ``values`` (world to variable to value) from
+    ``Model.from_values`` and from ``Model(frame, vplus, vminus)``."""
+    letters = {w: {v: _four(x) for v, x in row.items()} for w, row in values.items()}
+    vplus = {w: {v for v, x in row.items() if x.supports_truth} for w, row in letters.items()}
+    vminus = {w: {v for v, x in row.items() if x.supports_falsity} for w, row in letters.items()}
+    return (Model.from_values(frame, values, variables=variables),
+            Model(frame, vplus, vminus, variables=variables))
+
+
+def _random_values(rng, worlds, names):
+    """Random values of ``names``; each value is left out with odds 1/4
+    (so N) and, apart from that, s is N everywhere, sometimes explicitly."""
+    values = {w: {v: rng.choice(VALUE_ORDER) for v in names if rng.random() < 0.75}
+              for w in worlds}
+    for w in worlds:
+        if rng.random() < 0.3:
+            values[w]["s"] = N
+    return values
+
+
+class TestModelStorage:
+    """``Model(frame, vplus, vminus)`` and ``Model.from_values`` store the
+    same support bitsets, and every reader of them agrees with ``value``."""
+
+    def _models(self):
+        for name in model_names():
+            data = _bundled_model_data(name)
+            values = data.get("val", {})
+            names = {v for row in values.values() for v in row}
+            yield name, frame_from_dict(data), values, names
+        rng = random.Random(29)
+        for k in range(150):
+            worlds = [f"w{i}" for i in range(rng.randint(1, 5))]
+            rel = [(a, b) for a in worlds for b in worlds if rng.random() < 0.4]
+            yield k, Frame(worlds, rel), _random_values(rng, worlds, "pqr"), set("pqrs")
+
+    def test_constructors_agree(self):
+        for case, frame, values, names in self._models():
+            a, b = _by_both_constructors(frame, values, names)
+            assert a == b and a.variables == b.variables == names, case
+            for w in frame.worlds:
+                for v in names:
+                    assert a.value(w, v) is _four(values.get(w, {}).get(v, N)), (case, w, v)
+            if isinstance(case, str):
+                assert a == load_model(case), case
+
+    def test_atom_clause_agrees_with_value(self):
+        for case, frame, values, names in self._models():
+            m = Model.from_values(frame, values, variables=names)
+            for v in sorted(names | {"s", "z"}):
+                pos, neg = atom_clause(m, v)
+                for i, w in enumerate(frame.worlds):
+                    assert FourValue.from_flags(pos >> i & 1, neg >> i & 1) is m.value(w, v), \
+                        (case, w, v)
+
+    def test_dual_agrees_with_the_value_table(self):
+        for case, frame, values, names in self._models():
+            m = Model.from_values(frame, values, variables=names)
+            expected = Model.from_values(
+                frame, {w: {v: dual_value(m.value(w, v)) for v in names} for w in frame.worlds},
+                variables=names)
+            assert dual_model(m) == expected, case
+
+    @pytest.mark.parametrize("vplus, vminus, values, variables, error, message", [
+        ({"w9": ["p"]}, {}, {"w9": {"p": "T"}}, None,
+         UnknownWorldError, "valuation uses unknown world 'w9'"),
+        ({}, {"w9": ["p"]}, {"w9": {"p": "F"}}, None,
+         UnknownWorldError, "valuation uses unknown world 'w9'"),
+        ({"w0": ["P"]}, {}, {"w0": {"P": "T"}}, None, ModelError, "bad variable name 'P'"),
+        ({}, {}, {}, ["p", "2"], ModelError, "bad variable name '2'"),
+        # A bad world is reported before a bad name.
+        ({"w0": ["P"]}, {"w9": ["p"]}, {"w0": {"P": "T"}, "w9": {"p": "F"}}, None,
+         UnknownWorldError, "valuation uses unknown world 'w9'"),
+    ])
+    def test_constructors_raise_the_same_errors(self, vplus, vminus, values, variables,
+                                                error, message):
+        frame = Frame(["w0"], [])
+        for build in (lambda: Model(frame, vplus, vminus, variables),
+                      lambda: Model.from_values(frame, values, variables)):
+            with pytest.raises(ModelError) as info:
+                build()
+            assert info.type is error and str(info.value) == message
+
+    def test_bad_letter_raises_key_error(self):
+        with pytest.raises(KeyError):
+            Model.from_values(Frame(["w0"], []), {"w0": {"p": "X"}})
