@@ -1,13 +1,14 @@
-"""Bounded brute-force oracles: model/frame/formula enumeration, countermodel
-search, frame-class definability sweeps, and bounded expressivity checks.
+"""Bounded brute-force oracles: formula enumeration, countermodel search,
+frame-class definability sweeps, and bounded expressivity checks.
 
-The enumerations (``enumerate_models``, ``enumerate_frames``) list
-*labelled* structures.  The bulk oracles (``find_countermodel``,
-``check_definability``) sweep one relation per isomorphism class: their
-questions are invariant under renaming worlds, and the first answer in
-labelled order lies on the smallest mask of its class, so witnesses and
-frame counts are those of the labelled scan.  Past one world the
-countermodel search sweeps only the classes rooted within the sequent's
+The bulk oracles (``find_countermodel``, ``check_definability``) answer for
+every *labelled* model up to a world count, in the labelled order: world
+count, relation mask, valuation index, then world, each ascending
+(``bulkeval`` states the layout).  They sweep one relation per isomorphism
+class: their questions are invariant under renaming worlds, and the first
+answer in labelled order lies on the smallest mask of its class, so
+witnesses and frame counts are those of the labelled scan.  Past one world
+the countermodel search sweeps only the classes rooted within the sequent's
 modal depth, the only ones that can hold a smallest countermodel.
 "There is no formula such that ..." claims are checked up to a stated AST
 size and reported as bounded evidence, not as proofs.  Those scans fold
@@ -29,10 +30,10 @@ from typing import Callable, Iterator, Sequence, Union
 import numpy as np
 
 from .bulkeval import (
-    _guard, _model_on, _successors, frame_from_mask, model_from_indices, representatives, sweep,
+    _guard, _successors, frame_from_mask, model_from_indices, representatives, sweep,
 )
 from .semantics import (
-    FRAME_PROPERTIES, FourValue, Frame, Model, PointedModel, and_clause, atom_clause,
+    FRAME_PROPERTIES, FourValue, PointedModel, and_clause, atom_clause,
     box_clause, frame_to_dict, model_to_dict, not_clause, or_clause, tri_clause,
 )
 from .syntax import (
@@ -41,8 +42,7 @@ from .syntax import (
 )
 
 __all__ = [
-    "count_models", "model_from_indices", "enumerate_models", "enumerate_frames",
-    "enumerate_formulas", "find_countermodel",
+    "model_from_indices", "enumerate_formulas", "find_countermodel",
     "DefinabilityReport", "check_definability", "PAPER_FRAME_CLASSES",
     "IndistinguishabilityReport", "check_indistinguishability",
     "Claim", "claims_from_text",
@@ -52,33 +52,10 @@ __all__ = [
 Claim = Union[Sequent, Formula]
 
 
-def count_models(world_count: int, vars: Sequence[str]) -> int:
-    """Closed form 2^(n*n) * 4^(n*|vars|)."""
-    n = world_count
-    return 2 ** (n * n) * 4 ** (n * len(set(vars)))
-
-
 def _claim_variables(claim: Claim) -> list[str]:
     if isinstance(claim, Sequent):
         return sorted(variables(claim.premise) | variables(claim.conclusion))
     return sorted(variables(claim))
-
-
-def enumerate_models(world_count: int, vars: Sequence[str]) -> Iterator[Model]:
-    """All models with exactly ``world_count`` labelled worlds over ``vars``:
-    every relation crossed with every valuation, in a fixed deterministic
-    order (relation mask ascending, then valuation index ascending)."""
-    names = sorted(set(vars))
-    _guard(world_count, len(names))
-    for frame in enumerate_frames(world_count):
-        for val_index in range(4 ** (world_count * len(names))):
-            yield _model_on(frame, names, val_index)
-
-
-def enumerate_frames(world_count: int) -> Iterator[Frame]:
-    """All labelled frames with exactly ``world_count`` worlds."""
-    for rel_mask in range(2 ** (world_count * world_count)):
-        yield frame_from_mask(world_count, rel_mask)
 
 
 _MODALITIES = {LANG_TRI: (Tri, tri_clause), LANG_BOX: (Box, box_clause)}
@@ -160,28 +137,28 @@ def find_countermodel(s: Sequent, max_worlds: int) -> PointedModel | None:
     """Smallest-first exhaustive search for a pointed model where the
     premise is supported-true and the conclusion is not.
 
-    The witness is the first of ``enumerate_models`` (world counts
-    ascending, then relation, then valuation) with worlds visited in model
-    order, so it is reproducible.  Evaluation is vectorized over one
-    relation per isomorphism class: a relation refutes iff every renaming
-    of it does, so the first refuting relation is the smallest of its
-    class, and the result is identical to the naive scan.
+    The witness is the first in labelled order (world counts ascending,
+    then relation mask, then valuation index, then world), so it is
+    reproducible.  Evaluation is vectorized over one relation per
+    isomorphism class: a relation refutes iff every renaming of it does,
+    so the first refuting relation is the smallest of its class, and the
+    result is identical to the naive scan.
 
-    Past one world only rooted classes are swept.  A sequent of modal
-    depth d (``#`` and ``[]`` counted) is evaluated at w from the worlds
-    within d steps of w alone, each of them less than d steps away with
-    all its successors.  So if a model on n worlds refutes it at w and
+    Only rooted classes are swept; at one world both relations are.  A sequent
+    of modal depth d (``#`` and ``[]`` counted) is evaluated at w from the
+    worlds within d steps of w alone, each of them less than d steps away
+    with all its successors.  So if a model on n worlds refutes it at w and
     some world lies more than d steps from w, the submodel on the worlds
     within d steps refutes it on fewer worlds.  Once no smaller model
-    refutes the sequent, every refuting relation on n worlds reaches all
-    n worlds from the refuting world within d steps; the other classes
-    hold no countermodel, and the first witness is unchanged.  At depth 0
-    no class of two or more worlds is rooted, so a propositional sequent
-    is decided at one world.
+    refutes the sequent, every refuting relation on n worlds reaches all n
+    worlds from the refuting world within d steps; the other classes hold no
+    countermodel, and the first witness is unchanged.  At depth 0 no class
+    of two or more worlds is rooted, so a propositional sequent is decided
+    at one world.
     """
     names = _claim_variables(s)
     _guard(max_worlds, len(names))
-    depth = None  # at one world every relation is rooted
+    depth = modal_depth(s.premise, s.conclusion)
     for n in range(1, max_worlds + 1):
         for space in sweep(n, names, depth):
             hit = space.first_countermodel(s)
@@ -189,7 +166,6 @@ def find_countermodel(s: Sequent, max_worlds: int) -> PointedModel | None:
                 r, v, w = hit
                 model = model_from_indices(n, names, int(space.masks[r]), space.start[1] + v)
                 return PointedModel(model, f"w{w}")
-        depth = modal_depth(s.premise, s.conclusion)
     return None
 
 

@@ -28,12 +28,15 @@ itself, decoded from relation masks or, for a given frame, its
 on).
 
 What a scan costs and how its space is laid out are known only to this
-module: ``_guard`` refuses a scan before anything is allocated, and
-``sweep`` reads the space in blocks of at most ``_CHUNK_CELLS`` cells, so a
-caller can stop at the first block that settles its question.
-``semantics`` and ``analysis`` go through ``_guard``, ``sweep``,
-``model_from_indices``, ``frame_from_mask`` and, for the frame properties
-of a definability sweep, ``representatives`` and ``_successors``:
+module: ``_guard`` refuses a scan before anything is allocated, from its
+world count or its given frame, and ``sweep`` reads the space in blocks
+of at most ``_CHUNK_CELLS`` cells, so a caller can stop at the first
+block that settles its question.  ``semantics`` and ``analysis`` go
+through ``_guard``, ``sweep``, ``model_from_indices``, ``frame_from_mask``
+and, for the frame properties of a definability sweep,
+``representatives`` and ``_successors``.  A space over chosen relation
+masks, ``BulkSpace(n, variables, masks)``, is for labelled scans outside
+the sweeps (the tests' references and the benchmark's probes):
 
 * relation ``r`` contains the pair (i, j) iff bit ``i*n + j`` of the mask
   is set; a sweep enumerates the class representatives ascending, and
@@ -68,10 +71,12 @@ _DIGIT_SUPPORTS = np.array([[v.supports_truth for v in VALUE_ORDER],
                             [v.supports_falsity for v in VALUE_ORDER]], dtype=np.uint8)
 
 
-def _guard(world_count: int, variable_count: int, *, relations: bool = True) -> None:
+def _guard(worlds: int | Frame, variable_count: int) -> None:
     """The one size guard of every exhaustive scan; call it before
-    allocating.  ``relations``: every relation on the worlds is enumerated,
-    not one given frame, whose blocks ``sweep`` keeps within ``_CHUNK_CELLS``."""
+    allocating.  ``worlds``: a world count, every relation on which is
+    enumerated, or a given frame, which is one relation."""
+    given = isinstance(worlds, Frame)
+    world_count = len(worlds.worlds) if given else worlds
     if world_count < 1:
         raise ValueError("need at least one world")
     if variable_count < 1:
@@ -80,11 +85,10 @@ def _guard(world_count: int, variable_count: int, *, relations: bool = True) -> 
         raise BoundExceededError(
             f"{world_count} worlds x {variable_count} variables exceeds bound "
             f"{DEFAULT_VALUATION_BOUND}")
-    if not relations:
-        return
-    # The slot rule above caps world_count at 12, so this power is cheap.
-    cells = (2 ** (world_count * world_count)
-             * 4 ** (world_count * variable_count) * world_count)
+    # The slot rule above caps world_count at 12, so these powers are cheap,
+    # and one relation stays within the budget (4^12 * 12 cells at most).
+    relations = 1 if given else 2 ** (world_count * world_count)
+    cells = relations * 4 ** (world_count * variable_count) * world_count
     if cells > _MAX_SWEEP_CELLS:
         raise BoundExceededError(
             f"{world_count} worlds x {variable_count} variables over every relation "
@@ -136,12 +140,6 @@ def _atom_tables(n: int, names: Sequence[str]) -> dict[Atom, tuple[np.ndarray, n
     return {Atom(var): (tables[j, 0], tables[j, 1]) for j, var in enumerate(names)}
 
 
-def _unpack(bits: np.ndarray, n: int) -> np.ndarray:
-    """World bitsets of shape (..., valuations) as bools of shape (..., valuations, n)."""
-    octets = bits.astype(bits.dtype.newbyteorder("<"), copy=False)[..., None].view(np.uint8)
-    return np.unpackbits(octets, axis=-1, count=n, bitorder="little").view(bool)
-
-
 class BulkSpace:
     """Every pointed model over the given relation masks (default: all of
     them) and every valuation of ``variables`` on ``n_worlds`` worlds; a
@@ -166,11 +164,6 @@ class BulkSpace:
         self.masks = masks
         self.full = succ.dtype.type((1 << n) - 1)
         self._memo: dict[Formula, tuple[np.ndarray, np.ndarray]] = dict(atoms)
-
-    def supports(self, f: Formula) -> tuple[np.ndarray, np.ndarray]:
-        """Both supports as bool arrays broadcasting to (relations, valuations, worlds)."""
-        pos, neg = self._bits(f)
-        return _unpack(pos, self.n), _unpack(neg, self.n)
 
     def _bits(self, f: Formula) -> tuple[np.ndarray, np.ndarray]:
         """Both supports of ``f`` as world bitsets, memoized per formula."""
@@ -325,7 +318,7 @@ def sweep(worlds: int | Frame, variables: Sequence[str],
     names = tuple(sorted(variables))
     given = isinstance(worlds, Frame)
     n = len(worlds.worlds) if given else worlds
-    _guard(n, len(names), relations=not given)
+    _guard(worlds, len(names))
     masks = None if given else representatives(n) if depth is None else _rooted(n, depth)
     succ = _successors(worlds, masks)
     if not len(succ):

@@ -41,9 +41,8 @@ from .syntax import ATOM_RE, And, Atom, Box, Formula, Not, Or, Sequent, Tri, pos
 __all__ = [
     "FourValue", "Frame", "Model", "PointedModel",
     "ModelError", "UnknownWorldError", "BoundExceededError",
-    "supports_true", "supports_false", "eval_formula", "tri_value_by_cases",
-    "sequent_holds", "sequent_valid_on_frame", "formula_valid_on_frame",
-    "dual_model", "dual_value", "frame_property", "FRAME_PROPERTIES",
+    "eval_formula", "sequent_holds", "sequent_valid_on_frame", "formula_valid_on_frame",
+    "dual_model", "frame_property", "FRAME_PROPERTIES",
     "model_to_dict", "model_from_dict", "frame_from_dict", "frame_to_dict",
     "VALUE_ORDER", "Evaluator",
 ]
@@ -313,39 +312,8 @@ class Evaluator:
         return bool(pos >> index & 1), bool(neg >> index & 1)
 
 
-def supports_true(m: Model, world: str, f: Formula) -> bool:
-    return Evaluator(m).supports(world, f)[0]
-
-
-def supports_false(m: Model, world: str, f: Formula) -> bool:
-    return Evaluator(m).supports(world, f)[1]
-
-
 def eval_formula(m: Model, world: str, f: Formula) -> FourValue:
     return FourValue.from_flags(*Evaluator(m).supports(world, f))
-
-
-def tri_value_by_cases(m: Model, world: str, f: Formula) -> FourValue:
-    """Value of ``#f`` at ``world`` via the four-case characterization:
-
-    T when ``f`` is uniformly T or uniformly F over the accessible worlds
-    (vacuously at dead ends); B when they are nonempty and uniformly B;
-    N likewise for N; F when two accessible worlds carry different values.
-
-    Agrees with ``eval_formula(m, world, Tri(f))``; kept as an independent
-    cross-check of the modal clauses.
-    """
-    ev = Evaluator(m)
-    succ = m.successors(world)
-    vals = {FourValue.from_flags(*ev.supports(v, f)) for v in succ}
-    if not vals:
-        return FourValue.T
-    if len(vals) > 1:
-        return FourValue.F
-    only = next(iter(vals))
-    if only in (FourValue.T, FourValue.F):
-        return FourValue.T
-    return only
 
 
 def sequent_holds(m: Model, s: Sequent) -> bool:
@@ -381,15 +349,6 @@ def sequent_valid_on_frame(fr: Frame, s: Sequent) -> bool:
 def formula_valid_on_frame(fr: Frame, f: Formula) -> bool:
     """True iff ``f`` is supported-true at every world of every model on ``fr``."""
     return _valid_on_frame(fr, f, variables(f))
-
-
-_DUAL = {FourValue.T: FourValue.T, FourValue.B: FourValue.N,
-         FourValue.N: FourValue.B, FourValue.F: FourValue.F}
-
-
-def dual_value(v: FourValue) -> FourValue:
-    """Swap B and N; fix T and F."""
-    return _DUAL[v]
 
 
 def dual_model(m: Model) -> Model:

@@ -4,8 +4,8 @@ Formula nodes are immutable.  A node's hash is computed once, when it is
 built, from its children's stored hashes; equality uses an explicit stack;
 ``_fields`` names each class's children.  ``postorder``, the one walk down
 a formula (each distinct subformula once, children first), serves
-``subformulas``, ``variables``, ``size``, ``modal_depth`` and both
-evaluators.
+``subformulas``, ``variables``, ``size`` and both evaluators;
+``modal_depth`` walks by node identity, which hashes nothing.
 
 One operator table, ``_PREFIX`` and ``_BINARY``, drives the lexer, the
 parser and the renderer (the README lists the surface syntax).  A prefix
@@ -30,8 +30,7 @@ __all__ = [
     "Sequent", "ParseError",
     "parse_formula", "parse_sequent", "render", "render_sequent",
     "postorder", "subformulas", "variables", "modal_depth",
-    "contains_box", "contains_tri",
-    "LANG_TRI", "LANG_BOX", "in_language",
+    "LANG_TRI", "LANG_BOX",
 ]
 
 ATOM_RE = re.compile(r"[a-z][a-z0-9_]*")
@@ -387,26 +386,25 @@ def size(f: Formula) -> int:
 
 def modal_depth(*fs: Formula) -> int:
     """The deepest nesting of ``#`` and ``[]`` in any of the formulas: a
-    formula of depth d at a world reads only the worlds within d steps."""
-    depths: dict[Formula, int] = {}
-    for node in postorder(*fs):
-        below = max((depths[getattr(node, name)] for name in node._fields), default=0)
-        depths[node] = below + isinstance(node, (Tri, Box))
-    return max((depths[f] for f in fs), default=0)
+    formula of depth d at a world reads only the worlds within d steps.
 
-
-def contains_box(f: Formula) -> bool:
-    return any(isinstance(sub, Box) for sub in postorder(f))
-
-
-def contains_tri(f: Formula) -> bool:
-    return any(isinstance(sub, Tri) for sub in postorder(f))
-
-
-def in_language(f: Formula, language: str) -> bool:
-    """True iff ``f`` avoids the modality foreign to ``language``."""
-    if language == LANG_TRI:
-        return not contains_box(f)
-    if language == LANG_BOX:
-        return not contains_tri(f)
-    raise ValueError(f"unknown language tag {language!r}")
+    Not on ``postorder``: every countermodel search reads this, and
+    hashing the nodes cost it four times the time.  The walk goes down
+    from the roots with the depth above each node, and visits a node
+    object once per such depth, so a shared subterm is not walked once
+    per path to it."""
+    deepest, seen = 0, set()
+    stack = [(f, 0) for f in fs]
+    while stack:
+        node, depth = stack.pop()
+        if type(node) is Tri or type(node) is Box:
+            depth += 1
+        key = (id(node), depth)
+        if key in seen:
+            continue
+        seen.add(key)
+        if depth > deepest:
+            deepest = depth
+        for name in node._fields:
+            stack.append((getattr(node, name), depth))
+    return deepest

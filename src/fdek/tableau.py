@@ -101,7 +101,7 @@ __all__ = [
     "LanguageError", "RealisationError",
     "prove", "saturation_step",
     "extract_countermodel", "check_realisation",
-    "tree_to_text", "tree_to_dict", "branch_items", "item_to_text",
+    "tree_to_text", "item_to_text",
 ]
 
 
@@ -893,37 +893,6 @@ def item_to_text(item: Item, pretty: bool = False) -> str:
     return f"{item.world}: {render(item.formula, pretty)} ; {val}"
 
 
-def _item_to_dict(item: Item) -> dict:
-    if isinstance(item, RelAtom):
-        return {"rel": [item.source, item.target]}
-    return {"world": item.world, "formula": render(item.formula),
-            "value": item.value.value}
-
-
-def branch_items(b: Branch) -> list[dict]:
-    return [_item_to_dict(item) for item in b.items]
-
-
-def _node_to_dict(node: ProofNode) -> dict:
-    enc = {"rule": node.rule, "add": [_item_to_dict(i) for i in node.added],
-           "children": []}
-    if node.status:
-        enc["status"] = node.status
-    return enc
-
-
-def tree_to_dict(node: ProofNode) -> dict:
-    root = _node_to_dict(node)
-    stack = [(node, root)]
-    while stack:
-        src, dst = stack.pop()
-        for child in src.children:
-            enc = _node_to_dict(child)
-            dst["children"].append(enc)
-            stack.append((child, enc))
-    return root
-
-
 def tree_to_text(node: ProofNode, pretty: bool = False) -> str:
     """Indented rendering: one item per line, annotated with the rule that
     added it; leaves carry their closed/open status."""
@@ -942,15 +911,6 @@ def tree_to_text(node: ProofNode, pretty: bool = False) -> str:
         for child in reversed(cur.children):
             stack.append((child, depth + 1))
     return "\n".join(lines)
-
-
-def result_to_dict(result: TableauResult) -> dict:
-    if isinstance(result, Proved):
-        return {"verdict": "proved", "stats": result.stats.to_dict(),
-                "tree": tree_to_dict(result.tree)}
-    return {"verdict": "refuted", "stats": result.stats.to_dict(),
-            "model": model_to_dict(result.model), "designated": result.world,
-            "branch": branch_items(result.branch), "tree": tree_to_dict(result.tree)}
 
 
 def _array(texts: list[str], level: int) -> str:
@@ -1070,10 +1030,15 @@ class _ProofWriter:
 
 
 def result_to_json(result: TableauResult) -> str:
-    """``json.dumps(result_to_dict(result), indent=2)``, byte for byte,
-    written straight from the result and its proof nodes into one list of
-    pieces.  The standard encoder takes one generator per nesting level,
-    so deep proof trees overflow its stack; this writer keeps its own."""
+    """The result as ``json.dumps(..., indent=2)`` would encode it: an
+    object of "verdict", "stats", for a refutation "model", "designated"
+    and "branch", and "tree".  A proof node is an object of "rule", "add"
+    (its items), "children" and, on a leaf, "status"; an item is
+    ``{"world", "formula", "value"}`` or ``{"rel": [source, target]}``.
+    It is written straight from the result and its proof nodes into one
+    list of pieces.  The standard encoder takes one generator per nesting
+    level, so deep proof trees overflow its stack; this writer keeps its
+    own."""
     writer = _ProofWriter()
     head = [("verdict", '"proved"' if isinstance(result, Proved) else '"refuted"'),
             ("stats", _json(result.stats.to_dict(), 1))]

@@ -16,6 +16,8 @@ from fdek.cli import main
 from fdek.semantics import FRAME_PROPERTIES, model_from_dict
 from fdek.syntax import parse_sequent
 
+from reference_impl import result_to_dict
+
 
 def data_file(name: str) -> str:
     return str(resources.files("fdek.data").joinpath(name + ".json"))
@@ -56,7 +58,7 @@ class TestProve:
         code, out, _ = run(capsys, "prove", "--json", text)
         result = tableau.prove(parse_sequent(text))
         assert code == expected
-        assert out == json.dumps(tableau.result_to_dict(result), indent=2) + "\n"
+        assert out == json.dumps(result_to_dict(result), indent=2) + "\n"
 
     def test_tree_uses_glyphs_unless_disabled(self, capsys, monkeypatch):
         monkeypatch.delenv("FDEK_ASCII", raising=False)

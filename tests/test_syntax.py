@@ -9,9 +9,11 @@ from hypothesis import given, strategies as st
 
 from fdek.syntax import (
     LANG_BOX, LANG_TRI, And, Atom, Box, Not, Or, ParseError, Sequent,
-    Tri, contains_box, contains_tri, in_language, modal_depth, parse_formula,
+    Tri, modal_depth, parse_formula,
     parse_sequent, postorder, render, render_sequent, size, subformulas, variables,
 )
+
+from reference_impl import modal_depth_by_postorder
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -153,8 +155,11 @@ class TestStructure:
 
     @given(formulas())
     def test_language_closed_under_subformulas(self, f):
-        assert in_language(f, LANG_TRI)
-        assert all(in_language(sub, LANG_TRI) for sub in subformulas(f))
+        # A #-fragment formula has no [] anywhere, so neither has any of
+        # its subformulas.
+        assert not any(isinstance(sub, Box) for sub in postorder(f))
+        assert all(not any(isinstance(g, Box) for g in postorder(sub))
+                   for sub in subformulas(f))
 
     @pytest.mark.parametrize("text,depth", [
         ("p", 0), ("~(p & q) | p", 0), ("#p", 1), ("[]p", 1), ("@p", 1), ("<>p", 1),
@@ -169,13 +174,18 @@ class TestStructure:
         assert modal_depth(s.conclusion) == 1
         assert modal_depth() == 0
 
-    def test_language_tags(self):
-        assert contains_tri(Tri(p)) and not contains_box(Tri(p))
-        assert contains_box(Box(p)) and not contains_tri(Box(p))
-        assert in_language(p, LANG_TRI) and in_language(p, LANG_BOX)
-        mixed = And(Tri(p), Box(q))
-        assert not in_language(mixed, LANG_TRI)
-        assert not in_language(mixed, LANG_BOX)
+    @given(formulas(names=("p", "q", "r")), formulas(LANG_BOX, names=("p", "q")))
+    def test_modal_depth_matches_the_children_first_fold(self, f, g):
+        assert modal_depth(f, g) == modal_depth_by_postorder(f, g)
+        assert modal_depth(And(f, g)) == modal_depth_by_postorder(And(f, g))
+
+    def test_modal_depth_of_shared_subterms(self):
+        # 2^60 paths lead down this formula; the walk visits each node
+        # object once per depth above it.
+        f = p
+        for _ in range(60):
+            f = And(Tri(f), f)
+        assert modal_depth(f) == 60
 
     def test_atom_name_validation(self):
         with pytest.raises(ValueError):
