@@ -24,7 +24,7 @@ from .semantics import (
 from .syntax import LANG_TRI, parse_formula, parse_sequent
 from .tableau import Proved, Refuted, prove
 
-__all__ = ["FigureCheck", "load_model", "load_frame", "model_names",
+__all__ = ["FigureCheck", "load_model", "load_frame",
            "run_figures", "DEFAULT_EXPRESSIVITY_SIZE"]
 
 DEFAULT_EXPRESSIVITY_SIZE = 9
@@ -39,10 +39,6 @@ _FRAMES = ("fig8_left", "fig8_right", "fig10", "fig11")
 def _read(name: str) -> dict:
     path = resources.files("fdek.data").joinpath(name + ".json")
     return json.loads(path.read_text())
-
-
-def model_names() -> tuple[str, ...]:
-    return _MODELS
 
 
 def load_model(name: str) -> Model:

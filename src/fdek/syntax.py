@@ -1,18 +1,28 @@
 """Formula and sequent syntax: AST, the one walk, lexer, parser, renderer.
 
 Formula nodes are immutable.  A node's hash is computed once, when it is
-built, from its children's stored hashes; equality uses an explicit stack;
-``_fields`` names each class's children.  ``postorder``, the one walk down
+built, from its children's stored hashes; ``_fields`` names each class's
+children.  Equality returns at once on one object, follows a run of unary
+nodes without a stack and compares two atoms by name; only below a binary
+node does it take an explicit stack.  ``postorder``, the one walk down
 a formula (each distinct subformula once, children first), serves
-``subformulas``, ``variables``, ``size`` and both evaluators;
-``modal_depth`` walks by node identity, which hashes nothing.
+``subformulas``, ``variables`` and both evaluators; ``modal_depth`` walks
+by node identity, which hashes nothing.
 
 One operator table, ``_PREFIX`` and ``_BINARY``, drives the lexer, the
 parser and the renderer (the README lists the surface syntax).  A prefix
 lexeme builds a chain of node classes, outermost first, so the sugar ``@``
 (``~#``) and ``<>`` (``~[]~``) never appears in ASTs.  A binary lexeme has
-a precedence; both binary operators associate to the left.  The token
-regex tries the lexemes longest first, so ``|-`` beats ``|``.
+a precedence; both binary operators associate to the left.  The lexer
+tries the lexemes longest first, so ``|-`` beats ``|``.
+
+The lexer hands the parser bare lexeme strings, from one ``findall``; what
+is neither a lexeme nor an atom name is a stray character.  Offsets come
+from a second, left-to-right scan that only a ``ParseError`` pays for, so a
+stray character anywhere is reported before any syntax error.  A parse
+builds one ``Atom`` per name, shared by both sides of a sequent, so the
+walks and the evaluators' memos find a parse's atoms by identity.  Compound
+nodes are not shared: each occurrence is its own node.
 
 The parser and the renderer are loops over explicit stacks (the renderer
 re-sugars ``@`` and ``<>`` in glyph mode only), so formulas of any depth
@@ -24,6 +34,7 @@ from __future__ import annotations
 import re
 from collections.abc import Container
 from dataclasses import dataclass
+from typing import NoReturn
 
 __all__ = [
     "Formula", "Atom", "Not", "And", "Or", "Tri", "Box",
@@ -64,9 +75,22 @@ class Formula:
         return self._hash
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Formula):
             return NotImplemented
-        stack, expanded = [(self, other)], set()
+        # No pair comes twice down a run of unary nodes (formulas are
+        # acyclic), so the walk follows one without a stack or a set.
+        a, b = self, other
+        while isinstance(a, _Unary):
+            if type(a) is not type(b) or a._hash != b._hash:
+                return False
+            a, b = a.child, b.child
+            if a is b:
+                return True
+        if type(a) is Atom:
+            return type(b) is Atom and a.name == b.name
+        stack, expanded = [(a, b)], set()
         while stack:
             a, b = stack.pop()
             if a is b:
@@ -177,81 +201,103 @@ _BINARY = {
 _TURNSTILE = ("|-", "⊢")
 
 _LEXEMES = sorted([*_PREFIX, *_BINARY, _TURNSTILE[0], "(", ")"], key=len, reverse=True)
-_TOKEN_RE = re.compile(
-    rf"\s+|({'|'.join(map(re.escape, _LEXEMES))}|{ATOM_RE.pattern})|(.)", re.DOTALL)
+_WORD = rf"{'|'.join(map(re.escape, _LEXEMES))}|{ATOM_RE.pattern}"
+_TOKEN_RE = re.compile(rf"\s+|({_WORD})|(.)", re.DOTALL)
+# The same lexemes and atom names, each non-space character that starts
+# none of them as a token of its own, and whitespace skipped: ``findall``
+# gives bare strings.
+_LEXEME_RE = re.compile(rf"{_WORD}|\S")
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    """(lexeme, offset) pairs by maximal munch, then ("", len(text)) for the end."""
-    tokens = []
+def _offsets(text: str) -> list[int]:
+    """The offset of each token, then len(text); raises ParseError at the
+    first stray character.  Only errors read offsets, so only they pay for
+    this pass."""
+    offsets = []
     for m in _TOKEN_RE.finditer(text):
         lexeme, stray = m.groups()
         if stray:
             raise ParseError(f"stray character {stray!r}", m.start())
         if lexeme:
-            tokens.append((lexeme, m.start()))
-    tokens.append(("", len(text)))
-    return tokens
+            offsets.append(m.start())
+    offsets.append(len(text))
+    return offsets
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+    """A parse over bare lexemes, ended by "".  ``atoms`` holds one ``Atom``
+    per name, so every occurrence of a variable in the parse is one object."""
 
-    def advance(self) -> tuple[str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def __init__(self, text: str):
+        tokens = _LEXEME_RE.findall(text)
+        # What is neither a lexeme nor an atom name is a stray character.
+        if any(not ATOM_RE.match(t) for t in set(tokens).difference(_LEXEMES)):
+            _offsets(text)  # raises at the first one
+        tokens.append("")
+        self.text, self.tokens, self.pos = text, tokens, 0
+        self.atoms: dict[str, Atom] = {}
+
+    def fail(self, message: str, at: int) -> NoReturn:
+        """Raise ``message`` at the offset of token ``at``."""
+        raise ParseError(message, _offsets(self.text)[at])
 
     def expect(self, want: str) -> None:
-        lexeme, offset = self.advance()
+        lexeme = self.tokens[self.pos]
         if lexeme != want:
-            raise ParseError(f"expected {want!r}, found {lexeme or 'end of input'!r}", offset)
+            self.fail(f"expected {want!r}, found {lexeme or 'end of input'!r}", self.pos)
+        self.pos += 1
 
     def formula(self) -> Formula:
         """Binary operators reduce by precedence, to the left; an open
         parenthesis saves the prefix chain before it and the operands and
         operators around it."""
+        tokens, atoms, pos = self.tokens, self.atoms, self.pos
         frames, operands, ops = [], [], []
         while True:
             chain = []
-            lexeme, offset = self.advance()
+            lexeme = tokens[pos]
+            pos += 1
             while lexeme in _PREFIX:
                 chain += _PREFIX[lexeme][1]
-                lexeme, offset = self.advance()
+                lexeme = tokens[pos]
+                pos += 1
             if lexeme == "(":
                 frames.append((chain, operands, ops))
                 operands, ops = [], []
                 continue
-            if lexeme[:1].isalpha():  # only atoms start with a letter
-                node = Atom(lexeme)
-            elif not lexeme:
-                raise ParseError("unexpected end of input", offset)
-            else:
-                raise ParseError(f"unexpected token {lexeme!r}", offset)
+            node = atoms.get(lexeme)
+            if node is None:
+                if lexeme[:1].isalpha():  # only atoms start with a letter
+                    node = atoms[lexeme] = Atom(lexeme)
+                elif not lexeme:
+                    self.fail("unexpected end of input", pos - 1)
+                else:
+                    self.fail(f"unexpected token {lexeme!r}", pos - 1)
             while True:
                 for cls in reversed(chain):
                     node = cls(node)
                 operands.append(node)
-                op = _BINARY.get(self.tokens[self.pos][0])
+                op = _BINARY.get(tokens[pos])
                 while ops and (op is None or ops[-1][2] >= op[2]):
                     right = operands.pop()
                     operands[-1] = ops.pop()[1](operands[-1], right)
                 if op is not None:
-                    self.pos += 1
+                    pos += 1
                     ops.append(op)
                     break
                 if not frames:
+                    self.pos = pos
                     return operands.pop()
+                self.pos = pos
                 self.expect(")")
+                pos = self.pos
                 node = operands.pop()
                 chain, operands, ops = frames.pop()
 
     def finish(self, what: str) -> None:
-        lexeme, offset = self.tokens[self.pos]
+        lexeme = self.tokens[self.pos]
         if lexeme:
-            raise ParseError(f"unexpected token {lexeme!r} after {what}", offset)
+            self.fail(f"unexpected token {lexeme!r} after {what}", self.pos)
 
 
 def parse_formula(text: str) -> Formula:
@@ -265,15 +311,17 @@ def parse_formula(text: str) -> Formula:
 
 
 def parse_sequent(text: str) -> Sequent:
-    """Parse ``premise |- conclusion``.  Exactly one turnstile is allowed."""
+    """Parse ``premise |- conclusion``.  Exactly one turnstile is allowed;
+    both sides share the parse's atoms."""
     if not text.strip():
         raise ParseError("empty input", 0)
     p = _Parser(text)
-    turnstiles = [offset for lexeme, offset in p.tokens if lexeme == _TURNSTILE[0]]
+    turnstiles = p.tokens.count(_TURNSTILE[0])
     if not turnstiles:
         raise ParseError(f"missing turnstile {_TURNSTILE[0]!r}", len(text))
-    if len(turnstiles) > 1:
-        raise ParseError(f"duplicate turnstile {_TURNSTILE[0]!r}", turnstiles[1])
+    if turnstiles > 1:
+        first = p.tokens.index(_TURNSTILE[0])
+        p.fail(f"duplicate turnstile {_TURNSTILE[0]!r}", p.tokens.index(_TURNSTILE[0], first + 1))
     premise = p.formula()
     p.expect(_TURNSTILE[0])
     conclusion = p.formula()
@@ -374,14 +422,6 @@ def subformulas(*fs: Formula) -> frozenset[Formula]:
 def variables(*fs: Formula) -> frozenset[str]:
     """The variables occurring in any of the given formulas."""
     return frozenset(sub.name for sub in postorder(*fs) if isinstance(sub, Atom))
-
-
-def size(f: Formula) -> int:
-    """Number of AST nodes, a shared subtree counted at each occurrence."""
-    sizes: dict[Formula, int] = {}
-    for node in postorder(f):
-        sizes[node] = 1 + sum(sizes[getattr(node, name)] for name in node._fields)
-    return sizes[f]
 
 
 def modal_depth(*fs: Formula) -> int:

@@ -8,7 +8,9 @@
 * ``tri_value_by_cases`` is the four-case reading of ``#``, and
   ``dual_value`` the value table of ``dual_model``.
 * ``bulk_supports`` unpacks a ``BulkSpace``'s world bitsets into bools.
-* ``modal_depth_by_postorder`` folds the modal depth children first.
+* ``modal_depth_by_postorder`` folds the modal depth children first, and
+  ``size`` counts nodes, a shared subtree at each occurrence.
+* ``model_names`` lists the bundled models ``figures.load_model`` reads.
 """
 
 from typing import Iterator, Sequence
@@ -16,6 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from fdek.bulkeval import BulkSpace, _guard, _model_on, frame_from_mask
+from fdek.figures import _MODELS
 from fdek.semantics import Evaluator, FourValue, Frame, Model, model_to_dict
 from fdek.syntax import Box, Formula, Tri, postorder, render
 from fdek.tableau import Branch, Item, ProofNode, Proved, RelAtom, TableauResult
@@ -140,3 +143,17 @@ def modal_depth_by_postorder(*fs: Formula) -> int:
         below = max((depths[getattr(node, name)] for name in node._fields), default=0)
         depths[node] = below + isinstance(node, (Tri, Box))
     return max((depths[f] for f in fs), default=0)
+
+
+def size(f: Formula) -> int:
+    """Number of AST nodes, a shared subtree counted at each occurrence."""
+    sizes: dict[Formula, int] = {}
+    for node in postorder(f):
+        sizes[node] = 1 + sum(sizes[getattr(node, name)] for name in node._fields)
+    return sizes[f]
+
+
+# --- bundled data --------------------------------------------------------------
+
+def model_names() -> tuple[str, ...]:
+    return _MODELS

@@ -19,7 +19,7 @@ from fdek.syntax import Not, parse_formula, parse_sequent, subformulas, variable
 from fdek.tableau import Labelled, Proved, Refuted, prove
 
 from conftest import corpus, hand_sequents, random_formula, scalar_definability
-from reference_impl import bulk_supports, dual_value, result_to_dict
+from reference_impl import bulk_supports, dual_value, model_names, result_to_dict
 
 T, B, N, F = FourValue.T, FourValue.B, FourValue.N, FourValue.F
 
@@ -172,7 +172,6 @@ def test_criterion_5_metatheory_suites():
 
 
 def test_criterion_6_prover_oracle_coherence():
-    from fdek.figures import model_names
     from fdek.semantics import sequent_holds
 
     figure_models = [load_model(name) for name in model_names()]

@@ -18,11 +18,11 @@ from fdek.semantics import (
     FRAME_PROPERTIES, BoundExceededError, Evaluator, FourValue, Frame, Model, PointedModel,
     frame_to_dict, model_to_dict,
 )
-from fdek.syntax import Atom, Box, Not, Tri, parse_formula, parse_sequent, render, size, variables
+from fdek.syntax import Atom, Box, Not, Tri, parse_formula, parse_sequent, render, variables
 from fdek.tableau import Proved, prove
 
 from conftest import corpus, scalar_definability
-from reference_impl import bulk_supports, enumerate_frames, enumerate_models
+from reference_impl import bulk_supports, enumerate_frames, enumerate_models, size
 
 
 class TestModelEnumeration:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from fdek import bulkeval, figures
 from fdek.analysis import PAPER_FRAME_CLASSES, enumerate_formulas
 from fdek.bulkeval import BulkSpace, frame_from_mask
-from fdek.figures import load_frame, load_model, model_names
+from fdek.figures import load_frame, load_model
 from fdek.semantics import (
     FRAME_PROPERTIES, BoundExceededError, Evaluator, FourValue, Frame, Model, ModelError,
     PointedModel, UnknownWorldError, dual_model, eval_formula,
@@ -16,11 +16,13 @@ from fdek.semantics import (
     sequent_holds, sequent_valid_on_frame, VALUE_ORDER, atom_clause, frame_from_dict,
 )
 from fdek.syntax import (
-    And, Atom, Box, Not, Or, Sequent, Tri, parse_formula, parse_sequent, render,
+    And, Atom, Box, Not, Or, Sequent, Tri, parse_formula, parse_sequent, postorder, render,
 )
 
 from conftest import random_formula, scalar_valid_on_frame
-from reference_impl import bulk_supports, dual_value, enumerate_models, tri_value_by_cases
+from reference_impl import (
+    bulk_supports, dual_value, enumerate_models, model_names, tri_value_by_cases,
+)
 
 T, B, N, F = FourValue.T, FourValue.B, FourValue.N, FourValue.F
 
@@ -242,6 +244,34 @@ class TestClausesAgreeWithBulk:
             ev = Evaluator(bulkeval.model_from_indices(n, names, mask, v))
             for w in range(n):
                 assert ev.supports(f"w{w}", f) == (pos[v][w], neg[v][w]), (render(f), mask, v, w)
+
+
+class TestMemoAcrossParses:
+    # Each parse has its own nodes and atoms, so a shared Evaluator finds
+    # a formula parsed again by equality, not identity; its supports must
+    # be those of a fresh Evaluator per formula.
+    @staticmethod
+    def _agree(m, texts):
+        shared = Evaluator(m)
+        for text in texts:
+            f = parse_formula(text)
+            fresh = Evaluator(m)
+            for w in m.frame.worlds:
+                assert shared.supports(w, f) == fresh.supports(w, f), (text, w)
+
+    @given(_framed_formulas(), st.integers(0, 4 ** 8 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_shared_memo_matches_fresh_evaluators(self, case, v):
+        # The whole formula first, then each subformula and the whole
+        # again, every one from its own parse.
+        n, names, mask, f = case
+        m = bulkeval.model_from_indices(n, names, mask, v % 4 ** (n * len(names)))
+        self._agree(m, [render(f)] + [render(g) for g in postorder(f)])
+
+    def test_ten_thousand_deep_chain(self):
+        # The tail of the chain meets the shorter chain's memo entry deep down.
+        self._agree(load_model("fig1"), ["#~" * 2500 + "p", "#~" * 5000 + "p",
+                                         "#~" * 5000 + "p", "#~" * 5000 + "q"])
 
 
 class TestDualModels:

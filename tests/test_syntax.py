@@ -3,6 +3,7 @@ import hashlib
 import json
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,10 +11,10 @@ from hypothesis import given, strategies as st
 from fdek.syntax import (
     LANG_BOX, LANG_TRI, And, Atom, Box, Not, Or, ParseError, Sequent,
     Tri, modal_depth, parse_formula,
-    parse_sequent, postorder, render, render_sequent, size, subformulas, variables,
+    parse_sequent, postorder, render, render_sequent, subformulas, variables,
 )
 
-from reference_impl import modal_depth_by_postorder
+from reference_impl import modal_depth_by_postorder, size
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -85,12 +86,68 @@ class TestParseSequent:
         assert parse_sequent("p|q|-r") == Sequent(Or(p, q), r)
 
     def test_duplicate_turnstile(self):
-        with pytest.raises(ParseError, match="duplicate"):
+        with pytest.raises(ParseError, match="duplicate") as err:
             parse_sequent("p |- q |- r")
+        assert err.value.offset == 7  # the second one
 
     def test_missing_turnstile(self):
-        with pytest.raises(ParseError, match="missing"):
-            parse_sequent("p & q")
+        text = "p & q  "
+        with pytest.raises(ParseError, match="missing") as err:
+            parse_sequent(text)
+        assert err.value.offset == len(text)
+
+
+class TestParseSharing:
+    # One parse holds one Atom per name; nodes are never shared between parses.
+    def test_repeated_atom_is_one_object(self):
+        f = parse_formula("p & p")
+        assert f.left is f.right
+
+    def test_both_sides_of_a_sequent_share_atoms(self):
+        s = parse_sequent("#p |- p")
+        assert s.premise.child is s.conclusion
+
+    def test_separate_parses_share_no_node(self):
+        text = "#(p & ~q) | p"
+        f, g = parse_formula(text), parse_formula(text)
+        assert f == g
+        assert not {id(n) for n in postorder(f)} & {id(n) for n in postorder(g)}
+
+    def test_pickle_round_trip_keeps_equality_and_sharing(self):
+        f = parse_formula("#(p & ~q) | p")
+        g = pickle.loads(pickle.dumps(f))
+        assert g is not f and g == f and hash(g) == hash(f)
+        assert g.right is g.left.child.left
+
+
+class TestParseErrors:
+    # Offsets are found only when an error is raised; they must be those of
+    # a left-to-right scan of the whole text.
+    def test_stray_character_wins_over_an_earlier_syntax_error(self):
+        for parse in (parse_formula, parse_sequent):
+            with pytest.raises(ParseError, match="stray character 'é'") as err:
+                parse("p & ) é |- p")
+            assert err.value.offset == 6
+
+    @pytest.mark.parametrize("text", ["é", "pé", "p & é", "# é |- p"])
+    def test_non_ascii_letter_is_a_stray_character(self, text):
+        for parse in (parse_formula, parse_sequent):
+            with pytest.raises(ParseError, match="stray character") as err:
+                parse(text)
+            assert err.value.offset == text.index("é")
+
+    def test_offsets_past_ten_thousand(self):
+        text = "p & " * 3000 + "& q"
+        with pytest.raises(ParseError, match="unexpected token '&'") as err:
+            parse_formula(text)
+        assert err.value.offset == 12_000
+        text = "(" * 6000 + "p" + ")" * 5999 + " |- q"
+        with pytest.raises(ParseError, match=re.escape("expected ')', found '|-'")) as err:
+            parse_sequent(text)
+        assert err.value.offset == 12_001
+        with pytest.raises(ParseError, match=re.escape("stray character '$'")) as err:
+            parse_formula("~" * 11_000 + "p $")
+        assert err.value.offset == 11_002
 
 
 class TestRender:
@@ -234,6 +291,20 @@ class TestNodes:
                      (And(p, q), And(q, p)), (Not(p), Not(q))]:
             assert a != b and not a == b
             assert hash(a) != hash(b)
+
+    def test_equality_down_unary_runs(self):
+        # The run of unary nodes above the first binary node or atom is
+        # followed without a stack; what lies below it is compared as ever.
+        chain = "#~[]" * 300
+        assert parse_formula(chain + "p") == parse_formula(chain + "p")
+        assert parse_formula(chain + "p") != parse_formula(chain + "q")
+        assert parse_formula(chain + "(p & q)") == parse_formula(chain + "(p & q)")
+        assert parse_formula(chain + "(p & q)") != parse_formula(chain + "(p | q)")
+        assert parse_formula(chain + "(p & ~q)") != parse_formula(chain + "(p & ~r)")
+        assert parse_formula(chain + "p") != parse_formula(chain[1:] + "p")
+        assert Tri(p) != p and p != Tri(p) and Not(p) != And(p, p)
+        assert p == Atom("p") and p != q
+        assert p != "p" and Tri(p) != "#p"
 
     def test_equality_on_shared_subterms_is_linear(self):
         # 65 distinct nodes, but 2^64 paths from the top of each tower.
