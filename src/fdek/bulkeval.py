@@ -21,11 +21,20 @@ bit ``w`` means "supported at world ``w``", in the narrowest unsigned type
 that holds n bits: ``uint8`` up to 8 worlds, ``uint16`` for the 9 to 12
 worlds a given frame may have (relation sweeps stay at n <= 4, the size
 guard).  ``~``, ``&``, ``|`` are bitwise, every complement masked to the
-low n bits; ``#`` and ``[]`` take one pass per world, comparing the
-child's supports within that world's successor bitset with the bitset
-itself, decoded from relation masks or, for a given frame, its
-``Frame.succ`` (whose relation mask would not fit 64 bits from 8 worlds
-on).
+low n bits.  ``#`` and ``[]`` read at each world only which successors
+support the child's truth and which its falsity, so on n <= 4 worlds
+each is a function of the relation and of the child's code
+``pos << n | neg``, one of 4^n <= 256 values: a clause table holds, per
+relation, the true and false bitsets of both at every code, and a modal
+node is two gathers from it.  The table is built at a space's first
+modal node by the per-world pass (``_clause_pass``), which compares the
+child's supports within each world's successor bitset with the bitset
+itself; a sweep's blocks share one table per relation list
+(``_clause_tables``), and a given frame of more than 4 worlds keeps the
+per-world pass over its valuations, whose table would be as large.
+Successor bitsets are decoded from relation masks or, for a given
+frame, taken from its ``Frame.succ`` (whose relation mask would not fit
+64 bits from 8 worlds on).
 
 What a scan costs and how its space is laid out are known only to this
 module: ``_guard`` refuses a scan before anything is allocated, from its
@@ -48,7 +57,7 @@ the sweeps (the tests' references and the benchmark's probes):
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import permutations
 from typing import Iterator, Sequence
 
@@ -65,6 +74,8 @@ DEFAULT_VALUATION_BOUND = 12  # (world, variable) valuation slots one scan may t
 # visit: 2x6 (5.4e8) and 3x3 (4.0e8) fit, 3x4 (2.6e10) does not.
 _MAX_SWEEP_CELLS = 10 ** 9
 _CHUNK_CELLS = 50_000_000  # per-array budget (relations x valuations x worlds) of one block
+_TABLE_WORLDS = 4  # most worlds whose clause table (4^n codes per relation) is built
+_GATHER_CELLS = 1 << 20  # codes turned into 8-byte table indices at a time
 
 # Support of truth (row 0) and of falsity (row 1) for base-4 digits 0..3.
 _DIGIT_SUPPORTS = np.array([[v.supports_truth for v in VALUE_ORDER],
@@ -156,14 +167,18 @@ class BulkSpace:
         self._bind(n_worlds, _atom_tables(n_worlds, names), _successors(n_worlds, masks), masks)
 
     def _bind(self, n: int, atoms: dict, succ: np.ndarray, masks: np.ndarray | None,
-              start=(0, 0)) -> None:
-        """``succ[r, w]``: bit j is set iff relation r contains (w, j)."""
+              start=(0, 0), table=None) -> None:
+        """``succ[r, w]``: bit j is set iff relation r contains (w, j).
+        ``table`` returns the clause table of these relations, called at
+        the first modal node; by default it is built from ``succ``."""
         self.n = n
         self.start = start
         self.succ = succ
         self.masks = masks
         self.full = succ.dtype.type((1 << n) - 1)
         self._memo: dict[Formula, tuple[np.ndarray, np.ndarray]] = dict(atoms)
+        self._table_of = table or partial(_clause_table, succ)
+        self._table: np.ndarray | None = None
 
     def _bits(self, f: Formula) -> tuple[np.ndarray, np.ndarray]:
         """Both supports of ``f`` as world bitsets, memoized per formula."""
@@ -192,30 +207,16 @@ class BulkSpace:
     def _modal(self, tri: bool, pos: np.ndarray,
                neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Both supports of ``#`` (``tri``) or ``[]`` over a formula of supports
-        ``pos``, ``neg``: one pass per world w, on the successor bitset s of w
-        and its members ps, ns that support the truth and the falsity, with
-        the cases of ``semantics.tri_clause`` and ``box_clause``: "some" is
-        ``!= 0``, "all" is ``== s``."""
-        dtype = self.succ.dtype
-        true = np.zeros((len(self.succ), pos.shape[1]), dtype=dtype)
-        false = np.zeros_like(true)
-        for w in range(self.n):
-            s = self.succ[:, w, None]
-            ps, ns = pos & s, neg & s
-            if tri:
-                # True: no split on a support and no unvalued successor.  False: a
-                # split (some but not all successors support the truth, or the
-                # falsity), or one successor supports the truth while one the falsity.
-                any_p, any_n = ps != 0, ns != 0
-                split = (any_p & (ps != s)) | (any_n & (ns != s))
-                t = (ps | ns) == s
-                t &= ~split
-                f = split | (any_p & any_n)
-            else:
-                t, f = ps == s, ns != 0
-            true |= t.view(np.uint8).astype(dtype, copy=False) << w
-            false |= f.view(np.uint8).astype(dtype, copy=False) << w
-        return true, false
+        ``pos``, ``neg``: the clause table's true and false rows gathered at
+        the codes ``pos << n | neg`` (``_gather``).  Beyond
+        ``_TABLE_WORLDS`` worlds, the per-world pass instead."""
+        if self.n > _TABLE_WORLDS:
+            return _clause_pass(tri, self.succ, pos, neg)
+        if self._table is None:
+            self._table = self._table_of()
+        code = pos << self.n
+        code |= neg
+        return _gather(self._table[0 if tri else 1], code)
 
     def _refuting(self, claim: Sequent | Formula) -> np.ndarray:
         """Bitsets of the worlds where the premise is supported-true and the
@@ -244,6 +245,77 @@ class BulkSpace:
         every valuation and world of that frame."""
         ok = ~self._refuting(claim).any(axis=1)
         return np.broadcast_to(ok, (len(self.succ),))
+
+
+def _clause_pass(tri: bool, succ: np.ndarray, pos: np.ndarray,
+                 neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both supports of ``#`` (``tri``) or ``[]`` on the relations of
+    successor bitsets ``succ``, shape (relations, n), over a formula of
+    supports ``pos``, ``neg``: one pass per world w, on the successor
+    bitset s of w and its members ps, ns that support the truth and the
+    falsity, with the cases of ``semantics.tri_clause`` and ``box_clause``:
+    "some" is ``!= 0``, "all" is ``== s``."""
+    dtype = succ.dtype
+    true = np.zeros((len(succ), pos.shape[1]), dtype=dtype)
+    false = np.zeros_like(true)
+    for w in range(succ.shape[1]):
+        s = succ[:, w, None]
+        ps, ns = pos & s, neg & s
+        if tri:
+            # True: no split on a support and no unvalued successor.  False: a
+            # split (some but not all successors support the truth, or the
+            # falsity), or one successor supports the truth while one the falsity.
+            any_p, any_n = ps != 0, ns != 0
+            split = (any_p & (ps != s)) | (any_n & (ns != s))
+            t = (ps | ns) == s
+            t &= ~split
+            f = split | (any_p & any_n)
+        else:
+            t, f = ps == s, ns != 0
+        true |= t.view(np.uint8).astype(dtype, copy=False) << w
+        false |= f.view(np.uint8).astype(dtype, copy=False) << w
+    return true, false
+
+
+def _clause_table(succ: np.ndarray) -> np.ndarray:
+    """The clause table of the relations of successor bitsets ``succ``,
+    shape (relations, n): ``table[m, x, r, c]`` is the bitset of the worlds
+    where ``#`` (m = 0) or ``[]`` (m = 1) of a formula of code ``c``
+    (truth bitset ``c >> n``, falsity bitset ``c & (2^n - 1)``) is
+    supported true (x = 0) or false (x = 1) under relation ``r``.  Read-only."""
+    n = succ.shape[1]
+    codes = np.arange(4 ** n, dtype=succ.dtype)[None]
+    table = np.array([_clause_pass(tri, succ, codes >> n, codes & (1 << n) - 1)
+                      for tri in (True, False)])
+    table.flags.writeable = False
+    return table
+
+
+def _gather(tables: np.ndarray, code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``tables[x, r, code[r, v]]`` for x = 0 and x = 1, each of shape
+    (relations, valuations); ``tables`` has shape (2, relations, codes),
+    each row contiguous.  A relation-independent ``code`` (one row) is one
+    index along the codes of every relation's row; otherwise each relation
+    reads its own row, at ``r * codes + code[r, v]`` of the flattened
+    table.  ``np.take`` widens its indices to 8 bytes, so at most
+    ``_GATHER_CELLS`` codes are taken at a time; they are always in range,
+    and ``mode="clip"`` lets it write straight into the result."""
+    _, rels, width = tables.shape
+    vals = code.shape[1]
+    out = np.empty((2, rels, vals), dtype=tables.dtype)
+    if len(code) == 1:
+        for v in range(0, vals, _GATHER_CELLS):
+            at = code[0, v:v + _GATHER_CELLS].astype(np.intp)
+            for table, res in zip(tables, out):
+                np.take(table, at, axis=1, out=res[:, v:v + _GATHER_CELLS], mode="clip")
+    else:
+        step = max(1, _GATHER_CELLS // vals)
+        for r in range(0, rels, step):
+            rows = code[r:r + step]
+            at = rows + (np.arange(r, r + len(rows)) * width)[:, None]
+            for table, res in zip(tables, out):
+                np.take(table.ravel(), at, out=res[r:r + step], mode="clip")
+    return out[0], out[1]
 
 
 def _successors(worlds: int | Frame, rel_masks: np.ndarray | None) -> np.ndarray:
@@ -293,11 +365,31 @@ def _reach(succ: np.ndarray, depth: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _rooted(n: int, depth: int) -> np.ndarray:
     """The ``representatives(n)`` in which some world reaches every world
-    within ``depth`` steps, ascending; renaming keeps this property."""
+    within ``depth`` steps, ascending; renaming keeps this property.  Every
+    depth from n - 1 on gives the same list, so ``sweep`` asks for at most
+    that one."""
     reps = representatives(n)
     reps = reps[(_reach(_successors(n, reps), depth) == (1 << n) - 1).any(axis=1)]
     reps.flags.writeable = False
     return reps
+
+
+def _relations(n: int, depth: int | None) -> np.ndarray:
+    """The relation masks a sweep over ``n`` worlds reads at ``depth``."""
+    return representatives(n) if depth is None else _rooted(n, depth)
+
+
+@lru_cache(maxsize=None)
+def _clause_tables(n: int, depth: int | None) -> np.ndarray:
+    """The ``_clause_table`` of ``_relations(n, depth)``, built on first use
+    and kept: at most 4 worlds (the relation sweeps' guard), so at most
+    3 044 relations x 256 codes x 4 bytes.  A block reads its own rows."""
+    return _clause_table(_successors(n, _relations(n, depth)))
+
+
+def _table_rows(n: int, depth: int | None, start: int, stop: int) -> np.ndarray:
+    """Rows ``start:stop`` of ``_clause_tables(n, depth)``, a view."""
+    return _clause_tables(n, depth)[:, :, start:stop]
 
 
 def sweep(worlds: int | Frame, variables: Sequence[str],
@@ -314,12 +406,16 @@ def sweep(worlds: int | Frame, variables: Sequence[str],
     allocated.  Each block's arrays hold at most ``_CHUNK_CELLS`` cells:
     whole relations while one relation fits, else consecutive valuations of
     one relation (a block never spans two relations).  The atom tables are
-    built once; a block's are views of them along the valuation axis."""
+    built once; a block's are views of them along the valuation axis, and
+    its clause table rows are a view of ``_clause_tables`` (a given frame's
+    blocks build their own)."""
     names = tuple(sorted(variables))
     given = isinstance(worlds, Frame)
     n = len(worlds.worlds) if given else worlds
     _guard(worlds, len(names))
-    masks = None if given else representatives(n) if depth is None else _rooted(n, depth)
+    if depth is not None:
+        depth = min(depth, n - 1)  # reach is settled after n - 1 steps
+    masks = None if given else _relations(n, depth)
     succ = _successors(worlds, masks)
     if not len(succ):
         return
@@ -333,5 +429,7 @@ def sweep(worlds: int | Frame, variables: Sequence[str],
                      for a, (pos, neg) in atoms.items()}
             space = BulkSpace.__new__(BulkSpace)
             space._bind(n, block, succ[r:r + rel_step],
-                        None if given else masks[r:r + rel_step], (r, v))
+                        None if given else masks[r:r + rel_step], (r, v),
+                        None if given else partial(_table_rows, n, depth, r, r + rel_step))
             yield space
+

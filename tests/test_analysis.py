@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from functools import lru_cache
 from itertools import permutations
 
@@ -16,7 +17,7 @@ from fdek.bulkeval import BulkSpace, frame_from_mask, representatives
 from fdek.figures import load_frame, load_model
 from fdek.semantics import (
     FRAME_PROPERTIES, BoundExceededError, Evaluator, FourValue, Frame, Model, PointedModel,
-    frame_to_dict, model_to_dict,
+    box_clause, frame_to_dict, model_to_dict, tri_clause,
 )
 from fdek.syntax import Atom, Box, Not, Tri, parse_formula, parse_sequent, render, variables
 from fdek.tableau import Proved, prove
@@ -462,6 +463,89 @@ class TestRootedSweep:
         for depth in (0, 1):
             with pytest.raises(BoundExceededError):
                 next(bulkeval.sweep(5, ["p"], depth))
+
+
+class TestClauseTables:
+    @pytest.mark.parametrize("gather_cells", [None, 7])
+    @pytest.mark.parametrize("n,depth", [(1, None), (2, 1), (3, None), (3, 1), (4, None), (4, 2)])
+    def test_gather_matches_the_per_world_pass(self, n, depth, gather_cells, chunk_budget,
+                                               monkeypatch):
+        # Seeded random children of both shapes on sampled blocks of the
+        # sweep, the first and the last among them; under the tiny budget
+        # most blocks start mid-list, and 7 codes at a time take each
+        # gather in many pieces.
+        if gather_cells:
+            monkeypatch.setattr(bulkeval, "_GATHER_CELLS", gather_cells)
+        rng = np.random.default_rng(n)
+        spaces = list(bulkeval.sweep(n, ["p"], depth))
+        picks = {0, len(spaces) - 1} | set(random.Random(n).sample(range(len(spaces)),
+                                                                   min(6, len(spaces))))
+        for i in sorted(picks):
+            space = spaces[i]
+            vals = space._bits(Atom("p"))[0].shape[1]
+            for rows in (1, len(space.succ)):
+                pos, neg = rng.integers(0, 1 << n, (2, rows, vals), dtype=np.uint8)
+                for tri in (True, False):
+                    got = space._modal(tri, pos, neg)
+                    expect = bulkeval._clause_pass(tri, space.succ, pos, neg)
+                    for g, e in zip(got, expect):
+                        assert g.shape == e.shape == (len(space.succ), vals)
+                        assert np.array_equal(g, e), (n, depth, space.start, rows, tri)
+
+    @pytest.mark.parametrize("n,depth", [(1, 0), (2, 1), (3, None), (4, None), (4, 3)])
+    def test_tables_match_the_scalar_clauses(self, n, depth):
+        # Every code, on every relation up to 3 worlds and on a seeded
+        # sample at 4 (the first and the last among them).
+        masks = bulkeval._relations(n, depth)
+        table = bulkeval._clause_tables(n, depth)
+        assert table.shape == (2, 2, len(masks), 4 ** n)
+        rows = range(len(masks))
+        if n == 4:
+            rows = [0, len(masks) - 1] + random.Random(n).sample(range(1, len(masks) - 1), 40)
+        succ = bulkeval._successors(n, masks).tolist()
+        for r in rows:
+            for code in range(4 ** n):
+                child = (code >> n, code & (1 << n) - 1)
+                for m, clause in enumerate((tri_clause, box_clause)):
+                    expect = clause(child, tuple(succ[r]))
+                    assert (table[m, 0, r, code], table[m, 1, r, code]) == expect, (n, r, code, m)
+
+    def test_cached_tables_and_their_rows_reject_writes(self):
+        space = next(bulkeval.sweep(3, ["p"], 1))
+        space._bits(Tri(Atom("p")))
+        for table in (bulkeval._clause_tables(3, 1), space._table):
+            with pytest.raises(ValueError):
+                table[0, 0, 0, 0] = 1
+
+    def test_no_table_without_a_modal_node(self, monkeypatch):
+        def build(*args):
+            raise AssertionError("built a clause table")
+        monkeypatch.setattr(bulkeval, "_clause_table", build)
+        assert find_countermodel(parse_sequent("p & q |- q & r"), 3) is not None
+        assert find_countermodel(parse_sequent("p & q |- q | p"), 3) is None
+
+    def test_one_cache_entry_per_relation_list(self):
+        # Every depth from n - 1 on sweeps the same classes, so these 29
+        # searches read four relation lists: (1, 0), (2, 1), (3, 1), (3, 2).
+        bulkeval._rooted.cache_clear()
+        bulkeval._clause_tables.cache_clear()
+        for d in range(1, 30):
+            tower = "#" * d + "p"
+            assert find_countermodel(parse_sequent(f"{tower} |- {tower}"), 3) is None
+        assert bulkeval._rooted.cache_info().currsize == 4
+        assert bulkeval._clause_tables.cache_info().currsize == 4
+
+    def test_peak_memory_of_a_three_world_search(self):
+        # numpy reports its allocations to tracemalloc, so this peak is
+        # deterministic; the per-world pass took about 228 to 239 MB.
+        s = parse_sequent("#(p & q) & r |- #(q & p) & r")
+        tracemalloc.start()
+        try:
+            assert find_countermodel(s, 3) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200e6, peak
 
 
 class TestDefinability:
