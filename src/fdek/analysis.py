@@ -30,7 +30,7 @@ from typing import Callable, Iterator, Sequence, Union
 import numpy as np
 
 from .bulkeval import (
-    _guard, _successors, frame_from_mask, model_from_indices, representatives, sweep,
+    _guard, _relation_successors, frame_from_mask, model_from_indices, representatives, sweep,
 )
 from .semantics import (
     FRAME_PROPERTIES, FourValue, PointedModel, and_clause, atom_clause,
@@ -218,10 +218,11 @@ def check_definability(prop: str, claims: Sequence[Claim], max_size: int) -> Def
 
     Both sides are invariant under renaming worlds, so they are compared
     on one relation per isomorphism class, on the successor bitsets the
-    sweep itself decodes; no ``Frame`` is built but the witness.  Verdict
-    "defines" means no disagreement was found; "refuted" carries the first
-    disagreeing frame in labelled enumeration order, which is the smallest
-    of its class, and the direction of the disagreement.
+    sweep itself reads, decoded once per process; no ``Frame`` is built
+    but the witness.  Verdict "defines" means no disagreement was found;
+    "refuted" carries the first disagreeing frame in labelled enumeration
+    order, which is the smallest of its class, and the direction of the
+    disagreement.
     ``frames_checked`` counts the labelled frames up to and including the
     witness.  An unknown property or a sweep beyond the size guard is
     refused before anything is swept.
@@ -244,7 +245,7 @@ def check_definability(prop: str, claims: Sequence[Claim], max_size: int) -> Def
             for space in sweep(n, _claim_variables(claim)):
                 r = space.start[0]
                 valid[r:r + len(space.succ)] &= space.valid_per_relation(claim)
-        for rel_mask, succ, ok in zip(reps.tolist(), _successors(n, reps).tolist(),
+        for rel_mask, succ, ok in zip(reps.tolist(), _relation_successors(n, None).tolist(),
                                       valid.tolist()):
             has_prop = holds(succ)
             if has_prop != ok:

@@ -32,9 +32,15 @@ child's supports within each world's successor bitset with the bitset
 itself; a sweep's blocks share one table per relation list
 (``_clause_tables``), and a given frame of more than 4 worlds keeps the
 per-world pass over its valuations, whose table would be as large.
-Successor bitsets are decoded from relation masks or, for a given
+Successor bitsets are decoded from relation masks, once per relation list
+of the sweeps (``_relation_successors``, kept read-only), or, for a given
 frame, taken from its ``Frame.succ`` (whose relation mask would not fit
-64 bits from 8 worlds on).
+64 bits from 8 worlds on).  The atom tables, every variable's two supports
+over every valuation, depend only on the world and variable counts: up to
+``_CACHED_SLOTS`` (8) valuation slots they are built once per process and
+kept read-only (``_shared_atoms``; at most 1 MiB per shape, under 3 MB for
+all of them), and larger shapes, such as the 201 MB of 2 worlds x 6
+variables, are built for each sweep and freed with it.
 
 What a scan costs and how its space is laid out are known only to this
 module: ``_guard`` refuses a scan before anything is allocated, from its
@@ -43,9 +49,10 @@ of at most ``_CHUNK_CELLS`` cells, so a caller can stop at the first
 block that settles its question.  ``semantics`` and ``analysis`` go
 through ``_guard``, ``sweep``, ``model_from_indices``, ``frame_from_mask``
 and, for the frame properties of a definability sweep,
-``representatives`` and ``_successors``.  A space over chosen relation
-masks, ``BulkSpace(n, variables, masks)``, is for labelled scans outside
-the sweeps (the tests' references and the benchmark's probes):
+``representatives`` and ``_relation_successors``.  A space over chosen
+relation masks, ``BulkSpace(n, variables, masks)``, is for labelled scans
+outside the sweeps (the tests' references and the benchmark's probes),
+and builds its own atom tables, uncached:
 
 * relation ``r`` contains the pair (i, j) iff bit ``i*n + j`` of the mask
   is set; a sweep enumerates the class representatives ascending, and
@@ -76,6 +83,9 @@ _MAX_SWEEP_CELLS = 10 ** 9
 _CHUNK_CELLS = 50_000_000  # per-array budget (relations x valuations x worlds) of one block
 _TABLE_WORLDS = 4  # most worlds whose clause table (4^n codes per relation) is built
 _GATHER_CELLS = 1 << 20  # codes turned into 8-byte table indices at a time
+# Most valuation slots whose atom tables are cached: at most 1 MiB per shape
+# (1 world x 8 variables), and under 3 MB for every such shape together.
+_CACHED_SLOTS = 8
 
 # Support of truth (row 0) and of falsity (row 1) for base-4 digits 0..3.
 _DIGIT_SUPPORTS = np.array([[v.supports_truth for v in VALUE_ORDER],
@@ -135,10 +145,10 @@ def _bitset_type(n: int) -> type:
     return np.uint8 if n <= 8 else np.uint16
 
 
-def _atom_tables(n: int, names: Sequence[str]) -> dict[Atom, tuple[np.ndarray, np.ndarray]]:
-    """Both supports of every atom as world bitsets of shape (1, valuations),
-    built by broadcasting each slot's digit pattern into its world's bit."""
-    k = len(names)
+def _build_atoms(n: int, k: int) -> np.ndarray:
+    """Both supports of each of ``k`` atoms as world bitsets, shape
+    (k, 2, 1, valuations), built by broadcasting each slot's digit pattern
+    into its world's bit."""
     slots = n * k
     dtype = _bitset_type(n)
     digits = _DIGIT_SUPPORTS.astype(dtype, copy=False)
@@ -147,8 +157,31 @@ def _atom_tables(n: int, names: Sequence[str]) -> dict[Atom, tuple[np.ndarray, n
     for s in range(slots):
         w, j = divmod(s, k)
         tables[j] |= world_bits[:, w].reshape((2,) + (1,) * s + (4,) + (1,) * (slots - 1 - s))
-    tables = tables.reshape(k, 2, 1, -1)
+    return tables.reshape(k, 2, 1, -1)
+
+
+@lru_cache(maxsize=None)
+def _shared_atoms(n: int, k: int) -> np.ndarray:
+    """``_build_atoms(n, k)``, built on first use and kept, read-only; only
+    for shapes of at most ``_CACHED_SLOTS`` slots, so every entry together
+    stays under 3 MB."""
+    tables = _build_atoms(n, k)
+    tables.flags.writeable = False
+    return tables
+
+
+def _by_name(tables: np.ndarray,
+             names: Sequence[str]) -> dict[Atom, tuple[np.ndarray, np.ndarray]]:
+    """The atom of the j-th of ``names`` (sorted) mapped to the two rows of ``tables[j]``."""
     return {Atom(var): (tables[j, 0], tables[j, 1]) for j, var in enumerate(names)}
+
+
+def _atom_tables(n: int, names: Sequence[str]) -> dict[Atom, tuple[np.ndarray, np.ndarray]]:
+    """Both supports of every atom over every valuation, of shape
+    (1, valuations): views of the cached ``_shared_atoms`` up to
+    ``_CACHED_SLOTS`` slots, else built for this sweep alone."""
+    k = len(names)
+    return _by_name(_shared_atoms(n, k) if n * k <= _CACHED_SLOTS else _build_atoms(n, k), names)
 
 
 class BulkSpace:
@@ -164,7 +197,8 @@ class BulkSpace:
         _guard(n_worlds, len(names))
         masks = (np.arange(2 ** (n_worlds * n_worlds)) if rel_masks is None
                  else np.asarray(rel_masks, dtype=np.int64))
-        self._bind(n_worlds, _atom_tables(n_worlds, names), _successors(n_worlds, masks), masks)
+        self._bind(n_worlds, _by_name(_build_atoms(n_worlds, len(names)), names),
+                   _successors(n_worlds, masks), masks)
 
     def _bind(self, n: int, atoms: dict, succ: np.ndarray, masks: np.ndarray | None,
               start=(0, 0), table=None) -> None:
@@ -369,7 +403,7 @@ def _rooted(n: int, depth: int) -> np.ndarray:
     depth from n - 1 on gives the same list, so ``sweep`` asks for at most
     that one."""
     reps = representatives(n)
-    reps = reps[(_reach(_successors(n, reps), depth) == (1 << n) - 1).any(axis=1)]
+    reps = reps[(_reach(_relation_successors(n, None), depth) == (1 << n) - 1).any(axis=1)]
     reps.flags.writeable = False
     return reps
 
@@ -380,11 +414,20 @@ def _relations(n: int, depth: int | None) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _relation_successors(n: int, depth: int | None) -> np.ndarray:
+    """The successor bitsets of ``_relations(n, depth)``, built on first use
+    and kept, read-only: at most 3 044 relations x 4 bytes."""
+    succ = _successors(n, _relations(n, depth))
+    succ.flags.writeable = False
+    return succ
+
+
+@lru_cache(maxsize=None)
 def _clause_tables(n: int, depth: int | None) -> np.ndarray:
     """The ``_clause_table`` of ``_relations(n, depth)``, built on first use
     and kept: at most 4 worlds (the relation sweeps' guard), so at most
     3 044 relations x 256 codes x 4 bytes.  A block reads its own rows."""
-    return _clause_table(_successors(n, _relations(n, depth)))
+    return _clause_table(_relation_successors(n, depth))
 
 
 def _table_rows(n: int, depth: int | None, start: int, stop: int) -> np.ndarray:
@@ -406,9 +449,12 @@ def sweep(worlds: int | Frame, variables: Sequence[str],
     allocated.  Each block's arrays hold at most ``_CHUNK_CELLS`` cells:
     whole relations while one relation fits, else consecutive valuations of
     one relation (a block never spans two relations).  The atom tables are
-    built once; a block's are views of them along the valuation axis, and
-    its clause table rows are a view of ``_clause_tables`` (a given frame's
-    blocks build their own)."""
+    built once per process up to ``_CACHED_SLOTS`` valuation slots and once
+    per sweep beyond (``_atom_tables``); a block's are views of them along
+    the valuation axis.  Its successor bitsets and clause table rows are
+    views of ``_relation_successors`` and ``_clause_tables``, also built
+    once per process (a given frame's blocks build their own).  Every
+    cached array is read-only."""
     names = tuple(sorted(variables))
     given = isinstance(worlds, Frame)
     n = len(worlds.worlds) if given else worlds
@@ -416,7 +462,7 @@ def sweep(worlds: int | Frame, variables: Sequence[str],
     if depth is not None:
         depth = min(depth, n - 1)  # reach is settled after n - 1 steps
     masks = None if given else _relations(n, depth)
-    succ = _successors(worlds, masks)
+    succ = _successors(worlds, None) if given else _relation_successors(n, depth)
     if not len(succ):
         return
     atoms = _atom_tables(n, names)

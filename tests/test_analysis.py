@@ -1,9 +1,11 @@
 import hashlib
+import importlib
 import json
 import random
 import tracemalloc
 from functools import lru_cache
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -546,6 +548,85 @@ class TestClauseTables:
         finally:
             tracemalloc.stop()
         assert peak < 200e6, peak
+
+
+class TestAtomTables:
+    def test_searches_of_one_shape_share_read_only_tables(self, monkeypatch):
+        # Both sequents are valid and have two variables, so each search
+        # reads one block at 1 world and one at 2, and the second search
+        # reads the first one's tables under its own names.
+        spaces = []
+        sweep = bulkeval.sweep
+
+        def recording(*args):
+            for space in sweep(*args):
+                spaces.append(space)
+                yield space
+        monkeypatch.setattr(analysis, "sweep", recording)
+        for text in ("#p & q |- q", "#r & s |- s"):
+            assert find_countermodel(parse_sequent(text), 2) is None
+        assert [space.n for space in spaces] == [1, 2, 1, 2]
+        for first, second in zip(spaces[:2], spaces[2:]):
+            for a, b in ((Atom("p"), Atom("r")), (Atom("q"), Atom("s"))):
+                for x, y in zip(first._bits(a), second._bits(b)):
+                    assert np.shares_memory(x, y)
+                    with pytest.raises(ValueError):
+                        y[0, 0] = 0
+            assert np.shares_memory(first.succ, second.succ)
+            with pytest.raises(ValueError):
+                second.succ[0, 0] = 0
+
+    def test_one_entry_per_shape_and_none_past_eight_slots(self):
+        bulkeval._shared_atoms.cache_clear()
+        assert next(bulkeval.sweep(1, list("abcdefghi"))) is not None
+        assert bulkeval._shared_atoms.cache_info().currsize == 0
+        # Shapes (1, 1), (2, 1), (1, 2) and (2, 2), each under several names,
+        # depths and a given frame; at depth 0 no 3-world block is read.
+        for names in (["p"], ["q"], ["p", "q"], ["r", "s"]):
+            for worlds, depth in ((1, None), (2, None), (2, 1), (frame_from_mask(2, 5), None),
+                                  (3, 0)):
+                list(bulkeval.sweep(worlds, names, depth))
+        assert bulkeval._shared_atoms.cache_info().currsize == 4
+
+    def test_relation_lists_are_decoded_once(self, monkeypatch):
+        claims = PAPER_FRAME_CLASSES["reflexive"]
+        s = parse_sequent("#p |- #~p")
+        assert check_definability("reflexive", claims, 3).verdict == "defines"
+        assert find_countermodel(s, 3) is None
+
+        def decode(*args):
+            raise AssertionError("decoded a relation list again")
+        monkeypatch.setattr(bulkeval, "_successors", decode)
+        monkeypatch.setattr(analysis, "_successors", decode, raising=False)
+        assert check_definability("reflexive", claims, 3).verdict == "defines"
+        assert find_countermodel(s, 3) is None
+
+    def test_a_labelled_space_builds_its_own_tables(self):
+        cached = bulkeval._shared_atoms(2, 2)
+        space = BulkSpace(2, ["p", "q"], [0, 5])
+        for j, atom in enumerate((Atom("p"), Atom("q"))):
+            for x, bits in enumerate(space._bits(atom)):
+                assert bits.flags.writeable and not np.shares_memory(bits, cached)
+                assert np.array_equal(bits, cached[j, x])
+
+    def test_cold_and_warm_caches_find_the_same_witnesses(self, monkeypatch):
+        # The golden corpus at 3 worlds and the benchmark's oracle searches
+        # of seeds 1 to 3, first with every sweep cache empty, then again.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        gen = importlib.import_module("gen")
+        oracle = [x for seed in (1, 2, 3) for x in gen.oracle_inputs(seed)["searches"]]
+        searches = [(s, 3) for s in corpus()]
+        searches += [(parse_sequent(x["text"]), x["max_worlds"]) for x in oracle]
+
+        def witnesses():
+            return [found and (model_to_dict(found.model), found.world)
+                    for found in (find_countermodel(s, worlds) for s, worlds in searches)]
+        for cache in (representatives, bulkeval._rooted, bulkeval._relation_successors,
+                      bulkeval._clause_tables, bulkeval._shared_atoms):
+            cache.cache_clear()
+        cold = witnesses()
+        assert witnesses() == cold
+        assert [found is None for found in cold[-len(oracle):]] == [x["expect"] for x in oracle]
 
 
 class TestDefinability:
