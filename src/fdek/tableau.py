@@ -864,7 +864,7 @@ def check_realisation(m: Model, b: Branch) -> bool:
     """Does ``m`` satisfy every labelled assertion on ``b``?
 
     ``t``/``f`` entries must be supported, ``tbar``/``fbar`` entries must
-    be unsupported.  Every world label of the branch must exist in ``m``.
+    be unsupported, and every world label of the branch must exist in ``m``.
     """
     ev = Evaluator(m)
     for item in b.items:
@@ -872,6 +872,8 @@ def check_realisation(m: Model, b: Branch) -> bool:
             if (item.source, item.target) not in m.frame.relation:
                 return False
             continue
+        if item.world not in m.frame.index:
+            return False
         pos, negv = ev.supports(item.world, item.formula)
         ok = {Val.T: pos, Val.F: negv, Val.TBAR: not pos, Val.FBAR: not negv}[item.value]
         if not ok:
@@ -883,7 +885,6 @@ def check_realisation(m: Model, b: Branch) -> bool:
 
 _encode_str = json.encoder.encode_basestring_ascii
 _PRETTY_VALS = {Val.T: "t", Val.F: "f", Val.TBAR: "t̄", Val.FBAR: "f̄"}
-_VALUE_JSON = {v: _encode_str(v.value) for v in Val}
 
 
 def item_to_text(item: Item, pretty: bool = False) -> str:
@@ -897,13 +898,17 @@ def tree_to_text(node: ProofNode, pretty: bool = False) -> str:
     """Indented rendering: one item per line, annotated with the rule that
     added it; leaves carry their closed/open status."""
     lines: list[str] = []
+    texts: dict[int, str] = {}  # each item's text, by id while the tree holds it
     stack: list[tuple[ProofNode, int]] = [(node, 0)]
     while stack:
         cur, depth = stack.pop()
         label = cur.rule or "root"
         pad = "  " * depth
         for item in cur.added:
-            lines.append(f"{pad}{item_to_text(item, pretty)}   [{label}]")
+            text = texts.get(id(item))
+            if text is None:
+                text = texts[id(item)] = item_to_text(item, pretty)
+            lines.append(f"{pad}{text}   [{label}]")
         if not cur.added:
             lines.append(f"{pad}({label}: nothing new)")
         if cur.status:
@@ -911,23 +916,6 @@ def tree_to_text(node: ProofNode, pretty: bool = False) -> str:
         for child in reversed(cur.children):
             stack.append((child, depth + 1))
     return "\n".join(lines)
-
-
-def _array(texts: list[str], level: int) -> str:
-    """A JSON array at nesting ``level`` of the already encoded ``texts``."""
-    if not texts:
-        return "[]"
-    ind = "\n" + "  " * (level + 1)
-    return "[" + ind + ("," + ind).join(texts) + "\n" + "  " * level + "]"
-
-
-def _object(pairs: list[tuple[str, str]], level: int) -> str:
-    """A JSON object at nesting ``level`` of keys and encoded values."""
-    if not pairs:
-        return "{}"
-    ind = "\n" + "  " * (level + 1)
-    return ("{" + ind + ("," + ind).join(_encode_str(k) + ": " + v for k, v in pairs)
-            + "\n" + "  " * level + "}")
 
 
 def _json(value, level: int) -> str:
@@ -938,95 +926,52 @@ def _json(value, level: int) -> str:
         return _encode_str(value)
     if isinstance(value, int):
         return int.__repr__(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    ind = "\n" + "  " * (level + 1)
     if isinstance(value, dict):
-        return _object([(k, _json(v, level + 1)) for k, v in value.items()], level)
-    return _array([_json(v, level + 1) for v in value], level)
+        texts = [_encode_str(k) + ": " + _json(v, level + 1) for k, v in value.items()]
+        return "{" + ind + ("," + ind).join(texts) + ind[:-2] + "}"
+    return "[" + ind + ("," + ind).join([_json(v, level + 1) for v in value]) + ind[:-2] + "]"
 
 
 class _Level(NamedTuple):
-    """The pieces of a proof node opened at one nesting level."""
-    head: str       # up to its children, with the rule and the items added
-    open: str       # opens its "add" or "children" array
-    sep: str        # separates the entries of either array
-    close: str      # closes either array
-    status: str     # starts its "status" entry
-    end: str        # closes the node
-    labelled: str   # the template of a labelled item it adds
-    rel: str        # the template of a relational atom it adds
-    items: dict[int, str]  # the text of each item it adds, met so far, by id
+    """The constant pieces of a proof node opened at one nesting level and
+    of the items in its "add" array.  ``iK`` is a newline and the
+    indentation of that level plus K."""
+    rule: str      # {i1"rule":                  opens the node
+    add: str       # ,i1"add": [i2               opens its items
+    added: str     # i1],i1"children":           closes them
+    no_add: str    # ,i1"add": [],i1"children":  stands for no items
+    open: str      # [i2                         opens its children
+    sep: str       # ,i2                         separates array entries
+    close: str     # i1]                         closes its children
+    status: str    # ,i1"status":
+    end: str       # i0}                         closes the node
+    world: str     # {i3"world":                 opens a labelled item
+    formula: str   # ,i3"formula":
+    values: dict   # ,i3"value": "t"i2}          closes it, by value
+    source: str    # {i3"rel": [i4               opens a relational atom
+    target: str    # ,i4
+    rel_end: str   # i3]i2}                      closes it
+
+    @classmethod
+    def at(cls, level: int) -> "_Level":
+        i0, i1, i2, i3, i4 = ("\n" + "  " * (level + k) for k in range(5))
+        return cls("{" + i1 + '"rule": ', "," + i1 + '"add": [' + i2,
+                   i1 + "]," + i1 + '"children": ', "," + i1 + '"add": [],' + i1 + '"children": ',
+                   "[" + i2, "," + i2, i1 + "]", "," + i1 + '"status": ', i0 + "}",
+                   "{" + i3 + '"world": ', "," + i3 + '"formula": ',
+                   {v: "," + i3 + '"value": ' + _encode_str(v.value) + i2 + "}" for v in Val},
+                   "{" + i3 + '"rel": [' + i4, "," + i4, i3 + "]" + i2 + "}")
 
 
-class _ProofWriter:
-    """Encodes one result.  Its memos live as long as the call: the pieces
-    of each nesting level, one escaped rendering per formula, and one text
-    per item and level.  Formulas and items are keyed by ``id``, which
-    skips their Python-level hashes: the result holds every item the
-    writer meets, so no other object takes one of those ids meanwhile."""
-
-    def __init__(self):
-        self.levels: dict[int, _Level] = {}
-        self.formulas: dict[int, str] = {}
-
-    def level(self, level: int) -> _Level:
-        found = self.levels.get(level)
-        if found is None:
-            i0, i1, i2, i3, i4 = ("\n" + "  " * (level + k) for k in range(5))
-            found = self.levels[level] = _Level(
-                "{" + i1 + '"rule": %s,' + i1 + '"add": %s,' + i1 + '"children": ',
-                "[" + i2, "," + i2, i1 + "]", "," + i1 + '"status": ', i0 + "}",
-                "{" + i3 + '"world": %s,' + i3 + '"formula": %s,' + i3 + '"value": %s' + i2 + "}",
-                "{" + i3 + '"rel": [' + i4 + "%s," + i4 + "%s" + i3 + "]" + i2 + "}",
-                {})
-        return found
-
-    def items(self, items: Sequence[Item], lv: _Level) -> str:
-        """The "add" array of a node at ``lv`` that adds ``items``."""
-        if not items:
-            return "[]"
-        memo, formulas = lv.items, self.formulas
-        texts = []
-        for item in items:
-            text = memo.get(id(item))
-            if text is None:
-                if type(item) is RelAtom:
-                    text = lv.rel % (_encode_str(item.source), _encode_str(item.target))
-                else:
-                    f = formulas.get(id(item.formula))
-                    if f is None:
-                        f = formulas[id(item.formula)] = _encode_str(render(item.formula))
-                    text = lv.labelled % (_encode_str(item.world), f, _VALUE_JSON[item.value])
-                memo[id(item)] = text
-            texts.append(text)
-        return lv.open + lv.sep.join(texts) + lv.close
-
-    def tree(self, root: ProofNode, level: int, out: list[str]):
-        """Append the tree at ``root``, opened at ``level``, to ``out``.  The
-        stack holds the nodes still to write and the text that closes each
-        node after its children."""
-        stack: list = [(root, level)]
-        while stack:
-            entry = stack.pop()
-            if type(entry) is str:
-                out.append(entry)
-                continue
-            node, level = entry
-            lv = self.level(level)
-            rule = "null" if node.rule is None else _encode_str(node.rule)
-            out.append(lv.head % (rule, self.items(node.added, lv)))
-            end = lv.end
-            if node.status:
-                end = lv.status + _encode_str(node.status) + end
-            children = node.children
-            if not children:
-                out.append("[]" + end)
-                continue
-            out.append(lv.open)
-            stack.append(lv.close + end)
-            sep, level = lv.sep, level + 2
-            for child in reversed(children[1:]):
-                stack.append((child, level))
-                stack.append(sep)
-            stack.append((children[0], level))
+# The pieces of the node levels (odd) below ``_CACHED_LEVELS``, and of
+# level 0 (a refutation's branch), kept for the process and built on first
+# use: at most 65 levels, about 330 KB.  ``####p |- ####~p`` opens nodes at
+# 73 levels, up to level 145; deeper levels are built for each call.
+_CACHED_LEVELS = 128
+_LEVELS: dict[int, _Level] = {}
 
 
 def result_to_json(result: TableauResult) -> str:
@@ -1036,21 +981,75 @@ def result_to_json(result: TableauResult) -> str:
     (its items), "children" and, on a leaf, "status"; an item is
     ``{"world", "formula", "value"}`` or ``{"rel": [source, target]}``.
     It is written straight from the result and its proof nodes into one
-    list of pieces.  The standard encoder takes one generator per nesting
-    level, so deep proof trees overflow its stack; this writer keeps its
-    own."""
-    writer = _ProofWriter()
-    head = [("verdict", '"proved"' if isinstance(result, Proved) else '"refuted"'),
-            ("stats", _json(result.stats.to_dict(), 1))]
+    list of pieces, joined once.  The standard encoder takes one generator
+    per nesting level, so deep proof trees overflow its stack; this writer
+    keeps its own, which holds the nodes still to write and the pieces that
+    close each node after its children."""
+    out: list[str] = []
+    # Memos of this call only: the levels past ``_CACHED_LEVELS``, and each
+    # formula's escaped rendering by ``id``, which skips its Python-level
+    # hash and is valid while the result holds it.  No ``id``-keyed memo may
+    # outlive the call: a later result could reuse a freed formula's id.
+    deep: dict[int, _Level] = {}
+    formulas: dict[int, str] = {}
+
+    def level(n: int) -> _Level:
+        levels = _LEVELS if n < _CACHED_LEVELS else deep
+        return levels.get(n) or levels.setdefault(n, _Level.at(n))
+
+    def add(items: Sequence[Item], lv: _Level, opening: str, closing: str):
+        """Append ``opening``, the entries of the non-empty ``items`` in an
+        array that ``lv`` opens, and ``closing``."""
+        out.append(opening)
+        for item in items:
+            if type(item) is RelAtom:
+                out.extend((lv.source, _encode_str(item.source), lv.target,
+                            _encode_str(item.target), lv.rel_end, lv.sep))
+                continue
+            f = formulas.get(id(item.formula))
+            if f is None:
+                f = formulas[id(item.formula)] = _encode_str(render(item.formula))
+            out.extend((lv.world, _encode_str(item.world), lv.formula, f,
+                        lv.values[item.value], lv.sep))
+        out[-1] = closing
+
+    out.extend(('{\n  "verdict": ', '"proved"' if isinstance(result, Proved) else '"refuted"',
+                ',\n  "stats": ', _json(result.stats.to_dict(), 1)))
     if isinstance(result, Refuted):
         # The branch is an array at level 1 of items at level 2, like the
         # "add" array of a node at level 0.
-        head += [("model", _json(model_to_dict(result.model), 1)),
-                 ("designated", _encode_str(result.world)),
-                 ("branch", writer.items(result.branch.items, writer.level(0)))]
-    ind = "\n  "
-    out = ["{" + "".join(ind + _encode_str(k) + ": " + v + "," for k, v in head)
-           + ind + '"tree": ']
-    writer.tree(result.tree, 1, out)
+        out.extend((',\n  "model": ', _json(model_to_dict(result.model), 1),
+                    ',\n  "designated": ', _encode_str(result.world), ',\n  "branch": '))
+        lv, items = level(0), result.branch.items
+        if items:
+            add(items, lv, lv.open, lv.close)
+        else:
+            out.append("[]")
+    out.append(',\n  "tree": ')
+    stack: list = [(result.tree, 1)]
+    while stack:
+        entry = stack.pop()
+        if type(entry) is str:
+            out.append(entry)
+            continue
+        node, n = entry
+        lv = _LEVELS.get(n) or level(n)
+        out.extend((lv.rule, "null" if node.rule is None else _encode_str(node.rule)))
+        if node.added:
+            add(node.added, lv, lv.add, lv.added)
+        else:
+            out.append(lv.no_add)
+        stack.append(lv.end)
+        if node.status:
+            stack.extend((_encode_str(node.status), lv.status))
+        children = node.children
+        if not children:
+            stack.append("[]")
+            continue
+        out.append(lv.open)
+        stack.append(lv.close)
+        for child in reversed(children[1:]):
+            stack.extend(((child, n + 2), lv.sep))
+        stack.append((children[0], n + 2))
     out.append("\n}")
     return "".join(out)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 
@@ -7,14 +8,14 @@ from hypothesis import given, settings, strategies as st
 from fdek import tableau
 from fdek.analysis import find_countermodel
 from fdek.semantics import Evaluator, Frame, FourValue, Model
-from fdek.syntax import Not, Or, Tri, parse_formula, parse_sequent, subformulas
+from fdek.syntax import Not, Or, Tri, parse_formula, parse_sequent, render, subformulas
 from fdek.tableau import (
     Branch, Labelled, LanguageError, ProofNode, ProofStats, Proved,
     RealisationError, Refuted, RelAtom, Val, bar, check_realisation,
     extract_countermodel, neg, prove, result_to_json, saturation_step, tree_to_text,
 )
 
-from conftest import corpus, hand_sequents
+from conftest import corpus, hand_sequents, random_sequents
 from reference_impl import result_to_dict, tree_to_dict
 
 q = parse_formula("q")
@@ -343,6 +344,11 @@ class TestRealisation:
         b = Branch.from_items([RelAtom("w0", "w1")])
         assert check_realisation(m, b) is False
 
+    def test_item_at_a_missing_world_fails(self):
+        m = Model.from_values(Frame(["w0"], []), {"w0": {"p": "T"}})
+        b = Branch.from_items([lab("w1", "p", "t")])
+        assert check_realisation(m, b) is False
+
 
 class TestSerialization:
     def test_tree_text_mentions_rules(self):
@@ -430,15 +436,44 @@ class TestSerialization:
         # Two JSON levels per tree level: the standard encoder overflows the
         # stack here.  The indentation makes the text grow with the square
         # of the depth (24 MB at this depth), so the chain stays short.
-        root = node = ProofNode(None, (lab("w0", "p", "t"),))
-        for _ in range(1000):
-            child = ProofNode("not_t", (lab("w0", "~p", "f"),))
-            node.children.append(child)
-            node = child
-        node.status = "open"
-        text = result_to_json(Proved(root, ProofStats()))
+        text = result_to_json(Proved(_chain(1000), ProofStats()))
         assert text.count('"rule": "not_t"') == 1000
         assert text.endswith("\n}") and '"status": "open"' in text
+        # Levels past the cap were built for that call only.
+        assert max(tableau._LEVELS) < tableau._CACHED_LEVELS
+
+    def test_json_is_the_same_before_and_after_other_results(self):
+        # The level pieces outlive each call; what an earlier result, short
+        # or deep, left behind must not change a later one's bytes.
+        s = parse_sequent("###p |- ###~p")
+        first = result_to_json(prove(s))
+        result_to_json(Proved(_chain(1000), ProofStats()))
+        assert result_to_json(prove(s)) == first
+        assert hashlib.sha256(first.encode()).hexdigest() == (
+            "5e4b6a462ef29e0051f90a45995e4fc764efcfe8f10ebbe460168f3ce04f424e")
+
+    def test_json_of_many_results_in_one_process(self):
+        # Each result is freed before the next is built, so CPython hands
+        # its formulas' ids on to the next result's: a memo keyed by id
+        # that outlived its call would write stale text here.
+        texts = [f"{render(s.premise)} |- {render(s.conclusion)}"
+                 for s in random_sequents(200, seed=25)]
+        for i, text in enumerate(texts):
+            res = prove(parse_sequent(text), start=("truth", "nonfalsity")[i % 2])
+            assert result_to_json(res) == json.dumps(result_to_dict(res), indent=2), text
+            del res
+            gc.collect()
+
+
+def _chain(depth):
+    """A proof tree of ``depth`` nodes below its root, one per level."""
+    root = node = ProofNode(None, (lab("w0", "p", "t"),))
+    for _ in range(depth):
+        child = ProofNode("not_t", (lab("w0", "~p", "f"),))
+        node.children.append(child)
+        node = child
+    node.status = "open"
+    return root
 
 
 ROOTS = {"truth": (Val.T, Val.TBAR), "nonfalsity": (Val.FBAR, Val.F)}
