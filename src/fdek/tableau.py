@@ -10,13 +10,13 @@ do not close anything: ``{w:p;t, w:p;f}`` is a consistent description of
 
 Rule scheduling: closure is detected on insertion.  One finder per rule
 class (non-branching propositional rules, modal propagation rules,
-branching cuts, world-creating rules) yields the candidate instances whose
-major premise is one item.  The search fires the first candidate that
-applies, taking the finders in that priority order and each over the
-branch in insertion order, which makes it fully deterministic.  Whether a
-candidate applies is read off the branch alone: a linear instance applies
-while one of its additions is missing, and a split whenever its finder
-yields it, since a finder yields a split only when it adds something.
+branching cuts, world-creating rules) returns the first applicable
+instance whose major premise is one item, or None.  The search fires the
+first instance found, taking the finders in that priority order and each
+over the branch in insertion order, which makes it fully deterministic.
+Whether an instance applies is read off the branch alone: a linear
+instance applies while one of its additions is missing, and a split always
+does, since a finder finds a split only when it adds something.
 The rules of ``&`` and ``|`` are read off one table, ``_SHARED``, and the
 glut/gap uniformity rules and their world-creating forms off another,
 ``_UNIFORM``.
@@ -34,21 +34,42 @@ edges: the items a proof node adds, ``Branch.items``,
 ``Branch.from_items``, extraction and serialisation.  The table decodes
 each code once, so equal items of one proof are one object.
 
-The first applicable candidate is found from an agenda, not by a scan of
-the branch.  The branch keeps one dirty set of item positions per finder.
-Inserting an item marks the positions whose candidates it can enable: its
-own; the ``#``-entries for the same world and formula (their labels
-changed); the two-premise ``&``/``|`` entries with it as an immediate
-subformula at its world (a minor premise, or a decided dimension); the
-``#``-entries with it as argument one step back along the relation; and,
-for ``w R w'``, the ``#``-entries at ``w``.  ``_select`` visits the dirty
-positions in ascending order, finder by finder, and drops a position once
-none of its candidates applies, so it fires the instance the full scan
-would fire.  The search runs on one branch.  A split takes a checkpoint,
-which holds the sizes of the branch's logs and a copy of the four dirty
-sets, and backtracking undoes the branch to it: the items added since
-come off the end of the item list, the ``tri_F`` records off the end of
-``fired``, and the dirty sets are restored from their copy.
+The first applicable instance is found from an agenda, not by a scan of
+the branch, as a SAT solver visits only the clauses an assignment
+watches.  The branch keeps one dirty set of item positions per finder.
+Inserting an item marks only the positions where a finder can newly find
+an instance; an event that can only disable a rule marks none.  It marks
+
+* its own position, for the finders of its kind (for the cut only if it
+  is a two-premise ``&``/``|`` entry or a ``#``-key's first entry);
+* as a label ``bar(v)`` on an immediate subformula, the two-premise
+  entries ``v`` whose minor premise it is, for the linear rules (it can
+  only decide their cut's dimension);
+* as an argument entry, the ``#``-keys one step back, for the modal rules
+  (it can only supply the entry at a successor that their cut lacks);
+* as ``w R w'``, the ``#``-keys at ``w``, for the modal rules, and for the
+  cut only if ``w'`` is ``w``'s first successor, the one the cut reads
+  (``tri_B+`` and ``tri_N+`` need ``w`` to have none, ``tri_F`` reads
+  none).
+
+The ``#``-finders read the key's label mask, the world's successors and
+the argument's labels, never the entry's own label, so every entry of a
+(world, ``#``-formula) key yields the same instances and the scan meets
+the first one first: only that entry is on the agenda.  A later label
+wakes it for the modal rules if it completes (t, fbar), (t, f) or
+(tbar, fbar), and for the world-creating ones if it completes (t, f),
+(tbar, fbar) or (f, tbar), the only pairs they read.  It never wakes the
+cut: while a key has one label its dimension cut applies, so the key is
+still on the cut agenda when the second arrives.
+
+``_select`` visits the dirty positions in ascending order, finder by
+finder, and drops a position once its finder finds nothing there, so it
+fires the instance the full scan would fire.  The search runs on one
+branch.  A split takes a checkpoint, which holds the sizes of the branch's
+logs and a copy of the four dirty sets, and backtracking undoes the branch
+to it: the items added since come off the end of the item list, the
+``tri_F`` records off the end of ``fired``, and the dirty sets are
+restored from their copy.
 
 Cut discipline (the analytic part): the value-pair cut is applied only
 
@@ -90,7 +111,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .semantics import Model, PointedModel, Evaluator, Frame, model_to_dict
 from .syntax import And, Atom, Formula, Not, Or, Sequent, Tri, postorder, render
@@ -249,14 +270,16 @@ class Branch:
     ``tri_F`` has split on: it is the one rule whose precondition still
     holds after it fires.
 
-    ``tris`` lists the positions of the ``#``-entries by the key of their
-    world and argument, ``tri_at`` by their world, and ``binary`` the
-    two-premise ``&``/``|`` entries by the key of their world and each
-    immediate subformula.  ``dirty`` holds one set of item positions per
-    finder (``_FINDERS``): every position at which that finder may yield an
-    applicable instance is in it.  ``add`` marks the positions a new item
-    can enable, ``_select`` drops the ones it finds exhausted.  ``undo``
-    takes the branch back to a ``checkpoint``.
+    ``tris`` maps the key of a world and an argument to the position of
+    the first ``#``-entry for them, which stands for every entry of that
+    key on the agenda; ``tri_at`` lists those first positions by world.
+    ``binary`` lists the two-premise ``&``/``|`` entries by the code of
+    their minor premise on each immediate subformula.  ``dirty`` holds one
+    set of item positions per finder (``_FINDERS``): every position at
+    which that finder may find an applicable instance is in it.  ``add``
+    marks the positions where a new item lets a finder newly find one (the
+    wake rules of the module docstring), ``_select`` drops the ones where
+    it finds none.  ``undo`` takes the branch back to a ``checkpoint``.
 
     ``items`` decodes ``codes``; ``from_items`` and ``in`` take items too.
     """
@@ -276,7 +299,7 @@ class Branch:
         self.fresh = 1
         self.closing: tuple[int, int] | None = None
         self.decisions = 0
-        self.tris: dict[int, list[int]] = {}
+        self.tris: dict[int, int] = {}
         self.tri_at: dict[int, list[int]] = {}
         self.binary: dict[int, list[int]] = {}
         self.dirty: tuple[set[int], ...] = tuple(set() for _ in _FINDERS)
@@ -303,7 +326,7 @@ class Branch:
         b.fresh = self.fresh
         b.closing = self.closing
         b.decisions = self.decisions
-        b.tris = {k: list(v) for k, v in self.tris.items()}
+        b.tris = dict(self.tris)
         b.tri_at = {k: list(v) for k, v in self.tri_at.items()}
         b.binary = {k: list(v) for k, v in self.binary.items()}
         b.dirty = tuple(set(d) for d in self.dirty)
@@ -348,61 +371,59 @@ class Branch:
             kind, a, b = table.nodes[f]
             wkey = key - f
             if kind == _TRI:
-                # The entry itself, and every entry for the same key: the
-                # labels they read have changed.
-                same = self.tris.get(wkey + a)
-                if same is None:
-                    same = self.tris[wkey + a] = []
-                same.append(pos)
-                at = self.tri_at.get(w)
-                if at is None:
-                    self.tri_at[w] = [pos]
+                # One agenda entry per key, its first (see the module
+                # docstring for the wake rules).
+                if vals:
+                    first = self.tris[wkey + a]
+                    for i in _TRI_WAKES[vals << 2 | v]:
+                        dirty[i].add(first)
                 else:
-                    at.append(pos)
-                dirty[1].update(same)
-                dirty[2].update(same)
-                dirty[3].update(same)
+                    self.tris[wkey + a] = pos
+                    at = self.tri_at.get(w)
+                    if at is None:
+                        self.tri_at[w] = [pos]
+                    else:
+                        at.append(pos)
+                    dirty[2].add(pos)
             elif kind == _NOT:
                 dirty[0].add(pos)
             elif kind == _AND or kind == _OR:
-                if _SHARED[kind] >> v & 1:
-                    dirty[0].add(pos)
-                else:
+                dirty[0].add(pos)
+                if not _SHARED[kind] >> v & 1:
+                    minor = v ^ 2
                     for sub in (wkey + a, wkey + b):
-                        parents = self.binary.get(sub)
+                        parents = self.binary.get(sub << 2 | minor)
                         if parents is None:
-                            self.binary[sub] = [pos]
+                            self.binary[sub << 2 | minor] = [pos]
                         else:
                             parents.append(pos)
-                    dirty[0].add(pos)
                     dirty[2].add(pos)
-            # The item may be the minor premise or a decided subformula of a
-            # two-premise entry, or the argument of a #-entry one step back.
-            parents = self.binary.get(key)
+            # The item may be the minor premise of two-premise entries, or
+            # the argument of #-keys one step back.
+            parents = self.binary.get(code)
             if parents:
                 dirty[0].update(parents)
-                dirty[2].update(parents)
             pred = self.pred.get(w)
             if pred:
                 tris = self.tris
                 for u in pred:
-                    found = tris.get(u * size + f)
-                    if found:
-                        dirty[1].update(found)
-                        dirty[2].update(found)
+                    first = tris.get(u * size + f)
+                    if first is not None:
+                        dirty[1].add(first)
         else:
             rel = ~code
             s, t = rel >> _RBITS, rel & _RMASK
             for w in (s, t):
                 if w not in self.worlds:
                     self.worlds[w] = None
-            self.succ.setdefault(s, []).append(t)
+            succ = self.succ.setdefault(s, [])
+            succ.append(t)
             self.pred.setdefault(t, []).append(s)
             at = self.tri_at.get(s)
             if at:
                 dirty[1].update(at)
-                dirty[2].update(at)
-                dirty[3].update(at)
+                if len(succ) == 1:
+                    dirty[2].update(at)
         return True
 
     def _unadd(self):
@@ -415,11 +436,13 @@ class Branch:
             w, f = divmod(key, self.table.size)
             kind, a, b = self.table.nodes[f]
             if kind == _TRI:
-                self.tris[key - f + a].pop()
-                self.tri_at[w].pop()
+                if not self.vals[key]:
+                    del self.tris[key - f + a]
+                    self.tri_at[w].pop()
             elif (kind == _AND or kind == _OR) and not _SHARED[kind] >> (code & 3) & 1:
-                self.binary[key - f + a].pop()
-                self.binary[key - f + b].pop()
+                minor = (code & 3) ^ 2
+                self.binary[(key - f + a) << 2 | minor].pop()
+                self.binary[(key - f + b) << 2 | minor].pop()
         else:
             rel = ~code
             self.succ[rel >> _RBITS].pop()
@@ -489,31 +512,43 @@ _PROPAGATES, _WITNESSES = _CLASSICAL_PAIRS[0][2], _CLASSICAL_PAIRS[1][2]
 _UNIFORM = (("tri_B", _T, _F, 1 << _T | 1 << _F),
             ("tri_N", _TBAR, _FBAR, 1 << _TBAR | 1 << _FBAR))
 
+# The finders a later label of a #-key wakes, by ``mask << 2 | label`` for
+# the key's mask before it: those that read a label pair it completes.
+_WAKE_PAIRS = ((1, (_PROPAGATES, _UNIFORM[0][3], _UNIFORM[1][3])),
+               (3, (_UNIFORM[0][3], _UNIFORM[1][3], _WITNESSES)))
+_TRI_WAKES = tuple(
+    tuple(i for i, pairs in _WAKE_PAIRS
+          if any((old | 1 << v) & pair == pair and old & pair != pair for pair in pairs))
+    for old in range(16) for v in range(4))
 
-def _linear(b: Branch, code: int) -> Iterator[tuple]:
+
+def _linear(b: Branch, code: int) -> tuple | None:
     if code < 0:
-        return
+        return None
     key, v = code >> 2, code & 3
-    table = b.table
+    table, deps = b.table, b.deps
     f = key % table.size
     kind, x, y = table.nodes[f]
     if kind == _NOT:
-        yield _RULES[_NOT][v], ((((key - f + x) << 2) | v ^ 1,),), (code,), None
+        sub = ((key - f + x) << 2) | v ^ 1
+        if sub not in deps:
+            return _RULES[_NOT][v], ((sub,),), (code,), None
     elif kind == _AND or kind == _OR:
-        rule = _RULES[kind][v]
-        left, right = (key - f + x) << 2, (key - f + y) << 2
+        left, right = (key - f + x) << 2 | v, (key - f + y) << 2 | v
         if _SHARED[kind] >> v & 1:
-            yield rule, ((left | v, right | v),), (code,), None
-            return
-        minor = v ^ 2
-        for this, other in ((left, right), (right, left)):
-            if this | minor in b.deps:
-                yield rule, ((other | v,),), (code, this | minor), None
+            if left not in deps or right not in deps:
+                return _RULES[kind][v], ((left, right),), (code,), None
+            return None
+        # The minor premise is ``bar(v)`` on one subformula.
+        for minor, other in ((left ^ 2, right), (right ^ 2, left)):
+            if minor in deps and other not in deps:
+                return _RULES[kind][v], ((other,),), (code, minor), None
+    return None
 
 
-def _modal(b: Branch, code: int) -> Iterator[tuple]:
+def _modal(b: Branch, code: int) -> tuple | None:
     if code < 0:
-        return
+        return None
     key = code >> 2
     table = b.table
     size = table.size
@@ -521,8 +556,8 @@ def _modal(b: Branch, code: int) -> Iterator[tuple]:
     kind, arg, _ = table.nodes[f]
     succ = b.succ.get(w)
     if kind != _TRI or not succ:
-        return
-    vals, base = b.vals, key << 2
+        return None
+    vals, deps, base = b.vals, b.deps, key << 2
     mask = vals[key]
     rels = ~(w << _RBITS)     # less a successor: the code of w R it
     if mask & _PROPAGATES == _PROPAGATES:
@@ -532,9 +567,9 @@ def _modal(b: Branch, code: int) -> Iterator[tuple]:
             arg_vals = vals.get(akey)
             if arg_vals:
                 for v in range(4):
-                    if arg_vals >> v & 1:
-                        yield ("tri_T", (((akey << 2) | v ^ 3,),),
-                               mode + (rels - wj, (akey << 2) | v), None)
+                    if arg_vals >> v & 1 and (akey << 2) | v ^ 3 not in deps:
+                        return ("tri_T", (((akey << 2) | v ^ 3,),),
+                                mode + (rels - wj, (akey << 2) | v), None)
         for wj1 in succ:
             akey = wj1 * size + arg
             arg_vals = vals.get(akey)
@@ -544,17 +579,18 @@ def _modal(b: Branch, code: int) -> Iterator[tuple]:
                 if arg_vals & pair != pair:
                     continue
                 for wj2 in succ:
-                    if wj2 != wj1:
-                        other = (wj2 * size + arg) << 2
-                        yield ("tri_T'", ((other | x, other | y),),
-                               mode + (rels - wj1, rels - wj2, (akey << 2) | x,
-                                       (akey << 2) | y), None)
+                    other = (wj2 * size + arg) << 2
+                    if wj2 != wj1 and (other | x not in deps or other | y not in deps):
+                        return ("tri_T'", ((other | x, other | y),),
+                                mode + (rels - wj1, rels - wj2, (akey << 2) | x,
+                                        (akey << 2) | y), None)
     for rule, x, y, pair in _UNIFORM:
         if mask & pair == pair:
-            mode = (base | x, base | y)
             for wj in succ:
                 other = (wj * size + arg) << 2
-                yield rule, ((other | x, other | y),), mode + (rels - wj,), None
+                if other | x not in deps or other | y not in deps:
+                    return rule, ((other | x, other | y),), (base | x, base | y, rels - wj), None
+    return None
 
 
 def _cut(key: int, dim: int) -> tuple:
@@ -562,9 +598,9 @@ def _cut(key: int, dim: int) -> tuple:
     return "cut", (((key << 2) | plain,), ((key << 2) | unsupported,)), (), None
 
 
-def _cuts(b: Branch, code: int) -> Iterator[tuple]:
+def _cuts(b: Branch, code: int) -> tuple | None:
     if code < 0:
-        return
+        return None
     key, v = code >> 2, code & 3
     table = b.table
     size = table.size
@@ -574,9 +610,9 @@ def _cuts(b: Branch, code: int) -> Iterator[tuple]:
     if kind == _TRI:
         mask = vals[key]
         if mask & _TDIM and not mask & _FDIM:
-            yield _cut(key, 1)
-        elif mask & _FDIM and not mask & _TDIM:
-            yield _cut(key, 0)
+            return _cut(key, 1)
+        if mask & _FDIM and not mask & _TDIM:
+            return _cut(key, 0)
         if mask & _PROPAGATES == _PROPAGATES:
             # Propagation needs one entry for the argument at some
             # accessible world: the completion rule then turns it into a
@@ -584,68 +620,66 @@ def _cuts(b: Branch, code: int) -> Iterator[tuple]:
             # every other accessible world, so one cut is enough.
             succ = b.succ.get(key // size)
             if succ and not any(vals.get(wj * size + x) for wj in succ):
-                yield _cut(succ[0] * size + x, 0)
+                return _cut(succ[0] * size + x, 0)
     elif (kind == _AND or kind == _OR) and not _SHARED[kind] >> v & 1:
         dim = v & 1
         bits = _FDIM if dim else _TDIM
         if not (vals.get(key - f + x, 0) & bits or vals.get(key - f + y, 0) & bits):
-            yield _cut(key - f + x, dim)
+            return _cut(key - f + x, dim)
+    return None
 
 
-def _creators(b: Branch, code: int) -> Iterator[tuple]:
+def _creators(b: Branch, code: int) -> tuple | None:
     if code < 0:
-        return
+        return None
     key = code >> 2
     table = b.table
     size = table.size
     w, f = divmod(key, size)
     kind, arg, _ = table.nodes[f]
     if kind != _TRI:
-        return
+        return None
     mask, base = b.vals[key], key << 2
     if not b.succ.get(w):
         for rule, x, y, pair in _UNIFORM:
             if mask & pair == pair:
                 (k,), nxt = b.mint(1)
                 other = (k * size + arg) << 2
-                yield (rule + "+", ((~(w << _RBITS | k), other | x, other | y),),
-                       (base | x, base | y), nxt)
+                return (rule + "+", ((~(w << _RBITS | k), other | x, other | y),),
+                        (base | x, base | y), nxt)
     if mask & _WITNESSES == _WITNESSES and key not in b.fired:
         (k1, k2), nxt = b.mint(2)
         rels = (~(w << _RBITS | k1), ~(w << _RBITS | k2))
         one, two = (k1 * size + arg) << 2, (k2 * size + arg) << 2
-        yield ("tri_F", (rels + (one | _T, two | _TBAR), rels + (one | _F, two | _FBAR)),
-               (base | _F, base | _TBAR), nxt)
+        return ("tri_F", (rels + (one | _T, two | _TBAR), rels + (one | _F, two | _FBAR)),
+                (base | _F, base | _TBAR), nxt)
+    return None
 
 
-# Finders in priority order; each yields the candidate instances one item
-# is the major premise of.  Their indices are those of ``Branch.dirty``:
-# ``Branch.add`` marks 0 for a linear entry; 0 and 2 for a two-premise entry,
-# and for those whose immediate subformula the new entry is; 1 and 2 for the
-# #-entries one step back whose argument it is; and 1 to 3 for a #-entry and
-# the other entries of its key, and for the #-entries at the source of a new
-# relational atom.
+# Finders in priority order; each returns the first applicable instance
+# whose major premise is the item of one code, or None.  Their indices are
+# those of ``Branch.dirty``: ``Branch.add`` marks 0 for a linear entry and
+# for the two-premise entries whose minor premise it is; 0 and 2 for a
+# two-premise entry; 2 for the first entry of a #-key; 1 for the #-keys one
+# step back whose argument it is, and for those at the source of a new
+# relational atom, with 2 if it is their world's first successor; and, for
+# a later label of a #-key, the indices ``_TRI_WAKES`` gives, 1 or 3 or
+# both, at its first entry.
 _FINDERS = (_linear, _modal, _cuts, _creators)
 
 
 def _select(b: Branch) -> tuple | None:
     """The first applicable instance, in the order of a full scan: finders
-    in priority order, each over the branch in insertion order.  A linear
-    instance applies while one of its additions is missing; a yielded split
-    always applies.  Only the dirty positions can hold one, so only they
-    are visited."""
-    codes, deps = b.codes, b.deps
+    in priority order, each over the branch in insertion order.  Only the
+    dirty positions can hold one, so only they are visited."""
+    codes = b.codes
     for finder, dirty in zip(_FINDERS, b.dirty):
         if not dirty:
             continue
         for pos in sorted(dirty):
-            for inst in finder(b, codes[pos]):
-                additions = inst[1]
-                if len(additions) > 1:
-                    return inst
-                for code in additions[0]:
-                    if code not in deps:
-                        return inst
+            inst = finder(b, codes[pos])
+            if inst is not None:
+                return inst
             dirty.discard(pos)
     return None
 
@@ -918,21 +952,27 @@ def tree_to_text(node: ProofNode, pretty: bool = False) -> str:
     return "\n".join(lines)
 
 
-def _json(value, level: int) -> str:
-    """``value``, a string, an int, or a dict or list of them, encoded at
-    nesting ``level``.  It recurses, so it only takes the result's head,
-    whose nesting is fixed and shallow."""
-    if isinstance(value, str):
-        return _encode_str(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if not value:
-        return "{}" if isinstance(value, dict) else "[]"
+def _entries(texts: list[str], level: int, brackets: str) -> str:
+    """The encoded entries ``texts`` of an array or object at nesting
+    ``level``, between ``brackets``, laid out as ``json.dumps(...,
+    indent=2)`` lays them out."""
+    if not texts:
+        return brackets
     ind = "\n" + "  " * (level + 1)
-    if isinstance(value, dict):
-        texts = [_encode_str(k) + ": " + _json(v, level + 1) for k, v in value.items()]
-        return "{" + ind + ("," + ind).join(texts) + ind[:-2] + "}"
-    return "[" + ind + ("," + ind).join([_json(v, level + 1) for v in value]) + ind[:-2] + "]"
+    return brackets[0] + ind + ("," + ind).join(texts) + ind[:-2] + brackets[1]
+
+
+def _model_json(m: Model) -> str:
+    """``model_to_dict(m)`` encoded at nesting level 1."""
+    data = model_to_dict(m)
+    rel = ["[\n        " + _encode_str(s) + ",\n        " + _encode_str(t) + "\n      ]"
+           for s, t in data["rel"]]
+    val = [_encode_str(w) + ": " + _entries([_encode_str(var) + ": " + _encode_str(flag)
+                                              for var, flag in row.items()], 3, "{}")
+           for w, row in data["val"].items()]
+    return _entries(['"worlds": ' + _entries(list(map(_encode_str, data["worlds"])), 2, "[]"),
+                     '"rel": ' + _entries(rel, 2, "[]"), '"val": ' + _entries(val, 2, "{}")],
+                    1, "{}")
 
 
 class _Level(NamedTuple):
@@ -1014,11 +1054,12 @@ def result_to_json(result: TableauResult) -> str:
         out[-1] = closing
 
     out.extend(('{\n  "verdict": ', '"proved"' if isinstance(result, Proved) else '"refuted"',
-                ',\n  "stats": ', _json(result.stats.to_dict(), 1)))
+                ',\n  "stats": ',
+                _entries([f'"{k}": {v}' for k, v in result.stats.to_dict().items()], 1, "{}")))
     if isinstance(result, Refuted):
         # The branch is an array at level 1 of items at level 2, like the
         # "add" array of a node at level 0.
-        out.extend((',\n  "model": ', _json(model_to_dict(result.model), 1),
+        out.extend((',\n  "model": ', _model_json(result.model),
                     ',\n  "designated": ', _encode_str(result.world), ',\n  "branch": '))
         lv, items = level(0), result.branch.items
         if items:

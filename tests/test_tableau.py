@@ -1,4 +1,3 @@
-import gc
 import hashlib
 import json
 
@@ -453,16 +452,24 @@ class TestSerialization:
             "5e4b6a462ef29e0051f90a45995e4fc764efcfe8f10ebbe460168f3ce04f424e")
 
     def test_json_of_many_results_in_one_process(self):
-        # Each result is freed before the next is built, so CPython hands
-        # its formulas' ids on to the next result's: a memo keyed by id
-        # that outlived its call would write stale text here.
+        # A result holds no reference cycle, so ``del`` frees it and CPython
+        # hands its formulas' ids on to the next result's: a memo keyed by
+        # id that outlived its call would write stale text here.  ``seen``
+        # keeps each root formula's text by id, to count the ids that came
+        # back on a formula with other text; without them the test would
+        # show nothing.
         texts = [f"{render(s.premise)} |- {render(s.conclusion)}"
                  for s in random_sequents(200, seed=25)]
+        seen, reused = {}, 0
         for i, text in enumerate(texts):
             res = prove(parse_sequent(text), start=("truth", "nonfalsity")[i % 2])
             assert result_to_json(res) == json.dumps(result_to_dict(res), indent=2), text
+            for item in res.tree.added:
+                rendered = render(item.formula)
+                reused += seen.get(id(item.formula), rendered) != rendered
+                seen[id(item.formula)] = rendered
             del res
-            gc.collect()
+        assert reused >= 20, reused
 
 
 def _chain(depth):
@@ -487,14 +494,16 @@ def root_branch(s, start):
 
 def reference_select(b):
     """The full scan the agenda stands for: every finder, in priority order,
-    over every item of the branch, in insertion order; the first split, or
-    the first linear instance with an addition missing from the branch.
-    Finders and instances work on the branch's item codes."""
+    over every item of the branch, in insertion order; the first instance
+    found, which must be a split or a linear instance with an addition
+    missing from the branch.  Finders and instances work on the branch's
+    item codes."""
     for finder in tableau._FINDERS:
         for code in b.codes:
-            for inst in finder(b, code):
-                if len(inst[1]) > 1 or any(c not in b.deps for c in inst[1][0]):
-                    return inst
+            inst = finder(b, code)
+            if inst is not None:
+                assert len(inst[1]) > 1 or any(c not in b.deps for c in inst[1][0])
+                return inst
     return None
 
 
@@ -576,6 +585,95 @@ class TestAgenda:
                     if check_select(b) is None:
                         break
                     b = saturation_step(b)[-1]
+
+
+    # The finders a second label wakes on a #-key, by its first and second
+    # label: those that read a label pair it completes.  The key's first
+    # label woke its cut alone, which still applies when the second comes.
+    SECOND_LABEL = {("t", "f"): {1, 3}, ("t", "fbar"): {1}, ("tbar", "f"): {3},
+                    ("tbar", "fbar"): {1, 3}, ("f", "t"): {1, 3}, ("fbar", "t"): {1},
+                    ("f", "tbar"): {3}, ("fbar", "tbar"): {1, 3}}
+
+    @pytest.mark.parametrize("labels", list(SECOND_LABEL))
+    def test_a_second_label_wakes_the_finders_of_its_pairs(self, labels):
+        first, second = labels
+        b = Branch.from_items([TestSaturationStep._item(t)
+                               for t in ("w0 R w1", "w1: p ; t", f"w0: #p ; {first}")])
+        assert [bool(d) for d in b.dirty] == [False, False, True, False]
+        b.add(b.table.encode(TestSaturationStep._item(f"w0: #p ; {second}")))
+        # Only the key's first entry, at position 2, is on the agenda.
+        assert {i for i, d in enumerate(b.dirty) if d} == {2} | self.SECOND_LABEL[labels]
+        assert set().union(*b.dirty) == {2}
+        walk_all_paths(b)
+
+    def test_a_relational_atom_wakes_no_world_creating_rule(self):
+        # tri_B+ and tri_N+ need a world without successors, and tri_F reads
+        # none; only a first successor can newly enable the #-entry's cut.
+        b = settled(["w0: #p ; t", "w0: #p ; fbar"])
+        assert woken(b, "w0 R w1") == [1, 2]
+        walk_all_paths(b)
+        b = settled(["w0: #p ; t", "w0: #p ; f", "w0 R w1"])
+        assert woken(b, "w0 R w2") == [1]
+        walk_all_paths(b)
+        b = settled(["w0: #p ; f", "w0: #p ; tbar", "w0: #q ; t", "w0: #q ; f"])
+        assert len(b.succ[0]) == 2 and woken(b, "w0 R w3") == [1]
+        walk_all_paths(b)
+
+    def test_an_argument_entry_wakes_no_cut_one_step_back(self):
+        # It can only supply the entry at a successor that the cut lacks.
+        b = settled(["w0: #p ; f", "w0: #p ; tbar", "w0 R w3"])
+        assert woken(b, "w3: p ; t") == [1]
+        walk_all_paths(b)
+        b = settled(["w0: #p ; t", "w0: #p ; fbar", "w0 R w1"])
+        assert woken(b, "w0 R w2") == [1]
+        assert woken(b, "w2: p ; f") == [] and not b.dirty[2]
+        walk_all_paths(b)
+
+    def test_a_subformula_label_wakes_no_cut_of_its_parents(self):
+        # It can only decide their dimension; only the minor premise bar(v)
+        # wakes a two-premise entry v, for its linear rule.
+        b = settled(["w0: p & q ; f", "w0: p ; fbar"])
+        assert woken(b, "w0: q ; t") == []
+        assert woken(b, "w0: p ; t") == []
+        walk_all_paths(b)
+        b = settled(["w0: p & q ; f"])
+        assert woken(b, "w0: q ; fbar") == [0]
+        walk_all_paths(b)
+
+    def test_finder_visits_on_a_nested_proof(self, monkeypatch):
+        # An agenda that woke every entry of a #-key, and every finder that
+        # reads what an event changed, made 6 784 visits for these 1 271
+        # rule applications.
+        visits = []
+
+        def counted(finder):
+            def visit(b, code):
+                visits.append(None)
+                return finder(b, code)
+            return visit
+
+        monkeypatch.setattr(tableau, "_FINDERS", tuple(map(counted, tableau._FINDERS)))
+        res = prove(parse_sequent("###p |- ###~p"))
+        assert res.stats.rule_applications == 1271
+        assert len(visits) <= 4000
+
+
+def settled(texts):
+    """The leftmost complete branch below the branch of ``texts``, every
+    selection checked against the full scan; its agenda is empty."""
+    b = Branch.from_items([TestSaturationStep._item(t) for t in texts])
+    while not b.closed and check_select(b) is not None:
+        b = saturation_step(b)[0]
+    assert not b.closed and not any(b.dirty)
+    return b
+
+
+def woken(b, text):
+    """Add the item of ``text`` to ``b``: the finders that gained a
+    position, by their index in ``_FINDERS``."""
+    before = [set(d) for d in b.dirty]
+    assert b.add(b.table.encode(TestSaturationStep._item(text)))
+    return [i for i, (d, old) in enumerate(zip(b.dirty, before)) if d - old]
 
 
 def fired_pairs(b):
@@ -665,11 +763,11 @@ def containers(x):
 
 def agenda_state(b):
     """Every field of ``b`` but the shared table, by value, less the empty
-    entries that an undo leaves behind in the indexes."""
+    entries that an undo leaves behind in the indexes of lists."""
     nonempty = lambda d: {k: v for k, v in d.items() if v}
     return by_value((b.codes, b.deps, nonempty(b.vals), nonempty(b.succ), nonempty(b.pred),
                      b.worlds, b.fired, b.fresh, b.closing, b.decisions,
-                     nonempty(b.tris), nonempty(b.tri_at), nonempty(b.binary), b.dirty))
+                     b.tris, nonempty(b.tri_at), nonempty(b.binary), b.dirty))
 
 
 class TestTrail:
