@@ -586,7 +586,6 @@ class TestAgenda:
                         break
                     b = saturation_step(b)[-1]
 
-
     # The finders a second label wakes on a #-key, by its first and second
     # label: those that read a label pair it completes.  The key's first
     # label woke its cut alone, which still applies when the second comes.
