@@ -36,7 +36,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
 
-from .syntax import ATOM_RE, And, Atom, Box, Formula, Not, Or, Sequent, Tri, postorder, variables
+from .syntax import ATOM_RE, And, Atom, Box, Formula, Not, Or, Sequent, Tri, variables
 
 __all__ = [
     "FourValue", "Frame", "Model", "PointedModel",
@@ -266,49 +266,82 @@ def box_clause(v: tuple[int, int], succ: tuple[int, ...]) -> tuple[int, int]:
             sum((neg & s != 0) << i for i, s in enumerate(succ)))
 
 
+_NODES = frozenset({Atom, Not, And, Or, Tri, Box})
+# Pushed under a node whose operands are being evaluated: the node is next.
+_UP = object()
+
+
 class Evaluator:
     """Memoized evaluation of the two support relations on one model.
 
     The memo maps each subformula to its two supports at every world, as
-    bitsets in Python ints (bit ``i``: the frame's ``i``-th world), filled
-    in a loop over ``postorder`` by the clause functions above, which the
-    bounded scans of ``analysis`` share; reusing one evaluator across many
-    formulas on the same model shares work between common subtrees.
-    Memoization is observationally invisible: results equal those of a
-    plain structural recursion.  The modal clauses read the frame's
-    ``succ`` bitsets and the world lookup its ``index``, both built once by
-    the ``Frame``.
+    bitsets in Python ints (bit ``i``: the frame's ``i``-th world),
+    computed by the clause functions above, which the bounded scans of
+    ``analysis`` share; reusing one evaluator across many formulas on the
+    same model shares work between common subtrees.  Memoization is
+    observationally invisible: results equal those of a plain structural
+    recursion.  The modal clauses read the frame's ``succ`` bitsets and the
+    world lookup its ``index``, both built once by the ``Frame``.
+
+    ``supports`` is one walk over an explicit stack.  On the way down each
+    node probes the memo once; on a hit it pushes the stored pair onto a
+    value stack and skips its subtree.  On the way back up a node takes
+    its operands' pairs off the value stack, applies its clause and stores
+    the result once.  A modal clause loops over every world, so ``_modal``
+    keeps its result per (node class, operand pair): a ``#`` chain on a
+    small model meets few distinct pairs.
     """
 
-    __slots__ = ("model", "_memo")
+    __slots__ = ("model", "_memo", "_modal")
 
     def __init__(self, model: Model):
         self.model = model
         self._memo: dict[Formula, tuple[int, int]] = {}
+        self._modal: dict[tuple[type, tuple[int, int]], tuple[int, int]] = {}
 
     def supports(self, world: str, f: Formula) -> tuple[bool, bool]:
         m = self.model
         index = m.frame.index.get(world)
         if index is None:
             raise UnknownWorldError(f"unknown world {world!r}")
-        memo, succ = self._memo, m.frame.succ
-        for g in postorder(f, skip=memo):
-            if isinstance(g, Atom):
-                res = atom_clause(m, g.name)
-            elif isinstance(g, Not):
-                res = not_clause(memo[g.child])
-            elif isinstance(g, And):
-                res = and_clause(memo[g.left], memo[g.right])
-            elif isinstance(g, Or):
-                res = or_clause(memo[g.left], memo[g.right])
-            elif isinstance(g, Tri):
-                res = tri_clause(memo[g.child], succ)
-            elif isinstance(g, Box):
-                res = box_clause(memo[g.child], succ)
-            else:
+        memo, modal, succ = self._memo, self._modal, m.frame.succ
+        stack: list = [f]
+        values: list[tuple[int, int]] = []
+        while stack:
+            g = stack.pop()
+            if g is _UP:
+                g = stack.pop()
+                cls = type(g)
+                if cls is Not:
+                    res = not_clause(values[-1])
+                elif cls is And:
+                    right = values.pop()
+                    res = and_clause(values[-1], right)
+                elif cls is Or:
+                    right = values.pop()
+                    res = or_clause(values[-1], right)
+                else:
+                    key = (cls, values[-1])
+                    res = modal.get(key)
+                    if res is None:
+                        clause = tri_clause if cls is Tri else box_clause
+                        res = modal[key] = clause(values[-1], succ)
+                values[-1] = memo[g] = res
+                continue
+            cls = type(g)
+            if cls not in _NODES:
                 raise TypeError(f"not a formula: {g!r}")
-            memo[g] = res
-        pos, neg = memo[f]
+            res = memo.get(g)
+            if res is not None:
+                values.append(res)
+            elif cls is Atom:
+                res = memo[g] = atom_clause(m, g.name)
+                values.append(res)
+            elif cls is And or cls is Or:
+                stack += (g, _UP, g.right, g.left)
+            else:
+                stack += (g, _UP, g.child)
+        pos, neg = values[0]
         return bool(pos >> index & 1), bool(neg >> index & 1)
 
 

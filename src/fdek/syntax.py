@@ -1,13 +1,14 @@
-"""Formula and sequent syntax: AST, the one walk, lexer, parser, renderer.
+"""Formula and sequent syntax: AST, the shared walk, lexer, parser, renderer.
 
 Formula nodes are immutable.  A node's hash is computed once, when it is
 built, from its children's stored hashes; ``_fields`` names each class's
 children.  Equality returns at once on one object, follows a run of unary
 nodes without a stack and compares two atoms by name; only below a binary
-node does it take an explicit stack.  ``postorder``, the one walk down
-a formula (each distinct subformula once, children first), serves
-``subformulas``, ``variables`` and both evaluators; ``modal_depth`` walks
-by node identity, which hashes nothing.
+node does it take an explicit stack.  ``postorder``, the shared walk
+down a formula (each distinct subformula once, children first), serves
+``subformulas``, ``variables``, the bulk evaluator and the tableau; the
+scalar ``Evaluator`` walks once with a value stack and ``modal_depth`` by
+node identity, which hashes nothing.
 
 One operator table, ``_PREFIX`` and ``_BINARY``, drives the lexer, the
 parser and the renderer (the README lists the surface syntax).  A prefix
@@ -353,6 +354,8 @@ def _unchain(f: Formula, chain: tuple[type, ...]) -> Formula | None:
 def render(f: Formula, pretty: bool = False) -> str:
     """Render a formula; ``parse_formula(render(f)) == f`` in ASCII mode.
     The stack holds the formulas and the text still to write, in order."""
+    if not isinstance(f, Formula):  # text on the stack is written as it is
+        raise TypeError(f"not a formula: {f!r}")
     out: list[str] = []
     stack: list[Formula | str] = [f]
     while stack:

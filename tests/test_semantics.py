@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdek import bulkeval, figures
+from fdek import bulkeval, figures, semantics, syntax
 from fdek.analysis import PAPER_FRAME_CLASSES, enumerate_formulas
 from fdek.bulkeval import BulkSpace, frame_from_mask
 from fdek.figures import load_frame, load_model
@@ -13,7 +13,8 @@ from fdek.semantics import (
     FRAME_PROPERTIES, BoundExceededError, Evaluator, FourValue, Frame, Model, ModelError,
     PointedModel, UnknownWorldError, dual_model, eval_formula,
     formula_valid_on_frame, frame_property, model_from_dict, model_to_dict,
-    sequent_holds, sequent_valid_on_frame, VALUE_ORDER, atom_clause, frame_from_dict,
+    sequent_holds, sequent_valid_on_frame, VALUE_ORDER, and_clause, atom_clause, box_clause,
+    frame_from_dict, not_clause, or_clause, tri_clause,
 )
 from fdek.syntax import (
     And, Atom, Box, Not, Or, Sequent, Tri, parse_formula, parse_sequent, postorder, render,
@@ -87,6 +88,11 @@ class TestEvaluation:
         m = load_model("fig1")
         with pytest.raises(UnknownWorldError):
             eval_formula(m, "nowhere", parse_formula("p"))
+
+    @pytest.mark.parametrize("f", ["p", 3, None, [Atom("p")]])
+    def test_non_formula_raises_type_error(self, f):
+        with pytest.raises(TypeError, match="not a formula"):
+            Evaluator(load_model("fig1")).supports("w0", f)
 
     def test_memoization_is_invisible(self):
         rng = random.Random(5)
@@ -272,6 +278,74 @@ class TestMemoAcrossParses:
         # The tail of the chain meets the shorter chain's memo entry deep down.
         self._agree(load_model("fig1"), ["#~" * 2500 + "p", "#~" * 5000 + "p",
                                          "#~" * 5000 + "p", "#~" * 5000 + "q"])
+
+
+class TestWalkCost:
+    # The values are gated above; these bound the clause calls of one walk.
+    @pytest.mark.parametrize("model", ["fig1", "fig10", "ex22"])
+    @pytest.mark.parametrize("prefix, clause", [("#", "tri_clause"), ("[]", "box_clause")])
+    def test_modal_clause_once_per_distinct_operand_pair(self, monkeypatch, model, prefix, clause):
+        # A 2000-deep chain, half modal and half negation in a shuffled
+        # order, as in the benchmark's deep inputs: its operands take at
+        # most 4^|W| distinct pairs of supports, whatever its depth.
+        ops = [prefix] * 1000 + ["~"] * 1000
+        random.Random(1).shuffle(ops)
+        f = parse_formula("".join(ops) + "p")
+        m = load_model(model)
+        calls = []
+        real = getattr(semantics, clause)
+        monkeypatch.setattr(semantics, clause, lambda v, succ: calls.append(v) or real(v, succ))
+        for w in m.frame.worlds:
+            calls.clear()
+            assert Evaluator(m).supports(w, f) == _plain_supports(m, w, f)
+            assert 0 < len(calls) <= 4 ** len(m.frame.worlds)
+
+    def test_each_clause_once_per_distinct_node(self, monkeypatch):
+        # A 64-level tower And(x, x) has 65 distinct nodes and 2^64 paths.
+        x = p = Atom("p")
+        for _ in range(64):
+            x = And(x, x)
+        m = load_model("fig10")
+        calls = {}
+        for name in ("atom_clause", "not_clause", "and_clause", "or_clause",
+                     "tri_clause", "box_clause"):
+            real = getattr(semantics, name)
+            monkeypatch.setattr(semantics, name,
+                                lambda *a, name=name, real=real:
+                                calls.__setitem__(name, calls.get(name, 0) + 1) or real(*a))
+        ev = Evaluator(m)
+        values = [ev.supports(w, Tri(x)) for w in m.frame.worlds]
+        assert calls == {"atom_clause": 1, "and_clause": 64, "tri_clause": 1}
+        monkeypatch.undo()
+        assert values == [Evaluator(m).supports(w, Tri(p)) for w in m.frame.worlds]
+
+    def test_supports_never_walks_by_postorder(self, monkeypatch):
+        def refuse(*fs, **kw):
+            raise AssertionError("postorder called")
+        monkeypatch.setattr(syntax, "postorder", refuse)
+        assert not hasattr(semantics, "postorder")
+        m = load_model("fig10")
+        f = parse_formula("#~(p & []q) | ~#(p | q) & [](p & q)")
+        for w in m.frame.worlds:
+            assert Evaluator(m).supports(w, f) == _plain_supports(m, w, f)
+
+
+def _plain_supports(m, w, f):
+    """Both supports of ``f`` at ``w``: the clause functions folded over
+    ``postorder``, with no memo kept across calls and no modal result kept."""
+    vals = {}
+    for g in postorder(f):
+        if isinstance(g, Atom):
+            vals[g] = atom_clause(m, g.name)
+        elif isinstance(g, Not):
+            vals[g] = not_clause(vals[g.child])
+        elif isinstance(g, (And, Or)):
+            vals[g] = (and_clause if isinstance(g, And) else or_clause)(vals[g.left], vals[g.right])
+        else:
+            vals[g] = (tri_clause if isinstance(g, Tri) else box_clause)(vals[g.child], m.frame.succ)
+    pos, neg = vals[f]
+    i = m.frame.index[w]
+    return bool(pos >> i & 1), bool(neg >> i & 1)
 
 
 class TestDualModels:

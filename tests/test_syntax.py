@@ -177,6 +177,13 @@ class TestRender:
         s = parse_sequent("#p |- #~p")
         assert render_sequent(s) == "#p |- #~p"
 
+    @pytest.mark.parametrize("f", ["p & q", 3, None, [p]])
+    def test_non_formula_raises_type_error(self, f):
+        # Text is what the renderer's stack writes out as it is; a root
+        # argument that is text must not be taken for it.
+        with pytest.raises(TypeError, match="not a formula"):
+            render(f)
+
     @given(formulas())
     def test_round_trip_tri(self, f):
         assert parse_formula(render(f)) == f
