@@ -267,7 +267,8 @@ def box_clause(v: tuple[int, int], succ: tuple[int, ...]) -> tuple[int, int]:
 
 
 _NODES = frozenset({Atom, Not, And, Or, Tri, Box})
-# Pushed under a node whose operands are being evaluated: the node is next.
+# Pushed between a node and its operands: when it comes off the stack, the
+# operands' pairs are on top of the value stack and the node is next.
 _UP = object()
 
 
