@@ -29,9 +29,7 @@ from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .bulkeval import (
-    _guard, _relation_successors, frame_from_mask, model_from_indices, representatives, sweep,
-)
+from .bulkeval import _guard, _relation_list, frame_from_mask, model_from_indices, sweep
 from .semantics import (
     FRAME_PROPERTIES, FourValue, PointedModel, and_clause, atom_clause,
     box_clause, frame_to_dict, model_to_dict, not_clause, or_clause, tri_clause,
@@ -217,12 +215,12 @@ def check_definability(prop: str, claims: Sequence[Claim], max_size: int) -> Def
     every labelled frame with at most ``max_size`` worlds.
 
     Both sides are invariant under renaming worlds, so they are compared
-    on one relation per isomorphism class, on the successor bitsets the
-    sweep itself reads, decoded once per process; no ``Frame`` is built
-    but the witness.  Verdict "defines" means no disagreement was found;
-    "refuted" carries the first disagreeing frame in labelled enumeration
-    order, which is the smallest of its class, and the direction of the
-    disagreement.
+    on one relation per isomorphism class, on the masks and successor
+    bitsets the sweep itself reads, built once per process
+    (``_relation_list``); no ``Frame`` is built but the witness.  Verdict
+    "defines" means no disagreement was found; "refuted" carries the first
+    disagreeing frame in labelled enumeration order, which is the smallest
+    of its class, and the direction of the disagreement.
     ``frames_checked`` counts the labelled frames up to and including the
     witness.  An unknown property or a sweep beyond the size guard is
     refused before anything is swept.
@@ -239,13 +237,13 @@ def check_definability(prop: str, claims: Sequence[Claim], max_size: int) -> Def
     frames_checked = 0
     witness = None
     for n in range(1, max_size + 1):
-        reps = representatives(n)
-        valid = np.ones(len(reps), dtype=bool)
+        relations = _relation_list(n, None)
+        valid = np.ones(len(relations.masks), dtype=bool)
         for claim in claims:
             for space in sweep(n, _claim_variables(claim)):
                 r = space.start[0]
                 valid[r:r + len(space.succ)] &= space.valid_per_relation(claim)
-        for rel_mask, succ, ok in zip(reps.tolist(), _relation_successors(n, None).tolist(),
+        for rel_mask, succ, ok in zip(relations.masks.tolist(), relations.succ.tolist(),
                                       valid.tolist()):
             has_prop = holds(succ)
             if has_prop != ok:

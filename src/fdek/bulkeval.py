@@ -26,17 +26,19 @@ support the child's truth and which its falsity, so on n <= 4 worlds
 each is a function of the relation and of the child's code
 ``pos << n | neg``, one of 4^n <= 256 values: a clause table holds, per
 relation, the true and false bitsets of both at every code, and a modal
-node is two gathers from it.  The table is built at a space's first
-modal node by the per-world pass (``_clause_pass``), which compares the
-child's supports within each world's successor bitset with the bitset
-itself; a sweep's blocks share one table per relation list
-(``_clause_tables``), and a given frame of more than 4 worlds keeps the
-per-world pass over its valuations, whose table would be as large.
-Successor bitsets are decoded from relation masks, once per relation list
-of the sweeps (``_relation_successors``, kept read-only), or, for a given
-frame, taken from its ``Frame.succ`` (whose relation mask would not fit
-64 bits from 8 worlds on).  The atom tables, every variable's two supports
-over every valuation, depend only on the world and variable counts: up to
+node is two gathers from it.  The table is built by the per-world pass
+(``_clause_pass``), which compares the child's supports within each
+world's successor bitset with the bitset itself; a frame of more than 4
+worlds keeps that pass over its valuations, whose table would be as large.
+What a space reads of its relations is one read-only record
+(``_RelationList``): their masks, their successor bitsets and their clause
+table, built the first time a modal node asks for it.  A relation sweep's
+record is kept per process, world count and depth (``_relation_list``),
+its bitsets decoded from the masks; a given frame's sweep builds its own
+from ``Frame.succ`` (whose mask would not fit 64 bits from 8 worlds on),
+as does a ``BulkSpace``, and a sweep's blocks read their rows of one
+record.  The atom tables, every variable's two supports over every
+valuation, depend only on the world and variable counts: up to
 ``_CACHED_SLOTS`` (8) valuation slots they are built once per process and
 kept read-only (``_shared_atoms``; at most 1 MiB per shape, under 3 MB for
 all of them), and larger shapes, such as the 201 MB of 2 worlds x 6
@@ -48,11 +50,11 @@ world count or its given frame, and ``sweep`` reads the space in blocks
 of at most ``_CHUNK_CELLS`` cells, so a caller can stop at the first
 block that settles its question.  ``semantics`` and ``analysis`` go
 through ``_guard``, ``sweep``, ``model_from_indices``, ``frame_from_mask``
-and, for the frame properties of a definability sweep,
-``representatives`` and ``_relation_successors``.  A space over chosen
+and, for the frame properties of a definability sweep, the record
+``_relation_list(n, None)`` that its sweeps read.  A space over chosen
 relation masks, ``BulkSpace(n, variables, masks)``, is for labelled scans
 outside the sweeps (the tests' references and the benchmark's probes),
-and builds its own atom tables, uncached:
+and builds its own atom tables and record, uncached:
 
 * relation ``r`` contains the pair (i, j) iff bit ``i*n + j`` of the mask
   is set; a sweep enumerates the class representatives ascending, and
@@ -64,7 +66,7 @@ and builds its own atom tables, uncached:
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import permutations
 from typing import Iterator, Sequence
 
@@ -196,22 +198,22 @@ class BulkSpace:
         names = tuple(sorted(variables))
         _guard(n_worlds, len(names))
         masks = (np.arange(2 ** (n_worlds * n_worlds)) if rel_masks is None
-                 else np.asarray(rel_masks, dtype=np.int64))
+                 else np.array(rel_masks, dtype=np.int64))
         self._bind(n_worlds, _by_name(_build_atoms(n_worlds, len(names)), names),
-                   _successors(n_worlds, masks), masks)
+                   _RelationList(masks, _successors(n_worlds, masks)))
 
-    def _bind(self, n: int, atoms: dict, succ: np.ndarray, masks: np.ndarray | None,
-              start=(0, 0), table=None) -> None:
-        """``succ[r, w]``: bit j is set iff relation r contains (w, j).
-        ``table`` returns the clause table of these relations, called at
-        the first modal node; by default it is built from ``succ``."""
+    def _bind(self, n: int, atoms: dict, relations: _RelationList, rows=slice(None),
+              start=(0, 0)) -> None:
+        """The relations ``rows`` of ``relations``: ``succ[r, w]`` has bit j
+        set iff relation r contains (w, j), and a modal node reads these
+        rows of the record's clause table."""
         self.n = n
         self.start = start
-        self.succ = succ
-        self.masks = masks
-        self.full = succ.dtype.type((1 << n) - 1)
+        self.succ = relations.succ[rows]
+        self.masks = None if relations.masks is None else relations.masks[rows]
+        self.full = self.succ.dtype.type((1 << n) - 1)
         self._memo: dict[Formula, tuple[np.ndarray, np.ndarray]] = dict(atoms)
-        self._table_of = table or partial(_clause_table, succ)
+        self._relations, self._rows = relations, rows
         self._table: np.ndarray | None = None
 
     def _bits(self, f: Formula) -> tuple[np.ndarray, np.ndarray]:
@@ -247,7 +249,7 @@ class BulkSpace:
         if self.n > _TABLE_WORLDS:
             return _clause_pass(tri, self.succ, pos, neg)
         if self._table is None:
-            self._table = self._table_of()
+            self._table = self._relations.table()[:, :, self._rows]
         code = pos << self.n
         code |= neg
         return _gather(self._table[0 if tri else 1], code)
@@ -352,34 +354,31 @@ def _gather(tables: np.ndarray, code: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return out[0], out[1]
 
 
-def _successors(worlds: int | Frame, rel_masks: np.ndarray | None) -> np.ndarray:
-    """Successor bitsets, shape (relations, n), of ``rel_masks`` on ``worlds`` worlds,
-    or of a given frame, world i being its i-th."""
-    if isinstance(worlds, Frame):
-        return np.array([worlds.succ], dtype=_bitset_type(len(worlds.worlds)))
-    n = worlds
+def _successors(n: int, rel_masks: np.ndarray) -> np.ndarray:
+    """Successor bitsets, shape (relations, n), of ``rel_masks`` on ``n`` worlds."""
     return (rel_masks[:, None] >> n * np.arange(n) & (1 << n) - 1).astype(_bitset_type(n))
 
 
-@lru_cache(maxsize=None)
-def representatives(n: int) -> np.ndarray:
-    """The relation masks on ``n`` worlds that are the smallest of their
-    orbit under the n! renamings of the worlds, ascending: one relation
-    per isomorphism class, mask 0 first.  Built on first use (at 4 worlds,
-    24 renamings of 65 536 masks) and kept; a relation sweep never takes
-    more than 4 worlds."""
-    masks = np.arange(2 ** (n * n), dtype=np.int64)
-    succ = _successors(n, masks)
-    smallest = masks.copy()
-    for perm in permutations(range(n)):
-        # A renamed row: bit perm[j] of row_image[s] is bit j of s.
-        row_image = np.array([sum(1 << perm[j] for j in range(n) if s >> j & 1)
-                              for s in range(2 ** n)], dtype=np.int64)
-        image = sum(row_image[succ[:, i]] << perm[i] * n for i in range(n))
-        np.minimum(smallest, image, out=smallest)
-    reps = masks[smallest == masks]
-    reps.flags.writeable = False
-    return reps
+class _RelationList:
+    """The relations one sweep or space reads, read-only: their masks
+    (None on a given frame), their successor bitsets ``succ``, shape
+    (relations, n), and their clause table, built the first time a modal
+    node asks for it (``table``)."""
+
+    __slots__ = ("masks", "succ", "_table")
+
+    def __init__(self, masks: np.ndarray | None, succ: np.ndarray):
+        for array in (masks, succ):
+            if array is not None:
+                array.flags.writeable = False
+        self.masks, self.succ = masks, succ
+        self._table: np.ndarray | None = None
+
+    def table(self) -> np.ndarray:
+        """The ``_clause_table`` of these relations, built once."""
+        if self._table is None:
+            self._table = _clause_table(self.succ)
+        return self._table
 
 
 def _reach(succ: np.ndarray, depth: int) -> np.ndarray:
@@ -397,42 +396,35 @@ def _reach(succ: np.ndarray, depth: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _rooted(n: int, depth: int) -> np.ndarray:
-    """The ``representatives(n)`` in which some world reaches every world
-    within ``depth`` steps, ascending; renaming keeps this property.  Every
-    depth from n - 1 on gives the same list, so ``sweep`` asks for at most
-    that one."""
-    reps = representatives(n)
-    reps = reps[(_reach(_relation_successors(n, None), depth) == (1 << n) - 1).any(axis=1)]
-    reps.flags.writeable = False
-    return reps
+def _relation_list(n: int, depth: int | None) -> _RelationList:
+    """The relations a sweep over ``n`` worlds reads, built on first use and
+    kept (at most 3 044, each with 256 codes x 4 bytes of clause table).
+    Without a ``depth``, the masks that are the smallest of their orbit
+    under the n! renamings of the worlds, ascending: one per isomorphism
+    class, mask 0 first.  With one, those in which some world reaches every
+    world within ``depth`` steps, which renaming keeps; every depth from
+    n - 1 on gives the same list, so ``sweep`` asks for at most that one."""
+    if depth is None:
+        masks = np.arange(2 ** (n * n), dtype=np.int64)
+        succ = _successors(n, masks)
+        smallest = masks.copy()
+        for perm in permutations(range(n)):
+            # A renamed row: bit perm[j] of row_image[s] is bit j of s.
+            row_image = np.array([sum(1 << perm[j] for j in range(n) if s >> j & 1)
+                                  for s in range(2 ** n)], dtype=np.int64)
+            image = sum(row_image[succ[:, i]] << perm[i] * n for i in range(n))
+            np.minimum(smallest, image, out=smallest)
+        masks = masks[smallest == masks]
+    else:
+        every = _relation_list(n, None)
+        masks = every.masks[(_reach(every.succ, depth) == (1 << n) - 1).any(axis=1)]
+    return _RelationList(masks, _successors(n, masks))
 
 
-def _relations(n: int, depth: int | None) -> np.ndarray:
-    """The relation masks a sweep over ``n`` worlds reads at ``depth``."""
-    return representatives(n) if depth is None else _rooted(n, depth)
-
-
-@lru_cache(maxsize=None)
-def _relation_successors(n: int, depth: int | None) -> np.ndarray:
-    """The successor bitsets of ``_relations(n, depth)``, built on first use
-    and kept, read-only: at most 3 044 relations x 4 bytes."""
-    succ = _successors(n, _relations(n, depth))
-    succ.flags.writeable = False
-    return succ
-
-
-@lru_cache(maxsize=None)
-def _clause_tables(n: int, depth: int | None) -> np.ndarray:
-    """The ``_clause_table`` of ``_relations(n, depth)``, built on first use
-    and kept: at most 4 worlds (the relation sweeps' guard), so at most
-    3 044 relations x 256 codes x 4 bytes.  A block reads its own rows."""
-    return _clause_table(_relation_successors(n, depth))
-
-
-def _table_rows(n: int, depth: int | None, start: int, stop: int) -> np.ndarray:
-    """Rows ``start:stop`` of ``_clause_tables(n, depth)``, a view."""
-    return _clause_tables(n, depth)[:, :, start:stop]
+def representatives(n: int) -> np.ndarray:
+    """One relation mask per isomorphism class on ``n`` worlds, the smallest
+    of its orbit, ascending and read-only: ``_relation_list(n, None).masks``."""
+    return _relation_list(n, None).masks
 
 
 def sweep(worlds: int | Frame, variables: Sequence[str],
@@ -442,8 +434,8 @@ def sweep(worlds: int | Frame, variables: Sequence[str],
     the one relation of a given ``Frame``, as BulkSpaces over consecutive
     blocks in enumeration order; a block's ``masks`` name its relations.
     With a ``depth``, a sweep over every relation keeps only the classes
-    in which some world reaches every world within ``depth`` steps
-    (``_rooted``), and yields no block if there is none.
+    in which some world reaches every world within ``depth`` steps, and
+    yields no block if there is none.
 
     The size guard runs at the first ``next()``, before anything is
     allocated.  Each block's arrays hold at most ``_CHUNK_CELLS`` cells:
@@ -451,31 +443,29 @@ def sweep(worlds: int | Frame, variables: Sequence[str],
     one relation (a block never spans two relations).  The atom tables are
     built once per process up to ``_CACHED_SLOTS`` valuation slots and once
     per sweep beyond (``_atom_tables``); a block's are views of them along
-    the valuation axis.  Its successor bitsets and clause table rows are
-    views of ``_relation_successors`` and ``_clause_tables``, also built
-    once per process (a given frame's blocks build their own).  Every
-    cached array is read-only."""
+    the valuation axis.  Every block reads its rows of one relation record:
+    ``_relation_list(n, depth)``, built once per process, or a given
+    frame's own, built once per sweep; a block's successor bitsets and
+    clause table rows are views of the record's.  Every cached array is
+    read-only."""
     names = tuple(sorted(variables))
     given = isinstance(worlds, Frame)
     n = len(worlds.worlds) if given else worlds
     _guard(worlds, len(names))
     if depth is not None:
         depth = min(depth, n - 1)  # reach is settled after n - 1 steps
-    masks = None if given else _relations(n, depth)
-    succ = _successors(worlds, None) if given else _relation_successors(n, depth)
-    if not len(succ):
+    relations = (_RelationList(None, np.array([worlds.succ], dtype=_bitset_type(n))) if given
+                 else _relation_list(n, depth))
+    if not len(relations.succ):
         return
     atoms = _atom_tables(n, names)
     n_val = 4 ** (n * len(names))
     rel_step = max(1, _CHUNK_CELLS // (n_val * n))
     val_step = max(1, _CHUNK_CELLS // n)
-    for r in range(0, len(succ), rel_step):
+    for r in range(0, len(relations.succ), rel_step):
         for v in range(0, n_val, val_step):
             block = {a: (pos[:, v:v + val_step], neg[:, v:v + val_step])
                      for a, (pos, neg) in atoms.items()}
             space = BulkSpace.__new__(BulkSpace)
-            space._bind(n, block, succ[r:r + rel_step],
-                        None if given else masks[r:r + rel_step], (r, v),
-                        None if given else partial(_table_rows, n, depth, r, r + rel_step))
+            space._bind(n, block, relations, slice(r, r + rel_step), (r, v))
             yield space
-

@@ -398,10 +398,18 @@ def render_sequent(s: Sequent, pretty: bool = False) -> str:
 
 # --- structural utilities ----------------------------------------------------
 
+def _check_roots(fs: tuple) -> None:
+    """Refuse a root that is not a formula (a node's children are formulas)."""
+    for f in fs:
+        if not isinstance(f, Formula):
+            raise TypeError(f"not a formula: {f!r}")
+
+
 def postorder(*fs: Formula, skip: Container[Formula] = ()) -> list[Formula]:
     """Each distinct subformula of ``fs`` once, every node after its
     children, leaving out the nodes in ``skip`` (say, a memo) and what lies
     only below them.  An explicit stack, so any depth is walked."""
+    _check_roots(fs)
     order: list[Formula] = []
     seen: set[Formula] = set()
     stack = [(f, False) for f in reversed(fs)]
@@ -436,6 +444,7 @@ def modal_depth(*fs: Formula) -> int:
     from the roots with the depth above each node, and visits a node
     object once per such depth, so a shared subterm is not walked once
     per path to it."""
+    _check_roots(fs)
     deepest, seen = 0, set()
     stack = [(f, 0) for f in fs]
     while stack:

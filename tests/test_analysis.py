@@ -19,7 +19,7 @@ from fdek.bulkeval import BulkSpace, frame_from_mask, representatives
 from fdek.figures import load_frame, load_model
 from fdek.semantics import (
     FRAME_PROPERTIES, BoundExceededError, Evaluator, FourValue, Frame, Model, PointedModel,
-    box_clause, frame_to_dict, model_to_dict, tri_clause,
+    box_clause, frame_to_dict, model_to_dict, sequent_valid_on_frame, tri_clause,
 )
 from fdek.syntax import Atom, Box, Not, Tri, parse_formula, parse_sequent, render, variables
 from fdek.tableau import Proved, prove
@@ -424,20 +424,20 @@ class TestRootedSweep:
         reps = representatives(n).tolist()
         for depth in range(5):
             rooted = [m for m in reps if _bfs_rooted(n, m, depth)]
-            assert bulkeval._rooted(n, depth).tolist() == rooted, (n, depth)
+            assert bulkeval._relation_list(n, depth).masks.tolist() == rooted, (n, depth)
 
     @pytest.mark.parametrize("n,counts", [
         (2, [0, 7, 7, 7, 7]), (3, [0, 60, 80, 80, 80]), (4, [0, 1280, 2504, 2638, 2638])])
     def test_class_counts(self, n, counts):
-        assert [len(bulkeval._rooted(n, depth)) for depth in range(5)] == counts
-        assert len(bulkeval._rooted(n, 2000)) == counts[-1]
+        assert [len(bulkeval._relation_list(n, depth).masks) for depth in range(5)] == counts
+        assert len(bulkeval._relation_list(n, 2000).masks) == counts[-1]
 
     def test_sweep_reads_the_rooted_classes_in_order(self, chunk_budget):
         # Under the tiny budget each relation is read in two blocks of
         # valuations, the first starting at valuation 0.
         masks = [m for space in bulkeval.sweep(3, ["p"], 1) if space.start[1] == 0
                  for m in space.masks.tolist()]
-        assert masks == bulkeval._rooted(3, 1).tolist()
+        assert masks == bulkeval._relation_list(3, 1).masks.tolist()
 
     def test_no_block_when_no_class_is_rooted(self, monkeypatch):
         def allocate(*args):
@@ -461,7 +461,7 @@ class TestRootedSweep:
         def allocate(*args):
             raise AssertionError("allocated before the guard")
         monkeypatch.setattr(bulkeval, "_atom_tables", allocate)
-        monkeypatch.setattr(bulkeval, "_rooted", allocate)
+        monkeypatch.setattr(bulkeval, "_relation_list", allocate)
         for depth in (0, 1):
             with pytest.raises(BoundExceededError):
                 next(bulkeval.sweep(5, ["p"], depth))
@@ -498,8 +498,8 @@ class TestClauseTables:
     def test_tables_match_the_scalar_clauses(self, n, depth):
         # Every code, on every relation up to 3 worlds and on a seeded
         # sample at 4 (the first and the last among them).
-        masks = bulkeval._relations(n, depth)
-        table = bulkeval._clause_tables(n, depth)
+        masks = bulkeval._relation_list(n, depth).masks
+        table = bulkeval._relation_list(n, depth).table()
         assert table.shape == (2, 2, len(masks), 4 ** n)
         rows = range(len(masks))
         if n == 4:
@@ -515,9 +515,13 @@ class TestClauseTables:
     def test_cached_tables_and_their_rows_reject_writes(self):
         space = next(bulkeval.sweep(3, ["p"], 1))
         space._bits(Tri(Atom("p")))
-        for table in (bulkeval._clause_tables(3, 1), space._table):
+        relations = bulkeval._relation_list(3, 1)
+        for table in (relations.table(), space._table):
             with pytest.raises(ValueError):
                 table[0, 0, 0, 0] = 1
+        for array in (relations.masks, relations.succ, space.masks, space.succ):
+            with pytest.raises(ValueError):
+                array[0] = 1
 
     def test_no_table_without_a_modal_node(self, monkeypatch):
         def build(*args):
@@ -526,16 +530,42 @@ class TestClauseTables:
         assert find_countermodel(parse_sequent("p & q |- q & r"), 3) is not None
         assert find_countermodel(parse_sequent("p & q |- q | p"), 3) is None
 
+    def test_a_given_frames_blocks_share_one_table(self, monkeypatch):
+        # Under the tiny budget the 3-world cycle's 64 valuations are read in
+        # two blocks of 33 and 31, and the valid claim visits both.
+        monkeypatch.setattr(bulkeval, "_CHUNK_CELLS", 100)
+        starts, tables = [], []
+        sweep, build = bulkeval.sweep, bulkeval._clause_table
+
+        def counting(*args):
+            for space in sweep(*args):
+                starts.append(space.start)
+                yield space
+
+        def building(succ):
+            tables.append(len(succ))
+            return build(succ)
+        monkeypatch.setattr(bulkeval, "sweep", counting)
+        monkeypatch.setattr(bulkeval, "_clause_table", building)
+        cycle = Frame(["w0", "w1", "w2"], [("w0", "w1"), ("w1", "w2"), ("w2", "w0")])
+        assert sequent_valid_on_frame(cycle, parse_sequent("#p |- #~p"))
+        assert starts == [(0, 0), (0, 33)]
+        assert tables == [1]
+
     def test_one_cache_entry_per_relation_list(self):
         # Every depth from n - 1 on sweeps the same classes, so these 29
-        # searches read four relation lists: (1, 0), (2, 1), (3, 1), (3, 2).
-        bulkeval._rooted.cache_clear()
-        bulkeval._clause_tables.cache_clear()
+        # searches read four relation lists: (1, 0), (2, 1), (3, 1), (3, 2),
+        # each with its clause table, filtered from the three lists of
+        # every class, which build no table.
+        bulkeval._relation_list.cache_clear()
         for d in range(1, 30):
             tower = "#" * d + "p"
             assert find_countermodel(parse_sequent(f"{tower} |- {tower}"), 3) is None
-        assert bulkeval._rooted.cache_info().currsize == 4
-        assert bulkeval._clause_tables.cache_info().currsize == 4
+        assert bulkeval._relation_list.cache_info().currsize == 7
+        for n, depth, read in [(1, 0, True), (2, 1, True), (3, 1, True), (3, 2, True),
+                               (1, None, False), (2, None, False), (3, None, False)]:
+            assert (bulkeval._relation_list(n, depth)._table is not None) == read, (n, depth)
+        assert bulkeval._relation_list.cache_info().currsize == 7
 
     def test_peak_memory_of_a_three_world_search(self):
         # numpy reports its allocations to tracemalloc, so this peak is
@@ -621,8 +651,7 @@ class TestAtomTables:
         def witnesses():
             return [found and (model_to_dict(found.model), found.world)
                     for found in (find_countermodel(s, worlds) for s, worlds in searches)]
-        for cache in (representatives, bulkeval._rooted, bulkeval._relation_successors,
-                      bulkeval._clause_tables, bulkeval._shared_atoms):
+        for cache in (bulkeval._relation_list, bulkeval._shared_atoms):
             cache.cache_clear()
         cold = witnesses()
         assert witnesses() == cold

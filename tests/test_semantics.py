@@ -94,6 +94,14 @@ class TestEvaluation:
         with pytest.raises(TypeError, match="not a formula"):
             Evaluator(load_model("fig1")).supports("w0", f)
 
+    @pytest.mark.parametrize("call", [
+        syntax.subformulas, syntax.variables, syntax.modal_depth,
+        BulkSpace(1, ["p"]).valid_per_relation,
+        lambda f: formula_valid_on_frame(Frame(["w0"], []), f)])
+    def test_walks_refuse_a_non_formula_root(self, call):
+        with pytest.raises(TypeError, match="not a formula: 'p'"):
+            call("p")
+
     def test_memoization_is_invisible(self):
         rng = random.Random(5)
         for _ in range(50):
