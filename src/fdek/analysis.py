@@ -29,14 +29,14 @@ from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .bulkeval import _guard, _relation_list, frame_from_mask, model_from_indices, sweep
+from .bulkeval import _compile, _guard, _relation_list, frame_from_mask, model_from_indices, sweep
 from .semantics import (
     FRAME_PROPERTIES, FourValue, PointedModel, and_clause, atom_clause,
     box_clause, frame_to_dict, model_to_dict, not_clause, or_clause, tri_clause,
 )
 from .syntax import (
     LANG_BOX, LANG_TRI, And, Atom, Box, Formula, Not, Or, Sequent, Tri,
-    modal_depth, parse_formula, parse_sequent, render, render_sequent, variables,
+    parse_formula, parse_sequent, render, render_sequent,
 )
 
 __all__ = [
@@ -48,12 +48,6 @@ __all__ = [
 
 # A definability claim is either sequent validity or formula validity.
 Claim = Union[Sequent, Formula]
-
-
-def _claim_variables(claim: Claim) -> list[str]:
-    if isinstance(claim, Sequent):
-        return sorted(variables(claim.premise) | variables(claim.conclusion))
-    return sorted(variables(claim))
 
 
 _MODALITIES = {LANG_TRI: (Tri, tri_clause), LANG_BOX: (Box, box_clause)}
@@ -153,16 +147,20 @@ def find_countermodel(s: Sequent, max_worlds: int) -> PointedModel | None:
     countermodel, and the first witness is unchanged.  At depth 0 no class
     of two or more worlds is rooted, so a propositional sequent is decided
     at one world.
+
+    The sequent is compiled once (``bulkeval._compile``); every block of
+    every sweep runs that program, and its variables and modal depth are
+    read off it.
     """
-    names = _claim_variables(s)
-    _guard(max_worlds, len(names))
-    depth = modal_depth(s.premise, s.conclusion)
+    program = _compile(s)
+    _guard(max_worlds, len(program.names))
     for n in range(1, max_worlds + 1):
-        for space in sweep(n, names, depth):
-            hit = space.first_countermodel(s)
+        for space in sweep(n, program.names, program.depth):
+            hit = space.first_countermodel(program)
             if hit is not None:
                 r, v, w = hit
-                model = model_from_indices(n, names, int(space.masks[r]), space.start[1] + v)
+                model = model_from_indices(n, program.names, int(space.masks[r]),
+                                           space.start[1] + v)
                 return PointedModel(model, f"w{w}")
     return None
 
@@ -223,13 +221,15 @@ def check_definability(prop: str, claims: Sequence[Claim], max_size: int) -> Def
     of its class, and the direction of the disagreement.
     ``frames_checked`` counts the labelled frames up to and including the
     witness.  An unknown property or a sweep beyond the size guard is
-    refused before anything is swept.
+    refused before anything is swept.  Each claim is compiled once
+    (``bulkeval._compile``) for every sweep of every world count.
     """
     claims = tuple(claims)
     if not claims:
         raise ValueError("need at least one claim")
-    for claim in claims:
-        _guard(max_size, len(_claim_variables(claim)))
+    programs = [_compile(claim) for claim in claims]
+    for program in programs:
+        _guard(max_size, len(program.names))
     if prop not in FRAME_PROPERTIES:
         raise ValueError(f"unknown frame property {prop!r}")
     holds = FRAME_PROPERTIES[prop]
@@ -239,10 +239,10 @@ def check_definability(prop: str, claims: Sequence[Claim], max_size: int) -> Def
     for n in range(1, max_size + 1):
         relations = _relation_list(n, None)
         valid = np.ones(len(relations.masks), dtype=bool)
-        for claim in claims:
-            for space in sweep(n, _claim_variables(claim)):
+        for program in programs:
+            for space in sweep(n, program.names):
                 r = space.start[0]
-                valid[r:r + len(space.succ)] &= space.valid_per_relation(claim)
+                valid[r:r + len(space.succ)] &= space.valid_per_relation(program)
         for rel_mask, succ, ok in zip(relations.masks.tolist(), relations.succ.tolist(),
                                       valid.tolist()):
             has_prop = holds(succ)

@@ -26,10 +26,27 @@ support the child's truth and which its falsity, so on n <= 4 worlds
 each is a function of the relation and of the child's code
 ``pos << n | neg``, one of 4^n <= 256 values: a clause table holds, per
 relation, the true and false bitsets of both at every code, and a modal
-node is two gathers from it.  The table is built by the per-world pass
+node gathers from it.  The table is built by the per-world pass
 (``_clause_pass``), which compares the child's supports within each
 world's successor bitset with the bitset itself; a frame of more than 4
 worlds keeps that pass over its valuations, whose table would be as large.
+
+A claim is compiled once per search into a numbered program
+(``_compile``) that every block of every sweep runs (``BulkSpace._run``):
+its distinct subformulas in ``postorder`` order, each an op
+``(kind, a, b)`` over the numbers of its children, atoms addressed by
+their variable slot.  One pass back over the ops sets the supports each
+node must yield: a root its truth, which is all ``_refuting`` reads;
+``~`` the other support of its child, ``&`` and ``|`` what is asked of
+them, and ``#`` and ``[]`` both supports of their child, whose code they
+gather at.  So ``&`` and ``|`` compute only their demanded halves, a
+modal node gathers only its demanded rows of the clause table, and the
+per-world pass computes only the demanded bitsets.  The same pass records
+the values each op reads last, which the run drops after it; the roots
+are kept.  A block then holds only the values still to be read: a 3-world
+search peaks at 49 MB (tracemalloc), where computing and keeping both
+supports of every subformula took 160 MB.
+
 What a space reads of its relations is one read-only record
 (``_RelationList``): their masks, their successor bitsets and their clause
 table, built the first time a modal node asks for it.  A relation sweep's
@@ -49,9 +66,10 @@ module: ``_guard`` refuses a scan before anything is allocated, from its
 world count or its given frame, and ``sweep`` reads the space in blocks
 of at most ``_CHUNK_CELLS`` cells, so a caller can stop at the first
 block that settles its question.  ``semantics`` and ``analysis`` go
-through ``_guard``, ``sweep``, ``model_from_indices``, ``frame_from_mask``
-and, for the frame properties of a definability sweep, the record
-``_relation_list(n, None)`` that its sweeps read.  A space over chosen
+through ``_compile``, ``_guard``, ``sweep``, ``model_from_indices``,
+``frame_from_mask`` and, for the frame properties of a definability sweep,
+the record ``_relation_list(n, None)`` that its sweeps read; they read a
+claim's variables and modal depth off its program.  A space over chosen
 relation masks, ``BulkSpace(n, variables, masks)``, is for labelled scans
 outside the sweeps (the tests' references and the benchmark's probes),
 and builds its own atom tables and record, uncached:
@@ -68,12 +86,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .semantics import VALUE_ORDER, BoundExceededError, Frame, Model
-from .syntax import And, Atom, Box, Formula, Not, Or, Sequent, Tri, postorder
+from .syntax import And, Atom, Formula, Not, Or, Sequent, Tri, postorder
 
 __all__ = ["BulkSpace", "sweep", "representatives", "model_from_indices",
            "frame_from_mask", "DEFAULT_VALUATION_BOUND"]
@@ -172,18 +190,97 @@ def _shared_atoms(n: int, k: int) -> np.ndarray:
     return tables
 
 
-def _by_name(tables: np.ndarray,
-             names: Sequence[str]) -> dict[Atom, tuple[np.ndarray, np.ndarray]]:
-    """The atom of the j-th of ``names`` (sorted) mapped to the two rows of ``tables[j]``."""
-    return {Atom(var): (tables[j, 0], tables[j, 1]) for j, var in enumerate(names)}
-
-
-def _atom_tables(n: int, names: Sequence[str]) -> dict[Atom, tuple[np.ndarray, np.ndarray]]:
-    """Both supports of every atom over every valuation, of shape
-    (1, valuations): views of the cached ``_shared_atoms`` up to
+def _atom_tables(n: int, k: int) -> np.ndarray:
+    """Both supports of each of ``k`` atoms over every valuation, shape
+    (k, 2, 1, valuations): the cached ``_shared_atoms`` up to
     ``_CACHED_SLOTS`` slots, else built for this sweep alone."""
-    k = len(names)
-    return _by_name(_shared_atoms(n, k) if n * k <= _CACHED_SLOTS else _build_atoms(n, k), names)
+    return _shared_atoms(n, k) if n * k <= _CACHED_SLOTS else _build_atoms(n, k)
+
+
+class _Program(NamedTuple):
+    """A claim compiled once for every block of every sweep (``_compile``).
+
+    ``ops[i]`` is ``(kind, a, b)``: ``kind`` the formula class of the i-th
+    distinct subformula in ``postorder``, ``a`` its variable slot in
+    ``names`` if an atom, else the number of its (left) child, and ``b``
+    the number of its right child, or -1.  ``demand[i]`` holds bit 1 if the
+    node's truth support is read and bit 2 if its falsity support is;
+    ``frees[i]``, the numbers of the values op i reads last, which the run
+    drops after it.  ``roots`` are the premise's and the conclusion's
+    numbers (``sequent``), or the formula's; ``depth`` is the claim's modal
+    depth."""
+
+    names: tuple[str, ...]
+    depth: int
+    ops: list[tuple[type, int, int]]
+    demand: list[int]
+    frees: list[tuple[int, ...]]
+    roots: tuple[int, ...]
+    sequent: bool
+
+
+def _compile(claim: Sequent | Formula, names: Sequence[str] | None = None,
+             demand: int = 1) -> _Program:
+    """The program of ``claim`` over the sorted variables ``names``
+    (default: the claim's own), whose roots yield the supports in
+    ``demand``: the truth alone (1), as ``_refuting`` reads, or both (3).
+
+    One pass forward numbers the nodes; one pass back, over every node after
+    all its parents, sets what each must yield and where its value is read
+    last.  A root yields ``demand``; ``~`` swaps its demand for its child's,
+    ``&`` and ``|`` pass theirs on to both children, and ``#`` and ``[]``
+    read both supports of their child, whose code they gather at.  Roots
+    are never dropped."""
+    sequent = isinstance(claim, Sequent)
+    order = postorder(*((claim.premise, claim.conclusion) if sequent else (claim,)))
+    if names is None:
+        names = sorted({g.name for g in order if type(g) is Atom})
+    slot = {name: j for j, name in enumerate(names)}
+    index: dict[Formula, int] = {}
+    ops: list[tuple[type, int, int]] = []
+    depths: list[int] = []
+    for g in order:
+        kind = type(g)
+        if kind is Atom:
+            if g.name not in slot:
+                raise KeyError(f"variable {g.name!r} not in this space")
+            op, depth = (kind, slot[g.name], -1), 0
+        elif kind is And or kind is Or:
+            a, b = index[g.left], index[g.right]
+            op, depth = (kind, a, b), max(depths[a], depths[b])
+        else:
+            a = index[g.child]
+            op, depth = (kind, a, -1), depths[a] + (kind is not Not)
+        index[g] = len(ops)
+        ops.append(op)
+        depths.append(depth)
+    roots = ((index[claim.premise], index[claim.conclusion]) if sequent
+             else (index[claim],))
+    need = [0] * len(ops)
+    read = [False] * len(ops)
+    frees: list[tuple[int, ...]] = [()] * len(ops)
+    for r in roots:
+        need[r], read[r] = demand, True
+    for i in range(len(ops) - 1, -1, -1):
+        kind, a, b = ops[i]
+        if kind is Atom:
+            continue
+        want = need[i]
+        if kind is Not:
+            need[a] |= (want & 1) << 1 | want >> 1
+        elif b >= 0:
+            need[a] |= want
+            need[b] |= want
+        else:
+            need[a] = 3
+        if not read[a]:
+            read[a] = True
+            frees[i] = (a,)
+        if b >= 0 and not read[b]:
+            read[b] = True
+            frees[i] += (b,)
+    return _Program(tuple(names), max(depths[r] for r in roots), ops, need, frees, roots,
+                    sequent)
 
 
 class BulkSpace:
@@ -199,69 +296,88 @@ class BulkSpace:
         _guard(n_worlds, len(names))
         masks = (np.arange(2 ** (n_worlds * n_worlds)) if rel_masks is None
                  else np.array(rel_masks, dtype=np.int64))
-        self._bind(n_worlds, _by_name(_build_atoms(n_worlds, len(names)), names),
+        self._bind(n_worlds, names, _build_atoms(n_worlds, len(names)),
                    _RelationList(masks, _successors(n_worlds, masks)))
 
-    def _bind(self, n: int, atoms: dict, relations: _RelationList, rows=slice(None),
-              start=(0, 0)) -> None:
+    def _bind(self, n: int, names: tuple[str, ...], atoms: np.ndarray,
+              relations: _RelationList, rows=slice(None), start=(0, 0)) -> None:
         """The relations ``rows`` of ``relations``: ``succ[r, w]`` has bit j
         set iff relation r contains (w, j), and a modal node reads these
-        rows of the record's clause table."""
+        rows of the record's clause table.  ``atoms[j]`` holds both
+        supports of the j-th of ``names`` over this space's valuations."""
         self.n = n
+        self.names = names
         self.start = start
         self.succ = relations.succ[rows]
         self.masks = None if relations.masks is None else relations.masks[rows]
         self.full = self.succ.dtype.type((1 << n) - 1)
-        self._memo: dict[Formula, tuple[np.ndarray, np.ndarray]] = dict(atoms)
+        self._atoms = atoms
         self._relations, self._rows = relations, rows
         self._table: np.ndarray | None = None
 
-    def _bits(self, f: Formula) -> tuple[np.ndarray, np.ndarray]:
-        """Both supports of ``f`` as world bitsets, memoized per formula."""
-        memo = self._memo
-        for g in postorder(f, skip=memo):
-            if isinstance(g, Atom):
-                raise KeyError(f"variable {g.name!r} not in this space")
-            elif isinstance(g, Not):
-                pos, neg = memo[g.child]
-                res = (neg, pos)
-            elif isinstance(g, And):
-                lp, ln = memo[g.left]
-                rp, rn = memo[g.right]
-                res = (lp & rp, ln | rn)
-            elif isinstance(g, Or):
-                lp, ln = memo[g.left]
-                rp, rn = memo[g.right]
-                res = (lp | rp, ln & rn)
-            elif isinstance(g, (Tri, Box)):
-                res = self._modal(isinstance(g, Tri), *memo[g.child])
+    def _run(self, program: _Program) -> list:
+        """The values of ``program`` on this space: per op, its two supports
+        as world bitsets, None where not demanded; every value but the
+        roots' is dropped after its last reader."""
+        if program.names != self.names:
+            raise ValueError(f"a program over {program.names} on a space over {self.names}")
+        atoms = self._atoms
+        vals: list = [None] * len(program.ops)
+        for i, ((kind, a, b), want, free) in enumerate(
+                zip(program.ops, program.demand, program.frees)):
+            if kind is Atom:
+                res = atoms[a, 0], atoms[a, 1]
+            elif kind is Not:
+                pos, neg = vals[a]
+                res = neg, pos
+            elif kind is And:
+                (lp, ln), (rp, rn) = vals[a], vals[b]
+                res = lp & rp if want & 1 else None, ln | rn if want & 2 else None
+            elif kind is Or:
+                (lp, ln), (rp, rn) = vals[a], vals[b]
+                res = lp | rp if want & 1 else None, ln & rn if want & 2 else None
             else:
-                raise TypeError(f"not a formula: {g!r}")
-            memo[g] = res
-        return memo[f]
+                res = self._modal(kind is Tri, *vals[a], want)
+            vals[i] = res
+            for c in free:
+                vals[c] = None
+        return vals
 
-    def _modal(self, tri: bool, pos: np.ndarray,
-               neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Both supports of ``#`` (``tri``) or ``[]`` over a formula of supports
-        ``pos``, ``neg``: the clause table's true and false rows gathered at
-        the codes ``pos << n | neg`` (``_gather``).  Beyond
-        ``_TABLE_WORLDS`` worlds, the per-world pass instead."""
+    def _bits(self, f: Formula) -> tuple[np.ndarray, np.ndarray]:
+        """Both supports of ``f`` as world bitsets: a one-root program
+        demanding both."""
+        program = _compile(f, self.names, 3)
+        return self._run(program)[program.roots[0]]
+
+    def _modal(self, tri: bool, pos: np.ndarray, neg: np.ndarray,
+               want: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """The supports in ``want`` (bit 1 truth, bit 2 falsity; None for the
+        other) of ``#`` (``tri``) or ``[]`` over a formula of supports
+        ``pos``, ``neg``: the clause table's demanded rows gathered at the
+        codes ``pos << n | neg`` (``_gather``).  Beyond ``_TABLE_WORLDS``
+        worlds, the per-world pass instead."""
         if self.n > _TABLE_WORLDS:
-            return _clause_pass(tri, self.succ, pos, neg)
+            return _clause_pass(tri, self.succ, pos, neg, want)
         if self._table is None:
             self._table = self._relations.table()[:, :, self._rows]
         code = pos << self.n
         code |= neg
-        return _gather(self._table[0 if tri else 1], code)
+        first, last = (0 if want & 1 else 1), (2 if want & 2 else 1)
+        rows = _gather(self._table[0 if tri else 1, first:last], code)
+        return rows[0] if want & 1 else None, rows[-1] if want & 2 else None
 
-    def _refuting(self, claim: Sequent | Formula) -> np.ndarray:
+    def _refuting(self, claim: Sequent | Formula | _Program) -> np.ndarray:
         """Bitsets of the worlds where the premise is supported-true and the
-        conclusion is not, or a formula claim is not supported-true."""
-        if isinstance(claim, Sequent):
-            return self._bits(claim.premise)[0] & ~self._bits(claim.conclusion)[0]
-        return ~self._bits(claim)[0] & self.full
+        conclusion is not, or a formula claim is not supported-true; a
+        claim is compiled over this space's variables first."""
+        program = claim if isinstance(claim, _Program) else _compile(claim, self.names)
+        vals = self._run(program)
+        if program.sequent:
+            premise, conclusion = program.roots
+            return vals[premise][0] & ~vals[conclusion][0]
+        return ~vals[program.roots[0]][0] & self.full
 
-    def first_countermodel(self, s: Sequent) -> tuple[int, int, int] | None:
+    def first_countermodel(self, s: Sequent | _Program) -> tuple[int, int, int] | None:
         """Indices (relation, valuation, world) of the first pointed model
         where the premise is supported-true and the conclusion is not, in
         enumeration order: the first nonzero bitset, then its lowest bit.
@@ -276,40 +392,49 @@ class BulkSpace:
         r, v = divmod(flat, bad.shape[1])
         return r, v, (bits & -bits).bit_length() - 1
 
-    def valid_per_relation(self, claim: Sequent | Formula) -> np.ndarray:
+    def valid_per_relation(self, claim: Sequent | Formula | _Program) -> np.ndarray:
         """Boolean vector over this space's relations: the claim holds at
         every valuation and world of that frame."""
         ok = ~self._refuting(claim).any(axis=1)
         return np.broadcast_to(ok, (len(self.succ),))
 
 
-def _clause_pass(tri: bool, succ: np.ndarray, pos: np.ndarray,
-                 neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both supports of ``#`` (``tri``) or ``[]`` on the relations of
-    successor bitsets ``succ``, shape (relations, n), over a formula of
-    supports ``pos``, ``neg``: one pass per world w, on the successor
-    bitset s of w and its members ps, ns that support the truth and the
-    falsity, with the cases of ``semantics.tri_clause`` and ``box_clause``:
-    "some" is ``!= 0``, "all" is ``== s``."""
+def _clause_pass(tri: bool, succ: np.ndarray, pos: np.ndarray, neg: np.ndarray,
+                 want: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The supports in ``want`` (bit 1 truth, bit 2 falsity; None for the
+    other) of ``#`` (``tri``) or ``[]`` on the relations of successor
+    bitsets ``succ``, shape (relations, n), over a formula of supports
+    ``pos``, ``neg``: one pass per world w, on the successor bitset s of w
+    and its members ps, ns that support the truth and the falsity, with the
+    cases of ``semantics.tri_clause`` and ``box_clause``: "some" is
+    ``!= 0``, "all" is ``== s``."""
     dtype = succ.dtype
-    true = np.zeros((len(succ), pos.shape[1]), dtype=dtype)
-    false = np.zeros_like(true)
+    shape = (len(succ), pos.shape[1])
+    true = np.zeros(shape, dtype=dtype) if want & 1 else None
+    false = np.zeros(shape, dtype=dtype) if want & 2 else None
     for w in range(succ.shape[1]):
         s = succ[:, w, None]
-        ps, ns = pos & s, neg & s
         if tri:
             # True: no split on a support and no unvalued successor.  False: a
             # split (some but not all successors support the truth, or the
             # falsity), or one successor supports the truth while one the falsity.
+            ps, ns = pos & s, neg & s
             any_p, any_n = ps != 0, ns != 0
             split = (any_p & (ps != s)) | (any_n & (ns != s))
-            t = (ps | ns) == s
-            t &= ~split
-            f = split | (any_p & any_n)
+            if want & 1:
+                t = (ps | ns) == s
+                t &= ~split
+            if want & 2:
+                f = split | (any_p & any_n)
         else:
-            t, f = ps == s, ns != 0
-        true |= t.view(np.uint8).astype(dtype, copy=False) << w
-        false |= f.view(np.uint8).astype(dtype, copy=False) << w
+            if want & 1:
+                t = (pos & s) == s
+            if want & 2:
+                f = (neg & s) != 0
+        if want & 1:
+            true |= t.view(np.uint8).astype(dtype, copy=False) << w
+        if want & 2:
+            false |= f.view(np.uint8).astype(dtype, copy=False) << w
     return true, false
 
 
@@ -321,24 +446,24 @@ def _clause_table(succ: np.ndarray) -> np.ndarray:
     supported true (x = 0) or false (x = 1) under relation ``r``.  Read-only."""
     n = succ.shape[1]
     codes = np.arange(4 ** n, dtype=succ.dtype)[None]
-    table = np.array([_clause_pass(tri, succ, codes >> n, codes & (1 << n) - 1)
+    table = np.array([_clause_pass(tri, succ, codes >> n, codes & (1 << n) - 1, 3)
                       for tri in (True, False)])
     table.flags.writeable = False
     return table
 
 
-def _gather(tables: np.ndarray, code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``tables[x, r, code[r, v]]`` for x = 0 and x = 1, each of shape
-    (relations, valuations); ``tables`` has shape (2, relations, codes),
-    each row contiguous.  A relation-independent ``code`` (one row) is one
-    index along the codes of every relation's row; otherwise each relation
-    reads its own row, at ``r * codes + code[r, v]`` of the flattened
-    table.  ``np.take`` widens its indices to 8 bytes, so at most
+def _gather(tables: np.ndarray, code: np.ndarray) -> np.ndarray:
+    """``tables[x, r, code[r, v]]`` for each row x of ``tables``, of shape
+    (rows, relations, codes), each row's relations contiguous: shape
+    (rows, relations, valuations).  A relation-independent ``code`` (one
+    row) is one index along the codes of every relation's row; otherwise
+    each relation reads its own row, at ``r * codes + code[r, v]`` of the
+    flattened row.  ``np.take`` widens its indices to 8 bytes, so at most
     ``_GATHER_CELLS`` codes are taken at a time; they are always in range,
     and ``mode="clip"`` lets it write straight into the result."""
     _, rels, width = tables.shape
     vals = code.shape[1]
-    out = np.empty((2, rels, vals), dtype=tables.dtype)
+    out = np.empty((len(tables), rels, vals), dtype=tables.dtype)
     if len(code) == 1:
         for v in range(0, vals, _GATHER_CELLS):
             at = code[0, v:v + _GATHER_CELLS].astype(np.intp)
@@ -351,7 +476,7 @@ def _gather(tables: np.ndarray, code: np.ndarray) -> tuple[np.ndarray, np.ndarra
             at = rows + (np.arange(r, r + len(rows)) * width)[:, None]
             for table, res in zip(tables, out):
                 np.take(table.ravel(), at, out=res[r:r + step], mode="clip")
-    return out[0], out[1]
+    return out
 
 
 def _successors(n: int, rel_masks: np.ndarray) -> np.ndarray:
@@ -458,14 +583,13 @@ def sweep(worlds: int | Frame, variables: Sequence[str],
                  else _relation_list(n, depth))
     if not len(relations.succ):
         return
-    atoms = _atom_tables(n, names)
+    atoms = _atom_tables(n, len(names))
     n_val = 4 ** (n * len(names))
     rel_step = max(1, _CHUNK_CELLS // (n_val * n))
     val_step = max(1, _CHUNK_CELLS // n)
     for r in range(0, len(relations.succ), rel_step):
         for v in range(0, n_val, val_step):
-            block = {a: (pos[:, v:v + val_step], neg[:, v:v + val_step])
-                     for a, (pos, neg) in atoms.items()}
             space = BulkSpace.__new__(BulkSpace)
-            space._bind(n, block, relations, slice(r, r + rel_step), (r, v))
+            space._bind(n, names, atoms[..., v:v + val_step], relations,
+                        slice(r, r + rel_step), (r, v))
             yield space

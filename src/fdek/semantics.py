@@ -36,7 +36,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
 
-from .syntax import ATOM_RE, And, Atom, Box, Formula, Not, Or, Sequent, Tri, variables
+from .syntax import ATOM_RE, And, Atom, Box, Formula, Not, Or, Sequent, Tri
 
 __all__ = [
     "FourValue", "Frame", "Model", "PointedModel",
@@ -363,26 +363,28 @@ def _holds(ev: Evaluator, s: Sequent) -> bool:
     return True
 
 
-def _valid_on_frame(fr: Frame, claim: Sequent | Formula, names: frozenset[str]) -> bool:
-    """Exhaustive validity of ``claim`` over every valuation of ``names`` on
-    ``fr``, on the bulk evaluator, up to the first block that refutes it.
+def _valid_on_frame(fr: Frame, claim: Sequent | Formula) -> bool:
+    """Exhaustive validity of ``claim`` over every valuation of its
+    variables on ``fr``, on the bulk evaluator, up to the first block that
+    refutes it; the claim is compiled once for every block.
 
     Only the variables occurring in the claim need to be enumerated:
     evaluation is a structural recursion that never reads any other
     variable, so extra variables cannot change a validity verdict.
     """
-    from .bulkeval import sweep  # bulkeval imports this module
-    return all(space.valid_per_relation(claim)[0] for space in sweep(fr, names))
+    from .bulkeval import _compile, sweep  # bulkeval imports this module
+    program = _compile(claim)
+    return all(space.valid_per_relation(program)[0] for space in sweep(fr, program.names))
 
 
 def sequent_valid_on_frame(fr: Frame, s: Sequent) -> bool:
     """Exhaustively check truth preservation over all valuations on ``fr``."""
-    return _valid_on_frame(fr, s, variables(s.premise, s.conclusion))
+    return _valid_on_frame(fr, s)
 
 
 def formula_valid_on_frame(fr: Frame, f: Formula) -> bool:
     """True iff ``f`` is supported-true at every world of every model on ``fr``."""
-    return _valid_on_frame(fr, f, variables(f))
+    return _valid_on_frame(fr, f)
 
 
 def dual_model(m: Model) -> Model:

@@ -33,7 +33,6 @@ and width parse, render, hash, compare and evaluate.
 from __future__ import annotations
 
 import re
-from collections.abc import Container
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -405,10 +404,9 @@ def _check_roots(fs: tuple) -> None:
             raise TypeError(f"not a formula: {f!r}")
 
 
-def postorder(*fs: Formula, skip: Container[Formula] = ()) -> list[Formula]:
+def postorder(*fs: Formula) -> list[Formula]:
     """Each distinct subformula of ``fs`` once, every node after its
-    children, leaving out the nodes in ``skip`` (say, a memo) and what lies
-    only below them.  An explicit stack, so any depth is walked."""
+    children.  An explicit stack, so any depth is walked."""
     _check_roots(fs)
     order: list[Formula] = []
     seen: set[Formula] = set()
@@ -417,7 +415,7 @@ def postorder(*fs: Formula, skip: Container[Formula] = ()) -> list[Formula]:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
-        elif node not in seen and node not in skip:
+        elif node not in seen:
             seen.add(node)
             stack.append((node, True))
             for name in reversed(node._fields):

@@ -21,7 +21,9 @@ from fdek.semantics import (
     FRAME_PROPERTIES, BoundExceededError, Evaluator, FourValue, Frame, Model, PointedModel,
     box_clause, frame_to_dict, model_to_dict, sequent_valid_on_frame, tri_clause,
 )
-from fdek.syntax import Atom, Box, Not, Tri, parse_formula, parse_sequent, render, variables
+from fdek.syntax import (
+    And, Atom, Box, Not, Or, Sequent, Tri, parse_formula, parse_sequent, render, variables,
+)
 from fdek.tableau import Proved, prove
 
 from conftest import corpus, scalar_definability
@@ -475,7 +477,8 @@ class TestClauseTables:
         # Seeded random children of both shapes on sampled blocks of the
         # sweep, the first and the last among them; under the tiny budget
         # most blocks start mid-list, and 7 codes at a time take each
-        # gather in many pieces.
+        # gather in many pieces.  Each demand (truth, falsity, both) yields
+        # the per-world pass's rows it names, and None for the other.
         if gather_cells:
             monkeypatch.setattr(bulkeval, "_GATHER_CELLS", gather_cells)
         rng = np.random.default_rng(n)
@@ -488,11 +491,15 @@ class TestClauseTables:
             for rows in (1, len(space.succ)):
                 pos, neg = rng.integers(0, 1 << n, (2, rows, vals), dtype=np.uint8)
                 for tri in (True, False):
-                    got = space._modal(tri, pos, neg)
-                    expect = bulkeval._clause_pass(tri, space.succ, pos, neg)
-                    for g, e in zip(got, expect):
-                        assert g.shape == e.shape == (len(space.succ), vals)
-                        assert np.array_equal(g, e), (n, depth, space.start, rows, tri)
+                    expect = bulkeval._clause_pass(tri, space.succ, pos, neg, 3)
+                    for want in (1, 2, 3):
+                        got = space._modal(tri, pos, neg, want)
+                        for x, (g, e) in enumerate(zip(got, expect)):
+                            if not want >> x & 1:
+                                assert g is None
+                                continue
+                            assert g.shape == e.shape == (len(space.succ), vals)
+                            assert np.array_equal(g, e), (n, depth, space.start, rows, tri, want)
 
     @pytest.mark.parametrize("n,depth", [(1, 0), (2, 1), (3, None), (4, None), (4, 3)])
     def test_tables_match_the_scalar_clauses(self, n, depth):
@@ -569,7 +576,11 @@ class TestClauseTables:
 
     def test_peak_memory_of_a_three_world_search(self):
         # numpy reports its allocations to tracemalloc, so this peak is
-        # deterministic; the per-world pass took about 228 to 239 MB.
+        # deterministic.  The per-world pass took about 228 to 239 MB, and
+        # clause tables under a walk that kept both supports of every
+        # subformula about 160 MB; a program that yields only what is read
+        # and drops each value after its last reader takes 48.8 MB, with
+        # cold and warm caches alike.
         s = parse_sequent("#(p & q) & r |- #(q & p) & r")
         tracemalloc.start()
         try:
@@ -577,7 +588,117 @@ class TestClauseTables:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 200e6, peak
+        assert peak < 100e6, peak
+
+    def test_a_modal_node_gathers_only_its_demanded_rows(self, monkeypatch):
+        # The valid search reads its # for the premise's truth alone: the
+        # truth row of the clause table, in each of its two blocks (1 and
+        # 2 worlds).  The premise of @p |- ##p, ~#p, reads the falsity row
+        # of #p alone; in the whole sequent #p is also the child of #, so it
+        # reads both rows there, and the outer # its truth row.
+        reads, blocks = [], []
+        gather, sweep = bulkeval._gather, bulkeval.sweep
+
+        def counting(tables, code):
+            reads.append(tables)
+            return gather(tables, code)
+
+        def recording(*args):
+            for space in sweep(*args):
+                blocks.append(space)
+                yield space
+        monkeypatch.setattr(bulkeval, "_gather", counting)
+        monkeypatch.setattr(analysis, "sweep", recording)
+        assert find_countermodel(parse_sequent("#(r & ~q) & (s | p) |- s | p"), 2) is None
+        assert [space.n for space in blocks] == [1, 2]
+        assert [len(rows) for rows in reads] == [1, 1]
+        for space, rows in zip(blocks, reads):
+            assert np.shares_memory(rows, space._relations.table()[0, 0])
+        s = parse_sequent("@p |- ##p")
+        space = BulkSpace(2, ["p"])
+        table = space._relations.table()
+        reads.clear()
+        space.valid_per_relation(s.premise)
+        [rows] = reads
+        assert len(rows) == 1
+        assert np.shares_memory(rows, table[0, 1]) and not np.shares_memory(rows, table[0, 0])
+        reads.clear()
+        space.valid_per_relation(s)
+        assert [len(rows) for rows in reads] == [2, 1]
+
+
+def _demand_claims() -> list:
+    """Three fixed sequents, and seeded sequents and formulas of both
+    modalities over one and two variables, most with ``~`` over a ``#`` or
+    a ``[]``, which turns the demand for its truth into one for its
+    child's falsity."""
+    rng = random.Random(29)
+
+    def formula(names, depth):
+        kind = rng.choice(["atom", "and", "or", "not", "modal", "negated", "negated"])
+        if not depth or kind == "atom":
+            return Atom(rng.choice(names))
+        if kind in ("and", "or"):
+            return (And if kind == "and" else Or)(formula(names, depth - 1),
+                                                  formula(names, depth - 1))
+        child = formula(names, depth - 1)
+        if kind == "not":
+            return Not(child)
+        modal = rng.choice([Tri, Box])(child)
+        return Not(modal) if kind == "negated" else modal
+    claims = [parse_sequent(text) for text in (
+        "~#(p & ~[]q) |- ~#p | []~q", "@p |- ##p", "~[]p & ~#q |- ~#(p | q)")]
+    for names in (["p"], ["p", "q"]):
+        claims += [Sequent(formula(names, 4), formula(names, 4)) for _ in range(3)]
+        claims += [formula(names, 4) for _ in range(2)]
+    return claims
+
+
+def _full_demand_answers(space, claim):
+    """``first_countermodel`` and ``valid_per_relation`` of ``claim`` on
+    ``space``, from both supports of each side (``bulk_supports``)."""
+    if isinstance(claim, Sequent):
+        bad = bulk_supports(space, claim.premise)[0] & ~bulk_supports(space, claim.conclusion)[0]
+    else:
+        bad = ~bulk_supports(space, claim)[0]
+    cells = bad.any(axis=2)
+    hit = None
+    if cells.any():
+        r, v = np.unravel_index(cells.argmax(), cells.shape)
+        hit = int(r), int(v), int(bad[r, v].argmax())
+    return hit, np.broadcast_to(~cells.any(axis=1), (len(space.succ),))
+
+
+class TestDemand:
+    @pytest.mark.parametrize("worlds", [1, 2, 3, 5, 6])
+    def test_programs_match_full_supports(self, worlds, chunk_budget):
+        # Every sweep up to 3 worlds (the clause tables), at every depth,
+        # and a seeded 5- or 6-world frame (the per-world pass).  A sweep of
+        # more than 300 blocks or 2e6 cells is left out: the two-variable
+        # claims on the given frames, and beyond 2 worlds under the tiny
+        # budget.
+        rng = random.Random(worlds)
+        names = [f"w{i}" for i in range(worlds)]
+        frame = Frame(names, [(a, b) for a in names for b in names if rng.random() < 0.3])
+        runs = 0
+        for claim in _demand_claims():
+            program = bulkeval._compile(claim)
+            k = len(program.names)
+            if worlds > 3:
+                sweeps, relations = [(frame,)], 1
+            else:
+                sweeps = [(worlds, None)] + [(worlds, d) for d in range(worlds)]
+                relations = len(representatives(worlds))
+            cells = relations * 4 ** (worlds * k) * worlds
+            if cells > min(2e6, 300 * bulkeval._CHUNK_CELLS):
+                continue
+            for args in sweeps:
+                for space in bulkeval.sweep(*args[:1], program.names, *args[1:]):
+                    hit, valid = _full_demand_answers(space, claim)
+                    assert space.first_countermodel(program) == hit, (render(claim), args)
+                    assert np.array_equal(space.valid_per_relation(program), valid)
+                    runs += 1
+        assert runs
 
 
 class TestAtomTables:

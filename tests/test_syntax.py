@@ -287,11 +287,6 @@ class TestNodes:
         place = {g: i for i, g in enumerate(order)}
         assert all(place[c] < place[g] for g in order for c in _children(g))
 
-    def test_postorder_skips_what_is_given(self):
-        f = And(Tri(p), Or(q, Tri(p)))
-        assert postorder(f, skip={Tri(p)}) == [q, Or(q, Tri(p)), f]
-        assert postorder(f, p, skip={f}) == [p]
-
     def test_class_and_child_order_matter(self):
         # Distinct nodes hash apart but for a collision of 64-bit hashes.
         for a, b in [(Not(p), Tri(p)), (Tri(p), Box(p)), (And(p, q), Or(p, q)),
