@@ -43,9 +43,7 @@ gather at.  So ``&`` and ``|`` compute only their demanded halves, a
 modal node gathers only its demanded rows of the clause table, and the
 per-world pass computes only the demanded bitsets.  The same pass records
 the values each op reads last, which the run drops after it; the roots
-are kept.  A block then holds only the values still to be read: a 3-world
-search peaks at 49 MB (tracemalloc), where computing and keeping both
-supports of every subformula took 160 MB.
+are kept.  A block then holds only the values still to be read.
 
 What a space reads of its relations is one read-only record
 (``_RelationList``): their masks, their successor bitsets and their clause
@@ -64,15 +62,17 @@ variables, are built for each sweep and freed with it.
 What a scan costs and how its space is laid out are known only to this
 module: ``_guard`` refuses a scan before anything is allocated, from its
 world count or its given frame, and ``sweep`` reads the space in blocks
-of at most ``_CHUNK_CELLS`` cells, so a caller can stop at the first
-block that settles its question.  ``semantics`` and ``analysis`` go
-through ``_compile``, ``_guard``, ``sweep``, ``model_from_indices``,
-``frame_from_mask`` and, for the frame properties of a definability sweep,
-the record ``_relation_list(n, None)`` that its sweeps read; they read a
-claim's variables and modal depth off its program.  A space over chosen
-relation masks, ``BulkSpace(n, variables, masks)``, is for labelled scans
-outside the sweeps (the tests' references and the benchmark's probes),
-and builds its own atom tables and record, uncached:
+of at most ``_BLOCK_PAIRS`` (relation, valuation) pairs, the size of every
+array a block allocates and of every gather's indices, so a caller can
+stop at the first block that settles its question.  ``semantics`` and
+``analysis`` go through ``_compile``, ``_guard``, ``sweep``,
+``model_from_indices``, ``frame_from_mask`` and, for the frame properties
+of a definability sweep, the record ``_relation_list(n, None)`` that its
+sweeps read; they read a claim's variables and modal depth off its
+program.  A space over chosen relation masks, ``BulkSpace(n, variables,
+masks)``, is for labelled scans outside the sweeps (the tests' references
+and the benchmark's probes), one block however large, and builds its own
+atom tables and record, uncached:
 
 * relation ``r`` contains the pair (i, j) iff bit ``i*n + j`` of the mask
   is set; a sweep enumerates the class representatives ascending, and
@@ -100,9 +100,10 @@ DEFAULT_VALUATION_BOUND = 12  # (world, variable) valuation slots one scan may t
 # (relation, valuation, world) cells one sweep over every relation may
 # visit: 2x6 (5.4e8) and 3x3 (4.0e8) fit, 3x4 (2.6e10) does not.
 _MAX_SWEEP_CELLS = 10 ** 9
-_CHUNK_CELLS = 50_000_000  # per-array budget (relations x valuations x worlds) of one block
+# (relation, valuation) pairs of one block: at most 1 MiB per uint8 array
+# (2 MiB per uint16), and 8 MiB of 8-byte indices per gather.
+_BLOCK_PAIRS = 1 << 20
 _TABLE_WORLDS = 4  # most worlds whose clause table (4^n codes per relation) is built
-_GATHER_CELLS = 1 << 20  # codes turned into 8-byte table indices at a time
 # Most valuation slots whose atom tables are cached: at most 1 MiB per shape
 # (1 world x 8 variables), and under 3 MB for every such shape together.
 _CACHED_SLOTS = 8
@@ -458,24 +459,20 @@ def _gather(tables: np.ndarray, code: np.ndarray) -> np.ndarray:
     (rows, relations, valuations).  A relation-independent ``code`` (one
     row) is one index along the codes of every relation's row; otherwise
     each relation reads its own row, at ``r * codes + code[r, v]`` of the
-    flattened row.  ``np.take`` widens its indices to 8 bytes, so at most
-    ``_GATHER_CELLS`` codes are taken at a time; they are always in range,
-    and ``mode="clip"`` lets it write straight into the result."""
+    flattened row.  ``np.take`` widens its indices to 8 bytes, so a block
+    of at most ``_BLOCK_PAIRS`` pairs takes at most 8 MiB of them; they are
+    always in range, and ``mode="clip"`` lets it write straight into the
+    result."""
     _, rels, width = tables.shape
-    vals = code.shape[1]
-    out = np.empty((len(tables), rels, vals), dtype=tables.dtype)
+    out = np.empty((len(tables), rels, code.shape[1]), dtype=tables.dtype)
     if len(code) == 1:
-        for v in range(0, vals, _GATHER_CELLS):
-            at = code[0, v:v + _GATHER_CELLS].astype(np.intp)
-            for table, res in zip(tables, out):
-                np.take(table, at, axis=1, out=res[:, v:v + _GATHER_CELLS], mode="clip")
+        at = code[0].astype(np.intp)
+        for table, res in zip(tables, out):
+            np.take(table, at, axis=1, out=res, mode="clip")
     else:
-        step = max(1, _GATHER_CELLS // vals)
-        for r in range(0, rels, step):
-            rows = code[r:r + step]
-            at = rows + (np.arange(r, r + len(rows)) * width)[:, None]
-            for table, res in zip(tables, out):
-                np.take(table.ravel(), at, out=res[r:r + step], mode="clip")
+        at = code + (np.arange(rels) * width)[:, None]
+        for table, res in zip(tables, out):
+            np.take(table.ravel(), at, out=res, mode="clip")
     return out
 
 
@@ -563,12 +560,13 @@ def sweep(worlds: int | Frame, variables: Sequence[str],
     yields no block if there is none.
 
     The size guard runs at the first ``next()``, before anything is
-    allocated.  Each block's arrays hold at most ``_CHUNK_CELLS`` cells:
-    whole relations while one relation fits, else consecutive valuations of
-    one relation (a block never spans two relations).  The atom tables are
-    built once per process up to ``_CACHED_SLOTS`` valuation slots and once
-    per sweep beyond (``_atom_tables``); a block's are views of them along
-    the valuation axis.  Every block reads its rows of one relation record:
+    allocated.  Each block holds at most ``_BLOCK_PAIRS`` (relation,
+    valuation) pairs: whole relations while one relation's valuations fit,
+    else consecutive valuations of one relation (a block never spans two
+    relations).  The atom tables are built once per process up to
+    ``_CACHED_SLOTS`` valuation slots and once per sweep beyond
+    (``_atom_tables``); a block's are views of them along the valuation
+    axis.  Every block reads its rows of one relation record:
     ``_relation_list(n, depth)``, built once per process, or a given
     frame's own, built once per sweep; a block's successor bitsets and
     clause table rows are views of the record's.  Every cached array is
@@ -585,8 +583,8 @@ def sweep(worlds: int | Frame, variables: Sequence[str],
         return
     atoms = _atom_tables(n, len(names))
     n_val = 4 ** (n * len(names))
-    rel_step = max(1, _CHUNK_CELLS // (n_val * n))
-    val_step = max(1, _CHUNK_CELLS // n)
+    rel_step = max(1, _BLOCK_PAIRS // n_val)
+    val_step = _BLOCK_PAIRS
     for r in range(0, len(relations.succ), rel_step):
         for v in range(0, n_val, val_step):
             space = BulkSpace.__new__(BulkSpace)

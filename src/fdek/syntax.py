@@ -6,9 +6,9 @@ children.  Equality returns at once on one object, follows a run of unary
 nodes without a stack and compares two atoms by name; only below a binary
 node does it take an explicit stack.  ``postorder``, the shared walk
 down a formula (each distinct subformula once, children first), serves
-``subformulas``, ``variables``, the bulk evaluator and the tableau; the
-scalar ``Evaluator`` walks once with a value stack and ``modal_depth`` by
-node identity, which hashes nothing.
+``subformulas``, ``variables``, the bulk evaluator (whose compiled
+claims carry their modal depth) and the tableau; the scalar ``Evaluator``
+walks once with a value stack.
 
 One operator table, ``_PREFIX`` and ``_BINARY``, drives the lexer, the
 parser and the renderer (the README lists the surface syntax).  A prefix
@@ -17,13 +17,14 @@ lexeme builds a chain of node classes, outermost first, so the sugar ``@``
 a precedence; both binary operators associate to the left.  The lexer
 tries the lexemes longest first, so ``|-`` beats ``|``.
 
-The lexer hands the parser bare lexeme strings, from one ``findall``; what
-is neither a lexeme nor an atom name is a stray character.  Offsets come
-from a second, left-to-right scan that only a ``ParseError`` pays for, so a
-stray character anywhere is reported before any syntax error.  A parse
-builds one ``Atom`` per name, shared by both sides of a sequent, so the
-walks and the evaluators' memos find a parse's atoms by identity.  Compound
-nodes are not shared: each occurrence is its own node.
+The lexer hands the parser bare lexeme strings, from one ``findall`` of
+one regex; what is neither a lexeme nor an atom name is a stray character.
+Offsets come from a second scan of the same regex that only a
+``ParseError`` pays for, so a stray character anywhere is reported before
+any syntax error.  A parse builds one ``Atom`` per name, shared by both
+sides of a sequent, so the walks and the evaluators' memos find a parse's
+atoms by identity.  Compound nodes are not shared: each occurrence is its
+own node.
 
 The parser and the renderer are loops over explicit stacks (the renderer
 re-sugars ``@`` and ``<>`` in glyph mode only), so formulas of any depth
@@ -40,7 +41,7 @@ __all__ = [
     "Formula", "Atom", "Not", "And", "Or", "Tri", "Box",
     "Sequent", "ParseError",
     "parse_formula", "parse_sequent", "render", "render_sequent",
-    "postorder", "subformulas", "variables", "modal_depth",
+    "postorder", "subformulas", "variables",
     "LANG_TRI", "LANG_BOX",
 ]
 
@@ -202,10 +203,9 @@ _TURNSTILE = ("|-", "⊢")
 
 _LEXEMES = sorted([*_PREFIX, *_BINARY, _TURNSTILE[0], "(", ")"], key=len, reverse=True)
 _WORD = rf"{'|'.join(map(re.escape, _LEXEMES))}|{ATOM_RE.pattern}"
-_TOKEN_RE = re.compile(rf"\s+|({_WORD})|(.)", re.DOTALL)
-# The same lexemes and atom names, each non-space character that starts
-# none of them as a token of its own, and whitespace skipped: ``findall``
-# gives bare strings.
+# The lexemes and atom names, each non-space character that starts none of
+# them as a token of its own, and whitespace skipped: ``findall`` gives
+# bare strings.
 _LEXEME_RE = re.compile(rf"{_WORD}|\S")
 
 
@@ -214,12 +214,11 @@ def _offsets(text: str) -> list[int]:
     first stray character.  Only errors read offsets, so only they pay for
     this pass."""
     offsets = []
-    for m in _TOKEN_RE.finditer(text):
-        lexeme, stray = m.groups()
-        if stray:
-            raise ParseError(f"stray character {stray!r}", m.start())
-        if lexeme:
-            offsets.append(m.start())
+    for m in _LEXEME_RE.finditer(text):
+        token = m.group()
+        if token not in _LEXEMES and not ATOM_RE.match(token):
+            raise ParseError(f"stray character {token!r}", m.start())
+        offsets.append(m.start())
     offsets.append(len(text))
     return offsets
 
@@ -397,17 +396,13 @@ def render_sequent(s: Sequent, pretty: bool = False) -> str:
 
 # --- structural utilities ----------------------------------------------------
 
-def _check_roots(fs: tuple) -> None:
-    """Refuse a root that is not a formula (a node's children are formulas)."""
+def postorder(*fs: Formula) -> list[Formula]:
+    """Each distinct subformula of ``fs`` once, every node after its
+    children.  An explicit stack, so any depth is walked.  A root that is
+    not a formula is refused (a node's children are formulas)."""
     for f in fs:
         if not isinstance(f, Formula):
             raise TypeError(f"not a formula: {f!r}")
-
-
-def postorder(*fs: Formula) -> list[Formula]:
-    """Each distinct subformula of ``fs`` once, every node after its
-    children.  An explicit stack, so any depth is walked."""
-    _check_roots(fs)
     order: list[Formula] = []
     seen: set[Formula] = set()
     stack = [(f, False) for f in reversed(fs)]
@@ -431,30 +426,3 @@ def subformulas(*fs: Formula) -> frozenset[Formula]:
 def variables(*fs: Formula) -> frozenset[str]:
     """The variables occurring in any of the given formulas."""
     return frozenset(sub.name for sub in postorder(*fs) if isinstance(sub, Atom))
-
-
-def modal_depth(*fs: Formula) -> int:
-    """The deepest nesting of ``#`` and ``[]`` in any of the formulas: a
-    formula of depth d at a world reads only the worlds within d steps.
-
-    Not on ``postorder``: every countermodel search reads this, and
-    hashing the nodes cost it four times the time.  The walk goes down
-    from the roots with the depth above each node, and visits a node
-    object once per such depth, so a shared subterm is not walked once
-    per path to it."""
-    _check_roots(fs)
-    deepest, seen = 0, set()
-    stack = [(f, 0) for f in fs]
-    while stack:
-        node, depth = stack.pop()
-        if type(node) is Tri or type(node) is Box:
-            depth += 1
-        key = (id(node), depth)
-        if key in seen:
-            continue
-        seen.add(key)
-        if depth > deepest:
-            deepest = depth
-        for name in node._fields:
-            stack.append((getattr(node, name), depth))
-    return deepest

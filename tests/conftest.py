@@ -25,14 +25,15 @@ def _subprocess_pythonpath():
 
 @pytest.fixture(params=["default", "tiny"])
 def chunk_budget(request, monkeypatch):
-    """Sweeps with the default block budget, and with one so small that at
-    two worlds every sweep splits: 3 relations per block for one variable
-    (the last block short), and for two variables blocks of 50 valuations
-    of one relation (the last of each relation short).  A given frame on
-    ``n`` worlds is then read in blocks of ``100 // n`` valuations.  The
-    fixture's value is the budget's name."""
+    """Sweeps with the default block budget, and with one of 100 (relation,
+    valuation) pairs, so small that at two worlds every sweep splits: 6
+    relations per block for one variable (the last block short, the others
+    after the first starting mid-list), and for two variables blocks of 100
+    valuations of one relation (the last of each relation short, the others
+    after the first starting mid-relation).  A given frame is then read in
+    blocks of 100 valuations.  The fixture's value is the budget's name."""
     if request.param == "tiny":
-        monkeypatch.setattr(bulkeval, "_CHUNK_CELLS", 100)
+        monkeypatch.setattr(bulkeval, "_BLOCK_PAIRS", 100)
     return request.param
 
 

@@ -150,8 +150,8 @@ class TestCountermodelSearch:
 
     def test_agrees_with_naive_scan(self, chunk_budget):
         from fdek.syntax import variables
-        # "#p |- ##p" is first refuted on relation mask 3, past the first chunk
-        # when the budget is tiny.
+        # "#p |- ##p" is first refuted on relation mask 3, in the first of
+        # two blocks of 2-world relations when the budget is tiny.
         for text in ("p |- q", "#p |- p", "p & q |- q | p", "#p |- #p & p", "#p |- ##p"):
             s = parse_sequent(text)
             names = sorted(variables(s.premise) | variables(s.conclusion))
@@ -178,8 +178,8 @@ class TestCountermodelSearch:
     @pytest.mark.parametrize("text,rel_mask,val_index", [
         ("~#(p & q) |- p & p", 2, 129), ("~#p |- q | p", 2, 164)])
     def test_witness_past_the_first_valuation_block(self, chunk_budget, text, rel_mask, val_index):
-        # Under the tiny budget these witnesses lie in the third and fourth
-        # blocks of 50 valuations of relation 2: the block's offset counts.
+        # Under the tiny budget these witnesses lie in the second block of
+        # 100 valuations of relation 2: the block's offset counts.
         found = find_countermodel(parse_sequent(text), 2)
         assert found.model == model_from_indices(2, ["p", "q"], rel_mask, val_index)
         assert found.world == "w0"
@@ -217,7 +217,7 @@ class TestCountermodelSearch:
         # 3, 5, 6 and 7 of 2 worlds and 12, 28 and 98 of 3, not always at w0,
         # with # or [] or both; the last six hold on every model, and for
         # the three of depth 0 no class past one world is swept.  Under the
-        # tiny budget a two-variable space on 3 worlds is read in 125 blocks
+        # tiny budget a two-variable space on 3 worlds is read in 41 blocks
         # per relation, too slow for the whole corpus, so those sequents stop
         # at 2 worlds.
         late = ["q & (##q | ##q) |- ##(q | p)", "#p |- #(p & #p)",
@@ -350,28 +350,61 @@ class TestBulkAgreement:
         with pytest.raises(BoundExceededError):
             BulkSpace(6, ["p"])
 
-    @pytest.mark.parametrize("worlds,k,blocks", [(3, 3, 2), (4, 1, 1), (2, 1, 1)])
+    @pytest.mark.parametrize("worlds,k,blocks", [(3, 3, 26), (4, 1, 1), (2, 1, 1)])
     def test_relation_sweeps_split_by_relations(self, worlds, k, blocks):
         spaces = list(bulkeval.sweep(worlds, [f"p{i}" for i in range(k)]))
         assert len(spaces) == blocks
         n_val = 4 ** (worlds * k)
-        assert all(len(space.succ) * n_val * worlds <= bulkeval._CHUNK_CELLS for space in spaces)
+        assert all(len(space.succ) * n_val <= bulkeval._BLOCK_PAIRS for space in spaces)
         starts = [space.start for space in spaces]
         ends = [(r + len(space.succ), 0) for space, (r, _) in zip(spaces, starts)]
         reps = representatives(worlds)
         assert starts == [(0, 0)] + ends[:-1] and ends[-1] == (len(reps), 0)
         assert np.concatenate([space.masks for space in spaces]).tolist() == reps.tolist()
 
-    @pytest.mark.parametrize("n,blocks", [(12, 5), (11, 1)])
+    @pytest.mark.parametrize("n,blocks", [(12, 16), (11, 4)])
     def test_given_frames_split_by_valuations(self, n, blocks):
         worlds = [f"w{i}" for i in range(n)]
         spaces = list(bulkeval.sweep(Frame(worlds, [(w, w) for w in worlds]), ["p"]))
         assert len(spaces) == blocks
         widths = [space._bits(Atom("p"))[0].shape[1] for space in spaces]
-        assert all(w * n <= bulkeval._CHUNK_CELLS for w in widths)
+        assert all(w <= bulkeval._BLOCK_PAIRS for w in widths)
         starts = [space.start for space in spaces]
         ends = [(0, v + w) for (_, v), w in zip(starts, widths)]
         assert starts == [(0, 0)] + ends[:-1] and ends[-1] == (0, 4 ** n)
+
+    def test_blocks_and_gathers_hold_at_most_the_budget(self, monkeypatch):
+        # Every block of the golden-witness searches, of acceptance
+        # criterion 3's definability sweeps, of a 12-world frame and of a
+        # valid 3-world, 3-variable search holds at most _BLOCK_PAIRS
+        # (relation, valuation) pairs, and every gather takes at most that
+        # many codes.
+        pairs, codes = [], []
+        bind, gather = BulkSpace._bind, bulkeval._gather
+
+        def binding(space, *args):
+            bind(space, *args)
+            pairs.append(len(space.succ) * space._atoms.shape[-1])
+
+        def counting(tables, code):
+            codes.append(code.size)
+            return gather(tables, code)
+        monkeypatch.setattr(BulkSpace, "_bind", binding)
+        monkeypatch.setattr(bulkeval, "_gather", counting)
+        for s in corpus():
+            find_countermodel(s, 3)
+        for prop, claims in PAPER_FRAME_CLASSES.items():
+            assert check_definability(prop, claims, 3).verdict == "defines", prop
+        assert check_definability("transitive", [parse_sequent("#p |- ##p")], 3).verdict == \
+            "refuted"
+        assert check_definability("euclidean", [parse_sequent("@p |- ##p")], 2).verdict == \
+            "refuted"
+        worlds = [f"w{i}" for i in range(12)]
+        assert sequent_valid_on_frame(Frame(worlds, [(w, w) for w in worlds]),
+                                      parse_sequent("#(p | ~p) |- p | ~p"))
+        assert find_countermodel(parse_sequent("#(p & q) & r |- #(q & p) & r"), 3) is None
+        assert max(pairs) <= bulkeval._BLOCK_PAIRS and max(codes) <= bulkeval._BLOCK_PAIRS
+        assert max(pairs) == bulkeval._BLOCK_PAIRS  # the 3-variable search and the frame
 
     def test_holds_everywhere_matches_model_scan(self):
         s = parse_sequent("p & q |- p")
@@ -435,9 +468,9 @@ class TestRootedSweep:
         assert len(bulkeval._relation_list(n, 2000).masks) == counts[-1]
 
     def test_sweep_reads_the_rooted_classes_in_order(self, chunk_budget):
-        # Under the tiny budget each relation is read in two blocks of
-        # valuations, the first starting at valuation 0.
-        masks = [m for space in bulkeval.sweep(3, ["p"], 1) if space.start[1] == 0
+        # Under the tiny budget each relation's 4 096 valuations are read in
+        # 41 blocks, the first starting at valuation 0.
+        masks = [m for space in bulkeval.sweep(3, ["p", "q"], 1) if space.start[1] == 0
                  for m in space.masks.tolist()]
         assert masks == bulkeval._relation_list(3, 1).masks.tolist()
 
@@ -470,17 +503,18 @@ class TestRootedSweep:
 
 
 class TestClauseTables:
-    @pytest.mark.parametrize("gather_cells", [None, 7])
+    @pytest.mark.parametrize("block_relations", [None, 7])
     @pytest.mark.parametrize("n,depth", [(1, None), (2, 1), (3, None), (3, 1), (4, None), (4, 2)])
-    def test_gather_matches_the_per_world_pass(self, n, depth, gather_cells, chunk_budget,
+    def test_gather_matches_the_per_world_pass(self, n, depth, block_relations, chunk_budget,
                                                monkeypatch):
         # Seeded random children of both shapes on sampled blocks of the
         # sweep, the first and the last among them; under the tiny budget
-        # most blocks start mid-list, and 7 codes at a time take each
-        # gather in many pieces.  Each demand (truth, falsity, both) yields
-        # the per-world pass's rows it names, and None for the other.
-        if gather_cells:
-            monkeypatch.setattr(bulkeval, "_GATHER_CELLS", gather_cells)
+        # most blocks start mid-list or mid-relation, and under a budget of
+        # 7 relations' valuations the blocks of 3 and 4 worlds hold several
+        # relations and start mid-list.  Each demand (truth, falsity, both)
+        # yields the per-world pass's rows it names, and None for the other.
+        if block_relations:
+            monkeypatch.setattr(bulkeval, "_BLOCK_PAIRS", block_relations * 4 ** n)
         rng = np.random.default_rng(n)
         spaces = list(bulkeval.sweep(n, ["p"], depth))
         picks = {0, len(spaces) - 1} | set(random.Random(n).sample(range(len(spaces)),
@@ -538,9 +572,9 @@ class TestClauseTables:
         assert find_countermodel(parse_sequent("p & q |- q | p"), 3) is None
 
     def test_a_given_frames_blocks_share_one_table(self, monkeypatch):
-        # Under the tiny budget the 3-world cycle's 64 valuations are read in
-        # two blocks of 33 and 31, and the valid claim visits both.
-        monkeypatch.setattr(bulkeval, "_CHUNK_CELLS", 100)
+        # Under a budget of 33 pairs the 3-world cycle's 64 valuations are
+        # read in two blocks of 33 and 31, and the valid claim visits both.
+        monkeypatch.setattr(bulkeval, "_BLOCK_PAIRS", 33)
         starts, tables = [], []
         sweep, build = bulkeval.sweep, bulkeval._clause_table
 
@@ -575,20 +609,17 @@ class TestClauseTables:
         assert bulkeval._relation_list.cache_info().currsize == 7
 
     def test_peak_memory_of_a_three_world_search(self):
-        # numpy reports its allocations to tracemalloc, so this peak is
-        # deterministic.  The per-world pass took about 228 to 239 MB, and
-        # clause tables under a walk that kept both supports of every
-        # subformula about 160 MB; a program that yields only what is read
-        # and drops each value after its last reader takes 48.8 MB, with
-        # cold and warm caches alike.
-        s = parse_sequent("#(p & q) & r |- #(q & p) & r")
-        tracemalloc.start()
-        try:
-            assert find_countermodel(s, 3) is None
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 100e6, peak
+        # A program yields only what is read and drops each value after its
+        # last reader, and no value outgrows a block of 2^20 (relation,
+        # valuation) pairs: 6.6 MB.
+        for peak in _search_peaks("#(p & q) & r |- #(q & p) & r"):
+            assert peak < 20e6, peak
+
+    def test_peak_memory_of_a_nested_three_world_search(self):
+        # Each block gathers every relation's own row of the clause table at
+        # the outer #, with 8-byte indices for each of its pairs: 19.5 MB.
+        for peak in _search_peaks("#(#p & #q) & r |- #(#q & #p) & r"):
+            assert peak < 40e6, peak
 
     def test_a_modal_node_gathers_only_its_demanded_rows(self, monkeypatch):
         # The valid search reads its # for the premise's truth alone: the
@@ -625,6 +656,24 @@ class TestClauseTables:
         reads.clear()
         space.valid_per_relation(s)
         assert [len(rows) for rows in reads] == [2, 1]
+
+
+def _search_peaks(text: str) -> list[int]:
+    """The tracemalloc peaks of the valid 3-world search for ``text``, with
+    cold caches, then warm.  numpy reports its allocations to tracemalloc,
+    so these peaks are deterministic."""
+    s = parse_sequent(text)
+    bulkeval._relation_list.cache_clear()
+    bulkeval._shared_atoms.cache_clear()
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            assert find_countermodel(s, 3) is None
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks
 
 
 def _demand_claims() -> list:
@@ -674,9 +723,9 @@ class TestDemand:
     def test_programs_match_full_supports(self, worlds, chunk_budget):
         # Every sweep up to 3 worlds (the clause tables), at every depth,
         # and a seeded 5- or 6-world frame (the per-world pass).  A sweep of
-        # more than 300 blocks or 2e6 cells is left out: the two-variable
-        # claims on the given frames, and beyond 2 worlds under the tiny
-        # budget.
+        # more than 300 blocks or 2e6 (relation, valuation, world) cells is
+        # left out: the two-variable claims on the given frames, and beyond
+        # 2 worlds under the tiny budget.
         rng = random.Random(worlds)
         names = [f"w{i}" for i in range(worlds)]
         frame = Frame(names, [(a, b) for a in names for b in names if rng.random() < 0.3])
@@ -689,8 +738,8 @@ class TestDemand:
             else:
                 sweeps = [(worlds, None)] + [(worlds, d) for d in range(worlds)]
                 relations = len(representatives(worlds))
-            cells = relations * 4 ** (worlds * k) * worlds
-            if cells > min(2e6, 300 * bulkeval._CHUNK_CELLS):
+            pairs = relations * 4 ** (worlds * k)
+            if pairs * worlds > 2e6 or pairs > 300 * bulkeval._BLOCK_PAIRS:
                 continue
             for args in sweeps:
                 for space in bulkeval.sweep(*args[:1], program.names, *args[1:]):

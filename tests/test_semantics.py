@@ -95,7 +95,7 @@ class TestEvaluation:
             Evaluator(load_model("fig1")).supports("w0", f)
 
     @pytest.mark.parametrize("call", [
-        syntax.subformulas, syntax.variables, syntax.modal_depth,
+        syntax.subformulas, syntax.variables,
         BulkSpace(1, ["p"]).valid_per_relation,
         lambda f: formula_valid_on_frame(Frame(["w0"], []), f)])
     def test_walks_refuse_a_non_formula_root(self, call):
@@ -475,7 +475,7 @@ class TestFrameValidityOnBulk:
 
     @pytest.mark.parametrize("chunk_budget", ["tiny"], indirect=True)
     def test_agrees_with_scalar_in_valuation_blocks(self, chunk_budget):
-        # The same frames and claims, each frame read in blocks of 100 // n
+        # The same frames and claims, each frame read in blocks of 100
         # valuations.
         self.test_agrees_with_scalar_on_named_frames()
 
@@ -498,10 +498,10 @@ class TestFrameValidityOnBulk:
         ("loops", "#(p | ~p) |- p | ~p", True, 256),
     ])
     def test_stops_at_the_first_refuting_block(self, monkeypatch, edges, claim, valid, read):
-        # Under a budget of 100 cells a 6-world frame is read in 256 blocks of
+        # Under a budget of 16 pairs a 6-world frame is read in 256 blocks of
         # 16 valuations; valuation 3 (w5 false, the rest true) refutes #p |- p
         # on the cycle.
-        monkeypatch.setattr(bulkeval, "_CHUNK_CELLS", 100)
+        monkeypatch.setattr(bulkeval, "_BLOCK_PAIRS", 16)
         sweep, starts = bulkeval.sweep, []
 
         def counting(*args):

@@ -10,9 +10,10 @@ from hypothesis import given, strategies as st
 
 from fdek.syntax import (
     LANG_BOX, LANG_TRI, And, Atom, Box, Not, Or, ParseError, Sequent,
-    Tri, modal_depth, parse_formula,
-    parse_sequent, postorder, render, render_sequent, subformulas, variables,
+    Tri, parse_formula, parse_sequent, postorder, render, render_sequent, subformulas, variables,
 )
+
+from fdek.bulkeval import _compile
 
 from reference_impl import modal_depth_by_postorder, size
 
@@ -229,27 +230,27 @@ class TestStructure:
         ("p", 0), ("~(p & q) | p", 0), ("#p", 1), ("[]p", 1), ("@p", 1), ("<>p", 1),
         ("p & ##q", 2), ("[]#p", 2), ("#p | ~[](q & #[]r)", 3)])
     def test_modal_depth(self, text, depth):
-        # Both modalities count; the sugar @ and <> is one modality each.
-        assert modal_depth(parse_formula(text)) == depth
+        # A compiled claim carries its modal depth.  Both modalities count;
+        # the sugar @ and <> is one modality each.
+        assert _compile(parse_formula(text)).depth == depth
 
     def test_modal_depth_of_several_formulas_is_the_deepest(self):
         s = parse_sequent("##p |- #p | []q")
-        assert modal_depth(s.premise, s.conclusion) == 2
-        assert modal_depth(s.conclusion) == 1
-        assert modal_depth() == 0
+        assert _compile(s).depth == 2
+        assert _compile(s.conclusion).depth == 1
 
     @given(formulas(names=("p", "q", "r")), formulas(LANG_BOX, names=("p", "q")))
     def test_modal_depth_matches_the_children_first_fold(self, f, g):
-        assert modal_depth(f, g) == modal_depth_by_postorder(f, g)
-        assert modal_depth(And(f, g)) == modal_depth_by_postorder(And(f, g))
+        assert _compile(Sequent(f, g)).depth == modal_depth_by_postorder(f, g)
+        assert _compile(And(f, g)).depth == modal_depth_by_postorder(And(f, g))
 
     def test_modal_depth_of_shared_subterms(self):
-        # 2^60 paths lead down this formula; the walk visits each node
-        # object once per depth above it.
+        # 2^60 paths lead down this formula; the compiler numbers each
+        # distinct subformula once.
         f = p
         for _ in range(60):
             f = And(Tri(f), f)
-        assert modal_depth(f) == 60
+        assert _compile(f).depth == 60
 
     def test_atom_name_validation(self):
         with pytest.raises(ValueError):
@@ -418,8 +419,8 @@ class TestDeepPrefixChains:
         assert variables(f) == {"p"}
 
     def test_modal_depth_of_a_two_thousand_deep_chain(self):
-        assert modal_depth(parse_formula("#" * 2000 + "p")) == 2000
-        assert modal_depth(parse_formula("#~" * 2000 + "p & []p")) == 2000
+        assert _compile(parse_formula("#" * 2000 + "p")).depth == 2000
+        assert _compile(parse_formula("#~" * 2000 + "p & []p")).depth == 2000
 
     def test_ten_thousand_clause_conjunction(self):
         text = " & ".join(["p"] * 10_000)
