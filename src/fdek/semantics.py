@@ -23,6 +23,12 @@ nonempty ``R(w)``.
 ``[]f`` is supported-true iff every accessible world supports ``f``'s
 truth, and supported-false iff some accessible world supports its falsity.
 
+The scalar ``Evaluator`` applies the clauses on one model in one walk over
+an explicit stack, with a memo of each subformula's two supports; it takes
+a run of prefix nodes (``~``, ``#``, ``[]``) as one unit, walked down and
+back up in one loop each, and each node of the run still probes and fills
+the memo once.
+
 Validity note: sequent validity on a frame is truth preservation at every
 world of every model on it.  Formula validity (truth at every world of
 every model) is also provided; the two notions do not reduce to each other
@@ -267,9 +273,15 @@ def box_clause(v: tuple[int, int], succ: tuple[int, ...]) -> tuple[int, int]:
 
 
 _NODES = frozenset({Atom, Not, And, Or, Tri, Box})
-# Pushed between a node and its operands: when it comes off the stack, the
-# operands' pairs are on top of the value stack and the node is next.
+_PREFIX_NODES = frozenset({Not, Tri, Box})
+# Pushed between a binary node and its operands: when it comes off the
+# stack, the operands' pairs are on top of the value stack and the node is
+# next.
 _UP = object()
+# Pushed over a run of prefix nodes that ends on a binary node: when it
+# comes off the stack, the binary node's pair is on top of the value stack
+# and the run is next.
+_RUN = object()
 
 
 class Evaluator:
@@ -286,11 +298,16 @@ class Evaluator:
 
     ``supports`` is one walk over an explicit stack.  On the way down each
     node probes the memo once; on a hit it pushes the stored pair onto a
-    value stack and skips its subtree.  On the way back up a node takes
-    its operands' pairs off the value stack, applies its clause and stores
-    the result once.  A modal clause loops over every world, so ``_modal``
-    keeps its result per (node class, operand pair): a ``#`` chain on a
-    small model meets few distinct pairs.
+    value stack and skips its subtree.  A run of prefix nodes (``~``,
+    ``#``, ``[]``) is walked down in one inner loop, each node probing the
+    memo, to its first hit, atom or binary node; the run is pushed, under
+    ``_RUN``, only when it ends on an uncached binary node.  A binary node
+    comes back up under ``_UP``, takes its operands' pairs off the value
+    stack, applies its clause and stores the result once.  A run comes
+    back up in one loop, applying each node's clause and storing each
+    node's result once, innermost first.  A modal clause loops over every
+    world, so ``_modal`` keeps its result per (node class, operand pair):
+    a ``#`` chain on a small model meets few distinct pairs.
     """
 
     __slots__ = ("model", "_memo", "_modal")
@@ -312,36 +329,54 @@ class Evaluator:
             g = stack.pop()
             if g is _UP:
                 g = stack.pop()
+                right = values.pop()
+                clause = and_clause if type(g) is And else or_clause
+                values[-1] = memo[g] = clause(values[-1], right)
+                continue
+            if g is _RUN:
+                run = stack.pop()
+                res = values.pop()
+            else:
+                cls = type(g)
+                if cls not in _NODES:
+                    raise TypeError(f"not a formula: {g!r}")
+                res = memo.get(g)
+                if res is None and cls is Atom:
+                    res = memo[g] = atom_clause(m, g.name)
+                if res is not None:
+                    values.append(res)
+                    continue
+                if cls is And or cls is Or:
+                    stack += (g, _UP, g.right, g.left)
+                    continue
+                run = []
+                while cls in _PREFIX_NODES:  # down to a memo hit, an atom or & and |
+                    run.append(g)
+                    g = g.child
+                    cls = type(g)
+                    res = memo.get(g)
+                    if res is not None:
+                        break
+                else:
+                    if cls is Atom:
+                        res = memo[g] = atom_clause(m, g.name)
+                    elif cls is And or cls is Or:
+                        stack += (run, _RUN, g, _UP, g.right, g.left)
+                        continue
+                    else:
+                        raise TypeError(f"not a formula: {g!r}")
+            for g in reversed(run):
                 cls = type(g)
                 if cls is Not:
-                    res = not_clause(values[-1])
-                elif cls is And:
-                    right = values.pop()
-                    res = and_clause(values[-1], right)
-                elif cls is Or:
-                    right = values.pop()
-                    res = or_clause(values[-1], right)
+                    res = not_clause(res)
                 else:
-                    key = (cls, values[-1])
-                    res = modal.get(key)
-                    if res is None:
+                    hit = modal.get((cls, res))
+                    if hit is None:
                         clause = tri_clause if cls is Tri else box_clause
-                        res = modal[key] = clause(values[-1], succ)
-                values[-1] = memo[g] = res
-                continue
-            cls = type(g)
-            if cls not in _NODES:
-                raise TypeError(f"not a formula: {g!r}")
-            res = memo.get(g)
-            if res is not None:
-                values.append(res)
-            elif cls is Atom:
-                res = memo[g] = atom_clause(m, g.name)
-                values.append(res)
-            elif cls is And or cls is Or:
-                stack += (g, _UP, g.right, g.left)
-            else:
-                stack += (g, _UP, g.child)
+                        hit = modal[cls, res] = clause(res, succ)
+                    res = hit
+                memo[g] = res
+            values.append(res)
         pos, neg = values[0]
         return bool(pos >> index & 1), bool(neg >> index & 1)
 

@@ -1,10 +1,11 @@
 """Formula and sequent syntax: AST, the shared walk, lexer, parser, renderer.
 
 Formula nodes are immutable.  A node's hash is computed once, when it is
-built, from its children's stored hashes; ``_fields`` names each class's
-children.  Equality returns at once on one object, follows a run of unary
-nodes without a stack and compares two atoms by name; only below a binary
-node does it take an explicit stack.  ``postorder``, the shared walk
+built, from its children's stored hashes, by its class's ``__init__``
+alone; ``_fields`` names each class's children.  Equality returns at once
+on one object, follows a run of unary nodes without a stack and compares
+two atoms by name; only below a binary node does it take an explicit
+stack.  ``postorder``, the shared walk
 down a formula (each distinct subformula once, children first), serves
 ``subformulas``, ``variables``, the bulk evaluator (whose compiled
 claims carry their modal depth) and the tableau; the scalar ``Evaluator``
@@ -28,7 +29,11 @@ own node.
 
 The parser and the renderer are loops over explicit stacks (the renderer
 re-sugars ``@`` and ``<>`` in glyph mode only), so formulas of any depth
-and width parse, render, hash, compare and evaluate.
+and width parse, render, hash, compare and evaluate.  Both take a run of
+prefix nodes as one unit: the parser builds the run's nodes in one loop,
+innermost first, each by ``object.__new__`` and its class's ``__init__``
+(binary nodes likewise), without calling the class; the renderer writes
+a run in one loop, in ASCII with one table lookup per node.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-_init = object.__setattr__
+_new = object.__new__
 
 
 class Formula:
@@ -124,31 +129,42 @@ class Formula:
         return render(self)
 
 
+# Each ``__init__`` writes its node's slots through the slot descriptors
+# (``Formula.__setattr__`` refuses every write) and is the one statement
+# of its node's hash.  The parser builds nodes by ``_new(cls)`` and these
+# same ``__init__`` functions, without the class call.
+
 class Atom(Formula):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
         if not ATOM_RE.fullmatch(name):
             raise ValueError(f"bad atom name {name!r}")
-        _init(self, "name", name)
-        _init(self, "_hash", hash(name))
+        _set_name(self, name)
+        _set_hash(self, hash(name))
 
 
 class _Unary(Formula):
     __slots__ = _fields = ("child",)
 
     def __init__(self, child: Formula):
-        _init(self, "child", child)
-        _init(self, "_hash", hash((type(self), child._hash)))
+        _set_child(self, child)
+        _set_hash(self, hash((type(self), child._hash)))
 
 
 class _Binary(Formula):
     __slots__ = _fields = ("left", "right")
 
     def __init__(self, left: Formula, right: Formula):
-        _init(self, "left", left)
-        _init(self, "right", right)
-        _init(self, "_hash", hash((type(self), left._hash, right._hash)))
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_hash(self, hash((type(self), left._hash, right._hash)))
+
+
+_set_hash = Formula._hash.__set__
+_set_name = Atom.name.__set__
+_set_child = _Unary.child.__set__
+_set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
 
 
 class Not(_Unary):
@@ -249,8 +265,10 @@ class _Parser:
     def formula(self) -> Formula:
         """Binary operators reduce by precedence, to the left; an open
         parenthesis saves the prefix chain before it and the operands and
-        operators around it."""
+        operators around it.  Each node is built by ``_new`` and its
+        class's ``__init__``: a prefix chain in one loop, innermost first."""
         tokens, atoms, pos = self.tokens, self.atoms, self.pos
+        unary, binary = _Unary.__init__, _Binary.__init__
         frames, operands, ops = [], [], []
         while True:
             chain = []
@@ -274,12 +292,16 @@ class _Parser:
                     self.fail(f"unexpected token {lexeme!r}", pos - 1)
             while True:
                 for cls in reversed(chain):
-                    node = cls(node)
+                    outer = _new(cls)
+                    unary(outer, node)
+                    node = outer
                 operands.append(node)
                 op = _BINARY.get(tokens[pos])
                 while ops and (op is None or ops[-1][2] >= op[2]):
                     right = operands.pop()
-                    operands[-1] = ops.pop()[1](operands[-1], right)
+                    joined = _new(ops.pop()[1])
+                    binary(joined, operands[-1], right)
+                    operands[-1] = joined
                 if op is not None:
                     pos += 1
                     ops.append(op)
@@ -333,6 +355,7 @@ def parse_sequent(text: str) -> Sequent:
 # Node class -> (ASCII, glyph) symbol; binary symbols carry their spaces.
 _SYMBOL = {chain[0]: (lexeme, glyph)
            for lexeme, (glyph, chain) in _PREFIX.items() if len(chain) == 1}
+_ASCII_PREFIX = {cls: lexeme for cls, (lexeme, _) in _SYMBOL.items()}
 _SYMBOL.update({cls: (f" {lexeme} ", f" {glyph} ")
                 for lexeme, (glyph, cls, _) in _BINARY.items()})
 _PREC = {cls: prec for _, cls, prec in _BINARY.values()}
@@ -351,7 +374,9 @@ def _unchain(f: Formula, chain: tuple[type, ...]) -> Formula | None:
 
 def render(f: Formula, pretty: bool = False) -> str:
     """Render a formula; ``parse_formula(render(f)) == f`` in ASCII mode.
-    The stack holds the formulas and the text still to write, in order."""
+    The stack holds the formulas and the text still to write, in order.
+    A prefix chain is written in one loop: in ASCII one table lookup per
+    node, in glyph mode with ``@`` and ``<>`` re-sugared."""
     if not isinstance(f, Formula):  # text on the stack is written as it is
         raise TypeError(f"not a formula: {f!r}")
     out: list[str] = []
@@ -362,16 +387,23 @@ def render(f: Formula, pretty: bool = False) -> str:
             out.append(f)
             continue
         wrap = isinstance(f, _Unary)  # a prefix chain over a binary node
-        while isinstance(f, _Unary):
-            for glyph, chain in _SUGAR if pretty else ():
-                arg = _unchain(f, chain)
-                if arg is not None:
-                    out.append(glyph)
-                    f = arg
-                    break
-            else:
-                out.append(_SYMBOL[type(f)][pretty])
+        if wrap and pretty:
+            while isinstance(f, _Unary):
+                for glyph, chain in _SUGAR:
+                    arg = _unchain(f, chain)
+                    if arg is not None:
+                        out.append(glyph)
+                        f = arg
+                        break
+                else:
+                    out.append(_SYMBOL[type(f)][1])
+                    f = f.child
+        elif wrap:
+            symbol, prefix = _ASCII_PREFIX[type(f)], _ASCII_PREFIX.get
+            while symbol is not None:
+                out.append(symbol)
                 f = f.child
+                symbol = prefix(type(f))
         if type(f) is Atom:
             out.append(f.name)
             continue

@@ -7,7 +7,9 @@
   structure in the order whose first answer the bulk oracles report.
 * ``tri_value_by_cases`` is the four-case reading of ``#``, and
   ``dual_value`` the value table of ``dual_model``.
-* ``bulk_supports`` unpacks a ``BulkSpace``'s world bitsets into bools.
+* ``bulk_supports`` unpacks a ``BulkSpace``'s world bitsets into bools,
+  and ``bulk_values`` reads a formula's value at each world of one model
+  off the bulk sweep of its frame.
 * ``modal_depth_by_postorder`` folds the modal depth children first, and
   ``size`` counts nodes, a shared subtree at each occurrence.
 * ``model_names`` lists the bundled models ``figures.load_model`` reads.
@@ -17,9 +19,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from fdek.bulkeval import BulkSpace, _guard, _model_on, frame_from_mask
+from fdek.bulkeval import BulkSpace, _guard, _model_on, frame_from_mask, sweep
 from fdek.figures import _MODELS
-from fdek.semantics import Evaluator, FourValue, Frame, Model, model_to_dict
+from fdek.semantics import VALUE_ORDER, Evaluator, FourValue, Frame, Model, model_to_dict
 from fdek.syntax import Box, Formula, Tri, postorder, render
 from fdek.tableau import Branch, Item, ProofNode, Proved, RelAtom, TableauResult
 
@@ -132,6 +134,21 @@ def bulk_supports(space: BulkSpace, f: Formula) -> tuple[np.ndarray, np.ndarray]
     broadcasting to (relations, valuations, worlds)."""
     pos, neg = space._bits(f)
     return _unpack(pos, space.n), _unpack(neg, space.n)
+
+
+def bulk_values(m: Model, f: Formula) -> dict[str, FourValue]:
+    """The value of ``f`` at each world of ``m``, by the bulk evaluator:
+    one block of every valuation of ``m``'s variables on its frame, read
+    at the index of ``m``'s own valuation (``_model_on``'s order)."""
+    names = sorted(m.val)
+    slots = [(w, v) for w in m.frame.worlds for v in names]
+    index = sum(VALUE_ORDER.index(m.value(w, v)) << 2 * (len(slots) - 1 - s)
+                for s, (w, v) in enumerate(slots))
+    assert _model_on(m.frame, names, index) == m
+    [space] = sweep(m.frame, names)
+    pos, neg = bulk_supports(space, f)
+    return {w: FourValue.from_flags(pos[0, index, i], neg[0, index, i])
+            for i, w in enumerate(m.frame.worlds)}
 
 
 # --- modal depth ---------------------------------------------------------------

@@ -1059,8 +1059,9 @@ class TestIndistinguishability:
 
     def test_builds_formulas_only_for_the_witness(self, monkeypatch):
         built = []
-        init = syntax._init
-        monkeypatch.setattr(syntax, "_init", lambda *args: built.append(args) or init(*args))
+        set_hash = syntax._set_hash  # every node constructor stores its hash through it
+        monkeypatch.setattr(syntax, "_set_hash",
+                            lambda *args: built.append(args) or set_hash(*args))
         a = PointedModel(load_model("fig6_single"), "w0")
         b = PointedModel(load_model("fig6_pair"), "w0")
         assert check_indistinguishability(a, b, "box", 7).witness is None

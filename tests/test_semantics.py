@@ -18,11 +18,12 @@ from fdek.semantics import (
 )
 from fdek.syntax import (
     And, Atom, Box, Not, Or, Sequent, Tri, parse_formula, parse_sequent, postorder, render,
+    subformulas,
 )
 
 from conftest import random_formula, scalar_valid_on_frame
 from reference_impl import (
-    bulk_supports, dual_value, enumerate_models, model_names, tri_value_by_cases,
+    bulk_supports, bulk_values, dual_value, enumerate_models, model_names, tri_value_by_cases,
 )
 
 T, B, N, F = FourValue.T, FourValue.B, FourValue.N, FourValue.F
@@ -286,6 +287,78 @@ class TestMemoAcrossParses:
         # The tail of the chain meets the shorter chain's memo entry deep down.
         self._agree(load_model("fig1"), ["#~" * 2500 + "p", "#~" * 5000 + "p",
                                          "#~" * 5000 + "p", "#~" * 5000 + "q"])
+
+
+def _runs_text(rng, names, depth):
+    """A formula with long mixed runs of prefix lexemes, sugar included,
+    above and below ``&`` and ``|``."""
+    run = "".join(rng.choice(("~", "#", "[]", "@", "<>")) for _ in range(rng.randint(0, 40)))
+    if depth == 0 or rng.random() < 0.25:
+        return run + rng.choice(names)
+    op = rng.choice("&|")
+    return f"{run}({_runs_text(rng, names, depth - 1)} {op} {_runs_text(rng, names, depth - 1)})"
+
+
+class _Probes(dict):
+    """A memo that records the key of every ``get``."""
+
+    def get(self, key, default=None):
+        self.probes.append(key)
+        return super().get(key, default)
+
+
+class TestRunPath:
+    # ``supports`` walks a run of prefix nodes down and back up in one loop
+    # each; what it computes and stores must be what a node-by-node walk
+    # would.
+    @pytest.mark.parametrize("name", model_names())
+    def test_long_mixed_runs_agree_with_fresh_evaluators_and_the_reference(self, name):
+        m = load_model(name)
+        names = sorted(m.val)
+        rng = random.Random(name)
+        shared = Evaluator(m)
+        for _ in range(10):
+            f = parse_formula(_runs_text(rng, names, 3))
+            expected = bulk_values(m, f)
+            for w in m.frame.worlds:
+                value = expected[w].supports_truth, expected[w].supports_falsity
+                assert shared.supports(w, f) == Evaluator(m).supports(w, f) == value, (render(f), w)
+
+    def test_memo_holds_each_subformula_once(self):
+        rng = random.Random(7)
+        m = load_model("ex22")
+        texts = [_runs_text(rng, ["p", "r"], 3) for _ in range(30)]
+        texts += ["#~(p & []r) | #~(p & []r)", "~~~p", "[](p & p) & ~[](p & p)"]
+        for text in texts:
+            f = parse_formula(text)
+            ev = Evaluator(m)
+            ev.supports("ws", f)
+            assert ev._memo.keys() == subformulas(f), text
+
+    @pytest.mark.parametrize("tail", ["#~[]" * 30 + "(p & ~#r)", "#~[]" * 30 + "p"])
+    def test_second_parse_hits_the_memo_partway_down_a_run(self, tail):
+        # The head "~@<>" adds six prefix nodes above the tail's run: a
+        # second parse probes each of them once, misses, then finds the
+        # first parse's tail and stops there.
+        m = load_model("ex22")
+        ev = Evaluator(m)
+        first = parse_formula(tail)
+        for w in m.frame.worlds:
+            ev.supports(w, first)
+        ev._memo = _Probes(ev._memo)
+        ev._memo.probes = []
+        before = set(ev._memo)
+        second = parse_formula("~@<>" + tail)
+        values = [ev.supports(w, second) for w in m.frame.worlds]
+        *misses, hit = ev._memo.probes[:7]
+        assert misses[0] is second and hit is misses[-1].child
+        assert all(below is above.child for above, below in zip(misses, misses[1:]))
+        assert hit == first and hit is not first and hit in before
+        assert not before.intersection(misses)
+        assert set(ev._memo) - before == set(misses) == subformulas(second) - subformulas(first)
+        # Each later world finds the whole formula at the top.
+        assert ev._memo.probes[7:] == [second] * (len(m.frame.worlds) - 1)
+        assert values == [Evaluator(m).supports(w, second) for w in m.frame.worlds]
 
 
 class TestWalkCost:

@@ -334,6 +334,85 @@ class TestNodes:
         for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
             assert g is not f and g == f and hash(g) == hash(f)
 
+    def test_parsed_nodes_match_constructed_ones(self):
+        # The parser builds nodes without calling their classes; each of its
+        # nodes must be the node the constructors build, and the one that
+        # ``__reduce__`` and ``copy.deepcopy`` rebuild through them.
+        rng = random.Random(31)
+        seeded = [_sugared(rng, 4) for _ in range(150)]
+        for text, built in seeded + [_CI_CHAIN, _CI_SPINE]:
+            parsed = parse_formula(text)
+            _assert_same_nodes(parsed, built)
+            if (text, built) in seeded:  # deepcopy recurses on the depth
+                cls, args = parsed.__reduce__()
+                _assert_same_nodes(parsed, cls(*args))
+                _assert_same_nodes(parsed, copy.deepcopy(parsed))
+            for node, _ in _node_pairs(parsed, built):
+                for name in ("_hash", "name", "child", "left", "right"):
+                    with pytest.raises(AttributeError):
+                        setattr(node, name, p)
+                    with pytest.raises(AttributeError):
+                        delattr(node, name)
+
+
+# Each prefix lexeme and the constructors it stands for, outermost first.
+_PREFIXES = {"~": (Not,), "#": (Tri,), "[]": (Box,), "@": (Not, Tri), "<>": (Not, Box, Not)}
+
+
+def _sugared(rng, depth):
+    """A seeded formula over all five connectives and the ``@``/``<>``
+    sugar: its text, with runs of up to five prefix lexemes and operands
+    parenthesised at random, and the formula the constructors build."""
+    lexemes = [rng.choice(list(_PREFIXES)) for _ in range(rng.randint(0, 5))]
+    if depth == 0 or rng.random() < 0.3:
+        name = rng.choice(("p", "q", "r"))
+        text, node = name, Atom(name)
+    else:
+        (lt, left), (rt, right) = _sugared(rng, depth - 1), _sugared(rng, depth - 1)
+        op, cls = rng.choice((("&", And), ("|", Or)))
+        text, node = f"({lt} {op} {rt})", cls(left, right)
+    for lexeme in reversed(lexemes):
+        for cls in reversed(_PREFIXES[lexeme]):
+            node = cls(node)
+    return "".join(lexemes) + text, node
+
+
+def _ci_chain():
+    node = Or(And(p, Not(r)), Tri(r))
+    for _ in range(1000):
+        node = Tri(Not(node))
+    return "#~" * 1000 + "(p & ~r | #r)", node
+
+
+def _ci_spine():
+    node = p
+    for i in range(400):
+        node = Or(node, Tri(Not(r))) if i % 3 else And(node, Not(Tri(Or(p, r))))
+    return "(" * 400 + "p" + "".join(" | #~r)" if i % 3 else " & ~#(p | r))"
+                                     for i in range(400)), node
+
+
+# The deep texts of the CI smoke run and their formulas.
+_CI_CHAIN, _CI_SPINE = _ci_chain(), _ci_spine()
+
+
+def _node_pairs(a, b):
+    """The pairs of nodes at the same place of two trees of one shape, by
+    an explicit stack; raises AssertionError where the shapes part."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        assert type(a) is type(b) and a._fields == b._fields
+        yield a, b
+        stack += [(getattr(a, n), getattr(b, n)) for n in a._fields]
+
+
+def _assert_same_nodes(a, b):
+    for x, y in _node_pairs(a, b):
+        assert x._hash == y._hash and hash(x) == hash(y) and x == y and y == x
+        if type(x) is Atom:
+            assert x.name == y.name
+
 
 # Lexemes of the surface syntax, characters no token starts with, and
 # whitespace beyond the ASCII space (all accepted by ``str.isspace``).
