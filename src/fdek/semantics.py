@@ -327,19 +327,8 @@ class Evaluator:
         values: list[tuple[int, int]] = []
         while stack:
             g = stack.pop()
-            if g is _UP:
-                g = stack.pop()
-                right = values.pop()
-                clause = and_clause if type(g) is And else or_clause
-                values[-1] = memo[g] = clause(values[-1], right)
-                continue
-            if g is _RUN:
-                run = stack.pop()
-                res = values.pop()
-            else:
-                cls = type(g)
-                if cls not in _NODES:
-                    raise TypeError(f"not a formula: {g!r}")
+            cls = type(g)
+            if cls in _NODES:
                 res = memo.get(g)
                 if res is None and cls is Atom:
                     res = memo[g] = atom_clause(m, g.name)
@@ -365,16 +354,27 @@ class Evaluator:
                         continue
                     else:
                         raise TypeError(f"not a formula: {g!r}")
+            elif g is _UP:
+                g = stack.pop()
+                right = values.pop()
+                clause = and_clause if type(g) is And else or_clause
+                values[-1] = memo[g] = clause(values[-1], right)
+                continue
+            elif g is _RUN:
+                run = stack.pop()
+                res = values.pop()
+            else:
+                raise TypeError(f"not a formula: {g!r}")
             for g in reversed(run):
                 cls = type(g)
                 if cls is Not:
                     res = not_clause(res)
                 else:
-                    hit = modal.get((cls, res))
-                    if hit is None:
+                    key = cls, res
+                    res = modal.get(key)
+                    if res is None:
                         clause = tri_clause if cls is Tri else box_clause
-                        hit = modal[cls, res] = clause(res, succ)
-                    res = hit
+                        res = modal[key] = clause(key[1], succ)
                 memo[g] = res
             values.append(res)
         pos, neg = values[0]
