@@ -302,6 +302,10 @@ def _runs_text(rng, names, depth):
 class _Probes(dict):
     """A memo that records the key of every ``get``."""
 
+    def __init__(self, memo):
+        super().__init__(memo)
+        self.probes = []
+
     def get(self, key, default=None):
         self.probes.append(key)
         return super().get(key, default)
@@ -346,7 +350,6 @@ class TestRunPath:
         for w in m.frame.worlds:
             ev.supports(w, first)
         ev._memo = _Probes(ev._memo)
-        ev._memo.probes = []
         before = set(ev._memo)
         second = parse_formula("~@<>" + tail)
         values = [ev.supports(w, second) for w in m.frame.worlds]
