@@ -5,7 +5,7 @@ or over every valuation on one given frame: the one exhaustive evaluator
 The model space for ``n`` worlds over ``k`` variables is the cross product
 of all 2^(n*n) relations with all 4^(n*k) valuations; on a given frame it
 is that frame's one relation with every valuation.  A sweep over every
-relation visits one relation per isomorphism class (``representatives``):
+relation visits one relation per isomorphism class (``_relation_list``):
 validity is invariant under renaming worlds, so the first refuting
 relation in ascending mask order is the smallest of its class, and the
 sweep finds the labelled scan's first witness.  A sweep given a modal
@@ -52,12 +52,16 @@ record is kept per process, world count and depth (``_relation_list``),
 its bitsets decoded from the masks; a given frame's sweep builds its own
 from ``Frame.succ`` (whose mask would not fit 64 bits from 8 worlds on),
 as does a ``BulkSpace``, and a sweep's blocks read their rows of one
-record.  The atom tables, every variable's two supports over every
-valuation, depend only on the world and variable counts: up to
-``_CACHED_SLOTS`` (8) valuation slots they are built once per process and
-kept read-only (``_shared_atoms``; at most 1 MiB per shape, under 3 MB for
-all of them), and larger shapes, such as the 201 MB of 2 worlds x 6
-variables, are built for each sweep and freed with it.
+record.  The atom tables, every variable's two supports at each
+valuation, depend only on the world and variable counts.  A sweep reads
+them from one table per shape, built once per process and kept read-only
+(``_atom_tables``): the atoms of the ``L`` least significant slots, where
+4^L is the largest power of 4 within ``_BLOCK_PAIRS`` (L = 10), or of
+every slot of a smaller shape, which its blocks read whole.  A larger
+shape is read in aligned blocks of 4^L valuations of one relation, which
+fix its high digits: a block's atoms are that table OR'ed with the
+supports read off its high digits alone.  A table holds at most 4^L
+valuations of 2k bitsets, 131 MiB for every admissible shape together.
 
 What a scan costs and how its space is laid out are known only to this
 module: ``_guard`` refuses a scan before anything is allocated, from its
@@ -93,8 +97,8 @@ import numpy as np
 from .semantics import VALUE_ORDER, BoundExceededError, Frame, Model
 from .syntax import And, Atom, Formula, Not, Or, Sequent, Tri, postorder
 
-__all__ = ["BulkSpace", "sweep", "representatives", "model_from_indices",
-           "frame_from_mask", "DEFAULT_VALUATION_BOUND"]
+__all__ = ["BulkSpace", "sweep", "model_from_indices", "frame_from_mask",
+           "DEFAULT_VALUATION_BOUND"]
 
 DEFAULT_VALUATION_BOUND = 12  # (world, variable) valuation slots one scan may take
 # (relation, valuation, world) cells one sweep over every relation may
@@ -104,9 +108,6 @@ _MAX_SWEEP_CELLS = 10 ** 9
 # (2 MiB per uint16), and 8 MiB of 8-byte indices per gather.
 _BLOCK_PAIRS = 1 << 20
 _TABLE_WORLDS = 4  # most worlds whose clause table (4^n codes per relation) is built
-# Most valuation slots whose atom tables are cached: at most 1 MiB per shape
-# (1 world x 8 variables), and under 3 MB for every such shape together.
-_CACHED_SLOTS = 8
 
 # Support of truth (row 0) and of falsity (row 1) for base-4 digits 0..3.
 _DIGIT_SUPPORTS = np.array([[v.supports_truth for v in VALUE_ORDER],
@@ -166,36 +167,29 @@ def _bitset_type(n: int) -> type:
     return np.uint8 if n <= 8 else np.uint16
 
 
-def _build_atoms(n: int, k: int) -> np.ndarray:
-    """Both supports of each of ``k`` atoms as world bitsets, shape
-    (k, 2, 1, valuations), built by broadcasting each slot's digit pattern
-    into its world's bit."""
-    slots = n * k
+def _build_atoms(n: int, k: int, first: int = 0, last: int | None = None) -> np.ndarray:
+    """Both supports of each of ``k`` atoms as world bitsets, read off the
+    valuation slots from ``first`` up to ``last`` (default: every slot on)
+    alone, shape (k, 2, 1, 4^(last - first)), built by broadcasting each
+    slot's digit pattern into its world's bit."""
+    slots = (n * k if last is None else last) - first
     dtype = _bitset_type(n)
     digits = _DIGIT_SUPPORTS.astype(dtype, copy=False)
     world_bits = digits[:, None, :] << np.arange(n, dtype=dtype)[:, None]
     tables = np.zeros((k, 2) + (4,) * slots, dtype=dtype)
-    for s in range(slots):
-        w, j = divmod(s, k)
-        tables[j] |= world_bits[:, w].reshape((2,) + (1,) * s + (4,) + (1,) * (slots - 1 - s))
+    for i in range(slots):
+        w, j = divmod(first + i, k)
+        tables[j] |= world_bits[:, w].reshape((2,) + (1,) * i + (4,) + (1,) * (slots - 1 - i))
     return tables.reshape(k, 2, 1, -1)
 
 
 @lru_cache(maxsize=None)
-def _shared_atoms(n: int, k: int) -> np.ndarray:
-    """``_build_atoms(n, k)``, built on first use and kept, read-only; only
-    for shapes of at most ``_CACHED_SLOTS`` slots, so every entry together
-    stays under 3 MB."""
-    tables = _build_atoms(n, k)
+def _atom_tables(n: int, k: int, low: int) -> np.ndarray:
+    """The atoms of the ``low`` least significant of ``n * k`` slots
+    (``_build_atoms``), built on first use and kept, read-only."""
+    tables = _build_atoms(n, k, n * k - low)
     tables.flags.writeable = False
     return tables
-
-
-def _atom_tables(n: int, k: int) -> np.ndarray:
-    """Both supports of each of ``k`` atoms over every valuation, shape
-    (k, 2, 1, valuations): the cached ``_shared_atoms`` up to
-    ``_CACHED_SLOTS`` slots, else built for this sweep alone."""
-    return _shared_atoms(n, k) if n * k <= _CACHED_SLOTS else _build_atoms(n, k)
 
 
 class _Program(NamedTuple):
@@ -543,16 +537,10 @@ def _relation_list(n: int, depth: int | None) -> _RelationList:
     return _RelationList(masks, _successors(n, masks))
 
 
-def representatives(n: int) -> np.ndarray:
-    """One relation mask per isomorphism class on ``n`` worlds, the smallest
-    of its orbit, ascending and read-only: ``_relation_list(n, None).masks``."""
-    return _relation_list(n, None).masks
-
-
 def sweep(worlds: int | Frame, variables: Sequence[str],
           depth: int | None = None) -> Iterator[BulkSpace]:
     """Every valuation of ``variables`` on one relation per isomorphism
-    class over ``worlds`` worlds (``representatives``, ascending), or on
+    class over ``worlds`` worlds (``_relation_list``, ascending), or on
     the one relation of a given ``Frame``, as BulkSpaces over consecutive
     blocks in enumeration order; a block's ``masks`` name its relations.
     With a ``depth``, a sweep over every relation keeps only the classes
@@ -562,15 +550,17 @@ def sweep(worlds: int | Frame, variables: Sequence[str],
     The size guard runs at the first ``next()``, before anything is
     allocated.  Each block holds at most ``_BLOCK_PAIRS`` (relation,
     valuation) pairs: whole relations while one relation's valuations fit,
-    else consecutive valuations of one relation (a block never spans two
-    relations).  The atom tables are built once per process up to
-    ``_CACHED_SLOTS`` valuation slots and once per sweep beyond
-    (``_atom_tables``); a block's are views of them along the valuation
-    axis.  Every block reads its rows of one relation record:
-    ``_relation_list(n, depth)``, built once per process, or a given
-    frame's own, built once per sweep; a block's successor bitsets and
-    clause table rows are views of the record's.  Every cached array is
-    read-only."""
+    else aligned blocks of 4^L valuations of one relation, 4^L the largest
+    power of 4 within the budget (a block never spans two relations).  The
+    atom tables of the low min(n*k, L) slots are built once per process
+    per shape (``_atom_tables``): a block of every valuation reads them
+    whole, and a block that fixes the high digits ORs them with the
+    supports those digits set, read off the sweep's own table of the high
+    slots (at most 16 entries at the default budget).  Every block reads
+    its rows of one relation record: ``_relation_list(n, depth)``, built
+    once per process, or a given frame's own, built once per sweep; a
+    block's successor bitsets and clause table rows are views of the
+    record's.  Every cached array is read-only."""
     names = tuple(sorted(variables))
     given = isinstance(worlds, Frame)
     n = len(worlds.worlds) if given else worlds
@@ -581,13 +571,15 @@ def sweep(worlds: int | Frame, variables: Sequence[str],
                  else _relation_list(n, depth))
     if not len(relations.succ):
         return
-    atoms = _atom_tables(n, len(names))
-    n_val = 4 ** (n * len(names))
+    slots = n * len(names)
+    low = min(slots, (_BLOCK_PAIRS.bit_length() - 1) // 2)  # 4^low <= _BLOCK_PAIRS
+    atoms = _atom_tables(n, len(names), low)
+    step, n_val = 4 ** low, 4 ** slots
+    high = _build_atoms(n, len(names), 0, slots - low) if step < n_val else None
     rel_step = max(1, _BLOCK_PAIRS // n_val)
-    val_step = _BLOCK_PAIRS
     for r in range(0, len(relations.succ), rel_step):
-        for v in range(0, n_val, val_step):
+        for v in range(0, n_val, step):
             space = BulkSpace.__new__(BulkSpace)
-            space._bind(n, names, atoms[..., v:v + val_step], relations,
-                        slice(r, r + rel_step), (r, v))
+            space._bind(n, names, atoms if high is None else atoms | high[..., v // step, None],
+                        relations, slice(r, r + rel_step), (r, v))
             yield space

@@ -28,10 +28,11 @@ def chunk_budget(request, monkeypatch):
     """Sweeps with the default block budget, and with one of 100 (relation,
     valuation) pairs, so small that at two worlds every sweep splits: 6
     relations per block for one variable (the last block short, the others
-    after the first starting mid-list), and for two variables blocks of 100
-    valuations of one relation (the last of each relation short, the others
-    after the first starting mid-relation).  A given frame is then read in
-    blocks of 100 valuations.  The fixture's value is the budget's name."""
+    after the first starting mid-list), and for two variables aligned blocks
+    of 64 valuations of one relation, 64 the largest power of 4 within the
+    budget (four per relation, all after the first starting mid-relation).
+    A given frame of more than 3 valuation slots is then read in aligned
+    blocks of 64 valuations.  The fixture's value is the budget's name."""
     if request.param == "tiny":
         monkeypatch.setattr(bulkeval, "_BLOCK_PAIRS", 100)
     return request.param

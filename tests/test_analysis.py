@@ -15,7 +15,7 @@ from fdek.analysis import (
     PAPER_FRAME_CLASSES, check_definability, check_indistinguishability,
     claims_from_text, enumerate_formulas, find_countermodel, model_from_indices,
 )
-from fdek.bulkeval import BulkSpace, frame_from_mask, representatives
+from fdek.bulkeval import BulkSpace, frame_from_mask
 from fdek.figures import load_frame, load_model
 from fdek.semantics import (
     FRAME_PROPERTIES, BoundExceededError, Evaluator, FourValue, Frame, Model, PointedModel,
@@ -178,8 +178,8 @@ class TestCountermodelSearch:
     @pytest.mark.parametrize("text,rel_mask,val_index", [
         ("~#(p & q) |- p & p", 2, 129), ("~#p |- q | p", 2, 164)])
     def test_witness_past_the_first_valuation_block(self, chunk_budget, text, rel_mask, val_index):
-        # Under the tiny budget these witnesses lie in the second block of
-        # 100 valuations of relation 2: the block's offset counts.
+        # Under the tiny budget these witnesses lie in the third block of
+        # 64 valuations of relation 2: the block's offset counts.
         found = find_countermodel(parse_sequent(text), 2)
         assert found.model == model_from_indices(2, ["p", "q"], rel_mask, val_index)
         assert found.world == "w0"
@@ -217,7 +217,7 @@ class TestCountermodelSearch:
         # 3, 5, 6 and 7 of 2 worlds and 12, 28 and 98 of 3, not always at w0,
         # with # or [] or both; the last six hold on every model, and for
         # the three of depth 0 no class past one world is swept.  Under the
-        # tiny budget a two-variable space on 3 worlds is read in 41 blocks
+        # tiny budget a two-variable space on 3 worlds is read in 64 blocks
         # per relation, too slow for the whole corpus, so those sequents stop
         # at 2 worlds.
         late = ["q & (##q | ##q) |- ##(q | p)", "#p |- #(p & #p)",
@@ -358,7 +358,7 @@ class TestBulkAgreement:
         assert all(len(space.succ) * n_val <= bulkeval._BLOCK_PAIRS for space in spaces)
         starts = [space.start for space in spaces]
         ends = [(r + len(space.succ), 0) for space, (r, _) in zip(spaces, starts)]
-        reps = representatives(worlds)
+        reps = bulkeval._relation_list(worlds, None).masks
         assert starts == [(0, 0)] + ends[:-1] and ends[-1] == (len(reps), 0)
         assert np.concatenate([space.masks for space in spaces]).tolist() == reps.tolist()
 
@@ -378,13 +378,19 @@ class TestBulkAgreement:
         # criterion 3's definability sweeps, of a 12-world frame and of a
         # valid 3-world, 3-variable search holds at most _BLOCK_PAIRS
         # (relation, valuation) pairs, and every gather takes at most that
-        # many codes.
-        pairs, codes = [], []
+        # many codes.  So does the array that holds a block's atoms, per
+        # support of each atom: a cached table or the block's own, never
+        # the full 4^12 valuations of the frame.
+        pairs, codes, atoms = [], [], []
         bind, gather = BulkSpace._bind, bulkeval._gather
 
         def binding(space, *args):
             bind(space, *args)
             pairs.append(len(space.succ) * space._atoms.shape[-1])
+            root = space._atoms
+            while isinstance(root.base, np.ndarray):
+                root = root.base
+            atoms.append(root.size // (2 * len(space.names)))
 
         def counting(tables, code):
             codes.append(code.size)
@@ -405,6 +411,7 @@ class TestBulkAgreement:
         assert find_countermodel(parse_sequent("#(p & q) & r |- #(q & p) & r"), 3) is None
         assert max(pairs) <= bulkeval._BLOCK_PAIRS and max(codes) <= bulkeval._BLOCK_PAIRS
         assert max(pairs) == bulkeval._BLOCK_PAIRS  # the 3-variable search and the frame
+        assert max(atoms) == bulkeval._BLOCK_PAIRS  # the frame
 
     def test_holds_everywhere_matches_model_scan(self):
         s = parse_sequent("p & q |- p")
@@ -423,11 +430,11 @@ class TestRepresentatives:
     @pytest.mark.parametrize("n,classes", [(1, 2), (2, 10), (3, 104), (4, 3044)])
     def test_class_counts(self, n, classes):
         # OEIS A000595: relations on n unlabelled points.
-        assert len(representatives(n)) == classes
+        assert len(bulkeval._relation_list(n, None).masks) == classes
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_one_representative_per_orbit_and_the_smallest(self, n):
-        reps = representatives(n).tolist()
+        reps = bulkeval._relation_list(n, None).masks.tolist()
         assert reps[0] == 0 and reps == sorted(set(reps))
         covered = set()
         for m in reps:
@@ -456,7 +463,7 @@ def _bfs_rooted(n, mask, depth):
 class TestRootedSweep:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_breadth_first_search(self, n):
-        reps = representatives(n).tolist()
+        reps = bulkeval._relation_list(n, None).masks.tolist()
         for depth in range(5):
             rooted = [m for m in reps if _bfs_rooted(n, m, depth)]
             assert bulkeval._relation_list(n, depth).masks.tolist() == rooted, (n, depth)
@@ -469,7 +476,7 @@ class TestRootedSweep:
 
     def test_sweep_reads_the_rooted_classes_in_order(self, chunk_budget):
         # Under the tiny budget each relation's 4 096 valuations are read in
-        # 41 blocks, the first starting at valuation 0.
+        # 64 blocks, the first starting at valuation 0.
         masks = [m for space in bulkeval.sweep(3, ["p", "q"], 1) if space.start[1] == 0
                  for m in space.masks.tolist()]
         assert masks == bulkeval._relation_list(3, 1).masks.tolist()
@@ -572,8 +579,9 @@ class TestClauseTables:
         assert find_countermodel(parse_sequent("p & q |- q | p"), 3) is None
 
     def test_a_given_frames_blocks_share_one_table(self, monkeypatch):
-        # Under a budget of 33 pairs the 3-world cycle's 64 valuations are
-        # read in two blocks of 33 and 31, and the valid claim visits both.
+        # Under a budget of 33 pairs, whose largest power of 4 is 16, the
+        # 3-world cycle's 64 valuations are read in four aligned blocks of
+        # 16, and the valid claim visits them all.
         monkeypatch.setattr(bulkeval, "_BLOCK_PAIRS", 33)
         starts, tables = [], []
         sweep, build = bulkeval.sweep, bulkeval._clause_table
@@ -590,7 +598,7 @@ class TestClauseTables:
         monkeypatch.setattr(bulkeval, "_clause_table", building)
         cycle = Frame(["w0", "w1", "w2"], [("w0", "w1"), ("w1", "w2"), ("w2", "w0")])
         assert sequent_valid_on_frame(cycle, parse_sequent("#p |- #~p"))
-        assert starts == [(0, 0), (0, 33)]
+        assert starts == [(0, 16 * i) for i in range(4)]
         assert tables == [1]
 
     def test_one_cache_entry_per_relation_list(self):
@@ -658,18 +666,24 @@ class TestClauseTables:
         assert [len(rows) for rows in reads] == [2, 1]
 
 
-def _search_peaks(text: str) -> list[int]:
-    """The tracemalloc peaks of the valid 3-world search for ``text``, with
-    cold caches, then warm.  numpy reports its allocations to tracemalloc,
-    so these peaks are deterministic."""
+def _search_peaks(text: str, max_worlds: int = 3) -> list[int]:
+    """The tracemalloc peaks of the valid search for ``text`` up to
+    ``max_worlds`` worlds, with cold caches, then warm (``_peaks``)."""
     s = parse_sequent(text)
+    return _peaks(lambda: find_countermodel(s, max_worlds) is None)
+
+
+def _peaks(check) -> list[int]:
+    """The tracemalloc peaks of ``check()``, which must hold, with cold
+    sweep caches, then warm.  numpy reports its allocations to
+    tracemalloc, so these peaks are deterministic."""
     bulkeval._relation_list.cache_clear()
-    bulkeval._shared_atoms.cache_clear()
+    bulkeval._atom_tables.cache_clear()
     peaks = []
     for _ in range(2):
         tracemalloc.start()
         try:
-            assert find_countermodel(s, 3) is None
+            assert check()
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -737,7 +751,7 @@ class TestDemand:
                 sweeps, relations = [(frame,)], 1
             else:
                 sweeps = [(worlds, None)] + [(worlds, d) for d in range(worlds)]
-                relations = len(representatives(worlds))
+                relations = len(bulkeval._relation_list(worlds, None).masks)
             pairs = relations * 4 ** (worlds * k)
             if pairs * worlds > 2e6 or pairs > 300 * bulkeval._BLOCK_PAIRS:
                 continue
@@ -776,17 +790,68 @@ class TestAtomTables:
             with pytest.raises(ValueError):
                 second.succ[0, 0] = 0
 
-    def test_one_entry_per_shape_and_none_past_eight_slots(self):
-        bulkeval._shared_atoms.cache_clear()
-        assert next(bulkeval.sweep(1, list("abcdefghi"))) is not None
-        assert bulkeval._shared_atoms.cache_info().currsize == 0
+    def test_one_entry_per_shape_within_the_budget(self):
         # Shapes (1, 1), (2, 1), (1, 2) and (2, 2), each under several names,
         # depths and a given frame; at depth 0 no 3-world block is read.
+        # Then 9 and 11 slots, each swept twice: each is cached once, the
+        # first whole, the second its 10 low slots, so no table holds more
+        # than _BLOCK_PAIRS valuations.
+        bulkeval._atom_tables.cache_clear()
         for names in (["p"], ["q"], ["p", "q"], ["r", "s"]):
             for worlds, depth in ((1, None), (2, None), (2, 1), (frame_from_mask(2, 5), None),
                                   (3, 0)):
                 list(bulkeval.sweep(worlds, names, depth))
-        assert bulkeval._shared_atoms.cache_info().currsize == 4
+        assert bulkeval._atom_tables.cache_info().currsize == 4
+        for _ in range(2):
+            for k in (9, 11):
+                assert next(bulkeval.sweep(1, [f"p{j}" for j in range(k)])) is not None
+        shapes = [(1, 1), (2, 1), (1, 2), (2, 2), (1, 9), (1, 11)]
+        assert bulkeval._atom_tables.cache_info().currsize == len(shapes)
+        for n, k in shapes:
+            table = bulkeval._atom_tables(n, k, min(n * k, 10))
+            assert table.shape == (k, 2, 1, min(4 ** (n * k), bulkeval._BLOCK_PAIRS))
+        assert bulkeval._atom_tables.cache_info().currsize == len(shapes)
+
+    @pytest.mark.parametrize("chunk_budget,worlds,k,blocks", [
+        ("default", 11, 1, 4), ("tiny", 2, 2, 10 * 4), ("tiny", 3, 2, 104 * 64)],
+        indirect=["chunk_budget"])
+    def test_split_blocks_read_the_full_tables(self, chunk_budget, worlds, k, blocks):
+        # Past the low slots each block fixes the high digits: 4 aligned
+        # blocks of 4^10 valuations of an 11-world frame at the default
+        # budget, and 4 and 64 blocks of 64 valuations per relation of 2
+        # and 3 worlds x 2 variables under the tiny one.  Each block's atoms
+        # are its slice of the full tables.
+        names = [f"p{j}" for j in range(k)]
+        full = bulkeval._build_atoms(worlds, k)
+        width = 4 ** 10 if chunk_budget == "default" else 64
+        if worlds > 4:
+            ws = [f"w{i}" for i in range(worlds)]
+            worlds = Frame(ws, [(ws[i], ws[(i + 1) % len(ws)]) for i in range(len(ws))])
+        spaces = 0
+        for space in bulkeval.sweep(worlds, names):
+            _, v = space.start
+            assert v % width == 0 and space._atoms.shape == full.shape[:-1] + (width,)
+            assert np.array_equal(space._atoms, full[..., v:v + width]), space.start
+            spaces += 1
+        assert spaces == blocks
+
+    def test_peak_memory_of_a_two_world_six_variable_search(self):
+        # No atom table outgrows a block: the cached table of the 10 low
+        # slots and one block's own take 12 MiB each, not the 192 MiB of
+        # every valuation's atoms.  Measured: 39.1 MiB cold, 27.0 MiB warm.
+        cold, warm = _search_peaks(
+            "#(p & q) & (r | s) & (t | u) |- #(q & p) & (r | s) & (t | u)", 2)
+        assert cold < 60 * 2 ** 20 and warm < 40 * 2 ** 20, (cold, warm)
+
+    def test_peak_memory_of_a_twelve_cycle_check(self):
+        # The 12-world cycle's 16-bit bitsets, read in 16 blocks of 4^10
+        # valuations by the per-world pass.  Measured: 28.0 MiB cold,
+        # 24.0 MiB warm.
+        ws = [f"w{i}" for i in range(12)]
+        cycle = Frame(ws, [(ws[i], ws[(i + 1) % 12]) for i in range(12)])
+        s = parse_sequent("##p |- ##~p")
+        cold, warm = _peaks(lambda: sequent_valid_on_frame(cycle, s))
+        assert cold < 45 * 2 ** 20 and warm < 40 * 2 ** 20, (cold, warm)
 
     def test_relation_lists_are_decoded_once(self, monkeypatch):
         claims = PAPER_FRAME_CLASSES["reflexive"]
@@ -802,7 +867,7 @@ class TestAtomTables:
         assert find_countermodel(s, 3) is None
 
     def test_a_labelled_space_builds_its_own_tables(self):
-        cached = bulkeval._shared_atoms(2, 2)
+        cached = bulkeval._atom_tables(2, 2, 4)
         space = BulkSpace(2, ["p", "q"], [0, 5])
         for j, atom in enumerate((Atom("p"), Atom("q"))):
             for x, bits in enumerate(space._bits(atom)):
@@ -821,7 +886,7 @@ class TestAtomTables:
         def witnesses():
             return [found and (model_to_dict(found.model), found.world)
                     for found in (find_countermodel(s, worlds) for s, worlds in searches)]
-        for cache in (bulkeval._relation_list, bulkeval._shared_atoms):
+        for cache in (bulkeval._relation_list, bulkeval._atom_tables):
             cache.cache_clear()
         cold = witnesses()
         assert witnesses() == cold

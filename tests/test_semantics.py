@@ -551,8 +551,8 @@ class TestFrameValidityOnBulk:
 
     @pytest.mark.parametrize("chunk_budget", ["tiny"], indirect=True)
     def test_agrees_with_scalar_in_valuation_blocks(self, chunk_budget):
-        # The same frames and claims, each frame read in blocks of 100
-        # valuations.
+        # The same frames and claims, each frame past 3 valuation slots read
+        # in aligned blocks of 64 valuations.
         self.test_agrees_with_scalar_on_named_frames()
 
     @pytest.mark.parametrize("n", [8, 10])
