@@ -14,13 +14,17 @@ modal depth, the only ones that can hold a smallest countermodel.
 size and reported as bounded evidence, not as proofs.  Those scans fold
 the clauses over the distinct value vectors of each formula size and
 their first positions in the enumeration order (``_first_formula``),
-whose layout ``_sections`` states once for the enumeration, the fold and
-the decoder of the witness.
+whose layout ``_sections`` states once for the enumeration, the formula
+counts, the fold and the decoder of the witness.  A scan stops folding once
+its values are closed under the clauses, as no larger formula has another
+value; it still counts every formula up to the stated size, and a closed
+scan without a witness finds none at any size.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, fields
 from functools import lru_cache, partial
 from itertools import product, starmap
@@ -88,6 +92,21 @@ def _operators(language: str, succ: tuple[int, ...] | None = None) -> tuple[tupl
     # several sizes: one call per distinct value.
     modal = lru_cache(maxsize=None)(partial(modal_clause, succ=succ))
     return (not_clause, modal), (and_clause, or_clause)
+
+
+@lru_cache(maxsize=32)
+def _counts(language: str, leaves: int, max_size: int) -> tuple[int, ...]:
+    """The number of formulas of each size (index 0 holds 0) in
+    ``enumerate_formulas(language, vars, max_size)`` over ``leaves``
+    variables, through the layout of ``_sections``.  Every scan of one
+    language, variable count and bound reads the same counts, so they are
+    kept per process."""
+    unary, binary = _operators(language)
+    counts = [0, leaves]
+    for size in range(2, max_size + 1):
+        counts.append(sum(prod(counts[k] for k in sizes)
+                          for _, sizes in _sections(size, unary, binary)))
+    return tuple(counts)
 
 
 def enumerate_formulas(language: str, vars: Sequence[str],
@@ -301,6 +320,30 @@ class IndistinguishabilityReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+def _closed_rows(seen: dict[tuple[int, int], int], rows: int, size: int,
+                 binary: Sequence[Callable]) -> int:
+    """The number of rows of ``seen`` that are closed, after a fold up to
+    ``size`` nodes that added no value and where the first ``rows`` are
+    known to be: all of them iff ``seen`` is closed under the clauses.
+
+    ``seen`` maps each value, in the order they entered, to the size it
+    entered at.  The fold has met the unary images of every value, and the
+    binary images of every pair of values whose sizes sum to less than
+    ``size``.  A value's row is its image under each ``binary`` clause with
+    itself and each earlier value, either way round, for the pairs the fold
+    has not met.  ``seen`` only grows, so a closed row stays closed, and a
+    later check resumes at the row that failed.
+    """
+    values, entered = list(seen), list(seen.values())
+    for k in range(rows, len(values)):
+        v = values[k]
+        for w in values[bisect_left(entered, size - seen[v], 0, k + 1):k + 1]:
+            for op in binary:
+                if op(v, w) not in seen or op(w, v) not in seen:
+                    return k
+    return len(values)
+
+
 def _first_formula(points: Sequence[PointedModel], names: Sequence[str], language: str,
                    max_size: int, hit: Callable[[list[tuple[int, int]]], bool],
                    ) -> tuple[int, list[tuple[int, int]] | None, Formula | None]:
@@ -318,6 +361,15 @@ def _first_formula(points: Sequence[PointedModel], names: Sequence[str], languag
     position comes from the first positions of its operands, through the
     layout of ``_sections``, and each size's values are met in order of
     their first positions, so the first hit is the first hitting formula.
+
+    The values of all formulas are the closure of the leaves' values under
+    the clauses.  A size that adds no value can still be followed by one
+    that does, so after such a size, short of ``max_size``, the fold checks
+    whether the values seen are closed (``_closed_rows``).  Once they are,
+    no larger formula has a new value, so none hits, and the fold stops:
+    the remaining sizes add only their counts (``_counts``), so
+    ``formulas_checked`` still counts every formula up to ``max_size``, and
+    a closed scan without a hit holds at every size.
     """
     names = sorted(set(names))
     leaves, succ, bits = [(0, 0)] * len(names), (), []
@@ -332,42 +384,47 @@ def _first_formula(points: Sequence[PointedModel], names: Sequence[str], languag
         return [(v[0] >> i & 1, v[1] >> i & 1) for i in bits]
 
     clauses = _operators(language, succ)
-    counts: list[int] = [0]                  # the number of formulas of each size
+    counts = _counts(language, len(names), max_size)
     firsts: list[dict] = [{}]                # each size's values -> first position
-    seen: set[tuple[int, int]] = set()       # the values of every smaller size
+    seen: dict[tuple[int, int], int] = {}    # each value met -> the size it was first met at
+    rows = 0                                 # the values of seen whose rows are closed
     checked = 0
     for size in range(1, max_size + 1):
         first: dict[tuple[int, int], int] = {}
         if size == 1:
             for i, v in enumerate(leaves):
                 first.setdefault(v, i)
-            count = len(leaves)
         else:
-            count = 0
+            start = 0                        # the first position of the section
             for op, sizes in _sections(size, *clauses):
                 if len(sizes) == 1:
                     for v, i in firsts[sizes[0]].items():
-                        first.setdefault(op(v), count + i)
-                    count += counts[sizes[0]]
+                        first.setdefault(op(v), start + i)
+                    start += counts[sizes[0]]
                 else:
                     left, right = sizes
                     rights, width = firsts[right].items(), counts[right]
                     for v, i in firsts[left].items():
-                        base = count + i * width
+                        base = start + i * width
                         for w, j in rights:
                             first.setdefault(op(v, w), base + j)
-                    count += counts[left] * width
-        counts.append(count)
+                    start += counts[left] * width
         firsts.append(first)
+        before = len(seen)
         for v, i in first.items():
             if v in seen:
                 continue  # it did not hit at a smaller size
-            seen.add(v)
+            seen[v] = size
             if hit(flags(v)):
                 formula = _formula_at(size, i, [Atom(name) for name in names],
                                       *_operators(language), counts)
                 return checked + i + 1, flags(v), formula
-        checked += count
+        checked += counts[size]
+        if len(seen) == before and size < max_size:
+            rows = _closed_rows(seen, rows, size, clauses[1])
+            if rows == len(seen):
+                # Every larger formula has a value of seen, which did not hit.
+                return checked + sum(counts[size + 1:]), None, None
     return checked, None, None
 
 
@@ -390,7 +447,9 @@ def check_indistinguishability(a: PointedModel, b: PointedModel,
     each size and their first positions, and builds no formula but the
     witness.  It is bounded evidence with the count and witness of a
     formula-by-formula scan: ``formulas_checked`` runs up to and including
-    the witness.
+    the witness, or over every formula up to ``max_size``.  The scan stops
+    folding once the values it has seen are closed under the clauses; a
+    closed scan without a witness would find none at any size.
     """
     if max_size < 1:
         raise ValueError(f"max_size must be at least 1, got {max_size}")

@@ -1100,6 +1100,7 @@ class TestIndistinguishability:
         counts = [0] * 7
         for f in formulas:
             counts[size(f)] += 1
+        assert analysis._counts(language, len(names), 6) == tuple(counts)
         leaves = [Atom(name) for name in names]
         k = 0
         for n in range(1, 7):
@@ -1111,7 +1112,10 @@ class TestIndistinguishability:
 
     def test_folds_distinct_values_not_formulas(self, monkeypatch):
         # One and_clause call per pair of distinct operand values at each
-        # size, against one per &-formula (5 897) in a per-formula fold.
+        # size up to 5, which adds no value (17), then, in the check that
+        # the 6 values seen are closed, two for each of the 13 pairs whose
+        # sizes sum to 5 or more (26), against 301 for a fold up to size 9
+        # and one per &-formula (5 897) in a per-formula fold.
         calls = []
         and_clause = analysis.and_clause
         monkeypatch.setattr(analysis, "and_clause",
@@ -1120,7 +1124,53 @@ class TestIndistinguishability:
         b = PointedModel(load_model("fig6_pair"), "w0")
         report = check_indistinguishability(a, b, "box", 9)
         assert report.formulas_checked == 23213
-        assert len(calls) == 301
+        assert len(calls) == 43
+
+    def test_stops_folding_once_the_values_are_closed(self, monkeypatch):
+        # Past the size at which the values close, no size calls a clause,
+        # but formulas_checked still counts every formula up to the bound.
+        calls = []
+
+        def counted(clause):
+            return lambda *args, **kwargs: calls.append(args) or clause(*args, **kwargs)
+
+        for name in ("not_clause", "and_clause", "or_clause"):
+            monkeypatch.setattr(analysis, name, counted(getattr(analysis, name)))
+        monkeypatch.setitem(analysis._MODALITIES, "box", (Box, counted(box_clause)))
+        a = PointedModel(load_model("fig6_single"), "w0")
+        b = PointedModel(load_model("fig6_pair"), "w0")
+        made = []
+        for max_size, checked in ((9, 23213), (30, 906231675153199149)):
+            calls.clear()
+            report = check_indistinguishability(a, b, "box", max_size)
+            assert report.verdict == "no separating formula found"
+            assert report.formulas_checked == checked
+            made.append(len(calls))
+        assert made[0] == made[1] > 0
+
+    @pytest.mark.parametrize("seed,language,glut,new_values", [
+        (2244, "box", True, [1, 2, 1, 0, 2, 1]), (615, "tri", False, [1, 1, 0, 2])])
+    def test_a_size_without_new_values_does_not_stop_the_scan(self, seed, language, glut,
+                                                              new_values):
+        # Seeded scans whose values stall at one size and grow again after
+        # it, up to the witness: a scan that stopped at the first size
+        # without new values would miss the witness.
+        rng = random.Random(seed)
+        a = _random_point(rng, ["p"])
+        b = a if glut else _random_point(rng, ["p"])
+        report = check_indistinguishability(a, b, language, 8).to_dict()
+        del report["elapsed"]
+        assert report == formula_by_formula_scan(a, b, language, 8)
+        points = [a] if glut else [a, b]
+        evaluators = [(Evaluator(x.model), x.model.frame.worlds) for x in points]
+        seen, added = set(), [0] * len(new_values)
+        for f in enumerate_formulas(language, ["p"], len(new_values)):
+            value = tuple(ev.supports(w, f) for ev, worlds in evaluators for w in worlds)
+            if value not in seen:
+                seen.add(value)
+                added[size(f) - 1] += 1
+        assert added == new_values
+        assert size(parse_formula(report["witness"])) == len(new_values)
 
     def test_builds_formulas_only_for_the_witness(self, monkeypatch):
         built = []
