@@ -232,15 +232,18 @@ def check_definability(prop: str, claims: Sequence[Claim], max_size: int) -> Def
     every labelled frame with at most ``max_size`` worlds.
 
     Both sides are invariant under renaming worlds, so they are compared
-    on one relation per isomorphism class, on the masks and successor
-    bitsets the sweep itself reads, built once per process
-    (``_relation_list``); no ``Frame`` is built but the witness.  Verdict
-    "defines" means no disagreement was found; "refuted" carries the first
-    disagreeing frame in labelled enumeration order, which is the smallest
-    of its class, and the direction of the disagreement.
-    ``frames_checked`` counts the labelled frames up to and including the
-    witness.  An unknown property or a sweep beyond the size guard is
-    refused before anything is swept.  Each claim is compiled once
+    on one relation per isomorphism class, the relation record the sweep
+    itself reads, built once per process (``_relation_list``).  The
+    property's side is that record's vector of the ``FRAME_PROPERTIES``
+    predicate (``holds``), built the first time a check asks for it and
+    kept with the record, so repeated checks in one process reuse it; the
+    first disagreement is one array comparison, and no ``Frame`` is built
+    but the witness.  Verdict "defines" means no disagreement was found;
+    "refuted" carries the first disagreeing frame in labelled enumeration
+    order, which is the smallest of its class, and the direction of the
+    disagreement.  ``frames_checked`` counts the labelled frames up to and
+    including the witness.  An unknown property or a sweep beyond the size
+    guard is refused before anything is swept.  Each claim is compiled once
     (``bulkeval._compile``) for every sweep of every world count.
     """
     claims = tuple(claims)
@@ -251,7 +254,7 @@ def check_definability(prop: str, claims: Sequence[Claim], max_size: int) -> Def
         _guard(max_size, len(program.names))
     if prop not in FRAME_PROPERTIES:
         raise ValueError(f"unknown frame property {prop!r}")
-    holds = FRAME_PROPERTIES[prop]
+    predicate = FRAME_PROPERTIES[prop]
     started = time.perf_counter()
     frames_checked = 0
     witness = None
@@ -262,17 +265,16 @@ def check_definability(prop: str, claims: Sequence[Claim], max_size: int) -> Def
             for space in sweep(n, program.names):
                 r = space.start[0]
                 valid[r:r + len(space.succ)] &= space.valid_per_relation(program)
-        for rel_mask, succ, ok in zip(relations.masks.tolist(), relations.succ.tolist(),
-                                      valid.tolist()):
-            has_prop = holds(succ)
-            if has_prop != ok:
-                direction = ("property_holds_but_claims_fail" if has_prop
-                             else "claims_hold_but_property_fails")
-                witness = {"frame": frame_to_dict(frame_from_mask(n, rel_mask)),
-                           "direction": direction}
-                frames_checked += rel_mask + 1
-                break
-        if witness:
+        has = relations.holds(predicate)
+        wrong = np.flatnonzero(has != valid)
+        if len(wrong):
+            r = wrong[0]
+            rel_mask = int(relations.masks[r])
+            direction = ("property_holds_but_claims_fail" if has[r]
+                         else "claims_hold_but_property_fails")
+            witness = {"frame": frame_to_dict(frame_from_mask(n, rel_mask)),
+                       "direction": direction}
+            frames_checked += rel_mask + 1
             break
         frames_checked += 2 ** (n * n)
     return DefinabilityReport(

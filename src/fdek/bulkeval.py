@@ -47,21 +47,25 @@ are kept.  A block then holds only the values still to be read.
 
 What a space reads of its relations is one read-only record
 (``_RelationList``): their masks, their successor bitsets and their clause
-table, built the first time a modal node asks for it.  A relation sweep's
-record is kept per process, world count and depth (``_relation_list``),
-its bitsets decoded from the masks; a given frame's sweep builds its own
-from ``Frame.succ`` (whose mask would not fit 64 bits from 8 worlds on),
-as does a ``BulkSpace``, and a sweep's blocks read their rows of one
-record.  The atom tables, every variable's two supports at each
-valuation, depend only on the world and variable counts.  A sweep reads
-them from one table per shape, built once per process and kept read-only
-(``_atom_tables``): the atoms of the ``L`` least significant slots, where
-4^L is the largest power of 4 within ``_BLOCK_PAIRS`` (L = 10), or of
-every slot of a smaller shape, which its blocks read whole.  A larger
-shape is read in aligned blocks of 4^L valuations of one relation, which
-fix its high digits: a block's atoms are that table OR'ed with the
-supports read off its high digits alone.  A table holds at most 4^L
-valuations of 2k bitsets, 131 MiB for every admissible shape together.
+table, built the first time a modal node asks for it.  The record also
+holds the frame-property vectors a definability check compares the sweep
+against, one per predicate, built the first time a check asks for it, at
+most 3 044 bytes each (``holds``).  A relation sweep's record is kept per
+process, world count and depth (``_relation_list``), its bitsets decoded
+from the masks, so those vectors are built once per process; a given
+frame's sweep builds its own from ``Frame.succ`` (whose mask would not
+fit 64 bits from 8 worlds on), as does a ``BulkSpace``, and a sweep's
+blocks read their rows of one record.  The atom tables, every variable's
+two supports at each valuation, depend only on the world and variable
+counts.  A sweep reads them from one table per shape, built once per
+process and kept read-only (``_atom_tables``): the atoms of the ``L``
+least significant slots, where 4^L is the largest power of 4 within
+``_BLOCK_PAIRS`` (L = 10), or of every slot of a smaller shape, which its
+blocks read whole.  A larger shape is read in aligned blocks of 4^L
+valuations of one relation, which fix its high digits: a block's atoms
+are that table OR'ed with the supports read off its high digits alone.
+A table holds at most 4^L valuations of 2k bitsets, 131 MiB for every
+admissible shape together.
 
 What a scan costs and how its space is laid out are known only to this
 module: ``_guard`` refuses a scan before anything is allocated, from its
@@ -71,12 +75,12 @@ array a block allocates and of every gather's indices, so a caller can
 stop at the first block that settles its question.  ``semantics`` and
 ``analysis`` go through ``_compile``, ``_guard``, ``sweep``,
 ``model_from_indices``, ``frame_from_mask`` and, for the frame properties
-of a definability sweep, the record ``_relation_list(n, None)`` that its
-sweeps read; they read a claim's variables and modal depth off its
-program.  A space over chosen relation masks, ``BulkSpace(n, variables,
-masks)``, is for labelled scans outside the sweeps (the tests' references
-and the benchmark's probes), one block however large, and builds its own
-atom tables and record, uncached:
+of a definability sweep, the vectors ``holds`` of the record
+``_relation_list(n, None)`` that its sweeps read; they read a claim's
+variables and modal depth off its program.  A space over chosen relation
+masks, ``BulkSpace(n, variables, masks)``, is for labelled scans outside
+the sweeps (the tests' references and the benchmark's probes), one block
+however large, and builds its own atom tables and record, uncached:
 
 * relation ``r`` contains the pair (i, j) iff bit ``i*n + j`` of the mask
   is set; a sweep enumerates the class representatives ascending, and
@@ -90,7 +94,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -148,18 +152,23 @@ def frame_from_mask(n_worlds: int, rel_mask: int) -> Frame:
 
 def model_from_indices(world_count: int, vars: Sequence[str],
                        rel_mask: int, val_index: int) -> Model:
-    """Decode one point of the enumeration: relation mask, valuation index."""
-    return _model_on(frame_from_mask(world_count, rel_mask), sorted(set(vars)), val_index)
-
-
-def _model_on(frame: Frame, names: Sequence[str], val_index: int) -> Model:
-    """The model on ``frame`` at valuation index ``val_index`` (``names`` sorted, distinct)."""
-    slots = len(frame.worlds) * len(names)
-    values: dict[str, dict] = {w: {} for w in frame.worlds}
-    for s in range(slots):
-        w, j = divmod(s, len(names))
-        values[frame.worlds[w]][names[j]] = VALUE_ORDER[val_index >> 2 * (slots - 1 - s) & 3]
-    return Model.from_values(frame, values, variables=names)
+    """Decode one point of the enumeration: relation mask, valuation index.
+    Each slot's base-4 digit, the least significant last, sets its world's
+    bit in its variable's two supports."""
+    frame = frame_from_mask(world_count, rel_mask)
+    names = sorted(set(vars))
+    k = len(names)
+    val = {name: [0, 0] for name in names}
+    for s in reversed(range(world_count * k)):
+        w, j = divmod(s, k)
+        truth, falsity = VALUE_ORDER[val_index & 3].value
+        val_index >>= 2
+        pair = val[names[j]]
+        pair[0] |= truth << w
+        pair[1] |= falsity << w
+    model = Model.__new__(Model)
+    model._store(frame, val, None)
+    return model
 
 
 def _bitset_type(n: int) -> type:
@@ -338,12 +347,6 @@ class BulkSpace:
                 vals[c] = None
         return vals
 
-    def _bits(self, f: Formula) -> tuple[np.ndarray, np.ndarray]:
-        """Both supports of ``f`` as world bitsets: a one-root program
-        demanding both."""
-        program = _compile(f, self.names, 3)
-        return self._run(program)[program.roots[0]]
-
     def _modal(self, tri: bool, pos: np.ndarray, neg: np.ndarray,
                want: int) -> tuple[np.ndarray | None, np.ndarray | None]:
         """The supports in ``want`` (bit 1 truth, bit 2 falsity; None for the
@@ -453,20 +456,21 @@ def _gather(tables: np.ndarray, code: np.ndarray) -> np.ndarray:
     (rows, relations, valuations).  A relation-independent ``code`` (one
     row) is one index along the codes of every relation's row; otherwise
     each relation reads its own row, at ``r * codes + code[r, v]`` of the
-    flattened row.  ``np.take`` widens its indices to 8 bytes, so a block
-    of at most ``_BLOCK_PAIRS`` pairs takes at most 8 MiB of them; they are
-    always in range, and ``mode="clip"`` lets it write straight into the
-    result."""
+    flattened row.  ``ndarray.take`` (not the ``np.take`` wrapper, which
+    costs a Python-level dispatch per call) widens its indices to 8 bytes,
+    so a block of at most ``_BLOCK_PAIRS`` pairs takes at most 8 MiB of
+    them; they are always in range, and ``mode="clip"`` lets it write
+    straight into the result."""
     _, rels, width = tables.shape
     out = np.empty((len(tables), rels, code.shape[1]), dtype=tables.dtype)
     if len(code) == 1:
         at = code[0].astype(np.intp)
         for table, res in zip(tables, out):
-            np.take(table, at, axis=1, out=res, mode="clip")
+            table.take(at, axis=1, out=res, mode="clip")
     else:
         at = code + (np.arange(rels) * width)[:, None]
         for table, res in zip(tables, out):
-            np.take(table.ravel(), at, out=res, mode="clip")
+            table.ravel().take(at, out=res, mode="clip")
     return out
 
 
@@ -478,10 +482,12 @@ def _successors(n: int, rel_masks: np.ndarray) -> np.ndarray:
 class _RelationList:
     """The relations one sweep or space reads, read-only: their masks
     (None on a given frame), their successor bitsets ``succ``, shape
-    (relations, n), and their clause table, built the first time a modal
-    node asks for it (``table``)."""
+    (relations, n), their clause table, built the first time a modal node
+    asks for it (``table``), and one frame-property vector per predicate,
+    built the first time a definability check asks for it (``holds``), of
+    one byte per relation (at most 3 044 bytes)."""
 
-    __slots__ = ("masks", "succ", "_table")
+    __slots__ = ("masks", "succ", "_table", "_holds")
 
     def __init__(self, masks: np.ndarray | None, succ: np.ndarray):
         for array in (masks, succ):
@@ -489,12 +495,25 @@ class _RelationList:
                 array.flags.writeable = False
         self.masks, self.succ = masks, succ
         self._table: np.ndarray | None = None
+        self._holds: dict[Callable, np.ndarray] = {}
 
     def table(self) -> np.ndarray:
         """The ``_clause_table`` of these relations, built once."""
         if self._table is None:
             self._table = _clause_table(self.succ)
         return self._table
+
+    def holds(self, predicate: Callable) -> np.ndarray:
+        """Bool vector over these relations: ``predicate`` (a
+        ``semantics.FRAME_PROPERTIES`` entry, on a relation's successor
+        bitsets) holds of that relation.  Built once per predicate object,
+        read-only."""
+        has = self._holds.get(predicate)
+        if has is None:
+            has = np.array([predicate(s) for s in self.succ.tolist()], dtype=bool)
+            has.flags.writeable = False
+            self._holds[predicate] = has
+        return has
 
 
 def _reach(succ: np.ndarray, depth: int) -> np.ndarray:
@@ -514,7 +533,8 @@ def _reach(succ: np.ndarray, depth: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _relation_list(n: int, depth: int | None) -> _RelationList:
     """The relations a sweep over ``n`` worlds reads, built on first use and
-    kept (at most 3 044, each with 256 codes x 4 bytes of clause table).
+    kept (at most 3 044, each with 256 codes x 4 bytes of clause table and
+    one byte in each frame-property vector).
     Without a ``depth``, the masks that are the smallest of their orbit
     under the n! renamings of the worlds, ascending: one per isomorphism
     class, mask 0 first.  With one, those in which some world reaches every

@@ -4,12 +4,15 @@
   --json`` prints ``tableau.result_to_json(r)``, which must equal
   ``json.dumps(result_to_dict(r), indent=2)`` byte for byte.
 * ``enumerate_models`` and ``enumerate_frames`` list every *labelled*
-  structure in the order whose first answer the bulk oracles report.
+  structure in the order whose first answer the bulk oracles report, each
+  model decoded by ``model_by_values``, one ``FourValue`` per slot through
+  ``Model.from_values``, the reference for ``model_from_indices``.
 * ``tri_value_by_cases`` is the four-case reading of ``#``, and
   ``dual_value`` the value table of ``dual_model``.
-* ``bulk_supports`` unpacks a ``BulkSpace``'s world bitsets into bools,
-  and ``bulk_values`` reads a formula's value at each world of one model
-  off the bulk sweep of its frame.
+* ``bulk_bits`` runs a formula on a ``BulkSpace`` compiled to yield both
+  supports, ``bulk_supports`` unpacks those world bitsets into bools, and
+  ``bulk_values`` reads a formula's value at each world of one model off
+  the bulk sweep of its frame.
 * ``modal_depth_by_postorder`` folds the modal depth children first, and
   ``size`` counts nodes, a shared subtree at each occurrence.
 * ``model_names`` lists the bundled models ``figures.load_model`` reads.
@@ -19,7 +22,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from fdek.bulkeval import BulkSpace, _guard, _model_on, frame_from_mask, sweep
+from fdek.bulkeval import BulkSpace, _compile, _guard, frame_from_mask, sweep
 from fdek.figures import _MODELS
 from fdek.semantics import VALUE_ORDER, Evaluator, FourValue, Frame, Model, model_to_dict
 from fdek.syntax import Box, Formula, Tri, postorder, render
@@ -78,7 +81,19 @@ def enumerate_models(world_count: int, vars: Sequence[str]) -> Iterator[Model]:
     _guard(world_count, len(names))
     for frame in enumerate_frames(world_count):
         for val_index in range(4 ** (world_count * len(names))):
-            yield _model_on(frame, names, val_index)
+            yield model_by_values(frame, names, val_index)
+
+
+def model_by_values(frame: Frame, names: Sequence[str], val_index: int) -> Model:
+    """The model on ``frame`` at valuation index ``val_index`` (``names``
+    sorted, distinct): one ``FourValue`` per (world, variable) slot, slot
+    0 the most significant base-4 digit, through ``Model.from_values``."""
+    slots = len(frame.worlds) * len(names)
+    values: dict[str, dict] = {w: {} for w in frame.worlds}
+    for s in range(slots):
+        w, j = divmod(s, len(names))
+        values[frame.worlds[w]][names[j]] = VALUE_ORDER[val_index >> 2 * (slots - 1 - s) & 3]
+    return Model.from_values(frame, values, variables=names)
 
 
 def enumerate_frames(world_count: int) -> Iterator[Frame]:
@@ -129,22 +144,29 @@ def _unpack(bits: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(octets, axis=-1, count=n, bitorder="little").view(bool)
 
 
+def bulk_bits(space: BulkSpace, f: Formula) -> tuple[np.ndarray, np.ndarray]:
+    """Both supports of ``f`` on a ``BulkSpace`` as world bitsets: a
+    one-root program demanding both."""
+    program = _compile(f, space.names, 3)
+    return space._run(program)[program.roots[0]]
+
+
 def bulk_supports(space: BulkSpace, f: Formula) -> tuple[np.ndarray, np.ndarray]:
     """Both supports of ``f`` on a ``BulkSpace`` as bool arrays
     broadcasting to (relations, valuations, worlds)."""
-    pos, neg = space._bits(f)
+    pos, neg = bulk_bits(space, f)
     return _unpack(pos, space.n), _unpack(neg, space.n)
 
 
 def bulk_values(m: Model, f: Formula) -> dict[str, FourValue]:
     """The value of ``f`` at each world of ``m``, by the bulk evaluator:
     one block of every valuation of ``m``'s variables on its frame, read
-    at the index of ``m``'s own valuation (``_model_on``'s order)."""
+    at the index of ``m``'s own valuation (``model_by_values``'s order)."""
     names = sorted(m.val)
     slots = [(w, v) for w in m.frame.worlds for v in names]
     index = sum(VALUE_ORDER.index(m.value(w, v)) << 2 * (len(slots) - 1 - s)
                 for s, (w, v) in enumerate(slots))
-    assert _model_on(m.frame, names, index) == m
+    assert model_by_values(m.frame, names, index) == m
     [space] = sweep(m.frame, names)
     pos, neg = bulk_supports(space, f)
     return {w: FourValue.from_flags(pos[0, index, i], neg[0, index, i])

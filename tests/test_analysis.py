@@ -26,8 +26,10 @@ from fdek.syntax import (
 )
 from fdek.tableau import Proved, prove
 
-from conftest import corpus, scalar_definability
-from reference_impl import bulk_supports, enumerate_frames, enumerate_models, size
+from conftest import corpus, random_formula, scalar_definability
+from reference_impl import (
+    bulk_bits, bulk_supports, enumerate_frames, enumerate_models, model_by_values, size,
+)
 
 
 class TestModelEnumeration:
@@ -61,6 +63,20 @@ class TestModelEnumeration:
         for rel_mask, val_index in ((0, 0), (3, 7), (15, 15), (9, 11)):
             decoded = model_from_indices(2, ["p"], rel_mask, val_index)
             assert decoded == everything[rel_mask * n_val + val_index]
+
+    def test_decode_matches_the_reference(self):
+        # Every relation mask and valuation index up to two worlds and two
+        # variables, and a seeded sample at three worlds.
+        points = [(n, names, mask, v) for n in (1, 2) for names in (["p"], ["p", "q"])
+                  for mask in range(2 ** (n * n)) for v in range(4 ** (n * len(names)))]
+        rng = random.Random(3)
+        points += [(3, names, rng.randrange(512), rng.randrange(4 ** (3 * len(names))))
+                   for names in (["p"], ["p", "q"]) for _ in range(200)]
+        for n, names, mask, v in points:
+            model = model_from_indices(n, names, mask, v)
+            ref = model_by_values(frame_from_mask(n, mask), names, v)
+            assert model.val == ref.val and list(model.val) == list(ref.val), (n, mask, v)
+            assert model_to_dict(model) == model_to_dict(ref), (n, mask, v)
 
     def test_bound_guard(self):
         with pytest.raises(BoundExceededError):
@@ -316,7 +332,7 @@ class TestBulkAgreement:
         sample = [0, 4 ** n - 1] + random.Random(10).sample(range(1, 4 ** n - 1), 30)
         models = [Evaluator(model_from_indices(n, ["p"], mask, v)) for v in sample]
         for f in [Atom("p"), Tri(Atom("p")), Not(Tri(Not(Tri(Atom("p"))))), Box(Not(Atom("p")))]:
-            for bits in space._bits(f):
+            for bits in bulk_bits(space, f):
                 assert not (bits & np.uint16(0xFFFF ^ 0x3FF)).any(), render(f)
             pos, neg = (x[0, sample] for x in bulk_supports(space, f))
             for i, ev in enumerate(models):
@@ -335,7 +351,7 @@ class TestBulkAgreement:
         stray = np.uint8(0xFF ^ ((1 << n) - 1))
         for language in ("tri", "box"):
             for f in enumerate_formulas(language, ["p"], 4):
-                for bits in (*space._bits(f), space._refuting(f)):
+                for bits in (*bulk_bits(space, f), space._refuting(f)):
                     assert not (bits & stray).any(), (n, render(f))
 
     def test_first_countermodel_takes_the_lowest_world(self):
@@ -367,7 +383,7 @@ class TestBulkAgreement:
         worlds = [f"w{i}" for i in range(n)]
         spaces = list(bulkeval.sweep(Frame(worlds, [(w, w) for w in worlds]), ["p"]))
         assert len(spaces) == blocks
-        widths = [space._bits(Atom("p"))[0].shape[1] for space in spaces]
+        widths = [bulk_bits(space, Atom("p"))[0].shape[1] for space in spaces]
         assert all(w <= bulkeval._BLOCK_PAIRS for w in widths)
         starts = [space.start for space in spaces]
         ends = [(0, v + w) for (_, v), w in zip(starts, widths)]
@@ -528,7 +544,7 @@ class TestClauseTables:
                                                                    min(6, len(spaces))))
         for i in sorted(picks):
             space = spaces[i]
-            vals = space._bits(Atom("p"))[0].shape[1]
+            vals = bulk_bits(space, Atom("p"))[0].shape[1]
             for rows in (1, len(space.succ)):
                 pos, neg = rng.integers(0, 1 << n, (2, rows, vals), dtype=np.uint8)
                 for tri in (True, False):
@@ -562,7 +578,7 @@ class TestClauseTables:
 
     def test_cached_tables_and_their_rows_reject_writes(self):
         space = next(bulkeval.sweep(3, ["p"], 1))
-        space._bits(Tri(Atom("p")))
+        bulk_bits(space, Tri(Atom("p")))
         relations = bulkeval._relation_list(3, 1)
         for table in (relations.table(), space._table):
             with pytest.raises(ValueError):
@@ -782,7 +798,7 @@ class TestAtomTables:
         assert [space.n for space in spaces] == [1, 2, 1, 2]
         for first, second in zip(spaces[:2], spaces[2:]):
             for a, b in ((Atom("p"), Atom("r")), (Atom("q"), Atom("s"))):
-                for x, y in zip(first._bits(a), second._bits(b)):
+                for x, y in zip(bulk_bits(first, a), bulk_bits(second, b)):
                     assert np.shares_memory(x, y)
                     with pytest.raises(ValueError):
                         y[0, 0] = 0
@@ -870,7 +886,7 @@ class TestAtomTables:
         cached = bulkeval._atom_tables(2, 2, 4)
         space = BulkSpace(2, ["p", "q"], [0, 5])
         for j, atom in enumerate((Atom("p"), Atom("q"))):
-            for x, bits in enumerate(space._bits(atom)):
+            for x, bits in enumerate(bulk_bits(space, atom)):
                 assert bits.flags.writeable and not np.shares_memory(bits, cached)
                 assert np.array_equal(bits, cached[j, x])
 
@@ -960,6 +976,24 @@ class TestDefinability:
         with pytest.raises(ValueError, match="unknown frame property 'connected'"):
             check_definability("connected", PAPER_FRAME_CLASSES["reflexive"], 2)
 
+    def test_matches_the_scalar_reference_on_random_claims(self):
+        # Seeded claim sets of one or two claims over one or two variables,
+        # of modal depth at most 2, a quarter of them formula claims.
+        rng = random.Random(1)
+
+        def claim(names):
+            f = random_formula(rng, names, rng.randint(1, 3), 2)
+            if rng.random() < 0.25:
+                return f
+            return Sequent(random_formula(rng, names, rng.randint(1, 3), 2), f)
+        for _ in range(30):
+            names = ["p", "q"][:rng.randint(1, 2)]
+            claims = [claim(names) for _ in range(rng.randint(1, 2))]
+            for prop in FRAME_PROPERTIES:
+                bulk = check_definability(prop, claims, 3)
+                assert (bulk.verdict, bulk.witness, bulk.frames_checked) == \
+                    scalar_definability(prop, claims, 3), (prop, bulk.claims)
+
     def test_builds_a_frame_only_for_the_witness(self, monkeypatch):
         built = []
         init = Frame.__init__
@@ -973,6 +1007,66 @@ class TestDefinability:
         assert report.verdict == "defines" and built == []
         report = check_definability("transitive", [parse_sequent("#p |- ##p")], 3)
         assert report.verdict == "refuted" and len(built) == 1
+
+
+class TestFramePropertyVectors:
+    @pytest.mark.parametrize("n,classes", [(1, 2), (2, 10), (3, 104), (4, 3044)])
+    @pytest.mark.parametrize("prop", sorted(FRAME_PROPERTIES))
+    def test_vector_is_the_predicate_on_each_relation(self, n, classes, prop):
+        relations = bulkeval._relation_list(n, None)
+        predicate = FRAME_PROPERTIES[prop]
+        has = relations.holds(predicate)
+        assert has.dtype == bool and len(has) == classes
+        assert has.tolist() == [predicate(s) for s in relations.succ.tolist()]
+        assert not has.flags.writeable
+        assert relations.holds(predicate) is has
+
+    @pytest.mark.parametrize("prop", sorted(FRAME_PROPERTIES))
+    def test_a_swapped_predicate_gets_its_own_vector(self, monkeypatch, prop):
+        relations = bulkeval._relation_list(2, None)
+        has = relations.holds(FRAME_PROPERTIES[prop])
+        original = FRAME_PROPERTIES[prop]
+        monkeypatch.setitem(FRAME_PROPERTIES, prop, lambda succ: not original(succ))
+        swapped = relations.holds(FRAME_PROPERTIES[prop])
+        assert swapped is not has and swapped.tolist() == (~has).tolist()
+        assert relations.holds(original) is has
+
+    def test_check_follows_a_swapped_predicate(self, monkeypatch):
+        # The reflexive claims fail on the loopless world, where the negated
+        # property holds.
+        claims = PAPER_FRAME_CLASSES["reflexive"]
+        assert check_definability("reflexive", claims, 2).verdict == "defines"
+        original = FRAME_PROPERTIES["reflexive"]
+        monkeypatch.setitem(FRAME_PROPERTIES, "reflexive", lambda succ: not original(succ))
+        report = check_definability("reflexive", claims, 2)
+        assert report.witness == {"frame": {"worlds": ["w0"], "rel": []},
+                                  "direction": "property_holds_but_claims_fail"}
+        assert report.frames_checked == 1
+
+    @pytest.mark.parametrize("r", [0, 1, 57, 103])
+    def test_a_flipped_entry_is_the_witness(self, monkeypatch, r):
+        # The equivalence claims define equivalence on every frame up to 3
+        # worlds, so flipping the property on relation r of 3 worlds makes
+        # that relation the only disagreement.
+        relations = bulkeval._relation_list(3, None)
+        holds = bulkeval._RelationList.holds
+        had = bool(holds(relations, FRAME_PROPERTIES["equivalence"])[r])
+
+        def flipped(self, predicate):
+            has = holds(self, predicate)
+            if self is relations:
+                has = has.copy()
+                has[r] = not has[r]
+            return has
+        monkeypatch.setattr(bulkeval._RelationList, "holds", flipped)
+        report = check_definability("equivalence", PAPER_FRAME_CLASSES["equivalence"], 3)
+        mask = int(relations.masks[r])
+        direction = ("claims_hold_but_property_fails" if had
+                     else "property_holds_but_claims_fail")
+        assert report.verdict == "refuted"
+        assert report.witness == {"frame": frame_to_dict(frame_from_mask(3, mask)),
+                                  "direction": direction}
+        assert report.frames_checked == 2 + 16 + mask + 1
 
 
 class TestClaimsParsing:
