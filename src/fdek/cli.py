@@ -47,17 +47,15 @@ def _print_model(model, designated=None):
 def _cmd_prove(args) -> int:
     sequent = parse_sequent(args.sequent)
     result = tableau.prove(sequent, start=args.start)
+    proved = isinstance(result, tableau.Proved)
     if args.json:
         print(tableau.result_to_json(result))
-        return 0 if isinstance(result, tableau.Proved) else 1
-    if isinstance(result, tableau.Proved):
-        print("PROVED")
-        if args.tree:
-            print(tableau.tree_to_text(result.tree, pretty=_pretty()))
-        return 0
-    print("REFUTED")
+        return 0 if proved else 1
+    print("PROVED" if proved else "REFUTED")
     if args.tree:
         print(tableau.tree_to_text(result.tree, pretty=_pretty()))
+    if proved:
+        return 0
     print("countermodel:")
     _print_model(result.model, designated=result.world)
     return 1

@@ -36,31 +36,32 @@ each code once, so equal items of one proof are one object.
 
 The first applicable instance is found from an agenda, not by a scan of
 the branch, as a SAT solver visits only the clauses an assignment
-watches.  The branch keeps one dirty set of item positions per finder.
-Inserting an item marks only the positions where a finder can newly find
-an instance; an event that can only disable a rule marks none.  It marks
+watches.  The branch keeps one dirty set of item positions per finder,
+and every position where that finder can find an instance is in it.
+Each event of an insertion marks one fixed set of finders; an event that
+can only disable a rule marks none:
 
-* its own position, for the finders of its kind (for the cut only if it
-  is a two-premise ``&``/``|`` entry or a ``#``-key's first entry);
-* as a label ``bar(v)`` on an immediate subformula, the two-premise
-  entries ``v`` whose minor premise it is, for the linear rules (it can
+* a ``~`` entry, or an ``&``/``|`` entry, marks its own position for the
+  linear rules, and a two-premise one for the cut as well;
+* the first label of a ``#``-key marks its own position for the cut;
+* a later label of a ``#``-key marks the key's first position for the
+  modal and world-creating rules, the two that read label pairs;
+* a label ``bar(v)`` on an immediate subformula marks the two-premise
+  entries ``v`` whose minor premise it is for the linear rules (it can
   only decide their cut's dimension);
-* as an argument entry, the ``#``-keys one step back, for the modal rules
-  (it can only supply the entry at a successor that their cut lacks);
-* as ``w R w'``, the ``#``-keys at ``w``, for the modal rules, and for the
-  cut only if ``w'`` is ``w``'s first successor, the one the cut reads
-  (``tri_B+`` and ``tri_N+`` need ``w`` to have none, ``tri_F`` reads
-  none).
+* an argument entry marks the ``#``-keys one step back for the modal
+  rules (it can only supply the entry at a successor that their cut
+  lacks);
+* ``w R w'`` marks the ``#``-keys at ``w`` for the modal rules and the
+  cut (``tri_B+`` and ``tri_N+`` need ``w`` to have no successor, and
+  ``tri_F`` reads none).
 
 The ``#``-finders read the key's label mask, the world's successors and
 the argument's labels, never the entry's own label, so every entry of a
 (world, ``#``-formula) key yields the same instances and the scan meets
 the first one first: only that entry is on the agenda.  A later label
-wakes it for the modal rules if it completes (t, fbar), (t, f) or
-(tbar, fbar), and for the world-creating ones if it completes (t, f),
-(tbar, fbar) or (f, tbar), the only pairs they read.  It never wakes the
-cut: while a key has one label its dimension cut applies, so the key is
-still on the cut agenda when the second arrives.
+never marks the cut: while a key has one label its dimension cut
+applies, so the key is still on the cut agenda when the second arrives.
 
 ``_select`` visits the dirty positions in ascending order, finder by
 finder, and drops a position once its finder finds nothing there, so it
@@ -114,7 +115,7 @@ from enum import Enum
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .semantics import Model, PointedModel, Evaluator, Frame, model_to_dict
-from .syntax import And, Atom, Formula, Not, Or, Sequent, Tri, postorder, render
+from .syntax import And, Atom, Box, Formula, Not, Or, Sequent, Tri, postorder, render
 
 __all__ = [
     "Val", "bar", "neg", "Labelled", "RelAtom", "Branch",
@@ -181,9 +182,6 @@ class RelAtom:
 
 Item = Union[Labelled, RelAtom]
 
-# Formula kinds in ``_Table.nodes``.  A [] node gets no rule.
-_ATOM, _NOT, _AND, _OR, _TRI, _BOX = range(6)
-_KINDS = {Atom: _ATOM, Not: _NOT, And: _AND, Or: _OR, Tri: _TRI}
 # A relational atom's code holds its source above bit 32 and its target
 # below, bit-inverted, so that it is negative.
 _RBITS = 32
@@ -195,8 +193,9 @@ class _Table:
 
     ``formulas[i]`` is the subformula with id ``i``, its position in the
     ``postorder`` of the root formulas, so that children come before their
-    parents; ``nodes[i]`` is its kind and the ids of its
-    children (0 where it has fewer than two), and ``size`` is their number.
+    parents; ``nodes[i]`` is its syntax class (a ``Box`` gets no rule) and
+    the ids of its children (0 where it has fewer than two), and ``size``
+    is their number.
     ``names[w]`` is the label of world ``w``, numbered as first met;
     minting extends it.  ``decoded`` holds the one ``Item`` object decoded
     for each code met so far.
@@ -210,7 +209,7 @@ class _Table:
         self.nodes = []
         for f in self.formulas:
             kids = [self.fids[getattr(f, name)] for name in f._fields]
-            self.nodes.append((_KINDS.get(type(f), _BOX), *(kids + [0, 0])[:2]))
+            self.nodes.append((type(f), *(kids + [0, 0])[:2]))
         self.size = len(self.formulas)
         self.names: list[str] = []
         self.wids: dict[str, int] = {}
@@ -279,7 +278,8 @@ class Branch:
     which that finder may find an applicable instance is in it.  ``add``
     marks the positions where a new item lets a finder newly find one (the
     wake rules of the module docstring), ``_select`` drops the ones where
-    it finds none.  ``undo`` takes the branch back to a ``checkpoint``.
+    it finds none.  ``add`` is the one writer of the item stores: ``undo``
+    reverses it back to a ``checkpoint``, and ``copy`` replays it.
 
     ``items`` decodes ``codes``; ``from_items`` and ``in`` take items too.
     """
@@ -313,23 +313,15 @@ class Branch:
         return cls(_Table(item.formula for item in items if isinstance(item, Labelled)), items)
 
     def copy(self) -> "Branch":
-        """An independent branch in the same state, on the same table."""
-        b = Branch.__new__(Branch)
-        b.table = self.table
-        b.codes = list(self.codes)
-        b.deps = dict(self.deps)
-        b.vals = dict(self.vals)
-        b.succ = {k: list(v) for k, v in self.succ.items()}
-        b.pred = {k: list(v) for k, v in self.pred.items()}
-        b.worlds = dict(self.worlds)
+        """An independent branch in the same state, on the same table.  It
+        replays the items with their decision sets, so its dirty sets hold
+        the original's and any positions ``_select`` has dropped since."""
+        b = Branch(self.table)
+        for code in self.codes:
+            b.add(code, self.deps[code])
         b.fired = dict(self.fired)
         b.fresh = self.fresh
-        b.closing = self.closing
         b.decisions = self.decisions
-        b.tris = dict(self.tris)
-        b.tri_at = {k: list(v) for k, v in self.tri_at.items()}
-        b.binary = {k: list(v) for k, v in self.binary.items()}
-        b.dirty = tuple(set(d) for d in self.dirty)
         return b
 
     closed = property(lambda self: self.closing is not None)
@@ -362,41 +354,32 @@ class Branch:
             table = self.table
             size = table.size
             w, f = divmod(key, size)
-            if w not in self.worlds:
-                self.worlds[w] = None
+            self.worlds.setdefault(w)
             vals = self.vals.get(key, 0)
             self.vals[key] = vals | 1 << v
             if vals >> (v ^ 2) & 1 and self.closing is None:
                 self.closing = (code, code ^ 2)
             kind, a, b = table.nodes[f]
             wkey = key - f
-            if kind == _TRI:
+            if kind is Tri:
                 # One agenda entry per key, its first (see the module
                 # docstring for the wake rules).
                 if vals:
                     first = self.tris[wkey + a]
-                    for i in _TRI_WAKES[vals << 2 | v]:
-                        dirty[i].add(first)
+                    dirty[1].add(first)
+                    dirty[3].add(first)
                 else:
                     self.tris[wkey + a] = pos
-                    at = self.tri_at.get(w)
-                    if at is None:
-                        self.tri_at[w] = [pos]
-                    else:
-                        at.append(pos)
+                    self.tri_at.setdefault(w, []).append(pos)
                     dirty[2].add(pos)
-            elif kind == _NOT:
+            elif kind is Not:
                 dirty[0].add(pos)
-            elif kind == _AND or kind == _OR:
+            elif kind is And or kind is Or:
                 dirty[0].add(pos)
                 if not _SHARED[kind] >> v & 1:
                     minor = v ^ 2
-                    for sub in (wkey + a, wkey + b):
-                        parents = self.binary.get(sub << 2 | minor)
-                        if parents is None:
-                            self.binary[sub << 2 | minor] = [pos]
-                        else:
-                            parents.append(pos)
+                    self.binary.setdefault((wkey + a) << 2 | minor, []).append(pos)
+                    self.binary.setdefault((wkey + b) << 2 | minor, []).append(pos)
                     dirty[2].add(pos)
             # The item may be the minor premise of two-premise entries, or
             # the argument of #-keys one step back.
@@ -413,17 +396,14 @@ class Branch:
         else:
             rel = ~code
             s, t = rel >> _RBITS, rel & _RMASK
-            for w in (s, t):
-                if w not in self.worlds:
-                    self.worlds[w] = None
-            succ = self.succ.setdefault(s, [])
-            succ.append(t)
+            self.worlds.setdefault(s)
+            self.worlds.setdefault(t)
+            self.succ.setdefault(s, []).append(t)
             self.pred.setdefault(t, []).append(s)
             at = self.tri_at.get(s)
             if at:
                 dirty[1].update(at)
-                if len(succ) == 1:
-                    dirty[2].update(at)
+                dirty[2].update(at)
         return True
 
     def _unadd(self):
@@ -435,11 +415,11 @@ class Branch:
             self.vals[key] ^= 1 << (code & 3)
             w, f = divmod(key, self.table.size)
             kind, a, b = self.table.nodes[f]
-            if kind == _TRI:
+            if kind is Tri:
                 if not self.vals[key]:
                     del self.tris[key - f + a]
                     self.tri_at[w].pop()
-            elif (kind == _AND or kind == _OR) and not _SHARED[kind] >> (code & 3) & 1:
+            elif (kind is And or kind is Or) and not _SHARED[kind] >> (code & 3) & 1:
                 minor = (code & 3) ^ 2
                 self.binary[(key - f + a) << 2 | minor].pop()
                 self.binary[(key - f + b) << 2 | minor].pop()
@@ -497,9 +477,9 @@ class Branch:
 # codes, as in ``Branch.vals``.  Every other label ``v`` of a binary
 # connective is a two-premise rule: minor premise ``bar(v)`` on one
 # subformula, conclusion ``v`` on the other.
-_SHARED = {_AND: 1 << _T | 1 << _FBAR, _OR: 1 << _F | 1 << _TBAR}
+_SHARED = {And: 1 << _T | 1 << _FBAR, Or: 1 << _F | 1 << _TBAR}
 _RULES = {kind: tuple(f"{name}_{v.value}" for v in _VAL_ORDER)
-          for kind, name in ((_NOT, "not"), (_AND, "and"), (_OR, "or"))}
+          for kind, name in ((Not, "not"), (And, "and"), (Or, "or"))}
 # The value pairs of one dimension, supported label first, by the
 # dimension's bit in a label code (t: 0, f: 1), and their masks.
 _DIMENSIONS = ((_T, _TBAR), (_F, _FBAR))
@@ -512,15 +492,6 @@ _PROPAGATES, _WITNESSES = _CLASSICAL_PAIRS[0][2], _CLASSICAL_PAIRS[1][2]
 _UNIFORM = (("tri_B", _T, _F, 1 << _T | 1 << _F),
             ("tri_N", _TBAR, _FBAR, 1 << _TBAR | 1 << _FBAR))
 
-# The finders a later label of a #-key wakes, by ``mask << 2 | label`` for
-# the key's mask before it: those that read a label pair it completes.
-_WAKE_PAIRS = ((1, (_PROPAGATES, _UNIFORM[0][3], _UNIFORM[1][3])),
-               (3, (_UNIFORM[0][3], _UNIFORM[1][3], _WITNESSES)))
-_TRI_WAKES = tuple(
-    tuple(i for i, pairs in _WAKE_PAIRS
-          if any((old | 1 << v) & pair == pair and old & pair != pair for pair in pairs))
-    for old in range(16) for v in range(4))
-
 
 def _linear(b: Branch, code: int) -> tuple | None:
     if code < 0:
@@ -529,11 +500,11 @@ def _linear(b: Branch, code: int) -> tuple | None:
     table, deps = b.table, b.deps
     f = key % table.size
     kind, x, y = table.nodes[f]
-    if kind == _NOT:
+    if kind is Not:
         sub = ((key - f + x) << 2) | v ^ 1
         if sub not in deps:
-            return _RULES[_NOT][v], ((sub,),), (code,), None
-    elif kind == _AND or kind == _OR:
+            return _RULES[Not][v], ((sub,),), (code,), None
+    elif kind is And or kind is Or:
         left, right = (key - f + x) << 2 | v, (key - f + y) << 2 | v
         if _SHARED[kind] >> v & 1:
             if left not in deps or right not in deps:
@@ -555,7 +526,7 @@ def _modal(b: Branch, code: int) -> tuple | None:
     w, f = divmod(key, size)
     kind, arg, _ = table.nodes[f]
     succ = b.succ.get(w)
-    if kind != _TRI or not succ:
+    if kind is not Tri or not succ:
         return None
     vals, deps, base = b.vals, b.deps, key << 2
     mask = vals[key]
@@ -607,7 +578,7 @@ def _cuts(b: Branch, code: int) -> tuple | None:
     f = key % size
     kind, x, y = table.nodes[f]
     vals = b.vals
-    if kind == _TRI:
+    if kind is Tri:
         mask = vals[key]
         if mask & _TDIM and not mask & _FDIM:
             return _cut(key, 1)
@@ -621,7 +592,7 @@ def _cuts(b: Branch, code: int) -> tuple | None:
             succ = b.succ.get(key // size)
             if succ and not any(vals.get(wj * size + x) for wj in succ):
                 return _cut(succ[0] * size + x, 0)
-    elif (kind == _AND or kind == _OR) and not _SHARED[kind] >> v & 1:
+    elif (kind is And or kind is Or) and not _SHARED[kind] >> v & 1:
         dim = v & 1
         bits = _FDIM if dim else _TDIM
         if not (vals.get(key - f + x, 0) & bits or vals.get(key - f + y, 0) & bits):
@@ -637,7 +608,7 @@ def _creators(b: Branch, code: int) -> tuple | None:
     size = table.size
     w, f = divmod(key, size)
     kind, arg, _ = table.nodes[f]
-    if kind != _TRI:
+    if kind is not Tri:
         return None
     mask, base = b.vals[key], key << 2
     if not b.succ.get(w):
@@ -658,13 +629,8 @@ def _creators(b: Branch, code: int) -> tuple | None:
 
 # Finders in priority order; each returns the first applicable instance
 # whose major premise is the item of one code, or None.  Their indices are
-# those of ``Branch.dirty``: ``Branch.add`` marks 0 for a linear entry and
-# for the two-premise entries whose minor premise it is; 0 and 2 for a
-# two-premise entry; 2 for the first entry of a #-key; 1 for the #-keys one
-# step back whose argument it is, and for those at the source of a new
-# relational atom, with 2 if it is their world's first successor; and, for
-# a later label of a #-key, the indices ``_TRI_WAKES`` gives, 1 or 3 or
-# both, at its first entry.
+# those of ``Branch.dirty``, which ``Branch.add`` marks by the wake rules of
+# the module docstring.
 _FINDERS = (_linear, _modal, _cuts, _creators)
 
 
@@ -674,8 +640,6 @@ def _select(b: Branch) -> tuple | None:
     dirty positions can hold one, so only they are visited."""
     codes = b.codes
     for finder, dirty in zip(_FINDERS, b.dirty):
-        if not dirty:
-            continue
         for pos in sorted(dirty):
             inst = finder(b, codes[pos])
             if inst is not None:
@@ -780,7 +744,7 @@ def prove(s: Sequent, *, start: str = "truth") -> TableauResult:
     designated world.
     """
     table = _Table((s.premise, s.conclusion))
-    if any(kind == _BOX for kind, _, _ in table.nodes):
+    if any(kind is Box for kind, _, _ in table.nodes):
         raise LanguageError("the proof system covers the #-fragment; [] is not supported")
     if start == "truth":
         root_items = (Labelled("w0", s.premise, Val.T),
@@ -883,11 +847,11 @@ def extract_countermodel(b: Branch) -> PointedModel:
             rel.append((names[~code >> _RBITS], names[~code & _RMASK]))
             continue
         w, f = divmod(code >> 2, table.size)
-        if code & 3 in (_T, _F) and table.nodes[f][0] == _ATOM:
+        if code & 3 in (_T, _F) and table.nodes[f][0] is Atom:
             support[code & 3][names[w]].add(formulas[f].name)
     # The table numbers the subformulas of the items the branch was built
     # from, which never leave it: its atoms are the variables it mentions.
-    mentioned = {f.name for f, node in zip(formulas, table.nodes) if node[0] == _ATOM}
+    mentioned = {f.name for f, node in zip(formulas, table.nodes) if node[0] is Atom}
     model = Model(Frame(worlds, rel), *support, variables=mentioned)
     if not check_realisation(model, b):
         raise RealisationError("extracted model does not realise its branch")

@@ -518,12 +518,13 @@ def check_select(b):
     return got
 
 
-def walk_all_paths(b):
-    """Every saturation_step below ``b``, both children of every split."""
+def walk_all_paths(b, check=check_select):
+    """Every saturation_step below ``b``, both children of every split;
+    ``check`` selects on each open branch."""
     stack = [b]
     while stack:
         b = stack.pop()
-        if not b.closed and check_select(b) is not None:
+        if not b.closed and check(b) is not None:
             stack.extend(saturation_step(b))
 
 
@@ -586,14 +587,14 @@ class TestAgenda:
                         break
                     b = saturation_step(b)[-1]
 
-    # The finders a second label wakes on a #-key, by its first and second
-    # label: those that read a label pair it completes.  The key's first
-    # label woke its cut alone, which still applies when the second comes.
-    SECOND_LABEL = {("t", "f"): {1, 3}, ("t", "fbar"): {1}, ("tbar", "f"): {3},
-                    ("tbar", "fbar"): {1, 3}, ("f", "t"): {1, 3}, ("fbar", "t"): {1},
-                    ("f", "tbar"): {3}, ("fbar", "tbar"): {1, 3}}
+    # The first and second labels of a #-key.  Whatever the pair, the
+    # second wakes the two finders that read label pairs, the modal and the
+    # world-creating rules.  The key's first label woke its cut alone, which
+    # still applies when the second comes.
+    SECOND_LABELS = [("t", "f"), ("t", "fbar"), ("tbar", "f"), ("tbar", "fbar"),
+                     ("f", "t"), ("fbar", "t"), ("f", "tbar"), ("fbar", "tbar")]
 
-    @pytest.mark.parametrize("labels", list(SECOND_LABEL))
+    @pytest.mark.parametrize("labels", SECOND_LABELS)
     def test_a_second_label_wakes_the_finders_of_its_pairs(self, labels):
         first, second = labels
         b = Branch.from_items([TestSaturationStep._item(t)
@@ -601,21 +602,22 @@ class TestAgenda:
         assert [bool(d) for d in b.dirty] == [False, False, True, False]
         b.add(b.table.encode(TestSaturationStep._item(f"w0: #p ; {second}")))
         # Only the key's first entry, at position 2, is on the agenda.
-        assert {i for i, d in enumerate(b.dirty) if d} == {2} | self.SECOND_LABEL[labels]
+        assert {i for i, d in enumerate(b.dirty) if d} == {1, 2, 3}
         assert set().union(*b.dirty) == {2}
         walk_all_paths(b)
 
     def test_a_relational_atom_wakes_no_world_creating_rule(self):
         # tri_B+ and tri_N+ need a world without successors, and tri_F reads
-        # none; only a first successor can newly enable the #-entry's cut.
+        # none.  Every successor wakes the #-entries' modal rules and cut,
+        # the first as well as later ones.
         b = settled(["w0: #p ; t", "w0: #p ; fbar"])
         assert woken(b, "w0 R w1") == [1, 2]
         walk_all_paths(b)
         b = settled(["w0: #p ; t", "w0: #p ; f", "w0 R w1"])
-        assert woken(b, "w0 R w2") == [1]
+        assert woken(b, "w0 R w2") == [1, 2]
         walk_all_paths(b)
         b = settled(["w0: #p ; f", "w0: #p ; tbar", "w0: #q ; t", "w0: #q ; f"])
-        assert len(b.succ[0]) == 2 and woken(b, "w0 R w3") == [1]
+        assert len(b.succ[0]) == 2 and woken(b, "w0 R w3") == [1, 2]
         walk_all_paths(b)
 
     def test_an_argument_entry_wakes_no_cut_one_step_back(self):
@@ -623,9 +625,10 @@ class TestAgenda:
         b = settled(["w0: #p ; f", "w0: #p ; tbar", "w0 R w3"])
         assert woken(b, "w3: p ; t") == [1]
         walk_all_paths(b)
+        # Nor where the cut reads the argument at the successors: w1: p
+        # carries t and fbar here, so the cut does not apply.
         b = settled(["w0: #p ; t", "w0: #p ; fbar", "w0 R w1"])
-        assert woken(b, "w0 R w2") == [1]
-        assert woken(b, "w2: p ; f") == [] and not b.dirty[2]
+        assert woken(b, "w1: p ; f") == [1] and not b.dirty[2]
         walk_all_paths(b)
 
     def test_a_subformula_label_wakes_no_cut_of_its_parents(self):
@@ -814,6 +817,28 @@ class TestBranchStores:
                 if b.closed or tableau._select(b) is None:
                     break
                 b = saturation_step(b)[-1]
+
+    @pytest.mark.parametrize("start", list(ROOTS))
+    def test_a_copy_after_dropped_positions_selects_as_its_original(self, start):
+        # A copy replays its original's items, so its agenda holds again the
+        # positions that _select has dropped from the original's.
+        stores = [slot for slot in Branch.__slots__ if slot not in ("table", "dirty")]
+        dropped = []
+
+        def check(b):
+            before = [set(d) for d in b.dirty]
+            got = check_select(b)
+            dropped.append(any(d < old for d, old in zip(b.dirty, before)))
+            c = b.copy()
+            for slot in stores:
+                assert by_value(getattr(c, slot)) == by_value(getattr(b, slot)), slot
+            assert all(mine <= theirs for mine, theirs in zip(b.dirty, c.dirty))
+            assert tableau._select(c) == tableau._select(b) == got
+            return got
+
+        for s, _ in hand_sequents():
+            walk_all_paths(root_branch(s, start), check)
+        assert sum(dropped) > 100
 
     def test_worlds_keep_their_first_insertion_order(self):
         b = Branch.from_items([lab("w0", "#p", "t"), RelAtom("w0", "w1"), lab("w3", "p", "t")])
