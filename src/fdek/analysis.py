@@ -18,7 +18,11 @@ whose layout ``_sections`` states once for the enumeration, the formula
 counts, the fold and the decoder of the witness.  A scan stops folding once
 its values are closed under the clauses, as no larger formula has another
 value; it still counts every formula up to the stated size, and a closed
-scan without a witness finds none at any size.
+scan without a witness finds none at any size.  Two bisimilar points are
+answered by partition refinement before any fold (``_bisimilar``): no
+formula of either language separates them.  The converse fails: the
+``fig6`` points have no separating []-formula, yet are not bisimilar, so
+the fold still answers for every other pair.
 """
 
 from __future__ import annotations
@@ -98,14 +102,24 @@ def _operators(language: str, succ: tuple[int, ...] | None = None) -> tuple[tupl
 def _counts(language: str, leaves: int, max_size: int) -> tuple[int, ...]:
     """The number of formulas of each size (index 0 holds 0) in
     ``enumerate_formulas(language, vars, max_size)`` over ``leaves``
-    variables, through the layout of ``_sections``.  Every scan of one
-    language, variable count and bound reads the same counts, so they are
-    kept per process."""
-    unary, binary = _operators(language)
+    variables: the sums over the sections of ``_sections``, in closed form.
+
+    With ``u`` unary and ``b`` binary ops, the counts c(n) have the
+    generating function C = leaves x + u x C + b x C^2.  So R = 2 b x C +
+    u x - 1 squares to D = (1 - u x)^2 - 4 b leaves x^2, and 2 D R' = D' R,
+    read coefficient by coefficient, is
+
+        (n + 1) c(n) = (2n - 1) u c(n - 1) + (4 b leaves - u^2) (n - 2) c(n - 2),
+
+    the Motzkin numbers' recurrence when u = b = leaves = 1.  It takes two
+    products per size, where the sums take one per pair of operand sizes.
+    Every scan of one language, variable count and bound reads the same
+    counts, so they are kept per process."""
+    u, b = map(len, _operators(language))
     counts = [0, leaves]
-    for size in range(2, max_size + 1):
-        counts.append(sum(prod(counts[k] for k in sizes)
-                          for _, sizes in _sections(size, unary, binary)))
+    for n in range(2, max_size + 1):
+        counts.append(((2 * n - 1) * u * counts[n - 1]
+                       + (4 * b * leaves - u * u) * (n - 2) * counts[n - 2]) // (n + 1))
     return tuple(counts)
 
 
@@ -430,6 +444,49 @@ def _first_formula(points: Sequence[PointedModel], names: Sequence[str], languag
     return checked, None, None
 
 
+def _bisimilar(a: PointedModel, b: PointedModel, names: Sequence[str], rounds: int) -> bool:
+    """Whether ``a`` and ``b`` are ``rounds``-bisimilar, by naive partition
+    refinement on the disjoint union of their models (Paige & Tarjan,
+    1987); if so, no formula of either language of modal depth ``rounds``
+    or less takes different values at them.  Blocks are world bitsets on
+    the union, ``a``'s model first, as in ``_first_formula``.  The first
+    blocks group the worlds by both supports of every variable of
+    ``names``, N where a model lacks it, as the fold's leaves do.  Each
+    round splits every block by the predecessors of each block of the
+    round before, which groups the worlds by (block, set of successor
+    blocks).  Both modal clauses read only the set of values a formula
+    takes on the successors, so worlds that share a block after k rounds
+    agree on every formula of modal depth k or less, and worlds of one
+    stable partition (bisimilar worlds) on every formula.  False as soon
+    as the points part: at the first support on which they differ, or at
+    the first block of a round that one point reaches and the other does
+    not, before the next round splits the other worlds."""
+    ma, mb = a.model, b.model
+    shift = len(ma.frame.worlds)
+    x, y = ma.frame.index[a.world], shift + mb.frame.index[b.world]
+    splitters = []
+    for v in names:
+        (p, n), (q, m) = atom_clause(ma, v), atom_clause(mb, v)
+        p |= q << shift
+        n |= m << shift
+        if (p >> x ^ p >> y | n >> x ^ n >> y) & 1:
+            return False
+        splitters += p, n
+    succ = ma.frame.succ + tuple(s << shift for s in mb.frame.succ)
+    sx, sy = succ[x], succ[y]
+    blocks, count = [(1 << len(succ)) - 1], 0
+    for _ in range(rounds):
+        for by in splitters:
+            blocks = [part for block in blocks for part in (block & by, block & ~by) if part]
+        if len(blocks) == count:
+            break  # stable: no later round splits a block
+        if any((not sx & block) != (not sy & block) for block in blocks):
+            return False
+        count = len(blocks)
+        splitters = [sum(1 << i for i, s in enumerate(succ) if s & block) for block in blocks]
+    return True
+
+
 def check_indistinguishability(a: PointedModel, b: PointedModel,
                                language: str, max_size: int) -> IndistinguishabilityReport:
     """Scan all formulas of ``language`` (over the models' variables, up to
@@ -452,6 +509,14 @@ def check_indistinguishability(a: PointedModel, b: PointedModel,
     the witness, or over every formula up to ``max_size``.  The scan stops
     folding once the values it has seen are closed under the clauses; a
     closed scan without a witness would find none at any size.
+
+    In transfer mode, points that are (``max_size`` - 1)-bisimilar are
+    answered by partition refinement before any fold (``_bisimilar``): a
+    formula of at most ``max_size`` nodes has modal depth below
+    ``max_size``, so it takes one value at both points, and the report is
+    the fold's, with no witness and every formula counted.  The converse
+    fails: ``fig6_single`` and ``fig6_pair`` are not bisimilar, yet no
+    []-formula separates them, so every other pair is folded.
     """
     if max_size < 1:
         raise ValueError(f"max_size must be at least 1, got {max_size}")
@@ -465,6 +530,10 @@ def check_indistinguishability(a: PointedModel, b: PointedModel,
         # A glut at a.
         checked, flags, formula = _first_formula([a], names, language, max_size,
                                                  lambda f: f[0] == (1, 1))
+    elif _bisimilar(a, b, names, max_size - 1):
+        # Every formula of at most max_size nodes, of modal depth below
+        # max_size, takes one value at both points: none separates them.
+        checked, flags, formula = sum(_counts(language, len(names), max_size)), None, None
     else:
         # A classical value at b that a does not share; a non-classical
         # value at b constrains nothing.

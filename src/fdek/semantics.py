@@ -509,24 +509,35 @@ def frame_to_dict(fr: Frame) -> dict:
     return {"worlds": list(fr.worlds), "rel": [list(e) for e in rel]}
 
 
+# Each value letter's two support flags, read off FourValue's members.
+_LETTERS = {v.name: v.value for v in FourValue}
+
+
 def model_from_dict(data: Mapping) -> Model:
+    """Decode the JSON interchange form: each letter sets its world's bit in
+    its variable's two supports, as ``Model.from_values`` does, with no
+    ``FourValue`` built."""
     frame = frame_from_dict(data)
     val = data.get("val", {})
     if not isinstance(val, Mapping):
         raise ModelError("'val' must be an object")
-    values: dict[str, dict[str, FourValue]] = {}
+    supports: dict[str, list[int]] = {}
     for world, assignment in val.items():
-        if world not in frame.index:
+        i = frame.index.get(world)
+        if i is None:
             raise UnknownWorldError(f"'val' uses unknown world {world!r}")
         if not isinstance(assignment, Mapping):
             raise ModelError(f"'val' entry for {world!r} must be an object")
-        row = {}
         for var, letter in assignment.items():
-            if not isinstance(letter, str) or letter not in FourValue.__members__:
+            if not isinstance(letter, str) or letter not in _LETTERS:
                 raise ModelError(f"bad value {letter!r} for {var!r} at {world!r}")
-            row[var] = FourValue[letter]
-        values[world] = row
-    return Model.from_values(frame, values)
+            truth, falsity = _LETTERS[letter]
+            pair = supports.setdefault(var, [0, 0])
+            pair[0] |= truth << i
+            pair[1] |= falsity << i
+    model = Model.__new__(Model)
+    model._store(frame, supports, None)
+    return model
 
 
 def model_to_dict(m: Model) -> dict:

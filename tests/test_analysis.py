@@ -3,8 +3,10 @@ import importlib
 import json
 import random
 import tracemalloc
+from collections.abc import Iterator
 from functools import lru_cache
 from itertools import permutations
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +123,18 @@ class TestFormulaEnumeration:
         for f in enumerate_formulas("tri", ["p"], 7):
             per_size[size(f)] = per_size.get(size(f), 0) + 1
         assert per_size == c
+
+    @pytest.mark.parametrize("language", ["tri", "box"])
+    @pytest.mark.parametrize("leaves", [1, 2, 3])
+    def test_counts_are_the_sum_over_the_sections(self, language, leaves):
+        # _counts takes the sums over _sections by a recurrence with two
+        # products per size; the reference is the sums themselves.
+        unary, binary = analysis._operators(language)
+        counts = [0, leaves]
+        for n in range(2, 61):
+            counts.append(sum(prod(counts[k] for k in sizes)
+                              for _, sizes in analysis._sections(n, unary, binary)))
+        assert analysis._counts(language, leaves, 60) == tuple(counts)
 
     def test_unknown_language(self):
         with pytest.raises(ValueError):
@@ -1126,26 +1140,135 @@ def _random_point(rng, names, at_point=None) -> PointedModel:
     return PointedModel(Model.from_values(Frame(worlds, rel), values, variables=names), world)
 
 
+def _pointed(m: Model, ren: dict, extra: dict, rel, point: str,
+             variables=frozenset()) -> PointedModel:
+    """``m`` with its worlds renamed by ``ren`` (the others keep their
+    names), beside the worlds of ``extra`` (world -> values), on the
+    relation ``rel`` renamed the same way, pointed at ``point``."""
+    values = {ren.get(w, w): {v: m.value(w, v) for v in m.variables} for w in m.frame.worlds}
+    values.update(extra)
+    rel = [(ren.get(s, s), ren.get(t, t)) for s, t in rel]
+    return PointedModel(Model.from_values(Frame(sorted(values), rel), values,
+                                          variables=m.variables | variables), point)
+
+
+def _relabelled(point: PointedModel, rng) -> PointedModel:
+    """An isomorphic copy, its worlds renamed in a seeded order."""
+    names = [f"v{i}" for i in range(len(point.model.frame.worlds))]
+    rng.shuffle(names)
+    ren = dict(zip(point.model.frame.worlds, names))
+    return _pointed(point.model, ren, {}, point.model.frame.relation, ren[point.world])
+
+
+def _beside(point: PointedModel, other: Model) -> PointedModel:
+    """The disjoint union of the model with a renamed copy of ``other``,
+    pointed as before: the point generates the same submodel, where
+    ``other``'s variables are N."""
+    m = point.model
+    copy = {w: f"x{w}" for w in other.frame.worlds}
+    extra = {copy[w]: {v: other.value(w, v) for v in other.variables}
+             for w in other.frame.worlds}
+    rel = list(m.frame.relation) + [(copy[s], copy[t]) for s, t in other.frame.relation]
+    return _pointed(m, {}, extra, rel, point.world, other.variables)
+
+
+def _cloned(point: PointedModel, rng) -> PointedModel:
+    """The model with one world cloned, the point's world half the time:
+    the clone takes the world's values and successors, and each
+    predecessor of the world may also reach the clone, so the clone is
+    bisimilar to the world.  The point moves to the clone of its world."""
+    m = point.model
+    world = point.world if rng.random() < 0.5 else rng.choice(m.frame.worlds)
+    clone = world + "c"
+    rel = set(m.frame.relation)
+    rel |= {(clone, t) for s, t in m.frame.relation if s == world}
+    rel |= {(s, clone) for s, t in sorted(m.frame.relation)
+            if t == world and rng.random() < 0.5}
+    values = {clone: {v: m.value(world, v) for v in m.variables}}
+    return _pointed(m, {}, values, rel, clone if world == point.world else point.world)
+
+
+def _bisimilar_variants(point: PointedModel, rng, other: Model) -> list[PointedModel]:
+    """Three pointed models bisimilar to ``point``, none equal to it."""
+    return [_relabelled(point, rng), _beside(point, other), _cloned(point, rng)]
+
+
 _SCAN_MODELS = ("fig1", "fig5_left", "fig5_right", "fig6_single", "fig6_pair", "fig7",
                 "fig9_glut", "fig9_gap", "fig10")
 
 
+def _bundled_scans() -> list[tuple[PointedModel, PointedModel, int]]:
+    """The scans of the bundled differential at size 5: every pair of
+    bundled pointed models, two over different variables, and each point
+    against three bisimilar variants of it, either way round."""
+    points = [PointedModel(load_model(name), w)
+              for name in _SCAN_MODELS for w in load_model(name).frame.worlds]
+    pairs = [(a, b) for a in points for b in points]
+    # Models over different variables: the union's variables are scanned.
+    fig1, fig4 = PointedModel(load_model("fig1"), "w0"), PointedModel(load_model("fig4"), "w1")
+    pairs += [(fig1, fig4), (fig4, fig1)]
+    rng = random.Random(37)
+    for a in points:
+        for b in _bisimilar_variants(a, rng, fig4.model):
+            pairs += [(a, b), (b, a)]
+    return [(a, b, 5) for a, b in pairs]
+
+
+def _random_scans() -> Iterator[tuple[PointedModel, PointedModel, int]]:
+    """The seeded scans of the random differential: 200 random pairs, one
+    in three a point against itself, each followed by its first point
+    against a bisimilar variant of it, either way round, the three kinds
+    of variant in turn."""
+    # Points whose variables agree (no glut, in glut mode) push the
+    # witnesses past size 1, into sections whose first positions come
+    # from those of binary sections.
+    rng, variants = random.Random(18), random.Random(37)
+    for i in range(200):
+        names = ["p", "q"][:rng.randint(1, 2)]
+        agree = rng.random() < 0.5
+        if rng.random() < 1 / 3:
+            a = b = _random_point(rng, names, {v: rng.choice("TFN") for v in names}
+                                  if agree else None)
+        else:
+            a = _random_point(rng, names)
+            b = _random_point(rng, names, {v: a.model.value(a.world, v) for v in names}
+                              if agree else None)
+        max_size = 6 if rng.random() < 0.75 else rng.randint(1, 5)
+        yield a, b, max_size
+        c = _bisimilar_variants(a, variants, _random_point(variants, ["q"]).model)[i % 3]
+        yield a, c, max_size
+        yield c, a, max_size
+
+
+def _differential(scans, language: str) -> Iterator[tuple[PointedModel, PointedModel, dict, dict]]:
+    """Each scan's pointed models, its report less ``elapsed``, and the
+    report of the formula-by-formula scan."""
+    for a, b, max_size in scans:
+        report = check_indistinguishability(a, b, language, max_size).to_dict()
+        del report["elapsed"]
+        yield a, b, report, formula_by_formula_scan(a, b, language, max_size)
+
+
+def _answers(monkeypatch) -> list[bool]:
+    """The answers of every later ``_bisimilar`` call."""
+    answers = []
+    bisimilar = analysis._bisimilar
+    monkeypatch.setattr(analysis, "_bisimilar",
+                        lambda *args: answers.append(bisimilar(*args)) or answers[-1])
+    return answers
+
+
 class TestIndistinguishability:
     @pytest.mark.parametrize("language", ["tri", "box"])
-    def test_matches_the_formula_by_formula_scan(self, language):
-        points = [PointedModel(load_model(name), w)
-                  for name in _SCAN_MODELS for w in load_model(name).frame.worlds]
-        pairs = [(a, b) for a in points for b in points]
-        # Models over different variables: the union's variables are scanned.
-        fig1, fig4 = PointedModel(load_model("fig1"), "w0"), PointedModel(load_model("fig4"), "w1")
-        pairs += [(fig1, fig4), (fig4, fig1)]
+    def test_matches_the_formula_by_formula_scan(self, monkeypatch, language):
+        answers = _answers(monkeypatch)
         modes = set()
-        for a, b in pairs:
-            report = check_indistinguishability(a, b, language, 5).to_dict()
-            del report["elapsed"]
-            assert report == formula_by_formula_scan(a, b, language, 5), (a, b)
+        for a, b, report, expected in _differential(_bundled_scans(), language):
+            assert report == expected, (a, b)
             modes.add((report["mode"], report["witness"] is None))
         assert modes == {("glut", True), ("glut", False), ("transfer", True), ("transfer", False)}
+        # Bisimilar pairs are answered by refinement, the others by the fold.
+        assert answers.count(True) >= 6 * 16 and False in answers
 
     @pytest.mark.parametrize("language,max_size,match", [
         ("classical", 3, "unknown language"), ("tri", 0, "at least 1")])
@@ -1162,30 +1285,76 @@ class TestIndistinguishability:
             check_indistinguishability(point, point, language, max_size)
 
     @pytest.mark.parametrize("language", ["tri", "box"])
-    def test_matches_the_formula_by_formula_scan_on_random_models(self, language):
-        # Points whose variables agree (no glut, in glut mode) push the
-        # witnesses past size 1, into sections whose first positions come
-        # from those of binary sections.
-        rng = random.Random(18)
+    def test_matches_the_formula_by_formula_scan_on_random_models(self, monkeypatch, language):
+        answers = _answers(monkeypatch)
         modes, sizes = set(), set()
-        for _ in range(200):
-            names = ["p", "q"][:rng.randint(1, 2)]
-            agree = rng.random() < 0.5
-            if rng.random() < 1 / 3:
-                a = b = _random_point(rng, names, {v: rng.choice("TFN") for v in names}
-                                      if agree else None)
-            else:
-                a = _random_point(rng, names)
-                b = _random_point(rng, names, {v: a.model.value(a.world, v) for v in names}
-                                  if agree else None)
-            max_size = 6 if rng.random() < 0.75 else rng.randint(1, 5)
-            report = check_indistinguishability(a, b, language, max_size).to_dict()
-            del report["elapsed"]
-            assert report == formula_by_formula_scan(a, b, language, max_size), (a, b)
+        for a, b, report, expected in _differential(_random_scans(), language):
+            assert report == expected, (a, b)
             modes.add((report["mode"], report["witness"] is None))
             sizes.add(report["witness"] and size(parse_formula(report["witness"])))
         assert modes == {("glut", True), ("glut", False), ("transfer", True), ("transfer", False)}
         assert {1, 2, 3, 4} <= sizes
+        assert answers.count(True) >= 2 * 200 and False in answers
+
+    def test_refinement_is_bounded_bisimilarity(self):
+        # _bisimilar after k rounds against k-bisimilarity by its inductive
+        # definition: the same values of the variables, and each successor
+        # of either point matched by a (k - 1)-bisimilar successor of the
+        # other.
+        def bisimilar(a, b, k):
+            names = sorted(a.model.variables | b.model.variables)
+
+            @lru_cache(maxsize=None)
+            def match(u, v, k):
+                if any(a.model.value(u, n) != b.model.value(v, n) for n in names):
+                    return False
+                su, sv = a.model.successors(u), b.model.successors(v)
+                return k == 0 or (all(any(match(s, t, k - 1) for t in sv) for s in su)
+                                  and all(any(match(s, t, k - 1) for s in su) for t in sv))
+
+            return match(a.world, b.world, k)
+
+        answers = set()
+        for a, b, _ in _random_scans():
+            names = sorted(a.model.variables | b.model.variables)
+            for k in range(6):
+                answer = analysis._bisimilar(a, b, names, k)
+                assert answer == bisimilar(a, b, k), (a, b, k)
+                answers.add((k, answer))
+        assert answers == {(k, answer) for k in range(6) for answer in (True, False)}
+
+    @pytest.mark.parametrize("mutant", ["truth supports only", "no successor condition"])
+    def test_the_differentials_refuse_a_weaker_refinement(self, monkeypatch, mutant):
+        # A refinement that reads only the truth supports takes p = B at a
+        # and p = T at b for bisimilar, though p separates them; one that
+        # skips the successor condition takes fig6_pair's w0 and
+        # fig6_single's, where p is T, for bisimilar, though []p separates
+        # them.  Each must fail both differentials in both languages.
+        bisimilar = analysis._bisimilar
+
+        def blind(point):
+            m = Model.__new__(Model)
+            m._store(point.model.frame,
+                     {v: [pos, 0] for v, (pos, _) in point.model.val.items()}, None)
+            return PointedModel(m, point.world)
+
+        weak = {"truth supports only": lambda a, b, names, rounds:
+                bisimilar(blind(a), blind(b), names, rounds),
+                "no successor condition": lambda a, b, names, rounds:
+                bisimilar(a, b, names, 0)}[mutant]
+        both, true = (PointedModel(Model.from_values(Frame(["w0"], []), {"w0": {"p": v}}), "w0")
+                      for v in "BT")
+        pair, single = (PointedModel(load_model(name), "w0")
+                        for name in ("fig6_pair", "fig6_single"))
+        a, b, language, witness = {"truth supports only": (both, true, "tri", "p"),
+                                   "no successor condition": (pair, single, "box", "[]p")}[mutant]
+        assert check_indistinguishability(a, b, language, 3).witness == witness
+        monkeypatch.setattr(analysis, "_bisimilar", weak)
+        assert check_indistinguishability(a, b, language, 3).witness is None
+        for language in ("tri", "box"):
+            for scans in (_bundled_scans(), _random_scans()):
+                assert any(report != expected for _, _, report, expected
+                           in _differential(scans, language)), language
 
     @pytest.mark.parametrize("language", ["tri", "box"])
     @pytest.mark.parametrize("names", [["p"], ["p", "q"]])
@@ -1241,6 +1410,28 @@ class TestIndistinguishability:
             assert report.formulas_checked == checked
             made.append(len(calls))
         assert made[0] == made[1] > 0
+
+    @pytest.mark.parametrize("language,modality,clause",
+                             [("tri", Tri, tri_clause), ("box", Box, box_clause)])
+    def test_a_bisimilar_pair_is_answered_before_the_fold(self, monkeypatch, language, modality,
+                                                          clause):
+        # fig6_pair's w0 against a relabelled copy of it: refinement finds
+        # them bisimilar, so the scan calls no clause, and still counts
+        # every formula up to the bound.
+        calls = []
+
+        def counted(clause):
+            return lambda *args, **kwargs: calls.append(args) or clause(*args, **kwargs)
+
+        for name in ("not_clause", "and_clause", "or_clause"):
+            monkeypatch.setattr(analysis, name, counted(getattr(analysis, name)))
+        monkeypatch.setitem(analysis._MODALITIES, language, (modality, counted(clause)))
+        a = PointedModel(load_model("fig6_pair"), "w0")
+        report = check_indistinguishability(a, _relabelled(a, random.Random(1)), language, 9)
+        assert report.mode == "transfer"
+        assert report.verdict == "no separating formula found"
+        assert report.formulas_checked == 23213
+        assert calls == []
 
     @pytest.mark.parametrize("seed,language,glut,new_values", [
         (2244, "box", True, [1, 2, 1, 0, 2, 1]), (615, "tri", False, [1, 1, 0, 2])])

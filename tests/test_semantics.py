@@ -755,6 +755,36 @@ class TestJsonInterchange:
         assert m.value(f"w{n - 1}", "p") is B
         assert Name.compared <= 20 * n
 
+    def test_decodes_as_from_values(self):
+        # The letters are decoded straight to support bits; Model.from_values
+        # over FourValue members is the reference, variable universe too.
+        rng = random.Random(5)
+        for _ in range(300):
+            worlds = [f"w{i}" for i in range(rng.randint(1, 4))]
+            val = {w: {v: rng.choice("TBNF") for v in rng.sample("pqr", rng.randint(0, 3))}
+                   for w in rng.sample(worlds, rng.randint(0, len(worlds)))}
+            got = model_from_dict({"worlds": worlds, "val": val})
+            expected = mk(worlds, [], {w: {v: FourValue[x] for v, x in row.items()}
+                                       for w, row in val.items()})
+            assert got == expected and got.variables == expected.variables
+
+    @pytest.mark.parametrize("val,error,message", [
+        ([], ModelError, "'val' must be an object"),
+        ({"w9": {"p": "X"}}, UnknownWorldError, "'val' uses unknown world 'w9'"),
+        ({"w0": {"p": "T"}, "w1": ["p"]}, ModelError, "'val' entry for 'w1' must be an object"),
+        ({"w0": {"p": "X"}, "w9": {}}, ModelError, "bad value 'X' for 'p' at 'w0'"),
+        ({"w0": {"p": ["T"]}}, ModelError, "bad value ['T'] for 'p' at 'w0'"),
+        ({"w0": {"p": "t"}}, ModelError, "bad value 't' for 'p' at 'w0'"),
+        ({"w0": {"p": "value"}}, ModelError, "bad value 'value' for 'p' at 'w0'"),
+        # Every letter is checked before any variable name.
+        ({"w0": {"P": "T"}, "w1": {"q": 1}}, ModelError, "bad value 1 for 'q' at 'w1'"),
+        ({"w0": {"P": "T"}}, ModelError, "bad variable name 'P'"),
+    ])
+    def test_errors_come_in_order(self, val, error, message):
+        with pytest.raises(error) as info:
+            model_from_dict({"worlds": ["w0", "w1"], "rel": [], "val": val})
+        assert type(info.value) is error and str(info.value) == message
+
     def test_rejects_bad_value_letter(self):
         with pytest.raises(ModelError):
             model_from_dict({"worlds": ["w0"], "rel": [], "val": {"w0": {"p": "X"}}})
