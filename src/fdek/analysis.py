@@ -7,9 +7,9 @@ count, relation mask, valuation index, then world, each ascending
 (``bulkeval`` states the layout).  They sweep one relation per isomorphism
 class: their questions are invariant under renaming worlds, and the first
 answer in labelled order lies on the smallest mask of its class, so
-witnesses and frame counts are those of the labelled scan.  Past one world
-the countermodel search sweeps only the classes rooted within the sequent's
-modal depth, the only ones that can hold a smallest countermodel.
+witnesses and frame counts are those of the labelled scan.  The
+countermodel search sweeps only the classes rooted and cut at the
+sequent's modal depth, the only ones that can hold a first countermodel.
 "There is no formula such that ..." claims are checked up to a stated AST
 size and reported as bounded evidence, not as proofs.  Those scans fold
 the clauses over the distinct value vectors of each formula size and
@@ -30,7 +30,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, fields
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product, starmap
 from math import prod
 from typing import Callable, Iterator, Sequence, Union
@@ -85,6 +85,20 @@ def _sections(size: int, unary: Sequence[Callable],
             yield op, (left, size - 1 - left)
 
 
+class _ClauseMemo(dict):
+    """A modal clause on one model's successor bitsets, memoised per scan:
+    each value's image, computed on its first lookup."""
+
+    __slots__ = ("clause", "succ")
+
+    def __init__(self, clause: Callable, succ: tuple[int, ...]):
+        self.clause, self.succ = clause, succ
+
+    def __missing__(self, v: tuple[int, int]) -> tuple[int, int]:
+        image = self[v] = self.clause(v, self.succ)
+        return image
+
+
 def _operators(language: str, succ: tuple[int, ...] | None = None) -> tuple[tuple, tuple]:
     """The unary and the binary operators of the language, in enumeration
     order: the formula constructors, or, given the successor bitsets
@@ -93,9 +107,9 @@ def _operators(language: str, succ: tuple[int, ...] | None = None) -> tuple[tupl
     if succ is None:
         return (Not, modal), (And, Or)
     # The modal clause is the costly one, and a fold meets each value at
-    # several sizes: one call per distinct value.
-    modal = lru_cache(maxsize=None)(partial(modal_clause, succ=succ))
-    return (not_clause, modal), (and_clause, or_clause)
+    # several sizes: one call per distinct value, through the memo's
+    # bound ``__getitem__``.
+    return (not_clause, _ClauseMemo(modal_clause, succ).__getitem__), (and_clause, or_clause)
 
 
 @lru_cache(maxsize=32)
@@ -169,17 +183,20 @@ def find_countermodel(s: Sequent, max_worlds: int) -> PointedModel | None:
     so the first refuting relation is the smallest of its class, and the
     result is identical to the naive scan.
 
-    Only rooted classes are swept; at one world both relations are.  A sequent
-    of modal depth d (``#`` and ``[]`` counted) is evaluated at w from the
-    worlds within d steps of w alone, each of them less than d steps away
-    with all its successors.  So if a model on n worlds refutes it at w and
-    some world lies more than d steps from w, the submodel on the worlds
-    within d steps refutes it on fewer worlds.  Once no smaller model
-    refutes the sequent, every refuting relation on n worlds reaches all n
-    worlds from the refuting world within d steps; the other classes hold no
-    countermodel, and the first witness is unchanged.  At depth 0 no class
-    of two or more worlds is rooted, so a propositional sequent is decided
-    at one world.
+    Only the classes rooted and cut at the sequent's modal depth d (``#``
+    and ``[]`` counted) are swept.  The sequent is evaluated at w from the
+    worlds within d steps of w alone, and from the successors of those
+    less than d steps away alone.  So if a model on n worlds refutes it at
+    w and some world lies more than d steps from w, the submodel on the
+    worlds within d steps refutes it on fewer worlds: once no smaller
+    model refutes the sequent, every refuting relation on n worlds reaches
+    all n worlds from the refuting world within d steps (rooted).  And
+    dropping the edges out of every world d or more steps from w leaves a
+    refuting relation whose mask is a subset of the first witness's, so no
+    smaller: the first witness has no such edge (cut).  The other classes
+    hold no first countermodel, and the witness is unchanged.  At depth 0
+    only the loopless world is swept, so a propositional sequent is
+    decided at one world.
 
     The sequent is compiled once (``bulkeval._compile``); every block of
     every sweep runs that program, and its variables and modal depth are

@@ -9,11 +9,15 @@ relation visits one relation per isomorphism class (``_relation_list``):
 validity is invariant under renaming worlds, so the first refuting
 relation in ascending mask order is the smallest of its class, and the
 sweep finds the labelled scan's first witness.  A sweep given a modal
-depth d keeps only the rooted classes, where some world reaches every
-world within d steps: a formula of depth d at a world reads only the
-worlds within d steps of it (invariance under generated submodels), so
-once no smaller model refutes a claim, every refuting relation is rooted
-at the refuting world, and the first witness stays where it was.
+depth d keeps only the classes rooted and cut at d: some world w reaches
+every world within d steps, and every world with a successor lies fewer
+than d steps from w.  A formula of depth d at w reads only the worlds
+within d steps of w, and only the edges out of those fewer than d steps
+away (invariance under generated submodels, cut at depth d).  So once no
+smaller model refutes a claim, every refuting relation is rooted at the
+refuting world; and the first witness has no edge out of a far world,
+since dropping those edges leaves a refuting subset of its mask, which
+is no smaller.  The first witness stays where it was.
 
 A formula's two supports are world bitsets: arrays of shape (relations,
 valuations), or (1, valuations) where independent of the relation, whose
@@ -537,9 +541,14 @@ def _relation_list(n: int, depth: int | None) -> _RelationList:
     one byte in each frame-property vector).
     Without a ``depth``, the masks that are the smallest of their orbit
     under the n! renamings of the worlds, ascending: one per isomorphism
-    class, mask 0 first.  With one, those in which some world reaches every
-    world within ``depth`` steps, which renaming keeps; every depth from
-    n - 1 on gives the same list, so ``sweep`` asks for at most that one."""
+    class, mask 0 first.  With one, those in which some world w reaches
+    every world within ``depth`` steps (rooted) and every world with a
+    successor lies within ``depth`` - 1 steps of w, none at depth 0 (cut),
+    which renaming keeps.  The first refuting mask of a claim of that
+    depth is rooted and cut at its refuting world: dropping its edges out
+    of the worlds ``depth`` or more steps away leaves a refuting subset of
+    it, so there are none.  Every depth from n on gives the same list, so
+    ``sweep`` asks for at most that one; depth n - 1 still cuts."""
     if depth is None:
         masks = np.arange(2 ** (n * n), dtype=np.int64)
         succ = _successors(n, masks)
@@ -553,7 +562,12 @@ def _relation_list(n: int, depth: int | None) -> _RelationList:
         masks = masks[smallest == masks]
     else:
         every = _relation_list(n, None)
-        masks = every.masks[(_reach(every.succ, depth) == (1 << n) - 1).any(axis=1)]
+        rooted = _reach(every.succ, depth) == (1 << n) - 1
+        # Bit w of senders: world w has a successor; each must be near the root.
+        senders = sum((every.succ[:, w] != 0).astype(np.uint8) << w for w in range(n))
+        near = _reach(every.succ, depth - 1) if depth else 0
+        cut = (senders[:, None] | near) == near
+        masks = every.masks[(rooted & cut).any(axis=1)]
     return _RelationList(masks, _successors(n, masks))
 
 
@@ -564,8 +578,10 @@ def sweep(worlds: int | Frame, variables: Sequence[str],
     the one relation of a given ``Frame``, as BulkSpaces over consecutive
     blocks in enumeration order; a block's ``masks`` name its relations.
     With a ``depth``, a sweep over every relation keeps only the classes
-    in which some world reaches every world within ``depth`` steps, and
-    yields no block if there is none.
+    rooted and cut at ``depth`` (``_relation_list``): some world w reaches
+    every world within ``depth`` steps, and no edge leaves a world
+    ``depth`` or more steps from w, as the first countermodel of a claim
+    of that depth never has one.  It yields no block if no class is kept.
 
     The size guard runs at the first ``next()``, before anything is
     allocated.  Each block holds at most ``_BLOCK_PAIRS`` (relation,
@@ -586,7 +602,7 @@ def sweep(worlds: int | Frame, variables: Sequence[str],
     n = len(worlds.worlds) if given else worlds
     _guard(worlds, len(names))
     if depth is not None:
-        depth = min(depth, n - 1)  # reach is settled after n - 1 steps
+        depth = min(depth, n)  # every depth from n on keeps the same classes
     relations = (_RelationList(None, np.array([worlds.succ], dtype=_bitset_type(n))) if given
                  else _relation_list(n, depth))
     if not len(relations.succ):

@@ -9,7 +9,9 @@ import pytest
 from fdek import bulkeval
 from fdek.bulkeval import frame_from_mask, model_from_indices
 from fdek.semantics import Evaluator, frame_property, frame_to_dict
-from fdek.syntax import And, Atom, Formula, Not, Or, Sequent, Tri, parse_sequent, variables
+from fdek.syntax import (
+    And, Atom, Box, Formula, Not, Or, Sequent, Tri, parse_sequent, variables,
+)
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -105,6 +107,30 @@ def random_formula(rng: random.Random, names, depth: int, tri_budget: int) -> Fo
         return Tri(random_formula(rng, names, depth - 1, tri_budget - 1))
     left = random_formula(rng, names, depth - 1, tri_budget)
     right = random_formula(rng, names, depth - 1, tri_budget)
+    return And(left, right) if kind == "and" else Or(left, right)
+
+
+# The prefix runs of #, [], @ (~#) and <> (~[]~), outermost first.
+_MODAL_RUNS = ((Tri,), (Box,), (Not, Tri), (Not, Box, Not))
+
+
+def random_modal_formula(rng: random.Random, names, nodes: int, depth: int) -> Formula:
+    """A random formula over ``names`` with ``nodes`` connectives among ~,
+    &, |, #, [], @ and <> (each modal run one connective), of modal depth
+    at most ``depth``."""
+    if nodes <= 0:
+        return Atom(rng.choice(names))
+    kind = rng.choice(("not", "and", "or", "modal", "modal") if depth else ("not", "and", "or"))
+    if kind == "not":
+        return Not(random_modal_formula(rng, names, nodes - 1, depth))
+    if kind == "modal":
+        f = random_modal_formula(rng, names, nodes - 1, depth - 1)
+        for node in reversed(rng.choice(_MODAL_RUNS)):
+            f = node(f)
+        return f
+    split = rng.randint(0, nodes - 1)
+    left = random_modal_formula(rng, names, split, depth)
+    right = random_modal_formula(rng, names, nodes - 1 - split, depth)
     return And(left, right) if kind == "and" else Or(left, right)
 
 

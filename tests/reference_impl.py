@@ -15,6 +15,7 @@
   the bulk sweep of its frame.
 * ``modal_depth_by_postorder`` folds the modal depth children first, and
   ``size`` counts nodes, a shared subtree at each occurrence.
+* ``near_and_within`` is a breadth-first search to a depth.
 * ``model_names`` lists the bundled models ``figures.load_model`` reads.
 """
 
@@ -182,6 +183,19 @@ def modal_depth_by_postorder(*fs: Formula) -> int:
         below = max((depths[getattr(node, name)] for name in node._fields), default=0)
         depths[node] = below + isinstance(node, (Tri, Box))
     return max((depths[f] for f in fs), default=0)
+
+
+def near_and_within(successors, root: str, depth: int) -> tuple[set, set]:
+    """The worlds fewer than ``depth`` steps from ``root``, and those at
+    most ``depth`` steps away, by breadth-first search over
+    ``successors(world)``."""
+    near, within = set(), {root}
+    frontier = within
+    for _ in range(depth):
+        near = within
+        frontier = {t for w in frontier for t in successors(w)} - within
+        within = within | frontier
+    return near, within
 
 
 def size(f: Formula) -> int:

@@ -24,13 +24,15 @@ from fdek.semantics import (
     box_clause, frame_to_dict, model_to_dict, sequent_valid_on_frame, tri_clause,
 )
 from fdek.syntax import (
-    And, Atom, Box, Not, Or, Sequent, Tri, parse_formula, parse_sequent, render, variables,
+    And, Atom, Box, Not, Or, Sequent, Tri, parse_formula, parse_sequent, render, render_sequent,
+    variables,
 )
 from fdek.tableau import Proved, prove
 
-from conftest import corpus, random_formula, scalar_definability
+from conftest import corpus, random_formula, random_modal_formula, scalar_definability
 from reference_impl import (
-    bulk_bits, bulk_supports, enumerate_frames, enumerate_models, model_by_values, size,
+    bulk_bits, bulk_supports, enumerate_frames, enumerate_models, model_by_values,
+    near_and_within, size,
 )
 
 
@@ -239,14 +241,15 @@ class TestCountermodelSearch:
             find_countermodel(parse_sequent("p |- q"), 6)
 
     def test_matches_the_labelled_search(self, chunk_budget):
-        # The search sweeps, past one world, the isomorphism classes rooted
-        # within the sequent's modal depth; the labelled BulkSpace sweeps
-        # all 2^(n*n) masks.  The corpus's first witnesses lie on masks 0 to
+        # The search sweeps the isomorphism classes rooted and cut at the
+        # sequent's modal depth d: some world reaches every world within d
+        # steps, and no edge leaves a world d or more steps from it.  The
+        # labelled BulkSpace sweeps all 2^(n*n) masks.  The corpus's first witnesses lie on masks 0 to
         # 3, the first four classes, where a mask equals its position in the
         # unfiltered sweep; the added sequents are first refuted on masks 2,
         # 3, 5, 6 and 7 of 2 worlds and 12, 28 and 98 of 3, not always at w0,
         # with # or [] or both; the last six hold on every model, and for
-        # the three of depth 0 no class past one world is swept.  Under the
+        # the three of depth 0 only the loopless world is swept.  Under the
         # tiny budget a two-variable space on 3 worlds is read in 64 blocks
         # per relation, too slow for the whole corpus, so those sequents stop
         # at 2 worlds.
@@ -268,8 +271,9 @@ class TestCountermodelSearch:
 
     def test_matches_the_labelled_search_at_four_worlds(self):
         # First refuted on mask 328 of 4 worlds (w1 -> w2 -> w0 -> w3) at
-        # w1, past the 1 280 classes rooted at depth 1; and a valid sequent
-        # of depth 1, for which 1 280 of the 3 044 classes are swept.
+        # w1, a chain of three steps that the cut at depth 3 keeps, as no
+        # edge leaves w3; and a valid sequent of depth 1, for which 2 of
+        # the 3 044 classes are swept.
         for text in ("p & []p & [][]p |- [][][]p", "#p |- #~p"):
             s = parse_sequent(text)
             found = find_countermodel(s, 4)
@@ -477,15 +481,13 @@ class TestRepresentatives:
 
 def _bfs_rooted(n, mask, depth):
     """Some world of ``frame_from_mask(n, mask)`` reaches every world
-    within ``depth`` steps, by breadth-first search from each world."""
+    within ``depth`` steps, and no edge leaves a world ``depth`` or more
+    steps from it, by breadth-first search from each world."""
     frame = frame_from_mask(n, mask)
-    succ = {w: {t for s, t in frame.relation if s == w} for w in frame.worlds}
+    senders = [w for w in frame.worlds if frame.successors(w)]
     for root in frame.worlds:
-        seen = frontier = {root}
-        for _ in range(depth):
-            frontier = set().union(*(succ[w] for w in frontier)) - seen
-            seen = seen | frontier
-        if len(seen) == n:
+        near, within = near_and_within(frame.successors, root, depth)
+        if len(within) == n and all(w in near for w in senders):
             return True
     return False
 
@@ -499,10 +501,45 @@ class TestRootedSweep:
             assert bulkeval._relation_list(n, depth).masks.tolist() == rooted, (n, depth)
 
     @pytest.mark.parametrize("n,counts", [
-        (2, [0, 7, 7, 7, 7]), (3, [0, 60, 80, 80, 80]), (4, [0, 1280, 2504, 2638, 2638])])
+        (2, [0, 2, 7, 7, 7]), (3, [0, 2, 64, 80, 80]), (4, [0, 2, 1411, 2520, 2638]),
+        (1, [1, 2, 2, 2, 2])])
     def test_class_counts(self, n, counts):
+        # Rooted and cut at each depth 0 to 4: the cut drops classes only
+        # below depth n, and from n on every rooted class is kept.
         assert [len(bulkeval._relation_list(n, depth).masks) for depth in range(5)] == counts
         assert len(bulkeval._relation_list(n, 2000).masks) == counts[-1]
+
+    def test_matches_the_labelled_search_on_random_sequents(self, chunk_budget):
+        # Seeded sequents of modal depth 0 to 3 over #, [], @ and <>, of
+        # one or two variables up to 3 worlds, every fifth of one variable
+        # up to 4; then named ones whose witness keeps an edge out of a
+        # world d - 1 steps from the refuting world at depth d = n (CI's
+        # "#[]p |- []#p" at w1 of w0 -> w0, w0 -> w1, w1 -> w0, and
+        # "##p |- ####p" on 3 worlds), or lies on a chain of 4 worlds.  The
+        # witness is the labelled scan's, on every class list the sweep
+        # reads, cut or not.
+        rng = random.Random(2001)
+        cases = []
+        for i in range(150):
+            four = i % 5 == 4
+            names = ["p"] if four else ["p", "q"][:rng.randint(1, 2)]
+            depth = rng.randint(0, 3)
+            premise, conclusion = (random_modal_formula(rng, names, rng.randint(1, 5), depth)
+                                   for _ in range(2))
+            cases.append((Sequent(premise, conclusion), 4 if four else 3))
+        cases += [(parse_sequent(text), worlds) for text, worlds in [
+            ("#[]p |- []#p", 3), ("##p |- ####p", 3), ("<>p & []#p |- <>#p", 3),
+            ("p & []p & [][]p |- [][][]p", 4)]]
+        deep_and_wide = off_root = 0
+        for s, max_worlds in cases:
+            found = find_countermodel(s, max_worlds)
+            assert (found and (found.model, found.world)) == \
+                _labelled_first_countermodel(s, max_worlds), render_sequent(s)
+            if found:
+                deep_and_wide += (len(found.model.frame.worlds) >= 2
+                                  and bulkeval._compile(s).depth >= 2)
+                off_root += found.world != "w0"
+        assert deep_and_wide >= 5 and off_root >= 3, (deep_and_wide, off_root)
 
     def test_sweep_reads_the_rooted_classes_in_order(self, chunk_budget):
         # Under the tiny budget each relation's 4 096 valuations are read in
@@ -527,7 +564,7 @@ class TestRootedSweep:
                 yield space
         monkeypatch.setattr(analysis, "sweep", counting)
         assert find_countermodel(parse_sequent("p & q |- q | p"), 3) is None
-        assert spaces == [(1, 2)]
+        assert spaces == [(1, 1)]  # the one world without its loop
 
     def test_guard_refuses_before_allocating(self, monkeypatch):
         def allocate(*args):
@@ -632,19 +669,20 @@ class TestClauseTables:
         assert tables == [1]
 
     def test_one_cache_entry_per_relation_list(self):
-        # Every depth from n - 1 on sweeps the same classes, so these 29
-        # searches read four relation lists: (1, 0), (2, 1), (3, 1), (3, 2),
-        # each with its clause table, filtered from the three lists of
-        # every class, which build no table.
+        # Every depth from n on sweeps the same classes, so these 29
+        # searches read six relation lists: (1, 1), (2, 1), (2, 2), (3, 1),
+        # (3, 2), (3, 3), each with its clause table, filtered from the
+        # three lists of every class, which build no table.
         bulkeval._relation_list.cache_clear()
         for d in range(1, 30):
             tower = "#" * d + "p"
             assert find_countermodel(parse_sequent(f"{tower} |- {tower}"), 3) is None
-        assert bulkeval._relation_list.cache_info().currsize == 7
-        for n, depth, read in [(1, 0, True), (2, 1, True), (3, 1, True), (3, 2, True),
+        assert bulkeval._relation_list.cache_info().currsize == 9
+        for n, depth, read in [(1, 1, True), (2, 1, True), (2, 2, True), (3, 1, True),
+                               (3, 2, True), (3, 3, True),
                                (1, None, False), (2, None, False), (3, None, False)]:
             assert (bulkeval._relation_list(n, depth)._table is not None) == read, (n, depth)
-        assert bulkeval._relation_list.cache_info().currsize == 7
+        assert bulkeval._relation_list.cache_info().currsize == 9
 
     def test_peak_memory_of_a_three_world_search(self):
         # A program yields only what is read and drops each value after its
@@ -1388,6 +1426,17 @@ class TestIndistinguishability:
         report = check_indistinguishability(a, b, "box", 9)
         assert report.formulas_checked == 23213
         assert len(calls) == 43
+
+    def test_one_modal_clause_call_per_distinct_value(self, monkeypatch):
+        # A scan's memo applies the modal clause once to each value it is
+        # asked for, however many sizes meet that value.
+        calls = []
+        monkeypatch.setitem(analysis._MODALITIES, "box",
+                            (Box, lambda v, succ: calls.append(v) or box_clause(v, succ)))
+        a = PointedModel(load_model("fig6_single"), "w0")
+        b = PointedModel(load_model("fig6_pair"), "w0")
+        assert check_indistinguishability(a, b, "box", 9).formulas_checked == 23213
+        assert calls and len(calls) == len(set(calls))
 
     def test_stops_folding_once_the_values_are_closed(self, monkeypatch):
         # Past the size at which the values close, no size calls a clause,

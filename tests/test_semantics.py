@@ -21,9 +21,10 @@ from fdek.syntax import (
     subformulas,
 )
 
-from conftest import random_formula, scalar_valid_on_frame
+from conftest import random_formula, random_modal_formula, scalar_valid_on_frame
 from reference_impl import (
-    bulk_supports, bulk_values, dual_value, enumerate_models, model_names, tri_value_by_cases,
+    bulk_supports, bulk_values, dual_value, enumerate_models, model_names, near_and_within,
+    tri_value_by_cases,
 )
 
 T, B, N, F = FourValue.T, FourValue.B, FourValue.N, FourValue.F
@@ -227,6 +228,52 @@ class TestNegationLaws:
                     is eval_formula(m, w, Or(Not(a), Not(b))))
             assert (eval_formula(m, w, Not(Or(a, b)))
                     is eval_formula(m, w, And(Not(a), Not(b))))
+
+
+def _cut_at(m, root, depth):
+    """``m`` without the edges out of the worlds ``depth`` or more steps
+    from ``root``: the worlds fewer than ``depth`` steps away keep theirs."""
+    near, _ = near_and_within(m.successors, root, depth)
+    values = {w: {v: m.value(w, v) for v in m.variables} for w in m.frame.worlds}
+    return mk(m.frame.worlds, [(a, b) for a, b in m.frame.relation if a in near], values,
+              variables=m.variables)
+
+
+class TestTruncatedSubmodels:
+    """A formula of modal depth d at w reads the worlds within d steps of w,
+    and only the edges out of those fewer than d steps away (generated
+    submodels cut at depth d; Blackburn, de Rijke & Venema, *Modal Logic*,
+    2001, ch. 2).  The countermodel search's depth cut rests on this."""
+
+    def test_cutting_the_far_edges_keeps_every_value(self):
+        # Seeded models of 1 to 4 worlds (two variables up to 3, one at 4),
+        # one formula of each depth 0 to 3 over #, [], @ and <>.  At each
+        # world w and cut depth d, every formula of depth at most d keeps
+        # its value at w, on the scalar Evaluator and on the bulk sweep of
+        # the cut model's frame.  Cutting one step closer changes some value
+        # of depth d, so the cut is as close as it may be.
+        rng = random.Random(15)
+        tight = 0
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            names = ["p", "q"] if n <= 3 else ["p"]
+            worlds = [f"w{i}" for i in range(n)]
+            m = mk(worlds, [(a, b) for a in worlds for b in worlds if rng.random() < 0.4],
+                   {w: {v: rng.choice(list(FourValue)) for v in names} for w in worlds},
+                   variables=names)
+            formulas = [random_modal_formula(rng, names, rng.randint(d, 6), d) for d in range(4)]
+            ev = Evaluator(m)
+            for w in worlds:
+                for d in range(4):
+                    cut = _cut_at(m, w, d)
+                    cut_ev, f = Evaluator(cut), formulas[d]
+                    for g in formulas[:d + 1]:
+                        assert cut_ev.supports(w, g) == ev.supports(w, g), (m, w, d, render(g))
+                    assert bulk_values(cut, f)[w] is FourValue.from_flags(*ev.supports(w, f))
+                    if d:
+                        tight += Evaluator(_cut_at(m, w, d - 1)).supports(w, f) != \
+                            ev.supports(w, f)
+        assert tight >= 100, tight
 
 
 @st.composite
