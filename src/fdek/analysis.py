@@ -9,7 +9,8 @@ class: their questions are invariant under renaming worlds, and the first
 answer in labelled order lies on the smallest mask of its class, so
 witnesses and frame counts are those of the labelled scan.  The
 countermodel search sweeps only the classes rooted and cut at the
-sequent's modal depth, the only ones that can hold a first countermodel.
+sequent's modal depth, the only ones that can hold a first countermodel
+(``bulkeval``'s module docstring gives the argument).
 "There is no formula such that ..." claims are checked up to a stated AST
 size and reported as bounded evidence, not as proofs.  Those scans fold
 the clauses over the distinct value vectors of each formula size and
@@ -39,7 +40,7 @@ import numpy as np
 
 from .bulkeval import _compile, _guard, _relation_list, frame_from_mask, model_from_indices, sweep
 from .semantics import (
-    FRAME_PROPERTIES, FourValue, PointedModel, and_clause, atom_clause,
+    FRAME_PROPERTIES, FourValue, PointedModel, _ClauseMemo, and_clause, atom_clause,
     box_clause, frame_to_dict, model_to_dict, not_clause, or_clause, tri_clause,
 )
 from .syntax import (
@@ -85,20 +86,6 @@ def _sections(size: int, unary: Sequence[Callable],
             yield op, (left, size - 1 - left)
 
 
-class _ClauseMemo(dict):
-    """A modal clause on one model's successor bitsets, memoised per scan:
-    each value's image, computed on its first lookup."""
-
-    __slots__ = ("clause", "succ")
-
-    def __init__(self, clause: Callable, succ: tuple[int, ...]):
-        self.clause, self.succ = clause, succ
-
-    def __missing__(self, v: tuple[int, int]) -> tuple[int, int]:
-        image = self[v] = self.clause(v, self.succ)
-        return image
-
-
 def _operators(language: str, succ: tuple[int, ...] | None = None) -> tuple[tuple, tuple]:
     """The unary and the binary operators of the language, in enumeration
     order: the formula constructors, or, given the successor bitsets
@@ -107,8 +94,8 @@ def _operators(language: str, succ: tuple[int, ...] | None = None) -> tuple[tupl
     if succ is None:
         return (Not, modal), (And, Or)
     # The modal clause is the costly one, and a fold meets each value at
-    # several sizes: one call per distinct value, through the memo's
-    # bound ``__getitem__``.
+    # several sizes: one call per distinct value, through the bound
+    # ``__getitem__`` of ``semantics._ClauseMemo``, the Evaluator's memo too.
     return (not_clause, _ClauseMemo(modal_clause, succ).__getitem__), (and_clause, or_clause)
 
 
@@ -183,20 +170,10 @@ def find_countermodel(s: Sequent, max_worlds: int) -> PointedModel | None:
     so the first refuting relation is the smallest of its class, and the
     result is identical to the naive scan.
 
-    Only the classes rooted and cut at the sequent's modal depth d (``#``
-    and ``[]`` counted) are swept.  The sequent is evaluated at w from the
-    worlds within d steps of w alone, and from the successors of those
-    less than d steps away alone.  So if a model on n worlds refutes it at
-    w and some world lies more than d steps from w, the submodel on the
-    worlds within d steps refutes it on fewer worlds: once no smaller
-    model refutes the sequent, every refuting relation on n worlds reaches
-    all n worlds from the refuting world within d steps (rooted).  And
-    dropping the edges out of every world d or more steps from w leaves a
-    refuting relation whose mask is a subset of the first witness's, so no
-    smaller: the first witness has no such edge (cut).  The other classes
-    hold no first countermodel, and the witness is unchanged.  At depth 0
-    only the loopless world is swept, so a propositional sequent is
-    decided at one world.
+    Only the classes rooted and cut at the sequent's modal depth (``#``
+    and ``[]`` counted) are swept, the only ones that can hold the first
+    countermodel, as ``bulkeval``'s module docstring argues; at depth 0
+    that is the loopless world alone.
 
     The sequent is compiled once (``bulkeval._compile``); every block of
     every sweep runs that program, and its variables and modal depth are

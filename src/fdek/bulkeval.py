@@ -90,8 +90,9 @@ however large, and builds its own atom tables and record, uncached:
   is set; a sweep enumerates the class representatives ascending, and
   ``BulkSpace`` the masks it is given (default: every mask, ascending);
 * valuation slots are (world, variable) pairs, worlds outermost (in frame
-  order) and variables in sorted order; slot 0 is the most significant
-  base-4 digit of the valuation index; digit values 0..3 mean T, B, N, F.
+  order) and the distinct variable names in sorted order; slot 0 is the
+  most significant base-4 digit of the valuation index; digit values
+  0..3 mean T, B, N, F.
 """
 
 from __future__ import annotations
@@ -300,7 +301,7 @@ class BulkSpace:
 
     def __init__(self, n_worlds: int, variables: Sequence[str],
                  rel_masks: Sequence[int] | None = None):
-        names = tuple(sorted(variables))
+        names = tuple(sorted(set(variables)))
         _guard(n_worlds, len(names))
         masks = (np.arange(2 ** (n_worlds * n_worlds)) if rel_masks is None
                  else np.array(rel_masks, dtype=np.int64))
@@ -544,11 +545,10 @@ def _relation_list(n: int, depth: int | None) -> _RelationList:
     class, mask 0 first.  With one, those in which some world w reaches
     every world within ``depth`` steps (rooted) and every world with a
     successor lies within ``depth`` - 1 steps of w, none at depth 0 (cut),
-    which renaming keeps.  The first refuting mask of a claim of that
-    depth is rooted and cut at its refuting world: dropping its edges out
-    of the worlds ``depth`` or more steps away leaves a refuting subset of
-    it, so there are none.  Every depth from n on gives the same list, so
-    ``sweep`` asks for at most that one; depth n - 1 still cuts."""
+    which renaming keeps: the only masks that can be the first refuting
+    mask of a claim of that depth (see the module docstring).  Every depth
+    from n on gives the same list, so ``sweep`` asks for at most that one;
+    depth n - 1 still cuts."""
     if depth is None:
         masks = np.arange(2 ** (n * n), dtype=np.int64)
         succ = _successors(n, masks)
@@ -578,10 +578,9 @@ def sweep(worlds: int | Frame, variables: Sequence[str],
     the one relation of a given ``Frame``, as BulkSpaces over consecutive
     blocks in enumeration order; a block's ``masks`` name its relations.
     With a ``depth``, a sweep over every relation keeps only the classes
-    rooted and cut at ``depth`` (``_relation_list``): some world w reaches
-    every world within ``depth`` steps, and no edge leaves a world
-    ``depth`` or more steps from w, as the first countermodel of a claim
-    of that depth never has one.  It yields no block if no class is kept.
+    rooted and cut at ``depth`` (``_relation_list``), the only ones that
+    can hold the first countermodel of a claim of that depth (see the
+    module docstring).  It yields no block if no class is kept.
 
     The size guard runs at the first ``next()``, before anything is
     allocated.  Each block holds at most ``_BLOCK_PAIRS`` (relation,
@@ -597,7 +596,7 @@ def sweep(worlds: int | Frame, variables: Sequence[str],
     once per process, or a given frame's own, built once per sweep; a
     block's successor bitsets and clause table rows are views of the
     record's.  Every cached array is read-only."""
-    names = tuple(sorted(variables))
+    names = tuple(sorted(set(variables)))
     given = isinstance(worlds, Frame)
     n = len(worlds.worlds) if given else worlds
     _guard(worlds, len(names))

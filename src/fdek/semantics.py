@@ -38,7 +38,7 @@ valid as a formula exactly on empty-relation frames.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
 
@@ -272,6 +272,22 @@ def box_clause(v: tuple[int, int], succ: tuple[int, ...]) -> tuple[int, int]:
             sum((neg & s != 0) << i for i, s in enumerate(succ)))
 
 
+class _ClauseMemo(dict):
+    """A modal clause on one model's successor bitsets, memoised: each
+    value's image, computed on its first lookup.  The one memo of both
+    scalar engines: the ``Evaluator`` keeps one per modality, and each
+    expressivity scan of ``analysis`` one for its language's modality."""
+
+    __slots__ = ("clause", "succ")
+
+    def __init__(self, clause: Callable, succ: tuple[int, ...]):
+        self.clause, self.succ = clause, succ
+
+    def __missing__(self, v: tuple[int, int]) -> tuple[int, int]:
+        image = self[v] = self.clause(v, self.succ)
+        return image
+
+
 _NODES = frozenset({Atom, Not, And, Or, Tri, Box})
 _PREFIX_NODES = frozenset({Not, Tri, Box})
 # Pushed between a binary node and its operands: when it comes off the
@@ -306,8 +322,9 @@ class Evaluator:
     stack, applies its clause and stores the result once.  A run comes
     back up in one loop, applying each node's clause and storing each
     node's result once, innermost first.  A modal clause loops over every
-    world, so ``_modal`` keeps its result per (node class, operand pair):
-    a ``#`` chain on a small model meets few distinct pairs.
+    world, so ``_modal`` holds one ``_ClauseMemo`` per modality, the memo
+    the expressivity fold uses too, which keeps the clause's result per
+    distinct operand value: a ``#`` chain on a small model meets few.
     """
 
     __slots__ = ("model", "_memo", "_modal")
@@ -315,14 +332,15 @@ class Evaluator:
     def __init__(self, model: Model):
         self.model = model
         self._memo: dict[Formula, tuple[int, int]] = {}
-        self._modal: dict[tuple[type, tuple[int, int]], tuple[int, int]] = {}
+        succ = model.frame.succ
+        self._modal = {Tri: _ClauseMemo(tri_clause, succ), Box: _ClauseMemo(box_clause, succ)}
 
     def supports(self, world: str, f: Formula) -> tuple[bool, bool]:
         m = self.model
         index = m.frame.index.get(world)
         if index is None:
             raise UnknownWorldError(f"unknown world {world!r}")
-        memo, modal, succ = self._memo, self._modal, m.frame.succ
+        memo, modal = self._memo, self._modal
         stack: list = [f]
         values: list[tuple[int, int]] = []
         while stack:
@@ -367,15 +385,7 @@ class Evaluator:
                 raise TypeError(f"not a formula: {g!r}")
             for g in reversed(run):
                 cls = type(g)
-                if cls is Not:
-                    res = not_clause(res)
-                else:
-                    key = cls, res
-                    res = modal.get(key)
-                    if res is None:
-                        clause = tri_clause if cls is Tri else box_clause
-                        res = modal[key] = clause(key[1], succ)
-                memo[g] = res
+                res = memo[g] = not_clause(res) if cls is Not else modal[cls][res]
             values.append(res)
         pos, neg = values[0]
         return bool(pos >> index & 1), bool(neg >> index & 1)

@@ -82,6 +82,34 @@ class TestModelEnumeration:
             assert model.val == ref.val and list(model.val) == list(ref.val), (n, mask, v)
             assert model_to_dict(model) == model_to_dict(ref), (n, mask, v)
 
+    def test_a_repeated_variable_name_takes_one_slot(self):
+        # A space or sweep over ["p", "p"] is the space over ["p"]: one
+        # valuation slot per distinct name, as model_from_indices decodes
+        # it.  With one slot per occurrence, this sequent's witness was
+        # (1, 48, 0), whose decoded model does not refute it.
+        s = parse_sequent("~[](~#p & (p & p)) |- ~~(#~#p & p)")
+        once, twice = BulkSpace(2, ["p"]), BulkSpace(2, ["p", "p"])
+        assert twice.names == once.names == ("p",)
+        assert twice._atoms.shape == once._atoms.shape
+        r, v, w = hit = twice.first_countermodel(s)
+        assert hit == once.first_countermodel(s) == (1, 12, 0)
+        model = model_from_indices(2, ["p", "p"], int(twice.masks[r]), v)
+        ev = Evaluator(model)
+        assert ev.supports(f"w{w}", s.premise)[0] and not ev.supports(f"w{w}", s.conclusion)[0]
+        program = bulkeval._compile(s)
+        blocks = [list(bulkeval.sweep(2, names)) for names in (["p"], ["p", "p"])]
+        assert len(blocks[0]) == len(blocks[1])
+        assert ([space.first_countermodel(program) for space in blocks[0]]
+                == [space.first_countermodel(program) for space in blocks[1]])
+        rng = random.Random(3)
+        for _ in range(100):
+            s = Sequent(random_modal_formula(rng, ["p"], 5, 2),
+                        random_modal_formula(rng, ["p"], 5, 2))
+            assert twice.first_countermodel(s) == once.first_countermodel(s), render_sequent(s)
+        # The guard counts distinct names: 3 worlds x 4 names would be
+        # refused, 3 worlds x 1 name is not.
+        assert len(list(bulkeval.sweep(3, ["p"] * 4))) == 1
+
     def test_bound_guard(self):
         with pytest.raises(BoundExceededError):
             next(enumerate_models(7, ["p", "q"]))

@@ -431,6 +431,35 @@ class TestWalkCost:
             assert Evaluator(m).supports(w, f) == _plain_supports(m, w, f)
             assert 0 < len(calls) <= 4 ** len(m.frame.worlds)
 
+    def test_one_modal_clause_call_per_distinct_value(self, monkeypatch):
+        # The Evaluator's memo applies each modal clause once to each
+        # operand value the chain gives it, at every world, as the
+        # expressivity fold's memo does.
+        ops = ["#"] * 800 + ["[]"] * 800 + ["~"] * 400
+        random.Random(2).shuffle(ops)
+        f = parse_formula("".join(ops) + "p")
+        m = load_model("fig10")
+        operands = {"#": set(), "[]": set()}
+        v = atom_clause(m, "p")
+        for op in reversed(ops):
+            if op == "~":
+                v = not_clause(v)
+            else:
+                operands[op].add(v)
+                v = (tri_clause if op == "#" else box_clause)(v, m.frame.succ)
+        calls = {"#": [], "[]": []}
+        for op, name in (("#", "tri_clause"), ("[]", "box_clause")):
+            real = getattr(semantics, name)
+            monkeypatch.setattr(semantics, name, lambda v, succ, op=op, real=real:
+                                calls[op].append(v) or real(v, succ))
+        ev = Evaluator(m)
+        values = [ev.supports(w, f) for w in m.frame.worlds]
+        for op in calls:
+            assert len(calls[op]) == len(set(calls[op]))
+            assert set(calls[op]) == operands[op]
+        monkeypatch.undo()
+        assert values == [_plain_supports(m, w, f) for w in m.frame.worlds]
+
     def test_each_clause_once_per_distinct_node(self, monkeypatch):
         # A 64-level tower And(x, x) has 65 distinct nodes and 2^64 paths.
         x = p = Atom("p")
