@@ -175,20 +175,19 @@ def find_countermodel(s: Sequent, max_worlds: int) -> PointedModel | None:
     countermodel, as ``bulkeval``'s module docstring argues; at depth 0
     that is the loopless world alone.
 
-    The sequent is compiled once (``bulkeval._compile``); every block of
-    every sweep runs that program, and its variables and modal depth are
-    read off it.
+    The sequent is compiled once (``bulkeval._compile``); the sweep of
+    each world count runs that program, and its variables and modal depth
+    are read off it.
     """
     program = _compile(s)
     _guard(max_worlds, len(program.names))
     for n in range(1, max_worlds + 1):
-        for space in sweep(n, program.names, program.depth):
-            hit = space.first_countermodel(program)
-            if hit is not None:
-                r, v, w = hit
-                model = model_from_indices(n, program.names, int(space.masks[r]),
-                                           space.start[1] + v)
-                return PointedModel(model, f"w{w}")
+        space = sweep(n, program.names, program.depth)
+        hit = space.first_countermodel(program)
+        if hit is not None:
+            r, v, w = hit
+            model = model_from_indices(n, program.names, int(space.masks[r]), v)
+            return PointedModel(model, f"w{w}")
     return None
 
 
@@ -252,7 +251,8 @@ def check_definability(prop: str, claims: Sequence[Claim], max_size: int) -> Def
     disagreement.  ``frames_checked`` counts the labelled frames up to and
     including the witness.  An unknown property or a sweep beyond the size
     guard is refused before anything is swept.  Each claim is compiled once
-    (``bulkeval._compile``) for every sweep of every world count.
+    (``bulkeval._compile``), and the sweep of each world count answers for
+    all its relations in one vector (``valid_per_relation``).
     """
     claims = tuple(claims)
     if not claims:
@@ -270,9 +270,7 @@ def check_definability(prop: str, claims: Sequence[Claim], max_size: int) -> Def
         relations = _relation_list(n, None)
         valid = np.ones(len(relations.masks), dtype=bool)
         for program in programs:
-            for space in sweep(n, program.names):
-                r = space.start[0]
-                valid[r:r + len(space.succ)] &= space.valid_per_relation(program)
+            valid &= sweep(n, program.names).valid_per_relation(program)
         has = relations.holds(predicate)
         wrong = np.flatnonzero(has != valid)
         if len(wrong):

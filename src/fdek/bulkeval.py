@@ -36,7 +36,7 @@ world's successor bitset with the bitset itself; a frame of more than 4
 worlds keeps that pass over its valuations, whose table would be as large.
 
 A claim is compiled once per search into a numbered program
-(``_compile``) that every block of every sweep runs (``BulkSpace._run``):
+(``_compile``) that every block of a space runs (``BulkSpace._run``):
 its distinct subformulas in ``postorder`` order, each an op
 ``(kind, a, b)`` over the numbers of its children, atoms addressed by
 their variable slot.  One pass back over the ops sets the supports each
@@ -49,46 +49,49 @@ per-world pass computes only the demanded bitsets.  The same pass records
 the values each op reads last, which the run drops after it; the roots
 are kept.  A block then holds only the values still to be read.
 
-What a space reads of its relations is one read-only record
-(``_RelationList``): their masks, their successor bitsets and their clause
-table, built the first time a modal node asks for it.  The record also
-holds the frame-property vectors a definability check compares the sweep
-against, one per predicate, built the first time a check asks for it, at
-most 3 044 bytes each (``holds``).  A relation sweep's record is kept per
+A space (``BulkSpace``) is every pointed model over one relation record
+and one variable list.  The record (``_RelationList``) is read-only: its
+relations' masks, their successor bitsets and their clause table, built
+the first time a modal node asks for it.  The record also holds the
+frame-property vectors a definability check compares the sweep against,
+one per predicate, built the first time a check asks for it, at most
+3 044 bytes each (``holds``).  A relation sweep's record is kept per
 process, world count and depth (``_relation_list``), its bitsets decoded
 from the masks, so those vectors are built once per process; a given
-frame's sweep builds its own from ``Frame.succ`` (whose mask would not
-fit 64 bits from 8 worlds on), as does a ``BulkSpace``, and a sweep's
-blocks read their rows of one record.  The atom tables, every variable's
-two supports at each valuation, depend only on the world and variable
-counts.  A sweep reads them from one table per shape, built once per
-process and kept read-only (``_atom_tables``): the atoms of the ``L``
-least significant slots, where 4^L is the largest power of 4 within
-``_BLOCK_PAIRS`` (L = 10), or of every slot of a smaller shape, which its
-blocks read whole.  A larger shape is read in aligned blocks of 4^L
-valuations of one relation, which fix its high digits: a block's atoms
-are that table OR'ed with the supports read off its high digits alone.
-A table holds at most 4^L valuations of 2k bitsets, 131 MiB for every
-admissible shape together.
+frame's sweep builds its own from ``Frame.succ`` (whose mask would not fit
+64 bits from 8 worlds on), as does a labelled space over chosen masks.
+The atom tables, every variable's two supports at each valuation, depend
+only on the world and variable counts.  Every space reads them from one
+table per shape, built once per process and kept read-only
+(``_atom_tables``): the atoms of the ``L`` least significant slots, where
+4^L is the largest power of 4 within ``_BLOCK_PAIRS`` (L = 10), or of
+every slot of a smaller shape, which its blocks read whole.  A larger
+shape is read in aligned blocks of 4^L valuations of one relation, which
+fix its high digits: a block's atoms are that table OR'ed with the
+supports read off its high digits alone.  A table holds at most 4^L
+valuations of 2k bitsets, 131 MiB for every admissible shape together.
 
 What a scan costs and how its space is laid out are known only to this
 module: ``_guard`` refuses a scan before anything is allocated, from its
-world count or its given frame, and ``sweep`` reads the space in blocks
-of at most ``_BLOCK_PAIRS`` (relation, valuation) pairs, the size of every
-array a block allocates and of every gather's indices, so a caller can
-stop at the first block that settles its question.  ``semantics`` and
-``analysis`` go through ``_compile``, ``_guard``, ``sweep``,
-``model_from_indices``, ``frame_from_mask`` and, for the frame properties
-of a definability sweep, the vectors ``holds`` of the record
+world count or its given frame, and ``BulkSpace._blocks``, the one place
+that lays out blocks, reads a space in blocks of at most ``_BLOCK_PAIRS``
+(relation, valuation) pairs, the size of every array a block allocates
+and of every gather's indices.  A space's answers are space-wide:
+``first_countermodel`` stops at the first block that refutes the claim,
+and ``valid_per_relation`` fills one vector over every block.
+``semantics`` and ``analysis`` go through ``_compile``, ``_guard``,
+``sweep``, ``model_from_indices``, ``frame_from_mask`` and, for the frame
+properties of a definability sweep, the vectors ``holds`` of the record
 ``_relation_list(n, None)`` that its sweeps read; they read a claim's
-variables and modal depth off its program.  A space over chosen relation
-masks, ``BulkSpace(n, variables, masks)``, is for labelled scans outside
-the sweeps (the tests' references and the benchmark's probes), one block
-however large, and builds its own atom tables and record, uncached:
+variables and modal depth off its program, and no block.  A space over
+chosen relation masks, ``BulkSpace(n, variables, masks)``, is for
+labelled scans outside the sweeps (the tests' references and the
+benchmark's probes); it builds its own record, uncached, and reads the
+same blocks and atom tables as a sweep:
 
 * relation ``r`` contains the pair (i, j) iff bit ``i*n + j`` of the mask
   is set; a sweep enumerates the class representatives ascending, and
-  ``BulkSpace`` the masks it is given (default: every mask, ascending);
+  a labelled space the masks it is given (default: every mask, ascending);
 * valuation slots are (world, variable) pairs, worlds outermost (in frame
   order) and the distinct variable names in sorted order; slot 0 is the
   most significant base-4 digit of the valuation index; digit values
@@ -207,7 +210,7 @@ def _atom_tables(n: int, k: int, low: int) -> np.ndarray:
 
 
 class _Program(NamedTuple):
-    """A claim compiled once for every block of every sweep (``_compile``).
+    """A claim compiled once for every block of every space (``_compile``).
 
     ``ops[i]`` is ``(kind, a, b)``: ``kind`` the formula class of the i-th
     distinct subformula in ``postorder``, ``a`` its variable slot in
@@ -293,11 +296,12 @@ def _compile(claim: Sequent | Formula, names: Sequence[str] | None = None,
 
 
 class BulkSpace:
-    """Every pointed model over the given relation masks (default: all of
-    them) and every valuation of ``variables`` on ``n_worlds`` worlds; a
-    block of a ``sweep`` starts at (relation, valuation) index ``start``
-    of the swept list.  ``masks[r]`` is the mask of relation ``r``; None
-    on a given frame."""
+    """Every pointed model over one relation record and every valuation of
+    ``variables`` on ``n_worlds`` worlds: the relations of the given masks
+    (default: every mask, ascending), or those of a ``sweep``.  ``masks[r]``
+    is the mask of relation ``r``, None on a given frame; ``succ[r, w]`` has
+    bit j set iff relation r contains (w, j).  The space is read in blocks
+    (``_blocks``), and its answers are space-wide."""
 
     def __init__(self, n_worlds: int, variables: Sequence[str],
                  rel_masks: Sequence[int] | None = None):
@@ -305,32 +309,50 @@ class BulkSpace:
         _guard(n_worlds, len(names))
         masks = (np.arange(2 ** (n_worlds * n_worlds)) if rel_masks is None
                  else np.array(rel_masks, dtype=np.int64))
-        self._bind(n_worlds, names, _build_atoms(n_worlds, len(names)),
-                   _RelationList(masks, _successors(n_worlds, masks)))
+        self._bind(n_worlds, names, _RelationList(masks, _successors(n_worlds, masks)))
 
-    def _bind(self, n: int, names: tuple[str, ...], atoms: np.ndarray,
-              relations: _RelationList, rows=slice(None), start=(0, 0)) -> None:
-        """The relations ``rows`` of ``relations``: ``succ[r, w]`` has bit j
-        set iff relation r contains (w, j), and a modal node reads these
-        rows of the record's clause table.  ``atoms[j]`` holds both
-        supports of the j-th of ``names`` over this space's valuations."""
+    def _bind(self, n: int, names: tuple[str, ...], relations: _RelationList) -> None:
+        """Every relation of ``relations`` with every valuation of ``names``."""
         self.n = n
         self.names = names
-        self.start = start
-        self.succ = relations.succ[rows]
-        self.masks = None if relations.masks is None else relations.masks[rows]
+        self.succ, self.masks = relations.succ, relations.masks
         self.full = self.succ.dtype.type((1 << n) - 1)
-        self._atoms = atoms
-        self._relations, self._rows = relations, rows
-        self._table: np.ndarray | None = None
+        self._relations = relations
 
-    def _run(self, program: _Program) -> list:
-        """The values of ``program`` on this space: per op, its two supports
+    def _blocks(self) -> Iterator[tuple[slice, int, np.ndarray]]:
+        """The blocks this space is read in, in enumeration order, each
+        ``(rows, v, atoms)``: the relations ``rows`` of the record with the
+        valuations from ``v`` on, of which ``atoms[j]`` holds both supports
+        of the j-th of ``names``.  A block holds at most ``_BLOCK_PAIRS``
+        (relation, valuation) pairs: whole relations while one relation's
+        valuations fit, else aligned blocks of 4^L valuations of one
+        relation, 4^L the largest power of 4 within the budget (a block
+        never spans two relations).  The atoms of the low min(n*k, L) slots
+        are one table per shape (``_atom_tables``), built for the first
+        block, so a space of no relation builds none: a block of every
+        valuation reads it whole, and a block that
+        fixes the high digits ORs it with the supports those digits set,
+        read off the space's own table of the high slots (at most 16
+        entries at the default budget)."""
+        n, k = self.n, len(self.names)
+        slots = n * k
+        low = min(slots, (_BLOCK_PAIRS.bit_length() - 1) // 2)  # 4^low <= _BLOCK_PAIRS
+        step, n_val = 4 ** low, 4 ** slots
+        high = _build_atoms(n, k, 0, slots - low) if step < n_val else None
+        rel_step = max(1, _BLOCK_PAIRS // n_val)
+        for r in range(0, len(self.succ), rel_step):
+            atoms = _atom_tables(n, k, low)
+            for v in range(0, n_val, step):
+                yield (slice(r, r + rel_step), v,
+                       atoms if high is None else atoms | high[..., v // step, None])
+
+    def _run(self, block: tuple[slice, int, np.ndarray], program: _Program) -> list:
+        """The values of ``program`` on ``block``: per op, its two supports
         as world bitsets, None where not demanded; every value but the
         roots' is dropped after its last reader."""
         if program.names != self.names:
             raise ValueError(f"a program over {program.names} on a space over {self.names}")
-        atoms = self._atoms
+        atoms = block[2]
         vals: list = [None] * len(program.ops)
         for i, ((kind, a, b), want, free) in enumerate(
                 zip(program.ops, program.demand, program.frees)):
@@ -346,60 +368,66 @@ class BulkSpace:
                 (lp, ln), (rp, rn) = vals[a], vals[b]
                 res = lp | rp if want & 1 else None, ln & rn if want & 2 else None
             else:
-                res = self._modal(kind is Tri, *vals[a], want)
+                res = self._modal(block, kind is Tri, *vals[a], want)
             vals[i] = res
             for c in free:
                 vals[c] = None
         return vals
 
-    def _modal(self, tri: bool, pos: np.ndarray, neg: np.ndarray,
-               want: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+    def _modal(self, block: tuple[slice, int, np.ndarray], tri: bool, pos: np.ndarray,
+               neg: np.ndarray, want: int) -> tuple[np.ndarray | None, np.ndarray | None]:
         """The supports in ``want`` (bit 1 truth, bit 2 falsity; None for the
         other) of ``#`` (``tri``) or ``[]`` over a formula of supports
-        ``pos``, ``neg``: the clause table's demanded rows gathered at the
-        codes ``pos << n | neg`` (``_gather``).  Beyond ``_TABLE_WORLDS``
-        worlds, the per-world pass instead."""
+        ``pos``, ``neg`` on ``block``: the demanded rows of the block's
+        relations in the record's clause table, gathered at the codes
+        ``pos << n | neg`` (``_gather``).  Beyond ``_TABLE_WORLDS`` worlds,
+        the per-world pass instead."""
+        rows = block[0]
         if self.n > _TABLE_WORLDS:
-            return _clause_pass(tri, self.succ, pos, neg, want)
-        if self._table is None:
-            self._table = self._relations.table()[:, :, self._rows]
+            return _clause_pass(tri, self.succ[rows], pos, neg, want)
         code = pos << self.n
         code |= neg
         first, last = (0 if want & 1 else 1), (2 if want & 2 else 1)
-        rows = _gather(self._table[0 if tri else 1, first:last], code)
-        return rows[0] if want & 1 else None, rows[-1] if want & 2 else None
+        got = _gather(self._relations.table()[0 if tri else 1, first:last, rows], code)
+        return got[0] if want & 1 else None, got[-1] if want & 2 else None
 
-    def _refuting(self, claim: Sequent | Formula | _Program) -> np.ndarray:
-        """Bitsets of the worlds where the premise is supported-true and the
-        conclusion is not, or a formula claim is not supported-true; a
-        claim is compiled over this space's variables first."""
-        program = claim if isinstance(claim, _Program) else _compile(claim, self.names)
-        vals = self._run(program)
+    def _refuting(self, block: tuple[slice, int, np.ndarray], program: _Program) -> np.ndarray:
+        """Bitsets of the worlds of ``block`` where the premise is
+        supported-true and the conclusion is not, or a formula claim is not
+        supported-true."""
+        vals = self._run(block, program)
         if program.sequent:
             premise, conclusion = program.roots
             return vals[premise][0] & ~vals[conclusion][0]
         return ~vals[program.roots[0]][0] & self.full
 
-    def first_countermodel(self, s: Sequent | _Program) -> tuple[int, int, int] | None:
+    def first_countermodel(self, claim: Sequent | Formula | _Program
+                           ) -> tuple[int, int, int] | None:
         """Indices (relation, valuation, world) of the first pointed model
-        where the premise is supported-true and the conclusion is not, in
-        enumeration order: the first nonzero bitset, then its lowest bit.
-        None if the sequent holds throughout.  A relation-independent result
-        has a singleton relation axis, so its countermodel lies on index 0,
-        the first of this space's relations (``masks[0]``)."""
-        bad = self._refuting(s)
-        flat = int((bad != 0).argmax())
-        bits = int(bad.flat[flat])
-        if not bits:
-            return None
-        r, v = divmod(flat, bad.shape[1])
-        return r, v, (bits & -bits).bit_length() - 1
+        that refutes ``claim`` (``_refuting``; compiled over this space's
+        variables first), in enumeration order: the first nonzero bitset of
+        the first refuting block, then its lowest bit.  None if the claim
+        holds throughout.  A relation-independent block has a singleton
+        relation axis, so its countermodel lies on the block's first
+        relation."""
+        program = claim if isinstance(claim, _Program) else _compile(claim, self.names)
+        for block in self._blocks():
+            bad = self._refuting(block, program)
+            flat = int((bad != 0).argmax())
+            bits = int(bad.flat[flat])
+            if bits:
+                r, v = divmod(flat, bad.shape[1])
+                return block[0].start + r, block[1] + v, (bits & -bits).bit_length() - 1
+        return None
 
     def valid_per_relation(self, claim: Sequent | Formula | _Program) -> np.ndarray:
         """Boolean vector over this space's relations: the claim holds at
         every valuation and world of that frame."""
-        ok = ~self._refuting(claim).any(axis=1)
-        return np.broadcast_to(ok, (len(self.succ),))
+        program = claim if isinstance(claim, _Program) else _compile(claim, self.names)
+        valid = np.ones(len(self.succ), dtype=bool)
+        for block in self._blocks():
+            valid[block[0]] &= ~self._refuting(block, program).any(axis=1)
+        return valid
 
 
 def _clause_pass(tri: bool, succ: np.ndarray, pos: np.ndarray, neg: np.ndarray,
@@ -572,49 +600,28 @@ def _relation_list(n: int, depth: int | None) -> _RelationList:
 
 
 def sweep(worlds: int | Frame, variables: Sequence[str],
-          depth: int | None = None) -> Iterator[BulkSpace]:
-    """Every valuation of ``variables`` on one relation per isomorphism
-    class over ``worlds`` worlds (``_relation_list``, ascending), or on
-    the one relation of a given ``Frame``, as BulkSpaces over consecutive
-    blocks in enumeration order; a block's ``masks`` name its relations.
-    With a ``depth``, a sweep over every relation keeps only the classes
-    rooted and cut at ``depth`` (``_relation_list``), the only ones that
-    can hold the first countermodel of a claim of that depth (see the
-    module docstring).  It yields no block if no class is kept.
+          depth: int | None = None) -> BulkSpace:
+    """The space of every valuation of ``variables`` on one relation per
+    isomorphism class over ``worlds`` worlds (``_relation_list``,
+    ascending), or on the one relation of a given ``Frame``; its ``masks``
+    name its relations.  With a ``depth``, a sweep over every relation
+    keeps only the classes rooted and cut at ``depth`` (``_relation_list``),
+    the only ones that can hold the first countermodel of a claim of that
+    depth (see the module docstring); a space of no class has no block.
 
-    The size guard runs at the first ``next()``, before anything is
-    allocated.  Each block holds at most ``_BLOCK_PAIRS`` (relation,
-    valuation) pairs: whole relations while one relation's valuations fit,
-    else aligned blocks of 4^L valuations of one relation, 4^L the largest
-    power of 4 within the budget (a block never spans two relations).  The
-    atom tables of the low min(n*k, L) slots are built once per process
-    per shape (``_atom_tables``): a block of every valuation reads them
-    whole, and a block that fixes the high digits ORs them with the
-    supports those digits set, read off the sweep's own table of the high
-    slots (at most 16 entries at the default budget).  Every block reads
-    its rows of one relation record: ``_relation_list(n, depth)``, built
-    once per process, or a given frame's own, built once per sweep; a
-    block's successor bitsets and clause table rows are views of the
-    record's.  Every cached array is read-only."""
+    The size guard runs at the call, before anything is allocated.  The
+    space reads one relation record: ``_relation_list(n, depth)``, built
+    once per process, or a given frame's own, built once per sweep; its
+    blocks read views of the record's successor bitsets and clause table,
+    and of the atom tables (``BulkSpace._blocks``).  Every cached array is
+    read-only."""
     names = tuple(sorted(set(variables)))
     given = isinstance(worlds, Frame)
     n = len(worlds.worlds) if given else worlds
     _guard(worlds, len(names))
     if depth is not None:
         depth = min(depth, n)  # every depth from n on keeps the same classes
-    relations = (_RelationList(None, np.array([worlds.succ], dtype=_bitset_type(n))) if given
-                 else _relation_list(n, depth))
-    if not len(relations.succ):
-        return
-    slots = n * len(names)
-    low = min(slots, (_BLOCK_PAIRS.bit_length() - 1) // 2)  # 4^low <= _BLOCK_PAIRS
-    atoms = _atom_tables(n, len(names), low)
-    step, n_val = 4 ** low, 4 ** slots
-    high = _build_atoms(n, len(names), 0, slots - low) if step < n_val else None
-    rel_step = max(1, _BLOCK_PAIRS // n_val)
-    for r in range(0, len(relations.succ), rel_step):
-        for v in range(0, n_val, step):
-            space = BulkSpace.__new__(BulkSpace)
-            space._bind(n, names, atoms if high is None else atoms | high[..., v // step, None],
-                        relations, slice(r, r + rel_step), (r, v))
-            yield space
+    space = BulkSpace.__new__(BulkSpace)
+    space._bind(n, names, _RelationList(None, np.array([worlds.succ], dtype=_bitset_type(n)))
+                if given else _relation_list(n, depth))
+    return space

@@ -419,7 +419,7 @@ def _valid_on_frame(fr: Frame, claim: Sequent | Formula) -> bool:
     """
     from .bulkeval import _compile, sweep  # bulkeval imports this module
     program = _compile(claim)
-    return all(space.valid_per_relation(program)[0] for space in sweep(fr, program.names))
+    return sweep(fr, program.names).first_countermodel(program) is None
 
 
 def sequent_valid_on_frame(fr: Frame, s: Sequent) -> bool:

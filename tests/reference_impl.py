@@ -147,9 +147,24 @@ def _unpack(bits: np.ndarray, n: int) -> np.ndarray:
 
 def bulk_bits(space: BulkSpace, f: Formula) -> tuple[np.ndarray, np.ndarray]:
     """Both supports of ``f`` on a ``BulkSpace`` as world bitsets: a
-    one-root program demanding both."""
+    one-root program demanding both, run on each of the space's blocks.
+    The values of a space of one block are that block's, of shape (1,
+    valuations) where independent of the relation.  Those of several
+    blocks are assembled: of shape (1, valuations) if ``f`` has no modal
+    node, else (relations, valuations), a relation-independent block
+    broadcast over its relations."""
     program = _compile(f, space.names, 3)
-    return space._run(program)[program.roots[0]]
+    parts = [(rows, v, space._run((rows, v, atoms), program)[program.roots[0]])
+             for rows, v, atoms in space._blocks()]
+    if len(parts) == 1:
+        return parts[0][2]
+    free = parts and not any(kind in (Tri, Box) for kind, _, _ in program.ops)
+    out = np.empty((2, 1 if free else len(space.succ), 4 ** (space.n * len(space.names))),
+                   space.succ.dtype)
+    for rows, v, values in parts:
+        for whole, bits in zip(out, values):
+            whole[slice(None) if free else rows, v:v + bits.shape[1]] = bits
+    return out[0], out[1]
 
 
 def bulk_supports(space: BulkSpace, f: Formula) -> tuple[np.ndarray, np.ndarray]:
@@ -161,15 +176,14 @@ def bulk_supports(space: BulkSpace, f: Formula) -> tuple[np.ndarray, np.ndarray]
 
 def bulk_values(m: Model, f: Formula) -> dict[str, FourValue]:
     """The value of ``f`` at each world of ``m``, by the bulk evaluator:
-    one block of every valuation of ``m``'s variables on its frame, read
+    the sweep of every valuation of ``m``'s variables on its frame, read
     at the index of ``m``'s own valuation (``model_by_values``'s order)."""
     names = sorted(m.val)
     slots = [(w, v) for w in m.frame.worlds for v in names]
     index = sum(VALUE_ORDER.index(m.value(w, v)) << 2 * (len(slots) - 1 - s)
                 for s, (w, v) in enumerate(slots))
     assert model_by_values(m.frame, names, index) == m
-    [space] = sweep(m.frame, names)
-    pos, neg = bulk_supports(space, f)
+    pos, neg = bulk_supports(sweep(m.frame, names), f)
     return {w: FourValue.from_flags(pos[0, index, i], neg[0, index, i])
             for i, w in enumerate(m.frame.worlds)}
 

@@ -159,7 +159,7 @@ class TestDeepChains:
         worlds = m.frame.worlds
         index = sum(VALUE_ORDER.index(m.value(w, "p")) << 2 * (len(worlds) - 1 - i)
                     for i, w in enumerate(worlds))
-        space = next(bulkeval.sweep(m.frame, ["p"]))
+        space = bulkeval.sweep(m.frame, ["p"])
         pos, neg = bulk_supports(space, f)
         assert {w: FourValue.from_flags(pos[0, index, i], neg[0, index, i])
                 for i, w in enumerate(worlds)} == expected
@@ -300,7 +300,7 @@ class TestClausesAgreeWithBulk:
         # The scalar clauses against the independent bulk evaluator, which
         # sweeps every valuation on the given frame.
         n, names, mask, f = case
-        [space] = bulkeval.sweep(frame_from_mask(n, mask), names)
+        space = bulkeval.sweep(frame_from_mask(n, mask), names)
         pos, neg = (x[0].tolist() for x in bulk_supports(space, f))
         for v in range(4 ** (n * len(names))):
             ev = Evaluator(bulkeval.model_from_indices(n, names, mask, v))
@@ -654,13 +654,13 @@ class TestFrameValidityOnBulk:
         # 16 valuations; valuation 3 (w5 false, the rest true) refutes #p |- p
         # on the cycle.
         monkeypatch.setattr(bulkeval, "_BLOCK_PAIRS", 16)
-        sweep, starts = bulkeval.sweep, []
+        blocks, starts = BulkSpace._blocks, []
 
-        def counting(*args):
-            for space in sweep(*args):
-                starts.append(space.start)
-                yield space
-        monkeypatch.setattr(bulkeval, "sweep", counting)
+        def counting(space):
+            for block in blocks(space):
+                starts.append((block[0].start, block[1]))
+                yield block
+        monkeypatch.setattr(BulkSpace, "_blocks", counting)
         ws = [f"w{i}" for i in range(6)]
         rel = ([(ws[i], ws[(i + 1) % 6]) for i in range(6)] if edges == "cycle"
                else [(w, w) for w in ws])
@@ -675,6 +675,74 @@ class TestFrameValidityOnBulk:
             sequent_valid_on_frame(Frame([f"w{i}" for i in range(13)], []), parse_sequent("p |- p"))
         with pytest.raises(BoundExceededError):
             formula_valid_on_frame(Frame([f"w{i}" for i in range(7)], []), parse_formula("p & q"))
+
+
+def _valid_on(frame, claim):
+    """``sequent_valid_on_frame`` or ``formula_valid_on_frame``, by claim."""
+    if isinstance(claim, Sequent):
+        return sequent_valid_on_frame(frame, claim)
+    return formula_valid_on_frame(frame, claim)
+
+
+class TestFrameInvariances:
+    """Frame validity on the bulk frame check is invariant under disjoint
+    unions and passes to generated subframes (the frame level of
+    invariance under generated submodels): seeded claims of modal depth at
+    most 2 over # and [], and the paper's frame-class claims, on frames of
+    at most 3 worlds."""
+
+    FRAME_CLAIMS = list(dict.fromkeys(c for cs in PAPER_FRAME_CLASSES.values() for c in cs))
+
+    @staticmethod
+    def _frame(rng, prefix):
+        n = rng.randint(1, 3)
+        worlds = [f"{prefix}{i}" for i in range(n)]
+        density = rng.random()
+        return Frame(worlds, [(a, b) for a in worlds for b in worlds if rng.random() < density])
+
+    def _claim(self, rng, names):
+        if rng.random() < 0.3:
+            return rng.choice(self.FRAME_CLAIMS)
+        f = random_modal_formula(rng, names, rng.randint(1, 4), 2)
+        if rng.random() < 0.25:
+            return f
+        return Sequent(random_modal_formula(rng, names, rng.randint(1, 4), 2), f)
+
+    def test_a_disjoint_union_is_valid_iff_each_part_is(self):
+        # Two variables only while the union has at most 4 worlds, so every
+        # union stays within 8 of the 12 valuation slots.
+        rng = random.Random(28)
+        verdicts = []
+        for _ in range(80):
+            left, right = self._frame(rng, "a"), self._frame(rng, "b")
+            small = len(left.worlds) + len(right.worlds) <= 4
+            claim = self._claim(rng, ["p", "q"] if small and rng.random() < 0.5 else ["p"])
+            union = Frame(left.worlds + right.worlds, left.relation | right.relation)
+            parts = _valid_on(left, claim), _valid_on(right, claim)
+            assert _valid_on(union, claim) == all(parts), (union, claim)
+            verdicts.append(parts)
+        assert sum(all(parts) for parts in verdicts) >= 10
+        assert sum(any(parts) and not all(parts) for parts in verdicts) >= 10
+
+    def test_validity_passes_to_generated_subframes(self):
+        rng = random.Random(29)
+        checked = proper = 0
+        for _ in range(80):
+            frame = self._frame(rng, "w")
+            claim = self._claim(rng, rng.choice([["p"], ["p", "q"]]))
+            if not _valid_on(frame, claim):
+                continue
+
+            def successors(w):
+                return {t for s, t in frame.relation if s == w}
+            for root in frame.worlds:
+                _, reach = near_and_within(successors, root, len(frame.worlds))
+                sub = Frame([w for w in frame.worlds if w in reach],
+                            [(s, t) for s, t in frame.relation if s in reach])
+                assert _valid_on(sub, claim), (frame, root, claim)
+                checked += 1
+                proper += len(reach) < len(frame.worlds)
+        assert checked >= 30 and proper >= 10, (checked, proper)
 
 
 class TestNoTautologies:
