@@ -10,7 +10,7 @@ from fdek import bulkeval
 from fdek.bulkeval import frame_from_mask, model_from_indices
 from fdek.semantics import Evaluator, frame_property, frame_to_dict
 from fdek.syntax import (
-    And, Atom, Box, Formula, Not, Or, Sequent, Tri, parse_sequent, variables,
+    ATOM_RE, And, Atom, Box, Formula, Not, Or, Sequent, Tri, parse_sequent, variables,
 )
 
 
@@ -88,8 +88,16 @@ HAND_VERDICTS = [
 ]
 
 
-def hand_sequents() -> list[tuple[Sequent, bool]]:
-    return [(parse_sequent(text), verdict) for text, verdict in HAND_VERDICTS]
+def hand_sequents(mapping: dict[str, str] | None = None) -> list[tuple[Sequent, bool]]:
+    """The hand corpus, each variable replaced at once by its text in
+    ``mapping``, if given: a renaming, or a uniform substitution."""
+    mapping = mapping or {}
+    return [(parse_sequent(ATOM_RE.sub(lambda m: mapping.get(m[0], m[0]), text)), verdict)
+            for text, verdict in HAND_VERDICTS]
+
+
+# Injective variable renamings; the second moves p past q in sorted order.
+RENAMINGS = [{"p": "q", "q": "r", "r": "p"}, {"p": "s", "q": "p", "r": "t0"}]
 
 
 def random_formula(rng: random.Random, names, depth: int, tri_budget: int) -> Formula:

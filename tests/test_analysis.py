@@ -2,6 +2,8 @@ import hashlib
 import importlib
 import json
 import random
+import subprocess
+import sys
 import tracemalloc
 from collections.abc import Iterator
 from functools import lru_cache
@@ -29,7 +31,9 @@ from fdek.syntax import (
 )
 from fdek.tableau import Proved, prove
 
-from conftest import corpus, random_formula, random_modal_formula, scalar_definability
+from conftest import (
+    RENAMINGS, corpus, hand_sequents, random_formula, random_modal_formula, scalar_definability,
+)
 from reference_impl import (
     bulk_bits, bulk_supports, enumerate_frames, enumerate_models, model_by_values,
     near_and_within, size,
@@ -203,6 +207,10 @@ class TestCountermodelSearch:
 
     def test_valid_sequent_has_no_countermodel(self):
         assert find_countermodel(parse_sequent("#p |- #~p"), 3) is None
+
+    def test_renaming_variables_keeps_the_verdict(self):
+        for same in zip(*(hand_sequents(mapping) for mapping in ({}, *RENAMINGS))):
+            assert len({find_countermodel(s, 2) is None for s, _ in same}) == 1, str(same[0][0])
 
     def test_found_pointed_model_actually_refutes(self):
         for text in ("#p |- ##p", "@p |- #p", "p | ~p |- #p"):
@@ -1011,9 +1019,19 @@ class TestAtomTables:
         # No atom table outgrows a block: the cached table of the 10 low
         # slots and one block's own take 12 MiB each, not the 192 MiB of
         # every valuation's atoms.  Measured: 39.1 MiB cold, 27.0 MiB warm.
-        cold, warm = _search_peaks(
-            "#(p & q) & (r | s) & (t | u) |- #(q & p) & (r | s) & (t | u)", 2)
+        # As a CLI process the search peaks under 150 MB of RSS (about 75 MB);
+        # a fresh wrapper reads RUSAGE_CHILDREN, so no earlier child counts.
+        sequent = "#(p & q) & (r | s) & (t | u) |- #(q & p) & (r | s) & (t | u)"
+        cold, warm = _search_peaks(sequent, 2)
         assert cold < 60 * 2 ** 20 and warm < 40 * 2 ** 20, (cold, warm)
+        wrapper = ("import resource, subprocess, sys; code = subprocess.run(sys.argv[1:], stdout="
+                   "subprocess.DEVNULL).returncode; print(code, resource.getrusage("
+                   "resource.RUSAGE_CHILDREN).ru_maxrss)")
+        proc = subprocess.run([sys.executable, "-c", wrapper, sys.executable, "-m", "fdek",
+                               "countermodel", sequent, "--max-worlds", "2", "--json"],
+                              capture_output=True, text=True, timeout=120)
+        code, rss_kib = map(int, proc.stdout.split())
+        assert code == 1 and rss_kib < 150 * 1024, proc.stdout
 
     def test_peak_memory_of_a_labelled_two_world_six_variable_space(self):
         # A labelled space is read in the blocks of a sweep of its shape:
@@ -1082,6 +1100,15 @@ class TestDefinability:
             report = check_definability(prop, claims, 2)
             assert report.verdict == "defines", prop
             assert report.frames_checked == 18
+
+    def test_renaming_variables_keeps_the_report(self):
+        # Validity on each frame is invariant, so the first frame where the
+        # sides differ is too.
+        for same in zip(*(hand_sequents(mapping) for mapping in ({}, *RENAMINGS))):
+            for prop in sorted(FRAME_PROPERTIES):
+                reports = {(r.verdict, json.dumps(r.witness), r.frames_checked)
+                           for r in (check_definability(prop, [s], 3) for s, _ in same)}
+                assert len(reports) == 1, (str(same[0][0]), prop)
 
     def test_scalar_engine_agrees_with_bulk(self, chunk_budget):
         props = list(PAPER_FRAME_CLASSES) + ["transitive", "euclidean", "serial"]

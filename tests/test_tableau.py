@@ -14,7 +14,7 @@ from fdek.tableau import (
     extract_countermodel, neg, prove, result_to_json, saturation_step, tree_to_text,
 )
 
-from conftest import corpus, hand_sequents, random_sequents
+from conftest import RENAMINGS, corpus, hand_sequents, random_sequents
 from reference_impl import result_to_dict, tree_to_dict
 
 q = parse_formula("q")
@@ -187,16 +187,19 @@ class TestProve:
             assert Evaluator(res.model).supports(res.world, s.premise)[0]
             assert not Evaluator(res.model).supports(res.world, s.conclusion)[0]
 
-    def test_hand_corpus_verdicts(self):
-        for s, expected in hand_sequents():
-            assert isinstance(prove(s), Proved) is expected, str(s)
-
     def test_contraposed_tree_closes_iff_plain_tree_does(self):
-        for s, expected in hand_sequents():
-            plain = isinstance(prove(s), Proved)
-            contraposed = isinstance(prove(s, start="nonfalsity"), Proved)
-            assert plain == contraposed, str(s)
-            assert plain is expected
+        # Also under injective variable renamings, which keep every verdict.
+        for mapping in ({}, *RENAMINGS):
+            for s, expected in hand_sequents(mapping):
+                plain = isinstance(prove(s), Proved)
+                contraposed = isinstance(prove(s, start="nonfalsity"), Proved)
+                assert plain == contraposed, str(s)
+                assert plain is expected
+
+    def test_substitution_instances_of_proved_sequents_are_proved(self):
+        for s, proved in hand_sequents({"p": "(#q & ~r)", "q": "(p | #~p)", "r": "##q"}):
+            if proved:
+                assert isinstance(prove(s), Proved), str(s)
 
     def test_deterministic_output(self):
         for text in ("#p |- #~p", "q | ~q |- #(q | ~q)", "#p |- ##p"):
@@ -223,6 +226,11 @@ class TestProve:
                 res.stats.worlds_created) == (7558, 2128, 3263)
         assert hashlib.sha256(result_to_json(res).encode()).hexdigest() == \
             "cfd6b569e9a31c635aa71add59a7125dfa56e8cb0537528114916fc241bb1c8d"
+
+    def test_statistics_at_depth_five(self):
+        # The search carries the most state here; its trees are CLI contract rows.
+        res = prove(parse_sequent("#####p |- #####~p"))
+        assert isinstance(res, Proved) and res.stats == ProofStats(43071, 11924, 2473, 9452, 20855)
 
     def test_subformula_property(self):
         for text in ("#p |- #~p", "q | ~q |- #(q | ~q)", "###p |- #p"):
@@ -443,11 +451,13 @@ class TestSerialization:
 
     def test_json_is_the_same_before_and_after_other_results(self):
         # The level pieces outlive each call; what an earlier result, short
-        # or deep, left behind must not change a later one's bytes.
+        # or deep, left behind must not change a later one's bytes.  The
+        # proof of ####p |- ####~p reaches 146 levels, past the 128 kept.
         s = parse_sequent("###p |- ###~p")
         first = result_to_json(prove(s))
-        result_to_json(Proved(_chain(1000), ProofStats()))
-        assert result_to_json(prove(s)) == first
+        for other in (Proved(_chain(1000), ProofStats()), prove(parse_sequent("####p |- ####~p"))):
+            result_to_json(other)
+            assert result_to_json(prove(s)) == first
         assert hashlib.sha256(first.encode()).hexdigest() == (
             "5e4b6a462ef29e0051f90a45995e4fc764efcfe8f10ebbe460168f3ce04f424e")
 
