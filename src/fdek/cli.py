@@ -16,6 +16,7 @@ plain ASCII and round-trips through the package loaders.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -30,6 +31,21 @@ __all__ = ["main"]
 
 def _pretty() -> bool:
     return not (os.environ.get("FDEK_ASCII") or os.environ.get("NO_COLOR"))
+
+
+@contextlib.contextmanager
+def _long_int_text():
+    """Lift the limit on converting ints to text, where the interpreter has
+    one, for printing a scan's formula count of thousands of digits.  Input
+    files are read outside, under the limit."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def _load_json(path: str) -> dict:
@@ -144,18 +160,21 @@ def _cmd_separate(args) -> int:
         semantics.PointedModel(model_a, args.world_a),
         semantics.PointedModel(model_b, args.world_b),
         args.language, args.max_size)
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(f"{report.verdict} "
-              f"({report.formulas_checked} formulas, mode {report.mode})")
-        if report.witness:
-            print(f"  witness: {report.witness} -> {report.witness_values}")
+    with _long_int_text():
+        if args.json:
+            print(json.dumps(report.to_dict(), indent=2))
+        else:
+            print(f"{report.verdict} "
+                  f"({report.formulas_checked} formulas, mode {report.mode})")
+            if report.witness:
+                print(f"  witness: {report.witness} -> {report.witness_values}")
     return 0 if report.verdict == "no separating formula found" else 1
 
 
 def _cmd_figures(args) -> int:
-    checks = figures.run_figures(expressivity_size=args.max_size)
+    # The checks' details print formula counts; they read only bundled data.
+    with _long_int_text():
+        checks = figures.run_figures(expressivity_size=args.max_size)
     if args.json:
         print(json.dumps([c.to_dict() for c in checks], indent=2))
     else:
@@ -239,11 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    # A scan's formula count can have thousands of digits, past the limit
-    # on converting ints to text of interpreters that have one.
-    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if digits is not None:
-        sys.set_int_max_str_digits(0)
     try:
         code = args.func(args)
         sys.stdout.flush()
@@ -266,9 +280,6 @@ def main(argv=None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc()
         return 2
-    finally:
-        if digits is not None:
-            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

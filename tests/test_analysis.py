@@ -1020,18 +1020,20 @@ class TestAtomTables:
         # slots and one block's own take 12 MiB each, not the 192 MiB of
         # every valuation's atoms.  Measured: 39.1 MiB cold, 27.0 MiB warm.
         # As a CLI process the search peaks under 150 MB of RSS (about 75 MB);
-        # a fresh wrapper reads RUSAGE_CHILDREN, so no earlier child counts.
+        # a fresh wrapper reads RUSAGE_CHILDREN, so no earlier child counts,
+        # and passes on the search's verdict, so a crash cannot pass.
         sequent = "#(p & q) & (r | s) & (t | u) |- #(q & p) & (r | s) & (t | u)"
         cold, warm = _search_peaks(sequent, 2)
         assert cold < 60 * 2 ** 20 and warm < 40 * 2 ** 20, (cold, warm)
-        wrapper = ("import resource, subprocess, sys; code = subprocess.run(sys.argv[1:], stdout="
-                   "subprocess.DEVNULL).returncode; print(code, resource.getrusage("
-                   "resource.RUSAGE_CHILDREN).ru_maxrss)")
+        wrapper = ("import resource, subprocess, sys; run = subprocess.run(sys.argv[1:], stdout="
+                   "subprocess.PIPE, text=True); print(run.returncode, resource.getrusage("
+                   "resource.RUSAGE_CHILDREN).ru_maxrss, run.stdout, end='')")
         proc = subprocess.run([sys.executable, "-c", wrapper, sys.executable, "-m", "fdek",
                                "countermodel", sequent, "--max-worlds", "2", "--json"],
                               capture_output=True, text=True, timeout=120)
-        code, rss_kib = map(int, proc.stdout.split())
-        assert code == 1 and rss_kib < 150 * 1024, proc.stdout
+        code, rss_kib, out = proc.stdout.split(" ", 2)
+        assert (code, out, proc.stderr) == ("1", '{"found": false, "max_worlds": 2}\n', "")
+        assert int(rss_kib) < 150 * 1024, rss_kib
 
     def test_peak_memory_of_a_labelled_two_world_six_variable_space(self):
         # A labelled space is read in the blocks of a sweep of its shape:

@@ -365,6 +365,13 @@ class TestCountermodel:
         code, out, _ = run(capsys, "countermodel", "#p |- #~p", "--max-worlds", "3")
         assert code == 1 and "no countermodel" in out
 
+    def test_json(self, capsys):
+        code, out, _ = run(capsys, "countermodel", "--json", "p |- q",
+                           "--max-worlds", "1")
+        data = json.loads(out)
+        assert data["found"] is True
+        assert data["countermodel"]["designated"] == "w0"
+
     def test_out_of_memory_exit_two(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError
@@ -404,6 +411,13 @@ class TestDefinability:
 
 
 class TestSeparate:
+    def test_transfer_mode(self, capsys):
+        code, out, _ = run(capsys, "separate",
+                           "--model-a", data_file("fig6_single"), "--world-a", "w0",
+                           "--model-b", data_file("fig6_pair"), "--world-b", "w0",
+                           "--language", "box", "--max-size", "5")
+        assert code == 0 and "no separating formula found" in out
+
     def test_glut_mode_witness(self, capsys):
         code, out, _ = run(capsys, "separate", "--json",
                            "--model-a", data_file("fig9_glut"), "--world-a", "w0",
@@ -421,8 +435,33 @@ class TestSeparate:
                              "--language", "box", "--max-size", size)
         assert code == 2 and out == "" and "at least 1" in err
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no limit on converting ints to text")
+    def test_model_files_are_read_under_the_int_text_limit(self, capsys, tmp_path):
+        # Only the printed count is freed from the limit, and only while it prints.
+        limit = sys.get_int_max_str_digits()
+        model = tmp_path / "model.json"
+        model.write_text('{"worlds": ["w0"], "rel": [], "val": {}, "n": 1%s}' % ("0" * 5000))
+        code, out, err = run(capsys, "separate", "--model-a", str(model), "--world-a", "w0",
+                             "--model-b", data_file("fig6_pair"), "--world-b", "w0",
+                             "--language", "box", "--max-size", "2")
+        assert code == 2 and out == "" and "Exceeds the limit" in err
+        assert sys.get_int_max_str_digits() == limit
+
 
 class TestFigures:
+    def test_all_pass_at_reduced_size(self, capsys):
+        code, out, _ = run(capsys, "figures", "--max-size", "5")
+        assert code == 0
+        assert "FAIL" not in out
+
+    def test_json_shape(self, capsys):
+        code, out, _ = run(capsys, "figures", "--json", "--max-size", "3")
+        data = json.loads(out)
+        assert all(row["passed"] for row in data)
+        names = {row["name"] for row in data}
+        assert "fig2-proof-closes" in names and "definability-reflexive" in names
+
     def test_deterministic_and_idempotent(self, capsys):
         _, first, _ = run(capsys, "figures", "--json", "--max-size", "3")
         _, second, _ = run(capsys, "figures", "--json", "--max-size", "3")

@@ -187,6 +187,10 @@ class TestProve:
             assert Evaluator(res.model).supports(res.world, s.premise)[0]
             assert not Evaluator(res.model).supports(res.world, s.conclusion)[0]
 
+    def test_hand_corpus_verdicts(self):
+        for s, expected in hand_sequents():
+            assert isinstance(prove(s), Proved) is expected, str(s)
+
     def test_contraposed_tree_closes_iff_plain_tree_does(self):
         # Also under injective variable renamings, which keep every verdict.
         for mapping in ({}, *RENAMINGS):
