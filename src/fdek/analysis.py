@@ -38,7 +38,7 @@ from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .bulkeval import _compile, _guard, _relation_list, frame_from_mask, model_from_indices, sweep
+from .bulkeval import _compile, _guard, _model_on, _relation_list, model_from_indices, sweep
 from .semantics import (
     FRAME_PROPERTIES, FourValue, PointedModel, _ClauseMemo, and_clause, atom_clause,
     box_clause, frame_to_dict, model_to_dict, not_clause, or_clause, tri_clause,
@@ -177,7 +177,8 @@ def find_countermodel(s: Sequent, max_worlds: int) -> PointedModel | None:
 
     The sequent is compiled once (``bulkeval._compile``); the sweep of
     each world count runs that program, and its variables and modal depth
-    are read off it.
+    are read off it.  The witness's frame is the one its sweep's relation
+    record keeps for that relation (``BulkSpace.frame``).
     """
     program = _compile(s)
     _guard(max_worlds, len(program.names))
@@ -186,8 +187,7 @@ def find_countermodel(s: Sequent, max_worlds: int) -> PointedModel | None:
         hit = space.first_countermodel(program)
         if hit is not None:
             r, v, w = hit
-            model = model_from_indices(n, program.names, int(space.masks[r]), v)
-            return PointedModel(model, f"w{w}")
+            return PointedModel(_model_on(space.frame(r), program.names, v), f"w{w}")
     return None
 
 
@@ -245,10 +245,10 @@ def check_definability(prop: str, claims: Sequence[Claim], max_size: int) -> Def
     predicate (``holds``), built the first time a check asks for it and
     kept with the record, so repeated checks in one process reuse it; the
     first disagreement is one array comparison, and no ``Frame`` is built
-    but the witness.  Verdict "defines" means no disagreement was found;
-    "refuted" carries the first disagreeing frame in labelled enumeration
-    order, which is the smallest of its class, and the direction of the
-    disagreement.  ``frames_checked`` counts the labelled frames up to and
+    but the witness's, which the record keeps (``frame``).  Verdict
+    "defines" means no disagreement was found; "refuted" carries the first
+    disagreeing frame in labelled enumeration order, which is the smallest
+    of its class, and the direction of the disagreement.  ``frames_checked`` counts the labelled frames up to and
     including the witness.  An unknown property or a sweep beyond the size
     guard is refused before anything is swept.  Each claim is compiled once
     (``bulkeval._compile``), and the sweep of each world count answers for
@@ -274,13 +274,11 @@ def check_definability(prop: str, claims: Sequence[Claim], max_size: int) -> Def
         has = relations.holds(predicate)
         wrong = np.flatnonzero(has != valid)
         if len(wrong):
-            r = wrong[0]
-            rel_mask = int(relations.masks[r])
+            r = int(wrong[0])
             direction = ("property_holds_but_claims_fail" if has[r]
                          else "claims_hold_but_property_fails")
-            witness = {"frame": frame_to_dict(frame_from_mask(n, rel_mask)),
-                       "direction": direction}
-            frames_checked += rel_mask + 1
+            witness = {"frame": frame_to_dict(relations.frame(r)), "direction": direction}
+            frames_checked += int(relations.masks[r]) + 1
             break
         frames_checked += 2 ** (n * n)
     return DefinabilityReport(

@@ -55,11 +55,13 @@ relations' masks, their successor bitsets and their clause table, built
 the first time a modal node asks for it.  The record also holds the
 frame-property vectors a definability check compares the sweep against,
 one per predicate, built the first time a check asks for it, at most
-3 044 bytes each (``holds``).  A relation sweep's record is kept per
-process, world count and depth (``_relation_list``), its bitsets decoded
-from the masks, so those vectors are built once per process; a given
-frame's sweep builds its own from ``Frame.succ`` (whose mask would not fit
-64 bits from 8 worlds on), as does a labelled space over chosen masks.
+3 044 bytes each (``holds``), and the ``Frame`` of each relation a
+witness lands on, decoded the first time one does (``frame``).  A
+relation sweep's record is kept per process, world count and depth
+(``_relation_list``), its bitsets decoded from the masks, so those
+vectors and frames are built once per process; a given frame's sweep
+builds its own from ``Frame.succ`` (whose mask would not fit 64 bits from
+8 worlds on), as does a labelled space over chosen masks.
 The atom tables, every variable's two supports at each valuation, depend
 only on the world and variable counts.  Every space reads them from one
 table per shape, built once per process and kept read-only
@@ -71,23 +73,40 @@ fix its high digits: a block's atoms are that table OR'ed with the
 supports read off its high digits alone.  A table holds at most 4^L
 valuations of 2k bitsets, 131 MiB for every admissible shape together.
 
+A space binds its variable names to a plan (``_Plan``): its world and
+variable counts, its record and its block layout.  A relation sweep's
+plan is kept per process and shape ``(n, k, min(depth, n))`` (``_plan``),
+so the searches of one shape share it under any names: a program
+addresses atoms by slot, not by name.  The plan fetches its record at
+the first block, and keeps the layout of a shape read in at most one
+block, with each slot's ``(pos, neg)`` views of its atoms.  A given
+frame's sweep and a labelled space build their own plan, uncached.  What
+a process keeps is bounded by the guard: a plan per admissible shape
+(n * k <= 12, at most 10^9 labelled cells, depth <= n), a record per
+world count and depth, at most 3 044 frames per record and an atom table
+per shape.
+
 What a scan costs and how its space is laid out are known only to this
 module: ``_guard`` refuses a scan before anything is allocated, from its
-world count or its given frame, and ``BulkSpace._blocks``, the one place
-that lays out blocks, reads a space in blocks of at most ``_BLOCK_PAIRS``
-(relation, valuation) pairs, the size of every array a block allocates
-and of every gather's indices.  A space's answers are space-wide:
+world count or its given frame, once per shape of a relation sweep (when
+its plan is built), and ``_Plan.blocks``, the one place that lays out
+blocks, reads a space in blocks of at most ``_BLOCK_PAIRS`` (relation,
+valuation) pairs, the size of every array a block allocates and of every
+gather's indices.  A space's answers are space-wide:
 ``first_countermodel`` stops at the first block that refutes the claim,
 and ``valid_per_relation`` fills one vector over every block.
 ``semantics`` and ``analysis`` go through ``_compile``, ``_guard``,
-``sweep``, ``model_from_indices``, ``frame_from_mask`` and, for the frame
-properties of a definability sweep, the vectors ``holds`` of the record
+``sweep``, ``BulkSpace.frame`` and ``_model_on`` (a witness's model on
+its record's frame) and, for the frame properties of a definability
+sweep, the vectors ``holds`` and the frames of the record
 ``_relation_list(n, None)`` that its sweeps read; they read a claim's
-variables and modal depth off its program, and no block.  A space over
-chosen relation masks, ``BulkSpace(n, variables, masks)``, is for
-labelled scans outside the sweeps (the tests' references and the
-benchmark's probes); it builds its own record, uncached, and reads the
-same blocks and atom tables as a sweep:
+variables and modal depth off its program, and no block.
+``model_from_indices`` and ``frame_from_mask`` decode any point of the
+enumeration and refuse one outside it.  A space over chosen relation
+masks, ``BulkSpace(n, variables, masks)``, is for labelled scans outside
+the sweeps (the tests' references and the benchmark's probes); it builds
+its own record, uncached, and reads the same blocks and atom tables as a
+sweep:
 
 * relation ``r`` contains the pair (i, j) iff bit ``i*n + j`` of the mask
   is set; a sweep enumerates the class representatives ascending, and
@@ -150,9 +169,18 @@ def _guard(worlds: int | Frame, variable_count: int) -> None:
             f"is {cells:.1e} cells, beyond the budget of {_MAX_SWEEP_CELLS:.0e}")
 
 
+def _check_index(what: str, index: int, count: int) -> None:
+    """Refuse an ``index`` outside ``[0, count)``: a decoder would read
+    another point, or a bit that no slot holds, instead."""
+    if not 0 <= index < count:
+        raise ValueError(f"{what} {index} is outside [0, {count})")
+
+
 def frame_from_mask(n_worlds: int, rel_mask: int) -> Frame:
-    """The frame on worlds ``w0 .. w{n-1}`` whose relation is ``rel_mask``."""
+    """The frame on worlds ``w0 .. w{n-1}`` whose relation is ``rel_mask``,
+    one of the 2^(n*n) masks."""
     n = n_worlds
+    _check_index("relation mask", rel_mask, 2 ** (n * n))
     worlds = tuple(f"w{i}" for i in range(n))
     return Frame(worlds, [(worlds[i], worlds[j])
                           for i in range(n) for j in range(n) if rel_mask >> (i * n + j) & 1])
@@ -160,12 +188,18 @@ def frame_from_mask(n_worlds: int, rel_mask: int) -> Frame:
 
 def model_from_indices(world_count: int, vars: Sequence[str],
                        rel_mask: int, val_index: int) -> Model:
-    """Decode one point of the enumeration: relation mask, valuation index.
-    Each slot's base-4 digit, the least significant last, sets its world's
-    bit in its variable's two supports."""
-    frame = frame_from_mask(world_count, rel_mask)
+    """Decode one point of the enumeration: relation mask, valuation index
+    (one of the 4^(n*k) valuations of the k distinct names of ``vars``)."""
     names = sorted(set(vars))
-    k = len(names)
+    _check_index("valuation index", val_index, 4 ** (world_count * len(names)))
+    return _model_on(frame_from_mask(world_count, rel_mask), names, val_index)
+
+
+def _model_on(frame: Frame, names: Sequence[str], val_index: int) -> Model:
+    """The model on ``frame`` of valuation ``val_index`` over the sorted,
+    distinct ``names``.  Each slot's base-4 digit, the least significant
+    last, sets its world's bit in its variable's two supports."""
+    world_count, k = len(frame.worlds), len(names)
     val = {name: [0, 0] for name in names}
     for s in reversed(range(world_count * k)):
         w, j = divmod(s, k)
@@ -300,8 +334,10 @@ class BulkSpace:
     ``variables`` on ``n_worlds`` worlds: the relations of the given masks
     (default: every mask, ascending), or those of a ``sweep``.  ``masks[r]``
     is the mask of relation ``r``, None on a given frame; ``succ[r, w]`` has
-    bit j set iff relation r contains (w, j).  The space is read in blocks
-    (``_blocks``), and its answers are space-wide."""
+    bit j set iff relation r contains (w, j).  A space is its variable
+    names bound to a plan (``_Plan``), which holds the record and the block
+    layout; the space is read in the plan's blocks (``_blocks``), and its
+    answers are space-wide."""
 
     def __init__(self, n_worlds: int, variables: Sequence[str],
                  rel_masks: Sequence[int] | None = None):
@@ -309,42 +345,35 @@ class BulkSpace:
         _guard(n_worlds, len(names))
         masks = (np.arange(2 ** (n_worlds * n_worlds)) if rel_masks is None
                  else np.array(rel_masks, dtype=np.int64))
-        self._bind(n_worlds, names, _RelationList(masks, _successors(n_worlds, masks)))
+        self._bind(names, _Plan(n_worlds, len(names), _BLOCK_PAIRS,
+                                record=_RelationList(masks, _successors(n_worlds, masks))))
 
-    def _bind(self, n: int, names: tuple[str, ...], relations: _RelationList) -> None:
-        """Every relation of ``relations`` with every valuation of ``names``."""
-        self.n = n
+    def _bind(self, names: tuple[str, ...], plan: _Plan) -> None:
+        """Every relation of ``plan`` with every valuation of ``names``."""
+        self.n = plan.n
         self.names = names
-        self.succ, self.masks = relations.succ, relations.masks
-        self.full = self.succ.dtype.type((1 << n) - 1)
-        self._relations = relations
+        self.full = plan.full
+        self._plan = plan
+
+    @property
+    def _relations(self) -> _RelationList:
+        return self._plan.relations()
+
+    @property
+    def succ(self) -> np.ndarray:
+        return self._plan.relations().succ
+
+    @property
+    def masks(self) -> np.ndarray | None:
+        return self._plan.relations().masks
+
+    def frame(self, r: int) -> Frame:
+        """The frame of relation ``r`` (``_RelationList.frame``)."""
+        return self._plan.relations().frame(r)
 
     def _blocks(self) -> Iterator[tuple[slice, int, np.ndarray]]:
-        """The blocks this space is read in, in enumeration order, each
-        ``(rows, v, atoms)``: the relations ``rows`` of the record with the
-        valuations from ``v`` on, of which ``atoms[j]`` holds both supports
-        of the j-th of ``names``.  A block holds at most ``_BLOCK_PAIRS``
-        (relation, valuation) pairs: whole relations while one relation's
-        valuations fit, else aligned blocks of 4^L valuations of one
-        relation, 4^L the largest power of 4 within the budget (a block
-        never spans two relations).  The atoms of the low min(n*k, L) slots
-        are one table per shape (``_atom_tables``), built for the first
-        block, so a space of no relation builds none: a block of every
-        valuation reads it whole, and a block that
-        fixes the high digits ORs it with the supports those digits set,
-        read off the space's own table of the high slots (at most 16
-        entries at the default budget)."""
-        n, k = self.n, len(self.names)
-        slots = n * k
-        low = min(slots, (_BLOCK_PAIRS.bit_length() - 1) // 2)  # 4^low <= _BLOCK_PAIRS
-        step, n_val = 4 ** low, 4 ** slots
-        high = _build_atoms(n, k, 0, slots - low) if step < n_val else None
-        rel_step = max(1, _BLOCK_PAIRS // n_val)
-        for r in range(0, len(self.succ), rel_step):
-            atoms = _atom_tables(n, k, low)
-            for v in range(0, n_val, step):
-                yield (slice(r, r + rel_step), v,
-                       atoms if high is None else atoms | high[..., v // step, None])
+        """The blocks this space is read in (``_Plan.blocks``)."""
+        return self._plan.blocks()
 
     def _run(self, block: tuple[slice, int, np.ndarray], program: _Program) -> list:
         """The values of ``program`` on ``block``: per op, its two supports
@@ -352,12 +381,12 @@ class BulkSpace:
         roots' is dropped after its last reader."""
         if program.names != self.names:
             raise ValueError(f"a program over {program.names} on a space over {self.names}")
-        atoms = block[2]
+        atoms = self._plan.atom_views(block)
         vals: list = [None] * len(program.ops)
         for i, ((kind, a, b), want, free) in enumerate(
                 zip(program.ops, program.demand, program.frees)):
             if kind is Atom:
-                res = atoms[a, 0], atoms[a, 1]
+                res = atoms[a]
             elif kind is Not:
                 pos, neg = vals[a]
                 res = neg, pos
@@ -516,11 +545,12 @@ class _RelationList:
     """The relations one sweep or space reads, read-only: their masks
     (None on a given frame), their successor bitsets ``succ``, shape
     (relations, n), their clause table, built the first time a modal node
-    asks for it (``table``), and one frame-property vector per predicate,
+    asks for it (``table``), one frame-property vector per predicate,
     built the first time a definability check asks for it (``holds``), of
-    one byte per relation (at most 3 044 bytes)."""
+    one byte per relation (at most 3 044 bytes), and the ``Frame`` of each
+    relation a witness lands on (``frame``)."""
 
-    __slots__ = ("masks", "succ", "_table", "_holds")
+    __slots__ = ("masks", "succ", "_table", "_holds", "_frames")
 
     def __init__(self, masks: np.ndarray | None, succ: np.ndarray):
         for array in (masks, succ):
@@ -529,6 +559,18 @@ class _RelationList:
         self.masks, self.succ = masks, succ
         self._table: np.ndarray | None = None
         self._holds: dict[Callable, np.ndarray] = {}
+        self._frames: dict[int, Frame] = {}
+
+    def frame(self, r: int) -> Frame:
+        """The frame of relation ``r`` (``frame_from_mask``), decoded the
+        first time it is asked for and kept: a ``Frame`` is immutable, so
+        every witness on relation r shares it.  Only a record with masks
+        has one."""
+        frame = self._frames.get(r)
+        if frame is None:
+            _check_index("relation", r, len(self.succ))
+            frame = self._frames[r] = frame_from_mask(self.succ.shape[1], int(self.masks[r]))
+        return frame
 
     def table(self) -> np.ndarray:
         """The ``_clause_table`` of these relations, built once."""
@@ -599,6 +641,103 @@ def _relation_list(n: int, depth: int | None) -> _RelationList:
     return _RelationList(masks, _successors(n, masks))
 
 
+class _Plan:
+    """How one space is read: its world count ``n``, its ``k`` variable
+    slots, its relation record and its block layout under the block
+    budget ``budget``.  A relation sweep's plan is kept per process and
+    shape (``_plan``); a given frame or a labelled space builds its own,
+    with its record.  A plan holds no variable name: a space binds its
+    names to it (``BulkSpace._bind``), and a program addresses atoms by
+    slot, so searches of one shape under any names share it.
+
+    The record is fetched at the first block (``relations``), so admitting
+    a sweep builds nothing.  The layout is that of the first read
+    (``blocks``): a shape read in at most one block keeps that block, and
+    the ``(pos, neg)`` views of each slot's atoms in it (``atom_views``)."""
+
+    __slots__ = ("n", "k", "budget", "full", "_depth", "_record", "_layout", "_views")
+
+    def __init__(self, n: int, k: int, budget: int, depth: int | None = None,
+                 record: _RelationList | None = None):
+        self.n, self.k, self.budget = n, k, budget
+        self.full = _bitset_type(n)((1 << n) - 1)
+        self._depth, self._record = depth, record
+        self._layout: tuple | None = None
+        self._views: tuple | None = None
+
+    def relations(self) -> _RelationList:
+        """The record: a relation sweep's ``_relation_list(n, depth)``,
+        fetched on first use, or the one the plan was built with."""
+        if self._record is None:
+            self._record = _relation_list(self.n, self._depth)
+        return self._record
+
+    def blocks(self) -> Iterator[tuple[slice, int, np.ndarray]]:
+        """The blocks a space of this plan is read in, in enumeration order,
+        each ``(rows, v, atoms)``: the relations ``rows`` of the record with
+        the valuations from ``v`` on, of which ``atoms[j]`` holds both
+        supports of the j-th name.  A block holds at most ``budget``
+        (relation, valuation) pairs: whole relations while one relation's
+        valuations fit, else aligned blocks of 4^L valuations of one
+        relation, 4^L the largest power of 4 within the budget (a block
+        never spans two relations).  The atoms of the low min(n*k, L) slots
+        are one table per shape (``_atom_tables``), fetched for the first
+        block, so a space of no relation builds none: a block of every
+        valuation reads it whole, and a block that fixes the high digits
+        ORs it with the supports those digits set, read off a table of the
+        high slots that each such read builds (at most 16 entries at the
+        default budget).  A layout of at most one block is kept."""
+        if self._layout is not None:
+            return iter(self._layout)
+        n, k = self.n, self.k
+        slots = n * k
+        low = min(slots, (self.budget.bit_length() - 1) // 2)  # 4^low <= budget
+        step, n_val = 4 ** low, 4 ** slots
+        rel_step = max(1, self.budget // n_val)
+        relations = len(self.relations().succ)
+        if step < n_val or relations > rel_step:
+            return self._split(low, step, n_val, rel_step, relations)
+        if relations:
+            atoms = _atom_tables(n, k, low)
+            self._views = tuple((atoms[j, 0], atoms[j, 1]) for j in range(k))
+            self._layout = ((slice(0, rel_step), 0, atoms),)
+        else:
+            self._layout = ()
+        return iter(self._layout)
+
+    def _split(self, low: int, step: int, n_val: int, rel_step: int,
+               relations: int) -> Iterator[tuple[slice, int, np.ndarray]]:
+        """The blocks of a shape read in more than one (``blocks``)."""
+        n, k = self.n, self.k
+        high = _build_atoms(n, k, 0, n * k - low) if step < n_val else None
+        for r in range(0, relations, rel_step):
+            atoms = _atom_tables(n, k, low)
+            for v in range(0, n_val, step):
+                yield (slice(r, r + rel_step), v,
+                       atoms if high is None else atoms | high[..., v // step, None])
+
+    def atom_views(self, block: tuple[slice, int, np.ndarray]) -> Sequence:
+        """Per slot, the ``(pos, neg)`` supports of its atom on ``block``:
+        the kept views for the kept block, else views made here."""
+        if self._layout and block is self._layout[0]:
+            return self._views
+        atoms = block[2]
+        return [(atoms[j, 0], atoms[j, 1]) for j in range(len(atoms))]
+
+
+@lru_cache(maxsize=None)
+def _plan(n: int, k: int, depth: int | None, budget: int) -> _Plan:
+    """The plan of a sweep of ``n`` worlds, ``k`` variables and a ``depth``
+    of at most n (None: every class), admitted by ``_guard`` and kept per
+    process, so a shape is admitted once and a refusal builds nothing.  At
+    most one plan per admissible shape is ever kept: n * k <= 12, at most
+    10^9 labelled cells, and depth <= n (``sweep`` clamps it).  ``budget``
+    is the block budget ``_BLOCK_PAIRS``, a module constant that only the
+    tests vary: a plan is laid out under the budget it was built with."""
+    _guard(n, k)
+    return _Plan(n, k, budget, depth)
+
+
 def sweep(worlds: int | Frame, variables: Sequence[str],
           depth: int | None = None) -> BulkSpace:
     """The space of every valuation of ``variables`` on one relation per
@@ -609,19 +748,23 @@ def sweep(worlds: int | Frame, variables: Sequence[str],
     the only ones that can hold the first countermodel of a claim of that
     depth (see the module docstring); a space of no class has no block.
 
-    The size guard runs at the call, before anything is allocated.  The
-    space reads one relation record: ``_relation_list(n, depth)``, built
-    once per process, or a given frame's own, built once per sweep; its
-    blocks read views of the record's successor bitsets and clause table,
-    and of the atom tables (``BulkSpace._blocks``).  Every cached array is
-    read-only."""
+    The size guard runs before anything is allocated: once per shape,
+    when its plan is built, or at the call on a given frame.  The space
+    binds the names to a plan: the one kept for its shape
+    ``(n, k, min(depth, n))`` (``_plan``), or a given frame's own, with a
+    record built from ``Frame.succ``.  Its blocks read views of the
+    record's successor bitsets and clause table, and of the atom tables
+    (``_Plan.blocks``).  Every cached array is read-only."""
     names = tuple(sorted(set(variables)))
-    given = isinstance(worlds, Frame)
-    n = len(worlds.worlds) if given else worlds
-    _guard(worlds, len(names))
-    if depth is not None:
-        depth = min(depth, n)  # every depth from n on keeps the same classes
+    if isinstance(worlds, Frame):
+        _guard(worlds, len(names))
+        n = len(worlds.worlds)
+        plan = _Plan(n, len(names), _BLOCK_PAIRS, record=_RelationList(
+            None, np.array([worlds.succ], dtype=_bitset_type(n))))
+    else:
+        # Every depth from n on keeps the same classes.
+        plan = _plan(worlds, len(names), None if depth is None else min(depth, worlds),
+                     _BLOCK_PAIRS)
     space = BulkSpace.__new__(BulkSpace)
-    space._bind(n, names, _RelationList(None, np.array([worlds.succ], dtype=_bitset_type(n)))
-                if given else _relation_list(n, depth))
+    space._bind(names, plan)
     return space

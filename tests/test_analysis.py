@@ -16,7 +16,7 @@ import pytest
 
 from fdek import analysis, bulkeval, syntax
 from fdek.analysis import (
-    PAPER_FRAME_CLASSES, check_definability, check_indistinguishability,
+    PAPER_FRAME_CLASSES, _claim_text, check_definability, check_indistinguishability,
     claims_from_text, enumerate_formulas, find_countermodel, model_from_indices,
 )
 from fdek.bulkeval import BulkSpace, frame_from_mask
@@ -85,6 +85,25 @@ class TestModelEnumeration:
             ref = model_by_values(frame_from_mask(n, mask), names, v)
             assert model.val == ref.val and list(model.val) == list(ref.val), (n, mask, v)
             assert model_to_dict(model) == model_to_dict(ref), (n, mask, v)
+
+    @pytest.mark.parametrize("decode", [
+        lambda: frame_from_mask(2, 17), lambda: frame_from_mask(2, 16),
+        lambda: frame_from_mask(2, -1), lambda: model_from_indices(1, ["p"], 0, 5),
+        lambda: model_from_indices(1, ["p"], 0, 4), lambda: model_from_indices(1, ["p"], 0, -1),
+        lambda: model_from_indices(1, ["p"], 2, 0)],
+        ids=["mask-17", "mask-16", "mask-minus-1", "index-5", "index-4", "index-minus-1",
+             "mask-2-of-one-world"])
+    def test_out_of_range_inputs_are_refused(self, decode):
+        # 2 worlds have masks 0 to 15 and 1 world x 1 variable valuations
+        # 0 to 3; once decoded, 17 dropped bit 4, -1 read as every pair,
+        # 5 as B and -1 as F.
+        with pytest.raises(ValueError, match="outside"):
+            decode()
+
+    def test_the_last_mask_and_index_decode(self):
+        assert frame_from_mask(2, 15).relation == {(a, b) for a in ("w0", "w1")
+                                                   for b in ("w0", "w1")}
+        assert model_from_indices(1, ["p"], 0, 3).value("w0", "p") is FourValue.F
 
     def test_a_repeated_variable_name_takes_one_slot(self):
         # A space or sweep over ["p", "p"] is the space over ["p"]: one
@@ -211,6 +230,32 @@ class TestCountermodelSearch:
     def test_renaming_variables_keeps_the_verdict(self):
         for same in zip(*(hand_sequents(mapping) for mapping in ({}, *RENAMINGS))):
             assert len({find_countermodel(s, 2) is None for s, _ in same}) == 1, str(same[0][0])
+
+    def test_an_order_preserving_renaming_renames_the_witness(self):
+        # p, q, r to a, b, c keeps the sorted order of the names, so each
+        # slot keeps its place and the witness is the renamed one; the
+        # cycle of RENAMINGS permutes the slots, and only the verdict is
+        # kept.  Each renamed search runs right after its original, a sweep
+        # of the same shapes under other names, so a plan shared across
+        # names cannot pass a binding from one search to the next.
+        order = {"p": "a", "q": "b", "r": "c"}
+        for (s, _), (t, _), (u, _) in zip(hand_sequents(), hand_sequents(order),
+                                          hand_sequents(RENAMINGS[0])):
+            found, renamed, cycled = (find_countermodel(x, 3) for x in (s, t, u))
+            assert (found is None) == (renamed is None) == (cycled is None), str(s)
+            if found:
+                assert (renamed.model.frame, renamed.world) == (found.model.frame, found.world)
+                assert renamed.model.val == {order[name]: v
+                                             for name, v in found.model.val.items()}, str(s)
+        for prop, claims in PAPER_FRAME_CLASSES.items():
+            renamed = claims_from_text("\n".join(_claim_text(c).replace("p", "a")
+                                                 for c in claims))
+            reports = [check_definability(prop, x, 3) for x in (claims, renamed)]
+            assert {(r.verdict, json.dumps(r.witness), r.frames_checked)
+                    for r in reports} == {("defines", "null", 2 + 16 + 512)}, prop
+        refuted = [check_definability("transitive", claims_from_text(text), 3)
+                   for text in ("#p |- ##p", "#a |- ##a")]
+        assert refuted[0].witness == refuted[1].witness and refuted[0].verdict == "refuted"
 
     def test_found_pointed_model_actually_refutes(self):
         for text in ("#p |- ##p", "@p |- #p", "p | ~p |- #p"):
@@ -784,7 +829,9 @@ class TestClauseTables:
         # Every depth from n on sweeps the same classes, so these 29
         # searches read six relation lists: (1, 1), (2, 1), (2, 2), (3, 1),
         # (3, 2), (3, 3), each with its clause table, filtered from the
-        # three lists of every class, which build no table.
+        # three lists of every class, which build no table.  A kept plan
+        # keeps its record, so the plans go too.
+        bulkeval._plan.cache_clear()
         bulkeval._relation_list.cache_clear()
         for d in range(1, 30):
             tower = "#" * d + "p"
@@ -857,6 +904,7 @@ def _peaks(check) -> list[int]:
     """The tracemalloc peaks of ``check()``, which must hold, with cold
     sweep caches, then warm.  numpy reports its allocations to
     tracemalloc, so these peaks are deterministic."""
+    bulkeval._plan.cache_clear()
     bulkeval._relation_list.cache_clear()
     bulkeval._atom_tables.cache_clear()
     peaks = []
@@ -948,7 +996,9 @@ class TestAtomTables:
     def test_searches_of_one_shape_share_read_only_tables(self, monkeypatch):
         # Both sequents are valid and have two variables, so each search
         # reads one block at 1 world and one at 2, and the second search
-        # reads the first one's tables under its own names.
+        # reads the first one's tables under its own names.  The kept plans
+        # are dropped first, so the first search builds them.
+        bulkeval._plan.cache_clear()
         spaces = []
         blocks = BulkSpace._blocks
 
@@ -976,7 +1026,9 @@ class TestAtomTables:
         # depths and a given frame; at depth 0 no 3-world block is read.
         # Then 9 and 11 slots, each swept twice: each is cached once, the
         # first whole, the second its 10 low slots, so no table holds more
-        # than _BLOCK_PAIRS valuations.
+        # than _BLOCK_PAIRS valuations.  A kept plan keeps its block's
+        # table, so the plans go too.
+        bulkeval._plan.cache_clear()
         bulkeval._atom_tables.cache_clear()
         for names in (["p"], ["q"], ["p", "q"], ["r", "s"]):
             for worlds, depth in ((1, None), (2, None), (2, 1), (frame_from_mask(2, 5), None),
@@ -1089,11 +1141,78 @@ class TestAtomTables:
         def witnesses():
             return [found and (model_to_dict(found.model), found.world)
                     for found in (find_countermodel(s, worlds) for s, worlds in searches)]
-        for cache in (bulkeval._relation_list, bulkeval._atom_tables):
+        for cache in (bulkeval._plan, bulkeval._relation_list, bulkeval._atom_tables):
             cache.cache_clear()
         cold = witnesses()
         assert witnesses() == cold
         assert [found is None for found in cold[-len(oracle):]] == [x["expect"] for x in oracle]
+
+
+class TestPlans:
+    def test_one_plan_per_shape_across_names(self):
+        # Shapes (2, 1) and (2, 2) at every class, depth 1 and depth 2,
+        # which depth 5 clamps to: six plans for 16 sweeps under four
+        # name lists.  A given frame or a labelled space has its own plan,
+        # which is not kept.
+        bulkeval._plan.cache_clear()
+        spaces = {}
+        for names in (["p"], ["q"], ["p", "q"], ["r", "s"]):
+            for depth in (None, 1, 2, 5):
+                space = bulkeval.sweep(2, names, depth)
+                shape = (len(names), None if depth is None else min(depth, 2))
+                assert spaces.setdefault(shape, space)._plan is space._plan, (names, depth)
+                assert space.names == tuple(names)
+        assert bulkeval._plan.cache_info().currsize == len(spaces) == 6
+        frame = frame_from_mask(2, 5)
+        given = [bulkeval.sweep(frame, names)._plan for names in (["p"], ["p"])]
+        labelled = [BulkSpace(2, ["p"], [0, 5])._plan for _ in range(2)]
+        assert given[0] is not given[1] and labelled[0] is not labelled[1]
+        assert bulkeval._plan.cache_info().currsize == 6
+
+    def test_a_refusal_touches_no_cache(self):
+        # 5 worlds x 2 variables fit the slot rule but not the cell budget.
+        caches = [f for f in vars(bulkeval).values() if hasattr(f, "cache_info")]
+        assert {bulkeval._plan, bulkeval._relation_list, bulkeval._atom_tables} <= set(caches)
+        before = [f.cache_info() for f in caches]
+        with pytest.raises(BoundExceededError):
+            find_countermodel(parse_sequent("p & q |- q"), 5)
+        assert [f.cache_info() for f in caches] == before
+
+    @pytest.mark.parametrize("text", ["#p |- ##p", "@p |- #p", "p | q |- p"])
+    def test_a_witness_frame_is_the_plans(self, text):
+        # The witness's frame is the one the plan's record keeps for its
+        # relation, the decoded frame of that relation's mask; a second
+        # search returns the same object.
+        s = parse_sequent(text)
+        found = find_countermodel(s, 3)
+        n = len(found.model.frame.worlds)
+        program = bulkeval._compile(s)
+        space = bulkeval.sweep(n, program.names, program.depth)
+        r = space.first_countermodel(program)[0]
+        frame = space._plan.relations().frame(r)
+        assert found.model.frame is frame is space.frame(r)
+        assert frame == frame_from_mask(n, int(space.masks[r]))
+        assert find_countermodel(s, 3).model.frame is frame
+
+    def test_repeated_searches_retain_no_array(self):
+        # One valid and one refuted search of one shape, alternately: the
+        # first ten build the plans and the witness's frame, and the next
+        # 490 keep nothing more.
+        searches = [parse_sequent(text) for text in ("#p & q |- q", "#r & s |- r")]
+
+        def run(times):
+            for i in range(times):
+                find_countermodel(searches[i % 2], 2)
+        bulkeval._plan.cache_clear()
+        tracemalloc.start()
+        try:
+            run(10)
+            after_ten = tracemalloc.get_traced_memory()[0]
+            run(490)
+            after_500 = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert abs(after_500 - after_ten) < 4096, (after_ten, after_500)
 
 
 class TestDefinability:
@@ -1191,6 +1310,10 @@ class TestDefinability:
                     scalar_definability(prop, claims, 3), (prop, bulk.claims)
 
     def test_builds_a_frame_only_for_the_witness(self, monkeypatch):
+        # A record keeps each witness's frame, so the records, and the
+        # plans that hold them, are dropped first.
+        bulkeval._plan.cache_clear()
+        bulkeval._relation_list.cache_clear()
         built = []
         init = Frame.__init__
 
