@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product, starmap
 from math import prod
@@ -323,7 +323,8 @@ class IndistinguishabilityReport:
     elapsed: float
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        # The fields in their order: the dataclass's __init__ sets them so.
+        return vars(self).copy()
 
 
 def _closed_rows(seen: dict[tuple[int, int], int], rows: int, size: int,
@@ -444,13 +445,15 @@ def _bisimilar(a: PointedModel, b: PointedModel, names: Sequence[str], rounds: i
     ``names``, N where a model lacks it, as the fold's leaves do.  Each
     round splits every block by the predecessors of each block of the
     round before, which groups the worlds by (block, set of successor
-    blocks).  Both modal clauses read only the set of values a formula
-    takes on the successors, so worlds that share a block after k rounds
-    agree on every formula of modal depth k or less, and worlds of one
-    stable partition (bisimilar worlds) on every formula.  False as soon
-    as the points part: at the first support on which they differ, or at
-    the first block of a round that one point reaches and the other does
-    not, before the next round splits the other worlds."""
+    blocks); a block's predecessors are the union of its worlds'
+    predecessor bitsets, built once per call.  Both modal clauses read
+    only the set of values a formula takes on the successors, so worlds
+    that share a block after k rounds agree on every formula of modal
+    depth k or less, and worlds of one stable partition (bisimilar
+    worlds) on every formula.  False as soon as the points part: at the
+    first support on which they differ, or at the first block of a round
+    that one point reaches and the other does not, as its predecessors
+    are built, before the next round splits the other worlds."""
     ma, mb = a.model, b.model
     shift = len(ma.frame.worlds)
     x, y = ma.frame.index[a.world], shift + mb.frame.index[b.world]
@@ -463,17 +466,29 @@ def _bisimilar(a: PointedModel, b: PointedModel, names: Sequence[str], rounds: i
             return False
         splitters += p, n
     succ = ma.frame.succ + tuple(s << shift for s in mb.frame.succ)
-    sx, sy = succ[x], succ[y]
+    pred = dict.fromkeys((1 << j for j in range(len(succ))), 0)  # by the world's bit
+    for i, s in enumerate(succ):
+        while s:
+            low = s & -s
+            pred[low] |= 1 << i
+            s ^= low
     blocks, count = [(1 << len(succ)) - 1], 0
     for _ in range(rounds):
         for by in splitters:
             blocks = [part for block in blocks for part in (block & by, block & ~by) if part]
         if len(blocks) == count:
             break  # stable: no later round splits a block
-        if any((not sx & block) != (not sy & block) for block in blocks):
-            return False
         count = len(blocks)
-        splitters = [sum(1 << i for i, s in enumerate(succ) if s & block) for block in blocks]
+        splitters = []
+        for block in blocks:
+            by = 0
+            while block:
+                low = block & -block
+                by |= pred[low]
+                block ^= low
+            if (by >> x ^ by >> y) & 1:
+                return False  # one point reaches the block, the other does not
+            splitters.append(by)
     return True
 
 

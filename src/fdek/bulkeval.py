@@ -200,14 +200,13 @@ def _model_on(frame: Frame, names: Sequence[str], val_index: int) -> Model:
     distinct ``names``.  Each slot's base-4 digit, the least significant
     last, sets its world's bit in its variable's two supports."""
     world_count, k = len(frame.worlds), len(names)
-    val = {name: [0, 0] for name in names}
+    val = dict.fromkeys(names, (0, 0))
     for s in reversed(range(world_count * k)):
         w, j = divmod(s, k)
         truth, falsity = VALUE_ORDER[val_index & 3].value
         val_index >>= 2
-        pair = val[names[j]]
-        pair[0] |= truth << w
-        pair[1] |= falsity << w
+        pos, neg = val[names[j]]
+        val[names[j]] = pos | truth << w, neg | falsity << w
     model = Model.__new__(Model)
     model._store(frame, val, None)
     return model

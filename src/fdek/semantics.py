@@ -29,6 +29,12 @@ a run of prefix nodes (``~``, ``#``, ``[]``) as one unit, walked down and
 back up in one loop each, and each node of the run still probes and fills
 the memo once.
 
+A model crosses the JSON interchange in one pass each way:
+``model_from_dict`` checks the JSON shape and sets each letter's support
+bits with one table lookup, the ``Frame`` checks its worlds and entries
+as it builds ``index`` and ``succ``, and ``model_to_dict`` reads ``rel``
+off ``succ`` and each letter off a four-entry table.
+
 Validity note: sequent validity on a frame is truth preservation at every
 world of every model on it.  Formula validity (truth at every world of
 every model) is also provided; the two notions do not reduce to each other
@@ -101,36 +107,44 @@ class Frame:
     """Worlds and a relation.  The constructor also builds, once, ``index``
     (world to position) and the successor bitsets ``succ`` (bit ``j`` of
     ``succ[i]``: ``worlds[j]`` is accessible from ``worlds[i]``), which
-    models, both evaluators and the frame properties read; equality and
-    hashing use the two fields only."""
+    models, both evaluators, the frame properties and ``frame_to_dict``
+    read; equality and hashing use the two fields only.  It checks each
+    world and each relation entry in the loops that build them, and
+    raises for the first fault in this order, each kind in input order:
+    no world, a bad world identifier, an entry that is not a pair of
+    strings, duplicate worlds, an entry naming an unknown world."""
     worlds: tuple[str, ...]
     relation: frozenset[tuple[str, str]]
 
     def __init__(self, worlds: Iterable[str], relation: Iterable[tuple[str, str]]):
-        worlds = tuple(worlds)
-        pairs = [(s, t) for s, t in relation]
+        worlds, relation = tuple(worlds), list(relation)
         if not worlds:
             raise ModelError("a frame needs at least one world")
-        # Checked before anything hashes them: a list would raise TypeError.
-        for w in worlds:
+        index: dict[str, int] = {}
+        for i, w in enumerate(worlds):
+            # Checked before it is hashed: a list would raise TypeError.
             if not isinstance(w, str) or not w:
                 raise ModelError(f"bad world identifier {w!r}")
-        for s, t in pairs:
+            index[w] = i
+        # The first unknown world waits for the duplicate check.
+        pairs, succ, unknown = [], [0] * len(worlds), None
+        for entry in relation:
+            try:
+                s, t = entry
+            except (TypeError, ValueError):
+                raise ModelError(f"bad relation entry {entry!r}") from None
             if not (isinstance(s, str) and isinstance(t, str)):
                 raise ModelError(f"bad relation entry {(s, t)!r}")
-        index = {w: i for i, w in enumerate(worlds)}
+            try:
+                succ[index[s]] |= 1 << index[t]
+            except KeyError:
+                unknown = unknown or (s, t)
+            pairs.append((s, t))
         if len(index) != len(worlds):
             raise ModelError("duplicate world identifiers")
-        relation = frozenset(pairs)
-        succ = [0] * len(worlds)
-        for s, t in relation:
-            if s not in index or t not in index:
-                raise UnknownWorldError(f"relation uses unknown world in ({s!r}, {t!r})")
-            succ[index[s]] |= 1 << index[t]
-        object.__setattr__(self, "worlds", worlds)
-        object.__setattr__(self, "relation", relation)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "succ", tuple(succ))
+        if unknown:
+            raise UnknownWorldError(f"relation uses unknown world in {unknown!r}")
+        vars(self).update(worlds=worlds, relation=frozenset(pairs), index=index, succ=tuple(succ))
 
     def successors(self, world: str) -> tuple[str, ...]:
         """Accessible worlds, in frame world order."""
@@ -166,34 +180,33 @@ class Model:
                     raise UnknownWorldError(f"valuation uses unknown world {world!r}")
                 for name in names:
                     val.setdefault(name, [0, 0])[k] |= 1 << i
-        self._store(frame, val, variables)
+        self._store(frame, {name: tuple(pair) for name, pair in val.items()}, variables)
 
-    def _store(self, frame: Frame, val: dict[str, list[int]], variables):
-        """The core of both constructors: ``val`` gives the two supports of
+    def _store(self, frame: Frame, val: dict[str, tuple[int, int]], variables):
+        """The core of every constructor: ``val`` gives the two supports of
         each variable mentioned, ``variables`` any more of the universe."""
         for name in () if variables is None else variables:
-            val.setdefault(name, [0, 0])
+            val.setdefault(name, (0, 0))
         for name in val:
             if not ATOM_RE.fullmatch(name):
                 raise ModelError(f"bad variable name {name!r}")
         self.frame = frame
-        self.val = {name: (pos, neg) for name, (pos, neg) in val.items()}
+        self.val = val
 
     @classmethod
     def from_values(cls, frame: Frame,
                     values: Mapping[str, Mapping[str, "FourValue | str"]],
                     variables: Iterable[str] | None = None) -> "Model":
         """Build a model from per-world FourValue assignments."""
-        val: dict[str, list[int]] = {}
+        val: dict[str, tuple[int, int]] = {}
         for world, assignment in values.items():
             i = frame.index.get(world)
             if i is None:
                 raise UnknownWorldError(f"valuation uses unknown world {world!r}")
             for var, v in assignment.items():
                 truth, falsity = (v if isinstance(v, FourValue) else FourValue[str(v)]).value
-                pair = val.setdefault(var, [0, 0])
-                pair[0] |= truth << i
-                pair[1] |= falsity << i
+                pos, neg = val.get(var, (0, 0))
+                val[var] = pos | truth << i, neg | falsity << i
         model = cls.__new__(cls)
         model._store(frame, val, variables)
         return model
@@ -440,7 +453,7 @@ def dual_model(m: Model) -> Model:
     support is the complement of the other: ``(~neg, ~pos)`` on the worlds."""
     full = (1 << len(m.frame.worlds)) - 1
     dual = Model.__new__(Model)
-    dual._store(m.frame, {v: [~neg & full, ~pos & full] for v, (pos, neg) in m.val.items()}, None)
+    dual._store(m.frame, {v: (~neg & full, ~pos & full) for v, (pos, neg) in m.val.items()}, None)
     return dual
 
 
@@ -504,23 +517,28 @@ def frame_from_dict(data: Mapping) -> Frame:
         raise ModelError("'worlds' must be a list of strings")
     if not isinstance(rel, list):
         raise ModelError("'rel' must be a list of [source, target] pairs")
-    pairs = []
     for edge in rel:
         if not (isinstance(edge, (list, tuple)) and len(edge) == 2
-                and all(isinstance(w, str) for w in edge)):
+                and isinstance(edge[0], str) and isinstance(edge[1], str)):
             raise ModelError(f"bad relation entry {edge!r}")
-        pairs.append((edge[0], edge[1]))
-    return Frame(worlds, pairs)
+    return Frame(worlds, rel)
 
 
 def frame_to_dict(fr: Frame) -> dict:
-    index = fr.index
-    rel = sorted(fr.relation, key=lambda e: (index[e[0]], index[e[1]]))
-    return {"worlds": list(fr.worlds), "rel": [list(e) for e in rel]}
+    """``rel`` in (source position, target position) order, read off the
+    successor bitsets."""
+    worlds, rel = fr.worlds, []
+    for s, bits in zip(worlds, fr.succ):
+        for j, t in enumerate(worlds):
+            if bits >> j & 1:
+                rel.append([s, t])
+    return {"worlds": list(worlds), "rel": rel}
 
 
-# Each value letter's two support flags, read off FourValue's members.
+# Each value letter's two support flags, read off FourValue's members, and
+# each letter by its flags as ``truth | falsity << 1``.
 _LETTERS = {v.name: v.value for v in FourValue}
+_LETTER_OF = tuple(_FLAGS[k & 1, k >> 1].name for k in range(4))
 
 
 def model_from_dict(data: Mapping) -> Model:
@@ -531,7 +549,7 @@ def model_from_dict(data: Mapping) -> Model:
     val = data.get("val", {})
     if not isinstance(val, Mapping):
         raise ModelError("'val' must be an object")
-    supports: dict[str, list[int]] = {}
+    supports: dict[str, tuple[int, int]] = {}
     for world, assignment in val.items():
         i = frame.index.get(world)
         if i is None:
@@ -539,12 +557,12 @@ def model_from_dict(data: Mapping) -> Model:
         if not isinstance(assignment, Mapping):
             raise ModelError(f"'val' entry for {world!r} must be an object")
         for var, letter in assignment.items():
-            if not isinstance(letter, str) or letter not in _LETTERS:
-                raise ModelError(f"bad value {letter!r} for {var!r} at {world!r}")
-            truth, falsity = _LETTERS[letter]
-            pair = supports.setdefault(var, [0, 0])
-            pair[0] |= truth << i
-            pair[1] |= falsity << i
+            try:
+                truth, falsity = _LETTERS[letter]
+            except (KeyError, TypeError):  # TypeError: unhashable
+                raise ModelError(f"bad value {letter!r} for {var!r} at {world!r}") from None
+            pos, neg = supports.get(var, (0, 0))
+            supports[var] = pos | truth << i, neg | falsity << i
     model = Model.__new__(Model)
     model._store(frame, supports, None)
     return model
@@ -552,8 +570,11 @@ def model_from_dict(data: Mapping) -> Model:
 
 def model_to_dict(m: Model) -> dict:
     data = frame_to_dict(m.frame)
+    data["val"] = val = {}
     supports = sorted(m.val.items())
-    data["val"] = {w: {var: _FLAGS[pos >> i & 1, neg >> i & 1].name
-                       for var, (pos, neg) in supports}
-                   for i, w in enumerate(m.frame.worlds)} if supports else {}
+    if supports:
+        for i, w in enumerate(m.frame.worlds):
+            val[w] = row = {}
+            for var, (pos, neg) in supports:
+                row[var] = _LETTER_OF[pos >> i & 1 | (neg >> i & 1) << 1]
     return data

@@ -501,3 +501,64 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert "PROVED" in proc.stdout
+
+
+# Run in a fresh interpreter: each argv of argv[1] (JSON) through cli.main,
+# printing its exit code, stdout and stderr as JSON.
+_RUN_EACH = """
+import contextlib, io, json, sys
+from fdek.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _without_elapsed(text):
+    try:
+        data = json.loads(text)
+    except ValueError:
+        return text
+    if isinstance(data, dict):
+        data.pop("elapsed", None)
+    return data
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # One fresh interpreter per seed, all four at once; the frame names
+    # three unknown worlds, so only the first faulty entry in input order
+    # makes its error the same under every seed.
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps({"worlds": ["w0"], "rel": [["w0", "w8"], ["w0", "w9"],
+                                                           ["w7", "w0"]]}))
+    claims = tmp_path / "transitive.txt"
+    claims.write_text("#p |- ##p\n")
+    fig6 = ["--model-a", data_file("fig6_single"), "--world-a", "w0",
+            "--model-b", data_file("fig6_pair"), "--world-b", "w0"]
+    commands = [
+        ["prove", "@p |- ##p", "--json"],
+        ["prove", "@p |- ##p", "--tree"],
+        ["countermodel", "#p |- #(p & #p)", "--max-worlds", "3", "--json"],
+        ["definability", "--property", "transitive", "--sequents", str(claims),
+         "--max-size", "3", "--json"],
+        ["separate", *fig6, "--language", "box", "--max-size", "9", "--json"],
+        ["dual", "--model", data_file("ex22")],
+        ["valid-on-frame", "#p |- p", "--frame", str(frame)],
+    ]
+    procs = [subprocess.Popen([sys.executable, "-c", _RUN_EACH, json.dumps(commands)],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                              env=dict(os.environ, PYTHONHASHSEED=str(seed)))
+             for seed in range(4)]
+    runs = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        runs.append([(code, _without_elapsed(stdout), stderr)
+                     for code, stdout, stderr in json.loads(out)])
+    for argv, *results in zip(commands, *runs):
+        assert all(r == results[0] for r in results), argv
+    assert runs[0][-1] == (2, "", "error: relation uses unknown world in ('w0', 'w8')\n")

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -947,6 +950,83 @@ class TestJsonInterchange:
         # Unhashable ones too: the checks come before any set or dict.
         with pytest.raises(ModelError):
             Frame(worlds, rel)
+
+    @pytest.mark.parametrize("data, message", [
+        # A bad world identifier and a bad entry: the loader checks the
+        # entry's shape before the frame checks the worlds.
+        ({"worlds": ["w0", ""], "rel": [["w0", 1]]}, "bad relation entry ['w0', 1]"),
+        ({"worlds": ["w0", 1], "rel": [["w0", 1]]}, "'worlds' must be a list of strings"),
+        # A bad entry and a duplicate world.
+        ({"worlds": ["w0", "w0"], "rel": [["w0"]]}, "bad relation entry ['w0']"),
+        # A duplicate world and an unknown world.
+        ({"worlds": ["w0", "w0"], "rel": [["w0", "w9"]]}, "duplicate world identifiers"),
+        # An edge of the wrong shape and an empty 'worlds'.
+        ({"worlds": [], "rel": [["w0"]]}, "bad relation entry ['w0']"),
+        ({"worlds": [], "rel": [["w0", "w9"]]}, "a frame needs at least one world"),
+        ({"worlds": ["w0", ""], "rel": [["w0", "w9"]]}, "bad world identifier ''"),
+    ])
+    def test_loader_errors_come_in_order(self, data, message):
+        for load in (frame_from_dict, model_from_dict):
+            with pytest.raises(ModelError) as info:
+                load(data)
+            assert type(info.value) is ModelError and str(info.value) == message
+
+    @pytest.mark.parametrize("worlds, rel, message", [
+        # An entry that is not a pair.
+        (["w0"], [("w0",)], "bad relation entry ('w0',)"),
+        (["w0"], [("w0", "w0", "w0")], "bad relation entry ('w0', 'w0', 'w0')"),
+        (["w0"], [1], "bad relation entry 1"),
+        # Two faults: the first of no world, a bad world identifier, a bad
+        # entry, duplicate worlds, an unknown world.
+        (["w0", ""], [("w0",)], "bad world identifier ''"),
+        (["w0", ""], [("w0", 1)], "bad world identifier ''"),
+        (["w0", 1], [("w9", "w0")], "bad world identifier 1"),
+        (["w0", "w0"], [("w9", "w0"), ("w0",)], "bad relation entry ('w0',)"),
+        (["w0", "w0"], [("w0", None)], "bad relation entry ('w0', None)"),
+        (["w0"], [("w9", "w0"), ("w0", 1)], "bad relation entry ('w0', 1)"),
+        (["w0", "w0"], [("w0", "w9")], "duplicate world identifiers"),
+        ([], [("w0", "w9")], "a frame needs at least one world"),
+    ])
+    def test_frame_errors_come_in_order(self, worlds, rel, message):
+        with pytest.raises(ModelError) as info:
+            Frame(worlds, rel)
+        assert type(info.value) is ModelError and str(info.value) == message
+
+    def test_unknown_world_is_the_first_in_input_order(self):
+        # Fresh interpreters under fixed hash seeds, which order a set of
+        # these pairs differently.
+        code = ("from fdek.semantics import Frame\n"
+                "Frame(['w0'], [('w0', 'w8'), ('w0', 'w9'), ('w7', 'w0')])")
+        procs = [subprocess.Popen([sys.executable, "-c", code], stderr=subprocess.PIPE,
+                                  text=True, env=dict(os.environ, PYTHONHASHSEED=seed))
+                 for seed in ("1", "2", "3")]
+        for proc in procs:
+            _, err = proc.communicate(timeout=60)
+            assert err.splitlines()[-1] == ("fdek.semantics.UnknownWorldError: relation uses"
+                                            " unknown world in ('w0', 'w8')")
+
+    def test_round_trip_of_every_small_frame(self):
+        # Every frame of at most 3 worlds, and each 3-world one again with
+        # its worlds listed out of name order, with a seeded valuation of
+        # 1 or 2 variables.  rel comes out in (source position, target
+        # position) order, not in name order.
+        rng = random.Random(44)
+        frames = [frame_from_mask(n, mask) for n in (1, 2, 3) for mask in range(2 ** (n * n))]
+        rename = dict(zip(("w0", "w1", "w2"), ("w2", "w0", "w1")))
+        frames += [Frame([rename[w] for w in fr.worlds],
+                         [(rename[s], rename[t]) for s, t in fr.relation])
+                   for fr in frames if len(fr.worlds) == 3]
+        for fr in frames:
+            names = rng.sample("pqr", rng.randint(1, 2))
+            m = mk(fr.worlds, fr.relation,
+                   {w: {v: rng.choice(VALUE_ORDER) for v in names} for w in fr.worlds})
+            data = model_to_dict(m)
+            assert model_from_dict(data) == m
+            index = fr.index
+            rel = sorted(fr.relation, key=lambda e: (index[e[0]], index[e[1]]))
+            val = {w: {v: m.value(w, v).name for v in sorted(m.val)} for w in fr.worlds}
+            assert json.dumps(data) == json.dumps({"worlds": list(fr.worlds),
+                                                   "rel": [list(e) for e in rel], "val": val})
 
     def test_rejects_bad_variable_name(self):
         with pytest.raises(ModelError):
