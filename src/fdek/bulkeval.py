@@ -77,8 +77,8 @@ A space binds its variable names to a plan (``_Plan``): its world and
 variable counts, its record and its block layout.  A relation sweep's
 plan is kept per process and shape ``(n, k, min(depth, n))`` (``_plan``),
 so the searches of one shape share it under any names: a program
-addresses atoms by slot, not by name.  The plan fetches its record at
-the first block, and keeps the layout of a shape read in at most one
+addresses atoms by slot, not by name.  The plan holds its record from
+construction, and keeps the layout of a shape read in at most one
 block, with each slot's ``(pos, neg)`` views of its atoms.  A given
 frame's sweep and a labelled space build their own plan, uncached.  What
 a process keeps is bounded by the guard: a plan per admissible shape
@@ -104,9 +104,9 @@ variables and modal depth off its program, and no block.
 ``model_from_indices`` and ``frame_from_mask`` decode any point of the
 enumeration and refuse one outside it.  A space over chosen relation
 masks, ``BulkSpace(n, variables, masks)``, is for labelled scans outside
-the sweeps (the tests' references and the benchmark's probes); it builds
-its own record, uncached, and reads the same blocks and atom tables as a
-sweep:
+the sweeps (the tests' references and the benchmark's probes); it refuses
+a mask outside the enumeration, builds its own record, uncached, and
+reads the same blocks and atom tables as a sweep:
 
 * relation ``r`` contains the pair (i, j) iff bit ``i*n + j`` of the mask
   is set; a sweep enumerates the class representatives ascending, and
@@ -342,10 +342,14 @@ class BulkSpace:
                  rel_masks: Sequence[int] | None = None):
         names = tuple(sorted(set(variables)))
         _guard(n_worlds, len(names))
-        masks = (np.arange(2 ** (n_worlds * n_worlds)) if rel_masks is None
+        count = 2 ** (n_worlds * n_worlds)
+        masks = (np.arange(count) if rel_masks is None
                  else np.array(rel_masks, dtype=np.int64))
-        self._bind(names, _Plan(n_worlds, len(names), _BLOCK_PAIRS,
-                                record=_RelationList(masks, _successors(n_worlds, masks))))
+        outside = (masks < 0) | (masks >= count)
+        if outside.any():
+            _check_index("relation mask", int(masks[outside.argmax()]), count)
+        self._bind(names, _Plan(n_worlds, len(names),
+                                _RelationList(masks, _successors(n_worlds, masks))))
 
     def _bind(self, names: tuple[str, ...], plan: _Plan) -> None:
         """Every relation of ``plan`` with every valuation of ``names``."""
@@ -353,22 +357,12 @@ class BulkSpace:
         self.names = names
         self.full = plan.full
         self._plan = plan
-
-    @property
-    def _relations(self) -> _RelationList:
-        return self._plan.relations()
-
-    @property
-    def succ(self) -> np.ndarray:
-        return self._plan.relations().succ
-
-    @property
-    def masks(self) -> np.ndarray | None:
-        return self._plan.relations().masks
+        self._relations = plan.record
+        self.succ, self.masks = plan.record.succ, plan.record.masks
 
     def frame(self, r: int) -> Frame:
         """The frame of relation ``r`` (``_RelationList.frame``)."""
-        return self._plan.relations().frame(r)
+        return self._relations.frame(r)
 
     def _blocks(self) -> Iterator[tuple[slice, int, np.ndarray]]:
         """The blocks this space is read in (``_Plan.blocks``)."""
@@ -642,40 +636,30 @@ def _relation_list(n: int, depth: int | None) -> _RelationList:
 
 class _Plan:
     """How one space is read: its world count ``n``, its ``k`` variable
-    slots, its relation record and its block layout under the block
-    budget ``budget``.  A relation sweep's plan is kept per process and
-    shape (``_plan``); a given frame or a labelled space builds its own,
-    with its record.  A plan holds no variable name: a space binds its
-    names to it (``BulkSpace._bind``), and a program addresses atoms by
-    slot, so searches of one shape under any names share it.
+    slots, its relation ``record`` and its block layout.  A relation
+    sweep's plan is kept per process and shape (``_plan``); a given frame
+    or a labelled space builds its own, with its record.  A plan holds no
+    variable name: a space binds its names to it (``BulkSpace._bind``),
+    and a program addresses atoms by slot, so searches of one shape under
+    any names share it.
 
-    The record is fetched at the first block (``relations``), so admitting
-    a sweep builds nothing.  The layout is that of the first read
-    (``blocks``): a shape read in at most one block keeps that block, and
-    the ``(pos, neg)`` views of each slot's atoms in it (``atom_views``)."""
+    The layout is that of the first read (``blocks``): a shape read in at
+    most one block keeps that block, and the ``(pos, neg)`` views of each
+    slot's atoms in it (``atom_views``)."""
 
-    __slots__ = ("n", "k", "budget", "full", "_depth", "_record", "_layout", "_views")
+    __slots__ = ("n", "k", "full", "record", "_layout", "_views")
 
-    def __init__(self, n: int, k: int, budget: int, depth: int | None = None,
-                 record: _RelationList | None = None):
-        self.n, self.k, self.budget = n, k, budget
+    def __init__(self, n: int, k: int, record: _RelationList):
+        self.n, self.k, self.record = n, k, record
         self.full = _bitset_type(n)((1 << n) - 1)
-        self._depth, self._record = depth, record
         self._layout: tuple | None = None
         self._views: tuple | None = None
-
-    def relations(self) -> _RelationList:
-        """The record: a relation sweep's ``_relation_list(n, depth)``,
-        fetched on first use, or the one the plan was built with."""
-        if self._record is None:
-            self._record = _relation_list(self.n, self._depth)
-        return self._record
 
     def blocks(self) -> Iterator[tuple[slice, int, np.ndarray]]:
         """The blocks a space of this plan is read in, in enumeration order,
         each ``(rows, v, atoms)``: the relations ``rows`` of the record with
         the valuations from ``v`` on, of which ``atoms[j]`` holds both
-        supports of the j-th name.  A block holds at most ``budget``
+        supports of the j-th name.  A block holds at most ``_BLOCK_PAIRS``
         (relation, valuation) pairs: whole relations while one relation's
         valuations fit, else aligned blocks of 4^L valuations of one
         relation, 4^L the largest power of 4 within the budget (a block
@@ -690,10 +674,10 @@ class _Plan:
             return iter(self._layout)
         n, k = self.n, self.k
         slots = n * k
-        low = min(slots, (self.budget.bit_length() - 1) // 2)  # 4^low <= budget
+        low = min(slots, (_BLOCK_PAIRS.bit_length() - 1) // 2)  # 4^low <= budget
         step, n_val = 4 ** low, 4 ** slots
-        rel_step = max(1, self.budget // n_val)
-        relations = len(self.relations().succ)
+        rel_step = max(1, _BLOCK_PAIRS // n_val)
+        relations = len(self.record.succ)
         if step < n_val or relations > rel_step:
             return self._split(low, step, n_val, rel_step, relations)
         if relations:
@@ -725,16 +709,17 @@ class _Plan:
 
 
 @lru_cache(maxsize=None)
-def _plan(n: int, k: int, depth: int | None, budget: int) -> _Plan:
+def _plan(n: int, k: int, depth: int | None) -> _Plan:
     """The plan of a sweep of ``n`` worlds, ``k`` variables and a ``depth``
-    of at most n (None: every class), admitted by ``_guard`` and kept per
+    of at most n (None: every class), with its record
+    ``_relation_list(n, depth)``, admitted by ``_guard`` and kept per
     process, so a shape is admitted once and a refusal builds nothing.  At
     most one plan per admissible shape is ever kept: n * k <= 12, at most
-    10^9 labelled cells, and depth <= n (``sweep`` clamps it).  ``budget``
-    is the block budget ``_BLOCK_PAIRS``, a module constant that only the
-    tests vary: a plan is laid out under the budget it was built with."""
+    10^9 labelled cells, and depth <= n (``sweep`` clamps it).  A kept plan
+    keeps the layout of its first read under ``_BLOCK_PAIRS``, so a change
+    of that constant needs ``_plan.cache_clear()``."""
     _guard(n, k)
-    return _Plan(n, k, budget, depth)
+    return _Plan(n, k, _relation_list(n, depth))
 
 
 def sweep(worlds: int | Frame, variables: Sequence[str],
@@ -758,12 +743,11 @@ def sweep(worlds: int | Frame, variables: Sequence[str],
     if isinstance(worlds, Frame):
         _guard(worlds, len(names))
         n = len(worlds.worlds)
-        plan = _Plan(n, len(names), _BLOCK_PAIRS, record=_RelationList(
+        plan = _Plan(n, len(names), _RelationList(
             None, np.array([worlds.succ], dtype=_bitset_type(n))))
     else:
         # Every depth from n on keeps the same classes.
-        plan = _plan(worlds, len(names), None if depth is None else min(depth, worlds),
-                     _BLOCK_PAIRS)
+        plan = _plan(worlds, len(names), None if depth is None else min(depth, worlds))
     space = BulkSpace.__new__(BulkSpace)
     space._bind(names, plan)
     return space

@@ -188,7 +188,8 @@ class Model:
         for name in () if variables is None else variables:
             val.setdefault(name, (0, 0))
         for name in val:
-            if not ATOM_RE.fullmatch(name):
+            # Checked before it is matched, as ``Frame`` checks a world.
+            if not isinstance(name, str) or not ATOM_RE.fullmatch(name):
                 raise ModelError(f"bad variable name {name!r}")
         self.frame = frame
         self.val = val

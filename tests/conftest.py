@@ -25,8 +25,21 @@ def _subprocess_pythonpath():
         yield
 
 
+@pytest.fixture
+def block_pairs(monkeypatch):
+    """A setter of the block budget ``bulkeval._BLOCK_PAIRS`` for one test.
+    A kept sweep plan keeps the layout of its first read, so the kept plans
+    are cleared when the budget is set and again at teardown: no sweep
+    reads a layout made under another budget."""
+    def set_pairs(pairs: int) -> None:
+        monkeypatch.setattr(bulkeval, "_BLOCK_PAIRS", pairs)
+        bulkeval._plan.cache_clear()
+    yield set_pairs
+    bulkeval._plan.cache_clear()
+
+
 @pytest.fixture(params=["default", "tiny"])
-def chunk_budget(request, monkeypatch):
+def chunk_budget(request, block_pairs):
     """Sweeps with the default block budget, and with one of 100 (relation,
     valuation) pairs, so small that at two worlds every sweep splits: 6
     relations per block for one variable (the last block short, the others
@@ -36,7 +49,7 @@ def chunk_budget(request, monkeypatch):
     A given frame of more than 3 valuation slots is then read in aligned
     blocks of 64 valuations.  The fixture's value is the budget's name."""
     if request.param == "tiny":
-        monkeypatch.setattr(bulkeval, "_BLOCK_PAIRS", 100)
+        block_pairs(100)
     return request.param
 
 

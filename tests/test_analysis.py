@@ -471,6 +471,13 @@ class TestBulkAgreement:
         with pytest.raises(BoundExceededError):
             BulkSpace(6, ["p"])
 
+    @pytest.mark.parametrize("masks,bad", [([16], 16), ([0, 5, -1], -1), ([3, 2 ** 40], 2 ** 40)])
+    def test_a_labelled_space_refuses_a_mask_outside_the_enumeration(self, masks, bad):
+        # Bit i*n + j of a mask is the pair (i, j); a mask outside
+        # [0, 2^(n*n)) names no relation, and its frame would not decode.
+        with pytest.raises(ValueError, match=rf"^relation mask {bad} is outside \[0, 16\)$"):
+            BulkSpace(2, ["p"], masks)
+
     def test_an_empty_labelled_space_answers_for_no_relation(self):
         # A space of no relation has no block, so no countermodel and an
         # empty validity vector, whatever the claim reads.
@@ -728,18 +735,24 @@ class TestClauseTables:
     @pytest.mark.parametrize("block_relations", [None, 7])
     @pytest.mark.parametrize("n,depth", [(1, None), (2, 1), (3, None), (3, 1), (4, None), (4, 2)])
     def test_gather_matches_the_per_world_pass(self, n, depth, block_relations, chunk_budget,
-                                               monkeypatch):
+                                               block_pairs):
         # Seeded random children of both shapes on sampled blocks of the
         # sweep, the first and the last among them; under the tiny budget
         # most blocks start mid-list or mid-relation, and under a budget of
-        # 7 relations' valuations the blocks of 3 and 4 worlds hold several
-        # relations and start mid-list.  Each demand (truth, falsity, both)
-        # yields the per-world pass's rows it names, and None for the other.
+        # 7 relations' valuations each block holds 7 relations (the last
+        # one may hold fewer): the sweeps of 3 worlds at every class and of
+        # 4 take several, all after the first starting mid-list.  Each
+        # demand (truth, falsity, both) yields the per-world pass's rows it
+        # names, and None for the other.
         if block_relations:
-            monkeypatch.setattr(bulkeval, "_BLOCK_PAIRS", block_relations * 4 ** n)
+            block_pairs(block_relations * 4 ** n)
         rng = np.random.default_rng(n)
         space = bulkeval.sweep(n, ["p"], depth)
         blocks = list(space._blocks())
+        if block_relations:
+            assert (len(blocks) > 1) == ((n, depth) in [(3, None), (4, None), (4, 2)])
+            assert [(rows.start, rows.stop, v) for rows, v, _ in blocks] == \
+                [(r, r + block_relations, 0) for r in range(0, len(space.succ), block_relations)]
         picks = {0, len(blocks) - 1} | set(random.Random(n).sample(range(len(blocks)),
                                                                    min(6, len(blocks))))
         for i in sorted(picks):
@@ -1189,7 +1202,7 @@ class TestPlans:
         program = bulkeval._compile(s)
         space = bulkeval.sweep(n, program.names, program.depth)
         r = space.first_countermodel(program)[0]
-        frame = space._plan.relations().frame(r)
+        frame = space._plan.record.frame(r)
         assert found.model.frame is frame is space.frame(r)
         assert frame == frame_from_mask(n, int(space.masks[r]))
         assert find_countermodel(s, 3).model.frame is frame

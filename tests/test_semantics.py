@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -690,9 +691,9 @@ def _valid_on(frame, claim):
 class TestFrameInvariances:
     """Frame validity on the bulk frame check is invariant under disjoint
     unions and passes to generated subframes (the frame level of
-    invariance under generated submodels): seeded claims of modal depth at
-    most 2 over # and [], and the paper's frame-class claims, on frames of
-    at most 3 worlds."""
+    invariance under generated submodels) and to bounded morphic images:
+    seeded claims of modal depth at most 2 over # and [], and the paper's
+    frame-class claims, on frames of at most 3 worlds."""
 
     FRAME_CLAIMS = list(dict.fromkeys(c for cs in PAPER_FRAME_CLASSES.values() for c in cs))
 
@@ -746,6 +747,47 @@ class TestFrameInvariances:
                 checked += 1
                 proper += len(reach) < len(frame.worlds)
         assert checked >= 30 and proper >= 10, (checked, proper)
+
+    def test_validity_passes_to_bounded_morphic_images(self):
+        # Every frame F of at most 3 worlds and every map f of its worlds
+        # onto m <= n worlds whose image relation is well defined,
+        # succ_G(f(w)) = f(succ_F(w)), which makes f a bounded morphism onto
+        # G: a claim valid on F is valid on G (Goldblatt-Thomason;
+        # Blackburn, de Rijke & Venema 2001, ch. 3).  Each size's verdicts
+        # are one labelled space's vector over every mask.
+        rng = random.Random(45)
+        named = [parse_sequent(text) for text in ("#p |- ##p", "@p |- ##p", "[]p |- [][]p")]
+        claims = list(dict.fromkeys(self.FRAME_CLAIMS + named))
+        while len(claims) < 16:
+            claim = self._claim(rng, rng.choice([["p"], ["p", "q"]]))
+            if claim not in claims:
+                claims.append(claim)
+        morphisms = []  # (n, mask of F, m, mask of G)
+        for n in (1, 2, 3):
+            for f in product(range(n), repeat=n):
+                m = max(f) + 1
+                if set(f) != set(range(m)):
+                    continue
+                for mask in range(2 ** (n * n)):
+                    image = {}
+                    for w in range(n):
+                        row = sum({1 << f[j] for j in range(n) if mask >> (w * n + j) & 1})
+                        if image.setdefault(f[w], row) != row:
+                            break
+                    else:
+                        morphisms.append((n, mask, m, sum(row << (v * m)
+                                                           for v, row in image.items())))
+        assert len(morphisms) == 4420
+        proper = 0  # checks of a valid F onto fewer worlds
+        for claim in claims:
+            program = bulkeval._compile(claim)
+            valid = {n: BulkSpace(n, program.names).valid_per_relation(program) for n in (1, 2, 3)}
+            for n, mask, m, image in morphisms:
+                if valid[n][mask]:
+                    assert valid[m][image], (claim, frame_from_mask(n, mask),
+                                             frame_from_mask(m, image))
+                    proper += m < n
+        assert proper >= 2000, proper
 
 
 class TestNoTautologies:
@@ -926,6 +968,7 @@ class TestJsonInterchange:
         # Every letter is checked before any variable name.
         ({"w0": {"P": "T"}, "w1": {"q": 1}}, ModelError, "bad value 1 for 'q' at 'w1'"),
         ({"w0": {"P": "T"}}, ModelError, "bad variable name 'P'"),
+        ({"w0": {1: "T"}}, ModelError, "bad variable name 1"),
     ])
     def test_errors_come_in_order(self, val, error, message):
         with pytest.raises(error) as info:
@@ -1126,6 +1169,9 @@ class TestModelStorage:
         # A bad world is reported before a bad name.
         ({"w0": ["P"]}, {"w9": ["p"]}, {"w0": {"P": "T"}, "w9": {"p": "F"}}, None,
          UnknownWorldError, "valuation uses unknown world 'w9'"),
+        # A name that is not a string is refused, not matched.
+        ({"w0": [1]}, {}, {"w0": {1: "T"}}, None, ModelError, "bad variable name 1"),
+        ({}, {}, {}, [None], ModelError, "bad variable name None"),
     ])
     def test_constructors_raise_the_same_errors(self, vplus, vminus, values, variables,
                                                 error, message):
