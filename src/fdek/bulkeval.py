@@ -105,8 +105,8 @@ variables and modal depth off its program, and no block.
 enumeration and refuse one outside it.  A space over chosen relation
 masks, ``BulkSpace(n, variables, masks)``, is for labelled scans outside
 the sweeps (the tests' references and the benchmark's probes); it refuses
-a mask outside the enumeration, builds its own record, uncached, and
-reads the same blocks and atom tables as a sweep:
+a mask outside the enumeration or not an integer, builds its own record,
+uncached, and reads the same blocks and atom tables as a sweep:
 
 * relation ``r`` contains the pair (i, j) iff bit ``i*n + j`` of the mask
   is set; a sweep enumerates the class representatives ascending, and
@@ -119,6 +119,7 @@ reads the same blocks and atom tables as a sweep:
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from itertools import permutations
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -174,6 +175,29 @@ def _check_index(what: str, index: int, count: int) -> None:
     another point, or a bit that no slot holds, instead."""
     if not 0 <= index < count:
         raise ValueError(f"{what} {index} is outside [0, {count})")
+
+
+def _mask_array(rel_masks: Sequence[int], count: int) -> np.ndarray:
+    """``rel_masks`` as int64 relation masks, each refused unless it is an
+    integer in ``[0, count)``.  An integer array is checked whole.  Numpy
+    makes floats, strings or objects (an integer past 64 bits) of any other
+    input, so that is checked mask by mask as given: none is truncated,
+    parsed or overflows."""
+    masks = np.asarray(rel_masks)
+    if masks.dtype.kind not in "iu":
+        checked = []
+        for m in rel_masks.tolist() if isinstance(rel_masks, np.ndarray) else rel_masks:
+            try:
+                m = operator.index(m)
+            except TypeError:
+                raise ValueError(f"relation mask {m!r} is not an integer") from None
+            _check_index("relation mask", m, count)
+            checked.append(m)
+        return np.array(checked, dtype=np.int64)
+    outside = (masks < 0) | (masks >= count)
+    if outside.any():
+        _check_index("relation mask", int(masks[outside.argmax()]), count)
+    return masks.astype(np.int64, copy=False)
 
 
 def frame_from_mask(n_worlds: int, rel_mask: int) -> Frame:
@@ -343,11 +367,7 @@ class BulkSpace:
         names = tuple(sorted(set(variables)))
         _guard(n_worlds, len(names))
         count = 2 ** (n_worlds * n_worlds)
-        masks = (np.arange(count) if rel_masks is None
-                 else np.array(rel_masks, dtype=np.int64))
-        outside = (masks < 0) | (masks >= count)
-        if outside.any():
-            _check_index("relation mask", int(masks[outside.argmax()]), count)
+        masks = np.arange(count) if rel_masks is None else _mask_array(rel_masks, count)
         self._bind(names, _Plan(n_worlds, len(names),
                                 _RelationList(masks, _successors(n_worlds, masks))))
 

@@ -179,14 +179,20 @@ class Model:
                 if i is None:
                     raise UnknownWorldError(f"valuation uses unknown world {world!r}")
                 for name in names:
-                    val.setdefault(name, [0, 0])[k] |= 1 << i
+                    try:
+                        val.setdefault(name, [0, 0])[k] |= 1 << i
+                    except TypeError:   # unhashable, so not a string
+                        raise ModelError(f"bad variable name {name!r}") from None
         self._store(frame, {name: tuple(pair) for name, pair in val.items()}, variables)
 
     def _store(self, frame: Frame, val: dict[str, tuple[int, int]], variables):
         """The core of every constructor: ``val`` gives the two supports of
         each variable mentioned, ``variables`` any more of the universe."""
         for name in () if variables is None else variables:
-            val.setdefault(name, (0, 0))
+            try:
+                val.setdefault(name, (0, 0))
+            except TypeError:   # unhashable, so not a string
+                raise ModelError(f"bad variable name {name!r}") from None
         for name in val:
             # Checked before it is matched, as ``Frame`` checks a world.
             if not isinstance(name, str) or not ATOM_RE.fullmatch(name):

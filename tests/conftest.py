@@ -2,6 +2,7 @@
 
 import os
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,16 +27,33 @@ def _subprocess_pythonpath():
 
 
 @pytest.fixture
-def block_pairs(monkeypatch):
+def cold_caches():
+    """fdek's process-wide caches, empty when the test starts and again when
+    it ends, so what the test reads does not depend on the tests before it.
+    They are the ``functools.lru_cache`` functions of the ``fdek`` modules:
+    today the sweep plans, relation lists and atom tables of ``bulkeval``,
+    and ``analysis._counts``.  The value clears them again."""
+    def clear() -> None:
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "fdek":
+                for f in vars(module).values():
+                    if hasattr(f, "cache_clear"):
+                        f.cache_clear()
+    clear()
+    yield clear
+    clear()
+
+
+@pytest.fixture
+def block_pairs(monkeypatch, cold_caches):
     """A setter of the block budget ``bulkeval._BLOCK_PAIRS`` for one test.
-    A kept sweep plan keeps the layout of its first read, so the kept plans
-    are cleared when the budget is set and again at teardown: no sweep
-    reads a layout made under another budget."""
+    A kept sweep plan keeps the layout of its first read, so the caches are
+    cleared when the budget is set and again at teardown: no sweep reads a
+    layout made under another budget."""
     def set_pairs(pairs: int) -> None:
         monkeypatch.setattr(bulkeval, "_BLOCK_PAIRS", pairs)
-        bulkeval._plan.cache_clear()
-    yield set_pairs
-    bulkeval._plan.cache_clear()
+        cold_caches()
+    return set_pairs
 
 
 @pytest.fixture(params=["default", "tiny"])

@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import importlib
 import json
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -471,11 +473,19 @@ class TestBulkAgreement:
         with pytest.raises(BoundExceededError):
             BulkSpace(6, ["p"])
 
-    @pytest.mark.parametrize("masks,bad", [([16], 16), ([0, 5, -1], -1), ([3, 2 ** 40], 2 ** 40)])
+    @pytest.mark.parametrize("masks,bad", [
+        ([16], 16), ([0, 5, -1], -1), ([3, 2 ** 40], 2 ** 40),
+        # Past 64 bits, and past int64 beside a negative mask.
+        ([2 ** 70], 2 ** 70), ([-1, 2 ** 63], -1),
+        (np.array([2 ** 64 - 1], dtype=np.uint64), 2 ** 64 - 1),
+        # Not integers: neither truncated nor parsed, the first in input order.
+        ([1.5], 1.5), (["3"], "3"), ([0, "3"], "3"), ([3, 2.0, 16], 2.0), (np.array([1.0]), 1.0),
+    ])
     def test_a_labelled_space_refuses_a_mask_outside_the_enumeration(self, masks, bad):
         # Bit i*n + j of a mask is the pair (i, j); a mask outside
         # [0, 2^(n*n)) names no relation, and its frame would not decode.
-        with pytest.raises(ValueError, match=rf"^relation mask {bad} is outside \[0, 16\)$"):
+        why = r"is outside \[0, 16\)" if isinstance(bad, int) else "is not an integer"
+        with pytest.raises(ValueError, match=rf"^relation mask {re.escape(repr(bad))} {why}$"):
             BulkSpace(2, ["p"], masks)
 
     def test_an_empty_labelled_space_answers_for_no_relation(self):
@@ -838,14 +848,12 @@ class TestClauseTables:
         assert starts == [(0, 16 * i) for i in range(4)]
         assert tables == [1]
 
-    def test_one_cache_entry_per_relation_list(self):
+    def test_one_cache_entry_per_relation_list(self, cold_caches):
         # Every depth from n on sweeps the same classes, so these 29
         # searches read six relation lists: (1, 1), (2, 1), (2, 2), (3, 1),
         # (3, 2), (3, 3), each with its clause table, filtered from the
         # three lists of every class, which build no table.  A kept plan
-        # keeps its record, so the plans go too.
-        bulkeval._plan.cache_clear()
-        bulkeval._relation_list.cache_clear()
+        # keeps its record, so the plans start empty too.
         for d in range(1, 30):
             tower = "#" * d + "p"
             assert find_countermodel(parse_sequent(f"{tower} |- {tower}"), 3) is None
@@ -856,14 +864,14 @@ class TestClauseTables:
             assert (bulkeval._relation_list(n, depth)._table is not None) == read, (n, depth)
         assert bulkeval._relation_list.cache_info().currsize == 9
 
-    def test_peak_memory_of_a_three_world_search(self):
+    def test_peak_memory_of_a_three_world_search(self, cold_caches):
         # A program yields only what is read and drops each value after its
         # last reader, and no value outgrows a block of 2^20 (relation,
         # valuation) pairs: 6.6 MB.
         for peak in _search_peaks("#(p & q) & r |- #(q & p) & r"):
             assert peak < 20e6, peak
 
-    def test_peak_memory_of_a_nested_three_world_search(self):
+    def test_peak_memory_of_a_nested_three_world_search(self, cold_caches):
         # Each block gathers every relation's own row of the clause table at
         # the outer #, with 8-byte indices for each of its pairs: 19.5 MB.
         for peak in _search_peaks("#(#p & #q) & r |- #(#q & #p) & r"):
@@ -908,20 +916,19 @@ class TestClauseTables:
 
 def _search_peaks(text: str, max_worlds: int = 3) -> list[int]:
     """The tracemalloc peaks of the valid search for ``text`` up to
-    ``max_worlds`` worlds, with cold caches, then warm (``_peaks``)."""
+    ``max_worlds`` worlds, cold, then warm (``_peaks``)."""
     s = parse_sequent(text)
     return _peaks(lambda: find_countermodel(s, max_worlds) is None)
 
 
 def _peaks(check) -> list[int]:
-    """The tracemalloc peaks of ``check()``, which must hold, with cold
-    sweep caches, then warm.  numpy reports its allocations to
-    tracemalloc, so these peaks are deterministic."""
-    bulkeval._plan.cache_clear()
-    bulkeval._relation_list.cache_clear()
-    bulkeval._atom_tables.cache_clear()
+    """The tracemalloc peaks of ``check()``, which must hold, with the cold
+    caches of the caller's ``cold_caches``, then warm.  numpy reports its
+    allocations to tracemalloc, and each run starts from a collected heap,
+    so these peaks are deterministic."""
     peaks = []
     for _ in range(2):
+        gc.collect()
         tracemalloc.start()
         try:
             assert check()
@@ -1006,12 +1013,11 @@ class TestDemand:
 
 
 class TestAtomTables:
-    def test_searches_of_one_shape_share_read_only_tables(self, monkeypatch):
+    def test_searches_of_one_shape_share_read_only_tables(self, monkeypatch, cold_caches):
         # Both sequents are valid and have two variables, so each search
         # reads one block at 1 world and one at 2, and the second search
-        # reads the first one's tables under its own names.  The kept plans
-        # are dropped first, so the first search builds them.
-        bulkeval._plan.cache_clear()
+        # reads the first one's tables under its own names.  The caches
+        # start empty, so the first search builds them.
         spaces = []
         blocks = BulkSpace._blocks
 
@@ -1034,15 +1040,13 @@ class TestAtomTables:
             with pytest.raises(ValueError):
                 second.succ[0, 0] = 0
 
-    def test_one_entry_per_shape_within_the_budget(self):
+    def test_one_entry_per_shape_within_the_budget(self, cold_caches):
         # Shapes (1, 1), (2, 1), (1, 2) and (2, 2), each under several names,
         # depths and a given frame; at depth 0 no 3-world block is read.
         # Then 9 and 11 slots, each swept twice: each is cached once, the
         # first whole, the second its 10 low slots, so no table holds more
         # than _BLOCK_PAIRS valuations.  A kept plan keeps its block's
-        # table, so the plans go too.
-        bulkeval._plan.cache_clear()
-        bulkeval._atom_tables.cache_clear()
+        # table, so the plans start empty too.
         for names in (["p"], ["q"], ["p", "q"], ["r", "s"]):
             for worlds, depth in ((1, None), (2, None), (2, 1), (frame_from_mask(2, 5), None),
                                   (3, 0)):
@@ -1080,7 +1084,7 @@ class TestAtomTables:
             spaces += 1
         assert spaces == blocks
 
-    def test_peak_memory_of_a_two_world_six_variable_search(self):
+    def test_peak_memory_of_a_two_world_six_variable_search(self, cold_caches):
         # No atom table outgrows a block: the cached table of the 10 low
         # slots and one block's own take 12 MiB each, not the 192 MiB of
         # every valuation's atoms.  Measured: 39.1 MiB cold, 27.0 MiB warm.
@@ -1100,7 +1104,7 @@ class TestAtomTables:
         assert (code, out, proc.stderr) == ("1", '{"found": false, "max_worlds": 2}\n', "")
         assert int(rss_kib) < 150 * 1024, rss_kib
 
-    def test_peak_memory_of_a_labelled_two_world_six_variable_space(self):
+    def test_peak_memory_of_a_labelled_two_world_six_variable_space(self, cold_caches):
         # A labelled space is read in the blocks of a sweep of its shape:
         # the cached table of the 10 low slots and one block's own atoms,
         # where every valuation's atoms in one block would take 416 MiB.
@@ -1109,7 +1113,7 @@ class TestAtomTables:
         cold, _ = _peaks(lambda: BulkSpace(2, list("pqrstu"), [0]).first_countermodel(s) is None)
         assert cold < 64 * 2 ** 20, cold
 
-    def test_peak_memory_of_a_twelve_cycle_check(self):
+    def test_peak_memory_of_a_twelve_cycle_check(self, cold_caches):
         # The 12-world cycle's 16-bit bitsets, read in 16 blocks of 4^10
         # valuations by the per-world pass.  Measured: 28.0 MiB cold,
         # 24.0 MiB warm.
@@ -1142,9 +1146,9 @@ class TestAtomTables:
                 assert not bits.flags.writeable and np.shares_memory(bits, cached)
                 assert np.array_equal(bits, cached[j, x])
 
-    def test_cold_and_warm_caches_find_the_same_witnesses(self, monkeypatch):
+    def test_cold_and_warm_caches_find_the_same_witnesses(self, monkeypatch, cold_caches):
         # The golden corpus at 3 worlds and the benchmark's oracle searches
-        # of seeds 1 to 3, first with every sweep cache empty, then again.
+        # of seeds 1 to 3, first with every cache empty, then again.
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
         gen = importlib.import_module("gen")
         oracle = [x for seed in (1, 2, 3) for x in gen.oracle_inputs(seed)["searches"]]
@@ -1154,20 +1158,17 @@ class TestAtomTables:
         def witnesses():
             return [found and (model_to_dict(found.model), found.world)
                     for found in (find_countermodel(s, worlds) for s, worlds in searches)]
-        for cache in (bulkeval._plan, bulkeval._relation_list, bulkeval._atom_tables):
-            cache.cache_clear()
         cold = witnesses()
         assert witnesses() == cold
         assert [found is None for found in cold[-len(oracle):]] == [x["expect"] for x in oracle]
 
 
 class TestPlans:
-    def test_one_plan_per_shape_across_names(self):
+    def test_one_plan_per_shape_across_names(self, cold_caches):
         # Shapes (2, 1) and (2, 2) at every class, depth 1 and depth 2,
         # which depth 5 clamps to: six plans for 16 sweeps under four
         # name lists.  A given frame or a labelled space has its own plan,
         # which is not kept.
-        bulkeval._plan.cache_clear()
         spaces = {}
         for names in (["p"], ["q"], ["p", "q"], ["r", "s"]):
             for depth in (None, 1, 2, 5):
@@ -1207,21 +1208,23 @@ class TestPlans:
         assert frame == frame_from_mask(n, int(space.masks[r]))
         assert find_countermodel(s, 3).model.frame is frame
 
-    def test_repeated_searches_retain_no_array(self):
+    def test_repeated_searches_retain_no_array(self, cold_caches):
         # One valid and one refuted search of one shape, alternately: the
         # first ten build the plans and the witness's frame, and the next
-        # 490 keep nothing more.
+        # 490 keep nothing more.  Garbage is collected before each reading,
+        # so only what the caches keep counts.
         searches = [parse_sequent(text) for text in ("#p & q |- q", "#r & s |- r")]
 
         def run(times):
             for i in range(times):
                 find_countermodel(searches[i % 2], 2)
-        bulkeval._plan.cache_clear()
         tracemalloc.start()
         try:
             run(10)
+            gc.collect()
             after_ten = tracemalloc.get_traced_memory()[0]
             run(490)
+            gc.collect()
             after_500 = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -1322,11 +1325,9 @@ class TestDefinability:
                 assert (bulk.verdict, bulk.witness, bulk.frames_checked) == \
                     scalar_definability(prop, claims, 3), (prop, bulk.claims)
 
-    def test_builds_a_frame_only_for_the_witness(self, monkeypatch):
+    def test_builds_a_frame_only_for_the_witness(self, monkeypatch, cold_caches):
         # A record keeps each witness's frame, so the records, and the
-        # plans that hold them, are dropped first.
-        bulkeval._plan.cache_clear()
-        bulkeval._relation_list.cache_clear()
+        # plans that hold them, start empty.
         built = []
         init = Frame.__init__
 

@@ -1,4 +1,16 @@
-"""The names the benchmark's scripts take from fdek still resolve.
+"""The benchmark's correctness gate, and the names its scripts take from
+fdek.
+
+``bench/selfcheck.py`` checks the benchmark's reference evaluator, an
+evaluator independent of fdek, against fdek.  Each workload's ``check``
+compares the outputs of one round with that reference; here each workload
+runs one plain and one traced round at seed 2, in process, as
+``bench/run.py`` runs them, and no operation may raise: fdek walks
+formulas without recursion, so even the 600- and 2000-deep inputs, which
+the benchmark lets fail, must pass.  A traced round also runs the
+per-layer probes, which outside the tests are the only callers of
+``saturation_step``, ``Branch.copy`` and ``BulkSpace(n, names, masks)``.
+A new benchmark check is a test here, never a CI step.
 
 ``bench/workloads.py`` and ``bench/selfcheck.py`` import from ``fdek`` and
 call a few entry points beside the CLI's (the per-layer probes).  A trim of
@@ -16,7 +28,54 @@ import pytest
 from fdek import Branch, Labelled, Val, parse_sequent
 from fdek.bulkeval import BulkSpace
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """``bench/`` importable, and the repository root the working
+    directory, as the benchmark's scripts expect; both undone after."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.chdir(ROOT)
+
+
+def bench_round(wl, tr) -> list:
+    """The (operation, output) pairs of one round of ``wl``, traced under
+    ``tr`` if given, each operation in its span as in ``bench/run.py``."""
+    pairs = []
+    for i, op in enumerate(wl.ops):
+        if tr is None:
+            pairs.append((op, wl.run(i, None)))
+        else:
+            with tr.span("op." + wl.name, index=i):
+                pairs.append((op, wl.run(i, tr)))
+    return pairs
+
+
+def test_the_benchmark_selfcheck_passes(bench, capsys):
+    selfcheck = importlib.import_module("selfcheck")
+    assert selfcheck.main([]) == 0, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["prove", "oracle", "scans", "deep"])
+def test_a_plain_and_a_traced_round_pass_the_benchmark_checks(bench, name):
+    workloads = importlib.import_module("workloads")
+    spans = importlib.import_module("spans")
+    wl = workloads.WORKLOADS[name](2)
+    wl.warmup()
+    plain = bench_round(wl, None)
+    assert wl.check(plain) == []
+    tr = spans.Tracer()
+    traced = bench_round(wl, tr)
+    assert [wl.fingerprint(out) for _, out in traced] == [wl.fingerprint(out) for _, out in plain]
+    peak = [0]
+    wl.probe(tr, traced, peak)
+    counts = workloads.fixed_probe(tr, peak)
+    # Every per-layer metric has spans to be read from, the bulk probe a
+    # tracemalloc peak, and the tableau probe its rules.
+    assert {ratio[2] for ratio in spans.RATIOS} <= {span.name for span in tr.spans}
+    assert peak[0] > 0 and counts["rules"] > 0
 
 
 def fdek_imports(path: Path) -> list[tuple[str, str]]:

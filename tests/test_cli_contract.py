@@ -196,7 +196,11 @@ def test_cli_contract(command, code, stdout, stderr, claim_files, capsys, monkey
 
 
 def test_the_workflow_pins_no_cli_output():
-    # A pin written as a shell step would escape the tier-1 run of ROWS.
+    # A pin written as a shell step would escape the tier-1 run of ROWS,
+    # and a benchmark check the tier-1 run of test_benchmark_api.py: no
+    # step follows Tier-1, and none runs a script of bench/.
     text = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
     assert not re.search(r"\b[0-9a-f]{64}\b", text)
     assert "-m fdek" not in text
+    assert "bench/" not in text
+    assert not re.search(r"^\s*- ", text.split("- name: Tier-1 tests", 1)[1], re.M)

@@ -1172,6 +1172,8 @@ class TestModelStorage:
         # A name that is not a string is refused, not matched.
         ({"w0": [1]}, {}, {"w0": {1: "T"}}, None, ModelError, "bad variable name 1"),
         ({}, {}, {}, [None], ModelError, "bad variable name None"),
+        # An unhashable name is refused, not hashed.
+        ({}, {}, {}, [["p"]], ModelError, "bad variable name ['p']"),
     ])
     def test_constructors_raise_the_same_errors(self, vplus, vminus, values, variables,
                                                 error, message):
@@ -1181,6 +1183,16 @@ class TestModelStorage:
             with pytest.raises(ModelError) as info:
                 build()
             assert info.type is error and str(info.value) == message
+
+    @pytest.mark.parametrize("vplus, vminus, message", [
+        ({"w0": [["p"]]}, None, "bad variable name ['p']"),
+        (None, {"w0": ["p", {}]}, "bad variable name {}"),
+    ])
+    def test_an_unhashable_name_in_a_valuation_is_refused(self, vplus, vminus, message):
+        # from_values cannot take one: a name is a key of its assignment.
+        with pytest.raises(ModelError) as info:
+            Model(Frame(["w0"], []), vplus, vminus)
+        assert info.type is ModelError and str(info.value) == message
 
     def test_bad_letter_raises_key_error(self):
         with pytest.raises(KeyError):
