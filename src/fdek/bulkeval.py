@@ -74,25 +74,25 @@ supports read off its high digits alone.  A table holds at most 4^L
 valuations of 2k bitsets, 131 MiB for every admissible shape together.
 
 A space binds its variable names to a plan (``_Plan``): its world and
-variable counts, its record and its block layout.  A relation sweep's
-plan is kept per process and shape ``(n, k, min(depth, n))`` (``_plan``),
-so the searches of one shape share it under any names: a program
-addresses atoms by slot, not by name.  The plan holds its record from
-construction, and keeps the layout of a shape read in at most one
-block, with each slot's ``(pos, neg)`` views of its atoms.  A given
-frame's sweep and a labelled space build their own plan, uncached.  What
-a process keeps is bounded by the guard: a plan per admissible shape
-(n * k <= 12, at most 10^9 labelled cells, depth <= n), a record per
-world count and depth, at most 3 044 frames per record and an atom table
-per shape.
+variable counts, its record and its block layout under one block budget,
+built whole at construction.  A relation sweep's plan is kept per process
+and shape ``(n, k, min(depth, n))`` and block budget (``_plan``), so the
+searches of one shape share it under any names: a program addresses
+atoms by slot, not by name.  A plan of a shape read in one block keeps
+that block, with each slot's ``(pos, neg)`` views of its atoms.  A
+given frame's sweep and a labelled space build their own plan, uncached.
+What a process keeps is bounded by the guard: a plan per admissible
+shape (n * k <= 12, at most 10^9 labelled cells, depth <= n) and budget,
+a record per world count and depth, at most 3 044 frames per record and
+an atom table per shape.
 
 What a scan costs and how its space is laid out are known only to this
 module: ``_guard`` refuses a scan before anything is allocated, from its
 world count or its given frame, once per shape of a relation sweep (when
-its plan is built), and ``_Plan.blocks``, the one place that lays out
-blocks, reads a space in blocks of at most ``_BLOCK_PAIRS`` (relation,
-valuation) pairs, the size of every array a block allocates and of every
-gather's indices.  A space's answers are space-wide:
+its plan is built), and ``_Plan``, the one place that lays out blocks,
+reads a space in blocks of at most ``_BLOCK_PAIRS`` (relation, valuation)
+pairs as read when the plan is built, the size of every array a block
+allocates and of every gather's indices.  A space's answers are space-wide:
 ``first_countermodel`` stops at the first block that refutes the claim,
 and ``valid_per_relation`` fills one vector over every block.
 ``semantics`` and ``analysis`` go through ``_compile``, ``_guard``,
@@ -288,15 +288,14 @@ class _Program(NamedTuple):
     sequent: bool
 
 
-def _compile(claim: Sequent | Formula, names: Sequence[str] | None = None,
-             demand: int = 1) -> _Program:
+def _compile(claim: Sequent | Formula, names: Sequence[str] | None = None) -> _Program:
     """The program of ``claim`` over the sorted variables ``names``
-    (default: the claim's own), whose roots yield the supports in
-    ``demand``: the truth alone (1), as ``_refuting`` reads, or both (3).
+    (default: the claim's own), whose roots yield their truth, all that
+    ``_refuting`` reads.
 
     One pass forward numbers the nodes; one pass back, over every node after
     all its parents, sets what each must yield and where its value is read
-    last.  A root yields ``demand``; ``~`` swaps its demand for its child's,
+    last.  A root yields its truth; ``~`` swaps its demand for its child's,
     ``&`` and ``|`` pass theirs on to both children, and ``#`` and ``[]``
     read both supports of their child, whose code they gather at.  Roots
     are never dropped."""
@@ -329,7 +328,7 @@ def _compile(claim: Sequent | Formula, names: Sequence[str] | None = None,
     read = [False] * len(ops)
     frees: list[tuple[int, ...]] = [()] * len(ops)
     for r in roots:
-        need[r], read[r] = demand, True
+        need[r], read[r] = 1, True
     for i in range(len(ops) - 1, -1, -1):
         kind, a, b = ops[i]
         if kind is Atom:
@@ -359,8 +358,9 @@ class BulkSpace:
     is the mask of relation ``r``, None on a given frame; ``succ[r, w]`` has
     bit j set iff relation r contains (w, j).  A space is its variable
     names bound to a plan (``_Plan``), which holds the record and the block
-    layout; the space is read in the plan's blocks (``_blocks``), and its
-    answers are space-wide."""
+    layout under ``_BLOCK_PAIRS`` as read when the space is made; the space
+    is read in the plan's blocks (``_blocks``), and its answers are
+    space-wide."""
 
     def __init__(self, n_worlds: int, variables: Sequence[str],
                  rel_masks: Sequence[int] | None = None):
@@ -368,8 +368,8 @@ class BulkSpace:
         _guard(n_worlds, len(names))
         count = 2 ** (n_worlds * n_worlds)
         masks = np.arange(count) if rel_masks is None else _mask_array(rel_masks, count)
-        self._bind(names, _Plan(n_worlds, len(names),
-                                _RelationList(masks, _successors(n_worlds, masks))))
+        record = _RelationList(masks, _successors(n_worlds, masks))
+        self._bind(names, _Plan(n_worlds, len(names), record, _BLOCK_PAIRS))
 
     def _bind(self, names: tuple[str, ...], plan: _Plan) -> None:
         """Every relation of ``plan`` with every valuation of ``names``."""
@@ -656,90 +656,81 @@ def _relation_list(n: int, depth: int | None) -> _RelationList:
 
 class _Plan:
     """How one space is read: its world count ``n``, its ``k`` variable
-    slots, its relation ``record`` and its block layout.  A relation
-    sweep's plan is kept per process and shape (``_plan``); a given frame
-    or a labelled space builds its own, with its record.  A plan holds no
-    variable name: a space binds its names to it (``BulkSpace._bind``),
-    and a program addresses atoms by slot, so searches of one shape under
-    any names share it.
+    slots, its relation ``record`` and its block layout under a budget of
+    ``pairs`` (relation, valuation) pairs per block, all fixed at
+    construction.  A relation sweep's plan is kept per process, shape and
+    budget (``_plan``); a given frame or a labelled space builds its own,
+    with its record.  A plan holds no variable name: a space binds its
+    names to it (``BulkSpace._bind``), and a program addresses atoms by
+    slot, so searches of one shape under any names share it.
 
-    The layout is that of the first read (``blocks``): a shape read in at
-    most one block keeps that block, and the ``(pos, neg)`` views of each
-    slot's atoms in it (``atom_views``)."""
+    The atoms of the low min(n*k, L) slots, 4^L the largest power of 4
+    within the budget, are one table per shape (``_atom_tables``).  A shape
+    read in one block keeps that block, and the ``(pos, neg)`` views of
+    each slot's atoms in it (``atom_views``); any other is laid out at each
+    read (``_split``), and a plan of no relation builds no table."""
 
-    __slots__ = ("n", "k", "full", "record", "_layout", "_views")
+    __slots__ = ("n", "k", "full", "record", "_low", "_rel_step", "_kept", "_views")
 
-    def __init__(self, n: int, k: int, record: _RelationList):
+    def __init__(self, n: int, k: int, record: _RelationList, pairs: int):
         self.n, self.k, self.record = n, k, record
         self.full = _bitset_type(n)((1 << n) - 1)
-        self._layout: tuple | None = None
-        self._views: tuple | None = None
+        slots = n * k
+        self._low = min(slots, (pairs.bit_length() - 1) // 2)  # 4^low <= pairs
+        self._rel_step = max(1, pairs // 4 ** slots)
+        self._kept = self._views = None
+        if self._low == slots and 0 < len(record.succ) <= self._rel_step:
+            atoms = _atom_tables(n, k, slots)
+            self._views = tuple((atoms[j, 0], atoms[j, 1]) for j in range(k))
+            self._kept = ((slice(0, self._rel_step), 0, atoms),)
 
     def blocks(self) -> Iterator[tuple[slice, int, np.ndarray]]:
         """The blocks a space of this plan is read in, in enumeration order,
         each ``(rows, v, atoms)``: the relations ``rows`` of the record with
         the valuations from ``v`` on, of which ``atoms[j]`` holds both
-        supports of the j-th name.  A block holds at most ``_BLOCK_PAIRS``
-        (relation, valuation) pairs: whole relations while one relation's
+        supports of the j-th name.  A block holds at most the plan's budget
+        of (relation, valuation) pairs: whole relations while one relation's
         valuations fit, else aligned blocks of 4^L valuations of one
-        relation, 4^L the largest power of 4 within the budget (a block
-        never spans two relations).  The atoms of the low min(n*k, L) slots
-        are one table per shape (``_atom_tables``), fetched for the first
-        block, so a space of no relation builds none: a block of every
-        valuation reads it whole, and a block that fixes the high digits
-        ORs it with the supports those digits set, read off a table of the
-        high slots that each such read builds (at most 16 entries at the
-        default budget).  A layout of at most one block is kept."""
-        if self._layout is not None:
-            return iter(self._layout)
-        n, k = self.n, self.k
-        slots = n * k
-        low = min(slots, (_BLOCK_PAIRS.bit_length() - 1) // 2)  # 4^low <= budget
-        step, n_val = 4 ** low, 4 ** slots
-        rel_step = max(1, _BLOCK_PAIRS // n_val)
-        relations = len(self.record.succ)
-        if step < n_val or relations > rel_step:
-            return self._split(low, step, n_val, rel_step, relations)
-        if relations:
-            atoms = _atom_tables(n, k, low)
-            self._views = tuple((atoms[j, 0], atoms[j, 1]) for j in range(k))
-            self._layout = ((slice(0, rel_step), 0, atoms),)
-        else:
-            self._layout = ()
-        return iter(self._layout)
+        relation (a block never spans two relations).  The kept block, if
+        any, else those ``_split`` lays out."""
+        return self._split() if self._kept is None else iter(self._kept)
 
-    def _split(self, low: int, step: int, n_val: int, rel_step: int,
-               relations: int) -> Iterator[tuple[slice, int, np.ndarray]]:
-        """The blocks of a shape read in more than one (``blocks``)."""
-        n, k = self.n, self.k
+    def _split(self) -> Iterator[tuple[slice, int, np.ndarray]]:
+        """The blocks of a plan that keeps none (``blocks``).  A block of
+        every valuation reads the low slots' table whole, and one that
+        fixes the high digits ORs it with the supports those digits set,
+        read off a table of the high slots built here (at most 16 entries
+        at the default budget).  The low slots' table is fetched for the
+        first block, so a plan of no relation builds none."""
+        n, k, low = self.n, self.k, self._low
+        step, n_val = 4 ** low, 4 ** (n * k)
         high = _build_atoms(n, k, 0, n * k - low) if step < n_val else None
-        for r in range(0, relations, rel_step):
+        for r in range(0, len(self.record.succ), self._rel_step):
             atoms = _atom_tables(n, k, low)
             for v in range(0, n_val, step):
-                yield (slice(r, r + rel_step), v,
+                yield (slice(r, r + self._rel_step), v,
                        atoms if high is None else atoms | high[..., v // step, None])
 
     def atom_views(self, block: tuple[slice, int, np.ndarray]) -> Sequence:
         """Per slot, the ``(pos, neg)`` supports of its atom on ``block``:
         the kept views for the kept block, else views made here."""
-        if self._layout and block is self._layout[0]:
+        if self._kept is not None and block is self._kept[0]:
             return self._views
         atoms = block[2]
         return [(atoms[j, 0], atoms[j, 1]) for j in range(len(atoms))]
 
 
 @lru_cache(maxsize=None)
-def _plan(n: int, k: int, depth: int | None) -> _Plan:
+def _plan(n: int, k: int, depth: int | None, pairs: int) -> _Plan:
     """The plan of a sweep of ``n`` worlds, ``k`` variables and a ``depth``
-    of at most n (None: every class), with its record
-    ``_relation_list(n, depth)``, admitted by ``_guard`` and kept per
-    process, so a shape is admitted once and a refusal builds nothing.  At
-    most one plan per admissible shape is ever kept: n * k <= 12, at most
-    10^9 labelled cells, and depth <= n (``sweep`` clamps it).  A kept plan
-    keeps the layout of its first read under ``_BLOCK_PAIRS``, so a change
-    of that constant needs ``_plan.cache_clear()``."""
+    of at most n (None: every class) under a block budget of ``pairs``,
+    with its record ``_relation_list(n, depth)``, admitted by ``_guard``
+    and kept per process, so a shape is admitted once and a refusal builds
+    nothing.  At most one plan per admissible shape and budget is ever
+    kept: n * k <= 12, at most 10^9 labelled cells, and depth <= n
+    (``sweep`` clamps it)."""
     _guard(n, k)
-    return _Plan(n, k, _relation_list(n, depth))
+    return _Plan(n, k, _relation_list(n, depth), pairs)
 
 
 def sweep(worlds: int | Frame, variables: Sequence[str],
@@ -752,11 +743,12 @@ def sweep(worlds: int | Frame, variables: Sequence[str],
     the only ones that can hold the first countermodel of a claim of that
     depth (see the module docstring); a space of no class has no block.
 
-    The size guard runs before anything is allocated: once per shape,
-    when its plan is built, or at the call on a given frame.  The space
-    binds the names to a plan: the one kept for its shape
-    ``(n, k, min(depth, n))`` (``_plan``), or a given frame's own, with a
-    record built from ``Frame.succ``.  Its blocks read views of the
+    The size guard runs before anything is allocated: once per shape and
+    budget, when its plan is built, or at the call on a given frame.  The
+    space binds the names to a plan: the one kept for its shape
+    ``(n, k, min(depth, n))`` and the block budget ``_BLOCK_PAIRS`` as read
+    at this call (``_plan``), or a given frame's own under that budget,
+    with a record built from ``Frame.succ``.  Its blocks read views of the
     record's successor bitsets and clause table, and of the atom tables
     (``_Plan.blocks``).  Every cached array is read-only."""
     names = tuple(sorted(set(variables)))
@@ -764,10 +756,11 @@ def sweep(worlds: int | Frame, variables: Sequence[str],
         _guard(worlds, len(names))
         n = len(worlds.worlds)
         plan = _Plan(n, len(names), _RelationList(
-            None, np.array([worlds.succ], dtype=_bitset_type(n))))
+            None, np.array([worlds.succ], dtype=_bitset_type(n))), _BLOCK_PAIRS)
     else:
         # Every depth from n on keeps the same classes.
-        plan = _plan(worlds, len(names), None if depth is None else min(depth, worlds))
+        plan = _plan(worlds, len(names), None if depth is None else min(depth, worlds),
+                     _BLOCK_PAIRS)
     space = BulkSpace.__new__(BulkSpace)
     space._bind(names, plan)
     return space

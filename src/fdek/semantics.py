@@ -111,8 +111,8 @@ class Frame:
     read; equality and hashing use the two fields only.  It checks each
     world and each relation entry in the loops that build them, and
     raises for the first fault in this order, each kind in input order:
-    no world, a bad world identifier, an entry that is not a pair of
-    strings, duplicate worlds, an entry naming an unknown world."""
+    no world, a bad world identifier, an entry that is not a tuple or list
+    of two strings, duplicate worlds, an entry naming an unknown world."""
     worlds: tuple[str, ...]
     relation: frozenset[tuple[str, str]]
 
@@ -129,12 +129,11 @@ class Frame:
         # The first unknown world waits for the duplicate check.
         pairs, succ, unknown = [], [0] * len(worlds), None
         for entry in relation:
-            try:
-                s, t = entry
-            except (TypeError, ValueError):
-                raise ModelError(f"bad relation entry {entry!r}") from None
-            if not (isinstance(s, str) and isinstance(t, str)):
-                raise ModelError(f"bad relation entry {(s, t)!r}")
+            # A tuple or list only: a string or a mapping of two unpacks too.
+            if not (isinstance(entry, (tuple, list)) and len(entry) == 2
+                    and isinstance(entry[0], str) and isinstance(entry[1], str)):
+                raise ModelError(f"bad relation entry {entry!r}")
+            s, t = entry
             try:
                 succ[index[s]] |= 1 << index[t]
             except KeyError:
@@ -152,6 +151,12 @@ class Frame:
             raise UnknownWorldError(f"unknown world {world!r}")
         bits = self.succ[self.index[world]]
         return tuple(t for j, t in enumerate(self.worlds) if bits >> j & 1)
+
+
+def _is_collection(names) -> bool:
+    """Whether ``names`` can be read as a collection of names: an iterable,
+    and not a string, which would be read as its letters."""
+    return not isinstance(names, str) and hasattr(names, "__iter__")
 
 
 class Model:
@@ -178,6 +183,8 @@ class Model:
                 i = frame.index.get(world)
                 if i is None:
                     raise UnknownWorldError(f"valuation uses unknown world {world!r}")
+                if not _is_collection(names):
+                    raise ModelError(f"bad valuation entry {names!r} for {world!r}")
                 for name in names:
                     try:
                         val.setdefault(name, [0, 0])[k] |= 1 << i
@@ -188,6 +195,8 @@ class Model:
     def _store(self, frame: Frame, val: dict[str, tuple[int, int]], variables):
         """The core of every constructor: ``val`` gives the two supports of
         each variable mentioned, ``variables`` any more of the universe."""
+        if variables is not None and not _is_collection(variables):
+            raise ModelError(f"bad variable list {variables!r}")
         for name in () if variables is None else variables:
             try:
                 val.setdefault(name, (0, 0))
@@ -210,7 +219,11 @@ class Model:
             i = frame.index.get(world)
             if i is None:
                 raise UnknownWorldError(f"valuation uses unknown world {world!r}")
-            for var, v in assignment.items():
+            try:
+                items = assignment.items()
+            except AttributeError:   # not a mapping
+                raise ModelError(f"bad valuation entry {assignment!r} for {world!r}") from None
+            for var, v in items:
                 truth, falsity = (v if isinstance(v, FourValue) else FourValue[str(v)]).value
                 pos, neg = val.get(var, (0, 0))
                 val[var] = pos | truth << i, neg | falsity << i

@@ -45,14 +45,12 @@ def cold_caches():
 
 
 @pytest.fixture
-def block_pairs(monkeypatch, cold_caches):
+def block_pairs(monkeypatch):
     """A setter of the block budget ``bulkeval._BLOCK_PAIRS`` for one test.
-    A kept sweep plan keeps the layout of its first read, so the caches are
-    cleared when the budget is set and again at teardown: no sweep reads a
-    layout made under another budget."""
+    A plan takes the budget when it is built, and a sweep's kept plan is
+    kept per budget, so no cache needs clearing."""
     def set_pairs(pairs: int) -> None:
         monkeypatch.setattr(bulkeval, "_BLOCK_PAIRS", pairs)
-        cold_caches()
     return set_pairs
 
 

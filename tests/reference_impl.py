@@ -9,8 +9,9 @@
   ``Model.from_values``, the reference for ``model_from_indices``.
 * ``tri_value_by_cases`` is the four-case reading of ``#``, and
   ``dual_value`` the value table of ``dual_model``.
-* ``bulk_bits`` runs a formula on a ``BulkSpace`` compiled to yield both
-  supports, ``bulk_supports`` unpacks those world bitsets into bools, and
+* ``bulk_bits`` runs a formula on a ``BulkSpace`` as the premise of a
+  sequent whose conclusion is its negation, so both its supports are
+  yielded, ``bulk_supports`` unpacks those world bitsets into bools, and
   ``bulk_values`` reads a formula's value at each world of one model off
   the bulk sweep of its frame.
 * ``modal_depth_by_postorder`` folds the modal depth children first, and
@@ -26,7 +27,7 @@ import numpy as np
 from fdek.bulkeval import BulkSpace, _compile, _guard, frame_from_mask, sweep
 from fdek.figures import _MODELS
 from fdek.semantics import VALUE_ORDER, Evaluator, FourValue, Frame, Model, model_to_dict
-from fdek.syntax import Box, Formula, Tri, postorder, render
+from fdek.syntax import Box, Formula, Not, Sequent, Tri, postorder, render
 from fdek.tableau import Branch, Item, ProofNode, Proved, RelAtom, TableauResult
 
 
@@ -146,14 +147,16 @@ def _unpack(bits: np.ndarray, n: int) -> np.ndarray:
 
 
 def bulk_bits(space: BulkSpace, f: Formula) -> tuple[np.ndarray, np.ndarray]:
-    """Both supports of ``f`` on a ``BulkSpace`` as world bitsets: a
-    one-root program demanding both, run on each of the space's blocks.
+    """Both supports of ``f`` on a ``BulkSpace`` as world bitsets, read
+    off the program of ``f |- ~f`` run on each of the space's blocks: ``f``
+    is a root, so its truth is demanded, and the truth of ``~f`` demands the
+    falsity of ``f``.
     The values of a space of one block are that block's, of shape (1,
     valuations) where independent of the relation.  Those of several
     blocks are assembled: of shape (1, valuations) if ``f`` has no modal
     node, else (relations, valuations), a relation-independent block
     broadcast over its relations."""
-    program = _compile(f, space.names, 3)
+    program = _compile(Sequent(f, Not(f)), space.names)
     parts = [(rows, v, space._run((rows, v, atoms), program)[program.roots[0]])
              for rows, v, atoms in space._blocks()]
     if len(parts) == 1:

@@ -368,16 +368,25 @@ class TestCountermodelSearch:
                 _labelled_first_countermodel(s, 4), text
 
 
+# The block budget before any test sets its own.
+_DEFAULT_BLOCK_PAIRS = bulkeval._BLOCK_PAIRS
+
+
 @lru_cache(maxsize=None)
 def _labelled_first_countermodel(s, max_worlds):
     """``(model, world)`` of the first countermodel over every labelled
     relation, smallest world count first, or None; the masks are read in
-    ascending runs of 4 096, so 4 worlds fit in memory."""
+    ascending runs of 4 096, so 4 worlds fit in memory.  The answers are
+    kept, so each space is made under the default block budget, whatever
+    budget the asking test set: a space takes its budget when it is made."""
     names = sorted(variables(s.premise, s.conclusion))
     for n in range(1, max_worlds + 1):
         for start in range(0, 2 ** (n * n), 4096):
             masks = range(start, min(start + 4096, 2 ** (n * n)))
-            hit = BulkSpace(n, names, masks).first_countermodel(s)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(bulkeval, "_BLOCK_PAIRS", _DEFAULT_BLOCK_PAIRS)
+                space = BulkSpace(n, names, masks)
+            hit = space.first_countermodel(s)
             if hit is not None:
                 r, v, w = hit
                 return model_from_indices(n, names, masks[r], v), f"w{w}"
@@ -1182,6 +1191,31 @@ class TestPlans:
         labelled = [BulkSpace(2, ["p"], [0, 5])._plan for _ in range(2)]
         assert given[0] is not given[1] and labelled[0] is not labelled[1]
         assert bulkeval._plan.cache_info().currsize == 6
+
+    def test_a_kept_plan_follows_the_budget(self, monkeypatch):
+        # A plan takes the block budget when it is built, and a sweep's
+        # plan is kept per budget: the 2-world, 1-variable sweep read under
+        # the default budget is one block of its 10 classes x 16
+        # valuations, and under a budget of 100 pairs, with no cache
+        # cleared, blocks of at most 6 relations.  A labelled space made
+        # under that budget keeps it after the budget is restored, and the
+        # default sweep finds its first plan again.
+        default = bulkeval.sweep(2, ["p"])
+        assert [(rows, v, atoms.shape[-1]) for rows, v, atoms in default._blocks()] == \
+            [(slice(0, bulkeval._BLOCK_PAIRS // 16), 0, 16)]
+        monkeypatch.setattr(bulkeval, "_BLOCK_PAIRS", 100)
+        spaces = [bulkeval.sweep(2, ["p"]), BulkSpace(2, ["p"])]
+        monkeypatch.undo()
+        for space, blocks in zip(spaces, (2, 3)):
+            relations = range(len(space.succ))
+            cells, sizes = [], []
+            for rows, v, atoms in space._blocks():
+                sizes.append(len(relations[rows]) * atoms.shape[-1])
+                cells += [(r, v + u) for r in relations[rows] for u in range(atoms.shape[-1])]
+            assert cells == [(r, v) for r in relations for v in range(16)]
+            assert max(sizes) <= 100 and len(sizes) == blocks
+        assert spaces[0]._plan is not default._plan
+        assert bulkeval.sweep(2, ["p"])._plan is default._plan
 
     def test_a_refusal_touches_no_cache(self):
         # 5 worlds x 2 variables fit the slot rule but not the cell budget.

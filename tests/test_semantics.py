@@ -1019,6 +1019,10 @@ class TestJsonInterchange:
         (["w0"], [("w0",)], "bad relation entry ('w0',)"),
         (["w0"], [("w0", "w0", "w0")], "bad relation entry ('w0', 'w0', 'w0')"),
         (["w0"], [1], "bad relation entry 1"),
+        # A string or a mapping of two strings unpacks as a pair, but only a
+        # tuple or a list is one, as in the loader.
+        (["a", "b"], ["ab"], "bad relation entry 'ab'"),
+        (["a", "b"], [{"a": 1, "b": 2}], "bad relation entry {'a': 1, 'b': 2}"),
         # Two faults: the first of no world, a bad world identifier, a bad
         # entry, duplicate worlds, an unknown world.
         (["w0", ""], [("w0",)], "bad world identifier ''"),
@@ -1174,6 +1178,12 @@ class TestModelStorage:
         ({}, {}, {}, [None], ModelError, "bad variable name None"),
         # An unhashable name is refused, not hashed.
         ({}, {}, {}, [["p"]], ModelError, "bad variable name ['p']"),
+        # A string is not read as its letters, and an entry that is not a
+        # collection (of names, or of values by name) is refused.
+        ({"w0": "pq"}, {}, {"w0": "pq"}, None, ModelError, "bad valuation entry 'pq' for 'w0'"),
+        ({}, {"w0": 5}, {"w0": 5}, None, ModelError, "bad valuation entry 5 for 'w0'"),
+        ({}, {}, {}, "pq", ModelError, "bad variable list 'pq'"),
+        ({}, {}, {}, 5, ModelError, "bad variable list 5"),
     ])
     def test_constructors_raise_the_same_errors(self, vplus, vminus, values, variables,
                                                 error, message):
