@@ -187,7 +187,8 @@ def find_countermodel(s: Sequent, max_worlds: int) -> PointedModel | None:
         hit = space.first_countermodel(program)
         if hit is not None:
             r, v, w = hit
-            return PointedModel(_model_on(space.frame(r), program.names, v), f"w{w}")
+            frame = space.frame(r)
+            return PointedModel(_model_on(frame, program.names, v), frame.worlds[w])
     return None
 
 

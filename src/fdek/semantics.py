@@ -31,9 +31,10 @@ the memo once.
 
 A model crosses the JSON interchange in one pass each way:
 ``model_from_dict`` checks the JSON shape and sets each letter's support
-bits with one table lookup, the ``Frame`` checks its worlds and entries
-as it builds ``index`` and ``succ``, and ``model_to_dict`` reads ``rel``
-off ``succ`` and each letter off a four-entry table.
+bits with one table lookup, the ``Frame`` checks each relation entry once,
+as it collects the pairs, and each world as it builds ``index``, and
+``model_to_dict`` reads ``rel`` off ``succ`` and each letter off a
+four-entry table.
 
 Validity note: sequent validity on a frame is truth preservation at every
 world of every model on it.  Formula validity (truth at every world of
@@ -109,15 +110,24 @@ class Frame:
     ``succ[i]``: ``worlds[j]`` is accessible from ``worlds[i]``), which
     models, both evaluators, the frame properties and ``frame_to_dict``
     read; equality and hashing use the two fields only.  It checks each
-    world and each relation entry in the loops that build them, and
-    raises for the first fault in this order, each kind in input order:
-    no world, a bad world identifier, an entry that is not a tuple or list
-    of two strings, duplicate worlds, an entry naming an unknown world."""
+    relation entry as it collects the pairs, then each world as it builds
+    ``index``, and raises for the first fault in this order, each kind in
+    input order: an entry that is not a tuple or list of two strings, no
+    world, a bad world identifier, duplicate worlds, an entry naming an
+    unknown world.  The JSON loaders add only JSON's own checks before
+    it, so a frame from a file or from code reports the same fault."""
     worlds: tuple[str, ...]
     relation: frozenset[tuple[str, str]]
 
     def __init__(self, worlds: Iterable[str], relation: Iterable[tuple[str, str]]):
-        worlds, relation = tuple(worlds), list(relation)
+        pairs = []
+        for entry in relation:
+            # A tuple or list only: a string or a mapping of two unpacks too.
+            if not (isinstance(entry, (tuple, list)) and len(entry) == 2
+                    and isinstance(entry[0], str) and isinstance(entry[1], str)):
+                raise ModelError(f"bad relation entry {entry!r}")
+            pairs.append(tuple(entry))
+        worlds = tuple(worlds)
         if not worlds:
             raise ModelError("a frame needs at least one world")
         index: dict[str, int] = {}
@@ -126,23 +136,14 @@ class Frame:
             if not isinstance(w, str) or not w:
                 raise ModelError(f"bad world identifier {w!r}")
             index[w] = i
-        # The first unknown world waits for the duplicate check.
-        pairs, succ, unknown = [], [0] * len(worlds), None
-        for entry in relation:
-            # A tuple or list only: a string or a mapping of two unpacks too.
-            if not (isinstance(entry, (tuple, list)) and len(entry) == 2
-                    and isinstance(entry[0], str) and isinstance(entry[1], str)):
-                raise ModelError(f"bad relation entry {entry!r}")
-            s, t = entry
-            try:
-                succ[index[s]] |= 1 << index[t]
-            except KeyError:
-                unknown = unknown or (s, t)
-            pairs.append((s, t))
         if len(index) != len(worlds):
             raise ModelError("duplicate world identifiers")
-        if unknown:
-            raise UnknownWorldError(f"relation uses unknown world in {unknown!r}")
+        succ = [0] * len(worlds)
+        try:
+            for s, t in pairs:
+                succ[index[s]] |= 1 << index[t]
+        except KeyError:
+            raise UnknownWorldError(f"relation uses unknown world in {(s, t)!r}") from None
         vars(self).update(worlds=worlds, relation=frozenset(pairs), index=index, succ=tuple(succ))
 
     def successors(self, world: str) -> tuple[str, ...]:
@@ -155,8 +156,9 @@ class Frame:
 
 def _is_collection(names) -> bool:
     """Whether ``names`` can be read as a collection of names: an iterable,
-    and not a string, which would be read as its letters."""
-    return not isinstance(names, str) and hasattr(names, "__iter__")
+    and not a string, which would be read as its letters, nor a mapping,
+    which would be read as its keys and its values dropped."""
+    return not isinstance(names, (str, Mapping)) and hasattr(names, "__iter__")
 
 
 class Model:
@@ -525,22 +527,18 @@ def frame_property(fr: Frame, prop: str) -> bool:
 #
 # Values are letters in {T, B, N, F}; variables omitted at a world are N.
 
-def frame_from_dict(data: Mapping) -> Frame:
-    if not isinstance(data, Mapping):
+def frame_from_dict(data: dict) -> Frame:
+    """Check what JSON decides (an object with a list of string ``worlds``
+    and a list ``rel``) and leave every relation entry to the ``Frame``."""
+    if not isinstance(data, dict):
         raise ModelError("frame data must be a JSON object")
-    try:
-        worlds = data["worlds"]
-        rel = data.get("rel", [])
-    except (TypeError, KeyError) as exc:
-        raise ModelError(f"missing frame field: {exc}") from exc
+    if "worlds" not in data:
+        raise ModelError("missing frame field: 'worlds'")
+    worlds, rel = data["worlds"], data.get("rel", [])
     if not isinstance(worlds, list) or not all(isinstance(w, str) for w in worlds):
         raise ModelError("'worlds' must be a list of strings")
     if not isinstance(rel, list):
         raise ModelError("'rel' must be a list of [source, target] pairs")
-    for edge in rel:
-        if not (isinstance(edge, (list, tuple)) and len(edge) == 2
-                and isinstance(edge[0], str) and isinstance(edge[1], str)):
-            raise ModelError(f"bad relation entry {edge!r}")
     return Frame(worlds, rel)
 
 
@@ -561,20 +559,20 @@ _LETTERS = {v.name: v.value for v in FourValue}
 _LETTER_OF = tuple(_FLAGS[k & 1, k >> 1].name for k in range(4))
 
 
-def model_from_dict(data: Mapping) -> Model:
+def model_from_dict(data: dict) -> Model:
     """Decode the JSON interchange form: each letter sets its world's bit in
     its variable's two supports, as ``Model.from_values`` does, with no
     ``FourValue`` built."""
     frame = frame_from_dict(data)
     val = data.get("val", {})
-    if not isinstance(val, Mapping):
+    if not isinstance(val, dict):
         raise ModelError("'val' must be an object")
     supports: dict[str, tuple[int, int]] = {}
     for world, assignment in val.items():
         i = frame.index.get(world)
         if i is None:
             raise UnknownWorldError(f"'val' uses unknown world {world!r}")
-        if not isinstance(assignment, Mapping):
+        if not isinstance(assignment, dict):
             raise ModelError(f"'val' entry for {world!r} must be an object")
         for var, letter in assignment.items():
             try:

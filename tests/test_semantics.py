@@ -3,9 +3,11 @@ import os
 import random
 import subprocess
 import sys
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
+from types import MappingProxyType
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -310,6 +312,40 @@ class TestClausesAgreeWithBulk:
             ev = Evaluator(bulkeval.model_from_indices(n, names, mask, v))
             for w in range(n):
                 assert ev.supports(f"w{w}", f) == (pos[v][w], neg[v][w]), (render(f), mask, v, w)
+
+    @staticmethod
+    def _disagreements(claims):
+        """The (claim, relation mask, valuation, world) points of every
+        model of at most 2 worlds over p where the scalar Evaluator and the
+        bulk evaluator disagree."""
+        points = set()
+        for n in (1, 2):
+            models = list(enumerate_models(n, ["p"]))
+            space = BulkSpace(n, ["p"])
+            for f in claims:
+                pos, neg = (np.broadcast_to(x, (2 ** (n * n), 4 ** n, n))
+                            for x in bulk_supports(space, f))
+                for k, m in enumerate(models):
+                    r, v = divmod(k, 4 ** n)
+                    ev = Evaluator(m)
+                    points.update((f, r, v, i) for i, w in enumerate(m.frame.worlds)
+                                  if ev.supports(w, f) != (pos[r, v, i], neg[r, v, i]))
+        return points
+
+    def test_the_comparison_refuses_a_clause_that_drops_the_last_successor(self, monkeypatch):
+        # The mutant tri_clause drops each world's last successor: the
+        # comparison with the bulk tables must fail for #p and for a nested
+        # claim on some pointed model of at most 2 worlds, and the real
+        # clause agrees on all of them.
+        claims = [parse_formula("#p"), parse_formula("#(p | #~p)")]
+        assert not self._disagreements(claims)
+        real = semantics.tri_clause
+
+        def drops_the_last_successor(v, succ):
+            return real(v, tuple(s & ~(1 << s.bit_length() >> 1) for s in succ))
+
+        monkeypatch.setattr(semantics, "tri_clause", drops_the_last_successor)
+        assert {f for f, *_ in self._disagreements(claims)} == set(claims)
 
 
 class TestMemoAcrossParses:
@@ -995,8 +1031,9 @@ class TestJsonInterchange:
             Frame(worlds, rel)
 
     @pytest.mark.parametrize("data, message", [
-        # A bad world identifier and a bad entry: the loader checks the
-        # entry's shape before the frame checks the worlds.
+        # A bad world identifier and a bad entry: the frame checks the
+        # entry's shape before its worlds, and the loader only checks first
+        # that 'worlds' is a list of strings.
         ({"worlds": ["w0", ""], "rel": [["w0", 1]]}, "bad relation entry ['w0', 1]"),
         ({"worlds": ["w0", 1], "rel": [["w0", 1]]}, "'worlds' must be a list of strings"),
         # A bad entry and a duplicate world.
@@ -1023,10 +1060,11 @@ class TestJsonInterchange:
         # tuple or a list is one, as in the loader.
         (["a", "b"], ["ab"], "bad relation entry 'ab'"),
         (["a", "b"], [{"a": 1, "b": 2}], "bad relation entry {'a': 1, 'b': 2}"),
-        # Two faults: the first of no world, a bad world identifier, a bad
-        # entry, duplicate worlds, an unknown world.
-        (["w0", ""], [("w0",)], "bad world identifier ''"),
-        (["w0", ""], [("w0", 1)], "bad world identifier ''"),
+        # Two faults: the first of a bad entry, no world, a bad world
+        # identifier, duplicate worlds, an unknown world, the order of the
+        # loaders too.
+        (["w0", ""], [("w0",)], "bad relation entry ('w0',)"),
+        (["w0", ""], [("w0", 1)], "bad relation entry ('w0', 1)"),
         (["w0", 1], [("w9", "w0")], "bad world identifier 1"),
         (["w0", "w0"], [("w9", "w0"), ("w0",)], "bad relation entry ('w0',)"),
         (["w0", "w0"], [("w0", None)], "bad relation entry ('w0', None)"),
@@ -1038,6 +1076,58 @@ class TestJsonInterchange:
         with pytest.raises(ModelError) as info:
             Frame(worlds, rel)
         assert type(info.value) is ModelError and str(info.value) == message
+
+    # Each kind of frame fault, in the order a frame reports them, with the
+    # start of its message.
+    FAULTS = {"entry": "bad relation entry", "no world": "a frame needs at least one world",
+              "empty name": "bad world identifier ''",
+              "duplicate": "duplicate world identifiers",
+              "unknown": "relation uses unknown world in"}
+
+    def test_a_file_and_code_report_the_same_fault(self):
+        # Seeded (worlds, rel) pairs with two or three faults, 'worlds' a
+        # list of strings and 'rel' a list, so that JSON's own checks pass:
+        # both loaders raise what Frame(worlds, rel) raises, the first fault
+        # in the order of FAULTS.
+        rng = random.Random(49)
+        kinds = list(self.FAULTS)
+        combos = [set(c) for k in (2, 3) for c in combinations(kinds, k)
+                  if not ("no world" in c and {"empty name", "duplicate"} & set(c))]
+        assert len(combos) == 13
+        for faults in combos:
+            for _ in range(20):
+                worlds = [] if "no world" in faults else ["w0", "w1"]
+                rel = [rng.choice([["w0", "w1"], ("w1", "w1")]) for _ in range(len(worlds))]
+                if "empty name" in faults:
+                    worlds.insert(rng.randint(0, len(worlds)), "")
+                if "duplicate" in faults:
+                    worlds.insert(rng.randint(0, len(worlds)), rng.choice(["w0", "w1"]))
+                for kind, entries in (("unknown", [["w0", "w9"], ("w9", "w1")]),
+                                      ("entry", [["w0"], ["w0", 1], "ab", {"a": 1, "b": 2}, 1])):
+                    if kind in faults:
+                        rel.insert(rng.randint(0, len(rel)), rng.choice(entries))
+                first = next(kind for kind in kinds if kind in faults)
+                with pytest.raises(ModelError) as info:
+                    Frame(worlds, rel)
+                assert str(info.value).startswith(self.FAULTS[first]), (worlds, rel)
+                for load in (frame_from_dict, model_from_dict):
+                    with pytest.raises(ModelError) as got:
+                        load({"worlds": worlds, "rel": rel, "val": {}})
+                    assert (got.type, str(got.value)) == (info.type, str(info.value)), \
+                        (load.__name__, worlds, rel)
+
+    def test_a_mapping_that_is_not_a_dict_is_not_a_json_object(self):
+        data = {"worlds": ["w0"], "rel": [], "val": {"w0": {"p": "T"}}}
+        for load in (frame_from_dict, model_from_dict):
+            with pytest.raises(ModelError) as info:
+                load(MappingProxyType(data))
+            assert str(info.value) == "frame data must be a JSON object"
+        for val, message in [(MappingProxyType(data["val"]), "'val' must be an object"),
+                             ({"w0": MappingProxyType({"p": "T"})},
+                              "'val' entry for 'w0' must be an object")]:
+            with pytest.raises(ModelError) as info:
+                model_from_dict(dict(data, val=val))
+            assert str(info.value) == message
 
     def test_unknown_world_is_the_first_in_input_order(self):
         # Fresh interpreters under fixed hash seeds, which order a set of
@@ -1184,6 +1274,8 @@ class TestModelStorage:
         ({}, {"w0": 5}, {"w0": 5}, None, ModelError, "bad valuation entry 5 for 'w0'"),
         ({}, {}, {}, "pq", ModelError, "bad variable list 'pq'"),
         ({}, {}, {}, 5, ModelError, "bad variable list 5"),
+        # Nor is a mapping read as its keys.
+        ({}, {}, {}, {"p": 1}, ModelError, "bad variable list {'p': 1}"),
     ])
     def test_constructors_raise_the_same_errors(self, vplus, vminus, values, variables,
                                                 error, message):
@@ -1193,6 +1285,18 @@ class TestModelStorage:
             with pytest.raises(ModelError) as info:
                 build()
             assert info.type is error and str(info.value) == message
+
+    def test_a_mapping_entry_is_not_read_as_names(self):
+        # Model.from_values reads {"p": "F"} as p's value; Model, which
+        # takes a collection of names per world, refuses it rather than
+        # read it as the name p and drop the value.
+        frame = Frame(["w0"], [])
+        for vplus, vminus in (({"w0": {"p": "F"}}, None), (None, {"w0": {"p": "F"}})):
+            with pytest.raises(ModelError) as info:
+                Model(frame, vplus, vminus)
+            assert info.type is ModelError
+            assert str(info.value) == "bad valuation entry {'p': 'F'} for 'w0'"
+        assert Model.from_values(frame, {"w0": {"p": "F"}}).value("w0", "p") is F
 
     @pytest.mark.parametrize("vplus, vminus, message", [
         ({"w0": [["p"]]}, None, "bad variable name ['p']"),
