@@ -231,9 +231,7 @@ def _model_on(frame: Frame, names: Sequence[str], val_index: int) -> Model:
         val_index >>= 2
         pos, neg = val[names[j]]
         val[names[j]] = pos | truth << w, neg | falsity << w
-    model = Model.__new__(Model)
-    model._store(frame, val, None)
-    return model
+    return Model._of(frame, val)
 
 
 def _bitset_type(n: int) -> type:

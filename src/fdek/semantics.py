@@ -34,7 +34,11 @@ A model crosses the JSON interchange in one pass each way:
 bits with one table lookup, the ``Frame`` checks each relation entry once,
 as it collects the pairs, and each world as it builds ``index``, and
 ``model_to_dict`` reads ``rel`` off ``succ`` and each letter off a
-four-entry table.
+four-entry table.  Every model fdek builds itself (a loaded model, one
+from ``Model.from_values``, a dual, a sweep's witness, a tableau
+countermodel) is made from its support bitsets by the one builder
+``Model._of``; ``Model(frame, vplus, vminus)``, ``from_values`` and the
+``Frame`` decode what a caller writes.
 
 Validity note: sequent validity on a frame is truth preservation at every
 world of every model on it.  Formula validity (truth at every world of
@@ -194,9 +198,21 @@ class Model:
                         raise ModelError(f"bad variable name {name!r}") from None
         self._store(frame, {name: tuple(pair) for name, pair in val.items()}, variables)
 
+    @classmethod
+    def _of(cls, frame: Frame, val: dict[str, tuple[int, int]],
+            variables: Iterable[str] | None = None) -> "Model":
+        """The one builder of a model from support bitsets, ``val`` (which
+        the model keeps) plus ``variables``: ``from_values``,
+        ``model_from_dict``, ``dual_model``, the sweeps' witnesses and the
+        tableau's countermodels all come from it."""
+        model = cls.__new__(cls)
+        model._store(frame, val, variables)
+        return model
+
     def _store(self, frame: Frame, val: dict[str, tuple[int, int]], variables):
-        """The core of every constructor: ``val`` gives the two supports of
-        each variable mentioned, ``variables`` any more of the universe."""
+        """The core of ``__init__`` and ``_of``: ``val`` gives the two
+        supports of each variable mentioned, ``variables`` any more of the
+        universe."""
         if variables is not None and not _is_collection(variables):
             raise ModelError(f"bad variable list {variables!r}")
         for name in () if variables is None else variables:
@@ -215,7 +231,9 @@ class Model:
     def from_values(cls, frame: Frame,
                     values: Mapping[str, Mapping[str, "FourValue | str"]],
                     variables: Iterable[str] | None = None) -> "Model":
-        """Build a model from per-world FourValue assignments."""
+        """Build a model from per-world assignments, each value a
+        ``FourValue`` or its letter; any other value is refused as
+        ``model_from_dict`` refuses it."""
         val: dict[str, tuple[int, int]] = {}
         for world, assignment in values.items():
             i = frame.index.get(world)
@@ -226,12 +244,10 @@ class Model:
             except AttributeError:   # not a mapping
                 raise ModelError(f"bad valuation entry {assignment!r} for {world!r}") from None
             for var, v in items:
-                truth, falsity = (v if isinstance(v, FourValue) else FourValue[str(v)]).value
+                truth, falsity = v.value if isinstance(v, FourValue) else _letter(v, var, world)
                 pos, neg = val.get(var, (0, 0))
                 val[var] = pos | truth << i, neg | falsity << i
-        model = cls.__new__(cls)
-        model._store(frame, val, variables)
-        return model
+        return cls._of(frame, val, variables)
 
     @property
     def variables(self) -> frozenset[str]:
@@ -474,9 +490,7 @@ def dual_model(m: Model) -> Model:
     universe is carried along so an everywhere-N variable survives).  Each
     support is the complement of the other: ``(~neg, ~pos)`` on the worlds."""
     full = (1 << len(m.frame.worlds)) - 1
-    dual = Model.__new__(Model)
-    dual._store(m.frame, {v: (~neg & full, ~pos & full) for v, (pos, neg) in m.val.items()}, None)
-    return dual
+    return Model._of(m.frame, {v: (~neg & full, ~pos & full) for v, (pos, neg) in m.val.items()})
 
 
 def _pairs(succ):
@@ -559,6 +573,14 @@ _LETTERS = {v.name: v.value for v in FourValue}
 _LETTER_OF = tuple(_FLAGS[k & 1, k >> 1].name for k in range(4))
 
 
+def _letter(letter, var, world) -> tuple[bool, bool]:
+    """The two support flags of a value letter, or the loaders' refusal."""
+    try:
+        return _LETTERS[letter]
+    except (KeyError, TypeError):  # TypeError: unhashable
+        raise ModelError(f"bad value {letter!r} for {var!r} at {world!r}") from None
+
+
 def model_from_dict(data: dict) -> Model:
     """Decode the JSON interchange form: each letter sets its world's bit in
     its variable's two supports, as ``Model.from_values`` does, with no
@@ -575,15 +597,10 @@ def model_from_dict(data: dict) -> Model:
         if not isinstance(assignment, dict):
             raise ModelError(f"'val' entry for {world!r} must be an object")
         for var, letter in assignment.items():
-            try:
-                truth, falsity = _LETTERS[letter]
-            except (KeyError, TypeError):  # TypeError: unhashable
-                raise ModelError(f"bad value {letter!r} for {var!r} at {world!r}") from None
+            truth, falsity = _letter(letter, var, world)
             pos, neg = supports.get(var, (0, 0))
             supports[var] = pos | truth << i, neg | falsity << i
-    model = Model.__new__(Model)
-    model._store(frame, supports, None)
-    return model
+    return Model._of(frame, supports)
 
 
 def model_to_dict(m: Model) -> dict:

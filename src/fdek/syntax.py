@@ -241,9 +241,14 @@ def _offsets(text: str) -> list[int]:
 
 class _Parser:
     """A parse over bare lexemes, ended by "".  ``atoms`` holds one ``Atom``
-    per name, so every occurrence of a variable in the parse is one object."""
+    per name, so every occurrence of a variable in the parse is one object.
+    Text that is not a string, or is blank, is refused first."""
 
     def __init__(self, text: str):
+        if not isinstance(text, str):
+            raise TypeError(f"parse takes a str, not {type(text).__name__}")
+        if not text.strip():
+            raise ParseError("empty input", 0)
         tokens = _LEXEME_RE.findall(text)
         # What is neither a lexeme nor an atom name is a stray character.
         if any(not ATOM_RE.match(t) for t in set(tokens).difference(_LEXEMES)):
@@ -323,8 +328,6 @@ class _Parser:
 
 def parse_formula(text: str) -> Formula:
     """Parse a single formula.  Raises ParseError with a byte offset."""
-    if not text.strip():
-        raise ParseError("empty input", 0)
     p = _Parser(text)
     node = p.formula()
     p.finish("formula")
@@ -334,8 +337,6 @@ def parse_formula(text: str) -> Formula:
 def parse_sequent(text: str) -> Sequent:
     """Parse ``premise |- conclusion``.  Exactly one turnstile is allowed;
     both sides share the parse's atoms."""
-    if not text.strip():
-        raise ParseError("empty input", 0)
     p = _Parser(text)
     turnstiles = p.tokens.count(_TURNSTILE[0])
     if not turnstiles:

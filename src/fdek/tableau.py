@@ -223,16 +223,14 @@ class _Table:
             self.names.append(name)
         return w
 
-    def code(self, item: Item) -> int:
-        """The code of ``item``; its formula must be numbered already."""
+    def encode(self, item: Item) -> int:
+        """The code of ``item``, with ``item`` as its decoding if it has none
+        yet; its formula must be numbered already."""
         if isinstance(item, Labelled):
             key = self.world(item.world) * self.size + self.fids[item.formula]
-            return key << 2 | _VAL_CODE[item.value]
-        return ~(self.world(item.source) << _RBITS | self.world(item.target))
-
-    def encode(self, item: Item) -> int:
-        """``code(item)``, with ``item`` as its decoding if it has none yet."""
-        code = self.code(item)
+            code = key << 2 | _VAL_CODE[item.value]
+        else:
+            code = ~(self.world(item.source) << _RBITS | self.world(item.target))
         self.decoded.setdefault(code, item)
         return code
 
@@ -281,7 +279,7 @@ class Branch:
     it finds none.  ``add`` is the one writer of the item stores: ``undo``
     reverses it back to a ``checkpoint``, and ``copy`` replays it.
 
-    ``items`` decodes ``codes``; ``from_items`` and ``in`` take items too.
+    ``items`` decodes ``codes``; ``from_items`` takes items too.
     """
 
     __slots__ = ("table", "codes", "deps", "vals", "succ", "pred", "worlds", "fired",
@@ -330,14 +328,6 @@ class Branch:
     def items(self) -> list[Item]:
         """The items in insertion order."""
         return list(map(self.table.decode, self.codes))
-
-    def __contains__(self, item: Item) -> bool:
-        t = self.table
-        if isinstance(item, Labelled):
-            known = item.world in t.wids and item.formula in t.fids
-        else:
-            known = item.source in t.wids and item.target in t.wids
-        return known and t.code(item) in self.deps
 
     def add(self, code: int, dep: int = 0) -> bool:
         """Insert an item resting on decisions ``dep``; False if present."""
@@ -743,6 +733,8 @@ def prove(s: Sequent, *, start: str = "truth") -> TableauResult:
     first (leftmost) complete open branch, its extracted model, and the
     designated world.
     """
+    if not isinstance(s, Sequent):
+        raise TypeError(f"prove takes a Sequent, not {type(s).__name__}")
     table = _Table((s.premise, s.conclusion))
     if any(kind is Box for kind, _, _ in table.nodes):
         raise LanguageError("the proof system covers the #-fragment; [] is not supported")
@@ -827,32 +819,36 @@ def extract_countermodel(b: Branch) -> PointedModel:
 
     Worlds are the labels occurring on the branch; the relation is the set
     of relational atoms; a variable is supported-true (-false) at a world
-    exactly when the branch says so with a ``t`` (``f``) atom entry.  The
-    result is checked against the branch and a failure raises
-    RealisationError, since it would mean the calculus produced an
-    unrealisable "complete" branch.
+    exactly when the branch says so with a ``t`` (``f``) atom entry.  Each
+    such entry ORs its world's bit into its variable's pair of support
+    bitsets, read straight off ``codes``; every atom of the table starts
+    at ``(0, 0)``, and ``Model._of`` builds the model from the pairs.  The
+    result is checked against the branch, by the scalar ``Evaluator``, and
+    a failure raises RealisationError, since it would mean the calculus
+    produced an unrealisable "complete" branch.
     """
     if b.closed:
         raise ValueError("cannot extract a model from a closed branch")
     if not b.worlds:
         raise ValueError("empty branch")
     table = b.table
-    names, formulas = table.names, table.formulas
+    names, formulas, nodes = table.names, table.formulas, table.nodes
     worlds = [names[w] for w in b.worlds]
+    bit = {w: 1 << i for i, w in enumerate(b.worlds)}
     rel = []
-    # The support of truth and of falsity, by the codes of t and f.
-    support = ({w: set() for w in worlds}, {w: set() for w in worlds})
+    # The table numbers the subformulas of the items the branch was built
+    # from, which never leave it: its atoms are the variables it mentions.
+    val = {f.name: (0, 0) for f, node in zip(formulas, nodes) if node[0] is Atom}
     for code in b.codes:
         if code < 0:
             rel.append((names[~code >> _RBITS], names[~code & _RMASK]))
             continue
         w, f = divmod(code >> 2, table.size)
-        if code & 3 in (_T, _F) and table.nodes[f][0] is Atom:
-            support[code & 3][names[w]].add(formulas[f].name)
-    # The table numbers the subformulas of the items the branch was built
-    # from, which never leave it: its atoms are the variables it mentions.
-    mentioned = {f.name for f, node in zip(formulas, table.nodes) if node[0] is Atom}
-    model = Model(Frame(worlds, rel), *support, variables=mentioned)
+        if code & 3 in (_T, _F) and nodes[f][0] is Atom:
+            name = formulas[f].name
+            pos, neg = val[name]
+            val[name] = (pos | bit[w], neg) if code & 3 == _T else (pos, neg | bit[w])
+    model = Model._of(Frame(worlds, rel), val)
     if not check_realisation(model, b):
         raise RealisationError("extracted model does not realise its branch")
     return PointedModel(model, worlds[0])

@@ -3,6 +3,9 @@
 * ``result_to_dict`` is the proof result as nested dicts; ``fdek prove
   --json`` prints ``tableau.result_to_json(r)``, which must equal
   ``json.dumps(result_to_dict(r), indent=2)`` byte for byte.
+* ``extract_by_name_sets`` reads a branch's countermodel through
+  per-world name sets and ``Model``, the reference for
+  ``extract_countermodel``.
 * ``enumerate_models`` and ``enumerate_frames`` list every *labelled*
   structure in the order whose first answer the bulk oracles report, each
   model decoded by ``model_by_values``, one ``FourValue`` per slot through
@@ -27,8 +30,8 @@ import numpy as np
 from fdek.bulkeval import BulkSpace, _compile, _guard, frame_from_mask, sweep
 from fdek.figures import _MODELS
 from fdek.semantics import VALUE_ORDER, Evaluator, FourValue, Frame, Model, model_to_dict
-from fdek.syntax import Box, Formula, Not, Sequent, Tri, postorder, render
-from fdek.tableau import Branch, Item, ProofNode, Proved, RelAtom, TableauResult
+from fdek.syntax import Atom, Box, Formula, Not, Sequent, Tri, postorder, render
+from fdek.tableau import Branch, Item, ProofNode, Proved, RelAtom, TableauResult, Val
 
 
 # --- proof results as dicts ----------------------------------------------------
@@ -71,6 +74,26 @@ def result_to_dict(result: TableauResult) -> dict:
     return {"verdict": "refuted", "stats": result.stats.to_dict(),
             "model": model_to_dict(result.model), "designated": result.world,
             "branch": branch_items(result.branch), "tree": tree_to_dict(result.tree)}
+
+
+# --- countermodel extraction ----------------------------------------------------
+
+def extract_by_name_sets(b: Branch) -> Model:
+    """The model of a complete open branch through per-world name sets:
+    each ``t`` (``f``) atom entry puts its variable in its world's set of
+    truth (falsity) supports, the relational atoms make the relation, and
+    ``Model`` decodes the sets, with every atom of the branch's table in
+    the universe.  The reference for ``tableau.extract_countermodel``."""
+    worlds = [b.table.names[w] for w in b.worlds]
+    support = ({w: set() for w in worlds}, {w: set() for w in worlds})
+    rel = []
+    for item in b.items:
+        if isinstance(item, RelAtom):
+            rel.append((item.source, item.target))
+        elif type(item.formula) is Atom and item.value in (Val.T, Val.F):
+            support[item.value is Val.F][item.world].add(item.formula.name)
+    mentioned = {f.name for f in b.table.formulas if type(f) is Atom}
+    return Model(Frame(worlds, rel), *support, variables=mentioned)
 
 
 # --- labelled enumeration ------------------------------------------------------

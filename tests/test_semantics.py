@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import random
@@ -1308,6 +1309,39 @@ class TestModelStorage:
             Model(Frame(["w0"], []), vplus, vminus)
         assert info.type is ModelError and str(info.value) == message
 
-    def test_bad_letter_raises_key_error(self):
-        with pytest.raises(KeyError):
-            Model.from_values(Frame(["w0"], []), {"w0": {"p": "X"}})
+    @pytest.mark.parametrize("letter", ["X", ["T"], 1, "t"])
+    def test_a_bad_letter_is_refused_as_the_loader_refuses_it(self, letter):
+        with pytest.raises(ModelError) as info:
+            Model.from_values(Frame(["w0"], []), {"w0": {"p": letter}})
+        assert info.type is ModelError
+        assert str(info.value) == f"bad value {letter!r} for 'p' at 'w0'"
+        with pytest.raises(ModelError) as loaded:
+            model_from_dict({"worlds": ["w0"], "val": {"w0": {"p": letter}}})
+        assert str(loaded.value) == str(info.value)
+
+    def test_one_builder_makes_every_model_from_bitsets(self):
+        # In the package, ``__new__`` is called for a ``Model`` only in
+        # ``Model._of``, ``_store`` only inside ``Model``, and no code
+        # calls ``Model(...)``, the decoder of per-world name sets.
+        news, stores, decoded = [], [], []
+        for path in sorted(Path(semantics.__file__).parent.glob("*.py")):
+            stack = [(ast.parse(path.read_text()), ())]
+            while stack:
+                node, scope = stack.pop()
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                    scope += (node.name,)
+                stack += [(child, scope) for child in ast.iter_child_nodes(node)]
+                if not isinstance(node, ast.Call):
+                    continue
+                func, site = node.func, (path.name, scope)
+                if isinstance(func, ast.Name) and func.id == "Model":
+                    decoded.append(site)
+                elif isinstance(func, ast.Attribute) and func.attr == "_store":
+                    stores.append(site)
+                elif isinstance(func, ast.Attribute) and func.attr == "__new__":
+                    named = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                    if "Model" in named or scope[:1] == ("Model",) and "cls" in named:
+                        news.append(site)
+        assert news == [("semantics.py", ("Model", "_of"))]
+        assert stores and {site[1][:1] for site in stores} == {("Model",)}
+        assert decoded == []

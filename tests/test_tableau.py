@@ -1,12 +1,14 @@
 import hashlib
+import importlib
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fdek import tableau
 from fdek.analysis import find_countermodel
-from fdek.semantics import Evaluator, Frame, FourValue, Model
+from fdek.semantics import Evaluator, Frame, FourValue, Model, model_to_dict
 from fdek.syntax import Not, Or, Tri, parse_formula, parse_sequent, render, subformulas
 from fdek.tableau import (
     Branch, Labelled, LanguageError, ProofNode, ProofStats, Proved,
@@ -15,7 +17,7 @@ from fdek.tableau import (
 )
 
 from conftest import RENAMINGS, corpus, hand_sequents, random_sequents
-from reference_impl import result_to_dict, tree_to_dict
+from reference_impl import extract_by_name_sets, result_to_dict, tree_to_dict
 
 q = parse_formula("q")
 p = parse_formula("p")
@@ -177,6 +179,15 @@ class TestProve:
         with pytest.raises(LanguageError):
             prove(parse_sequent("[]p |- p"))
 
+    @pytest.mark.parametrize("value", [None, 3, p], ids=["None", "int", "Formula"])
+    def test_entry_points_refuse_other_types(self, value):
+        # The text entry points take a str and prove a Sequent; anything
+        # else is refused by type, its type named, before it is read.
+        for entry, wanted in ((parse_formula, "str"), (parse_sequent, "str"), (prove, "Sequent")):
+            with pytest.raises(TypeError) as info:
+                entry(value)
+            assert str(info.value).endswith(f"takes a {wanted}, not {type(value).__name__}")
+
     @pytest.mark.parametrize("text", ["###p |- #p", "#p |- ###p",
                                       "##(p & q) |- ##p", "#(#p & #q) |- ##(p | q)",
                                       "###p |- ###~p"])
@@ -305,6 +316,24 @@ class TestExtraction:
         m = extract_countermodel(b).model
         assert m.variables == {"p", "q", "r"}
         assert m.value("w0", "q") is FourValue.N and m.value("w1", "r") is FourValue.N
+
+    def test_extraction_equals_the_name_set_reference(self, monkeypatch):
+        # Every refuted result of the golden corpus and of the benchmark's
+        # prove sequents at seeds 1 and 2, from both starts.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        gen = importlib.import_module("gen")
+        sequents = corpus() + [parse_sequent(x["text"]) for seed in (1, 2)
+                               for x in gen.prove_inputs(seed)["sequents"]]
+        refuted = 0
+        for s in sequents:
+            for start in ("truth", "nonfalsity"):
+                res = prove(s, start=start)
+                if isinstance(res, Refuted):
+                    expected = extract_by_name_sets(res.branch)
+                    assert res.model == expected and res.model.variables == expected.variables
+                    assert model_to_dict(res.model) == model_to_dict(expected), (str(s), start)
+                    refuted += 1
+        assert refuted == 814
 
     def test_closed_branch_rejected(self):
         b = Branch.from_items([lab("w0", "p", "t"), lab("w0", "p", "tbar")])
@@ -872,9 +901,12 @@ class TestBranchStores:
         inst = tableau._select(b)
         tableau._apply_to(b, inst, inst[1][1])
         dep = lambda item: b.deps[b.table.encode(item)]
+        # Membership is read off the items: ``encode`` would number an
+        # unknown world label as it went.
+        items = b.items
 
         def values(world, f):
-            return {v: dep(Labelled(world, f, v)) for v in Val if Labelled(world, f, v) in b}
+            return {v: dep(Labelled(world, f, v)) for v in Val if Labelled(world, f, v) in items}
 
         assert values("w0", parse_formula("#p")) == {Val.F: 0, Val.TBAR: 0}
         names = b.table.names
@@ -883,8 +915,8 @@ class TestBranchStores:
         assert dep(RelAtom("w0", "w1")) == 0
         assert values("w1", p) == {Val.F: 1} and values("w2", p) == {Val.FBAR: 1}
         assert dep(RelAtom("w0", "w2")) == 0 and dep(lab("w2", "p", "fbar")) == 1
-        assert RelAtom("w0", "w1") in b and lab("w1", "p", "f") in b
-        assert RelAtom("w1", "w0") not in b and lab("w1", "p", "t") not in b
+        assert RelAtom("w0", "w1") in items and lab("w1", "p", "f") in items
+        assert RelAtom("w1", "w0") not in items and lab("w1", "p", "t") not in items
 
 
 class TestOracleAgreementSample:
