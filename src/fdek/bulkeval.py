@@ -37,13 +37,13 @@ worlds keeps that pass over its valuations, whose table would be as large.
 
 A claim is compiled once per search into a numbered program
 (``_compile``) that every block of a space runs (``BulkSpace._run``):
-its distinct subformulas in ``postorder`` order, each an op
-``(kind, a, b)`` over the numbers of its children, atoms addressed by
-their variable slot.  One pass back over the ops sets the supports each
-node must yield: a root its truth, which is all ``_refuting`` reads;
-``~`` the other support of its child, ``&`` and ``|`` what is asked of
-them, and ``#`` and ``[]`` both supports of their child, whose code they
-gather at.  So ``&`` and ``|`` compute only their demanded halves, a
+its distinct subformulas as ``syntax._number`` numbers them, children
+first, each an op ``(kind, a, b)`` over the numbers of its children,
+atoms addressed by their variable slot.  One pass back over the ops sets
+the supports each node must yield: a root its truth, which is all
+``_refuting`` reads; ``~`` the other support of its child, ``&`` and
+``|`` what is asked of them, and ``#`` and ``[]`` both supports of their
+child, whose code they gather at.  So ``&`` and ``|`` compute only their demanded halves, a
 modal node gathers only its demanded rows of the clause table, and the
 per-world pass computes only the demanded bitsets.  The same pass records
 the values each op reads last, which the run drops after it; the roots
@@ -127,7 +127,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .semantics import VALUE_ORDER, BoundExceededError, Frame, Model
-from .syntax import And, Atom, Formula, Not, Or, Sequent, Tri, postorder
+from .syntax import And, Atom, Formula, Not, Or, Sequent, Tri, _number
 
 __all__ = ["BulkSpace", "sweep", "model_from_indices", "frame_from_mask",
            "DEFAULT_VALUATION_BOUND"]
@@ -149,9 +149,9 @@ _DIGIT_SUPPORTS = np.array([[v.supports_truth for v in VALUE_ORDER],
 def _guard(worlds: int | Frame, variable_count: int) -> None:
     """The one size guard of every exhaustive scan; call it before
     allocating.  ``worlds``: a world count, every relation on which is
-    enumerated, or a given frame, which is one relation."""
+    enumerated (``_world_count``), or a given frame, which is one relation."""
     given = isinstance(worlds, Frame)
-    world_count = len(worlds.worlds) if given else worlds
+    world_count = len(worlds.worlds) if given else _world_count(worlds)
     if world_count < 1:
         raise ValueError("need at least one world")
     if variable_count < 1:
@@ -168,6 +168,15 @@ def _guard(worlds: int | Frame, variable_count: int) -> None:
         raise BoundExceededError(
             f"{world_count} worlds x {variable_count} variables over every relation "
             f"is {cells:.1e} cells, beyond the budget of {_MAX_SWEEP_CELLS:.0e}")
+
+
+def _world_count(worlds: int) -> int:
+    """``worlds`` read by ``operator.index``: a numpy integer is a world
+    count, and a float or a string is refused with ``TypeError``."""
+    try:
+        return operator.index(worlds)
+    except TypeError:
+        raise TypeError(f"a world count is an integer, not {type(worlds).__name__}") from None
 
 
 def _check_index(what: str, index: int, count: int) -> None:
@@ -267,15 +276,16 @@ def _atom_tables(n: int, k: int, low: int) -> np.ndarray:
 class _Program(NamedTuple):
     """A claim compiled once for every block of every space (``_compile``).
 
-    ``ops[i]`` is ``(kind, a, b)``: ``kind`` the formula class of the i-th
-    distinct subformula in ``postorder``, ``a`` its variable slot in
-    ``names`` if an atom, else the number of its (left) child, and ``b``
-    the number of its right child, or -1.  ``demand[i]`` holds bit 1 if the
-    node's truth support is read and bit 2 if its falsity support is;
-    ``frees[i]``, the numbers of the values op i reads last, which the run
-    drops after it.  ``roots`` are the premise's and the conclusion's
-    numbers (``sequent``), or the formula's; ``depth`` is the claim's modal
-    depth."""
+    ``ops[i]`` is ``(kind, a, b)``: ``kind`` the formula class of the
+    claim's distinct subformula ``i`` as ``syntax._number`` numbers them,
+    ``a`` its variable slot in ``names`` if an atom, else the number of its
+    (left) child, and ``b`` the number of its right child, or -1.
+    ``demand[i]`` holds bit 1 if the node's truth support is read and bit 2
+    if its falsity support is; ``frees[i]``, the numbers of the values op i
+    reads last, which the run drops after it.  ``roots`` are the premise's
+    and the conclusion's numbers (``sequent``), or the formula's; ``depth``
+    is the claim's modal depth, the most ``#`` and ``[]`` nodes above any
+    node."""
 
     names: tuple[str, ...]
     depth: int
@@ -291,62 +301,51 @@ def _compile(claim: Sequent | Formula, names: Sequence[str] | None = None) -> _P
     (default: the claim's own), whose roots yield their truth, all that
     ``_refuting`` reads.
 
-    One pass forward numbers the nodes; one pass back, over every node after
-    all its parents, sets what each must yield and where its value is read
-    last.  A root yields its truth; ``~`` swaps its demand for its child's,
-    ``&`` and ``|`` pass theirs on to both children, and ``#`` and ``[]``
-    read both supports of their child, whose code they gather at.  Roots
-    are never dropped."""
+    ``syntax._number`` numbers the nodes, children first; one pass back,
+    over every node after all its parents, sets an atom's slot, what each
+    node must yield and where its value is read last, and the most ``#``
+    and ``[]`` nodes above it, whose largest is the claim's modal depth.  A
+    root yields its truth; ``~`` swaps its demand for its child's, ``&``
+    and ``|`` pass theirs on to both children, and ``#`` and ``[]`` read
+    both supports of their child, whose code they gather at.  Roots are
+    never dropped.  A variable that is not in ``names`` is refused."""
     sequent = isinstance(claim, Sequent)
-    order = postorder(*((claim.premise, claim.conclusion) if sequent else (claim,)))
+    formulas, ops, roots = _number(*((claim.premise, claim.conclusion) if sequent else (claim,)))
     if names is None:
-        names = sorted({g.name for g in order if type(g) is Atom})
+        names = sorted(f.name for f in formulas if type(f) is Atom)
     slot = {name: j for j, name in enumerate(names)}
-    index: dict[Formula, int] = {}
-    ops: list[tuple[type, int, int]] = []
-    depths: list[int] = []
-    for g in order:
-        kind = type(g)
-        if kind is Atom:
-            if g.name not in slot:
-                raise KeyError(f"variable {g.name!r} not in this space")
-            op, depth = (kind, slot[g.name], -1), 0
-        elif kind is And or kind is Or:
-            a, b = index[g.left], index[g.right]
-            op, depth = (kind, a, b), max(depths[a], depths[b])
-        else:
-            a = index[g.child]
-            op, depth = (kind, a, -1), depths[a] + (kind is not Not)
-        index[g] = len(ops)
-        ops.append(op)
-        depths.append(depth)
-    roots = ((index[claim.premise], index[claim.conclusion]) if sequent
-             else (index[claim],))
     need = [0] * len(ops)
     read = [False] * len(ops)
+    above = [0] * len(ops)  # the most modal nodes above each node
     frees: list[tuple[int, ...]] = [()] * len(ops)
     for r in roots:
         need[r], read[r] = 1, True
     for i in range(len(ops) - 1, -1, -1):
         kind, a, b = ops[i]
         if kind is Atom:
+            j = slot.get(formulas[i].name)
+            if j is None:
+                raise ValueError(f"variable {formulas[i].name!r} not in this space")
+            ops[i] = (kind, j, -1)
             continue
-        want = need[i]
+        want, up = need[i], above[i]
         if kind is Not:
             need[a] |= (want & 1) << 1 | want >> 1
         elif b >= 0:
             need[a] |= want
             need[b] |= want
+            above[b] = max(above[b], up)
         else:
             need[a] = 3
+            up += 1
+        above[a] = max(above[a], up)
         if not read[a]:
             read[a] = True
             frees[i] = (a,)
         if b >= 0 and not read[b]:
             read[b] = True
             frees[i] += (b,)
-    return _Program(tuple(names), max(depths[r] for r in roots), ops, need, frees, roots,
-                    sequent)
+    return _Program(tuple(names), max(above), ops, need, frees, roots, sequent)
 
 
 class BulkSpace:
@@ -725,8 +724,8 @@ def _plan(n: int, k: int, depth: int | None, pairs: int) -> _Plan:
     with its record ``_relation_list(n, depth)``, admitted by ``_guard``
     and kept per process, so a shape is admitted once and a refusal builds
     nothing.  At most one plan per admissible shape and budget is ever
-    kept: n * k <= 12, at most 10^9 labelled cells, and depth <= n
-    (``sweep`` clamps it)."""
+    kept: n * k <= 12, at most 10^9 labelled cells, and 0 <= depth <= n
+    (``sweep`` refuses a negative depth and clamps the rest)."""
     _guard(n, k)
     return _Plan(n, k, _relation_list(n, depth), pairs)
 
@@ -739,7 +738,8 @@ def sweep(worlds: int | Frame, variables: Sequence[str],
     name its relations.  With a ``depth``, a sweep over every relation
     keeps only the classes rooted and cut at ``depth`` (``_relation_list``),
     the only ones that can hold the first countermodel of a claim of that
-    depth (see the module docstring); a space of no class has no block.
+    depth (see the module docstring); a depth below 0 or not an integer
+    is refused.
 
     The size guard runs before anything is allocated: once per shape and
     budget, when its plan is built, or at the call on a given frame.  The
@@ -756,9 +756,14 @@ def sweep(worlds: int | Frame, variables: Sequence[str],
         plan = _Plan(n, len(names), _RelationList(
             None, np.array([worlds.succ], dtype=_bitset_type(n))), _BLOCK_PAIRS)
     else:
+        # A depth below 0 or not an integer is refused before a plan or a
+        # record is kept for it, and the world count is read before the
+        # plans kept by shape, where 2.0 would find the plan of 2.
+        if depth is not None and operator.index(depth) < 0:
+            raise ValueError(f"a sweep's depth is at least 0, not {depth}")
+        n = _world_count(worlds)
         # Every depth from n on keeps the same classes.
-        plan = _plan(worlds, len(names), None if depth is None else min(depth, worlds),
-                     _BLOCK_PAIRS)
+        plan = _plan(n, len(names), None if depth is None else min(depth, n), _BLOCK_PAIRS)
     space = BulkSpace.__new__(BulkSpace)
     space._bind(names, plan)
     return space

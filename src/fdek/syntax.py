@@ -5,11 +5,13 @@ built, from its children's stored hashes, by its class's ``__init__``
 alone; ``_fields`` names each class's children.  Equality returns at once
 on one object, follows a run of unary nodes without a stack and compares
 two atoms by name; only below a binary node does it take an explicit
-stack.  ``postorder``, the shared walk
-down a formula (each distinct subformula once, children first), serves
-``subformulas``, ``variables``, the bulk evaluator (whose compiled
-claims carry their modal depth) and the tableau; the scalar ``Evaluator``
-walks once with a value stack.
+stack.  ``_number``, the shared walk down a formula, numbers each
+distinct subformula once, children first, by its class and its
+children's numbers (an atom by its name), so it compares no formulas and
+walks each node object once.  The tableau's table and the bulk
+evaluator's compiled programs read its numbering, and ``postorder``,
+which serves ``subformulas`` and ``variables``, is its list of formulas;
+the scalar ``Evaluator`` walks once with a value stack.
 
 One operator table, ``_PREFIX`` and ``_BINARY``, drives the lexer, the
 parser and the renderer (the README lists the surface syntax).  A prefix
@@ -429,26 +431,56 @@ def render_sequent(s: Sequent, pretty: bool = False) -> str:
 
 # --- structural utilities ----------------------------------------------------
 
-def postorder(*fs: Formula) -> list[Formula]:
-    """Each distinct subformula of ``fs`` once, every node after its
-    children.  An explicit stack, so any depth is walked.  A root that is
+_EXPAND = object()  # on ``_number``'s stack, above a node whose children are walked
+
+
+def _number(*fs: Formula) -> tuple[list[Formula], list[tuple[type, int, int]], tuple[int, ...]]:
+    """The distinct subformulas of ``fs``, numbered children first.
+
+    ``formulas[i]`` is subformula ``i``, the first of its occurrences met,
+    ``nodes[i]`` is ``(class, a, b)``: the numbers of its children, -1 where
+    it has fewer than two, and ``roots`` the numbers of ``fs``.  A node is
+    numbered by its class and its children's numbers, an atom by its name,
+    so no two formulas are compared; each node object is walked once (a
+    memo by ``id``), so a formula with shared subtrees costs its distinct
+    objects.  An explicit stack, so any depth is walked.  A root that is
     not a formula is refused (a node's children are formulas)."""
     for f in fs:
         if not isinstance(f, Formula):
             raise TypeError(f"not a formula: {f!r}")
-    order: list[Formula] = []
-    seen: set[Formula] = set()
-    stack = [(f, False) for f in reversed(fs)]
+    # ``numbers`` maps an atom's name or a node's (class, a, b) to its
+    # number, ``done`` the id of each node object walked.
+    formulas, nodes, numbers, done = [], [], {}, {}
+    stack = list(reversed(fs))
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-        elif node not in seen:
-            seen.add(node)
-            stack.append((node, True))
-            for name in reversed(node._fields):
-                stack.append((getattr(node, name), False))
-    return order
+        node = stack.pop()
+        if node is _EXPAND:  # the node below has its children numbered
+            node = stack.pop()
+            if isinstance(node, _Binary):
+                key = (type(node), done[id(node.left)], done[id(node.right)])
+            else:
+                key = (type(node), done[id(node.child)], -1)
+        elif id(node) in done:
+            continue
+        elif type(node) is Atom:
+            key = node.name
+        else:
+            stack += ((node, _EXPAND, node.right, node.left) if isinstance(node, _Binary)
+                      else (node, _EXPAND, node.child))
+            continue
+        i = numbers.get(key)
+        if i is None:
+            i = numbers[key] = len(nodes)
+            formulas.append(node)
+            nodes.append((Atom, -1, -1) if type(node) is Atom else key)
+        done[id(node)] = i
+    return formulas, nodes, tuple(done[id(f)] for f in fs)
+
+
+def postorder(*fs: Formula) -> list[Formula]:
+    """Each distinct subformula of ``fs`` once, every node after its
+    children (``_number``)."""
+    return _number(*fs)[0]
 
 
 def subformulas(*fs: Formula) -> frozenset[Formula]:

@@ -23,12 +23,12 @@ glut/gap uniformity rules and their world-creating forms off another,
 
 The search runs on ints, as a SAT solver runs on literals (Eén &
 Sörensson, "An Extensible SAT-solver", 2003).  A ``_Table`` numbers each
-subformula of the root items once, by its ``postorder`` position, and each
-world label in the order it is first met; both numberings last for the
-whole search.  With ``F`` formulas, item ``w: f ; v`` is the code
-``((w * F + f) << 2) | v``, where ``v`` is the position of the label in
-``_VAL_ORDER``: so ``code ^ 2`` is its bar, ``code ^ 1`` its negation, and
-closure is one lookup.  ``w R w'`` is the negative code ``~(w << 32 | w')``.
+subformula of the root items once, as ``syntax._number`` numbers them
+(children first), and each world label in the order it is first met;
+both numberings last for the whole search.  With ``F`` formulas, item
+``w: f ; v`` is the code ``((w * F + f) << 2) | v``, where ``v`` is the
+position of the label in ``_VAL_ORDER``: so ``code ^ 2`` is its bar,
+``code ^ 1`` its negation, and closure is one lookup.  ``w R w'`` is the negative code ``~(w << 32 | w')``.
 ``Labelled`` items, ``RelAtom``s and world labels appear only at the
 edges: the items a proof node adds, ``Branch.items``,
 ``Branch.from_items``, extraction and serialisation.  The table decodes
@@ -115,7 +115,7 @@ from enum import Enum
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .semantics import Model, PointedModel, Evaluator, Frame, model_to_dict
-from .syntax import And, Atom, Box, Formula, Not, Or, Sequent, Tri, postorder, render
+from .syntax import And, Atom, Box, Formula, Not, Or, Sequent, Tri, _number, render
 
 __all__ = [
     "Val", "bar", "neg", "Labelled", "RelAtom", "Branch",
@@ -191,11 +191,12 @@ _RMASK = (1 << _RBITS) - 1
 class _Table:
     """The numbering one proof search shares among its branch states.
 
-    ``formulas[i]`` is the subformula with id ``i``, its position in the
-    ``postorder`` of the root formulas, so that children come before their
-    parents; ``nodes[i]`` is its syntax class (a ``Box`` gets no rule) and
-    the ids of its children (0 where it has fewer than two), and ``size``
-    is their number.
+    ``formulas[i]`` and ``nodes[i]`` are the subformula with id ``i`` and
+    its node, as ``syntax._number`` numbers the root formulas, children
+    before their parents: its syntax class (a ``Box`` gets no rule) and the
+    ids of its children (-1 where it has fewer than two).  ``size`` is
+    their number, and ``fids`` maps each subformula to its id for
+    ``encode``.
     ``names[w]`` is the label of world ``w``, numbered as first met;
     minting extends it.  ``decoded`` holds the one ``Item`` object decoded
     for each code met so far.
@@ -204,12 +205,8 @@ class _Table:
     __slots__ = ("formulas", "fids", "nodes", "size", "names", "wids", "decoded")
 
     def __init__(self, roots: Iterable[Formula]):
-        self.formulas = postorder(*roots)
+        self.formulas, self.nodes, _ = _number(*roots)
         self.fids = {f: i for i, f in enumerate(self.formulas)}
-        self.nodes = []
-        for f in self.formulas:
-            kids = [self.fids[getattr(f, name)] for name in f._fields]
-            self.nodes.append((type(f), *(kids + [0, 0])[:2]))
         self.size = len(self.formulas)
         self.names: list[str] = []
         self.wids: dict[str, int] = {}

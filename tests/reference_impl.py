@@ -19,6 +19,11 @@
   the bulk sweep of its frame.
 * ``modal_depth_by_postorder`` folds the modal depth children first, and
   ``size`` counts nodes, a shared subtree at each occurrence.
+* ``postorder_by_equality`` lists each distinct subformula once, children
+  first, deduplicated through a set of formulas, the reference for
+  ``syntax.postorder``; ``table_by_index`` and ``compile_by_index`` number
+  its list through a ``Formula``-keyed index, the references for
+  ``tableau._Table``'s numbering and ``bulkeval._compile``.
 * ``near_and_within`` is a breadth-first search to a depth.
 * ``model_names`` lists the bundled models ``figures.load_model`` reads.
 """
@@ -27,10 +32,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from fdek.bulkeval import BulkSpace, _compile, _guard, frame_from_mask, sweep
+from fdek.bulkeval import BulkSpace, _compile, _guard, _Program, frame_from_mask, sweep
 from fdek.figures import _MODELS
 from fdek.semantics import VALUE_ORDER, Evaluator, FourValue, Frame, Model, model_to_dict
-from fdek.syntax import Atom, Box, Formula, Not, Sequent, Tri, postorder, render
+from fdek.syntax import And, Atom, Box, Formula, Not, Or, Sequent, Tri, postorder, render
 from fdek.tableau import Branch, Item, ProofNode, Proved, RelAtom, TableauResult, Val
 
 
@@ -244,6 +249,99 @@ def size(f: Formula) -> int:
     for node in postorder(f):
         sizes[node] = 1 + sum(sizes[getattr(node, name)] for name in node._fields)
     return sizes[f]
+
+
+# --- the numbering by formula equality -------------------------------------------
+
+def postorder_by_equality(*fs: Formula) -> list[Formula]:
+    """Each distinct subformula of ``fs`` once, every node after its
+    children: a walk that skips a node equal to one met before, with its
+    subtree, through a set of formulas.  The reference for
+    ``syntax.postorder``."""
+    order: list[Formula] = []
+    seen: set[Formula] = set()
+    stack = [(f, False) for f in reversed(fs)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif node not in seen:
+            seen.add(node)
+            stack.append((node, True))
+            for name in reversed(node._fields):
+                stack.append((getattr(node, name), False))
+    return order
+
+
+def table_by_index(*roots: Formula) -> tuple[list[Formula], list[tuple[type, int, int]]]:
+    """The subformulas of ``roots`` in ``postorder_by_equality`` and, for
+    each, its class and the positions of its children there, read through
+    a ``Formula``-keyed index, 0 where it has fewer than two.  The
+    reference for ``tableau._Table``'s ``formulas`` and ``nodes``, up to
+    their padding."""
+    formulas = postorder_by_equality(*roots)
+    fids = {f: i for i, f in enumerate(formulas)}
+    nodes = []
+    for f in formulas:
+        kids = [fids[getattr(f, name)] for name in f._fields]
+        nodes.append((type(f), *(kids + [0, 0])[:2]))
+    return formulas, nodes
+
+
+def compile_by_index(claim: Sequent | Formula, names: Sequence[str] | None = None) -> _Program:
+    """The program of ``claim`` over the sorted variables ``names``
+    (default: the claim's own), numbered by one pass forward over
+    ``postorder_by_equality`` through a ``Formula``-keyed index, which also
+    folds each node's modal depth; one pass back sets the demands and the
+    frees.  The reference for ``bulkeval._compile``."""
+    sequent = isinstance(claim, Sequent)
+    order = postorder_by_equality(*((claim.premise, claim.conclusion) if sequent else (claim,)))
+    if names is None:
+        names = sorted({g.name for g in order if type(g) is Atom})
+    slot = {name: j for j, name in enumerate(names)}
+    index: dict[Formula, int] = {}
+    ops: list[tuple[type, int, int]] = []
+    depths: list[int] = []
+    for g in order:
+        kind = type(g)
+        if kind is Atom:
+            op, depth = (kind, slot[g.name], -1), 0
+        elif kind is And or kind is Or:
+            a, b = index[g.left], index[g.right]
+            op, depth = (kind, a, b), max(depths[a], depths[b])
+        else:
+            a = index[g.child]
+            op, depth = (kind, a, -1), depths[a] + (kind is not Not)
+        index[g] = len(ops)
+        ops.append(op)
+        depths.append(depth)
+    roots = ((index[claim.premise], index[claim.conclusion]) if sequent
+             else (index[claim],))
+    need = [0] * len(ops)
+    read = [False] * len(ops)
+    frees: list[tuple[int, ...]] = [()] * len(ops)
+    for r in roots:
+        need[r], read[r] = 1, True
+    for i in range(len(ops) - 1, -1, -1):
+        kind, a, b = ops[i]
+        if kind is Atom:
+            continue
+        want = need[i]
+        if kind is Not:
+            need[a] |= (want & 1) << 1 | want >> 1
+        elif b >= 0:
+            need[a] |= want
+            need[b] |= want
+        else:
+            need[a] = 3
+        if not read[a]:
+            read[a] = True
+            frees[i] = (a,)
+        if b >= 0 and not read[b]:
+            read[b] = True
+            frees[i] += (b,)
+    return _Program(tuple(names), max(depths[r] for r in roots), ops, need, frees, roots,
+                    sequent)
 
 
 # --- bundled data --------------------------------------------------------------

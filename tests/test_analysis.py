@@ -327,6 +327,23 @@ class TestCountermodelSearch:
         with pytest.raises(BoundExceededError):
             find_countermodel(parse_sequent("p |- q"), 6)
 
+    def test_a_world_count_is_an_integer(self):
+        # The guard reads a count by operator.index: a float or a string is
+        # refused by name before numpy, a comparison or range reads it, and
+        # a numpy integer is a count.  A sweep reads it so before the plans
+        # kept by shape, where 2.0 would find the plan of 2 kept here.
+        s = parse_sequent("#p |- p")
+        bulkeval.sweep(2, ["p"])
+        calls = [lambda n: find_countermodel(s, n), lambda n: bulkeval.sweep(n, ["p"]),
+                 lambda n: BulkSpace(n, ["p"]),
+                 lambda n: check_definability("reflexive", PAPER_FRAME_CLASSES["reflexive"], n)]
+        for call in calls:
+            for bad in (1.5, "2", 2.0):
+                with pytest.raises(TypeError, match=f"world count is an integer, not "
+                                                    f"{type(bad).__name__}"):
+                    call(bad)
+        assert find_countermodel(s, np.int64(2)) == find_countermodel(s, 2)
+
     def test_matches_the_labelled_search(self, chunk_budget):
         # The search sweeps the isomorphism classes rooted and cut at the
         # sequent's modal depth d: some world reaches every world within d
@@ -481,6 +498,10 @@ class TestBulkAgreement:
     def test_world_guard(self):
         with pytest.raises(BoundExceededError):
             BulkSpace(6, ["p"])
+
+    def test_a_variable_outside_the_space_is_refused(self):
+        with pytest.raises(ValueError, match="variable 'q' not in this space"):
+            BulkSpace(2, ["p"]).first_countermodel(parse_sequent("q |- q"))
 
     @pytest.mark.parametrize("masks,bad", [
         ([16], 16), ([0, 5, -1], -1), ([3, 2 ** 40], 2 ** 40),
@@ -739,6 +760,21 @@ class TestRootedSweep:
         monkeypatch.setattr(BulkSpace, "_blocks", counting)
         assert find_countermodel(parse_sequent("p & q |- q | p"), 3) is None
         assert spaces == [(1, 1)]  # the one world without its loop
+
+    def test_a_bad_depth_is_refused_and_keeps_nothing(self, cold_caches):
+        # A negative depth keeps no class, so "#p |- p" would hold on such a
+        # sweep, and each depth would keep a plan and a record of its own;
+        # a depth that is not an integer is refused by its type's name.
+        for depth in range(-1, -6, -1):
+            with pytest.raises(ValueError, match="depth"):
+                bulkeval.sweep(2, ["p"], depth)
+        for depth in (1.5, "1"):
+            with pytest.raises(TypeError, match=type(depth).__name__):
+                bulkeval.sweep(2, ["p"], depth)
+        assert bulkeval._plan.cache_info().currsize == 0
+        assert bulkeval._relation_list.cache_info().currsize == 0
+        assert bulkeval.sweep(2, ["p"], 1).first_countermodel(parse_sequent("#p |- p")) == \
+            (0, 2, 1)
 
     def test_guard_refuses_before_allocating(self, monkeypatch):
         def allocate(*args):
