@@ -38,7 +38,9 @@ from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .bulkeval import _compile, _guard, _model_on, _relation_list, model_from_indices, sweep
+from .bulkeval import (
+    _compile, _guard, _integer, _model_on, _relation_list, model_from_indices, sweep,
+)
 from .semantics import (
     FRAME_PROPERTIES, FourValue, PointedModel, _ClauseMemo, and_clause, atom_clause,
     box_clause, frame_to_dict, model_to_dict, not_clause, or_clause, tri_clause,
@@ -129,6 +131,7 @@ def enumerate_formulas(language: str, vars: Sequence[str],
     """All formulas of the tagged language over ``vars`` with at most
     ``max_size`` AST nodes; duplicate-free, ordered by size and within a
     size by ``_sections``."""
+    max_size = _integer(max_size, "max_size")
     unary, binary = _operators(language)
     by_size: list[list[Formula]] = [[], [Atom(v) for v in sorted(set(vars))]]
     for size in range(1, max_size + 1):
@@ -524,6 +527,7 @@ def check_indistinguishability(a: PointedModel, b: PointedModel,
     fails: ``fig6_single`` and ``fig6_pair`` are not bisimilar, yet no
     []-formula separates them, so every other pair is folded.
     """
+    max_size = _integer(max_size, "max_size")
     if max_size < 1:
         raise ValueError(f"max_size must be at least 1, got {max_size}")
     _modality(language)

@@ -149,9 +149,10 @@ _DIGIT_SUPPORTS = np.array([[v.supports_truth for v in VALUE_ORDER],
 def _guard(worlds: int | Frame, variable_count: int) -> None:
     """The one size guard of every exhaustive scan; call it before
     allocating.  ``worlds``: a world count, every relation on which is
-    enumerated (``_world_count``), or a given frame, which is one relation."""
+    enumerated (read by ``_integer``), or a given frame, which is one
+    relation."""
     given = isinstance(worlds, Frame)
-    world_count = len(worlds.worlds) if given else _world_count(worlds)
+    world_count = len(worlds.worlds) if given else _integer(worlds)
     if world_count < 1:
         raise ValueError("need at least one world")
     if variable_count < 1:
@@ -170,20 +171,25 @@ def _guard(worlds: int | Frame, variable_count: int) -> None:
             f"is {cells:.1e} cells, beyond the budget of {_MAX_SWEEP_CELLS:.0e}")
 
 
-def _world_count(worlds: int) -> int:
-    """``worlds`` read by ``operator.index``: a numpy integer is a world
-    count, and a float or a string is refused with ``TypeError``."""
+def _integer(value: int, name: str = "a world count") -> int:
+    """``value``, the argument ``name``, read by ``operator.index``: a numpy
+    integer is an integer, and a float or a string is refused with a
+    ``TypeError`` that names the argument and the value's type, before
+    numpy, a comparison, a shift or ``range`` reads it."""
     try:
-        return operator.index(worlds)
+        return operator.index(value)
     except TypeError:
-        raise TypeError(f"a world count is an integer, not {type(worlds).__name__}") from None
+        raise TypeError(f"{name} is an integer, not {type(value).__name__}") from None
 
 
-def _check_index(what: str, index: int, count: int) -> None:
-    """Refuse an ``index`` outside ``[0, count)``: a decoder would read
-    another point, or a bit that no slot holds, instead."""
+def _check_index(what: str, index: int, count: int) -> int:
+    """``index`` read by ``_integer``, refused if it is outside ``[0,
+    count)``: a decoder would read another point, or a bit that no slot
+    holds, instead."""
+    index = _integer(index, what)
     if not 0 <= index < count:
         raise ValueError(f"{what} {index} is outside [0, {count})")
+    return index
 
 
 def _mask_array(rel_masks: Sequence[int], count: int) -> np.ndarray:
@@ -212,8 +218,8 @@ def _mask_array(rel_masks: Sequence[int], count: int) -> np.ndarray:
 def frame_from_mask(n_worlds: int, rel_mask: int) -> Frame:
     """The frame on worlds ``w0 .. w{n-1}`` whose relation is ``rel_mask``,
     one of the 2^(n*n) masks."""
-    n = n_worlds
-    _check_index("relation mask", rel_mask, 2 ** (n * n))
+    n = _integer(n_worlds)
+    rel_mask = _check_index("relation mask", rel_mask, 2 ** (n * n))
     worlds = tuple(f"w{i}" for i in range(n))
     return Frame(worlds, [(worlds[i], worlds[j])
                           for i in range(n) for j in range(n) if rel_mask >> (i * n + j) & 1])
@@ -224,7 +230,8 @@ def model_from_indices(world_count: int, vars: Sequence[str],
     """Decode one point of the enumeration: relation mask, valuation index
     (one of the 4^(n*k) valuations of the k distinct names of ``vars``)."""
     names = sorted(set(vars))
-    _check_index("valuation index", val_index, 4 ** (world_count * len(names)))
+    world_count = _integer(world_count)
+    val_index = _check_index("valuation index", val_index, 4 ** (world_count * len(names)))
     return _model_on(frame_from_mask(world_count, rel_mask), names, val_index)
 
 
@@ -759,9 +766,9 @@ def sweep(worlds: int | Frame, variables: Sequence[str],
         # A depth below 0 or not an integer is refused before a plan or a
         # record is kept for it, and the world count is read before the
         # plans kept by shape, where 2.0 would find the plan of 2.
-        if depth is not None and operator.index(depth) < 0:
+        if depth is not None and _integer(depth, "a sweep's depth") < 0:
             raise ValueError(f"a sweep's depth is at least 0, not {depth}")
-        n = _world_count(worlds)
+        n = _integer(worlds)
         # Every depth from n on keeps the same classes.
         plan = _plan(n, len(names), None if depth is None else min(depth, n), _BLOCK_PAIRS)
     space = BulkSpace.__new__(BulkSpace)

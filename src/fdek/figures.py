@@ -16,6 +16,7 @@ from importlib import resources
 from .analysis import (
     PAPER_FRAME_CLASSES, _first_formula, check_definability, check_indistinguishability,
 )
+from .bulkeval import _integer
 from .semantics import (
     Evaluator, FourValue, Frame, Model, PointedModel, _holds,
     formula_valid_on_frame, frame_from_dict, frame_property, frame_to_dict,
@@ -75,7 +76,7 @@ def _values_check(name, ev: Evaluator, world, expected: dict[str, str]) -> Figur
 
 
 def run_figures(expressivity_size: int = DEFAULT_EXPRESSIVITY_SIZE) -> list[FigureCheck]:
-    if expressivity_size < 1:
+    if _integer(expressivity_size, "expressivity_size") < 1:
         raise ValueError(f"expressivity size must be at least 1, got {expressivity_size}")
     checks: list[FigureCheck] = []
     out = checks.append

@@ -28,11 +28,16 @@ subformula of the root items once, as ``syntax._number`` numbers them
 both numberings last for the whole search.  With ``F`` formulas, item
 ``w: f ; v`` is the code ``((w * F + f) << 2) | v``, where ``v`` is the
 position of the label in ``_VAL_ORDER``: so ``code ^ 2`` is its bar,
-``code ^ 1`` its negation, and closure is one lookup.  ``w R w'`` is the negative code ``~(w << 32 | w')``.
-``Labelled`` items, ``RelAtom``s and world labels appear only at the
-edges: the items a proof node adds, ``Branch.items``,
-``Branch.from_items``, extraction and serialisation.  The table decodes
-each code once, so equal items of one proof are one object.
+``code ^ 1`` its negation, and closure is one lookup.  ``w R w'`` is the
+negative code ``~(w << 32 | w')``.  The edges run on codes too: ``prove``
+codes its two root items from the numbers ``_number`` gives the root
+formulas, so the prover hashes and compares no formula, and extraction
+and ``check_realisation`` read a code's world, formula and label by
+arithmetic.  ``_Table.decode`` is the one place a ``Labelled`` item or a
+``RelAtom`` is built, for the items a proof node adds, ``Branch.items``
+and serialisation; it decodes each code once, so equal items of one
+proof are one object.  ``Branch.from_items`` takes items from outside a
+search and codes each labelled one by its formula's root number.
 
 The first applicable instance is found from an agenda, not by a scan of
 the branch, as a SAT solver visits only the clauses an assignment
@@ -194,19 +199,19 @@ class _Table:
     ``formulas[i]`` and ``nodes[i]`` are the subformula with id ``i`` and
     its node, as ``syntax._number`` numbers the root formulas, children
     before their parents: its syntax class (a ``Box`` gets no rule) and the
-    ids of its children (-1 where it has fewer than two).  ``size`` is
-    their number, and ``fids`` maps each subformula to its id for
-    ``encode``.
+    ids of its children (-1 where it has fewer than two).  ``roots`` are
+    the ids of the root formulas, in order, and ``size`` is the number of
+    subformulas.  No map leads from a formula to its id: an item enters a
+    branch coded from its root's id.
     ``names[w]`` is the label of world ``w``, numbered as first met;
     minting extends it.  ``decoded`` holds the one ``Item`` object decoded
     for each code met so far.
     """
 
-    __slots__ = ("formulas", "fids", "nodes", "size", "names", "wids", "decoded")
+    __slots__ = ("formulas", "nodes", "roots", "size", "names", "wids", "decoded")
 
     def __init__(self, roots: Iterable[Formula]):
-        self.formulas, self.nodes, _ = _number(*roots)
-        self.fids = {f: i for i, f in enumerate(self.formulas)}
+        self.formulas, self.nodes, self.roots = _number(*roots)
         self.size = len(self.formulas)
         self.names: list[str] = []
         self.wids: dict[str, int] = {}
@@ -219,17 +224,6 @@ class _Table:
             w = self.wids[name] = len(self.names)
             self.names.append(name)
         return w
-
-    def encode(self, item: Item) -> int:
-        """The code of ``item``, with ``item`` as its decoding if it has none
-        yet; its formula must be numbered already."""
-        if isinstance(item, Labelled):
-            key = self.world(item.world) * self.size + self.fids[item.formula]
-            code = key << 2 | _VAL_CODE[item.value]
-        else:
-            code = ~(self.world(item.source) << _RBITS | self.world(item.target))
-        self.decoded.setdefault(code, item)
-        return code
 
     def decode(self, code: int) -> Item:
         item = self.decoded.get(code)
@@ -276,13 +270,14 @@ class Branch:
     it finds none.  ``add`` is the one writer of the item stores: ``undo``
     reverses it back to a ``checkpoint``, and ``copy`` replays it.
 
-    ``items`` decodes ``codes``; ``from_items`` takes items too.
+    A branch is built from codes; ``items`` decodes them, and
+    ``from_items`` codes items.
     """
 
     __slots__ = ("table", "codes", "deps", "vals", "succ", "pred", "worlds", "fired",
                  "fresh", "closing", "decisions", "tris", "tri_at", "binary", "dirty")
 
-    def __init__(self, table: _Table, items: Iterable[Item] = ()):
+    def __init__(self, table: _Table, codes: Iterable[int] = ()):
         self.table = table
         self.codes: list[int] = []
         self.deps: dict[int, int] = {}
@@ -298,14 +293,26 @@ class Branch:
         self.tri_at: dict[int, list[int]] = {}
         self.binary: dict[int, list[int]] = {}
         self.dirty: tuple[set[int], ...] = tuple(set() for _ in _FINDERS)
-        for item in items:
-            self.add(table.encode(item))
+        for code in codes:
+            self.add(code)
 
     @classmethod
     def from_items(cls, items: Iterable[Item]) -> "Branch":
-        """A branch of ``items``, with a table numbering their subformulas."""
+        """A branch of ``items``, with a table numbering their subformulas
+        in one walk whose roots are the labelled items' formulas, in order.
+        A labelled item is coded by its own root's id, a relational atom by
+        its world ids; world labels are numbered in the order the items
+        name them."""
         items = list(items)
-        return cls(_Table(item.formula for item in items if isinstance(item, Labelled)), items)
+        table = _Table(item.formula for item in items if isinstance(item, Labelled))
+        roots, world, codes = iter(table.roots), table.world, []
+        for item in items:
+            if isinstance(item, Labelled):
+                key = world(item.world) * table.size + next(roots)
+                codes.append(key << 2 | _VAL_CODE[item.value])
+            else:
+                codes.append(~(world(item.source) << _RBITS | world(item.target)))
+        return cls(table, codes)
 
     def copy(self) -> "Branch":
         """An independent branch in the same state, on the same table.  It
@@ -718,6 +725,10 @@ class Refuted:
 
 TableauResult = Union[Proved, Refuted]
 
+# The labels of the premise and the conclusion at the root, by start mode.
+_STARTS = {"truth": (_T, _TBAR), "nonfalsity": (_FBAR, _F)}
+
+
 def prove(s: Sequent, *, start: str = "truth") -> TableauResult:
     """Run the proof search for ``premise |- conclusion``.
 
@@ -735,16 +746,12 @@ def prove(s: Sequent, *, start: str = "truth") -> TableauResult:
     table = _Table((s.premise, s.conclusion))
     if any(kind is Box for kind, _, _ in table.nodes):
         raise LanguageError("the proof system covers the #-fragment; [] is not supported")
-    if start == "truth":
-        root_items = (Labelled("w0", s.premise, Val.T),
-                      Labelled("w0", s.conclusion, Val.TBAR))
-    elif start == "nonfalsity":
-        root_items = (Labelled("w0", s.premise, Val.FBAR),
-                      Labelled("w0", s.conclusion, Val.F))
-    else:
+    if not isinstance(start, str) or start not in _STARTS:
         raise ValueError(f"unknown start mode {start!r}")
-    branch = Branch(table, root_items)
-    root = ProofNode(None, root_items)
+    table.world("w0")   # world 0: an item's key there is its formula's id
+    codes = [root << 2 | v for root, v in zip(table.roots, _STARTS[start])]
+    branch = Branch(table, codes)
+    root = ProofNode(None, tuple(map(table.decode, codes)))
     stats = ProofStats()
     open_branch = _explore(branch, root, stats)
     if open_branch is None:
@@ -856,18 +863,24 @@ def check_realisation(m: Model, b: Branch) -> bool:
 
     ``t``/``f`` entries must be supported, ``tbar``/``fbar`` entries must
     be unsupported, and every world label of the branch must exist in ``m``.
+    It walks ``b.codes`` and decodes none: a labelled code's world and
+    formula are read by ``divmod``, the support it speaks of (truth or
+    falsity) by bit 0 of its label and whether the label is barred by bit 1,
+    and the scalar ``Evaluator`` answers for the formula.
     """
     ev = Evaluator(m)
-    for item in b.items:
-        if isinstance(item, RelAtom):
-            if (item.source, item.target) not in m.frame.relation:
+    table = b.table
+    names, formulas = table.names, table.formulas
+    index, relation = m.frame.index, m.frame.relation
+    for code in b.codes:
+        if code < 0:
+            if (names[~code >> _RBITS], names[~code & _RMASK]) not in relation:
                 return False
             continue
-        if item.world not in m.frame.index:
+        w, f = divmod(code >> 2, table.size)
+        if names[w] not in index:
             return False
-        pos, negv = ev.supports(item.world, item.formula)
-        ok = {Val.T: pos, Val.F: negv, Val.TBAR: not pos, Val.FBAR: not negv}[item.value]
-        if not ok:
+        if ev.supports(names[w], formulas[f])[code & 1] == code >> 1 & 1:
             return False
     return True
 

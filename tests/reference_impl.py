@@ -6,6 +6,11 @@
 * ``extract_by_name_sets`` reads a branch's countermodel through
   per-world name sets and ``Model``, the reference for
   ``extract_countermodel``.
+* ``encode_by_index`` codes an item on a branch's table through a
+  ``Formula``-keyed index of its subformulas, the reference for the codes
+  of ``Branch.from_items``, and ``realised_by_items`` checks a model
+  against the decoded items of a branch, the reference for
+  ``check_realisation``.
 * ``enumerate_models`` and ``enumerate_frames`` list every *labelled*
   structure in the order whose first answer the bulk oracles report, each
   model decoded by ``model_by_values``, one ``FourValue`` per slot through
@@ -36,7 +41,10 @@ from fdek.bulkeval import BulkSpace, _compile, _guard, _Program, frame_from_mask
 from fdek.figures import _MODELS
 from fdek.semantics import VALUE_ORDER, Evaluator, FourValue, Frame, Model, model_to_dict
 from fdek.syntax import And, Atom, Box, Formula, Not, Or, Sequent, Tri, postorder, render
-from fdek.tableau import Branch, Item, ProofNode, Proved, RelAtom, TableauResult, Val
+from fdek.tableau import (
+    _RBITS, _VAL_CODE, Branch, Item, Labelled, ProofNode, Proved, RelAtom, TableauResult, Val,
+    _Table,
+)
 
 
 # --- proof results as dicts ----------------------------------------------------
@@ -99,6 +107,40 @@ def extract_by_name_sets(b: Branch) -> Model:
             support[item.value is Val.F][item.world].add(item.formula.name)
     mentioned = {f.name for f in b.table.formulas if type(f) is Atom}
     return Model(Frame(worlds, rel), *support, variables=mentioned)
+
+
+# --- the edges of a branch, item by item ----------------------------------------
+
+def encode_by_index(table: _Table, item: Item) -> int:
+    """The code of ``item`` on ``table``: a labelled item's formula is found
+    through a ``Formula``-keyed index of the table's subformulas (so it
+    must be one of them), and each world label is numbered in the table if
+    it is new.  The reference for the codes of ``Branch.from_items``."""
+    if isinstance(item, Labelled):
+        fids = {f: i for i, f in enumerate(table.formulas)}
+        key = table.world(item.world) * table.size + fids[item.formula]
+        return key << 2 | _VAL_CODE[item.value]
+    return ~(table.world(item.source) << _RBITS | table.world(item.target))
+
+
+def realised_by_items(m: Model, b: Branch) -> bool:
+    """Does ``m`` satisfy every item of ``b``, each decoded: a relational
+    atom is an edge of ``m``, and a labelled item's world is a world of
+    ``m`` at which the scalar ``Evaluator`` gives its formula the supports
+    its value label names.  The reference for ``check_realisation``."""
+    ev = Evaluator(m)
+    for item in b.items:
+        if isinstance(item, RelAtom):
+            if (item.source, item.target) not in m.frame.relation:
+                return False
+            continue
+        if item.world not in m.frame.index:
+            return False
+        pos, negv = ev.supports(item.world, item.formula)
+        ok = {Val.T: pos, Val.F: negv, Val.TBAR: not pos, Val.FBAR: not negv}[item.value]
+        if not ok:
+            return False
+    return True
 
 
 # --- labelled enumeration ------------------------------------------------------

@@ -22,7 +22,7 @@ from fdek.analysis import (
     claims_from_text, enumerate_formulas, find_countermodel, model_from_indices,
 )
 from fdek.bulkeval import BulkSpace, frame_from_mask
-from fdek.figures import load_frame, load_model
+from fdek.figures import load_frame, load_model, run_figures
 from fdek.semantics import (
     FRAME_PROPERTIES, BoundExceededError, Evaluator, FourValue, Frame, Model, PointedModel,
     box_clause, frame_to_dict, model_to_dict, sequent_valid_on_frame, tri_clause,
@@ -101,6 +101,24 @@ class TestModelEnumeration:
         # 5 as B and -1 as F.
         with pytest.raises(ValueError, match="outside"):
             decode()
+
+    @pytest.mark.parametrize("decode,message", [
+        (lambda: frame_from_mask(2, 1.0), "relation mask is an integer, not float"),
+        (lambda: frame_from_mask("2", 0), "a world count is an integer, not str"),
+        (lambda: model_from_indices(2, ["p"], 0, 1.0), "valuation index is an integer, not float"),
+        (lambda: model_from_indices(2.0, ["p"], 0, 0), "a world count is an integer, not float"),
+        (lambda: model_from_indices(2, ["p"], "0", 0), "relation mask is an integer, not str")],
+        ids=["float-mask", "str-worlds", "float-index", "float-worlds", "str-mask"])
+    def test_a_mask_or_index_is_an_integer(self, decode, message):
+        # Read by operator.index before a shift, a product or a bitwise and
+        # reads it, as a world count is.
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            decode()
+
+    def test_numpy_integers_decode(self):
+        assert frame_from_mask(np.int64(2), np.uint8(3)) == frame_from_mask(2, 3)
+        assert model_from_indices(np.int32(2), ["p"], np.int64(3), np.uint16(5)) == \
+            model_from_indices(2, ["p"], 3, 5)
 
     def test_the_last_mask_and_index_decode(self):
         assert frame_from_mask(2, 15).relation == {(a, b) for a in ("w0", "w1")
@@ -1672,6 +1690,24 @@ class TestIndistinguishability:
         point = PointedModel(load_model("fig1"), "w0")
         with pytest.raises(ValueError, match=match):
             check_indistinguishability(point, point, language, max_size)
+
+    def test_a_size_bound_is_an_integer(self):
+        # Read by the world count's reader, before a comparison or range
+        # reads it, and named; a numpy integer is a size.
+        point = PointedModel(load_model("fig1"), "w0")
+        calls = [("max_size", lambda n: check_indistinguishability(point, point, "tri", n)),
+                 ("max_size", lambda n: list(enumerate_formulas("tri", ["p"], n))),
+                 ("expressivity_size", run_figures)]
+        for name, call in calls:
+            for bad in (2.5, "3"):
+                with pytest.raises(TypeError, match=f"^{name} is an integer, not "
+                                                    f"{type(bad).__name__}$"):
+                    call(bad)
+        report = check_indistinguishability(point, point, "tri", np.int64(3))
+        assert type(report.max_size) is int and report.formulas_checked == \
+            check_indistinguishability(point, point, "tri", 3).formulas_checked
+        assert list(enumerate_formulas("tri", ["p"], np.int64(3))) == \
+            list(enumerate_formulas("tri", ["p"], 3))
 
     @pytest.mark.parametrize("language", ["tri", "box"])
     def test_matches_the_formula_by_formula_scan_on_random_models(self, monkeypatch, language):

@@ -94,7 +94,7 @@ class TestTable:
             formulas, nodes = table_by_index(s.premise, s.conclusion)
             assert ids(table.formulas) == ids(formulas), str(s)
             assert [(kind, max(a, 0), max(b, 0)) for kind, a, b in table.nodes] == nodes
-            assert table.fids == {f: i for i, f in enumerate(formulas)}
+            assert table.roots == (formulas.index(s.premise), formulas.index(s.conclusion))
             assert table.size == len(formulas)
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from fdek import tableau
 from fdek.analysis import find_countermodel
 from fdek.semantics import Evaluator, Frame, FourValue, Model, model_to_dict
-from fdek.syntax import Not, Or, Tri, parse_formula, parse_sequent, render, subformulas
+from fdek.syntax import Formula, Not, Or, Tri, parse_formula, parse_sequent, render, subformulas
 from fdek.tableau import (
     Branch, Labelled, LanguageError, ProofNode, ProofStats, Proved,
     RealisationError, Refuted, RelAtom, Val, bar, check_realisation,
@@ -17,7 +17,9 @@ from fdek.tableau import (
 )
 
 from conftest import RENAMINGS, corpus, hand_sequents, random_sequents
-from reference_impl import extract_by_name_sets, result_to_dict, tree_to_dict
+from reference_impl import (
+    encode_by_index, extract_by_name_sets, realised_by_items, result_to_dict, tree_to_dict,
+)
 
 q = parse_formula("q")
 p = parse_formula("p")
@@ -187,6 +189,13 @@ class TestProve:
             with pytest.raises(TypeError) as info:
                 entry(value)
             assert str(info.value).endswith(f"takes a {wanted}, not {type(value).__name__}")
+
+    @pytest.mark.parametrize("start", ["x", None, ["truth"]], ids=["str", "None", "list"])
+    def test_an_unknown_start_mode_is_refused(self, start):
+        # A start that is not a mode's name, an unhashable one too, is
+        # refused by value, not by the TypeError of a dict lookup.
+        with pytest.raises(ValueError, match="unknown start mode"):
+            prove(parse_sequent("p |- q"), start=start)
 
     @pytest.mark.parametrize("text", ["###p |- #p", "#p |- ###p",
                                       "##(p & q) |- ##p", "#(#p & #q) |- ##(p | q)",
@@ -643,7 +652,7 @@ class TestAgenda:
         b = Branch.from_items([TestSaturationStep._item(t)
                                for t in ("w0 R w1", "w1: p ; t", f"w0: #p ; {first}")])
         assert [bool(d) for d in b.dirty] == [False, False, True, False]
-        b.add(b.table.encode(TestSaturationStep._item(f"w0: #p ; {second}")))
+        b.add(encode_by_index(b.table, TestSaturationStep._item(f"w0: #p ; {second}")))
         # Only the key's first entry, at position 2, is on the agenda.
         assert {i for i, d in enumerate(b.dirty) if d} == {1, 2, 3}
         assert set().union(*b.dirty) == {2}
@@ -717,7 +726,7 @@ def woken(b, text):
     """Add the item of ``text`` to ``b``: the finders that gained a
     position, by their index in ``_FINDERS``."""
     before = [set(d) for d in b.dirty]
-    assert b.add(b.table.encode(TestSaturationStep._item(text)))
+    assert b.add(encode_by_index(b.table, TestSaturationStep._item(text)))
     return [i for i, (d, old) in enumerate(zip(b.dirty, before)) if d - old]
 
 
@@ -890,7 +899,7 @@ class TestBranchStores:
         assert minted() == (["w2", "w4"], 5)
         cp = b.checkpoint()
         for item in (RelAtom("w3", "w5"), lab("w2", "p", "f"), RelAtom("w1", "w0")):
-            b.add(b.table.encode(item))
+            b.add(encode_by_index(b.table, item))
         assert labels(b.worlds) == ["w0", "w1", "w3", "w5", "w2"]
         b.undo(cp)
         assert labels(b.worlds) == ["w0", "w1", "w3"]
@@ -900,9 +909,9 @@ class TestBranchStores:
         b = Branch.from_items([lab("w0", "#p", "f"), lab("w0", "#p", "tbar")])
         inst = tableau._select(b)
         tableau._apply_to(b, inst, inst[1][1])
-        dep = lambda item: b.deps[b.table.encode(item)]
-        # Membership is read off the items: ``encode`` would number an
-        # unknown world label as it went.
+        dep = lambda item: b.deps[encode_by_index(b.table, item)]
+        # Membership is read off the items: ``encode_by_index`` would
+        # number an unknown world label as it went.
         items = b.items
 
         def values(world, f):
@@ -1020,3 +1029,98 @@ def has_open_leaf(node):
             return True
         stack.extend(node.children)
     return False
+
+
+@pytest.fixture(scope="module")
+def refutations():
+    """Every refuted result of ``corpus()`` and of the benchmark's ``prove``
+    sequents at seeds 1 and 2, from both starts.  Extraction checks each
+    model with the item reference, so that a fault of ``check_realisation``
+    shows in a comparison and not as a ``RealisationError`` here."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        gen = importlib.import_module("gen")
+        mp.setattr(tableau, "check_realisation", realised_by_items)
+        sequents = corpus() + [parse_sequent(x["text"]) for seed in (1, 2)
+                               for x in gen.prove_inputs(seed)["sequents"]]
+        results = [prove(s, start=start) for s in sequents for start in ROOTS]
+    return [res for res in results if isinstance(res, Refuted)]
+
+
+def corpus_items():
+    """Item lists to build branches from: the rule cases' starts, and the
+    root items and the open branch, if any, of every ``corpus()``
+    sequent from both starts."""
+    lists = [[TestSaturationStep._item(t) for t in start]
+             for start, _ in TestSaturationStep.RULE_CASES.values()]
+    for s in corpus():
+        for start, (premise, conclusion) in ROOTS.items():
+            lists.append([Labelled("w0", s.premise, premise),
+                          Labelled("w0", s.conclusion, conclusion)])
+            res = prove(s, start=start)
+            if isinstance(res, Refuted):
+                lists.append(res.branch.items)
+    return lists
+
+
+def one_bit_mutants(m):
+    """``m`` with one support, truth or falsity, of one variable flipped at
+    one world, for each variable, world and support."""
+    for name, (pos, neg) in m.val.items():
+        for i in range(len(m.frame.worlds)):
+            for flipped in ((pos ^ 1 << i, neg), (pos, neg ^ 1 << i)):
+                yield Model._of(m.frame, {**m.val, name: flipped}, m.variables)
+
+
+class TestCodedEdges:
+    """Items enter a branch as codes and leave it only through the table's
+    ``decode``; realisation reads the codes.  Each is compared with the
+    item-by-item reference of ``reference_impl``."""
+
+    def test_from_items_codes_as_the_index_encoder(self):
+        lists = corpus_items()
+        for items in lists:
+            b = Branch.from_items(items)
+            table = tableau._Table(item.formula for item in items if isinstance(item, Labelled))
+            assert b.codes == list(dict.fromkeys(encode_by_index(table, item) for item in items))
+            assert b.table.names == table.names
+            assert b.items == items
+        assert len(lists) > 500
+
+    def test_realisation_is_the_item_reference(self, refutations):
+        # The extracted model realises its branch; its one-bit mutants may
+        # not, and the two checks must agree on each.
+        checked = unrealised = 0
+        for res in refutations:
+            assert check_realisation(res.model, res.branch) is True
+            assert realised_by_items(res.model, res.branch) is True
+            for m in one_bit_mutants(res.model):
+                got = check_realisation(m, res.branch)
+                assert got is realised_by_items(m, res.branch)
+                checked += 1
+                unrealised += not got
+        assert len(refutations) == 814
+        assert (checked, unrealised) == (7058, 3402)
+
+
+def test_the_prover_hashes_and_compares_no_formula(monkeypatch):
+    # Under the numbering, prove codes its roots and Branch.from_items its
+    # items without hashing or comparing a formula.  Refuted sequents are
+    # left out: their extraction runs the scalar Evaluator, whose memo is
+    # keyed by formula.
+    sequents = [s for s in corpus(200) if isinstance(prove(s), Proved)]
+    sequents += [parse_sequent(f"{'#' * k}p |- {'#' * k}~p") for k in range(1, 5)]
+    lists = corpus_items()
+
+    def refuse(self, *args):
+        raise AssertionError("a formula was hashed or compared")
+
+    monkeypatch.setattr(Formula, "__hash__", refuse)
+    monkeypatch.setattr(Formula, "__eq__", refuse)
+    results = [prove(s, start=start) for s in sequents for start in ROOTS]
+    branches = [Branch.from_items(items) for items in lists]
+    monkeypatch.undo()
+    assert len(sequents) > 40 and all(isinstance(res, Proved) for res in results)
+    assert [result_to_json(res) for res in results] == \
+        [result_to_json(prove(s, start=start)) for s in sequents for start in ROOTS]
+    assert [b.items for b in branches] == lists
