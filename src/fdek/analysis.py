@@ -130,17 +130,23 @@ def enumerate_formulas(language: str, vars: Sequence[str],
                        max_size: int) -> Iterator[Formula]:
     """All formulas of the tagged language over ``vars`` with at most
     ``max_size`` AST nodes; duplicate-free, ordered by size and within a
-    size by ``_sections``."""
+    size by ``_sections``.  The bound, the language and the names are read
+    at the call, so a bad one is refused before a generator is returned."""
     max_size = _integer(max_size, "max_size")
     unary, binary = _operators(language)
-    by_size: list[list[Formula]] = [[], [Atom(v) for v in sorted(set(vars))]]
-    for size in range(1, max_size + 1):
-        if size > 1:
-            bucket: list[Formula] = []
-            for op, sizes in _sections(size, unary, binary):
-                bucket += starmap(op, product(*(by_size[k] for k in sizes)))
-            by_size.append(bucket)
-        yield from by_size[size]
+    leaves = [Atom(v) for v in sorted(set(vars))]
+
+    def formulas() -> Iterator[Formula]:
+        by_size: list[list[Formula]] = [[], leaves]
+        for size in range(1, max_size + 1):
+            if size > 1:
+                bucket: list[Formula] = []
+                for op, sizes in _sections(size, unary, binary):
+                    bucket += starmap(op, product(*(by_size[k] for k in sizes)))
+                by_size.append(bucket)
+            yield from by_size[size]
+
+    return formulas()
 
 
 def _formula_at(size: int, pos: int, leaves: list[Formula], unary: Sequence[Callable],

@@ -104,9 +104,11 @@ variables and modal depth off its program, and no block.
 ``model_from_indices`` and ``frame_from_mask`` decode any point of the
 enumeration and refuse one outside it.  A space over chosen relation
 masks, ``BulkSpace(n, variables, masks)``, is for labelled scans outside
-the sweeps (the tests' references and the benchmark's probes); it refuses
-a mask outside the enumeration or not an integer, builds its own record,
-uncached, and reads the same blocks and atom tables as a sweep:
+the sweeps (the tests' references and the benchmark's probes); it reads
+each mask with ``_check_index``, as ``frame_from_mask`` does, so it
+refuses one outside the enumeration or not an integer as that does,
+builds its own record, uncached, and reads the same blocks and atom
+tables as a sweep:
 
 * relation ``r`` contains the pair (i, j) iff bit ``i*n + j`` of the mask
   is set; a sweep enumerates the class representatives ascending, and
@@ -172,10 +174,11 @@ def _guard(worlds: int | Frame, variable_count: int) -> None:
 
 
 def _integer(value: int, name: str = "a world count") -> int:
-    """``value``, the argument ``name``, read by ``operator.index``: a numpy
-    integer is an integer, and a float or a string is refused with a
-    ``TypeError`` that names the argument and the value's type, before
-    numpy, a comparison, a shift or ``range`` reads it."""
+    """``value``, the argument ``name``, read by ``operator.index`` (called
+    nowhere else in the package): a numpy integer is an integer, and a
+    float or a string is refused with a ``TypeError`` that names the
+    argument and the value's type, before numpy, a comparison, a shift or
+    ``range`` reads it."""
     try:
         return operator.index(value)
     except TypeError:
@@ -190,29 +193,6 @@ def _check_index(what: str, index: int, count: int) -> int:
     if not 0 <= index < count:
         raise ValueError(f"{what} {index} is outside [0, {count})")
     return index
-
-
-def _mask_array(rel_masks: Sequence[int], count: int) -> np.ndarray:
-    """``rel_masks`` as int64 relation masks, each refused unless it is an
-    integer in ``[0, count)``.  An integer array is checked whole.  Numpy
-    makes floats, strings or objects (an integer past 64 bits) of any other
-    input, so that is checked mask by mask as given: none is truncated,
-    parsed or overflows."""
-    masks = np.asarray(rel_masks)
-    if masks.dtype.kind not in "iu":
-        checked = []
-        for m in rel_masks.tolist() if isinstance(rel_masks, np.ndarray) else rel_masks:
-            try:
-                m = operator.index(m)
-            except TypeError:
-                raise ValueError(f"relation mask {m!r} is not an integer") from None
-            _check_index("relation mask", m, count)
-            checked.append(m)
-        return np.array(checked, dtype=np.int64)
-    outside = (masks < 0) | (masks >= count)
-    if outside.any():
-        _check_index("relation mask", int(masks[outside.argmax()]), count)
-    return masks.astype(np.int64, copy=False)
 
 
 def frame_from_mask(n_worlds: int, rel_mask: int) -> Frame:
@@ -360,7 +340,10 @@ class BulkSpace:
     ``variables`` on ``n_worlds`` worlds: the relations of the given masks
     (default: every mask, ascending), or those of a ``sweep``.  ``masks[r]``
     is the mask of relation ``r``, None on a given frame; ``succ[r, w]`` has
-    bit j set iff relation r contains (w, j).  A space is its variable
+    bit j set iff relation r contains (w, j).  Given masks are read one
+    by one, in order, by ``_check_index`` (an array through ``tolist``):
+    the first that is not an integer gets its ``TypeError``, the first
+    outside ``[0, 2^(n*n))`` its ``ValueError``.  A space is its variable
     names bound to a plan (``_Plan``), which holds the record and the block
     layout under ``_BLOCK_PAIRS`` as read when the space is made; the space
     is read in the plan's blocks (``_blocks``), and its answers are
@@ -371,7 +354,10 @@ class BulkSpace:
         names = tuple(sorted(set(variables)))
         _guard(n_worlds, len(names))
         count = 2 ** (n_worlds * n_worlds)
-        masks = np.arange(count) if rel_masks is None else _mask_array(rel_masks, count)
+        if isinstance(rel_masks, np.ndarray):
+            rel_masks = rel_masks.tolist()  # each numpy scalar as the Python value it holds
+        masks = np.arange(count) if rel_masks is None else np.array(
+            [_check_index("relation mask", m, count) for m in rel_masks], dtype=np.int64)
         record = _RelationList(masks, _successors(n_worlds, masks))
         self._bind(names, _Plan(n_worlds, len(names), record, _BLOCK_PAIRS))
 

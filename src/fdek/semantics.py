@@ -448,6 +448,8 @@ def eval_formula(m: Model, world: str, f: Formula) -> FourValue:
 
 def sequent_holds(m: Model, s: Sequent) -> bool:
     """Truth preservation at every world of ``m``."""
+    if not isinstance(s, Sequent):
+        raise TypeError(f"sequent_holds takes a Sequent, not {type(s).__name__}")
     return _holds(Evaluator(m), s)
 
 

@@ -1,9 +1,9 @@
+import ast
 import gc
 import hashlib
 import importlib
 import json
 import random
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -115,6 +115,25 @@ class TestModelEnumeration:
         with pytest.raises(TypeError, match=f"^{message}$"):
             decode()
 
+    def test_one_reader_reads_every_integer(self):
+        # In the package, operator.index is named only in bulkeval._integer,
+        # so every count, mask and index is refused with one TypeError.
+        sites = []
+        for path in sorted(Path(bulkeval.__file__).parent.glob("*.py")):
+            stack = [(ast.parse(path.read_text()), ())]
+            while stack:
+                node, scope = stack.pop()
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                    scope += (node.name,)
+                stack += [(child, scope) for child in ast.iter_child_nodes(node)]
+                named = isinstance(node, ast.Attribute) and node.attr == "index" and \
+                    getattr(node.value, "id", None) == "operator"
+                imported = isinstance(node, ast.ImportFrom) and node.module == "operator" and \
+                    any(alias.name == "index" for alias in node.names)
+                if named or imported:
+                    sites.append((path.name, scope))
+        assert sites == [("bulkeval.py", ("_integer",))]
+
     def test_numpy_integers_decode(self):
         assert frame_from_mask(np.int64(2), np.uint8(3)) == frame_from_mask(2, 3)
         assert model_from_indices(np.int32(2), ["p"], np.int64(3), np.uint16(5)) == \
@@ -216,6 +235,18 @@ class TestFormulaEnumeration:
     def test_unknown_language(self):
         with pytest.raises(ValueError):
             next(enumerate_formulas("classical", ["p"], 2))
+
+    @pytest.mark.parametrize("language,names,max_size,error,message", [
+        ("tri", ["p"], 2.5, TypeError, "max_size is an integer, not float"),
+        ("xyz", ["p"], 3, ValueError, "unknown language"),
+        ("tri", ["P"], 3, ValueError, "bad atom name 'P'")],
+        ids=["float-bound", "language", "name"])
+    def test_bad_arguments_are_refused_at_the_call(self, language, names, max_size, error,
+                                                    message):
+        # Refused by the call itself, not by the first next() of the
+        # generator it returns.
+        with pytest.raises(error, match=message):
+            enumerate_formulas(language, names, max_size)
 
     @pytest.mark.parametrize("language,names,max_size,digest", [
         ("tri", ["p", "q"], 7, "2ee35697d6dd0e91447ab1ed3848082409460eebbf1d5fc3f22a39aecf859c7a"),
@@ -532,9 +563,25 @@ class TestBulkAgreement:
     def test_a_labelled_space_refuses_a_mask_outside_the_enumeration(self, masks, bad):
         # Bit i*n + j of a mask is the pair (i, j); a mask outside
         # [0, 2^(n*n)) names no relation, and its frame would not decode.
-        why = r"is outside \[0, 16\)" if isinstance(bad, int) else "is not an integer"
-        with pytest.raises(ValueError, match=rf"^relation mask {re.escape(repr(bad))} {why}$"):
+        # A mask that is no integer is refused as frame_from_mask refuses it.
+        if isinstance(bad, int):
+            error, message = ValueError, rf"relation mask {bad} is outside \[0, 16\)"
+        else:
+            error, message = TypeError, f"relation mask is an integer, not {type(bad).__name__}"
+        with pytest.raises(error, match=f"^{message}$"):
             BulkSpace(2, ["p"], masks)
+
+    @pytest.mark.parametrize("masks,read", [
+        ([0, 2 ** 4 - 1], [0, 15]), (np.array([3, 1], dtype=np.int64), [3, 1]),
+        (np.array([15], dtype=np.uint64), [15]), (np.array([2, 7], dtype=object), [2, 7]),
+        ([True, False], [1, 0]), (np.array([True]), [1]), ([np.uint8(9)], [9]),
+        (range(0, 16, 5), [0, 5, 10, 15]), ([], [])],
+        ids=["ints", "int64", "uint64", "object", "bools", "bool-array", "numpy-scalar",
+             "range", "empty"])
+    def test_a_labelled_space_reads_integer_masks_of_any_kind(self, masks, read):
+        # Python ints, numpy integers and bools are masks, in the order given.
+        space = BulkSpace(2, ["p"], masks)
+        assert space.masks.dtype == np.int64 and space.masks.tolist() == read
 
     def test_an_empty_labelled_space_answers_for_no_relation(self):
         # A space of no relation has no block, so no countermodel and an

@@ -600,6 +600,14 @@ class TestSequents:
         m = load_model("fig4")
         assert sequent_holds(m, parse_sequent("q | ~q |- #(q | ~q)")) is False
 
+    @pytest.mark.parametrize("value", [parse_formula("p"), "p |- p", None],
+                             ids=["Formula", "str", "None"])
+    def test_sequent_holds_refuses_what_is_not_a_sequent(self, value):
+        # As prove does, by type and before the model is read.
+        with pytest.raises(TypeError, match=f"^sequent_holds takes a Sequent, not "
+                                            f"{type(value).__name__}$"):
+            sequent_holds(load_model("fig4"), value)
+
     def test_reflexive_point_validates_t_sequent(self):
         fr = Frame(["w0"], [("w0", "w0")])
         assert sequent_valid_on_frame(fr, parse_sequent("#(p | ~p) |- p | ~p"))

@@ -102,6 +102,10 @@ class TestSaturationStep:
 
     # One minimal branch per rule; the items each child adds, in order.
     RULE_CASES = {
+        "not_t": (["w0: ~p ; t"], [["w0: p ; f"]]),
+        "not_f": (["w0: ~p ; f"], [["w0: p ; t"]]),
+        "not_tbar": (["w0: ~p ; tbar"], [["w0: p ; fbar"]]),
+        "not_fbar": (["w0: ~p ; fbar"], [["w0: p ; tbar"]]),
         "and_t": (["w0: p & q ; t"], [["w0: p ; t", "w0: q ; t"]]),
         "and_fbar": (["w0: p & q ; fbar"], [["w0: p ; fbar", "w0: q ; fbar"]]),
         "or_f": (["w0: p | q ; f"], [["w0: p ; f", "w0: q ; f"]]),
@@ -122,9 +126,14 @@ class TestSaturationStep:
                    [["w0 R w1", "w1: p ; t", "w1: p ; f"]]),
         "tri_N+": (["w0: #p ; tbar", "w0: #p ; fbar"],
                    [["w0 R w1", "w1: p ; tbar", "w1: p ; fbar"]]),
+        "tri_T": (["w0: #p ; t", "w0: #p ; fbar", "w0 R w1", "w1: p ; t"],
+                  [["w1: p ; fbar"]]),
         "tri_T'": (["w0: #p ; t", "w0: #p ; fbar", "w0 R w1", "w0 R w2",
                     "w1: p ; t", "w1: p ; fbar"],
                    [["w2: p ; t", "w2: p ; fbar"]]),
+        "tri_F": (["w0: #p ; f", "w0: #p ; tbar"],
+                  [["w0 R w1", "w0 R w2", "w1: p ; t", "w2: p ; tbar"],
+                   ["w0 R w1", "w0 R w2", "w1: p ; f", "w2: p ; fbar"]]),
         "cut-tri": (["w0: #p ; t"], [["w0: #p ; f"], ["w0: #p ; fbar"]]),
         "cut-two-premise": (["w0: p & q ; f"], [["w0: p ; f"], ["w0: p ; fbar"]]),
     }
@@ -144,6 +153,18 @@ class TestSaturationStep:
         children = saturation_step(b)
         assert [child.items[len(b):] for child in children] == \
             [[self._item(t) for t in adds] for adds in expected]
+
+    def test_every_rule_the_finders_fire_has_a_case(self):
+        # A schema's key names its rule up to the first "-": each rule the
+        # finders can return has one, each schema names such a rule, and
+        # the first instance on its start is that rule's.
+        rules = {name for names in tableau._RULES.values() for name in names}
+        rules |= {rule + plus for rule, *_ in tableau._UNIFORM for plus in ("", "+")}
+        rules |= {"tri_T", "tri_T'", "tri_F", "cut"}
+        assert rules == {key.split("-")[0] for key in self.RULE_CASES}
+        for key, (start, _) in self.RULE_CASES.items():
+            b = Branch.from_items([self._item(t) for t in start])
+            assert tableau._select(b)[0] == key.split("-")[0], key
 
     def test_closed_branch_rejected(self):
         b = Branch.from_items([lab("w0", "p", "t"), lab("w0", "p", "tbar")])
