@@ -17,8 +17,8 @@ from .syntax import (
 from .semantics import (
     BoundExceededError, Evaluator, FourValue, Frame, Model, ModelError,
     PointedModel, UnknownWorldError, dual_model, eval_formula,
-    formula_valid_on_frame, frame_from_dict, frame_property, frame_to_dict,
-    model_from_dict, model_to_dict, sequent_holds, sequent_valid_on_frame,
+    frame_from_dict, frame_property, frame_to_dict, model_from_dict,
+    model_to_dict, sequent_holds,
 )
 from .tableau import (
     Branch, Labelled, LanguageError, Proved, RealisationError, Refuted,
@@ -27,7 +27,8 @@ from .tableau import (
 )
 from .analysis import (
     PAPER_FRAME_CLASSES, check_definability, check_indistinguishability,
-    enumerate_formulas, find_countermodel, model_from_indices,
+    enumerate_formulas, find_countermodel, formula_valid_on_frame,
+    model_from_indices, sequent_valid_on_frame,
 )
 
 __version__ = "0.1.0"

@@ -1,5 +1,6 @@
 """Bounded brute-force oracles: formula enumeration, countermodel search,
-frame-class definability sweeps, and bounded expressivity checks.
+validity on a given frame, frame-class definability sweeps, and bounded
+expressivity checks.
 
 The bulk oracles (``find_countermodel``, ``check_definability``) answer for
 every *labelled* model up to a world count, in the labelled order: world
@@ -11,6 +12,16 @@ witnesses and frame counts are those of the labelled scan.  The
 countermodel search sweeps only the classes rooted and cut at the
 sequent's modal depth, the only ones that can hold a first countermodel
 (``bulkeval``'s module docstring gives the argument).
+Validity on a given frame (``sequent_valid_on_frame``,
+``formula_valid_on_frame``) compiles the claim once, as the countermodel
+search does, and sweeps every valuation of its variables on that frame.
+
+Validity note: sequent validity on a frame is truth preservation at every
+world of every model on it.  Formula validity (truth at every world of
+every model) is also provided; the two notions do not reduce to each other
+here because the logic has no valid formulas at all, yet e.g. ``#p`` is
+valid as a formula exactly on empty-relation frames.
+
 "There is no formula such that ..." claims are checked up to a stated AST
 size and reported as bounded evidence, not as proofs.  Those scans fold
 the clauses over the distinct value vectors of each formula size and
@@ -42,7 +53,7 @@ from .bulkeval import (
     _compile, _guard, _integer, _model_on, _relation_list, model_from_indices, sweep,
 )
 from .semantics import (
-    FRAME_PROPERTIES, FourValue, PointedModel, _ClauseMemo, and_clause, atom_clause,
+    FRAME_PROPERTIES, FourValue, Frame, PointedModel, _ClauseMemo, and_clause, atom_clause,
     box_clause, frame_to_dict, model_to_dict, not_clause, or_clause, tri_clause,
 )
 from .syntax import (
@@ -52,6 +63,7 @@ from .syntax import (
 
 __all__ = [
     "model_from_indices", "enumerate_formulas", "find_countermodel",
+    "sequent_valid_on_frame", "formula_valid_on_frame",
     "DefinabilityReport", "check_definability", "PAPER_FRAME_CLASSES",
     "IndistinguishabilityReport", "check_indistinguishability",
     "Claim", "claims_from_text",
@@ -199,6 +211,29 @@ def find_countermodel(s: Sequent, max_worlds: int) -> PointedModel | None:
             frame = space.frame(r)
             return PointedModel(_model_on(frame, program.names, v), frame.worlds[w])
     return None
+
+
+def _valid_on_frame(fr: Frame, claim: Claim) -> bool:
+    """Exhaustive validity of ``claim`` over every valuation of its
+    variables on ``fr``, on the bulk evaluator, up to the first block that
+    refutes it; the claim is compiled once for every block.
+
+    Only the variables occurring in the claim need to be enumerated:
+    evaluation is a structural recursion that never reads any other
+    variable, so extra variables cannot change a validity verdict.
+    """
+    program = _compile(claim)
+    return sweep(fr, program.names).first_countermodel(program) is None
+
+
+def sequent_valid_on_frame(fr: Frame, s: Sequent) -> bool:
+    """Exhaustively check truth preservation over all valuations on ``fr``."""
+    return _valid_on_frame(fr, s)
+
+
+def formula_valid_on_frame(fr: Frame, f: Formula) -> bool:
+    """True iff ``f`` is supported-true at every world of every model on ``fr``."""
+    return _valid_on_frame(fr, f)
 
 
 # --- frame definability --------------------------------------------------------

@@ -53,11 +53,11 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _print_model(model, designated=None):
+def _model_text(model, designated=None) -> str:
     data = semantics.model_to_dict(model)
     if designated is not None:
         data["designated"] = designated
-    print(json.dumps(data, indent=2))
+    return json.dumps(data, indent=2)
 
 
 def _cmd_prove(args) -> int:
@@ -67,14 +67,16 @@ def _cmd_prove(args) -> int:
     if args.json:
         print(tableau.result_to_json(result))
         return 0 if proved else 1
-    print("PROVED" if proved else "REFUTED")
+    # Every part is built before the first is printed, so an error while
+    # building one leaves no verdict on stdout.  ``print`` writes the parts
+    # one by one, with no joined copy of the tree.
+    parts = ["PROVED" if proved else "REFUTED"]
     if args.tree:
-        print(tableau.tree_to_text(result.tree, pretty=_pretty()))
-    if proved:
-        return 0
-    print("countermodel:")
-    _print_model(result.model, designated=result.world)
-    return 1
+        parts.append(tableau.tree_to_text(result.tree, pretty=_pretty()))
+    if not proved:
+        parts += ("countermodel:", _model_text(result.model, designated=result.world))
+    print(*parts, sep="\n")
+    return 0 if proved else 1
 
 
 def _cmd_eval(args) -> int:
@@ -96,9 +98,9 @@ def _cmd_valid_on_frame(args) -> int:
         raise ParseError("expected exactly one sequent or formula", 0)
     claim = claims[0]
     if isinstance(claim, Sequent):
-        valid = semantics.sequent_valid_on_frame(frame, claim)
+        valid = analysis.sequent_valid_on_frame(frame, claim)
     else:
-        valid = semantics.formula_valid_on_frame(frame, claim)
+        valid = analysis.formula_valid_on_frame(frame, claim)
     if args.json:
         print(json.dumps({"claim": args.claim.strip(), "valid": valid}))
     else:
@@ -108,7 +110,7 @@ def _cmd_valid_on_frame(args) -> int:
 
 def _cmd_dual(args) -> int:
     model = semantics.model_from_dict(_load_json(args.model))
-    _print_model(semantics.dual_model(model))
+    print(_model_text(semantics.dual_model(model)))
     return 0
 
 
@@ -126,8 +128,7 @@ def _cmd_countermodel(args) -> int:
         data["designated"] = found.world
         print(json.dumps({"found": True, "countermodel": data}))
     else:
-        print("countermodel:")
-        _print_model(found.model, designated=found.world)
+        print("countermodel:", _model_text(found.model, designated=found.world), sep="\n")
     return 0
 
 

@@ -15,12 +15,12 @@ from importlib import resources
 
 from .analysis import (
     PAPER_FRAME_CLASSES, _first_formula, check_definability, check_indistinguishability,
+    formula_valid_on_frame, sequent_valid_on_frame,
 )
 from .bulkeval import _integer
 from .semantics import (
     Evaluator, FourValue, Frame, Model, PointedModel, _holds,
-    formula_valid_on_frame, frame_from_dict, frame_property, frame_to_dict,
-    model_from_dict, sequent_valid_on_frame,
+    frame_from_dict, frame_property, frame_to_dict, model_from_dict,
 )
 from .syntax import LANG_TRI, parse_formula, parse_sequent
 from .tableau import Proved, Refuted, prove

@@ -39,12 +39,6 @@ from ``Model.from_values``, a dual, a sweep's witness, a tableau
 countermodel) is made from its support bitsets by the one builder
 ``Model._of``; ``Model(frame, vplus, vminus)``, ``from_values`` and the
 ``Frame`` decode what a caller writes.
-
-Validity note: sequent validity on a frame is truth preservation at every
-world of every model on it.  Formula validity (truth at every world of
-every model) is also provided; the two notions do not reduce to each other
-here because the logic has no valid formulas at all, yet e.g. ``#p`` is
-valid as a formula exactly on empty-relation frames.
 """
 
 from __future__ import annotations
@@ -58,7 +52,7 @@ from .syntax import ATOM_RE, And, Atom, Box, Formula, Not, Or, Sequent, Tri
 __all__ = [
     "FourValue", "Frame", "Model", "PointedModel",
     "ModelError", "UnknownWorldError", "BoundExceededError",
-    "eval_formula", "sequent_holds", "sequent_valid_on_frame", "formula_valid_on_frame",
+    "eval_formula", "sequent_holds",
     "dual_model", "frame_property", "FRAME_PROPERTIES",
     "model_to_dict", "model_from_dict", "frame_from_dict", "frame_to_dict",
     "VALUE_ORDER", "Evaluator",
@@ -459,30 +453,6 @@ def _holds(ev: Evaluator, s: Sequent) -> bool:
         if ev.supports(w, s.premise)[0] and not ev.supports(w, s.conclusion)[0]:
             return False
     return True
-
-
-def _valid_on_frame(fr: Frame, claim: Sequent | Formula) -> bool:
-    """Exhaustive validity of ``claim`` over every valuation of its
-    variables on ``fr``, on the bulk evaluator, up to the first block that
-    refutes it; the claim is compiled once for every block.
-
-    Only the variables occurring in the claim need to be enumerated:
-    evaluation is a structural recursion that never reads any other
-    variable, so extra variables cannot change a validity verdict.
-    """
-    from .bulkeval import _compile, sweep  # bulkeval imports this module
-    program = _compile(claim)
-    return sweep(fr, program.names).first_countermodel(program) is None
-
-
-def sequent_valid_on_frame(fr: Frame, s: Sequent) -> bool:
-    """Exhaustively check truth preservation over all valuations on ``fr``."""
-    return _valid_on_frame(fr, s)
-
-
-def formula_valid_on_frame(fr: Frame, f: Formula) -> bool:
-    """True iff ``f`` is supported-true at every world of every model on ``fr``."""
-    return _valid_on_frame(fr, f)
 
 
 def dual_model(m: Model) -> Model:

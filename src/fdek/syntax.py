@@ -9,9 +9,9 @@ stack.  ``_number``, the shared walk down a formula, numbers each
 distinct subformula once, children first, by its class and its
 children's numbers (an atom by its name), so it compares no formulas and
 walks each node object once.  The tableau's table and the bulk
-evaluator's compiled programs read its numbering, and ``postorder``,
-which serves ``subformulas`` and ``variables``, is its list of formulas;
-the scalar ``Evaluator`` walks once with a value stack.
+evaluator's compiled programs read its numbering, and ``subformulas``
+and ``variables`` read its list of formulas; the scalar ``Evaluator``
+walks once with a value stack.
 
 One operator table, ``_PREFIX`` and ``_BINARY``, drives the lexer, the
 parser and the renderer (the README lists the surface syntax).  A prefix
@@ -48,7 +48,7 @@ __all__ = [
     "Formula", "Atom", "Not", "And", "Or", "Tri", "Box",
     "Sequent", "ParseError",
     "parse_formula", "parse_sequent", "render", "render_sequent",
-    "postorder", "subformulas", "variables",
+    "subformulas", "variables",
     "LANG_TRI", "LANG_BOX",
 ]
 
@@ -477,17 +477,11 @@ def _number(*fs: Formula) -> tuple[list[Formula], list[tuple[type, int, int]], t
     return formulas, nodes, tuple(done[id(f)] for f in fs)
 
 
-def postorder(*fs: Formula) -> list[Formula]:
-    """Each distinct subformula of ``fs`` once, every node after its
-    children (``_number``)."""
-    return _number(*fs)[0]
-
-
 def subformulas(*fs: Formula) -> frozenset[Formula]:
     """All subtrees of the given formulas, each including itself."""
-    return frozenset(postorder(*fs))
+    return frozenset(_number(*fs)[0])
 
 
 def variables(*fs: Formula) -> frozenset[str]:
     """The variables occurring in any of the given formulas."""
-    return frozenset(sub.name for sub in postorder(*fs) if isinstance(sub, Atom))
+    return frozenset(sub.name for sub in _number(*fs)[0] if isinstance(sub, Atom))

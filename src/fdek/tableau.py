@@ -29,15 +29,16 @@ both numberings last for the whole search.  With ``F`` formulas, item
 ``w: f ; v`` is the code ``((w * F + f) << 2) | v``, where ``v`` is the
 position of the label in ``_VAL_ORDER``: so ``code ^ 2`` is its bar,
 ``code ^ 1`` its negation, and closure is one lookup.  ``w R w'`` is the
-negative code ``~(w << 32 | w')``.  The edges run on codes too: ``prove``
-codes its two root items from the numbers ``_number`` gives the root
-formulas, so the prover hashes and compares no formula, and extraction
+negative code ``~(w << 32 | w')``.  The edges run on codes too:
+``Branch.from_items`` codes each labelled item by the number ``_number``
+gives its formula as a root, and ``prove`` builds its root branch from
+its two root items, ``w0: premise`` and ``w0: conclusion`` labelled by
+the start mode, so the prover hashes and compares no formula; extraction
 and ``check_realisation`` read a code's world, formula and label by
 arithmetic.  ``_Table.decode`` is the one place a ``Labelled`` item or a
 ``RelAtom`` is built, for the items a proof node adds, ``Branch.items``
 and serialisation; it decodes each code once, so equal items of one
-proof are one object.  ``Branch.from_items`` takes items from outside a
-search and codes each labelled one by its formula's root number.
+proof are one object.
 
 The first applicable instance is found from an agenda, not by a scan of
 the branch, as a SAT solver visits only the clauses an assignment
@@ -726,7 +727,7 @@ class Refuted:
 TableauResult = Union[Proved, Refuted]
 
 # The labels of the premise and the conclusion at the root, by start mode.
-_STARTS = {"truth": (_T, _TBAR), "nonfalsity": (_FBAR, _F)}
+_STARTS = {"truth": (Val.T, Val.TBAR), "nonfalsity": (Val.FBAR, Val.F)}
 
 
 def prove(s: Sequent, *, start: str = "truth") -> TableauResult:
@@ -743,15 +744,13 @@ def prove(s: Sequent, *, start: str = "truth") -> TableauResult:
     """
     if not isinstance(s, Sequent):
         raise TypeError(f"prove takes a Sequent, not {type(s).__name__}")
-    table = _Table((s.premise, s.conclusion))
-    if any(kind is Box for kind, _, _ in table.nodes):
-        raise LanguageError("the proof system covers the #-fragment; [] is not supported")
     if not isinstance(start, str) or start not in _STARTS:
         raise ValueError(f"unknown start mode {start!r}")
-    table.world("w0")   # world 0: an item's key there is its formula's id
-    codes = [root << 2 | v for root, v in zip(table.roots, _STARTS[start])]
-    branch = Branch(table, codes)
-    root = ProofNode(None, tuple(map(table.decode, codes)))
+    v, u = _STARTS[start]
+    branch = Branch.from_items((Labelled("w0", s.premise, v), Labelled("w0", s.conclusion, u)))
+    if any(kind is Box for kind, _, _ in branch.table.nodes):
+        raise LanguageError("the proof system covers the #-fragment; [] is not supported")
+    root = ProofNode(None, tuple(branch.items))
     stats = ProofStats()
     open_branch = _explore(branch, root, stats)
     if open_branch is None:

@@ -25,9 +25,10 @@
 * ``modal_depth_by_postorder`` folds the modal depth children first, and
   ``size`` counts nodes, a shared subtree at each occurrence.
 * ``postorder_by_equality`` lists each distinct subformula once, children
-  first, deduplicated through a set of formulas, the reference for
-  ``syntax.postorder``; ``table_by_index`` and ``compile_by_index`` number
-  its list through a ``Formula``-keyed index, the references for
+  first, deduplicated through a set of formulas, the reference for the
+  list of formulas ``syntax._number`` gives; ``table_by_index`` and
+  ``compile_by_index`` number its list through a ``Formula``-keyed
+  index, the references for
   ``tableau._Table``'s numbering and ``bulkeval._compile``.
 * ``near_and_within`` is a breadth-first search to a depth.
 * ``model_names`` lists the bundled models ``figures.load_model`` reads.
@@ -40,7 +41,7 @@ import numpy as np
 from fdek.bulkeval import BulkSpace, _compile, _guard, _Program, frame_from_mask, sweep
 from fdek.figures import _MODELS
 from fdek.semantics import VALUE_ORDER, Evaluator, FourValue, Frame, Model, model_to_dict
-from fdek.syntax import And, Atom, Box, Formula, Not, Or, Sequent, Tri, postorder, render
+from fdek.syntax import And, Atom, Box, Formula, Not, Or, Sequent, Tri, _number, render
 from fdek.tableau import (
     _RBITS, _VAL_CODE, Branch, Item, Labelled, ProofNode, Proved, RelAtom, TableauResult, Val,
     _Table,
@@ -264,9 +265,10 @@ def bulk_values(m: Model, f: Formula) -> dict[str, FourValue]:
 # --- modal depth ---------------------------------------------------------------
 
 def modal_depth_by_postorder(*fs: Formula) -> int:
-    """The deepest nesting of ``#`` and ``[]``, folded over ``postorder``."""
+    """The deepest nesting of ``#`` and ``[]``, folded children first over
+    ``syntax._number``'s list."""
     depths: dict[Formula, int] = {}
-    for node in postorder(*fs):
+    for node in _number(*fs)[0]:
         below = max((depths[getattr(node, name)] for name in node._fields), default=0)
         depths[node] = below + isinstance(node, (Tri, Box))
     return max((depths[f] for f in fs), default=0)
@@ -288,7 +290,7 @@ def near_and_within(successors, root: str, depth: int) -> tuple[set, set]:
 def size(f: Formula) -> int:
     """Number of AST nodes, a shared subtree counted at each occurrence."""
     sizes: dict[Formula, int] = {}
-    for node in postorder(f):
+    for node in _number(f)[0]:
         sizes[node] = 1 + sum(sizes[getattr(node, name)] for name in node._fields)
     return sizes[f]
 
@@ -298,8 +300,8 @@ def size(f: Formula) -> int:
 def postorder_by_equality(*fs: Formula) -> list[Formula]:
     """Each distinct subformula of ``fs`` once, every node after its
     children: a walk that skips a node equal to one met before, with its
-    subtree, through a set of formulas.  The reference for
-    ``syntax.postorder``."""
+    subtree, through a set of formulas.  The reference for the list of
+    formulas ``syntax._number`` gives."""
     order: list[Formula] = []
     seen: set[Formula] = set()
     stack = [(f, False) for f in reversed(fs)]

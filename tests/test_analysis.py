@@ -20,12 +20,13 @@ from fdek import analysis, bulkeval, syntax
 from fdek.analysis import (
     PAPER_FRAME_CLASSES, _claim_text, check_definability, check_indistinguishability,
     claims_from_text, enumerate_formulas, find_countermodel, model_from_indices,
+    sequent_valid_on_frame,
 )
 from fdek.bulkeval import BulkSpace, frame_from_mask
 from fdek.figures import load_frame, load_model, run_figures
 from fdek.semantics import (
     FRAME_PROPERTIES, BoundExceededError, Evaluator, FourValue, Frame, Model, PointedModel,
-    box_clause, frame_to_dict, model_to_dict, sequent_valid_on_frame, tri_clause,
+    box_clause, frame_to_dict, model_to_dict, tri_clause,
 )
 from fdek.syntax import (
     And, Atom, Box, Not, Or, Sequent, Tri, parse_formula, parse_sequent, render, render_sequent,

@@ -92,6 +92,22 @@ class TestProve:
         code, _, err = run(capsys, "prove", "#p |- p")
         assert code == 2 and err.startswith("error:") and "recursion" in err
 
+    @pytest.mark.parametrize("module,name,argv", [
+        (tableau, "tree_to_text", ("prove", "#p |- #~p", "--tree")),
+        (semantics, "model_to_dict", ("prove", "#p |- p")),
+        (semantics, "model_to_dict", ("countermodel", "#p |- p", "--max-worlds", "2"))],
+        ids=["prove-tree", "prove-countermodel", "countermodel"])
+    def test_out_of_memory_while_building_output_prints_no_verdict(
+            self, capsys, monkeypatch, module, name, argv):
+        # Every part of the output is built before the first is printed,
+        # so a verdict never stands on stdout beside exit 2.
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(module, name, exhausted)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: MemoryError\n"
+
 
 class TestEval:
     def test_figure_value(self, capsys):

@@ -1,10 +1,10 @@
 """One numbering of a sequent's subformulas, ``syntax._number``, read by
-``postorder``, the tableau's ``_Table`` and the bulk compiler's
-``_compile``.
+the tableau's ``_Table`` and the bulk compiler's ``_compile``.
 
-Each is compared with the numbering by formula equality that
-``reference_impl`` keeps (``postorder_by_equality``, ``table_by_index``
-and ``compile_by_index``): the same formulas, by identity and in order,
+Its list of formulas, the table and the program are each compared with
+the numbering by formula equality that ``reference_impl`` keeps
+(``postorder_by_equality``, ``table_by_index`` and
+``compile_by_index``): the same formulas, by identity and in order,
 the same nodes up to their padding, and the same programs.  A formula
 built with shared subtrees is numbered in its distinct objects, and no
 two formulas are compared while a claim is numbered.
@@ -19,7 +19,7 @@ import pytest
 from fdek.analysis import PAPER_FRAME_CLASSES, claims_from_text
 from fdek.bulkeval import _compile
 from fdek.syntax import (
-    And, Atom, Formula, Not, Or, Sequent, Tri, parse_formula, parse_sequent, postorder, render,
+    And, Atom, Formula, Not, Or, Sequent, Tri, _number, parse_formula, parse_sequent, render,
 )
 from fdek.tableau import _Table
 
@@ -69,7 +69,7 @@ class TestPostorder:
         for _ in range(300):
             roots = repeating(rng)
             for k in range(1, len(roots) + 1):
-                assert ids(postorder(*roots[:k])) == ids(postorder_by_equality(*roots[:k])), \
+                assert ids(_number(*roots[:k])[0]) == ids(postorder_by_equality(*roots[:k])), \
                     [render(f) for f in roots[:k]]
 
     def test_is_the_equality_walk_on_the_deep_formulas(self, gen):
@@ -79,8 +79,8 @@ class TestPostorder:
         for item in gen.deep_inputs(1)["formulas"]:
             f = parse_formula(item["text"])
             s = parse_sequent(f"{item['text']} |- {item['text']}")
-            assert ids(postorder(f)) == ids(postorder_by_equality(f)), item["depth"]
-            assert ids(postorder(s.premise, s.conclusion)) == \
+            assert ids(_number(f)[0]) == ids(postorder_by_equality(f)), item["depth"]
+            assert ids(_number(s.premise, s.conclusion)[0]) == \
                 ids(postorder_by_equality(s.premise, s.conclusion))
 
 
@@ -132,7 +132,7 @@ class TestSharedSubtrees:
         f = Atom("p")
         for _ in range(40):
             f = Tri(And(f, f))
-        order = postorder(f)
+        order = _number(f)[0]
         assert len(order) == 81 and ids(order) == ids(postorder_by_equality(f))
         program = _compile(Sequent(f, f))
         assert len(program.ops) == 81 and program.roots == (80, 80) and program.depth == 40
@@ -150,7 +150,7 @@ def test_numbering_compares_no_formulas(monkeypatch):
         raise AssertionError("two formulas compared")
 
     monkeypatch.setattr(Formula, "__eq__", refuse)
-    order = postorder(s.premise, s.conclusion)
+    order = _number(s.premise, s.conclusion)[0]
     program = _compile(s)
     table = _Table((s.premise, s.conclusion))
     monkeypatch.undo()

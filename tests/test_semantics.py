@@ -13,18 +13,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fdek import bulkeval, figures, semantics, syntax
-from fdek.analysis import PAPER_FRAME_CLASSES, enumerate_formulas
+from fdek.analysis import (
+    PAPER_FRAME_CLASSES, enumerate_formulas, formula_valid_on_frame, sequent_valid_on_frame,
+)
 from fdek.bulkeval import BulkSpace, frame_from_mask
 from fdek.figures import load_frame, load_model
 from fdek.semantics import (
     FRAME_PROPERTIES, BoundExceededError, Evaluator, FourValue, Frame, Model, ModelError,
     PointedModel, UnknownWorldError, dual_model, eval_formula,
-    formula_valid_on_frame, frame_property, model_from_dict, model_to_dict,
-    sequent_holds, sequent_valid_on_frame, VALUE_ORDER, and_clause, atom_clause, box_clause,
+    frame_property, model_from_dict, model_to_dict,
+    sequent_holds, VALUE_ORDER, and_clause, atom_clause, box_clause,
     frame_from_dict, not_clause, or_clause, tri_clause,
 )
 from fdek.syntax import (
-    And, Atom, Box, Not, Or, Sequent, Tri, parse_formula, parse_sequent, postorder, render,
+    And, Atom, Box, Not, Or, Sequent, Tri, _number, parse_formula, parse_sequent, render,
     subformulas,
 )
 
@@ -369,7 +371,7 @@ class TestMemoAcrossParses:
         # again, every one from its own parse.
         n, names, mask, f = case
         m = bulkeval.model_from_indices(n, names, mask, v % 4 ** (n * len(names)))
-        self._agree(m, [render(f)] + [render(g) for g in postorder(f)])
+        self._agree(m, [render(f)] + [render(g) for g in _number(f)[0]])
 
     def test_ten_thousand_deep_chain(self):
         # The tail of the chain meets the shorter chain's memo entry deep down.
@@ -522,9 +524,9 @@ class TestWalkCost:
 
     def test_supports_never_walks_by_postorder(self, monkeypatch):
         def refuse(*fs, **kw):
-            raise AssertionError("postorder called")
-        monkeypatch.setattr(syntax, "postorder", refuse)
-        assert not hasattr(semantics, "postorder")
+            raise AssertionError("_number called")
+        monkeypatch.setattr(syntax, "_number", refuse)
+        assert not hasattr(semantics, "_number")
         m = load_model("fig10")
         f = parse_formula("#~(p & []q) | ~#(p | q) & [](p & q)")
         for w in m.frame.worlds:
@@ -533,9 +535,10 @@ class TestWalkCost:
 
 def _plain_supports(m, w, f):
     """Both supports of ``f`` at ``w``: the clause functions folded over
-    ``postorder``, with no memo kept across calls and no modal result kept."""
+    ``syntax._number``'s list, with no memo kept across calls and no modal
+    result kept."""
     vals = {}
-    for g in postorder(f):
+    for g in _number(f)[0]:
         if isinstance(g, Atom):
             vals[g] = atom_clause(m, g.name)
         elif isinstance(g, Not):

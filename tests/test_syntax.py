@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from fdek.syntax import (
     LANG_BOX, LANG_TRI, And, Atom, Box, Not, Or, ParseError, Sequent,
-    Tri, parse_formula, parse_sequent, postorder, render, render_sequent, subformulas, variables,
+    Tri, _number, parse_formula, parse_sequent, render, render_sequent, subformulas, variables,
 )
 
 from fdek.bulkeval import _compile
@@ -112,7 +112,7 @@ class TestParseSharing:
         text = "#(p & ~q) | p"
         f, g = parse_formula(text), parse_formula(text)
         assert f == g
-        assert not {id(n) for n in postorder(f)} & {id(n) for n in postorder(g)}
+        assert not {id(n) for n in _number(f)[0]} & {id(n) for n in _number(g)[0]}
 
     def test_pickle_round_trip_keeps_equality_and_sharing(self):
         f = parse_formula("#(p & ~q) | p")
@@ -222,8 +222,8 @@ class TestStructure:
     def test_language_closed_under_subformulas(self, f):
         # A #-fragment formula has no [] anywhere, so neither has any of
         # its subformulas.
-        assert not any(isinstance(sub, Box) for sub in postorder(f))
-        assert all(not any(isinstance(g, Box) for g in postorder(sub))
+        assert not any(isinstance(sub, Box) for sub in _number(f)[0])
+        assert all(not any(isinstance(g, Box) for g in _number(sub)[0])
                    for sub in subformulas(f))
 
     @pytest.mark.parametrize("text,depth", [
@@ -282,7 +282,7 @@ class TestNodes:
 
     @given(formulas(names=("p", "q", "r")))
     def test_postorder_lists_each_subformula_once_children_first(self, f):
-        order = postorder(f)
+        order = _number(f)[0]
         assert len(order) == len(set(order))
         assert set(order) == subformulas(f) == _subtrees(f)
         place = {g: i for i, g in enumerate(order)}

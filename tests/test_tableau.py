@@ -1,6 +1,8 @@
 import hashlib
 import importlib
 import json
+from functools import lru_cache
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -166,6 +168,31 @@ class TestSaturationStep:
             b = Branch.from_items([self._item(t) for t in start])
             assert tableau._select(b)[0] == key.split("-")[0], key
 
+    @pytest.mark.parametrize("rule", list(RULE_CASES))
+    def test_rule_is_sound(self, rule):
+        # Under every map of the start's worlds into a model under which
+        # the start holds, some child's additions hold under some
+        # extension of the map to the worlds that child mints.  The
+        # children are the finders' own, not the schema's expected list.
+        # Exact for the propositional rules (every 1-world model over p
+        # and q); bounded evidence for the modal ones (every valuation of
+        # p on one frame per isomorphism class of at most 3 worlds).
+        start = [self._item(t) for t in self.RULE_CASES[rule][0]]
+        b = Branch.from_items(start)
+        children = [child.items[len(b):] for child in saturation_step(b)]
+        old = item_worlds(start)
+        start_plan = checking_plan([], old, start)
+        plans = [checking_plan(old, [w for w in item_worlds(adds) if w not in old], adds)
+                 for adds in children]
+        items = start + [item for adds in children for item in adds]
+        modal = any(isinstance(i, RelAtom) or isinstance(i.formula, Tri) for i in items)
+        texts = tuple(sorted({render(i.formula) for i in items if isinstance(i, Labelled)}))
+        for succ, table in evaluated_models(("p",) if modal else ("p", "q"),
+                                            3 if modal else 1, texts):
+            for sigma in holding_maps(start_plan, {}, succ, table):
+                assert any(next(holding_maps(plan, sigma, succ, table), None) is not None
+                           for plan in plans), (rule, succ, table, sigma)
+
     def test_closed_branch_rejected(self):
         b = Branch.from_items([lab("w0", "p", "t"), lab("w0", "p", "tbar")])
         with pytest.raises(ValueError, match="closed"):
@@ -175,6 +202,82 @@ class TestSaturationStep:
         b = Branch.from_items([lab("w0", "p", "t")])
         with pytest.raises(ValueError, match="complete"):
             saturation_step(b)
+
+
+def item_worlds(items) -> list[str]:
+    """The world labels the items name, in order, each once."""
+    names = (n for i in items
+             for n in ((i.source, i.target) if isinstance(i, RelAtom) else (i.world,)))
+    return list(dict.fromkeys(names))
+
+
+def frame_classes(n: int) -> list[Frame]:
+    """One frame per isomorphism class of relations on ``n`` worlds: the
+    least of its orbit under renaming the worlds, in sorted pair form."""
+    pairs = list(product(range(n), repeat=2))
+    least = set()
+    for bits in range(1 << len(pairs)):
+        rel = [pair for k, pair in enumerate(pairs) if bits >> k & 1]
+        least.add(min(tuple(sorted((perm[a], perm[b]) for a, b in rel))
+                      for perm in permutations(range(n))))
+    worlds = [f"u{i}" for i in range(n)]
+    return [Frame(worlds, [(worlds[a], worlds[b]) for a, b in rel]) for rel in sorted(least)]
+
+
+@lru_cache(maxsize=None)
+def evaluated_models(names: tuple, max_worlds: int, texts: tuple) -> list:
+    """Each model over ``names`` on each of the ``frame_classes`` of at
+    most ``max_worlds`` worlds: its successor bitsets, and each formula of
+    ``texts`` with its two supports at each world, by the scalar
+    ``Evaluator``."""
+    formulas = [parse_formula(t) for t in texts]
+    models = []
+    for n in range(1, max_worlds + 1):
+        for frame in frame_classes(n):
+            for values in product(FourValue, repeat=n * len(names)):
+                row = iter(values)
+                ev = Evaluator(Model.from_values(
+                    frame, {w: {x: next(row) for x in names} for w in frame.worlds}))
+                models.append((frame.succ, {f: [ev.supports(w, f) for w in frame.worlds]
+                                            for f in formulas}))
+    return models
+
+
+def checking_plan(known: list[str], labels: list[str], items: list) -> list[tuple]:
+    """The items of a map's extension to ``labels``, each checked as soon
+    as its worlds are mapped: ``(None, items on known labels)``, then
+    ``(label, the items it completes)`` for each label in turn."""
+    plan, seen = [], set(known)
+    for w in [None] + labels:
+        seen.add(w)
+        now = [i for i in items if set(item_worlds([i])) <= seen]
+        items = [i for i in items if i not in now]
+        plan.append((w, now))
+    return plan
+
+
+def holding_maps(plan: list[tuple], sigma: dict, succ: tuple, table: dict):
+    """Each extension of ``sigma`` along ``plan`` under which every item
+    of the plan holds."""
+    (w, now), rest = plan[0], plan[1:]
+    for image in [None] if w is None else range(len(succ)):
+        mapped = sigma if w is None else {**sigma, w: image}
+        if all(item_holds(i, mapped, succ, table) for i in now):
+            if rest:
+                yield from holding_maps(rest, mapped, succ, table)
+            else:
+                yield mapped
+
+
+def item_holds(item, sigma: dict, succ: tuple, table: dict) -> bool:
+    """Whether ``item`` holds under the map ``sigma`` of its world labels
+    to world positions: ``t`` (``f``) when the formula's truth (falsity)
+    is supported there, ``tbar`` (``fbar``) when it is not, and ``w R v``
+    when the images are related."""
+    if isinstance(item, RelAtom):
+        return bool(succ[sigma[item.source]] >> sigma[item.target] & 1)
+    truth, falsity = table[item.formula][sigma[item.world]]
+    return {Val.T: truth, Val.F: falsity, Val.TBAR: not truth, Val.FBAR: not falsity}[item.value]
 
 
 class TestProve:
